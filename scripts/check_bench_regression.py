@@ -1,31 +1,19 @@
 #!/usr/bin/env python
-"""Fail when the kernel's smoke throughput regresses against the baseline.
+"""Gate a milestone pair's wall-clock speedup in ``BENCH_kernel.json``.
 
-Compares the newest ``smoke:total`` record in ``BENCH_kernel.json``
-(appended by the CI bench job that just ran) against the *best of the
-last K committed* ``smoke:total`` records (default 5, ``--window``)
-and exits non-zero when events/second drops by more than the allowed
-fraction (default 30%). Taking the best of a window — not just the
-second-newest record — matters: a regression that survives one bench
-run would otherwise become the next run's baseline, and the check
-would ratchet *down* 30% at a time without ever failing. A bounded
-window (rather than the whole history) still lets a PR that
-legitimately shifts the events/second scale (e.g. by deleting cheap
-kernel events outright, which lowers events/s while *improving* wall
-clock) re-baseline the check within K committed smoke records.
-
-With ``--pair PREFIX`` the script instead gates a milestone *pair*
-(e.g. the ``--bench-shard`` records): it finds the newest
-``PREFIX:1shard`` baseline and the newest multi-shard leg and fails when
-the recorded wall-clock speedup falls below ``--min-speedup``. Hosts
-differ (CI runners have 2-4 cores, quota-limited containers may have
-one), so the CI floor is deliberately lower than the speedup a
+``--pair PREFIX`` finds the newest ``PREFIX:1shard`` baseline and the
+newest multi-shard leg (e.g. the ``--bench-shard`` records) and fails
+when the recorded wall-clock speedup falls below ``--min-speedup``.
+Hosts differ (CI runners have 2-4 cores, quota-limited containers may
+have one), so the CI floor is deliberately lower than the speedup a
 dedicated box shows — the gate catches the sharded runtime regressing
-toward parity, not machine variance.
+toward parity, not machine variance. A pair with a missing leg skips.
+
+End-to-end performance is measured by the repository benchmark
+(``bench/run.py``), not by this trajectory file.
 
 Usage::
 
-    python scripts/check_bench_regression.py [--max-drop 0.30] [PATH]
     python scripts/check_bench_regression.py \
         --pair milestone:fig17b-shard-1024 --min-speedup 1.2
     python scripts/check_bench_regression.py \
@@ -81,18 +69,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("path", nargs="?", default=str(DEFAULT_PATH),
                         help="trajectory file (default: repo BENCH_kernel.json)")
-    parser.add_argument("--max-drop", type=float, default=0.30,
-                        help="allowed fractional events/s drop vs the "
-                             "baseline (default 0.30)")
-    parser.add_argument("--window", type=int, default=5, metavar="K",
-                        help="baseline is the best of the last K records "
-                             "before the newest (default 5; prevents a "
-                             "surviving regression from ratcheting the "
-                             "baseline down)")
-    parser.add_argument("--label", default="smoke:total",
-                        help="record label to compare (default smoke:total)")
-    parser.add_argument("--pair", metavar="PREFIX",
-                        help="gate a --bench-shard pair instead: compare the "
+    parser.add_argument("--pair", metavar="PREFIX", required=True,
+                        help="gate a --bench-shard pair: compare the "
                              "newest 'PREFIX:1shard' record against the "
                              "newest multi-shard record")
     parser.add_argument("--min-speedup", type=float, default=1.2,
@@ -107,50 +85,7 @@ def main(argv=None) -> int:
     with open(args.path) as handle:
         runs = json.load(handle).get("runs", [])
 
-    if args.pair:
-        return check_pair(runs, args.pair, args.min_speedup, args.baseline)
-    # Records may carry manifest fields this script predates (git_rev,
-    # flags, ...) or be malformed entirely; look only at what we need and
-    # skip anything that is not a record object. Seed-era records carry
-    # ``sim_events: null`` (wall-clock timed before the kernel exported
-    # an event counter) — they have no events/second figure, so they are
-    # excluded from the comparison explicitly rather than by accident.
-    labeled = [r for r in runs if isinstance(r, dict)
-               and r.get("label") == args.label]
-    seed_era = [r for r in labeled if r.get("sim_events") is None]
-    if seed_era:
-        print(f"[bench] skipping {len(seed_era)} seed-era "
-              f"'{args.label}' record(s) without event counts")
-    # Zero-event closed-form runs record ``events_per_s: null`` (older
-    # files: ``0``): no events/second figure either way, so they are
-    # skipped explicitly, not silently dropped by the filter below.
-    zero_event = [r for r in labeled if r.get("sim_events") is not None
-                  and not r.get("events_per_s")]
-    if zero_event:
-        print(f"[bench] skipping {len(zero_event)} zero-event "
-              f"'{args.label}' record(s) (closed-form runs have no "
-              f"events/second figure)")
-    matching = [r for r in labeled if r.get("events_per_s")]
-    if len(matching) < 2:
-        print(f"[bench] need >=2 '{args.label}' records to compare "
-              f"(found {len(matching)}); skipping")
-        return 0
-    if args.window < 1:
-        parser.error("--window must be at least 1")
-
-    # Baseline: best events/s among the last K records before the
-    # newest. Comparing newest vs second-newest let a regression that
-    # survived one run become the next run's baseline (ratchet-down).
-    newest = matching[-1]
-    pool = matching[-(args.window + 1):-1]
-    baseline = max(pool, key=lambda r: r["events_per_s"])
-    floor = baseline["events_per_s"] * (1.0 - args.max_drop)
-    verdict = "OK" if newest["events_per_s"] >= floor else "REGRESSION"
-    print(f"[bench] {args.label}: baseline {baseline['events_per_s']}/s "
-          f"(best of last {len(pool)}, {baseline.get('date', '?')}), "
-          f"newest {newest['events_per_s']}/s "
-          f"({newest.get('date', '?')}), floor {floor:.0f}/s -> {verdict}")
-    return 0 if verdict == "OK" else 1
+    return check_pair(runs, args.pair, args.min_speedup, args.baseline)
 
 
 if __name__ == "__main__":

@@ -38,7 +38,10 @@ from ..sim.accounting import layer_counts
 
 __all__ = [
     "TaskResult",
+    "absorb_worker_counts",
     "available_cpus",
+    "counter_mark",
+    "counters_since",
     "default_workers",
     "pool_degradations",
     "replica_seeds",
@@ -177,50 +180,79 @@ def total_layer_counts() -> Dict[str, int]:
     return counts
 
 
-def absorb_worker_counts(sim_events: int,
-                         layer_events: Optional[Dict[str, int]]) -> None:
-    """Credit kernel events run in an external worker process.
+def counter_mark() -> Tuple[int, Dict[str, int], int]:
+    """Snapshot this process's kernel events, layer counts and span
+    count, for :func:`counters_since`."""
+    tracer = obs.active_tracer()
+    return (kernel.events_consumed(), layer_counts(),
+            len(tracer) if tracer is not None else 0)
+
+
+def counters_since(mark: Tuple[int, Dict[str, int], int]
+                   ) -> Tuple[int, Dict[str, int], Optional[Tuple]]:
+    """Kernel-event, per-layer and span deltas since ``mark``.
+
+    This is what a worker process ships back: pool tasks in their
+    :class:`TaskResult`, shard workers with their ``finish`` reply
+    (:func:`repro.sim.supervisor.serve`). The spans are drained from
+    this process's tracer so they are recorded exactly once; they are
+    None when tracing is off.
+    """
+    events_before, layers_before, spans_before = mark
+    layers_after = layer_counts()
+    tracer = obs.active_tracer()
+    return (kernel.events_consumed() - events_before,
+            {layer: layers_after[layer] - layers_before[layer]
+             for layer in layers_after},
+            tuple(tracer.take_from(spans_before))
+            if tracer is not None else None)
+
+
+def _credit(sim_events: int, layer_events: Dict[str, int]) -> None:
+    _POOL_EVENTS[0] += int(sim_events)
+    for layer, n in layer_events.items():
+        _POOL_LAYERS[layer] = _POOL_LAYERS.get(layer, 0) + n
+
+
+def absorb_worker_counts(counters: Optional[Tuple], replica: int = 0
+                         ) -> None:
+    """Credit the :func:`counters_since` deltas of an external worker.
 
     The shard runtime (:mod:`repro.sim.shard`) drives its own worker
-    processes outside the task pool; it ships each worker's event deltas
-    back through this hook so ``total_events_consumed`` /
-    ``total_layer_counts`` keep covering every execution path.
+    processes outside the task pool; each ships its deltas back with its
+    ``finish`` reply and the driver credits them here, so
+    ``total_events_consumed`` / ``total_layer_counts`` keep covering
+    every execution path, and the spans join this process's tracer
+    under ``replica``. ``None`` (a worker that ran in-process, whose
+    events are already counted here) credits nothing.
     """
-    _POOL_EVENTS[0] += int(sim_events)
-    for layer, n in (layer_events or {}).items():
-        _POOL_LAYERS[layer] = _POOL_LAYERS.get(layer, 0) + n
+    if counters is None:
+        return
+    sim_events, layer_events, spans = counters
+    _credit(sim_events, layer_events)
+    tracer = obs.active_tracer()
+    if spans and tracer is not None:
+        tracer.absorb(spans, replica=replica)
 
 
 def _timed_call(task: Tuple[int, Callable, Tuple, Dict]) -> TaskResult:
     index, fn, args, kwargs = task
-    tracer = obs.active_tracer()
-    spans_before = len(tracer) if tracer is not None else 0
+    mark = counter_mark()
     profiler = _task_profiler()
-    events_before = kernel.events_consumed()
-    layers_before = layer_counts()
     start = time.perf_counter()
     value = fn(*args, **kwargs)
-    layers_after = layer_counts()
     wall_s = time.perf_counter() - start
     if profiler is not None:
         profiler.disable()
         profiler.dump_stats(
             f"{os.environ['REPRO_PROFILE_OUT']}.r{index}")
-    spans = None
-    if tracer is not None:
-        # Drain this task's span delta so the coordinator can re-absorb
-        # it under the task's replica index (and so the serial fallback
-        # does not double-record).
-        spans = tuple(tracer.take_from(spans_before))
-    return TaskResult(
-        index=index,
-        value=value,
-        wall_s=wall_s,
-        sim_events=kernel.events_consumed() - events_before,
-        layer_events={layer: layers_after[layer] - layers_before[layer]
-                      for layer in layers_after},
-        spans=spans,
-    )
+    # Draining this task's span delta lets the coordinator re-absorb it
+    # under the task's replica index (and keeps the serial fallback
+    # from double-recording).
+    sim_events, layer_events, spans = counters_since(mark)
+    return TaskResult(index=index, value=value, wall_s=wall_s,
+                      sim_events=sim_events, layer_events=layer_events,
+                      spans=spans)
 
 
 def _task_profiler():
@@ -256,10 +288,8 @@ def _try_pool(tasks: List[Tuple[int, Callable, Tuple, Dict]],
     except (OSError, BrokenExecutor) as error:
         _note_degradation(error)  # no fork/spawn available here
         return None
-    _POOL_EVENTS[0] += sum(r.sim_events for r in results)
     for result in results:
-        for layer, n in (result.layer_events or {}).items():
-            _POOL_LAYERS[layer] = _POOL_LAYERS.get(layer, 0) + n
+        _credit(result.sim_events, result.layer_events)
     return results
 
 

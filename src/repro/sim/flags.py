@@ -52,6 +52,7 @@ __all__ = [
     "shard_count",
     "cloud_shard_count",
     "hybrid_exact_devices",
+    "shard_window",
     "meanfield_enabled",
     "worker_deadline",
     "worker_retries",
@@ -88,6 +89,40 @@ def batched_rng_enabled(override: Optional[bool] = None) -> bool:
     return _enabled("REPRO_BATCHED_RNG", override)
 
 
+def _count(variable: str, override: Optional[int], default: int,
+           minimum: int, rule: str) -> int:
+    """Resolve an integer knob: an explicit argument wins, then the
+    environment variable, then ``default``. A value below ``minimum``
+    raises the same ``ValueError`` from either source; the environment
+    path names the variable."""
+    if override is not None:
+        value, source = int(override), ""
+    else:
+        configured = os.environ.get(variable, "")
+        if not configured:
+            return default
+        value, source = int(configured), f"{variable}={configured}: "
+    if value < minimum:
+        raise ValueError(f"{source}{rule}")
+    return value
+
+
+def _positive(variable: str, override: Optional[float],
+              rule: str) -> Optional[float]:
+    """Resolve an optional positive duration like :func:`_count`;
+    ``None`` when neither source sets it."""
+    if override is not None:
+        value, source = float(override), ""
+    else:
+        configured = os.environ.get(variable, "")
+        if not configured:
+            return None
+        value, source = float(configured), f"{variable}={configured}: "
+    if value <= 0:
+        raise ValueError(f"{source}{rule}")
+    return value
+
+
 def shard_count(override: Optional[int] = None) -> int:
     """Resolve the intra-run shard count (``REPRO_SHARDS``).
 
@@ -96,15 +131,8 @@ def shard_count(override: Optional[int] = None) -> int:
     ``REPRO_SHARDS=N`` or an explicit ``--shards N`` arms the sharded
     cell-decomposed runtime of :mod:`repro.sim.shard`.
     """
-    if override is not None:
-        if override < 1:
-            raise ValueError("shard count must be at least 1")
-        return int(override)
-    configured = os.environ.get("REPRO_SHARDS", "")
-    if not configured:
-        return 1
-    count = int(configured)
-    return count if count >= 1 else 1
+    return _count("REPRO_SHARDS", override, 1, 1,
+                  "shard count must be at least 1")
 
 
 def cloud_shard_count(override: Optional[int] = None) -> int:
@@ -118,15 +146,8 @@ def cloud_shard_count(override: Optional[int] = None) -> int:
     regions (a pure function of the cell plan) scheduled over up to
     ``N`` worker groups — rows are identical at any ``N >= 1``.
     """
-    if override is not None:
-        if override < 0:
-            raise ValueError("cloud shard count must be non-negative")
-        return int(override)
-    configured = os.environ.get("REPRO_CLOUD_SHARDS", "")
-    if not configured:
-        return 0
-    count = int(configured)
-    return count if count >= 0 else 0
+    return _count("REPRO_CLOUD_SHARDS", override, 0, 0,
+                  "cloud shard count must be non-negative")
 
 
 def hybrid_exact_devices(override: Optional[int] = None) -> int:
@@ -140,15 +161,20 @@ def hybrid_exact_devices(override: Optional[int] = None) -> int:
     one run mixes a small exact focus sub-swarm with a mean-field
     background swarm.
     """
-    if override is not None:
-        if override < 0:
-            raise ValueError("hybrid exact-device count must be non-negative")
-        return int(override)
-    configured = os.environ.get("REPRO_HYBRID_EXACT", "")
-    if not configured:
-        return 0
-    count = int(configured)
-    return count if count >= 0 else 0
+    return _count("REPRO_HYBRID_EXACT", override, 0, 0,
+                  "hybrid exact-device count must be non-negative")
+
+
+def shard_window(override: Optional[float] = None) -> Optional[float]:
+    """Resolve the sharded barrier window (``REPRO_SHARD_WINDOW``).
+
+    Returns the window in simulated seconds, or ``None`` when neither an
+    explicit argument nor the environment sets one — the caller
+    (:func:`repro.sim.shard.resolve_window`) then uses its default and
+    clamps the value to the causal minimum.
+    """
+    return _positive("REPRO_SHARD_WINDOW", override,
+                     "barrier window must be positive")
 
 
 def worker_deadline(override: Optional[float] = None) -> Optional[float]:
@@ -159,18 +185,8 @@ def worker_deadline(override: Optional[float] = None) -> Optional[float]:
     (:func:`repro.sim.supervisor.resolve_worker_deadline`) then derives
     ``max(60 s, lookahead window)``.
     """
-    if override is not None:
-        value = float(override)
-        if value <= 0:
-            raise ValueError("worker deadline must be positive")
-        return value
-    configured = os.environ.get("REPRO_WORKER_DEADLINE", "")
-    if not configured:
-        return None
-    value = float(configured)
-    if value <= 0:
-        raise ValueError("REPRO_WORKER_DEADLINE must be positive")
-    return value
+    return _positive("REPRO_WORKER_DEADLINE", override,
+                     "worker deadline must be positive")
 
 
 def worker_retries(override: Optional[int] = None) -> int:
@@ -180,15 +196,8 @@ def worker_retries(override: Optional[int] = None) -> int:
     degrades the worker to in-process execution. ``0`` skips respawning
     entirely (straight to in-process recovery).
     """
-    if override is not None:
-        if override < 0:
-            raise ValueError("worker retries must be non-negative")
-        return int(override)
-    configured = os.environ.get("REPRO_WORKER_RETRIES", "")
-    if not configured:
-        return 2
-    count = int(configured)
-    return count if count >= 0 else 0
+    return _count("REPRO_WORKER_RETRIES", override, 2, 0,
+                  "worker retries must be non-negative")
 
 
 def chaos_workers(override: Optional[str] = None) -> str:

@@ -36,6 +36,13 @@ synchronization barrier joins the tiers), so the reverse direction needs
 no lookahead at all and the window can be made much larger than the
 physical bound for efficiency; ``REPRO_SHARD_WINDOW`` tunes it.
 
+Workers: each scheduling group of cells (``_Cells``) or of cloud
+regions (``_Regions``) is an executor with one ``request(command,
+argument)`` method, and :func:`run_sharded` drives every group through a
+:class:`~repro.sim.supervisor.SupervisedConnection`. The handle runs the
+executor in a forked worker process (:func:`repro.sim.supervisor.serve`)
+or in-process; both paths produce the same bytes.
+
 The unarmed path (``REPRO_SHARDS`` unset / ``shards`` not given) never
 enters this module: experiments fall through to the unsharded runner,
 byte-identical to the seed.
@@ -43,9 +50,9 @@ byte-identical to the seed.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -57,9 +64,8 @@ from ..serverless.gateway import CloudGateway
 from ..telemetry import (BandwidthMeter, BreakdownAggregate,
                          LatencyBreakdown, MetricSeries)
 from ..faults.worker import WorkerFaultPlan
-from . import flags, kernel
-from .accounting import layer_counts
-from .supervisor import (ProtocolError, SupervisedConnection, chaos_pause,
+from . import flags
+from .supervisor import (ProtocolError, SupervisedConnection,
                          incident_count, incidents_since,
                          resolve_worker_deadline, resolve_worker_retries)
 
@@ -97,11 +103,6 @@ MAX_HORIZON_S = 1e8
 #: hybrid run; per-cell slots shrink as the background fleet grows so a
 #: 1M-device background prices into a bounded stream.
 MAX_SYNTHETIC_CALLS = 4096
-
-#: Supervision deadline when a handle is constructed directly;
-#: :func:`run_sharded` derives the real one from the barrier window via
-#: :func:`repro.sim.supervisor.resolve_worker_deadline`.
-DEADLINE_FALLBACK_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -269,107 +270,34 @@ def plan_cells(n_devices: int, seed: int = 0,
     return specs
 
 
-# -- cell worker (runs in a shard process or in-process) ----------------
+# -- executors (run in a worker process or in-process) -------------------
 
-def _build_cell(config: PlatformConfig, scenario, spec: CellSpec,
-                constants: PaperConstants, total_devices: int,
-                runner_kwargs: Dict) -> Tuple[ScenarioRunner, CellBoundary]:
-    boundary = CellBoundary(spec.index, region=spec.region)
-    runner = ScenarioRunner(
-        config, scenario, constants=constants,
-        n_devices=spec.n_devices, seed=spec.seed,
-        cloud_boundary=boundary,
-        device_id_base=spec.device_id_base,
-        cloud_budget_cores=spec.cloud_budget_cores,
-        placement_devices=total_devices,
-        fail_devices_at=spec.fail_devices_at,
-        **runner_kwargs)
-    runner.start()
-    return runner, boundary
+class _Cells:
+    """Executor for one scheduling group of cells.
 
+    ``("advance", t)`` steps every cell to barrier ``t`` and returns
+    ``(fresh_calls, status)``, where ``status`` maps cell index to its
+    makespan once finished; ``("finish", duration)`` finalizes every
+    cell and returns ``(cell, RunResult, call ledger)`` triples.
+    """
 
-def _worker_main(conn, config: PlatformConfig, scenario,
+    def __init__(self, config: PlatformConfig, scenario,
                  specs: List[CellSpec], constants: PaperConstants,
-                 total_devices: int, runner_kwargs: Dict,
-                 faults: Tuple[Tuple[str, int, float], ...] = ()) -> None:
-    """Shard worker loop: build my cells, then serve barrier commands.
-
-    Protocol (parent -> worker): ``("advance", t)`` steps every cell to
-    barrier ``t`` and replies ``("calls", (fresh_calls, status))`` where
-    ``status`` maps cell index to its makespan once finished;
-    ``("finish", duration)`` finalizes every cell and replies
-    ``("result", payload)`` with the cells' RunResults, complete call
-    ledgers, shipped spans, and kernel-event deltas, then exits.
-
-    ``faults`` carries worker-side chaos triples (hang/slow, see
-    :meth:`repro.faults.worker.WorkerFaultPlan.worker_side`), applied
-    via :func:`repro.sim.supervisor.chaos_pause` before handling the
-    matching command. Recovery respawns pass ``()``.
-    """
-    tracer = obs.active_tracer()
-    spans_before = len(tracer) if tracer is not None else 0
-    events_before = kernel.events_consumed()
-    layers_before = layer_counts()
-    cells = [(spec, *_build_cell(config, scenario, spec, constants,
-                                 total_devices, runner_kwargs))
-             for spec in specs]
-    op = 0
-    try:
-        while True:
-            command, argument = conn.recv()
-            op += 1
-            chaos_pause(faults, op)
-            if command == "advance":
-                status = {}
-                fresh: List[CloudCall] = []
-                for spec, runner, boundary in cells:
-                    runner.advance_to(argument)
-                    fresh.extend(boundary.take_fresh())
-                    if runner.finished:
-                        status[spec.index] = runner.makespan
-                conn.send(("calls", (fresh, status)))
-            elif command == "finish":
-                layers_after = layer_counts()
-                payload = {
-                    "results": [(spec.index,
-                                 runner.finish(duration_override=argument),
-                                 boundary.calls)
-                                for spec, runner, boundary in cells],
-                    "sim_events": kernel.events_consumed() - events_before,
-                    "layer_events": {
-                        layer: layers_after[layer] - layers_before[layer]
-                        for layer in layers_after},
-                    "spans": (tuple(tracer.take_from(spans_before))
-                              if tracer is not None else None),
-                }
-                conn.send(("result", payload))
-                return
-            else:
-                raise ProtocolError(f"unknown shard command {command!r}")
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        return
-    finally:
-        conn.close()
-
-
-class _LocalCells:
-    """In-process executor for one shard's cells.
-
-    The fallback arm of the supervised handle — serves the same
-    ``request(command, argument) -> payload`` shapes as
-    :func:`_worker_main`, so :class:`~repro.sim.supervisor.
-    SupervisedConnection` can replay a dead worker's journal onto it
-    verbatim. Used when one worker collapses to in-process scheduling,
-    when no process can be spawned, and as the end of the degradation
-    ladder after the respawn retry budget.
-    """
-
-    def __init__(self, config, scenario, specs: List[CellSpec],
-                 constants, total_devices: int, runner_kwargs: Dict):
-        self._cells = [
-            (spec, *_build_cell(config, scenario, spec, constants,
-                                total_devices, runner_kwargs))
-            for spec in specs]
+                 total_devices: int, runner_kwargs: Dict):
+        self._cells = []
+        for spec in specs:
+            boundary = CellBoundary(spec.index, region=spec.region)
+            runner = ScenarioRunner(
+                config, scenario, constants=constants,
+                n_devices=spec.n_devices, seed=spec.seed,
+                cloud_boundary=boundary,
+                device_id_base=spec.device_id_base,
+                cloud_budget_cores=spec.cloud_budget_cores,
+                placement_devices=total_devices,
+                fail_devices_at=spec.fail_devices_at,
+                **runner_kwargs)
+            runner.start()
+            self._cells.append((spec, runner, boundary))
 
     def request(self, command: str, argument) -> object:
         if command == "advance":
@@ -382,173 +310,48 @@ class _LocalCells:
                     status[spec.index] = runner.makespan
             return fresh, status
         if command == "finish":
-            return {
-                "results": [(spec.index,
-                             runner.finish(duration_override=argument),
-                             boundary.calls)
-                            for spec, runner, boundary in self._cells],
-                # In-process cells dispatch on this process's kernel
-                # counters, which total_events_consumed() already covers.
-                "sim_events": 0,
-                "layer_events": {},
-                "spans": None,  # already on this process's tracer
-            }
-        raise ProtocolError(f"unknown shard command {command!r}")
+            return [(spec.index, runner.finish(duration_override=argument),
+                     boundary.calls)
+                    for spec, runner, boundary in self._cells]
+        raise ProtocolError(f"unknown cell command {command!r}")
 
 
-class _Shard:
-    """Driver-side handle for one scheduling group of cells.
+class _Regions:
+    """Executor for one worker group of cloud regions.
 
-    Runs its cells in a worker process under a
-    :class:`~repro.sim.supervisor.SupervisedConnection` — deadline
-    watchdog, death/hang detection, deterministic journal-replay
-    recovery — falling back to in-process execution when no process can
-    be spawned (sandboxes and test environments routinely forbid
-    ``fork``) or when the respawn retry budget runs out. Every path
-    produces the same bytes, see the module determinism contract.
+    ``("serve", [(region, calls), ...])`` prices each region's batch on
+    its virtual clock and returns ``(cell, seq, completion_s,
+    breakdown)`` tuples; ``("finish", None)`` returns ``{region:
+    stats}``. ``region_plans`` maps region index to its partitioned
+    backend :class:`~repro.faults.FaultPlan` (simulated faults: a
+    respawned worker applies them again, unlike one-shot worker chaos).
     """
-
-    def __init__(self, specs: List[CellSpec], config, scenario,
-                 constants, total_devices: int, runner_kwargs: Dict,
-                 in_process: bool, worker_id: int = 0,
-                 faults: Optional[WorkerFaultPlan] = None,
-                 deadline_s: float = DEADLINE_FALLBACK_S,
-                 retries: int = 2):
-        self.specs = specs
-        faults = faults if faults is not None else WorkerFaultPlan()
-
-        def spawn(worker_side_faults):
-            import multiprocessing
-            parent_conn, child_conn = multiprocessing.Pipe()
-            process = multiprocessing.Process(
-                target=_worker_main,
-                args=(child_conn, config, scenario, specs, constants,
-                      total_devices, runner_kwargs, worker_side_faults),
-                daemon=True)
-            process.start()
-            child_conn.close()
-            return parent_conn, process
-
-        self.sup = SupervisedConnection(
-            name=f"shard{worker_id}",
-            spawn=spawn,
-            replies={"advance": "calls", "finish": "result"},
-            fallback=lambda: _LocalCells(config, scenario, specs,
-                                         constants, total_devices,
-                                         runner_kwargs),
-            deadline_s=deadline_s,
-            retries=retries,
-            kill_ops=faults.kill_ops("shard", worker_id),
-            worker_side_faults=faults.worker_side("shard", worker_id),
-            in_process=in_process)
-
-    @property
-    def in_process(self) -> bool:
-        return self.sup.in_process
-
-    def send_advance(self, until: float) -> None:
-        self.sup.send("advance", until)
-
-    def collect_advance(self, until: float
-                        ) -> Tuple[List[CloudCall], Dict[int, float]]:
-        return self.sup.collect()
-
-    def send_finish(self, duration: float) -> None:
-        self.sup.send("finish", duration)
-
-    def collect_finish(self, duration: float) -> Dict:
-        return self.sup.collect()
-
-    def close(self) -> None:
-        self.sup.close()
-
-
-# -- cloud region workers (sharded cloud tier) --------------------------
-
-def _build_regions(region_specs, config, scenario, constants,
-                   total_devices: int, seed: int, n_regions: int,
-                   region_plans: Optional[Dict] = None,
-                   serving_cfg=None) -> Dict:
-    from ..serverless.region import RegionGateway, region_server_count
-    gateways = {}
-    for region, count in region_specs:
-        serving = None
-        if serving_cfg is not None:
-            # Policies are mutable per-region state: rebuild them here,
-            # in whichever process owns the gateway (only the picklable
-            # ServingConfig crosses the pipe).
-            from ..serving import ServingPolicy
-            serving = ServingPolicy(
-                serving_cfg,
-                n_servers=region_server_count(
-                    region, n_regions, constants.cluster.servers),
-                cores_per_server=constants.cluster.cores_per_server)
-        gateway = RegionGateway(
-            config, scenario, constants, region=region,
-            n_regions=n_regions, region_devices=count,
-            total_devices=total_devices, seed=seed, serving=serving)
-        plan = (region_plans or {}).get(region)
-        if plan is not None and plan.armed:
-            gateway.apply_fault_plan(plan)
-        gateways[region] = gateway
-    return gateways
-
-
-def _region_worker_main(conn, config, scenario, region_specs, constants,
-                        total_devices: int, seed: int, n_regions: int,
-                        region_plans: Optional[Dict] = None,
-                        faults: Tuple[Tuple[str, int, float], ...] = (),
-                        serving_cfg=None) -> None:
-    """Cloud worker loop: build my regions, then serve call batches.
-
-    Protocol (parent -> worker): ``("serve", [(region, calls), ...])``
-    prices each region's batch on its virtual clock and replies
-    ``("served", completions)`` with ``(cell, seq, completion_s,
-    breakdown)`` tuples; ``("finish", None)`` replies ``("stats",
-    {region: stats})`` and exits. ``region_plans`` maps region index to
-    its partitioned backend :class:`~repro.faults.FaultPlan` (simulated
-    faults — kept across respawns); ``faults`` carries worker-side chaos
-    triples (harness faults — disarmed on respawn).
-    """
-    gateways = _build_regions(region_specs, config, scenario, constants,
-                              total_devices, seed, n_regions,
-                              region_plans, serving_cfg=serving_cfg)
-    op = 0
-    try:
-        while True:
-            command, argument = conn.recv()
-            op += 1
-            chaos_pause(faults, op)
-            if command == "serve":
-                completions = []
-                for region, calls in argument:
-                    completions.extend(gateways[region].serve(calls))
-                conn.send(("served", completions))
-            elif command == "finish":
-                conn.send(("stats", {region: gateway.stats()
-                                     for region, gateway
-                                     in gateways.items()}))
-                return
-            else:
-                raise ProtocolError(f"unknown cloud command {command!r}")
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        return
-    finally:
-        conn.close()
-
-
-class _LocalRegions:
-    """In-process executor for one worker group of cloud regions
-    (the supervised handle's fallback arm; payload shapes match
-    :func:`_region_worker_main`)."""
 
     def __init__(self, region_specs, config, scenario, constants,
                  total_devices: int, seed: int, n_regions: int,
-                 region_plans: Optional[Dict] = None,
-                 serving_cfg=None):
-        self._gateways = _build_regions(
-            region_specs, config, scenario, constants, total_devices,
-            seed, n_regions, region_plans, serving_cfg=serving_cfg)
+                 region_plans: Optional[Dict], serving_cfg):
+        from ..serverless.region import RegionGateway, region_server_count
+        self._gateways = {}
+        for region, count in region_specs:
+            serving = None
+            if serving_cfg is not None:
+                # Policies are mutable per-region state: rebuild them
+                # here, in whichever process owns the gateway (only the
+                # picklable ServingConfig crosses the pipe).
+                from ..serving import ServingPolicy
+                serving = ServingPolicy(
+                    serving_cfg,
+                    n_servers=region_server_count(
+                        region, n_regions, constants.cluster.servers),
+                    cores_per_server=constants.cluster.cores_per_server)
+            gateway = RegionGateway(
+                config, scenario, constants, region=region,
+                n_regions=n_regions, region_devices=count,
+                total_devices=total_devices, seed=seed, serving=serving)
+            plan = (region_plans or {}).get(region)
+            if plan is not None and plan.armed:
+                gateway.apply_fault_plan(plan)
+            self._gateways[region] = gateway
 
     def request(self, command: str, argument) -> object:
         if command == "serve":
@@ -560,72 +363,6 @@ class _LocalRegions:
             return {region: gateway.stats()
                     for region, gateway in self._gateways.items()}
         raise ProtocolError(f"unknown cloud command {command!r}")
-
-
-class _CloudShard:
-    """Driver-side handle for one worker group of cloud regions.
-
-    Mirrors :class:`_Shard`'s supervised process-with-fallback shape:
-    regions are the semantic unit and price identically wherever they
-    are scheduled, so worker grouping — and supervised recovery — never
-    changes the bytes.
-    """
-
-    def __init__(self, region_specs, config, scenario, constants,
-                 total_devices: int, seed: int, n_regions: int,
-                 in_process: bool, worker_id: int = 0,
-                 faults: Optional[WorkerFaultPlan] = None,
-                 deadline_s: float = DEADLINE_FALLBACK_S,
-                 retries: int = 2,
-                 region_plans: Optional[Dict] = None,
-                 serving_cfg=None):
-        self.regions = [region for region, _ in region_specs]
-        faults = faults if faults is not None else WorkerFaultPlan()
-
-        def spawn(worker_side_faults):
-            import multiprocessing
-            parent_conn, child_conn = multiprocessing.Pipe()
-            process = multiprocessing.Process(
-                target=_region_worker_main,
-                args=(child_conn, config, scenario, region_specs,
-                      constants, total_devices, seed, n_regions,
-                      region_plans, worker_side_faults, serving_cfg),
-                daemon=True)
-            process.start()
-            child_conn.close()
-            return parent_conn, process
-
-        self.sup = SupervisedConnection(
-            name=f"cloud{worker_id}",
-            spawn=spawn,
-            replies={"serve": "served", "finish": "stats"},
-            fallback=lambda: _LocalRegions(region_specs, config,
-                                           scenario, constants,
-                                           total_devices, seed,
-                                           n_regions, region_plans,
-                                           serving_cfg=serving_cfg),
-            deadline_s=deadline_s,
-            retries=retries,
-            kill_ops=faults.kill_ops("cloud", worker_id),
-            worker_side_faults=faults.worker_side("cloud", worker_id),
-            in_process=in_process)
-
-    @property
-    def in_process(self) -> bool:
-        return self.sup.in_process
-
-    def send_serve(self, grouped) -> None:
-        """``grouped`` is a list of (region, canonical-order calls)."""
-        self.sup.send("serve", grouped)
-
-    def collect_serve(self) -> List:
-        return self.sup.collect()
-
-    def finish(self) -> Dict:
-        return self.sup.request("finish", None)
-
-    def close(self) -> None:
-        self.sup.close()
 
 
 # -- merge helpers ------------------------------------------------------
@@ -777,11 +514,9 @@ def _merge_extras(results, cloud_stats: Dict, makespan: float,
 def resolve_window(constants: PaperConstants,
                    window_s: Optional[float] = None) -> float:
     """Barrier window: configured value clamped to the causal minimum."""
+    window_s = flags.shard_window(window_s)
     if window_s is None:
-        configured = os.environ.get("REPRO_SHARD_WINDOW", "")
-        window_s = float(configured) if configured else DEFAULT_WINDOW_S
-    if window_s <= 0:
-        raise ValueError("barrier window must be positive")
+        window_s = DEFAULT_WINDOW_S
     return max(window_s, boundary_lookahead(constants))
 
 
@@ -900,11 +635,21 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     analytic = runner_kwargs.get("analytic_net")
     cloud_armed = cloud_shards >= 1
     gateway = None
-    cloud_handles: List[_CloudShard] = []
-    shard_handles: List[_Shard] = []
-    handle_of_region: Dict[int, _CloudShard] = {}
+    cloud_handles: List[SupervisedConnection] = []
+    shard_handles: List[SupervisedConnection] = []
+    handle_of_region: Dict[int, SupervisedConnection] = {}
     incident_mark = incident_count()
-    from ..experiments.parallel import default_workers
+    from ..experiments.parallel import absorb_worker_counts, default_workers
+
+    def supervise(scope: str, worker_id: int, build,
+                  in_process: bool) -> SupervisedConnection:
+        return SupervisedConnection(
+            f"{scope}{worker_id}", build, deadline_s=deadline_s,
+            retries=retries,
+            kill_ops=worker_faults.kill_ops(scope, worker_id),
+            worker_side_faults=worker_faults.worker_side(scope, worker_id),
+            in_process=in_process)
+
     if cloud_armed:
         # One RegionGateway per region of the plan, grouped round-robin
         # onto min(cloud_shards, cores) worker processes — the grouping
@@ -927,19 +672,17 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
         for position, region in enumerate(region_ids):
             cloud_groups[position % cloud_workers].append(
                 (region, region_counts[region]))
+        cloud_groups = [group for group in cloud_groups if group]
         cloud_handles = [
-            _CloudShard(group, config, scenario, global_constants,
-                        n_devices, seed, n_regions,
-                        in_process=(cloud_workers == 1
-                                    and not chaos_armed),
-                        worker_id=worker_id, faults=worker_faults,
-                        deadline_s=deadline_s, retries=retries,
-                        region_plans=region_plans,
-                        serving_cfg=serving_cfg)
-            for worker_id, group in enumerate(
-                group for group in cloud_groups if group)]
-        for handle in cloud_handles:
-            for region in handle.regions:
+            supervise("cloud", worker_id,
+                      functools.partial(
+                          _Regions, group, config, scenario,
+                          global_constants, n_devices, seed, n_regions,
+                          region_plans, serving_cfg),
+                      in_process=(cloud_workers == 1 and not chaos_armed))
+            for worker_id, group in enumerate(cloud_groups)]
+        for handle, group in zip(cloud_handles, cloud_groups):
+            for region, _ in group:
                 handle_of_region[region] = handle
     else:
         cloud_workers = 0
@@ -1018,10 +761,10 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
             involved = [handle for handle in cloud_handles
                         if id(handle) in grouped_by_handle]
             for handle in involved:
-                handle.send_serve(grouped_by_handle[id(handle)])
+                handle.send("serve", grouped_by_handle[id(handle)])
             completions = []
             for handle in involved:
-                completions.extend(handle.collect_serve())
+                completions.extend(handle.collect())
             return completions
 
         # Worker processes are capped by the cgroup-aware core count: on
@@ -1040,11 +783,11 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
         for position, spec in enumerate(exact_specs):
             groups[position % workers].append(spec)
         shard_handles.extend(
-            _Shard(group, config, scenario, constants, n_devices,
-                   runner_kwargs,
-                   in_process=(workers == 1 and not chaos_armed),
-                   worker_id=worker_id, faults=worker_faults,
-                   deadline_s=deadline_s, retries=retries)
+            supervise("shard", worker_id,
+                      functools.partial(_Cells, config, scenario, group,
+                                        constants, n_devices,
+                                        runner_kwargs),
+                      in_process=(workers == 1 and not chaos_armed))
             for worker_id, group in enumerate(groups))
 
         # Barrier loop: cells to t, exchange, cloud to t.
@@ -1059,10 +802,10 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
                     f"mission not finished by t={barrier:.0f}s; "
                     "sharded barrier loop aborted")
             for handle in shard_handles:
-                handle.send_advance(barrier)
+                handle.send("advance", barrier)
             batch: List[CloudCall] = []
             for handle in shard_handles:
-                fresh, status = handle.collect_advance(barrier)
+                fresh, status = handle.collect()
                 batch.extend(fresh)
                 finished.update(status)
             batch.sort(key=lambda call: call.sort_key)
@@ -1079,8 +822,9 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
             # focus), then collect every region's counters.
             cloud_completions.extend(serve_regions([], MAX_HORIZON_S))
             region_stats: Dict[int, Dict] = {}
-            for handle in cloud_handles:
-                region_stats.update(handle.finish())
+            for handle, group in zip(cloud_handles, cloud_groups):
+                region_stats.update(handle.request("finish", None))
+                absorb_worker_counts(handle.counters, replica=group[0][0])
             cloud_done = max(
                 (stats["last_completion_s"]
                  for stats in region_stats.values()), default=0.0)
@@ -1090,21 +834,13 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
 
         tracer = obs.active_tracer()
         for handle in shard_handles:
-            handle.send_finish(makespan)
+            handle.send("finish", makespan)
         results: List[Tuple[int, RunResult, List[CloudCall]]] = []
-        for handle in shard_handles:
-            payload = handle.collect_finish(makespan)
-            results.extend(payload["results"])
-            if payload["sim_events"]:
-                from ..experiments.parallel import absorb_worker_counts
-                absorb_worker_counts(payload["sim_events"],
-                                     payload["layer_events"])
-            if payload["spans"] and tracer is not None:
-                # Re-home worker spans under the shard's first cell
-                # index (the PR 5 replica-tagging pattern across
-                # processes).
-                tracer.absorb(payload["spans"],
-                              replica=handle.specs[0].index)
+        for handle, group in zip(shard_handles, groups):
+            results.extend(handle.collect())
+            # Worker spans are re-homed under the group's first cell
+            # index (the replica-tagging pattern across processes).
+            absorb_worker_counts(handle.counters, replica=group[0].index)
         results.sort(key=lambda item: item[0])
 
         if serving_cfg is not None and tracer is not None:

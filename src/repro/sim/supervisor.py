@@ -1,38 +1,53 @@
-"""Worker supervision: watchdogs, deterministic replay, incident records.
+"""Worker protocol and supervision: one serve loop, one supervised handle.
 
-PRs 7–8 turned the runner into a small distributed system — shard cell
-workers and cloud-region workers talking to the driver over pipes — with
-no fault tolerance: every ``conn.recv()`` blocked forever and a timed-out
-``join`` leaked the child. This module supplies the missing supervision
-layer, used by both worker kinds in :mod:`repro.sim.shard`:
+The sharded runtime (:mod:`repro.sim.shard`) runs two kinds of worker —
+cell workers and cloud-region workers — and both speak one protocol:
 
-- **Deadline-guarded receives.** Every reply is awaited with
-  ``poll()`` in short slices against a wall-clock deadline
-  (``REPRO_WORKER_DEADLINE``, default ``max(60 s, lookahead window)`` —
-  a worker that cannot advance one lookahead window of simulated time
-  within that many wall seconds is considered wedged).
-- **Failure taxonomy.** A dead worker (pipe EOF/OSError, or the process
-  exited without replying) raises :class:`WorkerDeath`; a silent one
-  raises :class:`WorkerHang` after the deadline, and the supervisor
-  escalates ``terminate()`` → ``kill()`` so nothing is leaked.
-- **Deterministic recovery.** Each cell/region is a pure function of
-  its spec and per-entity seeded RNG stream, and the driver's command
-  sequence (barrier times, canonical call batches) is itself
-  deterministic. The supervisor journals every completed command, so a
-  replacement worker — respawned (bounded retries + backoff) or an
-  in-process fallback after the retry budget — replays the journal,
-  reaching byte-identical state, then re-issues the failed command.
-  Replayed replies are discarded (their rows were already merged); the
-  failed command's reply was never merged, so it merges exactly once.
-- **Incident records.** Every recovery emits a :class:`WorkerIncident`
-  (what died, during which operation, retries spent, recovery path and
-  latency) into a process-wide log that `run_sharded` surfaces in result
-  extras and `run_experiment` attaches to the :class:`RunManifest`.
+- **Executors.** A worker's state lives in an *executor*, any object
+  with ``request(command, argument) -> payload`` (``_Cells`` and
+  ``_Regions`` in :mod:`repro.sim.shard`). The same executor runs
+  inside a worker process or in the driver, so no command dispatch is
+  written twice. Every executor answers ``finish`` last.
+- **One worker loop.** :func:`serve` builds the executor from a
+  zero-argument factory, then answers each ``(command, argument)`` with
+  ``(command, payload)``. Its ``finish`` reply also carries the worker's
+  kernel-event, layer-event and span deltas
+  (:func:`repro.experiments.parallel.counters_since`), which the driver
+  credits to its own totals. The loop returns after ``finish``, so
+  multiprocessing finalizers still run.
+- **One supervised handle.** :class:`SupervisedConnection` forks the
+  worker process itself and falls back to running the executor
+  in-process. It adds:
+
+  - *Deadline-guarded receives.* Every reply is awaited with ``poll()``
+    in short slices against a wall-clock deadline
+    (``REPRO_WORKER_DEADLINE``, default ``max(60 s, lookahead window)``
+    — a worker that cannot advance one lookahead window of simulated
+    time within that many wall seconds is considered wedged).
+  - *Failure taxonomy.* A dead worker (pipe EOF/OSError, or the process
+    exited without replying) raises :class:`WorkerDeath`; a silent one
+    raises :class:`WorkerHang` after the deadline, and the supervisor
+    escalates ``terminate()`` → ``kill()`` so nothing is leaked. A reply
+    tagged with the wrong command raises :class:`ProtocolError`.
+  - *Deterministic recovery.* Each cell/region is a pure function of
+    its spec and per-entity seeded RNG stream, and the driver's command
+    sequence (barrier times, canonical call batches) is itself
+    deterministic. The handle journals every completed command, so a
+    replacement — a respawned worker (bounded retries + backoff) or the
+    in-process executor after the retry budget — replays the journal,
+    reaching byte-identical state, then re-issues the failed command.
+    Replayed replies are discarded (their rows were already merged);
+    the failed command's reply was never merged, so it merges once.
+  - *Incident records.* Every recovery emits a :class:`WorkerIncident`
+    (what died, during which operation, retries spent, recovery path
+    and latency) into a process-wide log that `run_sharded` surfaces in
+    result extras and `run_experiment` attaches to the
+    :class:`RunManifest`.
 
 Chaos hooks: parent-side kills from a
 :class:`repro.faults.worker.WorkerFaultPlan` are injected here (SIGKILL
 right after a matching send); worker-side hangs/slows call
-:func:`chaos_pause` inside the worker loop. Faults are one-shot —
+:func:`chaos_pause` inside :func:`serve`. Faults are one-shot —
 recovered workers are respawned with chaos disarmed.
 """
 
@@ -46,11 +61,15 @@ from . import flags
 
 __all__ = [
     "ProtocolError", "WorkerFailure", "WorkerDeath", "WorkerHang",
-    "WorkerIncident", "SupervisedConnection", "chaos_pause",
+    "WorkerIncident", "SupervisedConnection", "serve", "chaos_pause",
     "resolve_worker_deadline", "resolve_worker_retries",
     "can_spawn_workers", "incident_count", "incidents_since",
     "record_incident",
 ]
+
+#: The protocol's commands: cell workers answer ``advance``, region
+#: workers ``serve``, and both answer ``finish`` last.
+COMMANDS = frozenset({"advance", "serve", "finish"})
 
 #: Deadline floor: even tiny lookahead windows get this much wall time.
 DEADLINE_FLOOR_S = 60.0
@@ -68,7 +87,7 @@ RESPAWN_BACKOFF_CAP_S = 2.0
 
 
 class ProtocolError(RuntimeError):
-    """The pipe protocol was violated (wrong reply kind or shape).
+    """The pipe protocol was violated (wrong reply command or shape).
 
     A real exception, not an ``assert``: it must survive ``python -O``,
     where asserts vanish and a mismatched reply would silently corrupt
@@ -180,7 +199,7 @@ def can_spawn_workers() -> bool:
 
 def chaos_pause(faults: Tuple[Tuple[str, int, float], ...],
                 op: int) -> None:
-    """Worker-side chaos injection: called by the worker loop before
+    """Worker-side chaos injection: called by :func:`serve` before
     handling its ``op``-th command (1-based). ``faults`` holds
     ``(action, op, delay_s)`` triples from
     :meth:`WorkerFaultPlan.worker_side`."""
@@ -193,6 +212,55 @@ def chaos_pause(faults: Tuple[Tuple[str, int, float], ...],
             time.sleep(delay_s)
 
 
+def serve(conn, build: Callable[[], Any],
+          faults: Tuple[Tuple[str, int, float], ...] = ()) -> None:
+    """The worker loop: build the executor, then answer commands.
+
+    Each ``(command, argument)`` received is answered with ``(command,
+    executor.request(command, argument))``. The ``finish`` reply's
+    payload is ``(result, counters)``, where ``counters`` are this
+    process's kernel-event, layer-event and span deltas since the loop
+    started; the loop then returns. ``faults`` carries worker-side chaos
+    triples applied via :func:`chaos_pause` (recovery respawns pass
+    ``()``). EOF from the driver ends the loop quietly.
+    """
+    from ..experiments.parallel import counter_mark, counters_since
+    mark = counter_mark()
+    executor = build()
+    op = 0
+    try:
+        while True:
+            command, argument = conn.recv()
+            op += 1
+            chaos_pause(faults, op)
+            payload = executor.request(command, argument)
+            if command == "finish":
+                conn.send((command, (payload, counters_since(mark))))
+                return
+            conn.send((command, payload))
+    except (EOFError, BrokenPipeError, KeyboardInterrupt):
+        return
+    finally:
+        conn.close()
+
+
+def _start_worker(build: Callable[[], Any],
+                  faults: Tuple[Tuple[str, int, float], ...]
+                  ) -> Tuple[Any, Any]:
+    """Fork one worker process running :func:`serve`; returns the
+    driver's pipe end and the process. Workers are fork-started so they
+    inherit the driver's loaded modules and any after-fork hooks."""
+    import multiprocessing
+    context = multiprocessing.get_context("fork")
+    parent_conn, child_conn = context.Pipe()
+    process = context.Process(target=serve,
+                              args=(child_conn, build, faults),
+                              daemon=True)
+    process.start()
+    child_conn.close()
+    return parent_conn, process
+
+
 class SupervisedConnection:
     """Supervises one worker: split-phase send/collect with watchdog,
     journaled replay recovery, and escalation teardown.
@@ -201,75 +269,60 @@ class SupervisedConnection:
     ----------
     name:
         Stable worker name for incidents ("shard0", "cloud1", ...).
-    spawn:
-        ``spawn(worker_side_faults) -> (conn, process)``. Called with
-        the armed fault triples for the first spawn and ``()`` for every
-        recovery respawn (faults are one-shot).
-    replies:
-        Command → expected reply kind (e.g. ``{"advance": "calls"}``).
-    fallback:
-        Zero-arg factory for an in-process executor exposing
-        ``request(command, argument) -> payload``; used when
-        ``in_process`` is set, when the first spawn fails (parity with
+    build:
+        Zero-argument executor factory. A worker process runs it inside
+        :func:`serve`; the handle calls it itself to run in-process when
+        ``in_process`` is set, when the first fork fails (parity with
         environments without fork), and after the retry budget.
     kill_ops:
         1-based command indices after which the driver SIGKILLs the
         worker (parent-side chaos).
+    worker_side_faults:
+        Chaos triples for the first worker process; respawns get ``()``
+        (faults are one-shot).
+
+    ``counters`` holds the worker counters shipped with the ``finish``
+    reply, or None while the handle runs in-process (its events then
+    ran in this process and are already counted here).
     """
 
-    def __init__(self, name: str,
-                 spawn: Callable[[Tuple[Tuple[str, int, float], ...]],
-                                 Tuple[Any, Any]],
-                 replies: Dict[str, str],
-                 fallback: Callable[[], Any],
-                 deadline_s: float,
-                 retries: int = 2,
+    def __init__(self, name: str, build: Callable[[], Any],
+                 deadline_s: float, retries: int,
                  kill_ops: FrozenSet[int] = frozenset(),
                  worker_side_faults: Tuple[Tuple[str, int, float], ...] = (),
                  in_process: bool = False):
-        self._name = name
-        self._spawn = spawn
-        self._replies = dict(replies)
-        self._fallback = fallback
+        self.name = name
+        self._build = build
         self._deadline_s = float(deadline_s)
         self._retries = max(0, int(retries))
         self._kill_ops = frozenset(kill_ops)
-        self._worker_side_faults = tuple(worker_side_faults)
         self._conn = None
         self._process = None
         self._local = None
         self._journal: List[Tuple[str, Any]] = []
         self._outstanding: Optional[Tuple[str, Any]] = None
         self._ops_sent = 0
-        self.incidents: List[WorkerIncident] = []
+        self.counters = None
         if in_process:
-            self._local = fallback()
+            self._local = build()
         else:
             try:
-                self._conn, self._process = spawn(self._worker_side_faults)
+                self._conn, self._process = _start_worker(
+                    build, tuple(worker_side_faults))
             except (OSError, ValueError):
                 # First spawn is a capability probe, not a fault: fall
                 # back silently so forkless sandboxes behave exactly as
                 # an explicit in_process run (and pay no retry latency).
-                self._local = fallback()
-
-    # -- introspection --------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def in_process(self) -> bool:
-        return self._local is not None
+                self._local = build()
 
     # -- protocol -------------------------------------------------------
     def send(self, command: str, argument: Any) -> None:
         if self._outstanding is not None:
             raise ProtocolError(
-                f"{self._name}: send({command!r}) while "
+                f"{self.name}: send({command!r}) while "
                 f"{self._outstanding[0]!r} is still outstanding")
-        if command not in self._replies:
-            raise ProtocolError(f"{self._name}: unknown command "
+        if command not in COMMANDS:
+            raise ProtocolError(f"{self.name}: unknown command "
                                 f"{command!r}")
         self._outstanding = (command, argument)
         if self._local is not None:
@@ -287,18 +340,20 @@ class SupervisedConnection:
 
     def collect(self) -> Any:
         if self._outstanding is None:
-            raise ProtocolError(f"{self._name}: collect() with no "
+            raise ProtocolError(f"{self.name}: collect() with no "
                                 "outstanding command")
         command, argument = self._outstanding
         self._outstanding = None
         if self._local is not None:
             return self._local.request(command, argument)
         try:
-            payload = self._recv(self._replies[command])
+            payload = self._recv(command)
         except WorkerFailure as failure:
             payload = self._recover(failure, command, argument)
         if self._local is None:
             self._journal.append((command, argument))
+            if command == "finish":
+                payload, self.counters = payload
         return payload
 
     def request(self, command: str, argument: Any) -> Any:
@@ -306,39 +361,39 @@ class SupervisedConnection:
         return self.collect()
 
     # -- receive with watchdog ------------------------------------------
-    def _recv(self, expected: str) -> Any:
+    def _recv(self, command: str) -> Any:
         deadline = time.monotonic() + self._deadline_s
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise WorkerHang(
-                    f"{self._name}: no reply within "
+                    f"{self.name}: no reply within "
                     f"{self._deadline_s:.1f}s")
             try:
                 ready = self._conn.poll(min(remaining, POLL_SLICE_S))
             except (EOFError, OSError):
-                raise WorkerDeath(f"{self._name}: pipe closed") from None
+                raise WorkerDeath(f"{self.name}: pipe closed") from None
             if ready:
                 try:
                     message = self._conn.recv()
                 except (EOFError, OSError):
                     raise WorkerDeath(
-                        f"{self._name}: worker died mid-reply "
+                        f"{self.name}: worker died mid-reply "
                         f"(exitcode {self._exitcode()})") from None
                 if not (isinstance(message, tuple) and len(message) == 2):
                     raise ProtocolError(
-                        f"{self._name}: malformed reply {message!r}")
-                kind, payload = message
-                if kind != expected:
+                        f"{self.name}: malformed reply {message!r}")
+                answered, payload = message
+                if answered != command:
                     raise ProtocolError(
-                        f"{self._name}: expected {expected!r} reply, "
-                        f"got {kind!r}")
+                        f"{self.name}: expected {command!r} reply, "
+                        f"got {answered!r}")
                 return payload
             if self._process is not None and not self._process.is_alive():
                 if self._conn.poll(0):
                     continue  # drain a reply buffered before death
                 raise WorkerDeath(
-                    f"{self._name}: worker exited with code "
+                    f"{self.name}: worker exited with code "
                     f"{self._exitcode()} without replying")
 
     def _exitcode(self):
@@ -360,14 +415,14 @@ class SupervisedConnection:
                 time.sleep(min(RESPAWN_BACKOFF_S * (2 ** (attempt - 1)),
                                RESPAWN_BACKOFF_CAP_S))
             try:
-                self._conn, self._process = self._spawn(())
+                self._conn, self._process = _start_worker(self._build, ())
             except (OSError, ValueError):
                 retries_used += 1
                 continue
             try:
                 self._replay()
                 self._conn.send((command, argument))
-                payload = self._recv(self._replies[command])
+                payload = self._recv(command)
                 recovery = "respawned"
                 break
             except (WorkerFailure, BrokenPipeError, OSError):
@@ -376,21 +431,19 @@ class SupervisedConnection:
                 continue
         if recovery is None:
             # Retry budget exhausted: degrade to in-process execution.
-            self._local = self._fallback()
+            self._local = self._build()
             for past_command, past_argument in self._journal:
                 self._local.request(past_command, past_argument)
             payload = self._local.request(command, argument)
             recovery = "in_process"
-        incident = WorkerIncident(
-            worker=self._name,
+        record_incident(WorkerIncident(
+            worker=self.name,
             op=f"{command}@{argument!r} [op {self._ops_sent}]",
             failure=failure.kind,
             retries=retries_used,
             recovery=recovery,
             recovery_s=time.perf_counter() - started,
-        )
-        self.incidents.append(incident)
-        record_incident(incident)
+        ))
         return payload
 
     def _replay(self) -> None:
@@ -402,7 +455,7 @@ class SupervisedConnection:
         """
         for command, argument in self._journal:
             self._conn.send((command, argument))
-            self._recv(self._replies[command])
+            self._recv(command)
 
     # -- teardown -------------------------------------------------------
     def _close_process(self, grace_s: float = 5.0) -> None:

@@ -1,11 +1,9 @@
 """Regression tests for scripts/check_bench_regression.py.
 
-The headline case is the ratchet-down bug: the old checker compared
-the newest record only against the *second-newest*, so a regression
-that survived one bench run became the next run's baseline and the
-throughput could decay 30% per run without ever failing. The checker
-now baselines against the best of the last K records; the two-step
-regression sequence the old logic waved through must fail.
+The script gates a milestone pair: the newest ``PREFIX:1shard``
+baseline against the newest multi-shard leg (or a named baseline leg
+via ``--baseline``), failing when the wall-clock speedup is below
+``--min-speedup`` and skipping when a leg is missing.
 
 The script is exercised the way CI runs it — as a subprocess — so
 argument parsing and exit codes are covered too.
@@ -23,10 +21,12 @@ pytestmark = pytest.mark.quick
 SCRIPT = (pathlib.Path(__file__).resolve().parents[2]
           / "scripts" / "check_bench_regression.py")
 
+PREFIX = "milestone:fig17b-shard-1024"
 
-def _record(events_per_s, sim_events=100_000, label="smoke:total"):
-    return {"label": label, "date": "2026-01-01", "wall_s": 1.0,
-            "sim_events": sim_events, "events_per_s": events_per_s}
+
+def _record(leg, wall_s, prefix=PREFIX):
+    return {"label": f"{prefix}:{leg}", "date": "2026-01-01",
+            "wall_s": wall_s}
 
 
 def run_checker(tmp_path, records, *extra_args):
@@ -37,68 +37,49 @@ def run_checker(tmp_path, records, *extra_args):
         capture_output=True, text=True)
 
 
-class TestRatchetDown:
-    #: One big drop that survived a run, then a small one: each pairwise
-    #: step is within the default 30% allowance, but the newest record
-    #: sits at 64% of the true baseline.
-    SEQUENCE = [1000, 650, 640]
+class TestPair:
+    def test_speedup_at_the_floor_passes(self, tmp_path):
+        proc = run_checker(tmp_path, [_record("1shard", 12.0),
+                                      _record("4shard", 10.0)],
+                           "--pair", PREFIX, "--min-speedup", "1.2")
+        assert proc.returncode == 0, proc.stdout
+        assert "speedup 1.20x" in proc.stdout and "OK" in proc.stdout
 
-    def test_two_step_regression_fails(self, tmp_path):
-        proc = run_checker(tmp_path,
-                           [_record(v) for v in self.SEQUENCE])
+    def test_speedup_below_the_floor_fails(self, tmp_path):
+        proc = run_checker(tmp_path, [_record("1shard", 11.0),
+                                      _record("4shard", 10.0)],
+                           "--pair", PREFIX, "--min-speedup", "1.2")
         assert proc.returncode == 1
         assert "REGRESSION" in proc.stdout
-        assert "best of last" in proc.stdout
 
-    def test_window_1_restores_the_old_pairwise_blind_spot(self, tmp_path):
-        proc = run_checker(tmp_path,
-                           [_record(v) for v in self.SEQUENCE],
-                           "--window", "1")
+    def test_newest_legs_are_compared(self, tmp_path):
+        records = [_record("1shard", 30.0), _record("4shard", 10.0),
+                   _record("4shard", 20.0)]
+        proc = run_checker(tmp_path, records, "--pair", PREFIX)
         assert proc.returncode == 0, proc.stdout
+        assert "speedup 1.50x" in proc.stdout
 
-    def test_noise_within_allowance_passes(self, tmp_path):
-        proc = run_checker(tmp_path,
-                           [_record(v) for v in (1000, 950, 980)])
-        assert proc.returncode == 0, proc.stdout
-        assert "OK" in proc.stdout
-
-    def test_rebaseline_after_window_scrolls_past(self, tmp_path):
-        """A legitimate scale shift re-baselines once the window no
-        longer sees the old records."""
-        records = [_record(1000)] + [_record(500)] * 6
-        proc = run_checker(tmp_path, records)
-        assert proc.returncode == 0, proc.stdout
-
-    def test_window_must_be_positive(self, tmp_path):
-        proc = run_checker(tmp_path, [_record(1000), _record(900)],
-                           "--window", "0")
-        assert proc.returncode == 2
-
-
-class TestSkippedRecords:
-    def test_zero_event_records_are_skipped_and_counted(self, tmp_path):
-        records = [
-            _record(1000),
-            # New-style closed-form run (events_per_s: null) and an
-            # old-style one (0): neither has an events/s figure.
-            _record(None, sim_events=0),
-            _record(0, sim_events=0),
-            _record(990),
-        ]
-        proc = run_checker(tmp_path, records)
-        assert proc.returncode == 0, proc.stdout
-        assert "skipping 2 zero-event" in proc.stdout
-
-    def test_seed_era_records_are_skipped(self, tmp_path):
-        records = [{"label": "smoke:total", "wall_s": 1.0,
-                    "sim_events": None},
-                   _record(1000), _record(990)]
-        proc = run_checker(tmp_path, records)
-        assert proc.returncode == 0, proc.stdout
-        assert "seed-era" in proc.stdout
-
-    def test_too_few_records_skips_cleanly(self, tmp_path):
-        proc = run_checker(tmp_path, [_record(1000),
-                                      _record(None, sim_events=0)])
+    @pytest.mark.parametrize("legs", [["1shard"], ["4shard"], []])
+    def test_missing_leg_skips(self, tmp_path, legs):
+        records = [_record(leg, 10.0) for leg in legs]
+        records.append(_record("1shard", 5.0, prefix="milestone:other"))
+        proc = run_checker(tmp_path, records, "--pair", PREFIX)
         assert proc.returncode == 0
-        assert "need >=2" in proc.stdout
+        assert "skipping" in proc.stdout
+
+    def test_named_baseline_leg(self, tmp_path):
+        prefix = "milestone:fig17b-cloudshard-1024"
+        records = [_record("edge-sharded", 13.0, prefix=prefix),
+                   _record("cloud-sharded", 10.0, prefix=prefix)]
+        proc = run_checker(tmp_path, records, "--pair", prefix,
+                           "--baseline", "edge-sharded",
+                           "--min-speedup", "1.3")
+        assert proc.returncode == 0, proc.stdout
+        proc = run_checker(tmp_path, records, "--pair", prefix,
+                           "--baseline", "edge-sharded",
+                           "--min-speedup", "1.4")
+        assert proc.returncode == 1
+
+    def test_pair_is_required(self, tmp_path):
+        proc = run_checker(tmp_path, [])
+        assert proc.returncode == 2

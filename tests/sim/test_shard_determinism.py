@@ -14,9 +14,11 @@ import pytest
 
 from repro.apps import SCENARIO_A
 from repro.apps.suite import SUITE
+from repro.config import DEFAULT
 from repro.platforms import platform_config
 from repro.sim import flags
-from repro.sim.shard import plan_cells, run_sharded
+from repro.sim.shard import (DEFAULT_WINDOW_S, plan_cells, resolve_window,
+                             run_sharded)
 
 N_DEVICES = 16
 CELL_DEVICES = 4  # four cells, so 1/2/4 shards all divide the work
@@ -189,6 +191,24 @@ class TestUnarmedPath:
         assert flags.meanfield_enabled(False) is False
         with pytest.raises(ValueError):
             flags.shard_count(0)
+        # A bad environment value fails as loudly as a bad argument.
+        for bad in ("-3", "0"):
+            monkeypatch.setenv("REPRO_SHARDS", bad)
+            with pytest.raises(ValueError,
+                               match=f"REPRO_SHARDS={bad}: .*at least 1"):
+                flags.shard_count()
+
+    def test_window_resolution(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)
+        assert resolve_window(DEFAULT) == DEFAULT_WINDOW_S
+        monkeypatch.setenv("REPRO_SHARD_WINDOW", "30")
+        assert resolve_window(DEFAULT) == 30.0
+        assert resolve_window(DEFAULT, 90.0) == 90.0
+        with pytest.raises(ValueError, match="positive"):
+            resolve_window(DEFAULT, 0.0)
+        monkeypatch.setenv("REPRO_SHARD_WINDOW", "-5")
+        with pytest.raises(ValueError, match="REPRO_SHARD_WINDOW=-5"):
+            resolve_window(DEFAULT)
 
     def test_cloud_flag_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_CLOUD_SHARDS", raising=False)
@@ -206,3 +226,9 @@ class TestUnarmedPath:
             flags.cloud_shard_count(-1)
         with pytest.raises(ValueError):
             flags.hybrid_exact_devices(-8)
+        monkeypatch.setenv("REPRO_CLOUD_SHARDS", "-1")
+        with pytest.raises(ValueError, match="REPRO_CLOUD_SHARDS=-1"):
+            flags.cloud_shard_count()
+        monkeypatch.setenv("REPRO_HYBRID_EXACT", "-8")
+        with pytest.raises(ValueError, match="REPRO_HYBRID_EXACT=-8"):
+            flags.hybrid_exact_devices()

@@ -9,13 +9,18 @@ processes is guarded by a hard SIGALRM so a supervision bug can never
 hang the suite.
 """
 
+import multiprocessing
 import signal
+import threading
 
 import pytest
 
+from repro.experiments.parallel import (total_events_consumed,
+                                        total_layer_counts)
 from repro.faults import WorkerFaultPlan
 from repro.platforms import platform_config
 from repro.sim import supervisor
+from repro.sim.accounting import LAYERS
 from repro.sim.shard import run_sharded
 from repro.sim.supervisor import (ProtocolError, SupervisedConnection,
                                   can_spawn_workers, resolve_worker_deadline,
@@ -155,7 +160,7 @@ class TestResolvers:
 
     def test_bad_deadline_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_DEADLINE", "-1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="REPRO_WORKER_DEADLINE"):
             resolve_worker_deadline(10.0)
 
     def test_retries_env_var(self, monkeypatch):
@@ -163,6 +168,14 @@ class TestResolvers:
         assert resolve_worker_retries(override=5) == 5
         monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
         assert resolve_worker_retries() == 1
+
+    def test_bad_retries_env_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="non-negative"):
+            resolve_worker_retries(override=-1)
+        monkeypatch.setenv("REPRO_WORKER_RETRIES", "-1")
+        with pytest.raises(ValueError,
+                           match="REPRO_WORKER_RETRIES=-1: .*non-negative"):
+            resolve_worker_retries()
 
 
 class _FakeProcess:
@@ -204,46 +217,158 @@ class _FakeConn:
         pass
 
 
-def _supervised(replies):
-    return SupervisedConnection(
-        "fake0",
-        spawn=lambda faults: (_FakeConn(replies), _FakeProcess()),
-        replies={"advance": "calls"},
-        fallback=lambda: None,
-        deadline_s=1.0, retries=0)
+def _supervised(monkeypatch, replies):
+    """A handle whose worker is a scripted fake pipe (the process
+    starter is replaced, so nothing is forked)."""
+    monkeypatch.setattr(
+        supervisor, "_start_worker",
+        lambda build, faults: (_FakeConn(replies), _FakeProcess()))
+    return SupervisedConnection("fake0", build=lambda: None,
+                                deadline_s=1.0, retries=0)
 
 
 class TestProtocolErrors:
-    """The pipe protocol raises real exceptions, not ``assert``s — a
-    wrong-kind reply must fail loudly even under ``python -O``."""
+    """Replies are tagged with the command they answer, and the protocol
+    raises real exceptions, not ``assert``s — a mismatched reply must
+    fail loudly even under ``python -O``."""
 
-    def test_wrong_reply_kind_raises(self):
-        sup = _supervised([("result", None)])
+    def test_tagged_reply_is_returned(self, monkeypatch):
+        sup = _supervised(monkeypatch, [("advance", ([], {0: 9.0}))])
+        assert sup.request("advance", 60.0) == ([], {0: 9.0})
+        assert sup.counters is None
+
+    def test_finish_reply_carries_worker_counters(self, monkeypatch):
+        counters = (7, {"edge": 3}, None)
+        sup = _supervised(monkeypatch, [("finish", (["rows"], counters))])
+        assert sup.request("finish", 120.0) == ["rows"]
+        assert sup.counters == counters
+
+    def test_wrong_reply_kind_raises(self, monkeypatch):
+        sup = _supervised(monkeypatch, [("finish", None)])
         sup.send("advance", 60.0)
-        with pytest.raises(ProtocolError, match="expected 'calls'"):
+        with pytest.raises(ProtocolError, match="expected 'advance'"):
             sup.collect()
 
-    def test_malformed_reply_raises(self):
-        sup = _supervised(["not-a-tuple"])
+    def test_malformed_reply_raises(self, monkeypatch):
+        sup = _supervised(monkeypatch, ["not-a-tuple"])
         sup.send("advance", 60.0)
         with pytest.raises(ProtocolError, match="malformed"):
             sup.collect()
 
-    def test_unknown_command_rejected(self):
-        sup = _supervised([])
+    def test_unknown_command_rejected(self, monkeypatch):
+        sup = _supervised(monkeypatch, [])
         with pytest.raises(ProtocolError, match="unknown command"):
             sup.send("explode", None)
 
-    def test_send_while_outstanding_rejected(self):
-        sup = _supervised([("calls", ([], {}))])
+    def test_send_while_outstanding_rejected(self, monkeypatch):
+        sup = _supervised(monkeypatch, [("advance", ([], {}))])
         sup.send("advance", 60.0)
         with pytest.raises(ProtocolError, match="outstanding"):
             sup.send("advance", 120.0)
 
-    def test_collect_without_send_rejected(self):
-        sup = _supervised([])
+    def test_collect_without_send_rejected(self, monkeypatch):
+        sup = _supervised(monkeypatch, [])
         with pytest.raises(ProtocolError, match="no outstanding"):
             sup.collect()
+
+
+class _StubExecutor:
+    def request(self, command, argument):
+        if command not in ("advance", "finish"):
+            raise ProtocolError(f"unknown stub command {command!r}")
+        return (command, argument)
+
+
+class TestServeLoop:
+    """The one worker loop, driven over a real pipe from a thread."""
+
+    @pytest.fixture
+    def loop(self):
+        driver, worker = multiprocessing.Pipe()
+        errors = []
+
+        def target():
+            try:
+                supervisor.serve(worker, _StubExecutor)
+            except Exception as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        yield driver, worker, thread, errors
+        driver.close()
+        thread.join(5.0)
+
+    def test_replies_are_tagged_with_their_command(self, loop):
+        driver, _, _, errors = loop
+        driver.send(("advance", 60.0))
+        assert driver.recv() == ("advance", ("advance", 60.0))
+        driver.send(("advance", 120.0))
+        assert driver.recv() == ("advance", ("advance", 120.0))
+        assert errors == []
+
+    def test_returns_after_finish_and_closes_its_end(self, loop):
+        driver, worker, thread, errors = loop
+        driver.send(("finish", 5.0))
+        command, (payload, counters) = driver.recv()
+        assert (command, payload) == ("finish", ("finish", 5.0))
+        sim_events, layer_events, _spans = counters
+        assert sim_events == 0 and set(layer_events) == set(LAYERS)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert worker.closed and errors == []
+        with pytest.raises(EOFError):
+            driver.recv()
+
+    def test_eof_from_the_driver_returns_cleanly(self, loop):
+        driver, worker, thread, errors = loop
+        driver.close()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert worker.closed and errors == []
+
+    def test_unknown_command_raises(self, loop):
+        driver, worker, thread, errors = loop
+        driver.send(("explode", None))
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and isinstance(errors[0], ProtocolError)
+        assert worker.closed
+
+
+@needs_processes
+class TestEventAccounting:
+    """Kernel-event and per-layer totals are the same on every execution
+    path: in-process, worker processes, a respawned worker, in-process
+    recovery, and a killed region worker. Worker processes ship their
+    deltas with the finish reply; a dead worker's partial counts never
+    ship, and its replacement recounts the replayed journal."""
+
+    @staticmethod
+    def _deltas(worker_faults, **overrides):
+        events, layers = total_events_consumed(), total_layer_counts()
+        _run(worker_faults, **overrides)
+        after = total_layer_counts()
+        return (total_events_consumed() - events,
+                {layer: after[layer] - layers.get(layer, 0)
+                 for layer in after})
+
+    def test_cell_worker_paths_count_the_same_events(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")  # real processes
+        reference = self._deltas(WorkerFaultPlan(), shards=1)
+        assert reference[0] > 0 and all(reference[1].values())
+        assert self._deltas(WorkerFaultPlan()) == reference
+        assert self._deltas(WorkerFaultPlan().kill("shard", 0, 2)) \
+            == reference
+        assert self._deltas(WorkerFaultPlan().kill("shard", 0, 2),
+                            worker_retries=0) == reference
+
+    def test_region_worker_kill_counts_the_same_events(self):
+        shape = dict(cloud_shards=2, region_devices=8)
+        undisturbed = self._deltas(WorkerFaultPlan(), **shape)
+        assert undisturbed[0] > 0
+        assert self._deltas(WorkerFaultPlan().kill("cloud", 0, 2),
+                            **shape) == undisturbed
 
 
 class TestBackendFaultParity:
