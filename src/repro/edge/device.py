@@ -14,8 +14,7 @@ from typing import Callable, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim import Environment, Resource
-from ..sim.flags import analytic_net_enabled
+from ..sim import Environment
 from ..telemetry import EnergyAccount
 
 __all__ = ["EdgeDevice"]
@@ -32,28 +31,21 @@ class EdgeDevice:
                  radio_tx_w: float, radio_rx_w: float, radio_idle_w: float,
                  cloud_to_edge_slowdown: float,
                  rng: Optional[np.random.Generator] = None,
-                 strict_battery: bool = False,
-                 analytic: Optional[bool] = None):
+                 strict_battery: bool = False):
         if cpu_cores <= 0:
             raise ValueError("device needs at least one core")
         if cloud_to_edge_slowdown <= 0:
             raise ValueError("slowdown factor must be positive")
         self.env = env
         self.device_id = device_id
-        #: On-board CPU contention runs analytically by default: a
+        #: On-board CPU contention runs on virtual clocks: a
         #: ``cpu_cores``-entry min-heap of core-free times yields each
         #: task's start instant in O(log cores) and one ``timeout_at``
-        #: replaces the legacy request/grant/timeout/release machinery.
-        #: Exact because the service time is drawn *before* the core
-        #: claim and FIFO multi-server grant order equals arrival order
-        #: (same argument as the CouchDB store — see DESIGN.md,
-        #: "Virtual-clock queueing"). ``REPRO_ANALYTIC_NET=0`` /
-        #: ``analytic=False`` restores the legacy ``Resource`` path.
-        self.analytic = analytic_net_enabled(analytic)
-        if self.analytic:
-            self._core_free: List[float] = [0.0] * cpu_cores
-        else:
-            self.cores = Resource(env, capacity=cpu_cores)
+        #: completes it. Exact because the service time is drawn
+        #: *before* the core claim and FIFO multi-server grant order
+        #: equals arrival order (same argument as the CouchDB store —
+        #: see DESIGN.md, "Virtual-clock queueing").
+        self._core_free: List[float] = [0.0] * cpu_cores
         self.energy = EnergyAccount(battery_wh, device=device_id,
                                     strict=strict_battery)
         self.motion_power_w = motion_power_w
@@ -124,16 +116,11 @@ class EdgeDevice:
         if cloud_service_s < 0:
             raise ValueError("service time must be non-negative")
         service = self.edge_service_time(cloud_service_s, slowdown)
-        if self.analytic:
-            free_at = heapq.heappop(self._core_free)
-            start = free_at if free_at > self.env.now else self.env.now
-            end = start + service
-            heapq.heappush(self._core_free, end)
-            yield self.env.timeout_at(end)
-        else:
-            with self.cores.request() as grant:
-                yield grant
-                yield self.env.timeout(service)
+        free_at = heapq.heappop(self._core_free)
+        start = free_at if free_at > self.env.now else self.env.now
+        end = start + service
+        heapq.heappush(self._core_free, end)
+        yield self.env.timeout_at(end)
         if self.alive:
             # A device that failed mid-service produced nothing; charging
             # its battery (and its busy-compute ledger) for the aborted

@@ -8,18 +8,10 @@
 ``--bench-smoke`` runs the fixed ~30 s smoke workload and appends its
 timings to ``BENCH_kernel.json``;
 ``--bench-fig17`` records the fig17 256-drone legacy/vector milestone pair;
-``--bench-fig11`` records the fig11 legacy/analytic queueing milestone pair;
 ``--profile`` prints cProfile's top 25 cumulative entries for the run —
 it composes with any figure id, ``all``, and every bench mode;
 ``--no-vector-edge`` forces the legacy per-device flight processes
 (``REPRO_VECTOR_EDGE=0`` equivalent);
-``--no-analytic-net`` forces the legacy Resource-based network/serverless
-queues (``REPRO_ANALYTIC_NET=0`` equivalent);
-``--no-fast-dispatch`` forces the legacy kernel dispatch loop
-(``REPRO_FAST_DISPATCH=0`` equivalent);
-``--no-batched-rng`` forces scalar per-draw RNG calls
-(``REPRO_BATCHED_RNG=0`` equivalent);
-``--bench-dispatch`` records the fast/legacy dispatch+RNG milestone pair;
 ``--bench-shard`` records the fig17b 1024-drone 1-shard/4-shard pair;
 ``--bench-cloudshard`` records the fig17b 1024-drone edge-sharded/
 cloud-sharded pair;
@@ -100,12 +92,6 @@ def main(argv=None) -> int:
     parser.add_argument("--bench-fig17", action="store_true",
                         help="record the fig17 256-drone legacy/vector "
                              "milestone pair in BENCH_kernel.json")
-    parser.add_argument("--bench-fig11", action="store_true",
-                        help="record the fig11 legacy/analytic queueing "
-                             "milestone pair in BENCH_kernel.json")
-    parser.add_argument("--bench-dispatch", action="store_true",
-                        help="record the legacy/fast dispatch+RNG "
-                             "milestone pair in BENCH_kernel.json")
     parser.add_argument("--bench-shard", action="store_true",
                         help="record the fig17b 1024-drone 1-shard/4-shard "
                              "milestone pair in BENCH_kernel.json")
@@ -185,16 +171,6 @@ def main(argv=None) -> int:
     parser.add_argument("--no-vector-edge", action="store_true",
                         help="fall back to the legacy per-device flight "
                              "processes (sets REPRO_VECTOR_EDGE=0)")
-    parser.add_argument("--no-analytic-net", action="store_true",
-                        help="fall back to the legacy Resource-based "
-                             "network/serverless queues (sets "
-                             "REPRO_ANALYTIC_NET=0)")
-    parser.add_argument("--no-fast-dispatch", action="store_true",
-                        help="fall back to the legacy kernel dispatch "
-                             "loop (sets REPRO_FAST_DISPATCH=0)")
-    parser.add_argument("--no-batched-rng", action="store_true",
-                        help="fall back to scalar per-draw RNG calls "
-                             "(sets REPRO_BATCHED_RNG=0)")
     parser.add_argument("--trace", action="store_true",
                         help="arm causal request tracing (sets "
                              "REPRO_TRACE=1 so pool workers trace too)")
@@ -210,12 +186,6 @@ def main(argv=None) -> int:
     if args.no_vector_edge:
         # Environment (not a runner kwarg) so pool workers inherit it.
         os.environ["REPRO_VECTOR_EDGE"] = "0"
-    if args.no_analytic_net:
-        os.environ["REPRO_ANALYTIC_NET"] = "0"
-    if args.no_fast_dispatch:
-        os.environ["REPRO_FAST_DISPATCH"] = "0"
-    if args.no_batched_rng:
-        os.environ["REPRO_BATCHED_RNG"] = "0"
     if args.shards is not None:
         # Environment (not a runner kwarg) so pool workers inherit it.
         os.environ["REPRO_SHARDS"] = str(args.shards)
@@ -269,8 +239,6 @@ def _export_trace(args) -> None:
         ("chaos" if args.chaos else
          "bench-smoke" if args.bench_smoke else
          "bench-fig17" if args.bench_fig17 else
-         "bench-fig11" if args.bench_fig11 else
-         "bench-dispatch" if args.bench_dispatch else
          "bench-shard" if args.bench_shard else
          "bench-cloudshard" if args.bench_cloudshard else "?")
     manifest = obs.RunManifest.collect(
@@ -373,18 +341,6 @@ def _dispatch(args) -> int:
     if args.bench_fig17:
         from .bench import bench_path, run_fig17_milestone
         _print_bench(run_fig17_milestone(seed=args.seed))
-        print(f"[milestone pair appended to {bench_path()}]")
-        return 0
-
-    if args.bench_fig11:
-        from .bench import bench_path, run_fig11_milestone
-        _print_bench(run_fig11_milestone(seed=args.seed))
-        print(f"[milestone pair appended to {bench_path()}]")
-        return 0
-
-    if args.bench_dispatch:
-        from .bench import bench_path, run_dispatch_milestone
-        _print_bench(run_dispatch_milestone(seed=args.seed))
         print(f"[milestone pair appended to {bench_path()}]")
         return 0
 

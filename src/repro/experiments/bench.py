@@ -25,8 +25,7 @@ from . import parallel
 from .registry import run_experiment
 
 __all__ = ["bench_path", "load_bench", "record_bench", "run_smoke",
-           "run_fig17_milestone", "run_fig11_milestone",
-           "run_dispatch_milestone", "run_shard_milestone",
+           "run_fig17_milestone", "run_shard_milestone",
            "run_cloudshard_milestone"]
 
 #: The fixed smoke workload: small deterministic figure harnesses that
@@ -154,101 +153,6 @@ def run_fig17_milestone(n_devices: int = 256, seed: int = 0,
         raise AssertionError(
             f"engine parity violated: legacy makespan "
             f"{makespans['legacy-tick']} != vector {makespans['vector']}")
-    return records
-
-
-def run_fig11_milestone(app_key: str = "S3", seed: int = 0,
-                        duration_s: float = 60.0,
-                        load_fraction: float = 0.6,
-                        path: Optional[str] = None) -> List[Dict[str, Any]]:
-    """Record the fig11 milestone pair: legacy vs analytic queueing.
-
-    Runs one network/serverless-heavy fig11 cell (``app_key`` on the
-    centralized FaaS platform) through the legacy Resource-based queue
-    machinery and through the analytic virtual-clock path, appending one
-    record each, so BENCH_kernel.json carries the before/after evidence
-    for the flattened network and serverless service layers. The two runs
-    must produce byte-identical task-latency rows (the determinism
-    contract); a mismatch raises instead of recording misleading numbers.
-    """
-    from ..apps import app
-    from ..platforms import SingleTierRunner, platform_config
-    from ..sim.kernel import events_consumed
-
-    records = []
-    latencies = {}
-    for label, analytic in (("legacy-queues", False), ("analytic", True)):
-        before = events_consumed()
-        start = time.perf_counter()
-        result = SingleTierRunner(
-            platform_config("centralized_faas"), app(app_key), seed=seed,
-            duration_s=duration_s, load_fraction=load_fraction,
-            analytic_net=analytic).run()
-        wall = time.perf_counter() - start
-        latencies[label] = tuple(result.task_latencies.values)
-        records.append(record_bench(
-            f"milestone:fig11-{app_key}:{label}",
-            wall, events_consumed() - before, path=path,
-            extra={"tasks": len(latencies[label]),
-                   "queueing": label}))
-    if latencies["legacy-queues"] != latencies["analytic"]:
-        raise AssertionError(
-            "queueing parity violated: legacy task latencies differ "
-            "from the analytic virtual-clock path")
-    return records
-
-
-def run_dispatch_milestone(n_devices: int = 256, seed: int = 0,
-                           path: Optional[str] = None
-                           ) -> List[Dict[str, Any]]:
-    """Record the dispatch+RNG milestone pair: legacy vs fast paths.
-
-    Runs the identical fig17b Scenario-A hivemind point with the
-    monomorphic kernel dispatch loop and batched RNG draw-ahead both off
-    and both on, appending one record each, so BENCH_kernel.json carries
-    the before/after evidence for this round. Both fast paths are
-    toggled via their environment kill switches (the runners build their
-    own ``Environment`` and streams, so the constructor override is out
-    of reach here). The two runs must produce identical makespan and
-    task-latency rows (the determinism contract); a mismatch raises
-    instead of recording misleading numbers.
-    """
-    from ..apps import SCENARIO_A
-    from ..platforms import platform_config
-    from ..platforms.scenario_runner import ScenarioRunner
-    from ..sim.kernel import events_consumed
-
-    switches = ("REPRO_FAST_DISPATCH", "REPRO_BATCHED_RNG")
-    saved = {name: os.environ.get(name) for name in switches}
-    records = []
-    outputs = {}
-    try:
-        for label, enabled in (("legacy-dispatch", "0"), ("fast", "1")):
-            for name in switches:
-                os.environ[name] = enabled
-            before = events_consumed()
-            start = time.perf_counter()
-            result = ScenarioRunner(
-                platform_config("hivemind"), SCENARIO_A, seed=seed,
-                n_devices=n_devices).run()
-            wall = time.perf_counter() - start
-            outputs[label] = (result.extras["makespan_s"],
-                              tuple(result.task_latencies.values))
-            records.append(record_bench(
-                f"milestone:dispatch-{n_devices}:{label}",
-                wall, events_consumed() - before, path=path,
-                extra={"makespan_s": round(result.extras["makespan_s"], 3),
-                       "dispatch": label}))
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    if outputs["legacy-dispatch"] != outputs["fast"]:
-        raise AssertionError(
-            "dispatch parity violated: legacy loop outputs differ from "
-            "the fast dispatch + batched RNG path")
     return records
 
 

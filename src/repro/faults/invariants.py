@@ -14,10 +14,10 @@ Checked invariants:
    record, with ordered timestamps.
 3. **Energy sanity** — no device battery reports negative remaining
    charge (accounting bugs show up as drains past capacity + epsilon).
-4. **Kernel clock monotonicity** — observed as a kernel dispatch wrapper:
-   the environment's clock never moves backwards across dispatched
-   events. Per-entity clocks (heartbeat times per device, invocation
-   timestamp trails) must be monotone too.
+4. **Kernel clock monotonicity** — observed at the kernel's heap pop,
+   the only place the clock moves: the environment's clock never moves
+   backwards across dispatched events. Per-entity clocks (heartbeat
+   times per device, invocation timestamp trails) must be monotone too.
 
 The checker is armed explicitly (chaos mode); an unarmed simulation never
 constructs one, preserving the byte-identical fault-free contract.
@@ -169,28 +169,31 @@ class InvariantChecker:
 
     # -- kernel observer ------------------------------------------------------
     def attach_kernel(self) -> None:
-        """Wrap the environment's dispatch to watch clock monotonicity.
+        """Watch clock monotonicity at every heap pop of the kernel loop.
 
-        This is the only invasive hook, and it is chaos-only: the wrapper
-        just compares floats, scheduling nothing, so dispatch order and
-        event times are untouched.
+        This is the only invasive hook, and it is chaos-only: it replaces
+        the environment's ``_heappop`` (bound once per ``run()``) with a
+        wrapper that just compares floats, scheduling nothing, so
+        dispatch order and event times are untouched.
         """
         if self._kernel_attached:
             return
         self._kernel_attached = True
         env = self.env
-        inner = env._dispatch
+        inner = env._heappop
 
-        def observed_dispatch(event):
-            now = env._now
-            if now < self._kernel_last_now:
+        def observed_heappop(queue):
+            entry = inner(queue)
+            now = entry[0]
+            last = max(self._kernel_last_now, env._now)
+            if now < last:
                 self._flag("kernel_clock", "environment",
                            f"clock moved backwards "
-                           f"{self._kernel_last_now:.9f} -> {now:.9f}")
+                           f"{last:.9f} -> {now:.9f}")
             self._kernel_last_now = now
-            inner(event)
+            return entry
 
-        env._dispatch = observed_dispatch
+        env._heappop = observed_heappop
 
     # -- finalization ------------------------------------------------------
     def finalize(self, energy_accounts=None) -> List[Violation]:

@@ -8,24 +8,18 @@ retransmission inflation of the serialization time (adequate for the
 throughput/latency shapes the paper reports; we do not model per-packet
 ARQ state).
 
-Two executions of the same FIFO discipline exist (see DESIGN.md,
-"Virtual-clock queueing"):
+The FIFO runs on a virtual clock (see DESIGN.md, "Virtual-clock
+queueing"): the link keeps a ``free_at`` clock and computes each
+transfer's queueing + serialization + propagation in closed form,
+scheduling **one** kernel event per transfer (two for a queued transfer
+on a lossy link, where the retry draw must wait for the grant instant to
+preserve the shared RNG stream's draw order). Exact departure floats go
+on the heap via ``Environment.timeout_at``, and the digest pins in
+``tests/network/test_analytic_parity.py`` hold every departure exact.
 
-- **Analytic (default)** — the link keeps a ``free_at`` virtual clock and
-  computes each transfer's queueing + serialization + propagation in
-  closed form, scheduling **one** kernel event per transfer (two for a
-  queued transfer on a lossy link, where the retry draw must wait for the
-  grant instant to preserve the shared RNG stream's draw order). Exact
-  departure floats go on the heap via ``Environment.timeout_at``, so the
-  results are bit-identical to the legacy path at fixed seeds.
-- **Legacy** (``REPRO_ANALYTIC_NET=0`` / ``analytic=False``) — a
-  capacity-1 :class:`~repro.sim.Resource` plus two timeouts per transfer:
-  the original request/grant/release machinery, kept as the parity
-  oracle.
-
-Either way the bandwidth meter records at **serialization end** (when the
-payload leaves the wire), so utilization windows line up with
-``busy_fraction`` instead of lagging it by the propagation latency.
+The bandwidth meter records at **serialization end** (when the payload
+leaves the wire), so utilization windows line up with ``busy_fraction``
+instead of lagging it by the propagation latency.
 """
 
 from __future__ import annotations
@@ -35,9 +29,8 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from ..sim import Environment, Resource
+from ..sim import Environment
 from ..sim.accounting import tally
-from ..sim.flags import analytic_net_enabled
 from ..telemetry import BandwidthMeter
 
 __all__ = ["Link"]
@@ -51,8 +44,7 @@ class Link:
                  meter: Optional[BandwidthMeter] = None,
                  rng: Optional[np.random.Generator] = None,
                  contention_penalty: float = 0.0,
-                 max_collapse: float = 2.5,
-                 analytic: Optional[bool] = None):
+                 max_collapse: float = 2.5):
         if bandwidth_mbs <= 0:
             raise ValueError("bandwidth must be positive")
         if latency_s < 0:
@@ -77,24 +69,20 @@ class Link:
         #: at ``max_collapse``. Zero for wired links.
         self.contention_penalty = contention_penalty
         self.max_collapse = max_collapse
-        self.analytic = analytic_net_enabled(analytic)
         self._busy_s = 0.0
-        if self.analytic:
-            #: Virtual clock: when the wire finishes its last accepted
-            #: serialization.
-            self._free_at = 0.0
-            #: Deterministic links: pending serialization-start times, for
-            #: the backlog (= legacy wait-queue length) at each arrival.
-            self._grants: deque = deque()
-            #: Stochastic links: the gate armed for the next grant instant
-            #: plus the unarmed FIFO behind it, and the current
-            #: serializer's release slot — (serialization end, insertion
-            #: id reserved at its grant) — where that gate fires.
-            self._armed = None
-            self._waiting: deque = deque()
-            self._release = (0.0, 0)
-        else:
-            self._channel = Resource(env, capacity=1)
+        #: Virtual clock: when the wire finishes its last accepted
+        #: serialization.
+        self._free_at = 0.0
+        #: Deterministic links: pending serialization-start times, for
+        #: the backlog (the wait-queue length) at each arrival.
+        self._grants: deque = deque()
+        #: Stochastic links: the gate armed for the next grant instant
+        #: plus the unarmed FIFO behind it, and the current serializer's
+        #: release slot — (serialization end, insertion id reserved at
+        #: its grant) — where that gate fires.
+        self._armed = None
+        self._waiting: deque = deque()
+        self._release = (0.0, 0)
 
     def scale_capacity(self, factor: float) -> None:
         """Derate (or restore) the link to ``factor`` × nominal bandwidth.
@@ -121,18 +109,14 @@ class Link:
         Yields until the payload is fully delivered; returns the total
         seconds the transfer took (queueing + serialization + latency).
         ``extra_delay_s`` is a fixed post-propagation delay (e.g. the
-        wireless base RTT) folded into the completion event on the
-        analytic path so the caller does not pay a separate timeout.
+        wireless base RTT) folded into the completion event so the
+        caller does not pay a separate timeout.
         ``trace`` is an optional causal-trace context (``repro.obs``);
         when set, the transfer emits queue/serialize/propagate child
         spans at its (possibly closed-form) instants.
         """
         if megabytes < 0:
             raise ValueError("megabytes must be non-negative")
-        if not self.analytic:
-            result = yield from self._transfer_legacy(
-                megabytes, extra_delay_s, trace)
-            return result
         if self._rng is not None and self.loss_rate:
             result = yield from self._transfer_stochastic(
                 megabytes, extra_delay_s, trace)
@@ -145,9 +129,8 @@ class Link:
                              ser_end: float, completion: float) -> None:
         """Record the queue/serialize/propagate split of one transfer.
 
-        Called after the completion yield, so both the legacy and
-        analytic paths report the same instants — the analytic ones are
-        simply known in closed form before the payload ever 'moves'.
+        Called after the completion yield; the instants are known in
+        closed form before the payload ever 'moves'.
         """
         if grant_at > start:
             trace.emit("queue", "network", start, grant_at, link=self.name)
@@ -157,37 +140,7 @@ class Link:
             trace.emit("propagate", "network", ser_end, completion,
                        link=self.name)
 
-    # -- legacy path (REPRO_ANALYTIC_NET=0): the parity oracle --------------
-    def _transfer_legacy(self, megabytes: float,
-                         extra_delay_s: float, trace=None) -> Generator:
-        tally("network", 3 + (1 if extra_delay_s else 0))
-        start = self.env.now
-        backlog = self.queue_length
-        with self._channel.request() as grant:
-            yield grant
-            grant_at = self.env.now
-            service = self.serialization_time(megabytes)
-            if self._rng is not None and self.loss_rate:
-                # Jitter the retransmission inflation around its mean.
-                retries = self._rng.geometric(1.0 - self.loss_rate) - 1
-                service = (megabytes / self.bandwidth_mbs) * (1 + retries)
-            if self.contention_penalty:
-                service *= min(self.max_collapse,
-                               1.0 + self.contention_penalty * backlog)
-            self._busy_s += service
-            yield self.env.timeout(service)
-        ser_end = self.env.now
-        yield self.env.timeout(self.latency_s)
-        if self.meter is not None:
-            self.meter.record(ser_end, megabytes)
-        if extra_delay_s:
-            yield self.env.timeout(extra_delay_s)
-        if trace:
-            self._emit_transfer_spans(trace, start, grant_at, ser_end,
-                                      self.env.now)
-        return self.env.now - start
-
-    # -- analytic paths -----------------------------------------------------
+    # -- the two FIFO shapes ------------------------------------------------
     def _transfer_deterministic(self, megabytes: float,
                                 extra_delay_s: float,
                                 trace=None) -> Generator:
@@ -227,13 +180,12 @@ class Link:
                              extra_delay_s: float, trace=None) -> Generator:
         """Lossy links draw their retry count from a stream *shared with
         the other wireless links*, so draws must happen at the grant
-        instant in global grant order — exactly where the legacy path
-        draws. A queued transfer parks on a gate event armed at the
-        predecessor's *release slot* — its serialization end under an
-        insertion id reserved at its grant dispatch, the heap position
-        the legacy service timeout (whose dispatch performs the release)
-        would have occupied — so same-instant grants across links keep
-        the legacy order. An idle link grants (and draws) inline at
+        instant in global grant order. A queued transfer parks on a gate
+        event armed at the predecessor's *release slot* — its
+        serialization end under an insertion id reserved at its grant
+        dispatch, the heap position a service timeout scheduled there
+        would occupy — so same-instant grants across links keep one
+        fixed order. An idle link grants (and draws) inline at
         arrival."""
         env = self.env
         start = env.now
@@ -280,20 +232,6 @@ class Link:
             self._emit_transfer_spans(trace, start, grant_at, ser_end,
                                       completion)
         return env.now - start
-
-    @property
-    def queue_length(self) -> int:
-        """Transfers arrived but not yet serializing (the wait queue)."""
-        if not self.analytic:
-            return len(self._channel.queue)
-        if self._rng is not None and self.loss_rate:
-            return ((1 if self._armed is not None else 0) +
-                    len(self._waiting))
-        grants = self._grants
-        now = self.env.now
-        while grants and grants[0] <= now:
-            grants.popleft()
-        return len(grants)
 
     def busy_fraction(self, horizon_s: float) -> float:
         """Fraction of ``horizon_s`` the link spent serializing."""

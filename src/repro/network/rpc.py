@@ -138,7 +138,7 @@ class EdgeCloudRpc:
              trace=None) -> Generator:
         """Process: one-way upload (streaming sensor data). The TCP ack
         still crosses the air, so the caller pays one base RTT — folded
-        into the upload's completion event on the analytic link path."""
+        into the upload's completion event."""
         start = self.env.now
         processing = (self.EDGE_PROC_S + self.CLOUD_PROC_S +
                       self.PER_MB_MARSHAL_S * megabytes)

@@ -27,12 +27,10 @@ class ToRSwitch:
     """Shared switching fabric with a per-hop latency."""
 
     def __init__(self, env: Environment, constants: ClusterConstants,
-                 meter: Optional[BandwidthMeter] = None,
-                 analytic: Optional[bool] = None):
+                 meter: Optional[BandwidthMeter] = None):
         self.fabric = Link(
             env, "tor", constants.tor_mbps * MB_PER_MBIT,
-            latency_s=constants.tor_latency_s, meter=meter,
-            analytic=analytic)
+            latency_s=constants.tor_latency_s, meter=meter)
 
 
 class ClusterNetwork:
@@ -40,13 +38,11 @@ class ClusterNetwork:
 
     def __init__(self, env: Environment, constants: ClusterConstants,
                  meter: Optional[BandwidthMeter] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 analytic: Optional[bool] = None):
+                 rng: Optional[np.random.Generator] = None):
         self.env = env
         self.constants = constants
         self.meter = meter if meter is not None else BandwidthMeter("cluster")
-        self._analytic = analytic
-        self.tor = ToRSwitch(env, constants, meter=None, analytic=analytic)
+        self.tor = ToRSwitch(env, constants, meter=None)
         self._tx: Dict[str, Link] = {}
         self._rx: Dict[str, Link] = {}
 
@@ -54,10 +50,8 @@ class ClusterNetwork:
         if server_id in self._tx:
             raise ValueError(f"server {server_id!r} already registered")
         nic_mbs = self.constants.nic_mbps * MB_PER_MBIT
-        self._tx[server_id] = Link(self.env, f"{server_id}.tx", nic_mbs,
-                                   analytic=self._analytic)
-        self._rx[server_id] = Link(self.env, f"{server_id}.rx", nic_mbs,
-                                   analytic=self._analytic)
+        self._tx[server_id] = Link(self.env, f"{server_id}.tx", nic_mbs)
+        self._rx[server_id] = Link(self.env, f"{server_id}.rx", nic_mbs)
 
     def has_server(self, server_id: str) -> bool:
         return server_id in self._tx

@@ -30,28 +30,18 @@ class Fabric:
 
 
 def build_fabric(env: Environment, constants: PaperConstants,
-                 streams: Optional[RandomStreams] = None,
-                 analytic: Optional[bool] = None) -> Fabric:
+                 streams: Optional[RandomStreams] = None) -> Fabric:
     """Build the full network fabric for one experiment.
 
     Registers ``constants.cluster.servers`` servers on the ToR and returns
-    the transports the serverless and edge layers use. ``analytic``
-    selects the virtual-clock link models (None: the
-    ``REPRO_ANALYTIC_NET`` default, see :mod:`repro.sim.flags`).
+    the transports the serverless and edge layers use.
     """
-    # The shared loss stream is the hottest RNG consumer in the fabric
-    # (one geometric draw per stochastic transfer grant): serve it from a
-    # draw-ahead buffer. Exact-parity: the stream is single-lane (every
-    # wireless link draws geometric with the same fixed p), see
-    # repro.sim.rng. REPRO_BATCHED_RNG=0 restores the raw generator.
-    rng = streams.buffered("network.loss") if streams is not None else None
+    rng = streams.stream("network.loss") if streams is not None else None
     wireless_meter = BandwidthMeter("wireless")
     cluster_meter = BandwidthMeter("cluster")
     wireless = WirelessNetwork(env, constants.wireless,
-                               meter=wireless_meter, rng=rng,
-                               analytic=analytic)
-    cluster = ClusterNetwork(env, constants.cluster, meter=cluster_meter,
-                             analytic=analytic)
+                               meter=wireless_meter, rng=rng)
+    cluster = ClusterNetwork(env, constants.cluster, meter=cluster_meter)
     server_ids = [f"server{i}" for i in range(constants.cluster.servers)]
     for server_id in server_ids:
         cluster.register_server(server_id)

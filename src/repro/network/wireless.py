@@ -48,44 +48,37 @@ class AccessPoint:
     def __init__(self, env: Environment, name: str,
                  constants: WirelessConstants,
                  meter: Optional[BandwidthMeter] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 analytic: Optional[bool] = None):
+                 rng: Optional[np.random.Generator] = None):
         self.name = name
         self.uplink = Link(
             env, f"{name}.up", constants.ap_mbs,
             latency_s=constants.per_hop_latency_s,
             loss_rate=constants.loss_rate, meter=meter, rng=rng,
             contention_penalty=constants.contention_penalty,
-            max_collapse=constants.max_collapse, analytic=analytic)
+            max_collapse=constants.max_collapse)
         self.downlink = Link(
             env, f"{name}.down", constants.ap_mbs,
             latency_s=constants.per_hop_latency_s,
             loss_rate=constants.loss_rate, meter=meter, rng=rng,
             contention_penalty=constants.contention_penalty,
-            max_collapse=constants.max_collapse, analytic=analytic)
+            max_collapse=constants.max_collapse)
 
 
 class WirelessNetwork:
     """The swarm's access network: devices balanced across access points.
 
     ``rng`` is shared by every link and draws only fixed-``p`` geometric
-    retry counts, so :func:`~repro.network.topology.build_fabric` passes a
-    draw-ahead :class:`~repro.sim.rng.BufferedStream` here — the hottest
-    RNG consumer in a run refills in vectorized blocks instead of paying
-    one Generator call per transfer grant (``REPRO_BATCHED_RNG=0``
-    restores scalar draws; the sequence is bit-identical either way).
+    retry counts, one per lossy transfer grant, in global grant order.
     """
 
     def __init__(self, env: Environment, constants: WirelessConstants,
                  meter: Optional[BandwidthMeter] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 analytic: Optional[bool] = None):
+                 rng: Optional[np.random.Generator] = None):
         self.env = env
         self.constants = constants
         self.meter = meter if meter is not None else BandwidthMeter("wireless")
         self.access_points: List[AccessPoint] = [
-            AccessPoint(env, f"ap{i}", constants, meter=self.meter, rng=rng,
-                        analytic=analytic)
+            AccessPoint(env, f"ap{i}", constants, meter=self.meter, rng=rng)
             for i in range(constants.access_points)
         ]
         self._assignment: Dict[str, AccessPoint] = {}
@@ -166,8 +159,8 @@ class WirelessNetwork:
         """Process: request up, response down; returns total seconds.
 
         The association/MAC overhead per exchange (``base_rtt_s``) is a
-        fixed trailing delay, folded into the download's completion event
-        on the analytic link path."""
+        fixed trailing delay, folded into the download's completion
+        event."""
         start = self.env.now
         yield from self.upload(device_id, up_mb, trace=trace)
         yield from self.download(device_id, down_mb,

@@ -19,9 +19,9 @@ zero RNG draws, byte-identical runs (the zero-overhead contract).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
+from ..sim.flags import trace_requested
 from .export import to_chrome_trace, write_chrome_trace, write_trace_files
 from .manifest import RunManifest, git_revision, runtime_flags
 from .report import (TraceReport, aggregate_breakdown, latency_reports,
@@ -55,7 +55,7 @@ def active_tracer() -> Optional[SpanTracer]:
     global _ACTIVE, _ENV_CHECKED
     if _ACTIVE is None and not _ENV_CHECKED:
         _ENV_CHECKED = True
-        if os.environ.get("REPRO_TRACE", "0") not in ("", "0"):
+        if trace_requested():
             _ACTIVE = SpanTracer()
     return _ACTIVE
 

@@ -41,15 +41,11 @@ def git_revision() -> str:
 def runtime_flags() -> Dict[str, Any]:
     """The fast-path/observability switches in effect right now."""
     from . import tracing_enabled
-    from ..sim.flags import (analytic_net_enabled, batched_rng_enabled,
-                             fast_dispatch_enabled)
     from ..sim.flags import (chaos_workers, serving_admission_enabled,
-                             serving_autoscale_enabled, serving_spec)
+                             serving_autoscale_enabled, serving_spec,
+                             vector_edge_enabled)
     flags = {
-        "vector_edge": os.environ.get("REPRO_VECTOR_EDGE", "1") != "0",
-        "analytic_net": analytic_net_enabled(),
-        "fast_dispatch": fast_dispatch_enabled(),
-        "batched_rng": batched_rng_enabled(),
+        "vector_edge": vector_edge_enabled(),
         "trace": tracing_enabled(),
     }
     # Armed worker chaos is part of a run's provenance (it perturbs

@@ -74,7 +74,6 @@ class SingleTierRunner:
                  iaas_headroom: float = 1.25,
                  bursty: bool = True,
                  rate_override: Optional[float] = None,
-                 analytic_net: Optional[bool] = None,
                  fault_plan: Optional[FaultPlan] = None):
         self.config = config
         self.app = app
@@ -109,9 +108,6 @@ class SingleTierRunner:
         #: Exact per-device task rate (validation runs pin this so the
         #: analytical model shares the operating point).
         self.rate_override = rate_override
-        #: Analytic virtual-clock queueing (None = REPRO_ANALYTIC_NET env,
-        #: default on); False restores the legacy network/serverless path.
-        self.analytic_net = analytic_net
         #: Chaos mode: a :class:`~repro.faults.FaultPlan` to inject during
         #: the run. ``None`` (or an empty plan) keeps every chaos hook
         #: unarmed — the run is then byte-identical to one without this
@@ -163,8 +159,7 @@ class SingleTierRunner:
     def run(self) -> RunResult:
         env = Environment()
         streams = RandomStreams(self.seed)
-        fabric = build_fabric(env, self._fabric_constants(), streams,
-                              analytic=self.analytic_net)
+        fabric = build_fabric(env, self._fabric_constants(), streams)
         latencies = MetricSeries(f"{self.app.key}.{self.config.name}")
         breakdowns = BreakdownAggregate()
         rng = streams.stream("runner.workload")
@@ -201,8 +196,7 @@ class SingleTierRunner:
                              else self.config.container_keepalive_s),
                 n_controllers=self._n_controllers(),
                 cluster_network=fabric.cluster,
-                remote_memory=remote_memory,
-                analytic=self.analytic_net)
+                remote_memory=remote_memory)
             if self.config.straggler_mitigation:
                 mitigator = StragglerMitigator(
                     env, platform, self.constants.control,
@@ -242,13 +236,9 @@ class SingleTierRunner:
             process_tier = "edge"
 
         # Devices.
-        # Single-tier drones draw only service-time lognormals (no sensor
-        # captures here), so each per-device stream is a pure
-        # standard-normal lane — safe for draw-ahead buffering (see
-        # repro.sim.rng). A modest block: N devices each hold a buffer.
         devices = [
             Drone(env, f"drone{i:04d}", self.constants.drone,
-                  rng=streams.buffered(f"runner.drone{i}", block=128))
+                  rng=streams.stream(f"runner.drone{i}"))
             for i in range(self.n_devices)
         ]
         outstanding: Dict[str, int] = {d.device_id: 0 for d in devices}

@@ -28,7 +28,6 @@ and tests/edge/test_meanfield_parity.py).
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..apps import ScenarioSpec
@@ -44,6 +43,7 @@ from ..network import EdgeCloudRpc, build_fabric
 from ..routing import Region, coverage_route
 from ..serverless import Invocation, InvocationRequest, OpenWhiskPlatform
 from ..sim import Environment, RandomStreams
+from ..sim.flags import vector_edge_enabled
 from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
 from .. import obs
 from .base import PlatformConfig, RunResult
@@ -78,7 +78,6 @@ class ScenarioRunner:
                  iaas_baseline_devices: int = 16,
                  passes: int = 1,
                  vector_edge: Optional[bool] = None,
-                 analytic_net: Optional[bool] = None,
                  cloud_boundary: Optional[object] = None,
                  device_id_base: int = 0,
                  cloud_budget_cores: Optional[float] = None,
@@ -105,14 +104,7 @@ class ScenarioRunner:
         #: Vectorized SwarmEngine for flight + heartbeats (default on;
         #: REPRO_VECTOR_EDGE=0 or vector_edge=False falls back to the
         #: legacy per-device tick processes — bit-identical results).
-        self.vector_edge = (
-            vector_edge if vector_edge is not None
-            else os.environ.get("REPRO_VECTOR_EDGE", "1") != "0")
-        #: Analytic virtual-clock queueing in the network and serverless
-        #: layers (default on; REPRO_ANALYTIC_NET=0 or analytic_net=False
-        #: falls back to the legacy Resource-based machinery —
-        #: bit-identical results).
-        self.analytic_net = analytic_net
+        self.vector_edge = vector_edge_enabled(vector_edge)
         #: Sharded-mode cloud boundary (see :mod:`repro.sim.shard`): when
         #: set, this runner simulates one *edge cell* — cloud-bound work
         #: is recorded as timestamped messages on the boundary instead of
@@ -196,8 +188,7 @@ class ScenarioRunner:
         engine = SwarmEngine(env) if self.vector_edge else None
         streams = RandomStreams(self.seed)
         constants = self.constants
-        fabric = build_fabric(env, self._fabric_constants(), streams,
-                              analytic=self.analytic_net)
+        fabric = build_fabric(env, self._fabric_constants(), streams)
         app = self.scenario.recognition
         rng = streams.stream("scenario.workload")
 
@@ -258,8 +249,7 @@ class ScenarioRunner:
                 keepalive_s=self.config.container_keepalive_s,
                 n_controllers=self._n_controllers(),
                 cluster_network=fabric.cluster,
-                remote_memory=remote_memory,
-                analytic=self.analytic_net)
+                remote_memory=remote_memory)
             if self.config.straggler_mitigation:
                 mitigator = StragglerMitigator(env, platform,
                                                constants.control)

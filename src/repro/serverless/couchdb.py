@@ -12,14 +12,12 @@ the figures depend on:
   (section 4.4: "expensive, especially when many functions try to access
   data concurrently").
 
-The concurrency-``k`` FIFO service runs analytically by default: a
-``k``-entry min-heap of server-free times yields each operation's grant
-instant in O(log k), and one ``timeout_at`` event replaces the legacy
-request/grant/timeout/release machinery. CouchDB owns its RNG stream
-exclusively and FIFO multi-server grant order equals arrival order, so the
-Pareto tail draw can move to arrival time without perturbing the draw
-sequence (see DESIGN.md, "Virtual-clock queueing").
-``REPRO_ANALYTIC_NET=0`` / ``analytic=False`` restores the legacy path.
+The concurrency-``k`` FIFO service runs on virtual clocks: a ``k``-entry
+min-heap of server-free times yields each operation's grant instant in
+O(log k), and one ``timeout_at`` event completes it. CouchDB owns its RNG
+stream exclusively and FIFO multi-server grant order equals arrival
+order, so the Pareto tail draw happens at arrival time without
+perturbing the draw sequence (see DESIGN.md, "Virtual-clock queueing").
 """
 
 from __future__ import annotations
@@ -30,9 +28,8 @@ from typing import Generator, List, Optional
 import numpy as np
 
 from ..config import ServerlessConstants
-from ..sim import Environment, Resource
+from ..sim import Environment
 from ..sim.accounting import tally
-from ..sim.flags import analytic_net_enabled
 
 __all__ = ["CouchDB"]
 
@@ -43,19 +40,13 @@ class CouchDB:
     def __init__(self, env: Environment,
                  constants: Optional[ServerlessConstants] = None,
                  rng: Optional[np.random.Generator] = None,
-                 concurrency: int = 8,
-                 analytic: Optional[bool] = None):
+                 concurrency: int = 8):
         self.env = env
         self.constants = constants or ServerlessConstants()
         self._rng = rng
-        self.analytic = analytic_net_enabled(analytic)
-        if self.analytic:
-            #: Virtual clocks: when each of the ``concurrency`` servers
-            #: frees up. Lazily grown so an idle store costs nothing.
-            self._free: List[float] = [0.0] * concurrency
-            heapq.heapify(self._free)
-        else:
-            self._service = Resource(env, capacity=concurrency)
+        #: Virtual clocks: when each of the ``concurrency`` servers
+        #: frees up.
+        self._free: List[float] = [0.0] * concurrency
         self.operations = 0
         self._documents = {}
         #: Chaos outage window: no operation starts service before this
@@ -83,23 +74,14 @@ class CouchDB:
 
     def _serve(self, duration: float) -> Generator:
         """Process: one FIFO pass through the concurrency-k service."""
-        if self.analytic:
-            tally("serverless", 1)
-            free_at = heapq.heappop(self._free)
-            grant_at = free_at if free_at > self.env.now else self.env.now
-            if grant_at < self._outage_until:  # chaos outage window
-                grant_at = self._outage_until
-            end = grant_at + duration
-            heapq.heappush(self._free, end)
-            yield self.env.timeout_at(end)
-        else:
-            tally("serverless", 2)
-            with self._service.request() as grant:
-                yield grant
-                if self.env.now < self._outage_until:  # chaos outage window
-                    tally("serverless", 1)
-                    yield self.env.timeout_at(self._outage_until)
-                yield self.env.timeout(duration)
+        tally("serverless", 1)
+        free_at = heapq.heappop(self._free)
+        grant_at = free_at if free_at > self.env.now else self.env.now
+        if grant_at < self._outage_until:  # chaos outage window
+            grant_at = self._outage_until
+        end = grant_at + duration
+        heapq.heappush(self._free, end)
+        yield self.env.timeout_at(end)
         self.operations += 1
 
     def access(self, megabytes: float = 0.0) -> Generator:

@@ -27,7 +27,7 @@ path, so synthetic background calls must never reach a
 from __future__ import annotations
 
 import math
-from typing import Dict, Generator, List, Optional
+from typing import Generator
 
 from ..cluster import Cluster
 from ..config import PaperConstants
@@ -58,8 +58,7 @@ class CloudGateway:
     """
 
     def __init__(self, config, scenario, constants: PaperConstants,
-                 n_devices: int, seed: int = 0,
-                 analytic: Optional[bool] = None, serving=None):
+                 n_devices: int, seed: int = 0, serving=None):
         if config.execution not in ("cloud_faas", "hybrid"):
             raise ValueError(
                 "CloudGateway requires a cloud-backed platform "
@@ -69,7 +68,7 @@ class CloudGateway:
         env = self.env = Environment()
         streams = self.streams = RandomStreams(seed + GATEWAY_SEED_OFFSET)
         cluster = Cluster(env, constants.cluster)
-        fabric = build_fabric(env, constants, streams, analytic=analytic)
+        fabric = build_fabric(env, constants, streams)
         remote_memory = (RemoteMemoryFabric(env, constants.accel)
                          if config.remote_mem else None)
         n_controllers = config.n_controllers
@@ -83,8 +82,7 @@ class CloudGateway:
             keepalive_s=config.container_keepalive_s,
             n_controllers=n_controllers,
             cluster_network=fabric.cluster,
-            remote_memory=remote_memory,
-            analytic=analytic)
+            remote_memory=remote_memory)
         self.mitigator = (StragglerMitigator(env, self.platform,
                                              constants.control)
                           if config.straggler_mitigation else None)

@@ -17,7 +17,6 @@ from ..cluster import Server
 from ..config import ServerlessConstants
 from ..sim import Environment, Interrupt
 from ..sim.accounting import tally
-from ..sim.flags import analytic_net_enabled
 from .container import FunctionContainer
 from .function import Invocation, InvocationRequest
 
@@ -54,16 +53,7 @@ class ActivationMessage:
 
 
 class Invoker:
-    """Launches functions in containers on one server.
-
-    ``rng`` arrives as a draw-ahead :class:`~repro.sim.rng.BufferedStream`
-    (see :meth:`ControlPlane` wiring in :mod:`repro.serverless.openwhisk`):
-    fault-free runs draw only service/jitter lognormals, which share one
-    standard-normal lane. Chaos runs that raise :attr:`fault_rate` mid-run
-    add ``random``/``uniform`` draws; the buffer rewinds and degrades to
-    scalar passthrough after a few lane switches, keeping the draw
-    sequence bit-identical to an unbuffered generator.
-    """
+    """Launches functions in containers on one server."""
 
     #: How long to back off when the server has no memory for a container.
     MEMORY_RETRY_S = 0.05
@@ -72,8 +62,7 @@ class Invoker:
                  constants: ServerlessConstants,
                  rng: np.random.Generator,
                  fault_rate: float = 0.0,
-                 keepalive_s: Optional[float] = None,
-                 analytic: Optional[bool] = None):
+                 keepalive_s: Optional[float] = None):
         if not 0 <= fault_rate < 1:
             raise ValueError("fault rate must be in [0, 1)")
         self.env = env
@@ -83,18 +72,16 @@ class Invoker:
         self.fault_rate = fault_rate
         self.keepalive_s = (keepalive_s if keepalive_s is not None
                             else constants.default_keepalive_s)
-        self.analytic = analytic_net_enabled(analytic)
         self._warm: Dict[str, List[FunctionContainer]] = {}
         #: Earliest warm-container expiry across every pool (stale-low is
         #: safe: it only costs one wasted scan). Lets _reap_expired exit
         #: in O(1) on the hot take_warm path when nothing can be expired.
         self._warm_min_expiry = float("inf")
-        #: Activations asleep waiting for container memory (analytic
-        #: path): woken by the server's free-memory hook or by a new
-        #: evictable warm container instead of a retry timer.
+        #: Activations asleep waiting for container memory: woken by the
+        #: server's free-memory hook or by a new evictable warm container
+        #: instead of a retry timer.
         self._mem_waiters: List = []
-        if self.analytic:
-            server.add_free_memory_listener(self._signal_memory)
+        server.add_free_memory_listener(self._signal_memory)
         #: Machine-health multiplier on service times (thermal throttling,
         #: failing disks, noisy neighbours outside our control): the
         #: straggler source the p90 mitigation targets (section 4.6).
@@ -258,20 +245,13 @@ class Invoker:
     def _reserve_container_memory(self, memory_mb: float) -> Generator:
         """Process: claim ``memory_mb``, evicting stale warm containers.
 
-        The legacy path polls every ``MEMORY_RETRY_S``; between memory
+        The model is a poll every ``MEMORY_RETRY_S``. Between memory
         releases and warm-container arrivals those polls are provably
-        no-ops (nothing to reserve, nothing to evict), so the analytic
-        path sleeps on the release hook and then resumes at the first
-        boundary of the legacy poll grid after the signal — the same
-        accumulated ``now + 0.05 + 0.05 + ...`` floats, so reservations
-        land at identical instants.
+        no-ops (nothing to reserve, nothing to evict), so the activation
+        sleeps on the release hook and then resumes at the first
+        boundary of the poll grid after the signal — the accumulated
+        ``now + 0.05 + 0.05 + ...`` floats a real poll loop would reach.
         """
-        if not self.analytic:
-            while not self.server.reserve_memory(memory_mb):
-                if not self._evict_one_warm():
-                    tally("serverless", 1)
-                    yield self.env.timeout(self.MEMORY_RETRY_S)
-            return
         boundary = None
         while not self.server.reserve_memory(memory_mb):
             if self._evict_one_warm():
@@ -412,9 +392,8 @@ class Invoker:
             self._warm.setdefault(container.image, []).append(container)
             if container.warm_expiry < self._warm_min_expiry:
                 self._warm_min_expiry = container.warm_expiry
-            if self.analytic:
-                # A fresh warm container is evictable: wake memory waits.
-                self._signal_memory()
+            # A fresh warm container is evictable: wake memory waits.
+            self._signal_memory()
         return invocation
 
     # -- Kafka consumer -------------------------------------------------------
@@ -426,23 +405,12 @@ class Invoker:
         consumed activation runs concurrently (containers start in
         parallel) and signals its ``done`` event on completion.
         """
-        if self.analytic and hasattr(bus, "subscribe"):
-            bus.subscribe(topic, self._spawn_handler)
-            return
-        self._consumer = self.env.process(self._consume(bus, topic))
+        bus.subscribe(topic, self._spawn_handler)
 
     def _spawn_handler(self, message: ActivationMessage) -> None:
         tally("serverless", 1)  # the handler process start
         process = self.env.process(self._handle(message))
         self._active[message.invocation.invocation_id] = (message, process)
-
-    def _consume(self, bus, topic: str) -> Generator:
-        while True:
-            message = yield from bus.consume(topic)
-            tally("serverless", 1)  # the handler process start
-            process = self.env.process(self._handle(message))
-            self._active[message.invocation.invocation_id] = (
-                message, process)
 
     def _handle(self, message: ActivationMessage) -> Generator:
         iid = message.invocation.invocation_id

@@ -13,7 +13,6 @@ from typing import Any, Callable, Dict, Generator, Optional
 from ..config import ServerlessConstants
 from ..sim import Environment, Store
 from ..sim.accounting import tally
-from ..sim.flags import analytic_net_enabled
 
 __all__ = ["KafkaBus"]
 
@@ -21,19 +20,14 @@ __all__ = ["KafkaBus"]
 class KafkaBus:
     """Named topics with a fixed hop latency.
 
-    Topics are unbounded, so on the analytic fast path a publish appends
-    its message inline after the hop latency (``Store.put_nowait``)
-    instead of paying a put-event round trip; waiting consumers are
-    served in exactly the order the blocking put would have produced.
-    ``REPRO_ANALYTIC_NET=0`` / ``analytic=False`` restores the blocking
-    put."""
+    Topics are unbounded, so a publish appends its message inline after
+    the hop latency (``Store.put_nowait``) instead of paying a put-event
+    round trip; waiting consumers are served in FIFO order."""
 
     def __init__(self, env: Environment,
-                 constants: Optional[ServerlessConstants] = None,
-                 analytic: Optional[bool] = None):
+                 constants: Optional[ServerlessConstants] = None):
         self.env = env
         self.constants = constants or ServerlessConstants()
-        self.analytic = analytic_net_enabled(analytic)
         self._topics: Dict[str, Store] = {}
         self._subscribers: Dict[str, Callable[[Any], None]] = {}
         self.published = 0
@@ -58,8 +52,8 @@ class KafkaBus:
 
         A publish then hands the message straight to ``callback`` at
         delivery time (after the hop latency) instead of waking a
-        blocking-consume loop through the topic store — one fewer kernel
-        event per activation, same delivery instant and FIFO order."""
+        consumer waiting on the topic store — one fewer kernel event per
+        activation, same delivery instant and FIFO order."""
         if topic in self._subscribers:
             raise ValueError(f"topic {topic!r} already has a subscriber")
         self._subscribers[topic] = callback
@@ -76,12 +70,8 @@ class KafkaBus:
             callback(message)
             self.published += 1
             return
-        store = self.topic(topic)
-        if self.analytic and store.put_nowait(message):
-            tally("serverless", 1)
-        else:
-            tally("serverless", 2)
-            yield store.put(message)
+        tally("serverless", 1)
+        self.topic(topic).put_nowait(message)
         self.published += 1
 
     def consume(self, topic: str) -> Generator:

@@ -24,8 +24,7 @@ from ..hardware.remote_memory import RemoteMemoryFabric
 from ..network.rpc import SoftwareClusterRpc
 from ..network.switch import ClusterNetwork
 from ..sim.accounting import tally
-from ..sim.flags import analytic_net_enabled
-from ..sim import Environment, NullTracer, RandomStreams, Resource
+from ..sim import Environment, NullTracer, RandomStreams
 from .couchdb import CouchDB
 from .datasharing import (
     CouchDBSharing,
@@ -56,8 +55,7 @@ class OpenWhiskPlatform:
                  n_controllers: int = 1,
                  cluster_network: Optional[ClusterNetwork] = None,
                  remote_memory: Optional[RemoteMemoryFabric] = None,
-                 tracer=None,
-                 analytic: Optional[bool] = None):
+                 tracer=None):
         if sharing not in SHARING_PROTOCOLS:
             raise ValueError(f"unknown sharing protocol {sharing!r}")
         if n_controllers <= 0:
@@ -65,21 +63,13 @@ class OpenWhiskPlatform:
         self.env = env
         self.cluster = cluster
         self.constants = constants or ServerlessConstants()
-        # Draw-ahead buffers (see repro.sim.rng): CouchDB owns a pure
-        # Pareto-tail lane; each invoker's stream is a pure lognormal
-        # (standard-normal) lane while fault injection is off, and the
-        # wrapper's rewind-and-replay keeps the sequence exact if chaos
-        # flips fault_rate mid-run. REPRO_BATCHED_RNG=0 restores raw
-        # generators.
         self.couchdb = CouchDB(env, self.constants,
-                               rng=streams.buffered("serverless.couchdb"),
-                               analytic=analytic)
-        self.kafka = KafkaBus(env, self.constants, analytic=analytic)
+                               rng=streams.stream("serverless.couchdb"))
+        self.kafka = KafkaBus(env, self.constants)
         self.invokers: List[Invoker] = [
             Invoker(env, server, self.constants,
-                    rng=streams.buffered(f"serverless.invoker.{server_id}"),
-                    fault_rate=fault_rate, keepalive_s=keepalive_s,
-                    analytic=analytic)
+                    rng=streams.stream(f"serverless.invoker.{server_id}"),
+                    fault_rate=fault_rate, keepalive_s=keepalive_s)
             for server_id, server in sorted(cluster.servers.items())
         ]
         # Each invoker consumes its own Kafka topic (section 4.3).
@@ -95,25 +85,16 @@ class OpenWhiskPlatform:
         #: Shared-state controller capacity: HiveMind can run several
         #: schedulers with global visibility (section 4.3); stock OpenWhisk
         #: has one. This is the centralized-scalability bottleneck of Fig 1.
-        #: The hold time is fixed, so the analytic path replaces the
-        #: Resource with a k-entry min-heap of controller-free times
-        #: (grant order = arrival order either way).
-        self.analytic = analytic_net_enabled(analytic)
-        if self.analytic:
-            self._controller_free = [0.0] * n_controllers
-            heapq.heapify(self._controller_free)
-        else:
-            self._controller = Resource(env, capacity=n_controllers)
+        #: The hold time is fixed, so the controllers are a k-entry
+        #: min-heap of controller-free times (grant order = arrival
+        #: order).
+        self._controller_free = [0.0] * n_controllers
         #: Admission control (the platform-wide in-flight cap). The hold
         #: spans the whole activation, so this cannot become a virtual
-        #: clock; instead the analytic path keeps an integer occupancy and
-        #: only materializes an event for admissions that actually wait.
-        if self.analytic:
-            self._admitted = 0
-            self._adm_waiters: deque = deque()
-        else:
-            self._concurrency = Resource(
-                env, capacity=self.constants.concurrency_limit)
+        #: clock; instead it keeps an integer occupancy and only
+        #: materializes an event for admissions that actually wait.
+        self._admitted = 0
+        self._adm_waiters: deque = deque()
         self.sharing_name = sharing
         self._sharing_couchdb = CouchDBSharing(env, self.couchdb,
                                                self.constants)
@@ -287,23 +268,30 @@ class OpenWhiskPlatform:
             invocation.trace = request.trace.span(
                 "invocation", "serverless", self.env.now,
                 function=request.spec.name)
-        if self.analytic:
-            result = yield from self._invoke_admitted(request, invocation)
-            return result
-        with self._concurrency.request() as admitted:
-            yield admitted
-            self._task_started()
-            try:
-                yield from self._pipeline(request, invocation)
-            finally:
-                self._task_finished()
+        if self._admitted < self.constants.concurrency_limit:
+            self._admitted += 1
+        else:
+            # Park on a gate, granted FIFO at a release.
+            tally("serverless", 1)
+            gate = self.env.event()
+            self._adm_waiters.append(gate)
+            yield gate
+        self._task_started()
+        try:
+            yield from self._pipeline(request, invocation)
+        finally:
+            self._task_finished()
+            if self._adm_waiters:
+                self._adm_waiters.popleft().succeed(None)
+            else:
+                self._admitted -= 1
         self._finish_invocation(invocation)
         return invocation
 
     def _pipeline(self, request: InvocationRequest,
                   invocation: Invocation) -> Generator:
         """Process: the admitted activation pipeline (front end through
-        completion), shared by the legacy and analytic admission paths."""
+        completion)."""
         trace = invocation.trace
         # Front end + auth check against CouchDB.
         front_start = self.env.now
@@ -319,18 +307,12 @@ class OpenWhiskPlatform:
         queue_start = self.env.now
         hold = (self.constants.controller_decision_s +
                 self.constants.controller_service_s)
-        if self.analytic:
-            tally("serverless", 1)
-            free_at = heapq.heappop(self._controller_free)
-            grant_at = free_at if free_at > self.env.now else self.env.now
-            end = grant_at + hold
-            heapq.heappush(self._controller_free, end)
-            yield self.env.timeout_at(end)
-        else:
-            tally("serverless", 2)
-            with self._controller.request() as slot:
-                yield slot
-                yield self.env.timeout(hold)
+        tally("serverless", 1)
+        free_at = heapq.heappop(self._controller_free)
+        grant_at = free_at if free_at > self.env.now else self.env.now
+        end = grant_at + hold
+        heapq.heappush(self._controller_free, end)
+        yield self.env.timeout_at(end)
         placement = self.scheduler.place(request)
         invocation.breakdown.charge(
             "management", self.env.now - queue_start)
@@ -359,30 +341,6 @@ class OpenWhiskPlatform:
         invocation.t_scheduled = self.env.now
         yield done
         invocation.t_complete = self.env.now
-
-    def _invoke_admitted(self, request: InvocationRequest,
-                         invocation: Invocation) -> Generator:
-        """Analytic admission: claim a slot inline when one is free; park
-        on a gate (granted FIFO at release time, exactly when the legacy
-        Resource would grant) otherwise."""
-        if self._admitted < self.constants.concurrency_limit:
-            self._admitted += 1
-        else:
-            tally("serverless", 1)
-            gate = self.env.event()
-            self._adm_waiters.append(gate)
-            yield gate
-        self._task_started()
-        try:
-            yield from self._pipeline(request, invocation)
-        finally:
-            self._task_finished()
-            if self._adm_waiters:
-                self._adm_waiters.popleft().succeed(None)
-            else:
-                self._admitted -= 1
-        self._finish_invocation(invocation)
-        return invocation
 
     def _finish_invocation(self, invocation: Invocation) -> None:
         self.invocations.append(invocation)

@@ -1,29 +1,21 @@
-"""Runtime fast-path kill switches.
+"""Runtime switches, each resolved in one place.
 
-Each big event-count or stepping optimisation ships with a fallback flag
-so a regression can be bisected to the model, not the optimisation:
+Each switch below is read only here (an explicit constructor or CLI
+argument always wins over the environment), and a malformed value fails
+loudly with ``VAR=value:`` in the message instead of silently picking a
+default.
 
 - ``REPRO_VECTOR_EDGE=0`` — legacy per-device flight/heartbeat processes
-  instead of the vectorized :class:`~repro.edge.SwarmEngine` (resolved in
-  :class:`~repro.platforms.scenario_runner.ScenarioRunner`).
-- ``REPRO_ANALYTIC_NET=0`` — legacy ``Resource``-based FIFO queueing in
-  the network, serverless, and on-device service layers instead of the
-  analytic virtual-clock models (resolved here).
-- ``REPRO_FAST_DISPATCH=0`` — the legacy step-at-a-time event loop in
-  :meth:`~repro.sim.Environment.run` instead of the inlined monomorphic
-  dispatch loop (resolved here).
-- ``REPRO_BATCHED_RNG=0`` — plain scalar ``numpy`` generators instead of
-  the block-refilled :class:`~repro.sim.rng.BufferedStream` draw-ahead
-  wrappers (resolved here).
-
-All default to **on**; an explicit constructor argument always wins over
-the environment.
+  instead of the vectorized :class:`~repro.edge.SwarmEngine`. Default
+  **on**.
+- ``REPRO_TRACE=1`` — causal request tracing (:mod:`repro.obs`).
+  Default **off**.
 
 The scale-out knobs (``REPRO_SHARDS``, ``REPRO_CLOUD_SHARDS``,
-``REPRO_MEANFIELD``, ``REPRO_HYBRID_EXACT``) invert the convention:
-they default to **off**, so unarmed runs stay byte-identical to the
-seed, and arming them opts into the sharded/aggregate runtimes of
-:mod:`repro.sim.shard` and :mod:`repro.edge.meanfield`.
+``REPRO_MEANFIELD``, ``REPRO_HYBRID_EXACT``) default to **off**, so
+unarmed runs stay byte-identical to the seed, and arming them opts into
+the sharded/aggregate runtimes of :mod:`repro.sim.shard` and
+:mod:`repro.edge.meanfield`.
 
 The supervision knobs (``REPRO_WORKER_DEADLINE``,
 ``REPRO_WORKER_RETRIES``, ``REPRO_CHAOS_WORKERS``) tune the worker
@@ -38,6 +30,9 @@ load generator of :mod:`repro.serving`; the sub-switches
 ``REPRO_SERVING_ADMISSION`` / ``REPRO_SERVING_AUTOSCALE`` default to
 **on within an armed serving run** and independently disarm each
 reactive policy.
+
+Boolean switches accept only an empty value (the default), ``0`` or
+``1``.
 """
 
 from __future__ import annotations
@@ -46,9 +41,8 @@ import os
 from typing import Optional
 
 __all__ = [
-    "analytic_net_enabled",
-    "fast_dispatch_enabled",
-    "batched_rng_enabled",
+    "vector_edge_enabled",
+    "trace_requested",
     "shard_count",
     "cloud_shard_count",
     "hybrid_exact_devices",
@@ -63,30 +57,29 @@ __all__ = [
 ]
 
 
-def _enabled(variable: str, override: Optional[bool]) -> bool:
+def _switch(variable: str, override: Optional[bool], default: bool) -> bool:
+    """Resolve a boolean switch: an explicit argument wins, then the
+    environment variable (``0`` or ``1``; empty means ``default``). Any
+    other value raises ``ValueError`` naming the variable."""
     if override is not None:
         return bool(override)
-    return os.environ.get(variable, "1") != "0"
+    configured = os.environ.get(variable, "")
+    if not configured:
+        return default
+    if configured not in ("0", "1"):
+        raise ValueError(f"{variable}={configured}: expected 0 or 1")
+    return configured == "1"
 
 
-def analytic_net_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the analytic-queueing flag.
-
-    ``override`` (a constructor/runner argument) wins when given;
-    otherwise ``REPRO_ANALYTIC_NET=0`` disables the fast path and any
-    other value (or no variable) enables it.
-    """
-    return _enabled("REPRO_ANALYTIC_NET", override)
+def vector_edge_enabled(override: Optional[bool] = None) -> bool:
+    """Resolve the vectorized-edge flag (``REPRO_VECTOR_EDGE``; default
+    on). ``0`` selects the per-device ``Drone.fly_route`` processes."""
+    return _switch("REPRO_VECTOR_EDGE", override, True)
 
 
-def fast_dispatch_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the kernel dispatch-loop flag (``REPRO_FAST_DISPATCH``)."""
-    return _enabled("REPRO_FAST_DISPATCH", override)
-
-
-def batched_rng_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the RNG draw-ahead flag (``REPRO_BATCHED_RNG``)."""
-    return _enabled("REPRO_BATCHED_RNG", override)
+def trace_requested() -> bool:
+    """Whether ``REPRO_TRACE`` asks for causal tracing (default off)."""
+    return _switch("REPRO_TRACE", None, False)
 
 
 def _count(variable: str, override: Optional[int], default: int,
@@ -126,7 +119,7 @@ def _positive(variable: str, override: Optional[float],
 def shard_count(override: Optional[int] = None) -> int:
     """Resolve the intra-run shard count (``REPRO_SHARDS``).
 
-    Unlike the boolean fast paths this one defaults to **off** (1 shard
+    Defaults to **off** (1 shard
     = the unsharded single-process runner, byte-identical to the seed);
     ``REPRO_SHARDS=N`` or an explicit ``--shards N`` arms the sharded
     cell-decomposed runtime of :mod:`repro.sim.shard`.
@@ -234,14 +227,14 @@ def serving_admission_enabled(override: Optional[bool] = None) -> bool:
     """Resolve the admission/shedding sub-switch
     (``REPRO_SERVING_ADMISSION``; default on, meaningful only inside a
     serving-armed run)."""
-    return _enabled("REPRO_SERVING_ADMISSION", override)
+    return _switch("REPRO_SERVING_ADMISSION", override, True)
 
 
 def serving_autoscale_enabled(override: Optional[bool] = None) -> bool:
     """Resolve the invoker-pool autoscaling sub-switch
     (``REPRO_SERVING_AUTOSCALE``; default on, meaningful only inside a
     serving-armed run)."""
-    return _enabled("REPRO_SERVING_AUTOSCALE", override)
+    return _switch("REPRO_SERVING_AUTOSCALE", override, True)
 
 
 def meanfield_enabled(override: Optional[bool] = None) -> bool:
@@ -251,6 +244,4 @@ def meanfield_enabled(override: Optional[bool] = None) -> bool:
     ``REPRO_MEANFIELD=1`` (or ``--meanfield``) collapses homogeneous
     cells into the population model of :mod:`repro.edge.meanfield`.
     """
-    if override is not None:
-        return bool(override)
-    return os.environ.get("REPRO_MEANFIELD", "0") == "1"
+    return _switch("REPRO_MEANFIELD", override, False)

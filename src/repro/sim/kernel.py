@@ -37,14 +37,10 @@ internal complexity for throughput while keeping the exact
   through small per-environment pools when (and only when) nothing else
   holds a reference, so the dominant yield-timeout-resume cycle allocates
   nothing in steady state.
-- :meth:`Environment.run` executes a *monomorphic inlined dispatch loop*
-  by default (``fast_dispatch``): the pop-next/dispatch/recycle sequence
-  of :meth:`step` fused into one frame with a single merged decision tree
-  per event, removing two Python calls and the double FIFO/heap
-  inspection each event otherwise pays. ``REPRO_FAST_DISPATCH=0`` (or
-  ``Environment(fast_dispatch=False)``) falls back to the legacy
-  step-at-a-time loop, kept as the parity oracle — both loops dispatch
-  the identical (time, priority, eid) sequence.
+- :meth:`Environment.run` executes one *monomorphic inlined dispatch
+  loop*: pop-next, dispatch and recycling fused into one frame with a
+  single merged decision tree per event, so an event costs no Python
+  call of its own and the FIFOs/heap are inspected once.
 
 :func:`events_consumed` exposes a process-wide dispatch counter for
 events/sec accounting in the benchmark harness.
@@ -57,8 +53,6 @@ import itertools
 from collections import deque
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from .flags import fast_dispatch_enabled
 
 __all__ = [
     "Environment",
@@ -401,15 +395,16 @@ class Environment:
     ----------
     initial_time:
         Starting value of :attr:`now` (seconds).
-    fast_dispatch:
-        Use the inlined dispatch loop in :meth:`run` (None: the
-        ``REPRO_FAST_DISPATCH`` environment default, on).
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 fast_dispatch: Optional[bool] = None):
+    #: Pops the next delayed event off the heap; :meth:`run` binds it
+    #: once per call. The clock only moves here, so an observer that
+    #: replaces it on an instance (``InvariantChecker.attach_kernel``)
+    #: sees every clock change, and an unobserved run pays nothing.
+    _heappop = staticmethod(heapq.heappop)
+
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._fast_dispatch = fast_dispatch_enabled(fast_dispatch)
         #: Heap of (time, priority, eid, event) — *delayed* events only.
         self._queue: List = []
         #: Per-priority FIFOs of (eid, event) due at the current instant.
@@ -498,11 +493,11 @@ class Environment:
         """Draw an insertion id *now* for an event scheduled later.
 
         The virtual-clock queue models use this to pin a wake-up to the
-        heap position an event the legacy machinery would have scheduled
-        here (e.g. a service timeout) would have occupied, so same-instant
-        dispatch order is identical between the two executions. Reserving
-        without scheduling is harmless: ordering depends only on relative
-        ids, so gaps in the sequence never reorder anything.
+        heap position a service timeout scheduled here would occupy,
+        which fixes the same-instant dispatch order the queueing digest
+        pins record. Reserving without scheduling is harmless: ordering
+        depends only on relative ids, so gaps in the sequence never
+        reorder anything.
         """
         return next(self._eid)
 
@@ -511,8 +506,7 @@ class Environment:
         """Trigger ``event`` at ``when`` under a *reserved* insertion id.
 
         ``when`` at or before ``now`` falls back to a fresh zero-delay
-        schedule — the current-instant FIFOs require monotone ids, and in
-        that regime the legacy machinery would have used a fresh id too.
+        schedule — the current-instant FIFOs require monotone ids.
         """
         if event._value is not _PENDING:
             raise RuntimeError(f"{event!r} has already been triggered")
@@ -566,65 +560,6 @@ class Environment:
             return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
-    def _pop_next(self) -> Event:
-        """Remove and return the next event in (time, priority, eid) order."""
-        if self._urgent:
-            fifo = self._urgent
-            fifo_priority = URGENT
-        elif self._normal:
-            fifo = self._normal
-            fifo_priority = NORMAL
-        else:
-            fifo = None
-        queue = self._queue
-        if queue:
-            head = queue[0]
-            if fifo is None or (
-                    head[0] == self._now and
-                    (head[1] < fifo_priority or
-                     (head[1] == fifo_priority and head[2] < fifo[0][0]))):
-                self._now, _, _, event = heapq.heappop(queue)
-                return event
-        if fifo is None:
-            raise RuntimeError("no scheduled events")
-        return fifo.popleft()[1]
-
-    def _dispatch(self, event: Event) -> None:
-        """Run ``event``'s callbacks (the body of :meth:`step`)."""
-        callbacks = event.callbacks
-        event.callbacks = None
-        self.dispatched += 1
-        _CONSUMED[0] += 1
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # Nobody caught this failure: crash loudly.
-            raise event._value
-        # Recycle the detached callback list if nothing else kept a
-        # reference to it (refs here: the local + getrefcount's argument).
-        pool = self._list_pool
-        if len(pool) < _POOL_LIMIT and getrefcount(callbacks) == 2:
-            callbacks.clear()
-            pool.append(callbacks)
-
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        event = self._pop_next()
-        self._dispatch(event)
-        self._maybe_recycle(event)
-
-    def _maybe_recycle(self, event: Event) -> None:
-        """Pool a processed Timeout once only the caller's local holds it.
-
-        Safe because a recycled object is, by the refcount check, reachable
-        from nowhere: no process target, no condition, no user variable.
-        """
-        if (type(event) is Timeout and
-                len(self._timeout_pool) < _POOL_LIMIT and
-                getrefcount(event) == 3):
-            event._value = _PENDING
-            self._timeout_pool.append(event)
-
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an event, or queue exhaustion).
 
@@ -643,10 +578,7 @@ class Environment:
                 raise ValueError(
                     f"until={stop_at} is in the past (now={self._now})")
         try:
-            if self._fast_dispatch:
-                self._run_fast(stop_at)
-            else:
-                self._run_legacy(stop_at)
+            self._run_loop(stop_at)
         except StopSimulation as stop:
             return stop.args[0]
         if not isinstance(until, Event):
@@ -659,43 +591,13 @@ class Environment:
             raise RuntimeError("run() ran out of events before `until` fired")
         return until.value
 
-    def _run_legacy(self, stop_at: float) -> None:
-        """Step-at-a-time loop (``REPRO_FAST_DISPATCH=0``): the parity
-        oracle for :meth:`_run_fast`."""
-        urgent = self._urgent
-        normal = self._normal
-        queue = self._queue
-        pop_next = self._pop_next
-        dispatch = self._dispatch
-        timeout_pool = self._timeout_pool
-        while True:
-            # Current-instant FIFOs always dispatch (their time is
-            # `now`, which never exceeds `stop_at` inside this loop);
-            # the heap only dispatches while its head is in horizon.
-            if not (urgent or normal):
-                if not queue or queue[0][0] > stop_at:
-                    break
-            event = pop_next()
-            dispatch(event)
-            # Inline Timeout recycling (see _maybe_recycle): refs here
-            # are the loop local plus getrefcount's argument.
-            if (type(event) is Timeout and
-                    len(timeout_pool) < _POOL_LIMIT and
-                    getrefcount(event) == 2):
-                event._value = _PENDING
-                timeout_pool.append(event)
+    def _run_loop(self, stop_at: float) -> None:
+        """Dispatch events in (time, priority, eid) order until the
+        queues drain or the heap head passes ``stop_at``.
 
-    def _run_fast(self, stop_at: float) -> None:
-        """Monomorphic inlined dispatch loop (the ``fast_dispatch`` path).
-
-        Semantically identical to :meth:`_run_legacy` — same
-        (time, priority, eid) dispatch order, same recycling rules — but
-        the per-event pop-next/dispatch/recycle sequence is fused into
-        one frame with a single merged decision tree: the legacy path
-        inspects the FIFOs and heap twice per event (once for the stop
-        test, once inside ``_pop_next``) and pays two method calls; this
-        loop inspects once and pays none. Verified byte-identical on
-        every figure harness by ``tests/sim/test_fast_dispatch.py``.
+        Processed :class:`Timeout` objects and spent callback lists are
+        recycled when, by refcount, only this frame still holds them:
+        nothing else can observe a pooled object.
         """
         urgent = self._urgent
         normal = self._normal
@@ -703,7 +605,7 @@ class Environment:
         timeout_pool = self._timeout_pool
         list_pool = self._list_pool
         consumed = _CONSUMED
-        heappop = heapq.heappop
+        heappop = self._heappop
         while True:
             # -- pop next (merged stop test + source selection) ----------
             if urgent:
@@ -721,7 +623,7 @@ class Environment:
                         break
                     # `head = None` drops the alias to the popped heap
                     # tuple so the recycling refcount checks below see
-                    # the same counts as the legacy loop.
+                    # only this frame's reference.
                     self._now, _, _, event = heappop(queue)
                     head = None
                 elif (head[0] == self._now and
@@ -737,7 +639,7 @@ class Environment:
                 break
             else:
                 event = fifo.popleft()[1]
-            # -- dispatch (the body of _dispatch, inlined) ---------------
+            # -- dispatch ------------------------------------------------
             callbacks = event.callbacks
             event.callbacks = None
             self.dispatched += 1
@@ -747,7 +649,8 @@ class Environment:
             if not event._ok and not event._defused:
                 # Nobody caught this failure: crash loudly.
                 raise event._value
-            # -- recycling (see _dispatch / _maybe_recycle) --------------
+            # -- recycling: refs here are the loop local plus
+            # getrefcount's argument.
             if len(list_pool) < _POOL_LIMIT and getrefcount(callbacks) == 2:
                 callbacks.clear()
                 list_pool.append(callbacks)

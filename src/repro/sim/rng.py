@@ -5,209 +5,16 @@ from a single experiment seed. Streams are independent of the order in which
 they are first requested, so adding a new model never perturbs the draws of
 existing ones — essential for comparing platform variants on identical
 workloads (common random numbers).
-
-Draw-ahead buffering
---------------------
-Hot consumers (the shared wireless loss stream, the per-invoker jitter
-streams, the per-device service-time streams) pay one ``numpy``
-``Generator`` method call per draw — around a microsecond each, most of it
-fixed call overhead. :meth:`RandomStreams.buffered` wraps a stream in a
-:class:`BufferedStream` that refills a block of *raw* draws at a time
-(``Generator.random(size=n)`` and friends) and serves scalars from the
-block by list index, which is several times cheaper per draw.
-
-The wrapper preserves the **exact** scalar draw sequence. This leans on
-three properties of ``numpy``'s ``Generator`` bit stream, verified by
-``tests/sim/test_rng_drawahead.py`` on the installed numpy:
-
-1. a block draw of size ``n`` equals ``n`` scalar draws, elementwise and
-   bit for bit, for every distribution used here;
-2. ``lognormal(m, s)`` equals ``exp(m + s * standard_normal())`` and
-   ``normal(m, s)`` equals ``m + s * standard_normal()`` bit for bit, so
-   one raw standard-normal lane serves all normal-family draws with
-   per-call parameters;
-3. ``uniform(lo, hi)`` equals ``lo + (hi - lo) * random()`` bit for bit,
-   so one raw uniform lane serves ``random`` and ``uniform``.
-
-A wrapper therefore buffers a single raw *lane* (uniform doubles,
-standard normals, or a fixed-parameter geometric/pareto lane) and
-transforms popped values per call. When a consumer switches lanes
-mid-buffer (e.g. chaos flips an invoker's fault rate on, adding
-``random()`` calls between lognormals), the wrapper rewinds the
-underlying bit generator to its pre-refill state, replays exactly the
-consumed draws as one block, and starts over on the new lane — the
-underlying generator is then in the precise state the scalar execution
-would have reached. Consumers that keep ping-ponging between lanes would
-pay a rewind per switch, so after :attr:`BufferedStream.MAX_SWITCHES`
-lane switches the wrapper degrades to scalar passthrough (still exact,
-no longer buffered). ``REPRO_BATCHED_RNG=0`` makes :meth:`buffered`
-return the raw generator itself.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict
 
 import numpy as np
 
-from .flags import batched_rng_enabled
-
-__all__ = ["BufferedStream", "RandomStreams"]
-
-#: Raw-lane kinds a :class:`BufferedStream` can buffer. Parametric lanes
-#: carry their (fixed) parameter so a draw with a different parameter
-#: forces a lane switch instead of silently wrong values.
-_UNIFORM = ("uniform",)
-_NORMAL = ("normal",)
-
-
-class BufferedStream:
-    """Exact-parity draw-ahead wrapper around one ``numpy`` Generator.
-
-    Implements the scalar draw methods the repository's models use
-    (``random``, ``uniform``, ``normal``, ``lognormal``,
-    ``standard_normal``, ``geometric``, ``pareto``). Any other attribute
-    access first synchronizes the underlying generator to the exact
-    scalar-equivalent state and then delegates, so unknown consumers stay
-    correct (just unbuffered).
-    """
-
-    #: Lane switches tolerated before degrading to scalar passthrough.
-    MAX_SWITCHES = 4
-
-    __slots__ = ("_gen", "_block", "_buf", "_index", "_kind", "_state",
-                 "_switches", "_scalar")
-
-    def __init__(self, generator: np.random.Generator, block: int = 512):
-        if block < 1:
-            raise ValueError("block size must be positive")
-        self._gen = generator
-        self._block = block
-        self._buf: List = []
-        self._index = 0
-        #: The latched raw lane: None until the first draw.
-        self._kind: Optional[Tuple] = None
-        #: Bit-generator state captured immediately before the last block
-        #: refill — the rewind point for lane switches.
-        self._state = None
-        self._switches = 0
-        self._scalar = False
-
-    # -- lane machinery ----------------------------------------------------
-    def _raw_block(self, kind: Tuple, size: int) -> np.ndarray:
-        gen = self._gen
-        if kind is _UNIFORM or kind[0] == "uniform":
-            return gen.random(size=size)
-        if kind is _NORMAL or kind[0] == "normal":
-            return gen.standard_normal(size=size)
-        if kind[0] == "geometric":
-            return gen.geometric(kind[1], size=size)
-        if kind[0] == "pareto":
-            return gen.pareto(kind[1], size=size)
-        raise AssertionError(f"unknown lane {kind!r}")
-
-    def _refill(self, kind: Tuple) -> None:
-        self._state = self._gen.bit_generator.state
-        self._buf = self._raw_block(kind, self._block).tolist()
-        self._index = 0
-        self._kind = kind
-
-    def _sync(self) -> None:
-        """Rewind + replay: leave the generator in the exact state the
-        scalar execution would have reached after the draws served so
-        far, discarding the unconsumed tail of the buffer."""
-        if self._kind is None:
-            return
-        self._gen.bit_generator.state = self._state
-        if self._index:
-            self._raw_block(self._kind, self._index)
-        self._buf = []
-        self._index = 0
-        self._kind = None
-
-    def _switch(self, kind: Tuple):
-        """Change lanes mid-buffer (or serve the first draw ever)."""
-        starting = self._kind is None
-        self._sync()
-        if not starting:
-            self._switches += 1
-            if self._switches >= self.MAX_SWITCHES:
-                # Ping-ponging consumer: buffering can only waste draws
-                # from here on. Stay exact, stop buffering.
-                self._scalar = True
-                return None
-        self._refill(kind)
-        return self._buf
-
-    def _next(self, kind: Tuple) -> Union[float, int]:
-        buf = self._buf
-        if self._kind is not kind and self._kind != kind:
-            buf = self._switch(kind)
-            if buf is None:  # degraded to passthrough
-                return self._raw_block(kind, None)
-        elif self._index >= len(buf):
-            self._refill(kind)
-            buf = self._buf
-        value = buf[self._index]
-        self._index += 1
-        return value
-
-    # -- scalar draw methods ----------------------------------------------
-    def random(self) -> float:
-        if self._scalar:
-            return self._gen.random()
-        return self._next(_UNIFORM)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        if self._scalar:
-            return self._gen.uniform(low, high)
-        return low + (high - low) * self._next(_UNIFORM)
-
-    def standard_normal(self) -> float:
-        if self._scalar:
-            return self._gen.standard_normal()
-        return self._next(_NORMAL)
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
-        if self._scalar:
-            return self._gen.normal(loc, scale)
-        return loc + scale * self._next(_NORMAL)
-
-    def lognormal(self, mean: float = 0.0, sigma: float = 1.0) -> float:
-        if self._scalar:
-            return self._gen.lognormal(mean, sigma)
-        return math.exp(mean + sigma * self._next(_NORMAL))
-
-    def geometric(self, p: float) -> int:
-        if self._scalar:
-            return self._gen.geometric(p)
-        return self._next(("geometric", p))
-
-    def pareto(self, a: float) -> float:
-        if self._scalar:
-            return self._gen.pareto(a)
-        return self._next(("pareto", a))
-
-    # -- escape hatch ------------------------------------------------------
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying generator, synchronized to scalar-equivalent
-        state. Draws on it bypass (and invalidate) the buffer."""
-        self._sync()
-        return self._gen
-
-    def __getattr__(self, name: str):
-        # Cold path for distributions without a buffered implementation:
-        # synchronize, then delegate to the raw generator.
-        self._sync()
-        return getattr(self._gen, name)
-
-    def __repr__(self) -> str:
-        return (f"BufferedStream(kind={self._kind!r}, "
-                f"buffered={len(self._buf) - self._index}, "
-                f"scalar={self._scalar})")
+__all__ = ["RandomStreams"]
 
 
 class RandomStreams:
@@ -222,35 +29,12 @@ class RandomStreams:
         self._cache: Dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name`` (created on first use).
-
-        If the stream was previously wrapped by :meth:`buffered`, the
-        wrapper is returned so there is a single draw-ordering authority
-        per name.
-        """
+        """Return the generator for ``name`` (created on first use)."""
         generator = self._cache.get(name)
         if generator is None:
             generator = np.random.default_rng(self._derive(name))
             self._cache[name] = generator
         return generator
-
-    def buffered(self, name: str, block: int = 512,
-                 batched: Optional[bool] = None):
-        """The stream for ``name`` wrapped in a :class:`BufferedStream`.
-
-        The wrapper replaces the raw generator in the cache, so later
-        ``stream(name)`` calls observe the same draw sequence. With the
-        ``REPRO_BATCHED_RNG=0`` kill switch (or ``batched=False``) the
-        raw generator is returned unchanged.
-        """
-        if not batched_rng_enabled(batched):
-            return self.stream(name)
-        generator = self.stream(name)
-        if isinstance(generator, BufferedStream):
-            return generator
-        wrapper = BufferedStream(generator, block=block)
-        self._cache[name] = wrapper
-        return wrapper
 
     def _derive(self, name: str) -> int:
         digest = hashlib.sha256(

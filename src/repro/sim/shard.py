@@ -551,8 +551,8 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
 
     ``runner_kwargs`` pass through to every cell's
     :class:`~repro.platforms.scenario_runner.ScenarioRunner` (e.g.
-    ``frame_mb``, ``fps``, ``passes``, ``vector_edge``,
-    ``analytic_net``). ``device_faults`` is a partitioned fault plan's
+    ``frame_mb``, ``fps``, ``passes``, ``vector_edge``).
+    ``device_faults`` is a partitioned fault plan's
     device-crash schedule as (global index, time) pairs — see
     :meth:`repro.faults.FaultPlan.partition`. Alternatively pass a whole
     :class:`~repro.faults.FaultPlan` as ``fault_plan`` and the driver
@@ -632,7 +632,6 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     global_constants = constants.scaled_for_swarm(n_devices)
     window = resolve_window(global_constants, window_s)
     deadline_s = resolve_worker_deadline(window, worker_deadline_s)
-    analytic = runner_kwargs.get("analytic_net")
     cloud_armed = cloud_shards >= 1
     gateway = None
     cloud_handles: List[SupervisedConnection] = []
@@ -687,8 +686,7 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     else:
         cloud_workers = 0
         gateway = CloudGateway(config, scenario, global_constants,
-                               n_devices=n_devices, seed=seed,
-                               analytic=analytic)
+                               n_devices=n_devices, seed=seed)
 
     try:
         # Mean-field cells (hybrid): pre-price each aggregate cell's

@@ -1,9 +1,12 @@
 """InvariantChecker bookkeeping: exactly-once, clocks, energy."""
 
+import heapq
+
 import pytest
 
 from repro.faults import InvariantChecker
 from repro.sim import Environment
+from repro.sim.kernel import NORMAL
 from repro.telemetry import EnergyAccount
 
 
@@ -132,3 +135,14 @@ class TestClocksAndEnergy:
         env.run(env.process(proc()))
         assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert checker.ok
+
+    def test_past_dated_heap_entry_flags_kernel_clock(self, env):
+        checker = InvariantChecker(env)
+        checker.attach_kernel()
+        env.run(until=5.0)
+        stale = env.event()
+        stale._ok, stale._value = True, None
+        heapq.heappush(env._queue, (1.0, NORMAL, -1, stale))
+        env.run()
+        assert [v.invariant for v in checker.violations] == ["kernel_clock"]
+        assert "5.000000000 -> 1.000000000" in checker.violations[0].detail

@@ -97,9 +97,7 @@ class TestManifest:
         assert manifest.seed == 7
         assert manifest.sim_events == 123
         assert manifest.git_rev == git_revision()
-        assert set(manifest.flags) == {"vector_edge", "analytic_net",
-                                       "fast_dispatch", "batched_rng",
-                                       "trace"}
+        assert set(manifest.flags) == {"vector_edge", "trace"}
         assert manifest.created  # ISO timestamp, non-empty
         # Timezone-aware UTC, not a naive local time: manifests from
         # different hosts must be comparable.

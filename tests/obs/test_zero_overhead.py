@@ -2,8 +2,7 @@
 
 Spans are recorded after the fact with explicit timestamps, so an armed
 tracer must consume zero extra kernel events and zero extra RNG draws —
-a traced run produces byte-identical figure rows to an untraced one, on
-the analytic fast paths and on the legacy fallbacks alike. (The
+a traced run produces byte-identical figure rows to an untraced one. (The
 companion check against the frozen seed-commit CSVs lives in the PR
 verification; these tests enforce the on/off half of the contract
 forever after.)
@@ -18,11 +17,11 @@ from repro.platforms import (ScenarioRunner, SingleTierRunner,
 from repro.sim.kernel import events_consumed
 
 
-def _cell_fingerprint(**kwargs):
+def _cell_fingerprint():
     before = events_consumed()
     result = SingleTierRunner(platform_config("centralized_faas"),
                               app("S3"), seed=0, duration_s=20.0,
-                              load_fraction=0.6, **kwargs).run()
+                              load_fraction=0.6).run()
     return {
         "latencies": tuple(result.task_latencies.values),
         "tail": result.tail_latency_s,
@@ -51,13 +50,6 @@ class TestTracingOnEqualsTracingOff:
         obs.install()
         traced = _cell_fingerprint()
         assert len(obs.active_tracer()) > 0  # tracing actually happened
-        assert traced == untraced
-
-    def test_single_tier_legacy_fallback_identical(self):
-        untraced = _cell_fingerprint(analytic_net=False)
-        obs.install()
-        traced = _cell_fingerprint(analytic_net=False)
-        assert len(obs.active_tracer()) > 0
         assert traced == untraced
 
     def test_scenario_with_flights_identical(self):

@@ -1,14 +1,12 @@
-"""Monomorphic kernel dispatch: exact parity with the legacy loop.
+"""The kernel's inlined dispatch loop: order, horizon, pooling, pins.
 
-``Environment(fast_dispatch=True)`` inlines pop + dispatch + recycling
-into one loop. The contract is byte-identical behavior: same dispatch
-order, same ``run()`` return values, same pooling, same figure rows at
-fixed seeds. ``REPRO_FAST_DISPATCH=0`` (or the constructor override)
-must restore the legacy loop.
+``Environment.run`` fuses pop + dispatch + recycling into one loop. It
+used to run beside a step-at-a-time twin; the two dispatched identical
+traces and rows at fixed seeds, and the md5 digests recorded from both
+before the twin was deleted are pinned here as the exactness contract.
 """
 
 import hashlib
-import os
 
 import pytest
 
@@ -45,53 +43,32 @@ def _mixed_workload(env, trace):
     return env.process(late_value())
 
 
-@pytest.mark.parametrize("fast", (False, True))
-def test_flag_selects_loop(fast):
-    env = Environment(fast_dispatch=fast)
-    assert env._fast_dispatch is fast
-
-
-def test_env_var_kill_switch():
-    old = os.environ.get("REPRO_FAST_DISPATCH")
-    os.environ["REPRO_FAST_DISPATCH"] = "0"
-    try:
-        assert Environment()._fast_dispatch is False
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_FAST_DISPATCH", None)
-        else:
-            os.environ["REPRO_FAST_DISPATCH"] = old
+def _digest(value) -> str:
+    return hashlib.md5(repr(value).encode()).hexdigest()
 
 
 def test_dispatch_order_and_return_value_parity():
-    traces = {}
-    values = {}
-    for fast in (False, True):
-        env = Environment(fast_dispatch=fast)
-        trace = []
-        proc = _mixed_workload(env, trace)
-        values[fast] = env.run(proc)
-        traces[fast] = trace
-    assert traces[True] == traces[False]
-    assert values[True] == values[False] == "done"
-    assert traces[True]  # the workload actually dispatched something
+    env = Environment()
+    trace = []
+    value = env.run(_mixed_workload(env, trace))
+    assert value == "done"
+    assert _digest((trace, value)) == "633bf33ebfa2a46aa8fb3fbb97624c8a"
 
 
 def test_run_until_time_parity():
-    for fast in (False, True):
-        env = Environment(fast_dispatch=fast)
-        trace = []
-        _mixed_workload(env, trace)
-        env.run(until=1.0)
-        assert env.now == 1.0
-        # Events strictly after the horizon stay queued.
-        assert all(t <= 1.0 for t, _ in trace)
+    env = Environment()
+    trace = []
+    _mixed_workload(env, trace)
+    env.run(until=1.0)
+    assert env.now == 1.0
+    # Events strictly after the horizon stay queued.
+    assert trace and all(t <= 1.0 for t, _ in trace)
 
 
 def test_timeout_pool_recycles_in_fast_loop():
-    # Regression: the fast loop must not retain a reference to the popped
-    # heap entry, or getrefcount-gated recycling never fires.
-    env = Environment(fast_dispatch=True)
+    # Regression: the loop must not retain a reference to the popped heap
+    # entry, or getrefcount-gated recycling never fires.
+    env = Environment()
 
     def ticker():
         for _ in range(50):
@@ -102,24 +79,23 @@ def test_timeout_pool_recycles_in_fast_loop():
 
 
 def test_normal_priority_fifo_parity():
-    for fast in (False, True):
-        env = Environment(fast_dispatch=fast)
-        order = []
+    env = Environment()
+    order = []
 
-        def chain(tag):
-            event = env.event()
-            event.succeed(priority=NORMAL)
-            yield event
-            order.append(tag)
+    def chain(tag):
+        event = env.event()
+        event.succeed(priority=NORMAL)
+        yield event
+        order.append(tag)
 
-        for tag in "abc":
-            env.process(chain(tag))
-        env.run()
-        assert order == list("abc")
+    for tag in "abc":
+        env.process(chain(tag))
+    env.run()
+    assert order == list("abc")
 
 
 def test_failed_event_raises_in_fast_loop():
-    env = Environment(fast_dispatch=True)
+    env = Environment()
 
     def boom():
         yield env.timeout(1.0)
@@ -131,67 +107,43 @@ def test_failed_event_raises_in_fast_loop():
 
 
 class TestFigureRowParity:
-    """Fixed-seed figure rows must hash identically under every
-    dispatch/RNG fallback combination."""
+    """A fixed-seed figure row, pinned: every dispatch/RNG/queueing
+    fallback combination produced this digest before the fallbacks were
+    deleted."""
 
-    FALLBACKS = (
-        {},
-        {"REPRO_FAST_DISPATCH": "0"},
-        {"REPRO_BATCHED_RNG": "0"},
-        {"REPRO_FAST_DISPATCH": "0", "REPRO_BATCHED_RNG": "0"},
-    )
-
-    def _row_digest(self, overrides):
+    def test_all_fallback_combinations_byte_identical(self):
         from repro.apps import SCENARIO_A
         from repro.platforms import platform_config
         from repro.platforms.scenario_runner import ScenarioRunner
-        saved = {k: os.environ.get(k) for k in overrides}
-        try:
-            os.environ.update(overrides)
-            result = ScenarioRunner(
-                platform_config("hivemind"), SCENARIO_A, seed=2,
-                n_devices=16).run()
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
-        payload = repr((result.extras["makespan_s"],
-                        tuple(result.task_latencies.values))).encode()
-        return hashlib.md5(payload).hexdigest()
-
-    def test_all_fallback_combinations_byte_identical(self):
-        digests = {self._row_digest(dict(overrides))
-                   for overrides in self.FALLBACKS}
-        assert len(digests) == 1
+        result = ScenarioRunner(platform_config("hivemind"), SCENARIO_A,
+                                seed=2, n_devices=16).run()
+        payload = (result.extras["makespan_s"],
+                   tuple(result.task_latencies.values))
+        assert _digest(payload) == "707bc4419866be5af05651c882034ac8"
 
 
 class TestDeviceAnalyticParity:
     def test_contended_core_pool_matches_legacy_resource(self):
+        """The 2-core virtual-clock pool reproduces the finish times and
+        energy the ``Resource`` pool it replaced produced (pinned)."""
         from repro.edge.device import EdgeDevice
 
-        def build(analytic):
-            env = Environment()
-            device = EdgeDevice(
-                env, "d0", cpu_cores=2, battery_wh=50.0,
-                motion_power_w=10.0, compute_power_w=4.0,
-                compute_idle_w=1.0, radio_tx_w=2.0, radio_rx_w=1.5,
-                radio_idle_w=0.5, cloud_to_edge_slowdown=4.0,
-                analytic=analytic)
-            device.start_mission()
-            finishes = []
+        env = Environment()
+        device = EdgeDevice(
+            env, "d0", cpu_cores=2, battery_wh=50.0,
+            motion_power_w=10.0, compute_power_w=4.0,
+            compute_idle_w=1.0, radio_tx_w=2.0, radio_rx_w=1.5,
+            radio_idle_w=0.5, cloud_to_edge_slowdown=4.0)
+        device.start_mission()
+        finishes = []
 
-            def submit(service):
-                yield env.process(device.execute(service))
-                finishes.append(env.now)
+        def submit(service):
+            yield env.process(device.execute(service))
+            finishes.append(env.now)
 
-            # 6 tasks on 2 cores: contention, queueing, exact floats.
-            for service in (0.3, 0.2, 0.7, 0.1, 0.4, 0.05):
-                env.process(submit(service))
-            env.run()
-            return finishes, device.energy.consumed_wh
-
-        analytic = build(True)
-        legacy = build(False)
-        assert analytic == legacy
+        # 6 tasks on 2 cores: contention, queueing, exact floats.
+        for service in (0.3, 0.2, 0.7, 0.1, 0.4, 0.05):
+            env.process(submit(service))
+        env.run()
+        assert _digest((finishes, device.energy.consumed_wh)) == \
+            "baca5991f6b036f01a5c525bdc16f504"

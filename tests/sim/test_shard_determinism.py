@@ -197,6 +197,13 @@ class TestUnarmedPath:
             with pytest.raises(ValueError,
                                match=f"REPRO_SHARDS={bad}: .*at least 1"):
                 flags.shard_count()
+        # So does a boolean switch set to anything but empty, 0 or 1.
+        monkeypatch.setenv("REPRO_MEANFIELD", "")
+        assert flags.meanfield_enabled() is False
+        for bad in ("true", "yes", "2"):
+            monkeypatch.setenv("REPRO_MEANFIELD", bad)
+            with pytest.raises(ValueError, match=f"REPRO_MEANFIELD={bad}:"):
+                flags.meanfield_enabled()
 
     def test_window_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)

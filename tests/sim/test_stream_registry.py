@@ -3,8 +3,8 @@
 Every named stream maps to a generator seeded by
 ``sha256(f"{seed}:{name}")`` and fork children by
 ``sha256(f"{seed}:fork:{label}")`` — all in one namespace. This audit is
-grep-driven: it scans ``src/`` for every ``stream(...)`` /
-``buffered(...)`` call site, checks the names against a registry of
+grep-driven: it scans ``src/`` for every ``stream(...)`` call site,
+checks the names against a registry of
 known patterns, expands the patterns to realistic swarm scales, and
 asserts the derived seeds collide nowhere (including fork children and
 across the fork namespace boundary).
@@ -53,7 +53,7 @@ REGISTRY = (
 #: Expansion width for ``{i}`` patterns — past the largest fig17 sweep.
 EXPAND = 2048
 
-_CALL_RE = re.compile(r"\.(?:stream|buffered)\(\s*(f?)\"([^\"]+)\"")
+_CALL_RE = re.compile(r"\.stream\(\s*(f?)\"([^\"]+)\"")
 
 
 def _call_sites():
