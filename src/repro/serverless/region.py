@@ -12,16 +12,16 @@ the CouchDB/Kafka shard) and serves the calls of the cells it owns.
 :class:`RegionGateway` is an **analytic virtual-clock** model of one
 regional slice: instead of stepping a discrete-event kernel it computes
 each call's pipeline departure times in closed form against per-resource
-free-time heaps — the same technique the PR 3 analytic queueing layer
+free-time pools — the same technique the PR 3 analytic queueing layer
 uses inside the kernel, here lifted out of the kernel entirely (zero
 events per call). The pipeline mirrors the OpenWhisk platform stage for
 stage: admission occupancy, frontend + CouchDB auth, the controller
 k-server pool, placement (HiveMind parent-colocation then stock
 warm-affinity/least-loaded with rotation), parent-output data sharing
 (in-memory / remote-memory fabric / CouchDB), the Kafka hop, warm/cold
-container claim against keepalive'd pools, per-server core heaps with
-utilization-dependent interference, and CouchDB persistence — plus the
-straggler-mitigation duplicate race for exact (non-synthetic) calls.
+container claim against keepalive'd pools, per-server sorted core pools
+with utilization-dependent interference, and CouchDB persistence — plus
+the straggler-mitigation duplicate race for exact (non-synthetic) calls.
 
 Three deliberate simplifications, accepted because the regional tier is
 a throughput/latency *model* of the slice rather than a byte-exact
@@ -30,7 +30,7 @@ observable tolerance instead):
 
 - Calls are served one at a time in canonical per-region arrival order,
   so a call's later stages are priced before the next call's earlier
-  stages. The free-time heaps still order grants correctly
+  stages. The free-time pools still order grants correctly
   (``grant = max(free, t)``); only cross-call FIFO inversions inside one
   stage are approximated, a second-order effect on aggregate
   percentiles.
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right, insort
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -143,7 +144,10 @@ class RegionGateway:
         cores = constants.cluster.cores_per_server
         self._n_servers = n_servers
         self._cores = cores
-        #: Per-server min-heaps of core free instants.
+        #: Per-server core free instants, each list kept sorted: the
+        #: earliest-free core is ``[0]`` and the cores still busy at
+        #: ``t`` are the tail past ``bisect_right(free, t)``, so a
+        #: busy count is one bisection instead of a scan of every core.
         self._core_free: List[List[float]] = [
             [0.0] * cores for _ in range(n_servers)]
         #: Per-server warm pools: image -> {"ready": heap, "expiry":
@@ -300,8 +304,8 @@ class RegionGateway:
         return self._couch_serve(t, duration)
 
     def _utilization(self, server: int, t: float) -> float:
-        busy = sum(1 for free in self._core_free[server] if free > t)
-        return busy / self._cores
+        free = self._core_free[server]
+        return (len(free) - bisect_right(free, t)) / self._cores
 
     def _reap(self, pool: Dict, t: float) -> None:
         """Drop expired records (lazy: stale heap entries are skipped)."""
@@ -453,16 +457,15 @@ class RegionGateway:
         t += start_cost
         breakdown.charge("management", start_cost)
         # Core grant + utilization-dependent interference.
-        heap = self._core_free[server]
-        free = heapq.heappop(heap)
-        grant = max(free, t)
-        busy = 1 + sum(1 for other in heap if other > grant)
+        cores = self._core_free[server]
+        grant = max(cores.pop(0), t)
+        busy = 1 + len(cores) - bisect_right(cores, grant)
         interference = ((1.0 + cst.interference_slope
                          * max(0.0, busy / self._cores - 0.5))
                         * float(self._rng.lognormal(0.0, 0.16)))
         service = service_s * interference
         t = grant + service
-        heapq.heappush(heap, t)
+        insort(cores, t)
         breakdown.charge("execution", service)
         # Return the container to the warm pool.
         container[0] = t

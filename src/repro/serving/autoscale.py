@@ -32,6 +32,7 @@ byte-deterministic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -87,10 +88,12 @@ class InvokerAutoscaler:
         self.scale_in_idle_s = config.scale_in_idle_s
         self.cooldown_s = config.cooldown_s
         self.provision_s = config.provision_s
-        #: Activation instants of servers beyond the always-on base;
-        #: ``_targets[i]`` ready at that time (sorted by construction —
-        #: decisions arrive in non-decreasing t).
+        #: Activation instants of servers beyond the always-on base,
+        #: sorted: scale-outs append ``t + provision_s`` at
+        #: non-decreasing ``t`` (:meth:`observe` enforces the order) and
+        #: scale-ins pop the last, so :meth:`active` can bisect.
         self._ready_at: List[float] = []
+        self._last_t = -math.inf
         self._target = self.min_servers
         self._cooldown_until = -math.inf
         self._low_since: Optional[float] = None
@@ -100,7 +103,7 @@ class InvokerAutoscaler:
     def active(self, t: float) -> int:
         """Servers able to take placements at ``t`` (provisioned and
         past their readiness instant)."""
-        ready = sum(1 for at in self._ready_at if at <= t)
+        ready = bisect_right(self._ready_at, t)
         return min(self.max_servers, self.min_servers + ready)
 
     def _record(self, event: ScaleEvent) -> None:
@@ -111,6 +114,11 @@ class InvokerAutoscaler:
 
     def observe(self, t: float, backlog: int) -> None:
         """Feed one ``(t, backlog)`` observation (non-decreasing t)."""
+        if t < self._last_t:
+            raise ValueError(
+                f"autoscaler observations must not go back in time "
+                f"({t!r} < {self._last_t!r})")
+        self._last_t = t
         active = self.active(t)
         if (backlog > self.threshold * active
                 and self._target < self.max_servers

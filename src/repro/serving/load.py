@@ -109,10 +109,12 @@ class TenantSpec:
             raise ValueError(
                 f"unknown arrival kind {self.kind!r} (want one of "
                 f"{', '.join(_KINDS)})")
-        if self.rate_rps <= 0:
-            raise ValueError("tenant rate must be positive")
-        if self.weight <= 0:
-            raise ValueError("tenant weight must be positive")
+        for label, value in (("rate", self.rate_rps),
+                             ("weight", self.weight)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"tenant {self.name!r}: {label} must be a positive "
+                    f"finite number (got {value!r})")
 
     def segments(self, duration_s: float
                  ) -> List[Tuple[float, float, float]]:
@@ -178,12 +180,16 @@ def parse_serving_spec(spec: str) -> Tuple[TenantSpec, ...]:
             raise ValueError(
                 f"unknown arrival kind {kind!r} in {chunk!r} "
                 f"(want one of {', '.join(_KINDS)})")
-        rate = float(parts[1]) if len(parts) > 1 and parts[1] else 40.0
         name = (parts[2] if len(parts) > 2 and parts[2]
                 else f"{kind}{position}")
-        weight = float(parts[3]) if len(parts) > 3 and parts[3] else 1.0
-        tenants.append(TenantSpec(name=name, kind=kind, rate_rps=rate,
-                                  weight=weight))
+        try:
+            rate = float(parts[1]) if len(parts) > 1 and parts[1] else 40.0
+            weight = float(parts[3]) if len(parts) > 3 and parts[3] else 1.0
+            tenants.append(TenantSpec(name=name, kind=kind, rate_rps=rate,
+                                      weight=weight))
+        except ValueError as error:
+            raise ValueError(f"bad tenant {chunk!r} in serving spec "
+                             f"{spec!r}: {error}") from None
     names = [tenant.name for tenant in tenants]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate tenant names in {spec!r}")

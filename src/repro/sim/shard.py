@@ -52,7 +52,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -180,6 +181,15 @@ class CloudCall:
     @property
     def sort_key(self) -> Tuple[float, int, int]:
         return (self.arrival_s, self.cell, self.seq)
+
+    def __reduce__(self):
+        # Positional wire form: a pipe crossing carries the field values
+        # in declaration order, not a per-call dict of attribute names.
+        return CloudCall, _FIELDS(self)
+
+
+_FIELDS = operator.attrgetter(
+    *(field.name for field in fields(CloudCall)))
 
 
 class CellBoundary:

@@ -47,6 +47,33 @@ class TestSpecGrammar:
         with pytest.raises(ValueError):
             parse_serving_spec("weibull:10")
 
+    @pytest.mark.parametrize("spec, match", [
+        ("poisson:nan", "rate must be a positive finite number"),
+        ("poisson:inf", "rate must be a positive finite number"),
+        ("poisson:10:a:nan", "weight must be a positive finite number"),
+        ("poisson:abc", "could not convert"),
+        ("poisson:0", "rate must be a positive finite number"),
+    ])
+    def test_bad_numbers_name_the_tenant_and_spec(self, spec, match):
+        with pytest.raises(ValueError, match=match) as error:
+            parse_serving_spec(f"onoff:5:crowd,{spec}")
+        assert repr(spec) in str(error.value)
+        assert repr(f"onoff:5:crowd,{spec}") in str(error.value)
+
+    @pytest.mark.parametrize("field", ["rate_rps", "weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_tenant_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="positive finite"):
+            TenantSpec(name="users", **{field: value})
+
+    def test_environment_path_rejects_non_finite(self, monkeypatch):
+        from repro.platforms import platform_config
+        from repro.sim.shard import run_sharded
+        monkeypatch.setenv("REPRO_SERVING", "poisson:nan")
+        with pytest.raises(ValueError, match="'poisson:nan'"):
+            run_sharded(platform_config("hivemind"), SCENARIO_A, 16,
+                        cell_devices=4, region_devices=8)
+
 
 class TestSegments:
     def test_poisson_is_one_flat_segment(self):
