@@ -1,47 +1,10 @@
 """CLI: ``python -m repro.experiments fig11`` regenerates one figure.
 
-``python -m repro.experiments --list`` enumerates the available figures;
-``python -m repro.experiments all`` runs every harness (slow);
-``--csv DIR`` additionally writes each figure's rows to ``DIR/<fig>.csv``;
-``--workers N`` fans the parallel-aware harnesses out over N processes
-(numeric results are identical at any worker count);
-``--bench-smoke`` runs the fixed ~30 s smoke workload and appends its
-timings to ``BENCH_kernel.json``;
-``--bench-fig17`` records the fig17 256-drone legacy/vector milestone pair;
-``--profile`` prints cProfile's top 25 cumulative entries for the run —
-it composes with any figure id, ``all``, and every bench mode;
-``--no-vector-edge`` forces the legacy per-device flight processes
-(``REPRO_VECTOR_EDGE=0`` equivalent);
-``--bench-shard`` records the fig17b 1024-drone 1-shard/4-shard pair;
-``--bench-cloudshard`` records the fig17b 1024-drone edge-sharded/
-cloud-sharded pair;
-``--shards N`` decomposes each swarm run into cells over N shard
-processes (``REPRO_SHARDS=N`` equivalent; byte-identical results);
-``--cloud-shards N`` additionally decomposes the cloud tier into
-per-region controller workers (``REPRO_CLOUD_SHARDS=N`` equivalent;
-rows identical at any N >= 1);
-``--hybrid-exact N`` keeps an N-device exact focus and rides the rest
-of the fleet as mean-field synthetic load (``REPRO_HYBRID_EXACT=N``
-equivalent; arms the sharded cloud tier);
-``--meanfield`` collapses homogeneous swarm cells into the O(1)
-population model (``REPRO_MEANFIELD=1`` equivalent; approximate);
-``--serving SPEC`` overlays open-loop background tenants on the
-regional cloud tier of sharded runs (``REPRO_SERVING=SPEC``
-equivalent; arms the sharded cloud tier — see ``repro.serving``);
-``--no-serving-admission`` / ``--no-serving-autoscale`` disarm each
-reactive serving policy independently
-(``REPRO_SERVING_ADMISSION=0`` / ``REPRO_SERVING_AUTOSCALE=0``);
-``--trace`` arms causal request tracing (``REPRO_TRACE=1`` equivalent);
-``--trace-out PATH`` additionally exports the spans as Chrome
-``trace_event`` JSON (Perfetto-loadable; one extra file per pool replica)
-plus a ``<stem>.manifest.json`` run manifest;
-``--profile-out PATH`` dumps per-replica cProfile stats to
-``PATH.r<index>`` (works under the parallel executor, where ``--profile``
-alone can only see the coordinating process);
-``--chaos-workers [SPEC]`` kills/hangs real shard worker processes
-mid-run and asserts the supervised recovery merged rows byte-identical
-to an undisturbed twin (``--lanes``, ``--worker-deadline S``, and
-``--incidents-out PATH`` refine/record the sweep).
+``--list`` enumerates the figures, ``all`` runs every harness (slow),
+and ``--help`` lists every option. The runtime knobs (``--shards N``,
+``--meanfield``, ``--trace``, ...) are the CLI-facing entries of
+:data:`repro.sim.flags.FLAGS`; each sets its ``REPRO_*`` variable, so
+pool workers inherit it.
 """
 
 from __future__ import annotations
@@ -56,6 +19,7 @@ import pstats
 import sys
 
 from .. import obs
+from ..sim.flags import FLAGS
 from .common import ExperimentResult
 from .registry import EXPERIMENTS, experiment_ids, run_experiment
 
@@ -70,6 +34,20 @@ def write_csv(result: ExperimentResult, directory: str) -> str:
         writer.writerow(result.headers)
         writer.writerows(result.rows)
     return str(path)
+
+
+def _add_flag(parser, flag) -> None:
+    """One table knob as a CLI option whose value is None unless given."""
+    if flag.kind == "switch":
+        parser.add_argument(
+            flag.option, dest=flag.key, action="store_const",
+            const=not flag.default,
+            help=f"{flag.help} (sets {flag.env}={int(not flag.default)})")
+    else:
+        parser.add_argument(
+            flag.option, dest=flag.key, metavar=flag.metavar,
+            type={"count": int, "duration": float}.get(flag.kind, str),
+            help=f"{flag.help} (sets {flag.env}={flag.metavar})")
 
 
 def main(argv=None) -> int:
@@ -99,40 +77,6 @@ def main(argv=None) -> int:
                         help="record the fig17b 1024-drone edge-sharded/"
                              "cloud-sharded milestone pair in "
                              "BENCH_kernel.json")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="decompose each swarm run into cells over N "
-                             "shard processes (sets REPRO_SHARDS=N; "
-                             "results are byte-identical at any count)")
-    parser.add_argument("--cloud-shards", type=int, default=None,
-                        metavar="N",
-                        help="decompose the cloud tier into per-region "
-                             "controller workers over up to N processes "
-                             "(sets REPRO_CLOUD_SHARDS=N; rows identical "
-                             "at any N >= 1; 0 = monolithic gateway)")
-    parser.add_argument("--hybrid-exact", type=int, default=None,
-                        metavar="N",
-                        help="keep an N-device exact focus and inject the "
-                             "rest of the fleet as mean-field synthetic "
-                             "load (sets REPRO_HYBRID_EXACT=N)")
-    parser.add_argument("--meanfield", action="store_true",
-                        help="collapse homogeneous swarm cells into the "
-                             "O(1) mean-field population model (sets "
-                             "REPRO_MEANFIELD=1; approximate — see "
-                             "repro.edge.meanfield)")
-    parser.add_argument("--serving", metavar="SPEC", default=None,
-                        help="overlay open-loop background tenants on "
-                             "the regional cloud tier (sets "
-                             "REPRO_SERVING=SPEC, e.g. "
-                             "'poisson:200,onoff:80:flash'; '1' arms "
-                             "one default Poisson tenant; implies a "
-                             "sharded cloud tier)")
-    parser.add_argument("--no-serving-admission", action="store_true",
-                        help="disarm the serving admission/shedding "
-                             "gate (sets REPRO_SERVING_ADMISSION=0)")
-    parser.add_argument("--no-serving-autoscale", action="store_true",
-                        help="disarm the serving invoker-pool "
-                             "autoscaler (sets "
-                             "REPRO_SERVING_AUTOSCALE=0)")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top 25 "
                              "functions by cumulative time")
@@ -152,12 +96,6 @@ def main(argv=None) -> int:
                         help="comma-separated lane names for "
                              "--chaos-workers (default: sharded,"
                              "cloud_sharded,hybrid)")
-    parser.add_argument("--worker-deadline", type=float, default=None,
-                        metavar="S",
-                        help="hang-detection deadline in seconds for "
-                             "supervised workers (sets "
-                             "REPRO_WORKER_DEADLINE=S; default: "
-                             "max(60s, barrier window))")
     parser.add_argument("--incidents-out", metavar="PATH", default=None,
                         help="write the --chaos-workers incident report "
                              "(per-lane records + every WorkerIncident) "
@@ -168,49 +106,27 @@ def main(argv=None) -> int:
     parser.add_argument("--scenarios", metavar="KEYS", default=None,
                         help="comma-separated scenario keys for --chaos / "
                              "--chaos-workers (default: S1,S2,S3 / S1)")
-    parser.add_argument("--no-vector-edge", action="store_true",
-                        help="fall back to the legacy per-device flight "
-                             "processes (sets REPRO_VECTOR_EDGE=0)")
-    parser.add_argument("--trace", action="store_true",
-                        help="arm causal request tracing (sets "
-                             "REPRO_TRACE=1 so pool workers trace too)")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write the collected spans as Chrome "
                              "trace_event JSON (implies --trace); a run "
                              "manifest lands next to it")
-    parser.add_argument("--profile-out", metavar="PATH", default=None,
-                        help="dump per-replica cProfile stats to "
-                             "PATH.r<index> (parallel-executor safe)")
+    knobs = parser.add_argument_group(
+        "runtime knobs", "each sets its REPRO_* variable, so pool "
+        "workers inherit it (see repro.sim.flags)")
+    for flag in FLAGS.values():
+        if flag.help:
+            _add_flag(knobs, flag)
     args = parser.parse_args(argv)
 
-    if args.no_vector_edge:
-        # Environment (not a runner kwarg) so pool workers inherit it.
-        os.environ["REPRO_VECTOR_EDGE"] = "0"
-    if args.shards is not None:
-        # Environment (not a runner kwarg) so pool workers inherit it.
-        os.environ["REPRO_SHARDS"] = str(args.shards)
-    if args.cloud_shards is not None:
-        os.environ["REPRO_CLOUD_SHARDS"] = str(args.cloud_shards)
-    if args.hybrid_exact is not None:
-        os.environ["REPRO_HYBRID_EXACT"] = str(args.hybrid_exact)
-    if args.meanfield:
-        os.environ["REPRO_MEANFIELD"] = "1"
-    if args.serving is not None:
-        os.environ["REPRO_SERVING"] = args.serving
-    if args.no_serving_admission:
-        os.environ["REPRO_SERVING_ADMISSION"] = "0"
-    if args.no_serving_autoscale:
-        os.environ["REPRO_SERVING_AUTOSCALE"] = "0"
-    if args.worker_deadline is not None:
-        os.environ["REPRO_WORKER_DEADLINE"] = str(args.worker_deadline)
     if args.trace_out:
         args.trace = True
+    for flag in FLAGS.values():
+        value = getattr(args, flag.key, None)
+        if value is not None:
+            os.environ[flag.env] = (str(int(value)) if flag.kind == "switch"
+                                    else str(value))
     if args.trace:
-        # Environment first (workers inherit), then the in-process tracer.
-        os.environ["REPRO_TRACE"] = "1"
         obs.install()
-    if args.profile_out:
-        os.environ["REPRO_PROFILE_OUT"] = args.profile_out
 
     # --profile composes with every mode below: figures, 'all', and the
     # bench workloads all run under the same profiler when requested.

@@ -21,6 +21,7 @@ import pathlib
 import time
 from typing import Any, Dict, List, Optional
 
+from ..sim.flags import resolve
 from . import parallel
 from .registry import run_experiment
 
@@ -39,9 +40,7 @@ SMOKE_FIGURES = (
 
 def bench_path(path: Optional[str] = None) -> pathlib.Path:
     """Trajectory file: explicit arg, ``REPRO_BENCH_FILE``, or repo root."""
-    if path is not None:
-        return pathlib.Path(path)
-    configured = os.environ.get("REPRO_BENCH_FILE")
+    configured = resolve("REPRO_BENCH_FILE", path)
     if configured:
         return pathlib.Path(configured)
     return pathlib.Path(__file__).resolve().parents[3] / "BENCH_kernel.json"

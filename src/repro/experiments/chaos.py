@@ -199,8 +199,6 @@ def run_worker_lane(app_key: str, lane: str, seed: int = 0,
                            worker_faults=worker_faults,
                            worker_deadline_s=deadline_s, **shape)
 
-    # The twin passes an explicit *unarmed* plan so an inherited
-    # REPRO_CHAOS_WORKERS cannot arm it behind our back.
     baseline = lane_run(WorkerFaultPlan())
     mark = supervisor.incident_count()
     chaotic = lane_run(plan)

@@ -57,15 +57,15 @@ def _swarm_cell(platform: str, scenario_key: str, n_devices: int,
     regional cloud tier, and the unarmed default is the byte-identical
     single-process runner.
     """
-    from ..sim import flags
-    if flags.meanfield_enabled():
+    from ..sim.flags import resolve
+    if resolve("REPRO_MEANFIELD"):
         from ..edge.meanfield import predict_cell
         return predict_cell(platform, scenario_key, n_devices,
                             seed=seed).triple
-    shards = flags.shard_count()
-    cloud_shards = flags.cloud_shard_count()
-    hybrid_exact = flags.hybrid_exact_devices()
-    serving = flags.serving_spec()
+    shards = resolve("REPRO_SHARDS")
+    cloud_shards = resolve("REPRO_CLOUD_SHARDS")
+    hybrid_exact = resolve("REPRO_HYBRID_EXACT")
+    serving = resolve("REPRO_SERVING")
     if shards > 1 or cloud_shards > 0 or hybrid_exact > 0 or serving:
         from ..sim.shard import run_sharded
         result = run_sharded(
@@ -218,17 +218,17 @@ def run_hybrid(fleets: Sequence[Tuple[int, int]] = HYBRID_FLEETS,
     is deterministic at any worker count.
     """
     del max_workers  # each point is one sharded run; serial keeps RSS flat
-    from ..sim import flags
+    from ..sim.flags import resolve
     from ..sim.shard import run_sharded
 
-    cloud_shards = max(1, flags.cloud_shard_count())
+    cloud_shards = max(1, resolve("REPRO_CLOUD_SHARDS"))
     rows: List[List] = []
     data: Dict[str, Dict] = {}
     for scenario in (SCENARIO_A, SCENARIO_B):
         for n_devices, exact in fleets:
             result = run_sharded(
                 platform_config("hivemind"), scenario, int(n_devices),
-                seed=base_seed, shards=max(1, flags.shard_count()),
+                seed=base_seed, shards=resolve("REPRO_SHARDS"),
                 cloud_shards=cloud_shards, exact_devices=int(exact))
             bw_mean, _ = result.bandwidth_summary()
             tail_s = result.task_latencies.p99

@@ -48,7 +48,7 @@ from ..serverless.region import RegionGateway
 from ..serving import (AdmissionConfig, AutoscaleConfig, ServingConfig,
                        ServingPolicy, TenantSpec, emit_serving_spans,
                        generate_serving_calls)
-from ..sim import flags
+from ..sim.flags import resolve
 from .common import ExperimentResult
 
 __all__ = ["run", "SERVING_SERVERS", "SERVING_CORES",
@@ -142,8 +142,8 @@ def run(base_seed: int = 0, duration_s: float = 60.0,
     pinned off at full static provisioning, so the rows compare
     elasticity against the peak-provisioned baseline).
     """
-    admission_on = flags.serving_admission_enabled(admission)
-    autoscale_on = flags.serving_autoscale_enabled(autoscale)
+    admission_on = resolve("REPRO_SERVING_ADMISSION", admission)
+    autoscale_on = resolve("REPRO_SERVING_AUTOSCALE", autoscale)
     cap = capacity_rps()
     headers = ["lane", "offered_rps", "p50_ms", "p99_ms", "p999_ms",
                "shed_%", "scale_outs", "reaction_s"]

@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..sim import kernel
 from ..sim.accounting import layer_counts
+from ..sim.flags import resolve
 
 __all__ = [
     "TaskResult",
@@ -126,9 +127,9 @@ def default_workers() -> int:
     of running in parallel — so the effective limit is
     ``min(affinity mask, ceil(cgroup quota))``.
     """
-    configured = os.environ.get("REPRO_MAX_WORKERS")
-    if configured:
-        return max(1, int(configured))
+    configured = resolve("REPRO_MAX_WORKERS")
+    if configured is not None:
+        return configured
     return available_cpus()
 
 
@@ -245,7 +246,7 @@ def _timed_call(task: Tuple[int, Callable, Tuple, Dict]) -> TaskResult:
     if profiler is not None:
         profiler.disable()
         profiler.dump_stats(
-            f"{os.environ['REPRO_PROFILE_OUT']}.r{index}")
+            f"{resolve('REPRO_PROFILE_OUT')}.r{index}")
     # Draining this task's span delta lets the coordinator re-absorb it
     # under the task's replica index (and keeps the serial fallback
     # from double-recording).
@@ -262,7 +263,7 @@ def _task_profiler():
     clobber one profile file. Returns None when profiling is off or when
     another profiler is already active in this process (the main-process
     ``--profile`` run owns the slot there)."""
-    if not os.environ.get("REPRO_PROFILE_OUT"):
+    if not resolve("REPRO_PROFILE_OUT"):
         return None
     import cProfile
     profiler = cProfile.Profile()

@@ -15,10 +15,10 @@ n-th command the driver sends over that worker's pipe — and an action:
 - ``slow`` — the worker delays its reply by ``delay_s`` (worker-side;
   exercises deadline headroom without tripping recovery).
 
-Plans are pure data with a flat string spec for the
-``REPRO_CHAOS_WORKERS`` environment switch::
+Plans are pure data with a flat string spec, as taken by
+``python -m repro.experiments --chaos-workers SPEC``::
 
-    REPRO_CHAOS_WORKERS="kill:shard:0:2,hang:shard:1:3,slow:cloud:0:1:0.2"
+    kill:shard:0:2,hang:shard:1:3,slow:cloud:0:1:0.2
 
 i.e. comma-separated ``action:scope:worker:op[:delay_s]`` entries with
 1-based operation indices. Faults are one-shot: recovery respawns
@@ -86,7 +86,7 @@ class WorkerFaultPlan:
 
     @classmethod
     def parse(cls, spec: str) -> "WorkerFaultPlan":
-        """Parse a ``REPRO_CHAOS_WORKERS`` spec string (empty = unarmed)."""
+        """Parse a ``--chaos-workers`` spec string (empty = unarmed)."""
         faults = []
         for entry in spec.split(","):
             entry = entry.strip()

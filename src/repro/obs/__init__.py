@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..sim.flags import trace_requested
+from ..sim.flags import resolve
 from .export import to_chrome_trace, write_chrome_trace, write_trace_files
 from .manifest import RunManifest, git_revision, runtime_flags
 from .report import (TraceReport, aggregate_breakdown, latency_reports,
@@ -55,7 +55,7 @@ def active_tracer() -> Optional[SpanTracer]:
     global _ACTIVE, _ENV_CHECKED
     if _ACTIVE is None and not _ENV_CHECKED:
         _ENV_CHECKED = True
-        if trace_requested():
+        if resolve("REPRO_TRACE"):
             _ACTIVE = SpanTracer()
     return _ACTIVE
 

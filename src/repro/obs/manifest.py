@@ -39,28 +39,18 @@ def git_revision() -> str:
 
 
 def runtime_flags() -> Dict[str, Any]:
-    """The fast-path/observability switches in effect right now."""
+    """The switches in effect right now: ``vector_edge`` and ``trace``
+    always, plus every :data:`~repro.sim.flags.FLAGS` knob whose value
+    differs from its default, so unarmed manifests compare clean and an
+    armed run (sharded, mean-field, serving, ...) says so."""
     from . import tracing_enabled
-    from ..sim.flags import (chaos_workers, serving_admission_enabled,
-                             serving_autoscale_enabled, serving_spec,
-                             vector_edge_enabled)
-    flags = {
-        "vector_edge": vector_edge_enabled(),
-        "trace": tracing_enabled(),
-    }
-    # Armed worker chaos is part of a run's provenance (it perturbs
-    # wall-clock and accounting); unarmed runs stay unstamped so
-    # existing manifests compare clean.
-    chaos_spec = chaos_workers()
-    if chaos_spec:
-        flags["chaos_workers"] = chaos_spec
-    # Same convention for open-loop serving: only armed runs stamp the
-    # spec (plus its sub-switches, which matter only when armed).
-    serving = serving_spec()
-    if serving:
-        flags["serving"] = serving
-        flags["serving_admission"] = serving_admission_enabled()
-        flags["serving_autoscale"] = serving_autoscale_enabled()
+    from ..sim.flags import FLAGS, resolve
+    flags = {"vector_edge": resolve("REPRO_VECTOR_EDGE"),
+             "trace": tracing_enabled()}
+    for flag in FLAGS.values():
+        value = resolve(flag.env)
+        if value != flag.default:
+            flags.setdefault(flag.key, value)
     return flags
 
 

@@ -43,7 +43,7 @@ from ..network import EdgeCloudRpc, build_fabric
 from ..routing import Region, coverage_route
 from ..serverless import Invocation, InvocationRequest, OpenWhiskPlatform
 from ..sim import Environment, RandomStreams
-from ..sim.flags import vector_edge_enabled
+from ..sim.flags import resolve
 from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
 from .. import obs
 from .base import PlatformConfig, RunResult
@@ -104,7 +104,7 @@ class ScenarioRunner:
         #: Vectorized SwarmEngine for flight + heartbeats (default on;
         #: REPRO_VECTOR_EDGE=0 or vector_edge=False falls back to the
         #: legacy per-device tick processes — bit-identical results).
-        self.vector_edge = vector_edge_enabled(vector_edge)
+        self.vector_edge = resolve("REPRO_VECTOR_EDGE", vector_edge)
         #: Sharded-mode cloud boundary (see :mod:`repro.sim.shard`): when
         #: set, this runner simulates one *edge cell* — cloud-bound work
         #: is recorded as timestamped messages on the boundary instead of

@@ -58,7 +58,7 @@ class CloudGateway:
     """
 
     def __init__(self, config, scenario, constants: PaperConstants,
-                 n_devices: int, seed: int = 0, serving=None):
+                 n_devices: int, seed: int = 0):
         if config.execution not in ("cloud_faas", "hybrid"):
             raise ValueError(
                 "CloudGateway requires a cloud-backed platform "
@@ -94,15 +94,8 @@ class CloudGateway:
         self.persisted_documents = 0
         self.completions = 0
         self.last_completion_s = 0.0
-        self.background_completions = 0
         self._outstanding = 0
         self._idle_event = None
-        #: Open-loop serving stack (:class:`repro.serving.ServingPolicy`).
-        #: On the kernel path only the admission gate applies — the
-        #: monolithic cluster has no per-region invoker pool to
-        #: autoscale; elastic serving runs use the regional tier.
-        self._serving = serving
-        self.shed_calls = 0
 
     # -- feeding --------------------------------------------------------
     def feed(self, calls) -> None:
@@ -118,9 +111,7 @@ class CloudGateway:
                     f"late cloud message: arrival {call.arrival_s:.6f} < "
                     f"gateway time {self.env.now:.6f} (barrier protocol "
                     "violated)")
-            if (getattr(call, "synthetic", False)
-                    and not (getattr(call, "tenant", None) is not None
-                             and self._serving is not None)):
+            if call.synthetic:
                 raise RuntimeError(
                     "synthetic mean-field call fed to the monolithic "
                     "CloudGateway; hybrid runs must use the regional "
@@ -144,25 +135,6 @@ class CloudGateway:
 
     def _serve(self, call) -> Generator:
         yield self.env.timeout_at(call.arrival_s)
-        if self._serving is not None:
-            # Admission at arrival time, on the live in-flight count
-            # (this generator is one of the ``_outstanding``). Swarm
-            # calls (no tenant) always pass; shed calls complete
-            # nowhere — no pipeline stages run.
-            backlog = self._outstanding - 1
-            self._serving.observe(self.env.now, backlog)
-            tenant = getattr(call, "tenant", None)
-            if tenant is not None and not self._serving.admit(
-                    self.env.now, tenant, getattr(call, "weight", 1.0),
-                    backlog, 0.0):
-                call.shed = True
-                call.completion_s = None
-                self.shed_calls += 1
-                self._outstanding -= 1
-                if self._outstanding == 0 and self._idle_event is not None:
-                    event, self._idle_event = self._idle_event, None
-                    event.succeed()
-                return
         breakdown = LatencyBreakdown()
         try:
             parent = None
@@ -196,12 +168,9 @@ class CloudGateway:
                     "aggregate", f"agg-{invocation.invocation_id}", 0.05)
             call.completion_s = self.env.now
             call.cloud_breakdown = breakdown.as_dict()
-            if getattr(call, "synthetic", False):
-                self.background_completions += 1
-            else:
-                self.completions += 1
-                self.last_completion_s = max(self.last_completion_s,
-                                             self.env.now)
+            self.completions += 1
+            self.last_completion_s = max(self.last_completion_s,
+                                         self.env.now)
         finally:
             self._outstanding -= 1
             if self._outstanding == 0 and self._idle_event is not None:

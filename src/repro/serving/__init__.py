@@ -58,13 +58,13 @@ class ServingConfig:
                   autoscale: Optional[bool] = None,
                   duration_s: Optional[float] = None) -> "ServingConfig":
         """Resolve a spec string plus the sub-switch flags."""
-        from ..sim import flags
+        from ..sim.flags import resolve
         return cls(
             tenants=parse_serving_spec(spec),
             duration_s=(duration_s if duration_s is not None
                         else DEFAULT_DURATION_S),
-            admission_enabled=flags.serving_admission_enabled(admission),
-            autoscale_enabled=flags.serving_autoscale_enabled(autoscale))
+            admission_enabled=resolve("REPRO_SERVING_ADMISSION", admission),
+            autoscale_enabled=resolve("REPRO_SERVING_AUTOSCALE", autoscale))
 
     def with_policies(self, admission: Optional[AdmissionConfig] = None,
                       autoscale: Optional[AutoscaleConfig] = None

@@ -34,7 +34,7 @@ latency — so no message can ever arrive in the cloud shard's past. The
 scenario task graphs have no cloud→edge data edge (only the final
 synchronization barrier joins the tiers), so the reverse direction needs
 no lookahead at all and the window can be made much larger than the
-physical bound for efficiency; ``REPRO_SHARD_WINDOW`` tunes it.
+physical bound for efficiency; ``run_sharded(window_s=...)`` tunes it.
 
 Workers: each scheduling group of cells (``_Cells``) or of cloud
 regions (``_Regions``) is an executor with one ``request(command,
@@ -65,7 +65,7 @@ from ..serverless.gateway import CloudGateway
 from ..telemetry import (BandwidthMeter, BreakdownAggregate,
                          LatencyBreakdown, MetricSeries)
 from ..faults.worker import WorkerFaultPlan
-from . import flags
+from .flags import resolve
 from .supervisor import (ProtocolError, SupervisedConnection,
                          incident_count, incidents_since,
                          resolve_worker_deadline, resolve_worker_retries)
@@ -523,11 +523,13 @@ def _merge_extras(results, cloud_stats: Dict, makespan: float,
 
 def resolve_window(constants: PaperConstants,
                    window_s: Optional[float] = None) -> float:
-    """Barrier window: configured value clamped to the causal minimum."""
-    window_s = flags.shard_window(window_s)
+    """Barrier window: ``window_s`` (default :data:`DEFAULT_WINDOW_S`)
+    clamped to the causal minimum."""
     if window_s is None:
         window_s = DEFAULT_WINDOW_S
-    return max(window_s, boundary_lookahead(constants))
+    elif window_s <= 0:
+        raise ValueError("barrier window must be positive")
+    return max(float(window_s), boundary_lookahead(constants))
 
 
 def run_sharded(config: PlatformConfig, scenario, n_devices: int,
@@ -578,9 +580,9 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     hung workers are respawned up to ``worker_retries`` times
     (``REPRO_WORKER_RETRIES``, default 2) with their journal replayed,
     then degraded to in-process execution — every recovery path yields
-    the same bytes. ``worker_faults`` (or ``REPRO_CHAOS_WORKERS``) arms
-    the chaos injector of :mod:`repro.faults.worker` against the real
-    worker processes; armed runs force one process per scheduling group
+    the same bytes. ``worker_faults`` arms the chaos injector of
+    :mod:`repro.faults.worker` against the real worker processes (None
+    means unarmed); armed runs force one process per scheduling group
     so there is a real process to kill.
 
     ``serving`` arms the open-loop background load of
@@ -609,7 +611,7 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     if serving is not None and not isinstance(serving, str):
         serving_cfg = serving  # a prebuilt ServingConfig
     else:
-        serving_resolved = flags.serving_spec(serving)
+        serving_resolved = resolve("REPRO_SERVING", serving)
         if serving_resolved:
             from ..serving import ServingConfig
             serving_cfg = ServingConfig.from_spec(serving_resolved)
@@ -618,9 +620,7 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
         # hybrid): arm it implicitly at one worker group.
         cloud_shards = 1
     if worker_faults is None:
-        chaos_spec = flags.chaos_workers()
-        worker_faults = (WorkerFaultPlan.parse(chaos_spec)
-                         if chaos_spec else WorkerFaultPlan())
+        worker_faults = WorkerFaultPlan()
     chaos_armed = worker_faults.armed
     retries = resolve_worker_retries(worker_retries)
     partitioned = None

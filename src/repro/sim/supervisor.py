@@ -57,7 +57,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from . import flags
+from .flags import resolve
 
 __all__ = [
     "ProtocolError", "WorkerFailure", "WorkerDeath", "WorkerHang",
@@ -163,14 +163,14 @@ def resolve_worker_deadline(window_s: float,
     seconds price far below wall seconds, so a worker that cannot keep
     that pace is wedged, not slow.
     """
-    configured = flags.worker_deadline(override)
+    configured = resolve("REPRO_WORKER_DEADLINE", override)
     if configured is not None:
         return configured
     return max(DEADLINE_FLOOR_S, float(window_s))
 
 
 def resolve_worker_retries(override: Optional[int] = None) -> int:
-    return flags.worker_retries(override)
+    return resolve("REPRO_WORKER_RETRIES", override)
 
 
 def _spawn_probe() -> None:

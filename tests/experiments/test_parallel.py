@@ -117,6 +117,15 @@ class TestWorkers:
         monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
         assert default_workers() == 3
 
+    @pytest.mark.parametrize("raw,text", [
+        ("abc", "expected an integer"), ("-3", "at least 1"),
+        ("0", "at least 1")])
+    def test_bad_env_var_names_the_variable(self, monkeypatch, raw, text):
+        monkeypatch.setenv("REPRO_MAX_WORKERS", raw)
+        with pytest.raises(ValueError,
+                           match=f"^REPRO_MAX_WORKERS={raw}: .*{text}"):
+            default_workers()
+
     def test_default_is_core_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
         assert default_workers() >= 1

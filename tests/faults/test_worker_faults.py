@@ -1,7 +1,7 @@
 """Worker fault plans: the harness-chaos spec grammar and its routing.
 
 These faults target the *real worker processes* behind the sharded
-runtime (``REPRO_CHAOS_WORKERS``), not the simulated world — the grammar
+runtime (``--chaos-workers``), not the simulated world — the grammar
 must round-trip exactly and route each entry to the right side of the
 pipe (parent-side kills vs worker-side hangs/slows).
 """

@@ -8,6 +8,7 @@ import pytest
 from repro.obs import (RunManifest, Span, SpanTracer, git_revision,
                        runtime_flags, to_chrome_trace, write_chrome_trace,
                        write_trace_files)
+from repro.sim.flags import FLAGS
 
 pytestmark = pytest.mark.quick
 
@@ -104,6 +105,31 @@ class TestManifest:
         created = datetime.datetime.fromisoformat(manifest.created)
         assert created.tzinfo is not None
         assert created.utcoffset() == datetime.timedelta(0)
+
+    def test_armed_knobs_are_stamped(self, monkeypatch):
+        for flag in FLAGS.values():
+            monkeypatch.delenv(flag.env, raising=False)
+        for name, raw in (("REPRO_SHARDS", "2"), ("REPRO_CLOUD_SHARDS", "2"),
+                          ("REPRO_SERVING", "1"), ("REPRO_MEANFIELD", "1")):
+            monkeypatch.setenv(name, raw)
+        # Sub-switches left at their default stay unstamped.
+        assert RunManifest.collect("fig17b").flags == {
+            "vector_edge": True, "trace": False, "shards": 2,
+            "cloud_shards": 2, "serving": "1", "meanfield": True}
+
+    def test_cli_knobs_reach_the_trace_manifest(self, monkeypatch,
+                                                tmp_path):
+        from repro.experiments.__main__ import main
+        for flag in FLAGS.values():
+            # Records each variable so the CLI's exports are undone.
+            monkeypatch.setenv(flag.env, "")
+        target = tmp_path / "fig17c.json"
+        assert main(["fig17c", "--shards", "2", "--meanfield",
+                     "--trace-out", str(target)]) == 0
+        manifest = RunManifest.from_json(
+            (tmp_path / "fig17c.manifest.json").read_text())
+        assert manifest.flags["shards"] == 2
+        assert manifest.flags["meanfield"] is True
 
     def test_runtime_flags_reflect_tracer(self):
         from repro import obs

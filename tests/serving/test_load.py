@@ -74,6 +74,24 @@ class TestSpecGrammar:
             run_sharded(platform_config("hivemind"), SCENARIO_A, 16,
                         cell_devices=4, region_devices=8)
 
+    def test_spec_errors_name_the_variable_on_the_environment_path(
+            self, monkeypatch):
+        from repro.platforms import platform_config
+        from repro.sim.shard import run_sharded
+        monkeypatch.setenv("REPRO_SERVING", "poisson:abc")
+        with pytest.raises(ValueError, match=(
+                r"^REPRO_SERVING=poisson:abc: bad tenant 'poisson:abc' "
+                r"in serving spec")):
+            run_sharded(platform_config("hivemind"), SCENARIO_A, 16,
+                        cell_devices=4, region_devices=8)
+        # An API argument keeps the grammar's own message.
+        monkeypatch.delenv("REPRO_SERVING")
+        with pytest.raises(ValueError, match=(
+                r"^bad tenant 'poisson:abc' in serving spec")):
+            run_sharded(platform_config("hivemind"), SCENARIO_A, 16,
+                        cell_devices=4, region_devices=8,
+                        serving="poisson:abc")
+
 
 class TestSegments:
     def test_poisson_is_one_flat_segment(self):

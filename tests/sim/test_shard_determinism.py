@@ -16,7 +16,6 @@ from repro.apps import SCENARIO_A
 from repro.apps.suite import SUITE
 from repro.config import DEFAULT
 from repro.platforms import platform_config
-from repro.sim import flags
 from repro.sim.shard import (DEFAULT_WINDOW_S, plan_cells, resolve_window,
                              run_sharded)
 
@@ -130,6 +129,18 @@ class TestHybridDeterminism:
                              region_devices=32)
         assert result.extras["cloud_shards"] == 1
 
+    def test_monolithic_gateway_rejects_synthetic_calls(self):
+        from repro.serverless.gateway import CloudGateway
+        from repro.sim.shard import CloudCall
+        gateway = CloudGateway(platform_config("hivemind"), SCENARIO_A,
+                               DEFAULT, n_devices=16)
+        for tenant in (None, "users"):
+            call = CloudCall(cell=0, seq=0, device_id="d0", arrival_s=1.0,
+                             recognition_s=0.1, dedup_s=None, input_mb=1.0,
+                             output_mb=0.1, synthetic=True, tenant=tenant)
+            with pytest.raises(RuntimeError, match="synthetic"):
+                gateway.feed([call])
+
     def test_hybrid_needs_positive_exact_devices(self):
         with pytest.raises(ValueError):
             run_sharded(platform_config("hivemind"),
@@ -177,65 +188,8 @@ class TestUnarmedPath:
         assert _swarm_cell("hivemind", "ScA", 16, 0) == (
             70.06315789473685, 1.299728340651617, 56.07499999999999)
 
-    def test_flag_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        monkeypatch.delenv("REPRO_MEANFIELD", raising=False)
-        assert flags.shard_count() == 1
-        assert flags.meanfield_enabled() is False
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        monkeypatch.setenv("REPRO_MEANFIELD", "1")
-        assert flags.shard_count() == 4
-        assert flags.meanfield_enabled() is True
-        # Explicit overrides always beat the environment.
-        assert flags.shard_count(2) == 2
-        assert flags.meanfield_enabled(False) is False
-        with pytest.raises(ValueError):
-            flags.shard_count(0)
-        # A bad environment value fails as loudly as a bad argument.
-        for bad in ("-3", "0"):
-            monkeypatch.setenv("REPRO_SHARDS", bad)
-            with pytest.raises(ValueError,
-                               match=f"REPRO_SHARDS={bad}: .*at least 1"):
-                flags.shard_count()
-        # So does a boolean switch set to anything but empty, 0 or 1.
-        monkeypatch.setenv("REPRO_MEANFIELD", "")
-        assert flags.meanfield_enabled() is False
-        for bad in ("true", "yes", "2"):
-            monkeypatch.setenv("REPRO_MEANFIELD", bad)
-            with pytest.raises(ValueError, match=f"REPRO_MEANFIELD={bad}:"):
-                flags.meanfield_enabled()
-
-    def test_window_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)
+    def test_window_resolution(self):
         assert resolve_window(DEFAULT) == DEFAULT_WINDOW_S
-        monkeypatch.setenv("REPRO_SHARD_WINDOW", "30")
-        assert resolve_window(DEFAULT) == 30.0
         assert resolve_window(DEFAULT, 90.0) == 90.0
         with pytest.raises(ValueError, match="positive"):
             resolve_window(DEFAULT, 0.0)
-        monkeypatch.setenv("REPRO_SHARD_WINDOW", "-5")
-        with pytest.raises(ValueError, match="REPRO_SHARD_WINDOW=-5"):
-            resolve_window(DEFAULT)
-
-    def test_cloud_flag_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CLOUD_SHARDS", raising=False)
-        monkeypatch.delenv("REPRO_HYBRID_EXACT", raising=False)
-        # Default off: monolithic cloud, every device exact.
-        assert flags.cloud_shard_count() == 0
-        assert flags.hybrid_exact_devices() == 0
-        monkeypatch.setenv("REPRO_CLOUD_SHARDS", "4")
-        monkeypatch.setenv("REPRO_HYBRID_EXACT", "256")
-        assert flags.cloud_shard_count() == 4
-        assert flags.hybrid_exact_devices() == 256
-        assert flags.cloud_shard_count(2) == 2
-        assert flags.hybrid_exact_devices(64) == 64
-        with pytest.raises(ValueError):
-            flags.cloud_shard_count(-1)
-        with pytest.raises(ValueError):
-            flags.hybrid_exact_devices(-8)
-        monkeypatch.setenv("REPRO_CLOUD_SHARDS", "-1")
-        with pytest.raises(ValueError, match="REPRO_CLOUD_SHARDS=-1"):
-            flags.cloud_shard_count()
-        monkeypatch.setenv("REPRO_HYBRID_EXACT", "-8")
-        with pytest.raises(ValueError, match="REPRO_HYBRID_EXACT=-8"):
-            flags.hybrid_exact_devices()

@@ -19,7 +19,7 @@ from repro.experiments.parallel import (total_events_consumed,
                                         total_layer_counts)
 from repro.faults import WorkerFaultPlan
 from repro.platforms import platform_config
-from repro.sim import flags, supervisor
+from repro.sim import supervisor
 from repro.sim.accounting import LAYERS
 from repro.sim.shard import run_sharded
 from repro.sim.supervisor import (ProtocolError, SupervisedConnection,
@@ -70,9 +70,7 @@ def _run(worker_faults, **overrides):
 
 @pytest.fixture(scope="module")
 def undisturbed_bytes():
-    """One fault-free twin shared by every recovery test (unarmed plan
-    passed explicitly, so an inherited REPRO_CHAOS_WORKERS cannot arm
-    it)."""
+    """One fault-free twin shared by every recovery test."""
     return result_bytes(_run(WorkerFaultPlan()))
 
 
@@ -176,32 +174,10 @@ class TestResolvers:
         with pytest.raises(ValueError,
                            match="REPRO_WORKER_RETRIES=-1: .*non-negative"):
             resolve_worker_retries()
-
-    @pytest.mark.parametrize("variable,resolve", [
-        ("REPRO_SERVING_ADMISSION", flags.serving_admission_enabled),
-        ("REPRO_SERVING_AUTOSCALE", flags.serving_autoscale_enabled),
-        ("REPRO_VECTOR_EDGE", flags.vector_edge_enabled),
-    ])
-    def test_bad_boolean_switch_rejected(self, monkeypatch, variable,
-                                         resolve):
-        for value, expected in (("", True), ("1", True), ("0", False)):
-            monkeypatch.setenv(variable, value)
-            assert resolve() is expected
-        for bad in ("false", "off", "yes", "2"):
-            monkeypatch.setenv(variable, bad)
-            with pytest.raises(ValueError, match=f"{variable}={bad}:"):
-                resolve()
-        # An explicit argument still wins over a bad environment value.
-        assert resolve(False) is False
-
-    def test_bad_trace_switch_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert flags.trace_requested() is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert flags.trace_requested() is True
-        monkeypatch.setenv("REPRO_TRACE", "on")
-        with pytest.raises(ValueError, match="REPRO_TRACE=on:"):
-            flags.trace_requested()
+        monkeypatch.setenv("REPRO_WORKER_RETRIES", "x")
+        with pytest.raises(ValueError,
+                           match="REPRO_WORKER_RETRIES=x: expected an int"):
+            resolve_worker_retries()
 
 
 class _FakeProcess:
