@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["FaultEvent", "FaultPlan", "PartitionedPlan", "named_plan",
-           "plan_names"]
+           "plan_names", "region_count"]
 
 #: Every fault kind the injector understands, with the layer it targets.
 KINDS = {
@@ -194,8 +194,10 @@ class FaultPlan:
         region owns a proportional shard of the store/bus, so the
         outage stalls all of them — parity with the monolithic
         gateway); cloud-partition windows and function-fault rates
-        replicate to every region. ``n_servers`` defaults to the swarm-scaled cluster
-        size — pass it when partitioning for a custom cluster.
+        replicate to every region. Regions count as in
+        :func:`region_count`, which rejects regions of partial cells.
+        ``n_servers`` defaults to the swarm-scaled cluster size — pass
+        it when partitioning for a custom cluster.
 
         Pure data in, pure data out: the method never touches simulation
         state, so a plan can be partitioned for any swarm size and the
@@ -211,9 +213,8 @@ class FaultPlan:
         regions: Dict[int, FaultPlan] = {}
         n_regions = None
         if region_devices is not None:
-            if region_devices <= 0:
-                raise ValueError("region_devices must be positive")
-            n_regions = -(-n_devices // region_devices)
+            n_regions = region_count(n_devices, cell_devices,
+                                     region_devices)
             if n_servers is None:
                 from ..config import DEFAULT
                 n_servers = DEFAULT.scaled_for_swarm(
@@ -277,6 +278,22 @@ class FaultPlan:
                                cell_devices=cell_devices, cells=cells,
                                cloud=cloud, region_devices=region_devices,
                                regions=regions)
+
+
+def region_count(n_devices: int, cell_devices: int,
+                 region_devices: int) -> int:
+    """Cloud regions of a swarm: ``ceil(n_devices / region_devices)``.
+
+    A cell (``cell_devices`` clamped to the swarm) belongs to the region
+    of its base device, so several regions must be whole cells each.
+    """
+    if region_devices <= 0:
+        raise ValueError("region_devices must be positive")
+    if n_devices > region_devices and region_devices % cell_devices:
+        raise ValueError(
+            f"region_devices={region_devices} is not a multiple of "
+            f"cell_devices={cell_devices}")
+    return -(-n_devices // region_devices)
 
 
 def _owning_region(server: int, n_regions: int, n_servers: int) -> int:

@@ -1,33 +1,31 @@
-"""Cloud-shard gateway for the sharded scenario runtime.
+"""Monolithic cloud tier for the sharded scenario runtime.
 
-In sharded execution (:mod:`repro.sim.shard`) the swarm's edge cells run
-in their own kernels and the cloud tier — the OpenWhisk platform, the
-backend cluster and its network, CouchDB persistence, straggler
-mitigation — runs here, in exactly one :class:`CloudGateway`. Edge cells
-never observe cloud results mid-flight (the scenario graphs have no
-cloud→edge data edge; only the final synchronization barrier joins the
-tiers), so the gateway can lag the cells by a full barrier window and
-still serve every message at its exact arrival timestamp.
+In sharded execution (:mod:`repro.sim.shard`) the edge cells run in
+their own kernels and the cloud tier — OpenWhisk, the backend cluster
+and its network, CouchDB persistence, straggler mitigation — runs in one
+:class:`CloudGateway` in the driver process. Cells never observe cloud
+results mid-flight (the scenario graphs have no cloud→edge data edge),
+so the gateway can lag them by a barrier window and still serve every
+call at its exact arrival time.
 
-Determinism: the gateway is fed the *merged* cloud-bound message stream
-in canonical ``(arrival_s, cell, seq)`` order, each message carrying the
-service-time draws its cell already made from its own streams. The
-gateway adds randomness only from its own private stream namespace
-(``seed + GATEWAY_SEED_OFFSET``). Since neither the merged stream nor
-the gateway's seeds depend on how cells were grouped into shards, the
-cloud side is byte-identical at any shard count.
+It has the cloud-tier shape the driver shares with the regional tier:
+``serve(batch, until)`` feeds a window's calls, runs the kernel to
+``until`` and returns the ``(cell, seq, done_s, breakdown)`` tuples
+completed so far; ``finish()`` drains and returns the rest plus
+``{0: stats()}``.
 
-When the cloud tier is itself decomposed (``REPRO_CLOUD_SHARDS``), the
-per-region analytic model in :mod:`repro.serverless.region` replaces
-this gateway entirely; hybrid exact/mean-field runs always take that
-path, so synthetic background calls must never reach a
-:class:`CloudGateway` — :meth:`CloudGateway.feed` enforces it.
+Determinism: calls arrive in canonical ``(arrival_s, cell, seq)`` order
+carrying their cells' service-time draws, and the gateway draws only
+from its own stream namespace (``seed + GATEWAY_SEED_OFFSET``), so the
+cloud side is byte-identical at any shard count. Synthetic (hybrid)
+calls belong to the regional tier: :meth:`CloudGateway.serve` refuses
+them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Generator
+from typing import Dict, Generator, List, Tuple
 
 from ..cluster import Cluster
 from ..config import PaperConstants
@@ -46,6 +44,10 @@ __all__ = ["CloudGateway", "GATEWAY_SEED_OFFSET"]
 #: clear of any realistic cell count).
 GATEWAY_SEED_OFFSET = 271_828
 
+#: ``(cell, seq, done_s, breakdown)``: one served call, the shape both
+#: cloud tiers return.
+Completion = Tuple[int, int, float, Dict[str, float]]
+
 
 class CloudGateway:
     """The cloud half of a sharded scenario run.
@@ -63,8 +65,6 @@ class CloudGateway:
             raise ValueError(
                 "CloudGateway requires a cloud-backed platform "
                 f"(got execution={config.execution!r})")
-        self.config = config
-        self.scenario = scenario
         env = self.env = Environment()
         streams = self.streams = RandomStreams(seed + GATEWAY_SEED_OFFSET)
         cluster = Cluster(env, constants.cluster)
@@ -96,15 +96,13 @@ class CloudGateway:
         self.last_completion_s = 0.0
         self._outstanding = 0
         self._idle_event = None
+        self._done: List[Completion] = []
 
-    # -- feeding --------------------------------------------------------
-    def feed(self, calls) -> None:
-        """Register cloud-bound messages (one barrier window's worth).
-
-        ``calls`` must already be in canonical ``(arrival_s, cell, seq)``
-        order and must all have ``arrival_s >= self.env.now`` — i.e. feed
-        a window's batch *before* advancing the gateway past it.
-        """
+    # -- cloud-tier shape ----------------------------------------------
+    def serve(self, calls, until: float) -> List[Completion]:
+        """Feed one window's calls (canonical order, none before
+        ``env.now``), run the kernel to ``until`` and return the
+        completions since the previous call."""
         for call in calls:
             if call.arrival_s < self.env.now:
                 raise RuntimeError(
@@ -118,6 +116,26 @@ class CloudGateway:
                     "cloud tier (cloud_shards >= 1)")
             self._outstanding += 1
             self.env.process(self._serve(call))
+        if until > self.env.now:
+            self.env.run(until=until)
+        done, self._done = self._done, []
+        return done
+
+    def finish(self) -> Tuple[List[Completion], Dict[int, Dict]]:
+        """Drain every fed call; return the remaining completions and
+        ``{0: stats}`` (the whole backend is one region)."""
+        while self._outstanding > 0:
+            self._idle_event = self.env.event()
+            self.env.run(until=self._idle_event)
+        return self._done, {0: self.stats()}
+
+    def stats(self) -> Dict[str, float]:
+        return {
+            "completions": self.completions,
+            "last_completion_s": self.last_completion_s,
+            "persisted_documents": self.persisted_documents,
+            "cold_starts": self.platform.cold_starts,
+        }
 
     def _invoke(self, request: InvocationRequest) -> Generator:
         if self.mitigator is not None:
@@ -166,8 +184,8 @@ class CloudGateway:
                                  invocation.breakdown.execution)
                 yield from self._persist(
                     "aggregate", f"agg-{invocation.invocation_id}", 0.05)
-            call.completion_s = self.env.now
-            call.cloud_breakdown = breakdown.as_dict()
+            self._done.append((call.cell, call.seq, self.env.now,
+                               breakdown.as_dict()))
             self.completions += 1
             self.last_completion_s = max(self.last_completion_s,
                                          self.env.now)
@@ -176,27 +194,3 @@ class CloudGateway:
             if self._outstanding == 0 and self._idle_event is not None:
                 event, self._idle_event = self._idle_event, None
                 event.succeed()
-
-    # -- stepping -------------------------------------------------------
-    @property
-    def outstanding(self) -> int:
-        """Messages fed but not yet completed."""
-        return self._outstanding
-
-    def advance_to(self, until: float) -> None:
-        """Dispatch the cloud kernel up to simulated time ``until``."""
-        if until > self.env.now:
-            self.env.run(until=until)
-
-    def drain(self) -> float:
-        """Run until every fed message has completed; returns the time of
-        the last completion (the cloud tier's contribution to the global
-        makespan)."""
-        while self._outstanding > 0:
-            self._idle_event = self.env.event()
-            self.env.run(until=self._idle_event)
-        return self.last_completion_s
-
-    @property
-    def cold_starts(self) -> int:
-        return self.platform.cold_starts

@@ -1,51 +1,39 @@
 """Sharded swarm execution: cell decomposition + conservative time sync.
 
 The unsharded :class:`~repro.platforms.scenario_runner.ScenarioRunner`
-steps the whole swarm inside one kernel in one process, which caps fig17
-reproduction at ~1k devices. This module scales the same scenario out by
-decomposing the swarm into fixed-size **cells** — disjoint groups of
-devices, each flying its own slice of the (linearly scaled) field inside
-its own :class:`~repro.sim.Environment` — and one **cloud shard**
-(:class:`~repro.serverless.gateway.CloudGateway`) running the shared
-backend. Shards are merely *scheduling groups of cells* spread over
-worker processes; the semantic unit is the cell.
+steps the whole swarm in one kernel, which caps fig17 reproduction at
+~1k devices. This module splits the swarm into fixed-size **cells** —
+disjoint groups of devices, each flying its slice of the scaled field in
+its own :class:`~repro.sim.Environment` — in front of one **cloud
+tier**: the monolithic :class:`~repro.serverless.gateway.CloudGateway`
+or per-region :class:`~repro.serverless.region.RegionGateway` slices.
+Both tiers have one shape, ``serve(batch, until) -> completions`` and
+``finish() -> (completions, stats_by_region)``, with ``(cell, seq,
+done_s, breakdown)`` completions. :func:`run_sharded` is three stages:
+:func:`plan_run` (pure: cells, worker groups, cloud tier, faults),
+:func:`sync` (the barrier loop) and :func:`merge` (pure: joins the two
+halves of every call into one :class:`~repro.platforms.base.RunResult`).
 
-Determinism contract (the PR 1 seed-by-replica pattern, applied within a
-run):
+Determinism: the cell and region plan depends only on ``(n_devices,
+cell_devices, region_devices)``; cell ``k`` seeds its streams with
+``seed + 1000 * k``; cloud-bound calls carry their service-time draws
+and reach the cloud tier in canonical ``(arrival_s, cell, seq)`` order;
+rows merge in canonical order. Shards and cloud shards only group cells
+and regions onto worker processes, so the result is **byte-identical
+at any ``(shards, cloud_shards)``**.
 
-- The cell decomposition depends only on ``(n_devices, cell_devices)``,
-  never on the shard count.
-- Cell ``k`` seeds its streams with ``seed + 1000 * k`` and simulates an
-  identical world no matter which worker runs it.
-- Cloud-bound messages carry their service-time draws with them and are
-  merged in canonical ``(arrival_s, cell, seq)`` order before the cloud
-  shard sees them; the cloud shard draws only from its own offset
-  namespace.
-- Result rows are merged in canonical order, so the final
-  :class:`~repro.platforms.base.RunResult` is **byte-identical at any
-  shard count** (1, 2, 4, ... workers — same bytes, different
-  wall-clock).
+Time sync is conservative: every cell reaches barrier ``t`` before the
+cloud tier advances to ``t``, and the window is never below
+:func:`~repro.network.rpc.boundary_lookahead` (the minimum edge→cloud
+latency), so no call arrives in the cloud tier's past. With no
+cloud→edge data edge in the scenario graphs the window can be far
+larger (``run_sharded(window_s=...)``).
 
-Time synchronization is conservative: all cells advance to a barrier
-time ``t`` before the cloud shard advances past ``t - w`` (one window
-``w`` behind), and ``w`` is never smaller than
-:func:`~repro.network.rpc.boundary_lookahead` — the minimum edge→cloud
-latency — so no message can ever arrive in the cloud shard's past. The
-scenario task graphs have no cloud→edge data edge (only the final
-synchronization barrier joins the tiers), so the reverse direction needs
-no lookahead at all and the window can be made much larger than the
-physical bound for efficiency; ``run_sharded(window_s=...)`` tunes it.
-
-Workers: each scheduling group of cells (``_Cells``) or of cloud
-regions (``_Regions``) is an executor with one ``request(command,
-argument)`` method, and :func:`run_sharded` drives every group through a
-:class:`~repro.sim.supervisor.SupervisedConnection`. The handle runs the
-executor in a forked worker process (:func:`repro.sim.supervisor.serve`)
-or in-process; both paths produce the same bytes.
-
-The unarmed path (``REPRO_SHARDS`` unset / ``shards`` not given) never
-enters this module: experiments fall through to the unsharded runner,
-byte-identical to the seed.
+Workers: each group of cells (``_Cells``) or regions (``_Regions``) is
+an executor with one ``request(command, argument)`` method behind a
+:class:`~repro.sim.supervisor.SupervisedConnection`, in a forked worker
+or in-process with the same bytes. Unarmed runs never enter this
+module.
 """
 
 from __future__ import annotations
@@ -54,7 +42,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import obs
 from ..config import DEFAULT, PaperConstants
@@ -64,6 +52,7 @@ from ..platforms.scenario_runner import CLOUD_BUDGET_CORES, ScenarioRunner
 from ..serverless.gateway import CloudGateway
 from ..telemetry import (BandwidthMeter, BreakdownAggregate,
                          LatencyBreakdown, MetricSeries)
+from ..faults.plan import region_count
 from ..faults.worker import WorkerFaultPlan
 from .flags import resolve
 from .supervisor import (ProtocolError, SupervisedConnection,
@@ -71,7 +60,8 @@ from .supervisor import (ProtocolError, SupervisedConnection,
                          resolve_worker_deadline, resolve_worker_retries)
 
 __all__ = ["CellSpec", "CloudCall", "CellBoundary", "plan_cells",
-           "run_sharded", "DEFAULT_CELL_DEVICES", "DEFAULT_WINDOW_S",
+           "RunPlan", "plan_run", "sync", "merge", "run_sharded",
+           "DEFAULT_CELL_DEVICES", "DEFAULT_WINDOW_S",
            "DEFAULT_REGION_DEVICES"]
 
 #: Devices per cell: matches the granularity at which HiveMind itself
@@ -191,6 +181,9 @@ class CloudCall:
 _FIELDS = operator.attrgetter(
     *(field.name for field in fields(CloudCall)))
 
+#: Canonical order of cloud-bound calls: ``(arrival_s, cell, seq)``.
+_SORT_KEY = operator.attrgetter("sort_key")
+
 
 class CellBoundary:
     """The cell side of the edge/cloud boundary.
@@ -241,17 +234,18 @@ def plan_cells(n_devices: int, seed: int = 0,
     shrinks below what was asked for. ``region_devices`` sets the cloud
     region granularity; a cell belongs entirely to the region owning its
     base device (``device_id_base // region_devices``), so cells never
-    straddle regions.
+    straddle regions, and a swarm spanning several regions needs
+    ``region_devices`` to be a multiple of ``cell_devices``
+    (:func:`~repro.faults.plan.region_count`).
     """
     if n_devices <= 0:
         raise ValueError("n_devices must be positive")
     if cell_devices <= 0:
         raise ValueError("cell_devices must be positive")
-    if region_devices <= 0:
-        raise ValueError("region_devices must be positive")
     if exact_devices is not None and exact_devices <= 0:
         raise ValueError("a hybrid run needs at least one exact device")
     cell_devices = min(cell_devices, n_devices)
+    region_count(n_devices, cell_devices, region_devices)
     n_cells = math.ceil(n_devices / cell_devices)
     by_cell: Dict[int, List[Tuple[int, float]]] = {}
     for index, at_time in device_faults:
@@ -375,16 +369,324 @@ class _Regions:
         raise ProtocolError(f"unknown cloud command {command!r}")
 
 
-# -- merge helpers ------------------------------------------------------
+class _RegionTier:
+    """Driver side of the regional cloud tier, in the gateway's shape.
+
+    ``serve`` routes a canonical window, plus the synthetic and serving
+    calls due by ``until``, to the region workers that own them (a
+    worker with nothing to serve gets no message); ``finish`` serves the
+    rest of those streams and collects every region's stats.
+    """
+
+    def __init__(self, plan: "RunPlan",
+                 handles: List[SupervisedConnection]):
+        # Each handle joins the caller's ``handles`` as it starts, so the
+        # caller closes it even when a later start fails.
+        in_process = plan.cloud_workers == 1 and not plan.worker_faults.armed
+        for worker_id, group in enumerate(plan.region_groups):
+            handles.append(_supervise(
+                plan, "cloud", worker_id,
+                functools.partial(
+                    _Regions, group, plan.config, plan.scenario,
+                    plan.cloud_constants, plan.n_devices, plan.seed,
+                    plan.n_regions, plan.region_plans, plan.serving),
+                in_process))
+        self._handles = handles
+        self._owner = {region: handle
+                       for handle, group in zip(handles, plan.region_groups)
+                       for region, _ in group}
+        self._first_region = [group[0][0] for group in plan.region_groups]
+        # After the fork, so the region workers do not inherit them.
+        self._streams = plan.streams.by_region
+        self._cursor = dict.fromkeys(self._streams, 0)
+
+    def serve(self, batch: List[CloudCall], until: float) -> List:
+        by_region: Dict[int, List[CloudCall]] = {}
+        for call in batch:
+            by_region.setdefault(call.region, []).append(call)
+        for region, pending in self._streams.items():
+            start = stop = self._cursor[region]
+            while stop < len(pending) and pending[stop].arrival_s <= until:
+                stop += 1
+            if stop > start:
+                self._cursor[region] = stop
+                merged = by_region.setdefault(region, [])
+                merged.extend(pending[start:stop])
+                merged.sort(key=_SORT_KEY)
+        by_handle: Dict[SupervisedConnection, List] = {}
+        for region, calls in sorted(by_region.items()):
+            by_handle.setdefault(self._owner[region], []).append(
+                (region, calls))
+        involved = [handle for handle in self._handles
+                    if handle in by_handle]
+        for handle in involved:
+            handle.send("serve", by_handle[handle])
+        return [done for handle in involved for done in handle.collect()]
+
+    def finish(self) -> Tuple[List, Dict[int, Dict]]:
+        from ..experiments.parallel import absorb_worker_counts
+        # Background streams can outlast the exact cells' missions.
+        completions = self.serve([], MAX_HORIZON_S)
+        stats: Dict[int, Dict] = {}
+        for handle, region in zip(self._handles, self._first_region):
+            stats.update(handle.request("finish", None))
+            absorb_worker_counts(handle.counters, replica=region)
+        return completions, stats
+
+
+# -- plan ---------------------------------------------------------------
+
+class _Streams(NamedTuple):
+    #: Region -> synthetic and serving calls in canonical order.
+    by_region: Dict[int, List[CloudCall]]
+    meter: List[Tuple[float, float]]  # mean-field wireless events
+    serving_calls: List[CloudCall]
+    truncated: Tuple[str, ...]  # tenants that hit the call ceiling
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """Everything a sharded run decides before a worker starts."""
+
+    config: PlatformConfig
+    scenario: object
+    n_devices: int
+    seed: int
+    constants: PaperConstants  # as given; each cell scales its own
+    cloud_constants: PaperConstants  # scaled to the whole swarm
+    runner_kwargs: Dict
+    cells: Tuple[CellSpec, ...]  # exact and mean-field
+    window_s: float
+    shards: int
+    #: Exact cells per cell worker.
+    cell_groups: Tuple[Tuple[CellSpec, ...], ...]
+    #: ``(region, devices)`` pairs per region worker; empty when the
+    #: monolithic gateway is the cloud tier.
+    region_groups: Tuple[Tuple[Tuple[int, int], ...], ...]
+    cloud_workers: int
+    n_regions: int
+    region_plans: Dict  # region -> backend FaultPlan
+    serving: object  # ServingConfig or None
+    #: The regional tier's layout extras, in extras order.
+    cloud_extras: Tuple[Tuple[str, object], ...]
+    worker_faults: WorkerFaultPlan
+    deadline_s: float
+    retries: int
+
+    @functools.cached_property
+    def streams(self) -> _Streams:
+        """Mean-field synthetic and serving streams, built on first use:
+        after the region workers fork, which would otherwise count their
+        pages in every worker's peak RSS."""
+        by_region: Dict[int, List[CloudCall]] = {}
+        meter: List[Tuple[float, float]] = []
+        meanfield = [spec for spec in self.cells if spec.mode == "meanfield"]
+        if meanfield:
+            from ..edge.meanfield import synthetic_stream
+            slots = max(1, min(64, math.ceil(
+                MAX_SYNTHETIC_CALLS / len(meanfield))))
+            for spec in meanfield:
+                calls, events = synthetic_stream(
+                    self.config, self.scenario, spec.n_devices, spec.index,
+                    spec.device_id_base, self.n_devices, seed=self.seed,
+                    constants=self.constants, slots=slots)
+                for call in calls:
+                    call.region = spec.region
+                by_region.setdefault(spec.region, []).extend(calls)
+                meter.extend(events)
+        serving_calls: List[CloudCall] = []
+        truncated: Tuple[str, ...] = ()
+        if self.serving is not None:
+            from ..serving import generate_serving_calls
+            serving_calls, truncated = generate_serving_calls(
+                self.serving.tenants, self.serving.duration_s, self.seed,
+                self.scenario, n_regions=self.n_regions)
+            for call in serving_calls:
+                by_region.setdefault(call.region, []).append(call)
+        for calls in by_region.values():
+            calls.sort(key=_SORT_KEY)
+        return _Streams(by_region, meter, serving_calls, truncated)
+
+
+def plan_run(config: PlatformConfig, scenario, n_devices: int,
+             seed: int = 0, shards: int = 1,
+             cell_devices: int = DEFAULT_CELL_DEVICES,
+             window_s: Optional[float] = None,
+             constants: PaperConstants = DEFAULT,
+             device_faults: Sequence[Tuple[int, float]] = (),
+             cloud_shards: int = 0,
+             region_devices: int = DEFAULT_REGION_DEVICES,
+             exact_devices: Optional[int] = None,
+             fault_plan=None,
+             worker_faults: Optional[WorkerFaultPlan] = None,
+             worker_deadline_s: Optional[float] = None,
+             worker_retries: Optional[int] = None,
+             serving=None,
+             **runner_kwargs) -> RunPlan:
+    """Validate :func:`run_sharded`'s arguments and plan the run. Pure:
+    starts no worker (the host's core count sets only the grouping)."""
+    if shards < 1:
+        raise ValueError("shards must be at least 1")
+    if cloud_shards < 0:
+        raise ValueError("cloud_shards must be non-negative")
+    if config.execution not in ("cloud_faas", "hybrid"):
+        raise ValueError(
+            "sharded execution requires a cloud-backed platform "
+            f"(got execution={config.execution!r})")
+    serving_cfg = serving  # None, a spec or a prebuilt ServingConfig
+    if serving is None or isinstance(serving, str):
+        from ..serving import ServingConfig
+        spec = resolve("REPRO_SERVING", serving)
+        serving_cfg = ServingConfig.from_spec(spec) if spec else None
+    if worker_faults is None:
+        worker_faults = WorkerFaultPlan()
+    chaos_armed = worker_faults.armed
+    retries = resolve_worker_retries(worker_retries)
+    region_plans: Dict = {}
+    if fault_plan is not None and fault_plan.armed:
+        partitioned = fault_plan.partition(
+            n_devices, cell_devices=cell_devices,
+            region_devices=region_devices)
+        device_faults = (tuple(device_faults)
+                         + tuple(partitioned.device_crash_schedule()))
+        region_plans = partitioned.regions
+    cells = tuple(plan_cells(n_devices, seed=seed, cell_devices=cell_devices,
+                             device_faults=device_faults,
+                             exact_devices=exact_devices,
+                             region_devices=region_devices))
+    exact = [spec for spec in cells if spec.mode == "exact"]
+    shards = min(shards, len(exact))
+    cloud_constants = constants.scaled_for_swarm(n_devices)
+    window = resolve_window(cloud_constants, window_s)
+    from ..experiments.parallel import default_workers
+
+    # Scheduling groups collapse onto min(groups, cores) processes (one
+    # → in-process): more cannot add wall-clock. Armed worker chaos
+    # keeps one process per group, so there is a process to kill.
+    cores = None if chaos_armed else default_workers()
+    workers = max(1, min(shards, cores or shards))
+    cell_groups = tuple(tuple(exact[worker::workers])
+                        for worker in range(workers))
+
+    # The monolithic gateway serves exact cells' calls only: background
+    # load, serving tenants and backend faults arm the regional tier.
+    if exact_devices is not None or serving_cfg is not None or region_plans:
+        cloud_shards = max(cloud_shards, 1)
+    # Regions are contiguous blocks of whole cells (plan_cells checks).
+    regions = [(region, min(region_devices,
+                            n_devices - region * region_devices))
+               for region in range(cells[-1].region + 1)]
+    cloud_workers = 0
+    region_groups: Tuple = ()
+    cloud_extras: Tuple = ()
+    if cloud_shards:
+        cloud_workers = max(1, min(cloud_shards, cores or len(regions)))
+        region_groups = tuple(
+            group for group in (tuple(regions[worker::cloud_workers])
+                                for worker in range(cloud_workers))
+            if group)
+        cloud_extras = (("cloud_regions", len(regions)),
+                        ("cloud_shards", cloud_shards),
+                        ("cloud_shard_workers", cloud_workers))
+        if exact_devices is not None:
+            cloud_extras += (("exact_devices", exact_devices),
+                             ("meanfield_cells", len(cells) - len(exact)))
+    return RunPlan(
+        config=config, scenario=scenario, n_devices=n_devices, seed=seed,
+        constants=constants, cloud_constants=cloud_constants,
+        runner_kwargs=runner_kwargs, cells=cells, window_s=window,
+        shards=shards, cell_groups=cell_groups,
+        region_groups=region_groups, cloud_workers=cloud_workers,
+        n_regions=len(regions), region_plans=region_plans,
+        serving=serving_cfg, cloud_extras=cloud_extras,
+        worker_faults=worker_faults,
+        deadline_s=resolve_worker_deadline(window, worker_deadline_s),
+        retries=retries)
+
+
+def resolve_window(constants: PaperConstants,
+                   window_s: Optional[float] = None) -> float:
+    """Barrier window: ``window_s`` (default :data:`DEFAULT_WINDOW_S`)
+    clamped to the causal minimum."""
+    if window_s is None:
+        window_s = DEFAULT_WINDOW_S
+    elif window_s <= 0:
+        raise ValueError("barrier window must be positive")
+    return max(float(window_s), boundary_lookahead(constants))
+
+
+def _supervise(plan: RunPlan, scope: str, worker_id: int, build,
+               in_process: bool) -> SupervisedConnection:
+    faults = plan.worker_faults
+    return SupervisedConnection(
+        f"{scope}{worker_id}", build, deadline_s=plan.deadline_s,
+        retries=plan.retries, kill_ops=faults.kill_ops(scope, worker_id),
+        worker_side_faults=faults.worker_side(scope, worker_id),
+        in_process=in_process)
+
+
+# -- sync ---------------------------------------------------------------
+
+def _cloud_done(stats: Dict[int, Dict]) -> float:
+    return max((region["last_completion_s"] for region in stats.values()),
+               default=0.0)
+
+
+def sync(plan: RunPlan, cells: Sequence[SupervisedConnection], cloud
+         ) -> Tuple[List[Tuple[int, RunResult, List[CloudCall]]], List,
+                    Dict[int, Dict]]:
+    """The barrier loop: step the cells to each barrier and serve the
+    window's calls in canonical order on ``cloud`` (either tier), until
+    every exact cell has finished; then finish the cloud tier and the
+    cells. Returns what :func:`merge` takes."""
+    from ..experiments.parallel import absorb_worker_counts
+    n_exact = sum(len(group) for group in plan.cell_groups)
+    finished: Dict[int, float] = {}
+    completions: List = []
+    barrier = 0.0
+    while len(finished) < n_exact:
+        barrier += plan.window_s
+        if barrier > MAX_HORIZON_S:
+            raise RuntimeError(
+                f"mission not finished by t={barrier:.0f}s; "
+                "sharded barrier loop aborted")
+        for handle in cells:
+            handle.send("advance", barrier)
+        batch: List[CloudCall] = []
+        for handle in cells:
+            fresh, status = handle.collect()
+            batch.extend(fresh)
+            finished.update(status)
+        batch.sort(key=_SORT_KEY)
+        completions.extend(cloud.serve(batch, barrier))
+    done, stats = cloud.finish()
+    completions.extend(done)
+
+    makespan = max(max(finished.values()), _cloud_done(stats))
+    for handle in cells:
+        handle.send("finish", makespan)
+    results: List[Tuple[int, RunResult, List[CloudCall]]] = []
+    for handle, group in zip(cells, plan.cell_groups):
+        results.extend(handle.collect())
+        # Worker spans are re-homed under the group's first cell index
+        # (the replica-tagging pattern across processes).
+        absorb_worker_counts(handle.counters, replica=group[0].index)
+    results.sort(key=operator.itemgetter(0))
+    return results, completions, stats
+
+
+# -- merge --------------------------------------------------------------
 
 def _merge_latencies(results: List[Tuple[int, RunResult, List[CloudCall]]],
-                     name: str) -> Tuple[MetricSeries, BreakdownAggregate]:
+                     done: Dict[Tuple[int, int], Tuple], name: str
+                     ) -> Tuple[MetricSeries, BreakdownAggregate]:
     """Join edge/cloud task halves and merge all rows in canonical order.
 
-    Canonical row order is ``(start time, cell, within-cell position)``
-    with deferred (cloud-completing) rows positioned after the cell's
-    local rows — a pure function of the cell decomposition, so the
-    merged series is identical at any shard count.
+    ``done`` maps ``(cell, seq)`` to the cloud half ``(done_s,
+    breakdown)``. Canonical row order is ``(start time, cell,
+    within-cell position)`` with deferred (cloud-completing) rows
+    positioned after the cell's local rows — a pure function of the cell
+    decomposition, so the merged series is identical at any shard count.
     """
     rows = []
     for cell, result, calls in results:
@@ -394,11 +696,13 @@ def _merge_latencies(results: List[Tuple[int, RunResult, List[CloudCall]]],
             rows.append((float(times[position]), cell, position,
                          float(values[position]), None))
         for call in calls:
-            if call.start_s is None or call.completion_s is None:
+            cloud_half = done.get((call.cell, call.seq))
+            if call.start_s is None or cloud_half is None:
                 continue  # task never completed (e.g. device died mid-run)
-            latency = max(call.edge_done_s, call.completion_s) - call.start_s
+            done_s, cloud_breakdown = cloud_half
+            latency = max(call.edge_done_s, done_s) - call.start_s
             breakdown = (LatencyBreakdown(**call.edge_breakdown) +
-                         LatencyBreakdown(**call.cloud_breakdown))
+                         LatencyBreakdown(**cloud_breakdown))
             rows.append((call.start_s, cell, 10 ** 9 + call.seq,
                          latency, breakdown))
     rows.sort(key=lambda row: row[:3])
@@ -417,10 +721,16 @@ def _merge_latencies(results: List[Tuple[int, RunResult, List[CloudCall]]],
     return latencies, breakdowns
 
 
-def _aggregate_serving(serving_cfg, serving_calls, completion_map,
+#: Per-region counters summed into extras, in extras order. Each tier
+#: reports the ones it keeps (the monolithic gateway: the first two).
+_SUMMED = ("persisted_documents", "cold_starts", "warm_starts",
+           "duplicate_launches", "background_completions")
+
+
+def _aggregate_serving(serving_cfg, streams: _Streams, done,
                        region_stats) -> Dict[str, object]:
     """Merge per-region serving counters and price the background
-    stream's end-to-end latency from the driver-side call copies.
+    stream's end-to-end latency from the driver's serving calls.
 
     The region workers returned their gate/autoscaler ledgers in
     ``stats()["serving"]``; the driver still holds every serving call
@@ -444,14 +754,13 @@ def _aggregate_serving(serving_cfg, serving_calls, completion_map,
         scale_outs += autoscale.get("scale_outs", 0)
         scale_ins += autoscale.get("scale_ins", 0)
     latencies: List[float] = []
-    for call in serving_calls:
-        done = completion_map.get((call.cell, call.seq))
-        if done is not None:
-            call.completion_s, call.cloud_breakdown = done
-            latencies.append(done[0] - call.arrival_s)
+    for call in streams.serving_calls:
+        cloud_half = done.get((call.cell, call.seq))
+        if cloud_half is not None:
+            latencies.append(cloud_half[0] - call.arrival_s)
     out: Dict[str, object] = {
         "tenants": [tenant.name for tenant in serving_cfg.tenants],
-        "offered_calls": len(serving_calls),
+        "offered_calls": len(streams.serving_calls),
         "served_calls": len(latencies),
         "shed_calls": shed_calls,
         "offered": offered,
@@ -469,22 +778,41 @@ def _aggregate_serving(serving_cfg, serving_calls, completion_map,
                                 ("p999", 99.9)):
             out[f"latency_{label}_s"] = round(
                 float(numpy.percentile(array, quantile)), 6)
+    if streams.truncated:
+        # No silent caps: name the tenants whose streams hit the
+        # per-tenant call ceiling.
+        out["truncated_tenants"] = list(streams.truncated)
     return out
 
 
-def _merge_extras(results, cloud_stats: Dict, makespan: float,
-                  window_s: float, shards: int,
-                  workers: int) -> Tuple[Dict, bool]:
-    """Merge per-cell extras with the cloud tier's counters.
+def merge(plan: RunPlan,
+          results: List[Tuple[int, RunResult, List[CloudCall]]],
+          completions: Sequence[Tuple], stats: Dict[int, Dict]
+          ) -> RunResult:
+    """Join the edge and cloud halves of every call and merge the cells'
+    and the cloud tier's accounting into one :class:`RunResult`.
 
-    ``cloud_stats`` carries the cloud-side keys (``cloud_completions``,
-    ``cloud_makespan_s``, ``persisted_documents``, ``cold_starts``, plus
-    any region/hybrid accounting) from either the monolithic gateway or
-    the summed per-region gateways.
+    Pure. ``results`` are the cells' ``(cell, RunResult, call ledger)``
+    triples in cell order, ``completions`` the cloud tier's ``(cell,
+    seq, done_s, breakdown)`` tuples and ``stats`` its counters by
+    region: the same shapes from either tier.
     """
+    done = {(cell, seq): (done_s, breakdown)
+            for cell, seq, done_s, breakdown in completions}
+    latencies, breakdowns = _merge_latencies(
+        results, done, f"{plan.scenario.key}.{plan.config.name}")
+    streams = plan.streams
+    meter = BandwidthMeter("wireless")
     ordered = [result for _, result, _ in results]
+    for result in ordered:
+        for time, megabytes in result.wireless_meter.events:
+            meter.record(time, megabytes)
+    for time, megabytes in streams.meter:
+        meter.record(time, megabytes)
+
     from ..learning.accuracy import DetectionTally
     tally = DetectionTally()
+    failed: List[str] = []
     for result in ordered:
         cell_tally = result.extras.get("tally")
         if cell_tally is not None:
@@ -492,9 +820,10 @@ def _merge_extras(results, cloud_stats: Dict, makespan: float,
             tally.false_negatives += cell_tally.false_negatives
             tally.false_positives += cell_tally.false_positives
             tally.true_negatives += cell_tally.true_negatives
-    failed: List[str] = []
-    for result in ordered:
         failed.extend(result.extras.get("failed_devices", []))
+    cloud_done = _cloud_done(stats)
+    makespan = max(max(result.extras["makespan_s"] for result in ordered),
+                   cloud_done)
     first = ordered[0].extras
     extras: Dict[str, object] = {
         "makespan_s": makespan,
@@ -504,33 +833,40 @@ def _merge_extras(results, cloud_stats: Dict, makespan: float,
         "tally": tally,
         "failed_devices": failed,
         "cells": len(ordered),
-        "shards": shards,
-        "shard_workers": workers,
-        "window_s": window_s,
+        "shards": plan.shards,
+        "shard_workers": len(plan.cell_groups),
+        "window_s": plan.window_s,
+        "cloud_completions": sum(region["completions"]
+                                 for region in stats.values()),
+        "cloud_makespan_s": cloud_done,
     }
-    extras.update(cloud_stats)
+    for key in _SUMMED:
+        if key in stats[0]:
+            extras[key] = sum(region[key] for region in stats.values())
+    extras.update(plan.cloud_extras)
+    if plan.region_plans:
+        extras["injected_backend_faults"] = sum(
+            region.get("injected_faults", 0) for region in stats.values())
+    if plan.serving is not None:
+        extras["serving"] = _aggregate_serving(plan.serving, streams, done,
+                                               stats)
     if "unique_people" in first:
         extras["unique_people"] = sum(
             r.extras["unique_people"] for r in ordered)
     else:
         extras["items_found"] = sum(
             r.extras["items_found"] for r in ordered)
-    completed = all(r.completed for r in ordered)
-    return extras, completed
+    return RunResult(
+        platform=plan.config.name, workload=plan.scenario.key,
+        task_latencies=latencies, breakdowns=breakdowns,
+        energy_accounts=[account for result in ordered
+                         for account in result.energy_accounts],
+        wireless_meter=meter, duration_s=makespan,
+        completed=all(result.completed for result in ordered),
+        extras=extras)
 
 
 # -- driver -------------------------------------------------------------
-
-def resolve_window(constants: PaperConstants,
-                   window_s: Optional[float] = None) -> float:
-    """Barrier window: ``window_s`` (default :data:`DEFAULT_WINDOW_S`)
-    clamped to the causal minimum."""
-    if window_s is None:
-        window_s = DEFAULT_WINDOW_S
-    elif window_s <= 0:
-        raise ValueError("barrier window must be positive")
-    return max(float(window_s), boundary_lookahead(constants))
-
 
 def run_sharded(config: PlatformConfig, scenario, n_devices: int,
                 seed: int = 0, shards: int = 1,
@@ -548,430 +884,76 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
                 serving=None,
                 **runner_kwargs) -> RunResult:
     """Run one scenario with the swarm decomposed into cells over
-    ``shards`` worker processes; returns a merged :class:`RunResult`
-    byte-identical at any ``shards`` value.
+    ``shards`` worker processes (:func:`plan_run`, :func:`sync`,
+    :func:`merge`); the result is byte-identical at any ``shards`` and
+    ``cloud_shards``.
 
-    ``cloud_shards >= 1`` additionally decomposes the *cloud* tier into
-    per-region controller slices (:class:`~repro.serverless.region.
-    RegionGateway`) scheduled over up to ``cloud_shards`` worker groups;
-    region membership is a pure function of the cell plan and
-    ``region_devices``, so rows are identical at any
-    ``(shards, cloud_shards)`` combination. ``exact_devices`` arms a
-    hybrid run: cells past the first ``exact_devices`` devices become
-    mean-field aggregates whose cloud load is injected as calibrated
-    synthetic streams (this implies a sharded cloud tier).
-
+    ``cloud_shards >= 1`` serves the cloud tier as per-region slices
+    (:class:`~repro.serverless.region.RegionGateway`) on up to
+    ``cloud_shards`` workers; ``exact_devices`` (hybrid: later cells are
+    mean-field aggregates injecting synthetic cloud load), ``serving``
+    (open-loop tenants: a ``REPRO_SERVING`` spec or a
+    :class:`~repro.serving.ServingConfig`) and a ``fault_plan`` with
+    backend events imply it. ``fault_plan`` device crashes, like
+    ``device_faults`` ((global index, time) pairs), go to their cells.
+    Worker pipes are deadline-guarded (``worker_deadline_s``) and dead
+    or hung workers respawned ``worker_retries`` times, then run
+    in-process, with the same bytes (:mod:`repro.sim.supervisor`);
+    ``worker_faults`` arms :mod:`repro.faults.worker` chaos.
     ``runner_kwargs`` pass through to every cell's
-    :class:`~repro.platforms.scenario_runner.ScenarioRunner` (e.g.
-    ``frame_mb``, ``fps``, ``passes``, ``vector_edge``).
-    ``device_faults`` is a partitioned fault plan's
-    device-crash schedule as (global index, time) pairs — see
-    :meth:`repro.faults.FaultPlan.partition`. Alternatively pass a whole
-    :class:`~repro.faults.FaultPlan` as ``fault_plan`` and the driver
-    partitions it itself: device crashes route to their owning cells and
-    (in cloud-armed runs) backend events arm every
-    :class:`~repro.serverless.region.RegionGateway` via
-    :meth:`~repro.serverless.region.RegionGateway.apply_fault_plan`
-    (monolithic-gateway runs apply only the device-crash slice).
-
-    Worker supervision (:mod:`repro.sim.supervisor`): every worker pipe
-    is deadline-guarded (``worker_deadline_s`` /
-    ``REPRO_WORKER_DEADLINE``, default ``max(60 s, window)``), dead or
-    hung workers are respawned up to ``worker_retries`` times
-    (``REPRO_WORKER_RETRIES``, default 2) with their journal replayed,
-    then degraded to in-process execution — every recovery path yields
-    the same bytes. ``worker_faults`` arms the chaos injector of
-    :mod:`repro.faults.worker` against the real worker processes (None
-    means unarmed); armed runs force one process per scheduling group
-    so there is a real process to kill.
-
-    ``serving`` arms the open-loop background load of
-    :mod:`repro.serving`: a spec string (``REPRO_SERVING`` grammar) or a
-    prebuilt :class:`~repro.serving.ServingConfig`. Serving calls are
-    generated once in the driver from the seed's private serving stream
-    namespace and injected into their regions through the same
-    synthetic-stream machinery as hybrid mean-field load, so armed rows
-    are identical at any ``(shards, cloud_shards)`` grouping; like
-    hybrid runs, serving implies a sharded cloud tier
-    (``cloud_shards >= 1``).
+    :class:`~repro.platforms.scenario_runner.ScenarioRunner`.
     """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if cloud_shards < 0:
-        raise ValueError("cloud_shards must be non-negative")
-    if config.execution not in ("cloud_faas", "hybrid"):
-        raise ValueError(
-            "sharded execution requires a cloud-backed platform "
-            f"(got execution={config.execution!r})")
-    if exact_devices is not None and cloud_shards == 0:
-        # Synthetic background streams are served by the regional tier;
-        # a hybrid run arms it implicitly at one worker group.
-        cloud_shards = 1
-    serving_cfg = None
-    if serving is not None and not isinstance(serving, str):
-        serving_cfg = serving  # a prebuilt ServingConfig
-    else:
-        serving_resolved = resolve("REPRO_SERVING", serving)
-        if serving_resolved:
-            from ..serving import ServingConfig
-            serving_cfg = ServingConfig.from_spec(serving_resolved)
-    if serving_cfg is not None and cloud_shards == 0:
-        # Serving load rides the regional tier (same precedent as
-        # hybrid): arm it implicitly at one worker group.
-        cloud_shards = 1
-    if worker_faults is None:
-        worker_faults = WorkerFaultPlan()
-    chaos_armed = worker_faults.armed
-    retries = resolve_worker_retries(worker_retries)
-    partitioned = None
-    if fault_plan is not None and fault_plan.armed:
-        partitioned = fault_plan.partition(
-            n_devices, cell_devices=cell_devices,
-            region_devices=region_devices)
-        device_faults = (tuple(device_faults)
-                         + tuple(partitioned.device_crash_schedule()))
-    region_plans = partitioned.regions if partitioned is not None else None
-    specs = plan_cells(n_devices, seed=seed, cell_devices=cell_devices,
-                       device_faults=device_faults,
-                       exact_devices=exact_devices,
-                       region_devices=region_devices)
-    exact_specs = [spec for spec in specs if spec.mode == "exact"]
-    meanfield_specs = [spec for spec in specs
-                       if spec.mode == "meanfield"]
-    shards = min(shards, len(exact_specs))
-    global_constants = constants.scaled_for_swarm(n_devices)
-    window = resolve_window(global_constants, window_s)
-    deadline_s = resolve_worker_deadline(window, worker_deadline_s)
-    cloud_armed = cloud_shards >= 1
-    gateway = None
-    cloud_handles: List[SupervisedConnection] = []
-    shard_handles: List[SupervisedConnection] = []
-    handle_of_region: Dict[int, SupervisedConnection] = {}
+    plan = plan_run(
+        config, scenario, n_devices, seed=seed, shards=shards,
+        cell_devices=cell_devices, window_s=window_s, constants=constants,
+        device_faults=device_faults, cloud_shards=cloud_shards,
+        region_devices=region_devices, exact_devices=exact_devices,
+        fault_plan=fault_plan, worker_faults=worker_faults,
+        worker_deadline_s=worker_deadline_s,
+        worker_retries=worker_retries, serving=serving, **runner_kwargs)
     incident_mark = incident_count()
-    from ..experiments.parallel import absorb_worker_counts, default_workers
-
-    def supervise(scope: str, worker_id: int, build,
-                  in_process: bool) -> SupervisedConnection:
-        return SupervisedConnection(
-            f"{scope}{worker_id}", build, deadline_s=deadline_s,
-            retries=retries,
-            kill_ops=worker_faults.kill_ops(scope, worker_id),
-            worker_side_faults=worker_faults.worker_side(scope, worker_id),
-            in_process=in_process)
-
-    if cloud_armed:
-        # One RegionGateway per region of the plan, grouped round-robin
-        # onto min(cloud_shards, cores) worker processes — the grouping
-        # is pure scheduling, the regions are the semantic unit. Armed
-        # worker chaos forces one real process per group even where the
-        # core count would collapse them: the injector needs a live
-        # process to kill, and the bytes don't depend on the grouping.
-        region_counts: Dict[int, int] = {}
-        for spec in specs:
-            region_counts[spec.region] = (
-                region_counts.get(spec.region, 0) + spec.n_devices)
-        region_ids = sorted(region_counts)
-        n_regions = region_ids[-1] + 1
-        if chaos_armed:
-            cloud_workers = max(1, min(cloud_shards, len(region_ids)))
-        else:
-            cloud_workers = max(1, min(cloud_shards, default_workers()))
-        cloud_groups: List[List[Tuple[int, int]]] = [
-            [] for _ in range(cloud_workers)]
-        for position, region in enumerate(region_ids):
-            cloud_groups[position % cloud_workers].append(
-                (region, region_counts[region]))
-        cloud_groups = [group for group in cloud_groups if group]
-        cloud_handles = [
-            supervise("cloud", worker_id,
-                      functools.partial(
-                          _Regions, group, config, scenario,
-                          global_constants, n_devices, seed, n_regions,
-                          region_plans, serving_cfg),
-                      in_process=(cloud_workers == 1 and not chaos_armed))
-            for worker_id, group in enumerate(cloud_groups)]
-        for handle, group in zip(cloud_handles, cloud_groups):
-            for region, _ in group:
-                handle_of_region[region] = handle
-    else:
-        cloud_workers = 0
-        gateway = CloudGateway(config, scenario, global_constants,
-                               n_devices=n_devices, seed=seed)
-
+    cells: List[SupervisedConnection] = []
+    regions: List[SupervisedConnection] = []
     try:
-        # Mean-field cells (hybrid): pre-price each aggregate cell's
-        # cloud load as a synthetic stream, fed into its owning region
-        # alongside the exact cells' calls in canonical order.
-        synthetic_by_region: Dict[int, List[CloudCall]] = {}
-        synthetic_cursor: Dict[int, int] = {}
-        synthetic_meter: List[Tuple[float, float]] = []
-        if meanfield_specs:
-            from ..edge.meanfield import synthetic_stream
-            slots = max(1, min(64, math.ceil(
-                MAX_SYNTHETIC_CALLS / len(meanfield_specs))))
-            for spec in meanfield_specs:
-                calls, events = synthetic_stream(
-                    config, scenario, spec.n_devices, spec.index,
-                    spec.device_id_base, n_devices, seed=seed,
-                    constants=constants, slots=slots)
-                for call in calls:
-                    call.region = spec.region
-                synthetic_by_region.setdefault(
-                    spec.region, []).extend(calls)
-                synthetic_meter.extend(events)
-
-        # Open-loop serving load: generated once here in the driver (a
-        # pure function of seed + spec, never of worker grouping) and
-        # injected through the same synthetic-stream machinery as the
-        # mean-field background.
-        serving_calls: List[CloudCall] = []
-        serving_truncated: Tuple[str, ...] = ()
-        if serving_cfg is not None:
-            from ..serving import generate_serving_calls
-            serving_calls, serving_truncated = generate_serving_calls(
-                serving_cfg.tenants, serving_cfg.duration_s, seed,
-                scenario, n_regions=n_regions)
-            for call in serving_calls:
-                synthetic_by_region.setdefault(
-                    call.region, []).append(call)
-
-        for region, calls in synthetic_by_region.items():
-            calls.sort(key=lambda call: call.sort_key)
-            synthetic_cursor[region] = 0
-
-        def take_synthetic(region: int, until: float) -> List[CloudCall]:
-            pending = synthetic_by_region.get(region)
-            if not pending:
-                return []
-            start = synthetic_cursor[region]
-            stop = start
-            while stop < len(pending) and pending[stop].arrival_s <= until:
-                stop += 1
-            synthetic_cursor[region] = stop
-            return pending[start:stop]
-
-        def serve_regions(batch: List[CloudCall], until: float) -> List:
-            """Route one canonical-order window to the owning regions."""
-            by_region: Dict[int, List[CloudCall]] = {}
-            for call in batch:
-                by_region.setdefault(call.region, []).append(call)
-            for region in list(synthetic_by_region):
-                fresh = take_synthetic(region, until)
-                if fresh:
-                    merged = by_region.setdefault(region, [])
-                    merged.extend(fresh)
-                    merged.sort(key=lambda call: call.sort_key)
-            grouped_by_handle: Dict[int, List] = {}
-            for region, calls in sorted(by_region.items()):
-                handle = handle_of_region[region]
-                grouped_by_handle.setdefault(id(handle), []).append(
-                    (region, calls))
-            involved = [handle for handle in cloud_handles
-                        if id(handle) in grouped_by_handle]
-            for handle in involved:
-                handle.send("serve", grouped_by_handle[id(handle)])
-            completions = []
-            for handle in involved:
-                completions.extend(handle.collect())
-            return completions
-
-        # Worker processes are capped by the cgroup-aware core count: on
-        # a quota-limited container extra processes cannot add
-        # wall-clock and only pay fork + pickle overhead, so shard
-        # *scheduling groups* collapse onto min(shards, cores) processes
-        # (one → in-process). Results are unaffected — cells are the
-        # semantic unit and simulate identically wherever they are
-        # scheduled. Armed worker chaos overrides the collapse (the
-        # injector needs real processes to kill or hang).
-        if chaos_armed:
-            workers = max(1, shards)
+        if plan.region_groups:
+            cloud = _RegionTier(plan, regions)
         else:
-            workers = max(1, min(shards, default_workers()))
-        groups: List[List[CellSpec]] = [[] for _ in range(workers)]
-        for position, spec in enumerate(exact_specs):
-            groups[position % workers].append(spec)
-        shard_handles.extend(
-            supervise("shard", worker_id,
-                      functools.partial(_Cells, config, scenario, group,
-                                        constants, n_devices,
-                                        runner_kwargs),
-                      in_process=(workers == 1 and not chaos_armed))
-            for worker_id, group in enumerate(groups))
+            # In the driver, outside worker supervision: worker chaos
+            # never forks it.
+            cloud = CloudGateway(plan.config, plan.scenario,
+                                 plan.cloud_constants,
+                                 n_devices=plan.n_devices, seed=plan.seed)
+        in_process = (len(plan.cell_groups) == 1
+                      and not plan.worker_faults.armed)
+        for worker_id, group in enumerate(plan.cell_groups):
+            cells.append(_supervise(
+                plan, "shard", worker_id,
+                functools.partial(_Cells, plan.config, plan.scenario,
+                                  list(group), plan.constants,
+                                  plan.n_devices, plan.runner_kwargs),
+                in_process))
 
-        # Barrier loop: cells to t, exchange, cloud to t.
-        finished: Dict[int, float] = {}
-        fed_calls: List[CloudCall] = []
-        cloud_completions: List = []
-        barrier = 0.0
-        while len(finished) < len(exact_specs):
-            barrier += window
-            if barrier > MAX_HORIZON_S:
-                raise RuntimeError(
-                    f"mission not finished by t={barrier:.0f}s; "
-                    "sharded barrier loop aborted")
-            for handle in shard_handles:
-                handle.send("advance", barrier)
-            batch: List[CloudCall] = []
-            for handle in shard_handles:
-                fresh, status = handle.collect()
-                batch.extend(fresh)
-                finished.update(status)
-            batch.sort(key=lambda call: call.sort_key)
-            fed_calls.extend(batch)
-            if cloud_armed:
-                cloud_completions.extend(serve_regions(batch, barrier))
-            else:
-                gateway.feed(batch)
-                gateway.advance_to(barrier)
-
-        if cloud_armed:
-            # Flush synthetic background arrivals past the last barrier
-            # (the mean-field fleet's mission can outlast the exact
-            # focus), then collect every region's counters.
-            cloud_completions.extend(serve_regions([], MAX_HORIZON_S))
-            region_stats: Dict[int, Dict] = {}
-            for handle, group in zip(cloud_handles, cloud_groups):
-                region_stats.update(handle.request("finish", None))
-                absorb_worker_counts(handle.counters, replica=group[0][0])
-            cloud_done = max(
-                (stats["last_completion_s"]
-                 for stats in region_stats.values()), default=0.0)
-        else:
-            cloud_done = gateway.drain()
-        makespan = max(max(finished.values()), cloud_done)
-
+        results, completions, stats = sync(plan, cells, cloud)
         tracer = obs.active_tracer()
-        for handle in shard_handles:
-            handle.send("finish", makespan)
-        results: List[Tuple[int, RunResult, List[CloudCall]]] = []
-        for handle, group in zip(shard_handles, groups):
-            results.extend(handle.collect())
-            # Worker spans are re-homed under the group's first cell
-            # index (the replica-tagging pattern across processes).
-            absorb_worker_counts(handle.counters, replica=group[0].index)
-        results.sort(key=lambda item: item[0])
-
-        if serving_cfg is not None and tracer is not None:
+        if plan.serving is not None and tracer is not None:
             # Elasticity reactions (shed instants, scale decisions) on
             # the same timeline as the call pipeline spans.
             from ..serving import emit_serving_spans
-            for region in sorted(region_stats):
-                per_region = region_stats[region].get("serving")
+            for region in sorted(stats):
+                per_region = stats[region].get("serving")
                 if per_region:
                     emit_serving_spans(tracer, per_region,
                                        f"region{region}", replica=region)
-
-        # Worker-side call copies carry the edge half; the cloud tier
-        # finalized the cloud half elsewhere. Join them by (cell, seq):
-        # region workers return completion tuples, the monolithic
-        # gateway finalized the driver's copies in place (a no-op for
-        # in-process shards, where both are the same object).
-        if cloud_armed:
-            completion_map = {(cell, seq): (done_s, breakdown)
-                              for cell, seq, done_s, breakdown
-                              in cloud_completions}
-            for call in fed_calls:
-                done = completion_map.get((call.cell, call.seq))
-                if done is not None:
-                    call.completion_s, call.cloud_breakdown = done
-            for _, _, calls in results:
-                for call in calls:
-                    done = completion_map.get((call.cell, call.seq))
-                    if done is not None:
-                        call.completion_s, call.cloud_breakdown = done
-        else:
-            cloud_half = {(call.cell, call.seq): call
-                          for call in fed_calls}
-            for _, _, calls in results:
-                for call in calls:
-                    done = cloud_half.get((call.cell, call.seq))
-                    if done is not None and done is not call:
-                        call.completion_s = done.completion_s
-                        call.cloud_breakdown = done.cloud_breakdown
-
-        name = f"{scenario.key}.{config.name}"
-        latencies, breakdowns = _merge_latencies(results, name)
-        meter = BandwidthMeter("wireless")
-        for _, result, _ in results:
-            for time, megabytes in result.wireless_meter.events:
-                meter.record(time, megabytes)
-        for time, megabytes in synthetic_meter:
-            meter.record(time, megabytes)
-        energy = [account for _, result, _ in results
-                  for account in result.energy_accounts]
-        if cloud_armed:
-            cloud_stats = {
-                "cloud_completions": sum(
-                    stats["completions"]
-                    for stats in region_stats.values()),
-                "cloud_makespan_s": cloud_done,
-                "persisted_documents": sum(
-                    stats["persisted_documents"]
-                    for stats in region_stats.values()),
-                "cold_starts": sum(
-                    stats["cold_starts"]
-                    for stats in region_stats.values()),
-                "warm_starts": sum(
-                    stats["warm_starts"]
-                    for stats in region_stats.values()),
-                "duplicate_launches": sum(
-                    stats["duplicate_launches"]
-                    for stats in region_stats.values()),
-                "background_completions": sum(
-                    stats["background_completions"]
-                    for stats in region_stats.values()),
-                "cloud_regions": len(region_stats),
-                "cloud_shards": cloud_shards,
-                "cloud_shard_workers": cloud_workers,
-            }
-            if exact_devices is not None:
-                cloud_stats["exact_devices"] = exact_devices
-                cloud_stats["meanfield_cells"] = len(meanfield_specs)
-            if partitioned is not None and partitioned.regions:
-                cloud_stats["injected_backend_faults"] = sum(
-                    stats.get("injected_faults", 0)
-                    for stats in region_stats.values())
-            if serving_cfg is not None:
-                cloud_stats["serving"] = _aggregate_serving(
-                    serving_cfg, serving_calls, completion_map,
-                    region_stats)
-                if serving_truncated:
-                    # No silent caps: name the tenants whose streams hit
-                    # the per-tenant call ceiling.
-                    cloud_stats["serving"]["truncated_tenants"] = list(
-                        serving_truncated)
-        else:
-            cloud_stats = {
-                "cloud_completions": gateway.completions,
-                "cloud_makespan_s": gateway.last_completion_s,
-                "persisted_documents": gateway.persisted_documents,
-                "cold_starts": gateway.cold_starts,
-            }
-        extras, completed = _merge_extras(results, cloud_stats, makespan,
-                                          window, shards, workers)
+        result = merge(plan, results, completions, stats)
         incidents = incidents_since(incident_mark)
         if incidents:
-            # Supervision accounting rides only on disturbed runs, so
-            # unarmed extras stay exactly as before.
-            extras["worker_incidents"] = [incident.to_dict()
-                                          for incident in incidents]
-            extras["worker_recoveries"] = len(incidents)
-        return RunResult(
-            platform=config.name,
-            workload=scenario.key,
-            task_latencies=latencies,
-            breakdowns=breakdowns,
-            energy_accounts=energy,
-            wireless_meter=meter,
-            duration_s=makespan,
-            completed=completed,
-            extras=extras,
-        )
+            # Supervision accounting rides only on disturbed runs.
+            result.extras["worker_incidents"] = [
+                incident.to_dict() for incident in incidents]
+            result.extras["worker_recoveries"] = len(incidents)
+        return result
     finally:
-        # Every exit path — normal return, invariant violation, chaos
-        # gone wrong — closes pipes and reaps workers (join → terminate
-        # → kill escalation lives in SupervisedConnection.close).
-        for handle in shard_handles:
-            handle.close()
-        for handle in cloud_handles:
+        # Every exit path closes pipes and reaps workers (join →
+        # terminate → kill lives in SupervisedConnection.close).
+        for handle in cells + regions:
             handle.close()

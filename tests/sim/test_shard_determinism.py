@@ -139,7 +139,7 @@ class TestHybridDeterminism:
                              recognition_s=0.1, dedup_s=None, input_mb=1.0,
                              output_mb=0.1, synthetic=True, tenant=tenant)
             with pytest.raises(RuntimeError, match="synthetic"):
-                gateway.feed([call])
+                gateway.serve([call], 1.0)
 
     def test_hybrid_needs_positive_exact_devices(self):
         with pytest.raises(ValueError):
