@@ -7,20 +7,11 @@ reports, and asserts the expected *shape* (who wins, rough factors, where
 crossovers fall — not absolute numbers, which belonged to the authors'
 physical testbed).
 
-Each run also appends a per-figure timing record (wall seconds, kernel
-events dispatched, events/second) to ``BENCH_kernel.json`` at the repo
-root, building the kernel's performance trajectory run over run.
-
 Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
 tables inline.
 """
 
-import time
-
 import pytest
-
-from repro.experiments import parallel
-from repro.experiments.bench import record_bench
 
 
 @pytest.fixture
@@ -28,13 +19,8 @@ def run_figure(benchmark):
     """Run a figure harness once under the benchmark timer and print it."""
 
     def runner(fn, **kwargs):
-        events_before = parallel.total_events_consumed()
-        start = time.perf_counter()
         result = benchmark.pedantic(
             lambda: fn(**kwargs), rounds=1, iterations=1)
-        wall_s = time.perf_counter() - start
-        sim_events = parallel.total_events_consumed() - events_before
-        record_bench(f"figure:{result.figure}", wall_s, sim_events)
         print()
         print(result.render())
         return result

@@ -2,29 +2,25 @@
 
 A drone flies a waypoint route at constant speed, captures one
 :class:`~repro.edge.sensors.FrameBatch` per second while airborne, and
-samples its telemetry sensors. The batch callback is how the platform layer
-decides what happens to the data (upload to the cloud, process on-board, or
-HiveMind's hybrid split) without the drone knowing about platforms.
+samples its telemetry sensors. The flight runs on
+:meth:`repro.edge.engine.SwarmEngine.fly_route`; its batch callback is how
+the platform layer decides what happens to the data (upload to the cloud,
+process on-board, or HiveMind's hybrid split) without the drone knowing
+about platforms.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..config import DroneConstants
 from ..sim import Environment
-from ..sim.accounting import tally
 from .device import EdgeDevice
-from .field import FieldWorld
-from .sensors import Camera, FrameBatch, SensorSuite
+from .sensors import Camera, SensorSuite
 
 __all__ = ["Drone"]
-
-Point = Tuple[float, float]
-BatchCallback = Callable[[FrameBatch], None]
 
 
 class Drone(EdgeDevice):
@@ -56,70 +52,3 @@ class Drone(EdgeDevice):
             fov_width_m=constants.fov_width_m,
             fov_depth_m=constants.fov_depth_m)
         self.sensors = SensorSuite(rng) if rng is not None else None
-
-    def fly_route(self, waypoints: List[Point], world: FieldWorld,
-                  on_batch: Optional[BatchCallback] = None,
-                  capture: bool = True) -> Generator:
-        """Process: fly the route, capturing one frame batch per second.
-
-        Returns the number of batches captured. Stops immediately if the
-        drone fails mid-flight.
-        """
-        if not waypoints:
-            return 0
-        batches = 0
-        self.position = waypoints[0]
-        for target in waypoints[1:]:
-            if not self.alive:
-                break
-            batches += yield from self._fly_leg(
-                target, world, on_batch, capture)
-            # Turn penalty between legs.
-            if self.alive and self.constants.turn_time_s > 0:
-                tally("edge", 1)
-                yield self.env.timeout(self.constants.turn_time_s)
-                self.account_motion(self.constants.turn_time_s)
-                # Keep the world clock current across the turn so the
-                # first capture of the next leg doesn't see a stale field.
-                world.advance(self.env.now)
-        return batches
-
-    def _fly_leg(self, target: Point, world: FieldWorld,
-                 on_batch: Optional[BatchCallback],
-                 capture: bool) -> Generator:
-        """Fly one straight leg in 1-second ticks, capturing per tick."""
-        batches = 0
-        while self.alive:
-            dx = target[0] - self.position[0]
-            dy = target[1] - self.position[1]
-            # sqrt-of-squares rather than math.hypot: both are correctly
-            # rounded for these magnitudes, but only this form matches the
-            # vectorized engine's np.sqrt(dx*dx + dy*dy) bit-for-bit.
-            distance = math.sqrt(dx * dx + dy * dy)
-            if distance < 1e-9:
-                break
-            step_s = min(1.0, distance / self.speed_mps)
-            step_m = self.speed_mps * step_s
-            fraction = min(1.0, step_m / distance)
-            self.position = (self.position[0] + fraction * dx,
-                             self.position[1] + fraction * dy)
-            tally("edge", 1)
-            yield self.env.timeout(step_s)
-            self.account_motion(step_s)
-            world.advance(self.env.now)
-            if capture and step_s >= 0.5:
-                batch = self.camera.capture_batch(
-                    self.device_id, world, self.position, self.env.now,
-                    duration_s=step_s)
-                batches += 1
-                if on_batch is not None:
-                    on_batch(batch)
-        return batches
-
-    def hover(self, seconds: float) -> Generator:
-        """Process: hold position (still burns motion power)."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        tally("edge", 1)
-        yield self.env.timeout(seconds)
-        self.account_motion(seconds)

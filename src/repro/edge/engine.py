@@ -1,57 +1,54 @@
 """Vectorized swarm stepping: array-backed flight state, batched ticks.
 
-The legacy flight model (:meth:`~repro.edge.drone.Drone.fly_route`) runs one
-generator process per drone and pushes one kernel event through the heap per
-drone per simulated second. At fig17 scale (hundreds to thousands of drones,
-all released at t=0 and therefore tick-synchronized) that is O(N) events per
-instant carrying O(1) of actual work each.
+The flight model is 1-second ticks along straight legs with a turn
+penalty between legs. Run as one generator process per drone, it pushes
+one kernel event through the heap per drone per simulated second; at
+fig17 scale (hundreds to thousands of drones, all released at t=0 and
+therefore tick-synchronized) that is O(N) events per instant carrying
+O(1) of actual work each.
 
-:class:`SwarmEngine` replaces those processes with a single action heap:
+:class:`SwarmEngine` runs the same model off a single action heap:
 
 - Device kinematics (position, leg target, speed) live in numpy arrays
   indexed by flight slot; each engine *wake* advances every device due at
   that instant with one batch of array ops.
 - One kernel event is armed per **distinct** due instant, not per device:
-  a synchronized 256-drone cohort costs one wake where the legacy path
-  costs 256 timeout dispatches.
+  a synchronized 256-drone cohort costs one wake instead of 256 timeout
+  dispatches.
 - Straight legs flown without capture are integrated **analytically**: the
   whole leg becomes a single event at its final tick boundary, with the
   per-tick position/energy arithmetic replayed at settlement so the energy
-  ledger stays bit-identical to the tick-by-tick path.
+  ledger is bit-identical to ticking it.
 - Heartbeats are absorbed into the same action heap (one wake per beat
   instant for the whole swarm) and emit the same :class:`Heartbeat`
-  objects to the same sinks/bus.
+  objects to the same sinks/bus as ``Swarm.start_heartbeats``.
 - The engine itself draws no randomness — drone jitter lognormals are
   drawn by the per-device ``runner.drone{i}`` streams, which the platform
   runners serve from draw-ahead buffers (:meth:`~repro.sim.rng.
   RandomStreams.buffered`), so engine wakes never touch a Generator.
 
-Determinism contract (PR 1's, extended): at fixed seeds a run through the
-engine produces byte-identical figure rows to the legacy per-device
-processes. The engine guarantees this by
+Determinism contract: at fixed seeds a flight matches the digests pinned
+from the retired per-tick path (``tests/edge/test_engine_parity.py``):
+positions, timings, batch counts, energy ledgers and full scenario rows.
+The engine holds them by
 
-1. replaying the exact scalar arithmetic of the legacy tick loop — numpy's
+1. replaying the exact scalar arithmetic of the tick loop — numpy's
    elementwise ``+ - * / sqrt minimum`` on float64 are the same correctly
    rounded IEEE-754 operations as Python's scalar float math, so the
-   vector and scalar paths produce identical bits (the legacy leg distance
-   switched from ``math.hypot`` to ``sqrt(dx*dx + dy*dy)`` for the same
-   reason);
+   vector and scalar cohort paths produce identical bits (leg distances
+   are ``sqrt(dx*dx + dy*dy)``, not ``math.hypot``, for the same reason);
 2. assigning every armed action a monotone sequence number at arm time —
    the engine-internal mirror of the kernel's event id — and dispatching
-   same-instant actions in sequence order, which reproduces the legacy
+   same-instant actions in sequence order, which reproduces per-process
    creation-order semantics (beats re-armed before ticks keep firing
    before ticks, a turn armed before a tick keeps preceding it, ...);
-3. arming each kernel wake with the same *delay* float the legacy code
-   passed to ``timeout()``, so wake instants are the exact same doubles
-   as the legacy arrival instants;
+3. arming each kernel wake with the same *delay* float a per-device
+   ``timeout()`` would take, so wake instants are the exact same doubles
+   as per-device arrival instants;
 4. keeping every observable side effect — ``account_motion`` draws,
    ``world.advance`` calls, ``capture_batch``/``on_batch`` invocations,
    shared-RNG draw order, resource request order — in the same per-device
-   order as the legacy dispatch sequence.
-
-The kill switch: ``ScenarioRunner(..., vector_edge=False)``,
-``REPRO_VECTOR_EDGE=0`` in the environment, or ``--no-vector-edge`` on the
-experiments CLI all fall back to the legacy per-device processes.
+   order as a per-process dispatch sequence.
 """
 
 from __future__ import annotations
@@ -86,7 +83,7 @@ _TICK, _TURN, _BEAT, _SETTLE = 0, 1, 2, 3
 #: scalar loop (identical IEEE-754 results, less fixed overhead).
 _VECTOR_MIN = 8
 
-#: Same leg-complete threshold as the legacy tick loop.
+#: Distance below which a leg counts as complete.
 _EPS = 1e-9
 
 
@@ -166,12 +163,12 @@ class SwarmEngine:
                   world: FieldWorld,
                   on_batch: Optional[BatchCallback] = None,
                   capture: bool = True):
-        """Fly ``waypoints`` through the engine; replaces
-        ``env.process(drone.fly_route(...))``.
+        """Fly ``waypoints`` through the engine, capturing one batch per
+        1-second tick (when ``capture``) and turning between legs.
 
         Returns an :class:`~repro.sim.Event` that succeeds with the number
-        of batches captured, at the same instant the legacy process would
-        have terminated.
+        of batches captured when the final turn completes, or at the first
+        tick landing after the drone fails.
         """
         event = self.env.event()
         if not waypoints:
@@ -217,8 +214,8 @@ class SwarmEngine:
 
         The wake instant is computed with the same ``now + delay`` float
         expression the kernel uses, so engine actions land on exactly the
-        doubles the legacy per-device timeouts would have landed on — and
-        all actions sharing an instant share one kernel event.
+        doubles per-device timeouts would land on — and all actions
+        sharing an instant share one kernel event.
         """
         time = self.env.now + delay
         heappush(self._actions, (time, next(self._seq), kind, payload, gen))
@@ -262,7 +259,7 @@ class SwarmEngine:
     def _tick_cohort(self, flights: List[_Flight]) -> None:
         """Land the in-flight step of every due flight, then arm the next.
 
-        Phase 1 mirrors the legacy post-``yield`` sequence per device, in
+        Phase 1 runs the per-tick landing sequence per device, in
         arm order: motion accounting, world clock, capture + callback.
         Phase 2 computes every survivor's next step in one batch of array
         ops, then applies results (or leg-boundary handling) per device,
@@ -335,9 +332,8 @@ class SwarmEngine:
 
     def _advance_tick(self, flight: _Flight, step_s: float,
                       new_x: float, new_y: float) -> None:
-        # Position moves at arm time, before the wait — the legacy loop
-        # updates `self.position` and then yields, so a capture at the
-        # landing instant sees the already-moved position.
+        # Position moves at arm time, before the wait, so a capture at
+        # the landing instant sees the already-moved position.
         flight.drone.position = (new_x, new_y)
         self._px[flight.slot] = new_x
         self._py[flight.slot] = new_y
@@ -357,13 +353,13 @@ class SwarmEngine:
         drone = flight.drone
         turn = drone.constants.turn_time_s
         # The turn completes (and is charged) even if the device died
-        # mid-turn — exactly the legacy sequence.
+        # mid-turn.
         drone.account_motion(turn)
         flight.world.advance(self.env.now)
         self._next_leg(flight)
 
     def _next_leg(self, flight: _Flight) -> None:
-        """Enter the next leg, mirroring ``fly_route``'s for-loop body."""
+        """Enter the next leg, or finish the route."""
         drone = flight.drone
         waypoints = flight.waypoints
         while True:
@@ -400,7 +396,7 @@ class SwarmEngine:
         """Integrate a capture-free leg as one event at its final tick.
 
         The per-tick trajectory is replayed *numerically* up front (same
-        floats, same order as the legacy loop) so the arrival instant and
+        floats, same order as ticking it) so the arrival instant and
         final position are bit-identical; the per-tick energy draws are
         replayed at settlement, keeping the ledger's float accumulation
         sequence intact. Restricted to non-strict batteries because the
@@ -442,7 +438,7 @@ class SwarmEngine:
     def _truncate_analytic(self, flight: _Flight) -> None:
         """Device failed mid-leg: cut the analytic leg at the tick boundary.
 
-        Called synchronously from :meth:`EdgeDevice.fail`. The legacy loop
+        Called synchronously from :meth:`EdgeDevice.fail`. A ticked leg
         lets the in-flight tick land (accounting included) before the
         alive check breaks it, so the leg is truncated at the first tick
         arrival at or after the failure instant.
@@ -483,7 +479,7 @@ class SwarmEngine:
     def _do_beat(self, loop: _BeatLoop) -> None:
         device = loop.device
         if not device.alive:
-            return  # legacy `while device.alive` loop exit: beat stops
+            return  # Swarm._beat's `while device.alive` exit: beat stops
         swarm = loop.swarm
         beat = Heartbeat(
             device_id=device.device_id,

@@ -10,7 +10,8 @@ population statistics reproduces the fig17b observables:
 
 ``bandwidth_mbs``
     Every device captures ``B`` batches (the exact tick/turn replay of
-    :meth:`repro.edge.drone.Drone.fly_route`, computed without events);
+    :class:`repro.edge.engine.SwarmEngine`'s tick loop, computed without
+    events);
     cloud-admitted batches upload the (optionally edge-filtered) frame
     payload, runtime-remapped batches push only the result payload. The
     meter average is total MB over ceil(makespan) 1-second windows —
@@ -121,10 +122,10 @@ class FlightProfile:
 def flight_profile(constants: PaperConstants) -> FlightProfile:
     """Replay the representative tile's route in closed form.
 
-    Mirrors :meth:`Drone.fly_route` exactly — 1-second ticks along each
-    leg, a capture per tick whose step is at least half a second, a turn
-    penalty between legs — but walks leg *durations* instead of
-    scheduling kernel events.
+    Mirrors :class:`~repro.edge.engine.SwarmEngine`'s tick loop exactly
+    — 1-second ticks along each leg, a capture per tick whose step is at
+    least half a second, a turn penalty between legs — but walks leg
+    *durations* instead of scheduling kernel events.
     """
     # First tile of partition_field(...), computed without materializing
     # all N regions (a 1M-device swarm would allocate a million tiles
@@ -162,7 +163,7 @@ def flight_profile(constants: PaperConstants) -> FlightProfile:
                 if first is None:
                     first = now
         now += turn_s
-    # fly_route pays the turn penalty after *every* leg, including the
+    # The engine pays the turn penalty after *every* leg, including the
     # last one — the mission ends when the final turn completes.
     n_turns = max(0, len(route) - 1)
     flight_s = moving + n_turns * turn_s

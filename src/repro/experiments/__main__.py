@@ -64,19 +64,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="process-pool size for parallel-aware "
                              "figures (default: one per core)")
-    parser.add_argument("--bench-smoke", action="store_true",
-                        help="run the ~30s perf smoke workload and append "
-                             "its timings to BENCH_kernel.json")
-    parser.add_argument("--bench-fig17", action="store_true",
-                        help="record the fig17 256-drone legacy/vector "
-                             "milestone pair in BENCH_kernel.json")
-    parser.add_argument("--bench-shard", action="store_true",
-                        help="record the fig17b 1024-drone 1-shard/4-shard "
-                             "milestone pair in BENCH_kernel.json")
-    parser.add_argument("--bench-cloudshard", action="store_true",
-                        help="record the fig17b 1024-drone edge-sharded/"
-                             "cloud-sharded milestone pair in "
-                             "BENCH_kernel.json")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top 25 "
                              "functions by cumulative time")
@@ -117,6 +104,9 @@ def main(argv=None) -> int:
         if flag.help:
             _add_flag(knobs, flag)
     args = parser.parse_args(argv)
+    if args.figure not in (None, "all") and args.figure not in EXPERIMENTS:
+        parser.error(f"unknown figure id {args.figure!r} "
+                     f"(see --list for the valid ids)")
 
     if args.trace_out:
         args.trace = True
@@ -128,8 +118,8 @@ def main(argv=None) -> int:
     if args.trace:
         obs.install()
 
-    # --profile composes with every mode below: figures, 'all', and the
-    # bench workloads all run under the same profiler when requested.
+    # --profile composes with every mode below: figures, 'all' and the
+    # chaos sweeps all run under the same profiler when requested.
     profiler = None
     if args.profile:
         profiler = cProfile.Profile()
@@ -151,12 +141,7 @@ def _export_trace(args) -> None:
     spans = tracer.spans if tracer is not None else []
     written = obs.write_trace_files(args.trace_out, spans)
     target = pathlib.Path(args.trace_out)
-    mode = args.figure or \
-        ("chaos" if args.chaos else
-         "bench-smoke" if args.bench_smoke else
-         "bench-fig17" if args.bench_fig17 else
-         "bench-shard" if args.bench_shard else
-         "bench-cloudshard" if args.bench_cloudshard else "?")
+    mode = args.figure or ("chaos" if args.chaos else "?")
     manifest = obs.RunManifest.collect(
         mode, seed=args.seed,
         spans=len(spans), trace_files=[str(p) for p in written])
@@ -216,20 +201,6 @@ def _dispatch_chaos_workers(args) -> int:
     return 0 if identical and recovered else 1
 
 
-def _print_bench(records) -> None:
-    for record in records:
-        rate = record["events_per_s"]
-        line = (f"{record['label']}: {record['wall_s']}s, "
-                f"{record['sim_events']} events "
-                f"({rate if rate is not None else 'n/a'}/s)")
-        layers = record.get("layer_events")
-        if layers:
-            parts = ", ".join(f"{layer}={n}"
-                              for layer, n in layers.items())
-            line += f" [{parts}]"
-        print(line)
-
-
 def _dispatch(args) -> int:
     if args.chaos_workers is not None:
         return _dispatch_chaos_workers(args)
@@ -253,30 +224,6 @@ def _dispatch(args) -> int:
               f"work conservation "
               f"{'holds' if accounted else 'BROKEN'}]")
         return 0 if violations == 0 and accounted else 1
-
-    if args.bench_fig17:
-        from .bench import bench_path, run_fig17_milestone
-        _print_bench(run_fig17_milestone(seed=args.seed))
-        print(f"[milestone pair appended to {bench_path()}]")
-        return 0
-
-    if args.bench_shard:
-        from .bench import bench_path, run_shard_milestone
-        _print_bench(run_shard_milestone(seed=args.seed))
-        print(f"[milestone pair appended to {bench_path()}]")
-        return 0
-
-    if args.bench_cloudshard:
-        from .bench import bench_path, run_cloudshard_milestone
-        _print_bench(run_cloudshard_milestone(seed=args.seed))
-        print(f"[milestone pair appended to {bench_path()}]")
-        return 0
-
-    if args.bench_smoke:
-        from .bench import bench_path, run_smoke
-        _print_bench(run_smoke(max_workers=args.workers))
-        print(f"[trajectory appended to {bench_path()}]")
-        return 0
 
     if args.list or args.figure is None:
         print("Available experiments:")

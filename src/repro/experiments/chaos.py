@@ -239,6 +239,8 @@ def run_workers(base_seed: int = 0,
         raise KeyError(
             f"unknown worker-chaos lane(s) {unknown}; "
             f"valid: {sorted(WORKER_LANES)}")
+    if faults:
+        WorkerFaultPlan.parse(faults)  # reject a bad spec before any run
     skipped = not supervisor.can_spawn_workers()
     records: List[Dict] = []
     if not skipped:

@@ -34,6 +34,7 @@ the chaos-workers harness lane pins exactly that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
@@ -68,8 +69,9 @@ class WorkerFault:
             raise ValueError("worker index must be non-negative")
         if self.op < 1:
             raise ValueError("operation index is 1-based")
-        if self.delay_s < 0:
-            raise ValueError("slow-fault delay must be non-negative")
+        if not (math.isfinite(self.delay_s) and self.delay_s >= 0):
+            raise ValueError(f"slow-fault delay must be finite and "
+                             f"non-negative, got {self.delay_s!r}")
 
     def spec(self) -> str:
         base = f"{self.action}:{self.scope}:{self.worker}:{self.op}"

@@ -2,7 +2,7 @@
 
 Every :class:`~repro.experiments.common.ExperimentResult` (and every
 ``--trace-out`` export) carries a :class:`RunManifest`: the figure id,
-seed, fast-path flags, git revision, wall clock, and the kernel-event /
+seed, runtime flags, git revision, wall clock, and the kernel-event /
 layer accounting — enough to re-run the experiment bit-for-bit and to
 tell two trace files apart six months later. Manifests round-trip
 through JSON (``to_json`` / ``from_json``).
@@ -39,14 +39,13 @@ def git_revision() -> str:
 
 
 def runtime_flags() -> Dict[str, Any]:
-    """The switches in effect right now: ``vector_edge`` and ``trace``
-    always, plus every :data:`~repro.sim.flags.FLAGS` knob whose value
-    differs from its default, so unarmed manifests compare clean and an
-    armed run (sharded, mean-field, serving, ...) says so."""
+    """The switches in effect right now: ``trace`` always, plus every
+    :data:`~repro.sim.flags.FLAGS` knob whose value differs from its
+    default, so unarmed manifests compare clean and an armed run
+    (sharded, mean-field, serving, ...) says so."""
     from . import tracing_enabled
     from ..sim.flags import FLAGS, resolve
-    flags = {"vector_edge": resolve("REPRO_VECTOR_EDGE"),
-             "trace": tracing_enabled()}
+    flags = {"trace": tracing_enabled()}
     for flag in FLAGS.values():
         value = resolve(flag.env)
         if value != flag.default:

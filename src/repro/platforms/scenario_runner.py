@@ -43,7 +43,6 @@ from ..network import EdgeCloudRpc, build_fabric
 from ..routing import Region, coverage_route
 from ..serverless import Invocation, InvocationRequest, OpenWhiskPlatform
 from ..sim import Environment, RandomStreams
-from ..sim.flags import resolve
 from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
 from .. import obs
 from .base import PlatformConfig, RunResult
@@ -77,7 +76,6 @@ class ScenarioRunner:
                  fps: Optional[float] = None,
                  iaas_baseline_devices: int = 16,
                  passes: int = 1,
-                 vector_edge: Optional[bool] = None,
                  cloud_boundary: Optional[object] = None,
                  device_id_base: int = 0,
                  cloud_budget_cores: Optional[float] = None,
@@ -101,10 +99,6 @@ class ScenarioRunner:
         #: Coverage passes over the field (continuous-surveillance runs
         #: use several so online learning has material to learn from).
         self.passes = passes
-        #: Vectorized SwarmEngine for flight + heartbeats (default on;
-        #: REPRO_VECTOR_EDGE=0 or vector_edge=False falls back to the
-        #: legacy per-device tick processes — bit-identical results).
-        self.vector_edge = resolve("REPRO_VECTOR_EDGE", vector_edge)
         #: Sharded-mode cloud boundary (see :mod:`repro.sim.shard`): when
         #: set, this runner simulates one *edge cell* — cloud-bound work
         #: is recorded as timestamped messages on the boundary instead of
@@ -185,7 +179,7 @@ class ScenarioRunner:
         """Build the world and schedule the mission; dispatch no events."""
         env = Environment()
         boundary = self.cloud_boundary
-        engine = SwarmEngine(env) if self.vector_edge else None
+        engine = SwarmEngine(env)
         streams = RandomStreams(self.seed)
         constants = self.constants
         fabric = build_fabric(env, self._fabric_constants(), streams)
@@ -531,12 +525,8 @@ class ScenarioRunner:
                     covered.add((region.x0, region.y0,
                                  region.x1, region.y1))
                     route = coverage_route(region, swath)
-                    if engine is not None:
-                        yield engine.fly_route(
-                            device, route, world, on_batch=on_batch(device))
-                    else:
-                        yield env.process(device.fly_route(
-                            route, world, on_batch=on_batch(device)))
+                    yield engine.fly_route(
+                        device, route, world, on_batch=on_batch(device))
                     if device.energy.depleted:
                         device.fail()
                         completed["all"] = False

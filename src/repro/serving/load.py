@@ -180,6 +180,10 @@ def parse_serving_spec(spec: str) -> Tuple[TenantSpec, ...]:
             raise ValueError(
                 f"unknown arrival kind {kind!r} in {chunk!r} "
                 f"(want one of {', '.join(_KINDS)})")
+        if len(parts) > 4:
+            raise ValueError(
+                f"too many fields in tenant {chunk!r} of serving spec "
+                f"{spec!r} (want kind:rate[:name[:weight]])")
         name = (parts[2] if len(parts) > 2 and parts[2]
                 else f"{kind}{position}")
         try:

@@ -5,9 +5,10 @@ environment, and :func:`resolve` is the only code that reads them. An
 explicit argument always wins over the environment, an empty value
 means the default, and a malformed or out-of-range environment value
 raises ``ValueError`` starting with ``VAR=value:``. The
-``python -m repro.experiments`` options that set a knob and the run
-manifest stamps (:func:`repro.obs.manifest.runtime_flags`) are derived
-from the same table, so a new knob is one new entry here.
+``python -m repro.experiments`` options that set a knob, the run
+manifest stamps (:func:`repro.obs.manifest.runtime_flags`) and the
+README knob table (:func:`knob_table`) are derived from the same table,
+so a new knob is one new entry here.
 
 Defaults keep unarmed runs byte-identical to the seed. The scale-out
 knobs (shards, cloud shards, hybrid focus, mean-field, serving) are off
@@ -24,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-__all__ = ["Flag", "FLAGS", "resolve"]
+__all__ = ["Flag", "FLAGS", "knob_table", "resolve"]
 
 _TYPES = {"switch": bool, "count": int, "duration": float, "text": str}
 
@@ -74,8 +75,6 @@ def _serving_spec(spec: str) -> None:
 
 
 FLAGS: Dict[str, Flag] = {flag.env: flag for flag in (
-    Flag("REPRO_VECTOR_EDGE", "switch", True,
-         help="fall back to the legacy per-device flight processes"),
     Flag("REPRO_TRACE", "switch", False,
          help="arm causal request tracing (pool workers trace too)"),
     Flag("REPRO_SHARDS", "count", 1, minimum=1,
@@ -114,8 +113,30 @@ FLAGS: Dict[str, Flag] = {flag.env: flag for flag in (
     Flag("REPRO_PROFILE_OUT", "text", "", metavar="PATH",
          help="dump per-replica cProfile stats to PATH.r<index> "
               "(parallel-executor safe)"),
-    Flag("REPRO_BENCH_FILE", "text", ""),
 )}
+
+
+def knob_table() -> str:
+    """:data:`FLAGS` as the Markdown table README.md carries: one row per
+    knob with its variable, kind, default and CLI option."""
+    def default(flag: Flag) -> str:
+        if flag.default is None or flag.default == "":
+            return "unset"
+        if flag.kind == "switch":
+            return f"`{int(flag.default)}`"
+        return f"`{flag.default}`"
+
+    def option(flag: Flag) -> str:
+        if not flag.help:
+            return "—"
+        return f"`{flag.option}`" if flag.metavar is None \
+            else f"`{flag.option} {flag.metavar}`"
+
+    rows = ["| Variable | Kind | Default | CLI option |",
+            "|---|---|---|---|"]
+    rows += [f"| `{flag.env}` | {flag.kind} | {default(flag)} | "
+             f"{option(flag)} |" for flag in FLAGS.values()]
+    return "\n".join(rows)
 
 
 def resolve(name: str, override: Any = None) -> Any:

@@ -12,9 +12,12 @@ from repro.edge import (
     RoboticCar,
     SensorSuite,
     Swarm,
+    SwarmEngine,
     build_drone_swarm,
 )
 from repro.sim import Environment, RandomStreams
+
+from .test_engine_parity import digest, flight_evidence
 
 
 @pytest.fixture
@@ -184,52 +187,57 @@ class TestEdgeDevice:
             device.finalize_mission()
 
 
+def fly_drone(env, world, route, kill_at=None):
+    """Fly ``route`` through the SwarmEngine; return (drone, evidence).
+
+    The digests below were recorded from both the engine and the
+    retired per-tick flight process, which agreed on every case.
+    """
+    drone = Drone(env, "drone0", DroneConstants())
+    batches = []
+    if kill_at is not None:
+        def killer():
+            yield env.timeout(kill_at)
+            drone.fail()
+        env.process(killer())
+
+    def run():
+        count = yield SwarmEngine(env).fly_route(
+            drone, route, world, on_batch=batches.append)
+        return count
+
+    count = env.run(env.process(run()))
+    return drone, flight_evidence(env, drone, count, batches, world)
+
+
 class TestDrone:
     def test_fly_route_captures_batches(self, env, rng):
         world = FieldWorld(100, 100, rng)
-        drone = Drone(env, "drone0", DroneConstants())
-        batches = []
-
-        def run():
-            count = yield env.process(drone.fly_route(
-                [(0, 0), (40, 0)], world, on_batch=batches.append))
-            return count
-
-        count = env.run(env.process(run()))
+        drone, evidence = fly_drone(env, world, [(0, 0), (40, 0)])
         # 40 m at 4 m/s = 10 s of flight = 10 one-second batches.
-        assert count == 10
-        assert len(batches) == 10
-        assert all(b.total_mb == 16.0 for b in batches)
+        assert evidence["count"] == 10
+        assert evidence["batch_mb"] == (16.0,) * 10
         assert drone.motion_s >= 10.0
+        assert digest(evidence) == "238c467fe9561bed79dd0003cdabb965"
 
     def test_fly_route_charges_motion_energy(self, env, rng):
         world = FieldWorld(100, 100, rng)
-        drone = Drone(env, "drone0", DroneConstants())
-        env.run(env.process(drone.fly_route([(0, 0), (20, 0)], world)))
+        drone, evidence = fly_drone(env, world, [(0, 0), (20, 0)])
         assert drone.energy.by_category()["motion"] > 0
+        assert digest(evidence) == "1827532a968d3d58b81a32b01ea53a05"
 
     def test_failed_drone_stops_flying(self, env, rng):
         world = FieldWorld(1000, 1000, rng)
-        drone = Drone(env, "drone0", DroneConstants())
-
-        def killer():
-            yield env.timeout(5.0)
-            drone.fail()
-
-        env.process(killer())
-        env.run(env.process(drone.fly_route([(0, 0), (400, 0)], world)))
+        _, evidence = fly_drone(env, world, [(0, 0), (400, 0)],
+                                kill_at=5.0)
         # 400 m would take 100 s; failure at 5 s stops the mission.
         assert env.now < 10.0
+        assert digest(evidence) == "cfaf532176cc0db6550013a4f3f15190"
 
     def test_custom_resolution(self, env, rng):
         drone = Drone(env, "d", DroneConstants(), frame_mb=8.0, fps=32)
         assert drone.camera.frame_mb == 8.0
         assert drone.camera.fps == 32
-
-    def test_hover(self, env):
-        drone = Drone(env, "d", DroneConstants())
-        env.run(env.process(drone.hover(10)))
-        assert drone.motion_s == pytest.approx(10.0)
 
 
 class TestRoboticCar:

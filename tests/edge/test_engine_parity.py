@@ -1,11 +1,16 @@
-"""SwarmEngine parity: vectorized flight must be bit-identical to legacy.
+"""SwarmEngine flight pins: the one flight path, held to recorded digests.
 
-The determinism contract of the vectorized edge layer is byte-for-byte
-equality with the per-device tick processes at fixed seeds. These tests
-drive the same routes (and full scenario runs) through both paths and
-compare positions, timings, batch counts, heartbeat streams, and the
-per-device energy ledgers with exact ``==`` — no tolerances.
+Flight used to have two implementations: the engine and a per-device
+tick process per drone. The two agreed byte-for-byte at fixed seeds
+(positions, timings, batch counts, heartbeat streams, per-device energy
+ledgers, full scenario rows), and the md5 digests recorded from both
+before the tick path was deleted are pinned here as the exactness
+contract. A digest that moves means the engine's flight arithmetic or
+dispatch order changed. Heartbeats still have two live paths (the
+per-device processes and the engine's beat loop), compared directly.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,31 +29,13 @@ def rng():
     return np.random.default_rng(42)
 
 
-def fly_legacy(waypoints, capture=True, kill_at=None, strict=False,
-               world_seed=7):
-    """Fly one route through the legacy tick processes; return evidence."""
-    env = Environment()
-    world = FieldWorld(1000, 1000, np.random.default_rng(world_seed))
-    drone = Drone(env, "d0", DroneConstants(), strict_battery=strict)
-    batches = []
-    if kill_at is not None:
-        def killer():
-            yield env.timeout(kill_at)
-            drone.fail()
-        env.process(killer())
-
-    def run():
-        count = yield env.process(drone.fly_route(
-            waypoints, world, on_batch=batches.append, capture=capture))
-        return count
-
-    count = env.run(env.process(run()))
-    return _evidence(env, drone, count, batches)
+def digest(value) -> str:
+    return hashlib.md5(repr(value).encode()).hexdigest()
 
 
-def fly_engine(waypoints, capture=True, kill_at=None, strict=False,
-               world_seed=7):
-    """Fly the same route through the SwarmEngine; return evidence."""
+def fly(waypoints, capture=True, kill_at=None, strict=False,
+        world_seed=7):
+    """Fly one route through the SwarmEngine; return (evidence, engine)."""
     env = Environment()
     engine = SwarmEngine(env)
     world = FieldWorld(1000, 1000, np.random.default_rng(world_seed))
@@ -67,52 +54,59 @@ def fly_engine(waypoints, capture=True, kill_at=None, strict=False,
         return count
 
     count = env.run(env.process(run()))
-    return _evidence(env, drone, count, batches), engine
+    return flight_evidence(env, drone, count, batches), engine
 
 
-def _evidence(env, drone, count, batches):
-    return {
+def _plain(point):
+    # The engine stores positions as numpy float64; digest the values.
+    return (float(point[0]), float(point[1]))
+
+
+def flight_evidence(env, drone, count, batches, world=None):
+    """Everything a flight leaves behind, as a digestible dict; with
+    ``world``, also the batch sizes and the world clock."""
+    evidence = {
         "finish_time": env.now,
         "count": count,
         "batch_times": tuple(b.time for b in batches),
-        "batch_positions": tuple(b.position for b in batches),
-        "position": drone.position,
+        "batch_positions": tuple(_plain(b.position) for b in batches),
+        "position": _plain(drone.position),
         "motion_s": drone.motion_s,
         "energy": tuple(sorted(drone.energy.by_category().items())),
         "alive": drone.alive,
     }
+    if world is not None:
+        evidence["batch_mb"] = tuple(b.total_mb for b in batches)
+        evidence["world_clock"] = world._clock
+    return evidence
 
 
 class TestRouteParity:
     def test_single_leg(self):
-        route = [(0.0, 0.0), (40.0, 0.0)]
-        engine_run, _ = fly_engine(route)
-        assert fly_legacy(route) == engine_run
+        evidence, _ = fly([(0.0, 0.0), (40.0, 0.0)])
+        assert digest(evidence) == "ef3083710fdab19999c542a5c8378965"
 
     def test_multi_leg_with_turns(self):
-        route = [(0.0, 0.0), (40.0, 0.0), (40.0, 30.0), (3.0, 30.0)]
-        engine_run, _ = fly_engine(route)
-        assert fly_legacy(route) == engine_run
+        evidence, _ = fly(
+            [(0.0, 0.0), (40.0, 0.0), (40.0, 30.0), (3.0, 30.0)])
+        assert digest(evidence) == "d0fefc4226bd4f3e8a41b40a5c8eb552"
 
     def test_diagonal_fractional_legs(self):
         # Leg lengths that do not divide evenly into 1 s ticks.
-        route = [(0.0, 0.0), (11.3, 7.9), (2.2, 19.47)]
-        engine_run, _ = fly_engine(route)
-        assert fly_legacy(route) == engine_run
+        evidence, _ = fly([(0.0, 0.0), (11.3, 7.9), (2.2, 19.47)])
+        assert digest(evidence) == "2e6e8dec670ede1a6ad28325dded45c9"
 
     def test_zero_length_leg(self):
-        route = [(0.0, 0.0), (8.0, 0.0), (8.0, 0.0), (8.0, 12.0)]
-        engine_run, _ = fly_engine(route)
-        assert fly_legacy(route) == engine_run
+        evidence, _ = fly(
+            [(0.0, 0.0), (8.0, 0.0), (8.0, 0.0), (8.0, 12.0)])
+        assert digest(evidence) == "e354fa4060962ada53c9280416249117"
 
     def test_failure_mid_route(self):
-        route = [(0.0, 0.0), (400.0, 0.0)]
-        engine_run, _ = fly_engine(route, kill_at=5.3)
-        legacy = fly_legacy(route, kill_at=5.3)
-        assert legacy == engine_run
-        assert not engine_run["alive"]
+        evidence, _ = fly([(0.0, 0.0), (400.0, 0.0)], kill_at=5.3)
+        assert digest(evidence) == "05ce3cde16e5d54ada919f490fe69246"
+        assert not evidence["alive"]
         # The in-flight tick still lands before the route ends.
-        assert engine_run["finish_time"] == 6.0
+        assert evidence["finish_time"] == 6.0
 
     def test_empty_route(self):
         env = Environment()
@@ -127,52 +121,45 @@ class TestRouteParity:
         assert env.run(env.process(run())) == 0
 
     def test_engine_uses_fewer_kernel_events(self):
-        route = [(0.0, 0.0), (200.0, 0.0), (200.0, 200.0)]
+        # 105 kernel events for this route; the per-tick path took 106.
         before = events_consumed()
-        fly_legacy(route)
-        legacy_events = events_consumed() - before
-        before = events_consumed()
-        fly_engine(route)
-        engine_events = events_consumed() - before
-        assert engine_events < legacy_events
+        fly([(0.0, 0.0), (200.0, 0.0), (200.0, 200.0)])
+        assert events_consumed() - before == 105
 
 
 class TestAnalyticLegs:
     """capture=False legs collapse to one settle event per leg."""
 
     def test_parity_and_single_event(self):
-        route = [(0.0, 0.0), (160.0, 0.0), (160.0, 43.7)]
-        engine_run, engine = fly_engine(route, capture=False)
-        legacy = fly_legacy(route, capture=False)
-        # The world clock advances once per leg instead of per tick, so
-        # drop world-independent evidence only (no captures happened).
-        assert legacy == engine_run
+        evidence, engine = fly(
+            [(0.0, 0.0), (160.0, 0.0), (160.0, 43.7)], capture=False)
+        assert digest(evidence) == "4605dfdc42f4359bbca10876030c8214"
         assert engine.analytic_legs == 2
         # ~52 ticks of flight collapse into a handful of engine wakes.
         assert engine.wakes < 10
 
     def test_capture_leg_not_analytic(self):
-        engine_run, engine = fly_engine([(0.0, 0.0), (40.0, 0.0)])
+        _, engine = fly([(0.0, 0.0), (40.0, 0.0)])
         assert engine.analytic_legs == 0
 
     def test_strict_battery_disables_analytic(self):
-        route = [(0.0, 0.0), (60.0, 0.0)]
-        engine_run, engine = fly_engine(route, capture=False, strict=True)
+        evidence, engine = fly([(0.0, 0.0), (60.0, 0.0)], capture=False,
+                               strict=True)
         assert engine.analytic_legs == 0
-        assert fly_legacy(route, capture=False, strict=True) == engine_run
+        assert digest(evidence) == "b176f967730e6c8ca783cf6c06ebe347"
 
     def test_failure_truncates_analytic_leg(self):
-        route = [(0.0, 0.0), (400.0, 0.0)]
-        engine_run, engine = fly_engine(route, capture=False, kill_at=5.3)
-        legacy = fly_legacy(route, capture=False, kill_at=5.3)
+        evidence, engine = fly([(0.0, 0.0), (400.0, 0.0)], capture=False,
+                               kill_at=5.3)
         assert engine.analytic_legs == 1
-        assert legacy == engine_run
-        assert engine_run["finish_time"] == 6.0
+        assert digest(evidence) == "982bd5d4781a495fc1477ac1ce90f335"
+        assert evidence["finish_time"] == 6.0
 
     def test_failure_at_exact_tick_boundary(self):
-        route = [(0.0, 0.0), (400.0, 0.0)]
-        engine_run, _ = fly_engine(route, capture=False, kill_at=6.0)
-        assert fly_legacy(route, capture=False, kill_at=6.0) == engine_run
+        # Same evidence as a kill at 5.3 s: the tick in flight lands.
+        evidence, _ = fly([(0.0, 0.0), (400.0, 0.0)], capture=False,
+                          kill_at=6.0)
+        assert digest(evidence) == "982bd5d4781a495fc1477ac1ce90f335"
 
 
 class TestHeartbeatParity:
@@ -228,48 +215,31 @@ def _scenario_fingerprint(**kwargs):
 
 
 class TestScenarioParity:
-    """Full-scenario byte parity, including the energy-accounting suite:
-    motion/radio/compute draws plus lazy idle settlement must sum to the
-    same per-device totals under both flight paths."""
+    """Full-scenario digests, including the energy-accounting suite:
+    motion/radio/compute draws plus lazy idle settlement per device."""
 
     def test_hivemind_scenario_a(self):
-        base = dict(config=platform_config("hivemind"),
-                    scenario=SCENARIO_A, seed=0, n_devices=16)
-        legacy = _scenario_fingerprint(vector_edge=False, **base)
-        vector = _scenario_fingerprint(vector_edge=True, **base)
-        assert legacy == vector
-        for per_device in vector["energy"]:
+        fingerprint = _scenario_fingerprint(
+            config=platform_config("hivemind"), scenario=SCENARIO_A,
+            seed=0, n_devices=16)
+        assert digest(fingerprint) == "a0d5c3c8e02278f67d8445f67c9df271"
+        for per_device in fingerprint["energy"]:
             categories = dict(per_device)
             assert categories["motion"] > 0
             assert categories["idle"] > 0
 
     def test_distributed_edge_scenario_a(self):
-        base = dict(config=platform_config("distributed_edge"),
-                    scenario=SCENARIO_A, seed=1, n_devices=8)
-        legacy = _scenario_fingerprint(vector_edge=False, **base)
-        vector = _scenario_fingerprint(vector_edge=True, **base)
-        assert legacy == vector
+        fingerprint = _scenario_fingerprint(
+            config=platform_config("distributed_edge"), scenario=SCENARIO_A,
+            seed=1, n_devices=8)
+        assert digest(fingerprint) == "ae09974d7746d2bc143a806981f4f7b1"
 
     def test_parity_with_injected_failure(self):
-        base = dict(config=platform_config("hivemind"),
-                    scenario=SCENARIO_A, seed=2, n_devices=16,
-                    fail_device_at=(3, 12.0))
-        legacy = _scenario_fingerprint(vector_edge=False, **base)
-        vector = _scenario_fingerprint(vector_edge=True, **base)
-        assert legacy == vector
-        assert vector["failed"]  # the injected failure was detected
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_EDGE", "0")
-        runner = ScenarioRunner(platform_config("hivemind"), SCENARIO_A)
-        assert runner.vector_edge is False
-        monkeypatch.setenv("REPRO_VECTOR_EDGE", "1")
-        runner = ScenarioRunner(platform_config("hivemind"), SCENARIO_A)
-        assert runner.vector_edge is True
-        # Explicit argument wins over the environment.
-        runner = ScenarioRunner(platform_config("hivemind"), SCENARIO_A,
-                                vector_edge=False)
-        assert runner.vector_edge is False
+        fingerprint = _scenario_fingerprint(
+            config=platform_config("hivemind"), scenario=SCENARIO_A,
+            seed=2, n_devices=16, fail_device_at=(3, 12.0))
+        assert digest(fingerprint) == "d73e29949cfd430f81021793ae560350"
+        assert fingerprint["failed"]  # the injected failure was detected
 
 
 class TestSatelliteBugfixes:
@@ -296,10 +266,19 @@ class TestSatelliteBugfixes:
     def test_turn_advances_world_clock(self, rng):
         env = Environment()
         world = FieldWorld(100, 100, rng)
-        drone = Drone(env, "d0", DroneConstants())
+        drone = Drone(env, "drone0", DroneConstants())
         assert drone.constants.turn_time_s > 0
-        env.run(env.process(drone.fly_route(
-            [(0.0, 0.0), (8.0, 0.0), (8.0, 8.0)], world)))
+        batches = []
+
+        def run():
+            count = yield SwarmEngine(env).fly_route(
+                drone, [(0.0, 0.0), (8.0, 0.0), (8.0, 8.0)], world,
+                on_batch=batches.append)
+            return count
+
+        count = env.run(env.process(run()))
         # Without the fix the world clock lags env.now by the turn time
         # whenever a route ends on a turn boundary.
         assert world._clock == env.now
+        evidence = flight_evidence(env, drone, count, batches, world)
+        assert digest(evidence) == "9c7d539be2290c0905dfb3ee84a8c2dc"

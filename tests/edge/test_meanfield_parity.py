@@ -19,7 +19,7 @@ from repro.edge.meanfield import (flight_profile, predict_cell,
 class TestFlightGeometry:
     def test_profile_matches_exact_tick_replay(self):
         profile = flight_profile(DEFAULT.scaled_for_swarm(64))
-        # Frozen against Drone.fly_route on the 27.5 m x 27.5 m tile.
+        # Frozen against the engine's tick loop on the 27.5 m x 27.5 m tile.
         assert profile.flight_s == pytest.approx(56.075)
         assert profile.batches == 39
         assert profile.n_turns == 9

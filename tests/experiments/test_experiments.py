@@ -238,10 +238,13 @@ class TestCli:
         assert main([]) == 0
         assert "Available experiments" in capsys.readouterr().out
 
-    def test_unknown_figure_raises(self):
+    def test_unknown_figure_raises(self, capsys):
         from repro.experiments.__main__ import main
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exit_:
             main(["fig99"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown figure id 'fig99'" in err and "--list" in err
 
     def test_runs_one_figure(self, capsys):
         from repro.experiments.__main__ import main

@@ -51,6 +51,19 @@ class TestSpecGrammar:
         with pytest.raises(ValueError):
             WorkerFaultPlan.parse(bad)
 
+    @pytest.mark.parametrize("delay", ["nan", "inf", "-inf"])
+    def test_non_finite_delay_rejected_everywhere(self, delay):
+        from repro.experiments.__main__ import main
+        spec = f"slow:shard:0:1:{delay}"
+        with pytest.raises(ValueError) as parsed:
+            WorkerFaultPlan.parse(spec)
+        with pytest.raises(ValueError) as built:
+            WorkerFaultPlan().slow("shard", 0, 1, delay_s=float(delay))
+        with pytest.raises(ValueError) as cli:
+            main(["--chaos-workers", spec])
+        assert "finite and non-negative" in str(parsed.value)
+        assert str(parsed.value) == str(built.value) == str(cli.value)
+
     def test_builders_compose_immutably(self):
         base = WorkerFaultPlan()
         plan = base.kill("shard", 0, 2).hang("cloud", 1, 3).slow(

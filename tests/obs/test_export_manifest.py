@@ -98,7 +98,7 @@ class TestManifest:
         assert manifest.seed == 7
         assert manifest.sim_events == 123
         assert manifest.git_rev == git_revision()
-        assert set(manifest.flags) == {"vector_edge", "trace"}
+        assert set(manifest.flags) == {"trace"}
         assert manifest.created  # ISO timestamp, non-empty
         # Timezone-aware UTC, not a naive local time: manifests from
         # different hosts must be comparable.
@@ -114,8 +114,8 @@ class TestManifest:
             monkeypatch.setenv(name, raw)
         # Sub-switches left at their default stay unstamped.
         assert RunManifest.collect("fig17b").flags == {
-            "vector_edge": True, "trace": False, "shards": 2,
-            "cloud_shards": 2, "serving": "1", "meanfield": True}
+            "trace": False, "shards": 2, "cloud_shards": 2,
+            "serving": "1", "meanfield": True}
 
     def test_cli_knobs_reach_the_trace_manifest(self, monkeypatch,
                                                 tmp_path):

@@ -53,6 +53,7 @@ class TestSpecGrammar:
         ("poisson:10:a:nan", "weight must be a positive finite number"),
         ("poisson:abc", "could not convert"),
         ("poisson:0", "rate must be a positive finite number"),
+        ("poisson:200:a:1:junk", "too many fields"),
     ])
     def test_bad_numbers_name_the_tenant_and_spec(self, spec, match):
         with pytest.raises(ValueError, match=match) as error:

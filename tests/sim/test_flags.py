@@ -4,7 +4,7 @@ Every entry of :data:`repro.sim.flags.FLAGS` is driven through the same
 cases: unset and empty give the default, good environment values parse,
 bad ones raise ``ValueError`` starting with ``VAR=value:``, and an
 explicit argument wins over the environment (even a malformed one).
-The last two tests keep the table the only place that reads the
+The last tests keep the table the only place that reads the
 environment and the docs in step with it.
 """
 
@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro.sim.flags import FLAGS, resolve
+from repro.sim.flags import FLAGS, knob_table, resolve
 
 _SWITCH_ON = {"good": [("", True), ("1", True), ("0", False)],
               "bad": ["false", "off", "yes", "2"],
@@ -26,7 +26,6 @@ _SWITCH_OFF = {"good": [("", False), ("1", True), ("0", False)],
 #: values with the error text each must carry, ``override`` (argument,
 #: resolved value), and ``bad_override`` (argument, error text).
 CASES = {
-    "REPRO_VECTOR_EDGE": _SWITCH_ON,
     "REPRO_SERVING_ADMISSION": _SWITCH_ON,
     "REPRO_SERVING_AUTOSCALE": _SWITCH_ON,
     "REPRO_TRACE": _SWITCH_OFF,
@@ -64,15 +63,14 @@ CASES = {
                   "poisson:200,onoff:80:flash:0.5")],
         "bad": [("poisson:abc",
                  "bad tenant 'poisson:abc' in serving spec 'poisson:abc'"),
-                ("weibull:10", "unknown arrival kind 'weibull'")],
+                ("weibull:10", "unknown arrival kind 'weibull'"),
+                ("poisson:200:a:1:junk",
+                 "too many fields in tenant 'poisson:200:a:1:junk'")],
         "override": ("poisson:60", "poisson:60"),
         "bad_override": ("poisson:abc", "bad tenant 'poisson:abc'")},
     "REPRO_PROFILE_OUT": {
         "good": [("", ""), ("profile/smoke", "profile/smoke")],
         "bad": [], "override": ("other", "other")},
-    "REPRO_BENCH_FILE": {
-        "good": [("", ""), ("bench.json", "bench.json")],
-        "bad": [], "override": ("mine.json", "mine.json")},
 }
 
 _SWITCH_ERROR = "expected 0 or 1"
@@ -131,7 +129,7 @@ def test_bad_override_is_rejected_without_the_variable(monkeypatch, name):
 def test_switch_options_follow_their_default():
     options = {flag.env: flag.option for flag in FLAGS.values()
                if flag.help}
-    assert options["REPRO_VECTOR_EDGE"] == "--no-vector-edge"
+    assert options["REPRO_SERVING_ADMISSION"] == "--no-serving-admission"
     assert options["REPRO_SERVING_AUTOSCALE"] == "--no-serving-autoscale"
     assert options["REPRO_MEANFIELD"] == "--meanfield"
     assert options["REPRO_TRACE"] == "--trace"
@@ -159,3 +157,13 @@ def test_documented_knobs_are_table_entries(document):
                            (ROOT / document).read_text()))
     assert named, f"{document} names no knob"
     assert named <= set(FLAGS), sorted(named - set(FLAGS))
+
+
+def test_readme_knob_table_is_rendered_from_the_table():
+    readme = (ROOT / "README.md").read_text()
+    section = re.search(r"<!-- knob-table:start[^>]*-->\n(.*?)\n"
+                        r"<!-- knob-table:end -->", readme, re.S)
+    assert section, "README.md has no knob-table markers"
+    assert section.group(1) == knob_table(), (
+        "README knob table is stale; paste the output of "
+        "repro.sim.flags.knob_table() between the markers")
