@@ -55,7 +55,6 @@ import numpy as np
 from ..analytical import lognormal_percentile, mmc_wait_time
 from ..apps.scenarios import ScenarioSpec
 from ..config import DEFAULT, PaperConstants
-from ..dsl import HiveMindCompiler
 from ..routing import coverage_route
 from ..routing.coverage import Region
 
@@ -92,9 +91,6 @@ _TAIL_SHRINK = 0.92
 _SAMPLES = 8192
 _RNG_SEED = 20220618
 
-#: Mirrors ``repro.platforms.scenario_runner.CLOUD_BUDGET_CORES``
-#: (imported lazily in :func:`_cloud_fraction` to avoid a platform
-#: import cycle at module load).
 _WIRED_OVERHEADS_S = 0.0008 + 0.0025 + 0.0015 + 0.002  # frontend..kafka
 
 
@@ -193,27 +189,14 @@ class MeanFieldCell:
         return (self.bandwidth_mbs, self.task_p99_s, self.makespan_s)
 
 
-def _recognition_tier(config, scenario: ScenarioSpec, n_devices: int,
-                      constants: PaperConstants) -> str:
-    if config.execution == "hybrid":
-        graph, directives = scenario.dsl_graph()
-        compiler = HiveMindCompiler(constants, n_devices=n_devices,
-                                    accelerated=config.net_accel)
-        return compiler.compile(graph, directives).placement.tier_of(
-            "recognition")
-    if config.execution == "edge":
-        return "edge"
-    return "cloud"
-
-
-def _cloud_fraction(config, scenario: ScenarioSpec, n_devices: int,
-                    tier: str) -> float:
-    """Runtime-remapping admission fraction (section 4.2)."""
-    from ..platforms.scenario_runner import CLOUD_BUDGET_CORES
-    if config.execution != "hybrid" or tier != "cloud":
-        return 1.0 if tier == "cloud" else 0.0
-    demand = n_devices * scenario.recognition.cloud_service_s
-    return min(1.0, CLOUD_BUDGET_CORES / demand)
+def _admission(config, scenario: ScenarioSpec, n_devices: int,
+               constants: PaperConstants) -> Tuple[str, float]:
+    """Recognition's tier and the fraction of batches the cloud admits
+    (none when the compiler keeps recognition on board)."""
+    tier = config.tier_of(scenario, "recognition", constants, n_devices)
+    if tier != "cloud":
+        return tier, 0.0
+    return tier, config.cloud_fraction(scenario.recognition, n_devices)
 
 
 def _lognormal_mean(median: float, sigma: float) -> float:
@@ -259,8 +242,7 @@ def predict_cell(platform: Union[str, object],
     profile = flight_profile(cst)
     B = max(1, profile.batches)
 
-    tier = _recognition_tier(config, scenario, n_devices, cst)
-    f_cloud = _cloud_fraction(config, scenario, n_devices, tier)
+    tier, f_cloud = _admission(config, scenario, n_devices, cst)
     f_edge = 1.0 - f_cloud
 
     app = scenario.recognition
@@ -269,9 +251,7 @@ def predict_cell(platform: Union[str, object],
     wl = cst.wireless
 
     # -- payloads --------------------------------------------------------
-    upload_mb = app.input_mb
-    if config.edge_filtering:
-        upload_mb = app.input_mb * app.edge_filter_keep
+    upload_mb = config.upload_mb(app, app.input_mb)
     push_mb = app.output_mb  # runtime-remapped batches push results only
     mb_per_batch = f_cloud * upload_mb + f_edge * push_mb
 
@@ -296,10 +276,7 @@ def predict_cell(platform: Union[str, object],
                      else float("inf"))
     delivered_hz = min(offered_hz, uplink_cap_hz)
 
-    n_controllers = config.n_controllers
-    if config.scheduler == "hivemind":
-        n_controllers = max(n_controllers, math.ceil(n_devices / 64))
-    ctrl_cap_hz = n_controllers / sls.controller_service_s
+    ctrl_cap_hz = config.controllers_for(n_devices) / sls.controller_service_s
     ctrl_backlog = _stage_backlog(delivered_hz, ctrl_cap_hz,
                                   profile.moving_s)
     delivered_hz = min(delivered_hz, ctrl_cap_hz)
@@ -538,14 +515,11 @@ def synthetic_stream(platform: Union[str, object],
     cst = base.scaled_for_swarm(total_devices)
     profile = flight_profile(cst)
     B = max(1, profile.batches)
-    tier = _recognition_tier(config, scenario, total_devices, cst)
-    f_cloud = _cloud_fraction(config, scenario, total_devices, tier)
+    _, f_cloud = _admission(config, scenario, total_devices, cst)
 
     app = scenario.recognition
     dedup = scenario.dedup
-    upload_mb = app.input_mb
-    if config.edge_filtering:
-        upload_mb = app.input_mb * app.edge_filter_keep
+    upload_mb = config.upload_mb(app, app.input_mb)
     total_tasks = n_devices * B
     K = max(1, min(int(slots), total_tasks))
     weight = total_tasks / K

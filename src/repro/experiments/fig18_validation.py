@@ -25,9 +25,9 @@ import numpy as np
 from ..analytical import lognormal_percentile
 from ..apps import AppSpec, all_apps
 from ..config import DEFAULT
-from ..dsl import HiveMindCompiler
 from ..network.rpc import EdgeCloudRpc
-from ..platforms import SingleTierRunner, platform_config
+from ..platforms import PlatformConfig, SingleTierRunner, platform_config
+from ..platforms.runner import EDGE_FILTER_SLOWDOWN
 from .common import ExperimentResult
 
 PLATFORMS = ("centralized_faas", "distributed_edge", "hivemind")
@@ -60,23 +60,18 @@ def _warm_management_s() -> float:
             s.kafka_hop_s + s.warm_start_s)
 
 
-def _hivemind_tier(app: AppSpec) -> str:
-    """Where HiveMind's compiler places the app's processing stage."""
-    graph, directives = app.dsl_graph()
-    compiler = HiveMindCompiler(DEFAULT, n_devices=DEFAULT.drone.count,
-                                accelerated=True)
-    return compiler.compile(graph, directives).placement.tier_of("process")
+def _edge_placed(app: AppSpec, config: PlatformConfig) -> bool:
+    """Whether ``config`` runs the app's processing stage on board (the
+    testbed swarm's placement)."""
+    return config.tier_of(app, "process", DEFAULT,
+                          DEFAULT.drone.count) == "edge"
 
 
-def _accel_ap_mbs() -> float:
-    wireless = DEFAULT.wireless
-    return (wireless.ap_mbps / 8.0 *
-            DEFAULT.accel.mac_efficiency_accel)
-
-
-def _predict_edge(app: AppSpec, accelerated: bool) -> Tuple[float, float]:
+def _predict_edge(app: AppSpec,
+                  config: PlatformConfig) -> Tuple[float, float]:
     """Closed-form (median, p99) for on-board execution."""
     wireless = DEFAULT.wireless
+    accelerated = config.net_accel
     service_median = app.cloud_service_s * app.edge_slowdown
     sigma = math.sqrt(app.service_sigma ** 2 + EDGE_JITTER_SIGMA ** 2)
     marshal_factor = 0.25 if accelerated else 1.0
@@ -86,7 +81,7 @@ def _predict_edge(app: AppSpec, accelerated: bool) -> Tuple[float, float]:
     push_processing = (EdgeCloudRpc.EDGE_PROC_S + cloud_proc +
                        EdgeCloudRpc.PER_MB_MARSHAL_S * marshal_factor *
                        app.output_mb)
-    ap_mbs = _accel_ap_mbs() if accelerated else wireless.ap_mbs
+    ap_mbs = config.fabric_constants(DEFAULT).wireless.ap_mbs
     push_wire = (app.output_mb / ap_mbs +
                  wireless.per_hop_latency_s + wireless.base_rtt_s)
     fixed = push_processing + push_wire
@@ -101,16 +96,14 @@ def _predict(app: AppSpec, platform: str) -> Tuple[float, float]:
     wireless = constants.wireless
     exec_sigma = math.sqrt(app.service_sigma ** 2 +
                            INVOKER_JITTER_SIGMA ** 2)
-    if platform == "distributed_edge":
-        return _predict_edge(app, accelerated=False)
-    if platform == "hivemind" and _hivemind_tier(app) == "edge":
-        return _predict_edge(app, accelerated=True)
-    accelerated = (platform == "hivemind")
-    upload_mb = app.input_mb
+    config = platform_config(platform)
+    if _edge_placed(app, config):
+        return _predict_edge(app, config)
+    accelerated = config.net_accel
+    upload_mb = config.upload_mb(app, app.input_mb)
     filter_median = 0.0
-    if accelerated and app.edge_filter_keep < 1.0:
-        upload_mb = min(app.input_mb * app.edge_filter_keep, 8.0)
-        filter_median = app.edge_filter_service_s * 1.5
+    if config.filters(app):
+        filter_median = app.edge_filter_service_s * EDGE_FILTER_SLOWDOWN
     marshal_factor = 0.25 if accelerated else 1.0
     cloud_proc = (EdgeCloudRpc.CLOUD_PROC_S *
                   (DEFAULT.accel.residual_cpu_fraction if accelerated
@@ -118,7 +111,7 @@ def _predict(app: AppSpec, platform: str) -> Tuple[float, float]:
     push_processing = (EdgeCloudRpc.EDGE_PROC_S + cloud_proc +
                        EdgeCloudRpc.PER_MB_MARSHAL_S * marshal_factor *
                        upload_mb)
-    ap_mbs = _accel_ap_mbs() if accelerated else wireless.ap_mbs
+    ap_mbs = config.fabric_constants(constants).wireless.ap_mbs
     serialization = upload_mb / ap_mbs
     push_wire = (serialization + wireless.per_hop_latency_s +
                  wireless.base_rtt_s)

@@ -52,7 +52,7 @@ from ..config import DEFAULT
 from ..platforms import SingleTierRunner, platform_config
 from .common import ExperimentResult
 from .fig18_validation import (EDGE_JITTER_SIGMA, PLATFORMS, TARGET_RHO,
-                               _hivemind_tier, _predict, _predict_edge,
+                               _edge_placed, _predict, _predict_edge,
                                _validation_rate)
 
 __all__ = ["predict", "run", "validate", "DEFAULT_SIZES"]
@@ -89,13 +89,12 @@ def predict(app: AppSpec, platform: str, n_devices: int,
     rate = rate_hz if rate_hz is not None else _validation_rate(app, platform)
     devices_per_ap = n_devices / wireless.access_points
 
-    edge_tier = (platform == "distributed_edge" or
-                 (platform == "hivemind" and _hivemind_tier(app) == "edge"))
-    accelerated = platform == "hivemind"
+    config = platform_config(platform)
+    edge_tier = _edge_placed(app, config)
 
     # Base fixed-cost model at the validated operating point (N=16 shape).
     if edge_tier:
-        median, p99 = _predict_edge(app, accelerated=accelerated)
+        median, p99 = _predict_edge(app, config)
     else:
         median, p99 = _predict(app, platform)
 
@@ -104,14 +103,9 @@ def predict(app: AppSpec, platform: str, n_devices: int,
         upload_mb = app.output_mb  # results push upstream
         download_mb = 0.0
     else:
-        upload_mb = app.input_mb
-        if accelerated and app.edge_filter_keep < 1.0:
-            upload_mb = min(app.input_mb * app.edge_filter_keep, 8.0)
+        upload_mb = config.upload_mb(app, app.input_mb)
         download_mb = app.output_mb if app.response_to_device else 0.0
-    ap_mbs = wireless.ap_mbs
-    if accelerated:
-        ap_mbs = (wireless.ap_mbps / 8.0 *
-                  constants.accel.mac_efficiency_accel)
+    ap_mbs = config.fabric_constants(constants).wireless.ap_mbs
 
     # Shared-uplink contention (per access point). The fig18 baseline
     # already prices the validation operating point (its calibrated

@@ -13,13 +13,20 @@ The evaluation compares these systems (Figs 1, 11, 13):
 
 Ablation configs (Fig 13) toggle individual mechanisms: "Centr-Net Accel",
 "+Remote Mem", "Distr-Net Accel", "HiveMind-No Accel".
+
+Each mechanism rule has one definition, a method of
+:class:`PlatformConfig`; the runners, the cloud gateways and the
+closed-form models (mean-field, fig18, sweep) all ask it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
+from ..config import PaperConstants
+from ..dsl import HiveMindCompiler
 from ..telemetry import (
     BandwidthMeter,
     BreakdownAggregate,
@@ -28,9 +35,26 @@ from ..telemetry import (
     fleet_consumed_percent,
 )
 
-__all__ = ["PlatformConfig", "RunResult", "PLATFORMS", "platform_config"]
+__all__ = ["PlatformConfig", "RunResult", "PLATFORMS", "platform_config",
+           "CLOUD_BUDGET_CORES", "DEVICES_PER_CONTROLLER",
+           "FILTER_CEILING_MB"]
 
 EXECUTION_MODES = ("cloud_faas", "cloud_iaas", "edge", "hybrid")
+
+#: Devices per shared-state scheduler as HiveMind scales out (section 4.3).
+DEVICES_PER_CONTROLLER = 64
+#: Content bound on HiveMind's filtered upload: the useful content of a
+#: frame batch (detected regions of interest) does not grow with raw
+#: resolution, so the on-board filter ships at most this much per batch.
+FILTER_CEILING_MB = 8.0
+#: HiveMind reserves cloud headroom for performance predictability (cores
+#: are pinned, never shared, and other tenants coexist): when the swarm's
+#: aggregate recognition demand would exceed this many dedicated cores,
+#: the runtime remaps the excess batches to on-board execution — the
+#: task-granularity runtime remapping of section 4.2, and the reason
+#: Fig 17b's bandwidth grows sublinearly ("accommodates more computation
+#: on-board" at scale).
+CLOUD_BUDGET_CORES = 96.0
 
 
 @dataclass(frozen=True)
@@ -61,10 +85,71 @@ class PlatformConfig:
             raise ValueError(f"unknown execution mode {self.execution!r}")
         if self.n_controllers <= 0:
             raise ValueError("need at least one controller")
+        if not self.container_keepalive_s >= 0:
+            raise ValueError("container keep-alive must be non-negative")
 
     @property
     def sharing(self) -> str:
         return "remote_memory" if self.remote_mem else "couchdb"
+
+    @property
+    def cloud_backed(self) -> bool:
+        """True when the platform runs an OpenWhisk cloud."""
+        return self.execution in ("cloud_faas", "hybrid")
+
+    def controllers_for(self, n_devices: int) -> int:
+        """HiveMind spawns shared-state schedulers as the swarm grows
+        (section 4.3); stock OpenWhisk keeps its single controller."""
+        if self.scheduler != "hivemind":
+            return self.n_controllers
+        return max(self.n_controllers,
+                   math.ceil(n_devices / DEVICES_PER_CONTROLLER))
+
+    def fabric_constants(self, constants: PaperConstants) -> PaperConstants:
+        """Wireless goodput improves when the cloud endpoint is offloaded
+        (section 4.5). Workload rates are always derived from the base
+        constants, so every platform sees the identical offered load."""
+        if not self.net_accel:
+            return constants
+        return replace(constants, wireless=replace(
+            constants.wireless,
+            mac_efficiency=constants.accel.mac_efficiency_accel))
+
+    def tier_of(self, workload, stage: str, constants: PaperConstants,
+                n_devices: int, device_kind: str = "drone") -> str:
+        """Where ``stage`` of ``workload`` (anything with ``dsl_graph()``)
+        runs: hybrid platforms ask the HiveMind compiler (section 4.2),
+        the distributed platforms run on the edge, the rest in the
+        cloud."""
+        if self.execution == "hybrid":
+            graph, directives = workload.dsl_graph()
+            compiler = HiveMindCompiler(constants, n_devices=n_devices,
+                                        device_kind=device_kind,
+                                        accelerated=self.net_accel)
+            return compiler.compile(graph, directives).placement.tier_of(
+                stage)
+        return "edge" if self.execution == "edge" else "cloud"
+
+    def filters(self, app) -> bool:
+        """Hybrid platforms filter on board before upload whenever the
+        app's filter discards anything."""
+        return (self.execution == "hybrid" and self.edge_filtering and
+                app.edge_filter_keep < 1.0)
+
+    def upload_mb(self, app, megabytes: float) -> float:
+        """What crosses the air for a ``megabytes`` batch of ``app``."""
+        if not self.filters(app):
+            return megabytes
+        return min(megabytes * app.edge_filter_keep, FILTER_CEILING_MB)
+
+    def cloud_fraction(self, app, n_devices: int,
+                       budget_cores: float = CLOUD_BUDGET_CORES) -> float:
+        """Share of a cloud-placed stage's batches the cloud admits:
+        hybrid platforms remap demand past ``budget_cores`` to on-board
+        execution (section 4.2); the others admit every batch."""
+        if self.execution != "hybrid":
+            return 1.0
+        return min(1.0, budget_cores / (n_devices * app.cloud_service_s))
 
 
 PLATFORMS: Dict[str, PlatformConfig] = {

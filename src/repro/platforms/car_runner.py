@@ -21,19 +21,17 @@ import math
 from typing import Generator, List, Optional
 
 from ..apps import CarScenarioSpec
-from ..cluster import Cluster, FixedPool
+from ..cluster import FixedPool
 from ..config import DEFAULT, PaperConstants
-from ..core import StragglerMitigator
-from ..dsl import HiveMindCompiler
 from ..edge import RoboticCar
-from ..hardware import AcceleratedEdgeRpc, RemoteMemoryFabric
-from ..network import EdgeCloudRpc, build_fabric
+from ..network import build_fabric
 from ..routing import WallFollower, generate_maze
-from ..serverless import InvocationRequest, OpenWhiskPlatform
+from ..serverless import InvocationRequest
 from ..sim import Environment, RandomStreams
 from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
 from .base import PlatformConfig, RunResult
 from .runner import TX_DUTY
+from .stack import build_cloud, build_edge_rpc
 
 __all__ = ["CarScenarioRunner"]
 
@@ -65,70 +63,28 @@ class CarScenarioRunner:
         return (self.constants.car.cloud_to_edge_slowdown /
                 self.constants.drone.cloud_to_edge_slowdown)
 
-    def _n_controllers(self) -> int:
-        if self.config.scheduler != "hivemind":
-            return self.config.n_controllers
-        return max(self.config.n_controllers,
-                   math.ceil(self.n_devices / 64))
-
-    def _fabric_constants(self) -> PaperConstants:
-        """See SingleTierRunner._fabric_constants."""
-        if not self.config.net_accel:
-            return self.constants
-        from dataclasses import replace
-        return replace(self.constants, wireless=replace(
-            self.constants.wireless,
-            mac_efficiency=self.constants.accel.mac_efficiency_accel))
-
     def run(self) -> RunResult:
         env = Environment()
         streams = RandomStreams(self.seed)
         constants = self.constants
-        fabric = build_fabric(env, self._fabric_constants(), streams)
+        config = self.config
+        fabric = build_fabric(env, config.fabric_constants(constants),
+                              streams)
         rng = streams.stream("cars.workload")
         app = self.scenario.perception
 
-        platform = None
-        mitigator = None
+        cloud = None
         pool = None
-        execution = self.config.execution
-        if execution in ("cloud_faas", "hybrid"):
-            cluster = Cluster(env, constants.cluster)
-            remote_memory = (RemoteMemoryFabric(env, constants.accel)
-                             if self.config.remote_mem else None)
-            platform = OpenWhiskPlatform(
-                env, cluster, streams,
-                constants=constants.serverless,
-                scheduler=self.config.scheduler,
-                sharing=self.config.sharing,
-                keepalive_s=self.config.container_keepalive_s,
-                n_controllers=self._n_controllers(),
-                cluster_network=fabric.cluster,
-                remote_memory=remote_memory)
-            if self.config.straggler_mitigation:
-                mitigator = StragglerMitigator(env, platform,
-                                               constants.control)
-        elif execution == "cloud_iaas":
+        if config.cloud_backed:
+            cloud = build_cloud(env, config, constants, streams,
+                                fabric.cluster, self.n_devices)
+        elif config.execution == "cloud_iaas":
             demand = self.n_devices * app.cloud_service_s * 0.5
             pool = FixedPool(env, cores=max(1, math.ceil(demand)))
 
-        if self.config.net_accel:
-            edge_rpc = AcceleratedEdgeRpc(env, fabric.wireless,
-                                          constants.accel)
-        else:
-            edge_rpc = EdgeCloudRpc(env, fabric.wireless)
-
-        if execution == "hybrid":
-            graph, directives = app.dsl_graph()
-            compiler = HiveMindCompiler(constants, n_devices=self.n_devices,
-                                        device_kind="car",
-                                        accelerated=self.config.net_accel)
-            perception_tier = compiler.compile(
-                graph, directives).placement.tier_of("process")
-        elif execution == "edge":
-            perception_tier = "edge"
-        else:
-            perception_tier = "cloud"
+        edge_rpc = build_edge_rpc(env, config, constants, fabric.wireless)
+        perception_tier = config.tier_of(app, "process", constants,
+                                         self.n_devices, device_kind="car")
 
         cars = [
             RoboticCar(env, f"car{i:02d}", constants.car,
@@ -139,13 +95,6 @@ class CarScenarioRunner:
             f"{self.scenario.key}.{self.config.name}")
         breakdowns = BreakdownAggregate()
         job_latencies: List[float] = []
-
-        def invoke_cloud(request: InvocationRequest) -> Generator:
-            if mitigator is not None:
-                result = yield from mitigator.invoke(request)
-            else:
-                result = yield from platform.invoke(request)
-            return result
 
         def perceive(car: RoboticCar, service_s: float, photo_mb: float,
                      chain_interpret: bool) -> Generator:
@@ -165,30 +114,18 @@ class CarScenarioRunner:
                 push = yield from edge_rpc.push(car.device_id, photo_mb)
                 car.account_tx(TX_DUTY * push.total_s)
                 breakdown.charge("network", push.total_s)
-                if platform is not None:
+                if cloud is not None:
                     request = InvocationRequest(
                         spec=app.function_spec(), service_s=service_s,
                         input_mb=photo_mb, output_mb=0.5)
-                    invocation = yield from invoke_cloud(request)
-                    breakdown.charge("management",
-                                     invocation.breakdown.management)
-                    breakdown.charge("data_io",
-                                     invocation.breakdown.data_io)
-                    breakdown.charge("execution",
-                                     invocation.breakdown.execution)
+                    invocation = yield from cloud.invoke(request, breakdown)
                     if chain_interpret:
                         child = InvocationRequest(
                             spec=app.function_spec(),
                             service_s=INTERPRET_SERVICE_S,
                             input_mb=0.5, output_mb=0.02,
                             parent=invocation)
-                        invocation = yield from invoke_cloud(child)
-                        breakdown.charge("management",
-                                         invocation.breakdown.management)
-                        breakdown.charge("data_io",
-                                         invocation.breakdown.data_io)
-                        breakdown.charge("execution",
-                                         invocation.breakdown.execution)
+                        yield from cloud.invoke(child, breakdown)
                 else:
                     wait_s, spent = yield from pool.execute(service_s)
                     breakdown.charge("management", wait_s)

@@ -20,20 +20,17 @@ import math
 from typing import Callable, Dict, Generator, Optional
 
 from ..apps import AppSpec
-from ..cluster import Cluster, FixedPool
+from ..cluster import FixedPool
 from ..config import DEFAULT, PaperConstants
-from ..core import StragglerMitigator
-from ..dsl import HiveMindCompiler
 from ..edge import Drone
 from ..faults import FaultInjector, FaultPlan, InvariantChecker, RecoveryLog
-from ..hardware import AcceleratedEdgeRpc, RemoteMemoryFabric
-from ..network import (EdgeCloudRpc, NetworkPartitioned, ReliableEdgeRpc,
-                       RpcTimeout, build_fabric)
+from ..network import NetworkPartitioned, RpcTimeout, build_fabric
 from .. import obs
-from ..serverless import InvocationRequest, OpenWhiskPlatform
+from ..serverless import InvocationRequest
 from ..sim import Environment, RandomStreams
 from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
 from .base import PlatformConfig, RunResult
+from .stack import build_cloud, build_edge_rpc
 
 __all__ = ["SingleTierRunner"]
 
@@ -48,10 +45,6 @@ EDGE_OUTSTANDING = 3
 #: while queued behind other stations it idles in backoff (CSMA carrier
 #: sense and retries keep it partially active).
 TX_DUTY = 0.35
-#: Content bound on HiveMind's filtered upload: the useful content of a
-#: frame batch (detected regions of interest) does not grow with raw
-#: resolution, so the on-board filter ships at most this much per batch.
-FILTER_CEILING_MB = 8.0
 
 LoadProfile = Callable[[float], float]
 
@@ -81,6 +74,8 @@ class SingleTierRunner:
         self.seed = seed
         self.duration_s = (duration_s if duration_s is not None
                            else constants.job_duration_s)
+        if not self.duration_s > 0:
+            raise ValueError("duration must be positive")
         self.n_devices = (n_devices if n_devices is not None
                           else constants.drone.count)
         if self.n_devices <= 0:
@@ -92,9 +87,12 @@ class SingleTierRunner:
         self.keepalive_s = keepalive_s
         self.intra_task_parallelism = intra_task_parallelism
         self.load_profile = load_profile
+        if any(value is not None and not value > 0
+               for value in (frame_mb, fps)):
+            raise ValueError("fps and frame size must be positive")
         self.frame_mb = frame_mb
         self.fps = fps
-        if iaas_headroom <= 0:
+        if not iaas_headroom > 0:
             raise ValueError("IaaS headroom must be positive")
         #: Reserved-pool sizing relative to mean demand. 1.0 models the
         #: paper's "equal cost" fixed deployment (Fig 5a); the default
@@ -136,30 +134,12 @@ class SingleTierRunner:
                          (self.n_devices * self.input_mb))
         return min(self.app.rate_hz, network_bound)
 
-    def _n_controllers(self) -> int:
-        """HiveMind spawns shared-state schedulers as the swarm grows
-        (section 4.3); stock OpenWhisk keeps its single controller."""
-        if self.config.scheduler != "hivemind":
-            return self.config.n_controllers
-        return max(self.config.n_controllers,
-                   math.ceil(self.n_devices / 64))
-
-    def _fabric_constants(self) -> PaperConstants:
-        """Wireless goodput improves when the cloud endpoint is offloaded
-        (section 4.5); the workload rate is always derived from the base
-        constants so every platform sees the identical offered load."""
-        if not self.config.net_accel:
-            return self.constants
-        from dataclasses import replace
-        return replace(self.constants, wireless=replace(
-            self.constants.wireless,
-            mac_efficiency=self.constants.accel.mac_efficiency_accel))
-
     # -- run ------------------------------------------------------------
     def run(self) -> RunResult:
         env = Environment()
         streams = RandomStreams(self.seed)
-        fabric = build_fabric(env, self._fabric_constants(), streams)
+        fabric = build_fabric(env, self.config.fabric_constants(
+            self.constants), streams)
         latencies = MetricSeries(f"{self.app.key}.{self.config.name}")
         breakdowns = BreakdownAggregate()
         rng = streams.stream("runner.workload")
@@ -175,65 +155,33 @@ class SingleTierRunner:
             recovery_log = RecoveryLog(env)
 
         # Cloud side.
-        cluster = None
+        cloud = None
         platform = None
         mitigator = None
         pool = None
-        remote_memory = None
-        execution = self.config.execution
         rate = self.task_rate_hz()
-        if execution in ("cloud_faas", "hybrid"):
-            cluster = Cluster(env, self.constants.cluster)
-            if self.config.remote_mem:
-                remote_memory = RemoteMemoryFabric(env, self.constants.accel)
-            platform = OpenWhiskPlatform(
-                env, cluster, streams,
-                constants=self.constants.serverless,
-                scheduler=self.config.scheduler,
-                sharing=self.config.sharing,
-                fault_rate=self.fault_rate,
-                keepalive_s=(self.keepalive_s if self.keepalive_s is not None
-                             else self.config.container_keepalive_s),
-                n_controllers=self._n_controllers(),
-                cluster_network=fabric.cluster,
-                remote_memory=remote_memory)
-            if self.config.straggler_mitigation:
-                mitigator = StragglerMitigator(
-                    env, platform, self.constants.control,
-                    harden_races=chaos)
+        if self.config.cloud_backed:
+            cloud = build_cloud(
+                env, self.config, self.constants, streams, fabric.cluster,
+                self.n_devices, fault_rate=self.fault_rate,
+                keepalive_s=self.keepalive_s, harden_races=chaos)
+            platform, mitigator = cloud.platform, cloud.mitigator
             if chaos:
                 platform.recovery_log = recovery_log
                 platform.add_completion_listener(
                     checker.invocation_finished)
-        elif execution == "cloud_iaas":
+        elif self.config.execution == "cloud_iaas":
             demand = self.n_devices * rate * self.app.cloud_service_s
             pool = FixedPool(
                 env, cores=max(1, math.ceil(demand * self.iaas_headroom)),
                 name=f"iaas.{self.app.key}")
 
-        # Edge <-> cloud transport.
-        if self.config.net_accel:
-            edge_rpc = AcceleratedEdgeRpc(env, fabric.wireless,
-                                          self.constants.accel)
-        else:
-            edge_rpc = EdgeCloudRpc(env, fabric.wireless)
-        if chaos:
-            # Retries + backoff across partition windows; exhausted budgets
-            # surface as RpcTimeout so tasks can shed to on-device compute.
-            edge_rpc = ReliableEdgeRpc(env, edge_rpc,
-                                       recovery_log=recovery_log)
-
-        # Hybrid placement: ask the actual compiler where `process` goes.
-        process_tier = "cloud"
-        if execution == "hybrid":
-            graph, directives = self.app.dsl_graph()
-            compiler = HiveMindCompiler(
-                self.constants, n_devices=self.n_devices,
-                accelerated=self.config.net_accel)
-            process_tier = compiler.compile(
-                graph, directives).placement.tier_of("process")
-        elif execution == "edge":
-            process_tier = "edge"
+        # Edge <-> cloud transport; chaos runs retry across partitions,
+        # so tasks can shed to on-device compute once the budget is spent.
+        edge_rpc = build_edge_rpc(env, self.config, self.constants,
+                                  fabric.wireless, recovery_log)
+        process_tier = self.config.tier_of(self.app, "process",
+                                           self.constants, self.n_devices)
 
         # Devices.
         devices = [
@@ -307,27 +255,19 @@ class SingleTierRunner:
             latencies.add(env.now - start, time=start)
             breakdowns.add(breakdown)
 
-        def invoke_cloud(request: InvocationRequest) -> Generator:
-            if mitigator is not None:
-                result = yield from mitigator.invoke(request)
-            else:
-                result = yield from platform.invoke(request)
-            return result
+        filtering = self.config.filters(self.app)
+        upload_mb = self.config.upload_mb(self.app, self.input_mb)
 
         def cloud_task(device: Drone, intrinsic: float,
                        trace=obs.NULL_CONTEXT) -> Generator:
             start = env.now
             breakdown = LatencyBreakdown()
-            upload_mb = self.input_mb
-            if (execution == "hybrid" and self.config.edge_filtering and
-                    self.app.edge_filter_keep < 1.0):
+            if filtering:
                 filter_start = env.now
                 filter_s = yield from device.execute(
                     self.app.edge_filter_service_s,
                     slowdown=EDGE_FILTER_SLOWDOWN)
                 breakdown.charge("execution", filter_s)
-                upload_mb = min(upload_mb * self.app.edge_filter_keep,
-                                FILTER_CEILING_MB)
                 if trace:
                     trace.emit("edge_filter", "edge", filter_start, env.now)
             push_ctx = trace.span("upload", "network", env.now)
@@ -345,7 +285,7 @@ class SingleTierRunner:
             # transfer's wall time, not just its serialization slice.
             device.account_tx(TX_DUTY * push.total_s)
             breakdown.charge("network", push.total_s)
-            if platform is not None:
+            if cloud is not None:
                 request = InvocationRequest(
                     spec=function_spec, service_s=intrinsic,
                     input_mb=upload_mb, output_mb=self.app.output_mb,
@@ -363,13 +303,7 @@ class SingleTierRunner:
                         "execution",
                         max(s.breakdown.execution for s in shards))
                 else:
-                    invocation = yield from invoke_cloud(request)
-                    breakdown.charge("management",
-                                     invocation.breakdown.management)
-                    breakdown.charge("data_io",
-                                     invocation.breakdown.data_io)
-                    breakdown.charge("execution",
-                                     invocation.breakdown.execution)
+                    yield from cloud.invoke(request, breakdown)
             else:
                 pool_start = env.now
                 wait_s, service_s = yield from pool.execute(intrinsic)
@@ -489,7 +423,7 @@ class SingleTierRunner:
             injector = FaultInjector(
                 env, self.fault_plan,
                 wireless=fabric.wireless, platform=platform,
-                cluster=cluster,
+                cluster=platform.cluster if platform else None,
                 devices={d.device_id: d for d in devices},
                 recovery_log=recovery_log)
             injector.start()

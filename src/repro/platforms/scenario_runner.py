@@ -31,36 +31,27 @@ import math
 from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..apps import ScenarioSpec
-from ..cluster import Cluster, FixedPool
+from ..cluster import FixedPool
 from ..config import DEFAULT, PaperConstants
-from ..core import FailureDetector, StragglerMitigator
-from ..dsl import HiveMindCompiler
+from ..core import FailureDetector
 from ..edge import Drone, FieldWorld, FrameBatch, Swarm, SwarmEngine
-from ..hardware import AcceleratedEdgeRpc, RemoteMemoryFabric
 from ..learning import DeduplicationEngine, IdentitySpace, RetrainingMode
 from ..learning.retraining import OnlineRecognizer
-from ..network import EdgeCloudRpc, build_fabric
+from ..network import build_fabric
 from ..routing import Region, coverage_route
-from ..serverless import Invocation, InvocationRequest, OpenWhiskPlatform
+from ..serverless import Invocation, InvocationRequest
 from ..sim import Environment, RandomStreams
 from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
 from .. import obs
-from .base import PlatformConfig, RunResult
-from .runner import EDGE_FILTER_SLOWDOWN, FILTER_CEILING_MB, TX_DUTY
+from .base import CLOUD_BUDGET_CORES, PlatformConfig, RunResult
+from .runner import EDGE_FILTER_SLOWDOWN, TX_DUTY
+from .stack import build_cloud, build_edge_rpc
 
 __all__ = ["ScenarioRunner"]
 
 #: On-board obstacle avoidance cost (cloud-core seconds; S4's profile).
 OBSTACLE_SERVICE_S = 0.06
 OBSTACLE_SLOWDOWN = 1.2
-#: HiveMind reserves cloud headroom for performance predictability (cores
-#: are pinned, never shared, and other tenants coexist): when the swarm's
-#: aggregate recognition demand would exceed this many dedicated cores,
-#: the runtime remaps the excess batches to on-board execution — the
-#: task-granularity runtime remapping of section 4.2, and the reason
-#: Fig 17b's bandwidth grows sublinearly ("accommodates more computation
-#: on-board" at scale).
-CLOUD_BUDGET_CORES = 96.0
 
 
 class ScenarioRunner:
@@ -106,8 +97,7 @@ class ScenarioRunner:
         #: those messages are resolved later by the cloud shard. None
         #: (the default) is the unsharded single-process path, untouched.
         self.cloud_boundary = cloud_boundary
-        if cloud_boundary is not None and config.execution not in (
-                "cloud_faas", "hybrid"):
+        if cloud_boundary is not None and not config.cloud_backed:
             raise ValueError(
                 "cloud_boundary mode requires a cloud-backed platform "
                 f"(got execution={config.execution!r})")
@@ -145,23 +135,6 @@ class ScenarioRunner:
             return RetrainingMode.SELF
         return RetrainingMode.SWARM
 
-    def _n_controllers(self) -> int:
-        """HiveMind spawns shared-state schedulers as the swarm grows
-        (section 4.3); stock OpenWhisk keeps its single controller."""
-        if self.config.scheduler != "hivemind":
-            return self.config.n_controllers
-        return max(self.config.n_controllers,
-                   math.ceil(self.constants.drone.count / 64))
-
-    def _fabric_constants(self) -> PaperConstants:
-        """See SingleTierRunner._fabric_constants."""
-        if not self.config.net_accel:
-            return self.constants
-        from dataclasses import replace
-        return replace(self.constants, wireless=replace(
-            self.constants.wireless,
-            mac_efficiency=self.constants.accel.mac_efficiency_accel))
-
     # -- run ------------------------------------------------------------
     def run(self) -> RunResult:
         """The whole mission in one call (the established interface).
@@ -182,7 +155,9 @@ class ScenarioRunner:
         engine = SwarmEngine(env)
         streams = RandomStreams(self.seed)
         constants = self.constants
-        fabric = build_fabric(env, self._fabric_constants(), streams)
+        config = self.config
+        fabric = build_fabric(env, config.fabric_constants(constants),
+                              streams)
         app = self.scenario.recognition
         rng = streams.stream("scenario.workload")
 
@@ -223,30 +198,18 @@ class ScenarioRunner:
         dedup = DeduplicationEngine(merge_radius=0.75)
 
         # Cloud side.
+        cloud = None
         platform = None
-        mitigator = None
         pool = None
-        execution = self.config.execution
+        execution = config.execution
         if boundary is not None:
             # Sharded cell: the cloud tier lives in the cloud shard; this
             # runner only records cloud-bound messages on the boundary.
             pass
-        elif execution in ("cloud_faas", "hybrid"):
-            cluster = Cluster(env, constants.cluster)
-            remote_memory = (RemoteMemoryFabric(env, constants.accel)
-                             if self.config.remote_mem else None)
-            platform = OpenWhiskPlatform(
-                env, cluster, streams,
-                constants=constants.serverless,
-                scheduler=self.config.scheduler,
-                sharing=self.config.sharing,
-                keepalive_s=self.config.container_keepalive_s,
-                n_controllers=self._n_controllers(),
-                cluster_network=fabric.cluster,
-                remote_memory=remote_memory)
-            if self.config.straggler_mitigation:
-                mitigator = StragglerMitigator(env, platform,
-                                               constants.control)
+        elif config.cloud_backed:
+            cloud = build_cloud(env, config, constants, streams,
+                                fabric.cluster, constants.drone.count)
+            platform = cloud.platform
         elif execution == "cloud_iaas":
             # Statically provisioned resources of equal cost: sized for the
             # real 16-drone testbed's long-run average demand (missions are
@@ -260,31 +223,14 @@ class ScenarioRunner:
             pool = FixedPool(env, cores=1)
             env.process(pool.resize(max(1, math.ceil(demand * 0.5))))
 
-        if self.config.net_accel:
-            edge_rpc = AcceleratedEdgeRpc(env, fabric.wireless,
-                                          constants.accel)
-        else:
-            edge_rpc = EdgeCloudRpc(env, fabric.wireless)
-
-        # Recognition placement.
-        if execution == "hybrid":
-            graph, directives = self.scenario.dsl_graph()
-            compiler = HiveMindCompiler(
-                constants,
-                n_devices=self.placement_devices or len(drones),
-                accelerated=self.config.net_accel)
-            recognition_tier = compiler.compile(
-                graph, directives).placement.tier_of("recognition")
-        elif execution == "edge":
-            recognition_tier = "edge"
-        else:
-            recognition_tier = "cloud"
-
+        edge_rpc = build_edge_rpc(env, config, constants, fabric.wireless)
+        recognition_tier = config.tier_of(
+            self.scenario, "recognition", constants,
+            self.placement_devices or len(drones))
         # Runtime remapping: fraction of batches the cloud budget admits.
-        cloud_fraction = 1.0
-        if execution == "hybrid" and recognition_tier == "cloud":
-            demand_cores = len(drones) * app.cloud_service_s
-            cloud_fraction = min(1.0, self.cloud_budget_cores / demand_cores)
+        cloud_fraction = (
+            config.cloud_fraction(app, len(drones), self.cloud_budget_cores)
+            if recognition_tier == "cloud" else 1.0)
 
         # Fault tolerance (global-view platforms only).
         detector = None
@@ -323,26 +269,18 @@ class ScenarioRunner:
                 else:
                     found_items.add(predicted)
 
-        def invoke_cloud(request: InvocationRequest) -> Generator:
-            if mitigator is not None:
-                result = yield from mitigator.invoke(request)
-            else:
-                result = yield from platform.invoke(request)
-            return result
+        filtering = config.filters(app)
+        upload_mb = config.upload_mb(app, input_mb)
 
         def recognition_cloud(device: Drone, batch: FrameBatch,
                               breakdown: LatencyBreakdown,
                               trace=obs.NULL_CONTEXT) -> Generator:
-            upload_mb = input_mb
-            if (execution == "hybrid" and self.config.edge_filtering and
-                    app.edge_filter_keep < 1.0):
+            if filtering:
                 filter_start = env.now
                 filter_s = yield from device.execute(
                     app.edge_filter_service_s,
                     slowdown=EDGE_FILTER_SLOWDOWN)
                 breakdown.charge("execution", filter_s)
-                upload_mb = min(upload_mb * app.edge_filter_keep,
-                                FILTER_CEILING_MB)
                 if trace:
                     trace.emit("edge_filter", "edge", filter_start, env.now)
             push_ctx = trace.span("upload", "network", env.now)
@@ -365,17 +303,12 @@ class ScenarioRunner:
                     device_id=device.device_id, arrival_s=env.now,
                     recognition_s=intrinsic, dedup_s=dedup_s,
                     input_mb=upload_mb, output_mb=app.output_mb)
-            if platform is not None:
+            if cloud is not None:
                 request = InvocationRequest(
                     spec=recognition_spec, service_s=intrinsic,
                     input_mb=upload_mb, output_mb=app.output_mb,
                     trace=trace)
-                invocation = yield from invoke_cloud(request)
-                breakdown.charge("management",
-                                 invocation.breakdown.management)
-                breakdown.charge("data_io", invocation.breakdown.data_io)
-                breakdown.charge("execution",
-                                 invocation.breakdown.execution)
+                invocation = yield from cloud.invoke(request, breakdown)
                 return invocation
             pool_start = env.now
             wait_s, service_s = yield from pool.execute(intrinsic)
@@ -435,10 +368,7 @@ class ScenarioRunner:
                 spec=dedup_spec, service_s=intrinsic,
                 input_mb=(parent.request.output_mb if parent else 0.1),
                 output_mb=0.05, parent=parent, trace=trace)
-            invocation = yield from invoke_cloud(request)
-            breakdown.charge("management", invocation.breakdown.management)
-            breakdown.charge("data_io", invocation.breakdown.data_io)
-            breakdown.charge("execution", invocation.breakdown.execution)
+            invocation = yield from cloud.invoke(request, breakdown)
             yield from persist_output(
                 "aggregate", f"agg-{invocation.invocation_id}", 0.05,
                 trace=trace)

@@ -24,25 +24,17 @@ them.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Generator, List, Tuple
 
-from ..cluster import Cluster
 from ..config import PaperConstants
-from ..core import StragglerMitigator
-from ..hardware import RemoteMemoryFabric
 from ..network import build_fabric
+from ..platforms.stack import build_cloud
 from ..sim import Environment, RandomStreams
 from ..telemetry import LatencyBreakdown
 from .function import InvocationRequest
-from .openwhisk import OpenWhiskPlatform
+from .region import GATEWAY_SEED_OFFSET
 
 __all__ = ["CloudGateway", "GATEWAY_SEED_OFFSET"]
-
-#: Seed offset separating the gateway's stream namespace from the cells'
-#: (cells use ``seed + 1000 * cell_index``; the offset keeps the gateway
-#: clear of any realistic cell count).
-GATEWAY_SEED_OFFSET = 271_828
 
 #: ``(cell, seq, done_s, breakdown)``: one served call, the shape both
 #: cloud tiers return.
@@ -55,37 +47,23 @@ class CloudGateway:
     ``config`` is the :class:`~repro.platforms.base.PlatformConfig` under
     test (must be cloud-backed), ``constants`` the *globally scaled*
     :class:`~repro.config.PaperConstants`, ``n_devices`` the whole-swarm
-    device count (drives HiveMind's controller scale-out exactly as the
-    unsharded runner's ``_n_controllers`` does).
+    device count (drives HiveMind's controller scale-out,
+    :meth:`~repro.platforms.base.PlatformConfig.controllers_for`).
     """
 
     def __init__(self, config, scenario, constants: PaperConstants,
                  n_devices: int, seed: int = 0):
-        if config.execution not in ("cloud_faas", "hybrid"):
+        if not config.cloud_backed:
             raise ValueError(
                 "CloudGateway requires a cloud-backed platform "
                 f"(got execution={config.execution!r})")
         env = self.env = Environment()
         streams = self.streams = RandomStreams(seed + GATEWAY_SEED_OFFSET)
-        cluster = Cluster(env, constants.cluster)
         fabric = build_fabric(env, constants, streams)
-        remote_memory = (RemoteMemoryFabric(env, constants.accel)
-                         if config.remote_mem else None)
-        n_controllers = config.n_controllers
-        if config.scheduler == "hivemind":
-            n_controllers = max(n_controllers, math.ceil(n_devices / 64))
-        self.platform = OpenWhiskPlatform(
-            env, cluster, streams,
-            constants=constants.serverless,
-            scheduler=config.scheduler,
-            sharing=config.sharing,
-            keepalive_s=config.container_keepalive_s,
-            n_controllers=n_controllers,
-            cluster_network=fabric.cluster,
-            remote_memory=remote_memory)
-        self.mitigator = (StragglerMitigator(env, self.platform,
-                                             constants.control)
-                          if config.straggler_mitigation else None)
+        self._cloud = build_cloud(env, config, constants, streams,
+                                  fabric.cluster, n_devices)
+        self.platform = self._cloud.platform
+        self.mitigator = self._cloud.mitigator
         self.recognition_spec = scenario.recognition.function_spec()
         self.dedup_spec = (scenario.dedup.function_spec()
                            if scenario.dedup is not None else None)
@@ -137,13 +115,6 @@ class CloudGateway:
             "cold_starts": self.platform.cold_starts,
         }
 
-    def _invoke(self, request: InvocationRequest) -> Generator:
-        if self.mitigator is not None:
-            result = yield from self.mitigator.invoke(request)
-        else:
-            result = yield from self.platform.invoke(request)
-        return result
-
     def _persist(self, task_name: str, key: str,
                  megabytes: float) -> Generator:
         if task_name not in self._persisted_tasks:
@@ -161,11 +132,7 @@ class CloudGateway:
                     spec=self.recognition_spec,
                     service_s=call.recognition_s,
                     input_mb=call.input_mb, output_mb=call.output_mb)
-                parent = yield from self._invoke(request)
-                breakdown.charge("management",
-                                 parent.breakdown.management)
-                breakdown.charge("data_io", parent.breakdown.data_io)
-                breakdown.charge("execution", parent.breakdown.execution)
+                parent = yield from self._cloud.invoke(request, breakdown)
                 yield from self._persist(
                     "recognition", f"rec-{parent.invocation_id}",
                     call.output_mb)
@@ -175,13 +142,8 @@ class CloudGateway:
                     input_mb=(parent.request.output_mb
                               if parent is not None else call.input_mb),
                     output_mb=0.05, parent=parent)
-                invocation = yield from self._invoke(request)
-                breakdown.charge("management",
-                                 invocation.breakdown.management)
-                breakdown.charge("data_io",
-                                 invocation.breakdown.data_io)
-                breakdown.charge("execution",
-                                 invocation.breakdown.execution)
+                invocation = yield from self._cloud.invoke(request,
+                                                           breakdown)
                 yield from self._persist(
                     "aggregate", f"agg-{invocation.invocation_id}", 0.05)
             self._done.append((call.cell, call.seq, self.env.now,

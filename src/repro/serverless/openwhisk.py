@@ -60,6 +60,8 @@ class OpenWhiskPlatform:
             raise ValueError(f"unknown sharing protocol {sharing!r}")
         if n_controllers <= 0:
             raise ValueError("need at least one controller")
+        if keepalive_s is not None and not keepalive_s >= 0:
+            raise ValueError("keep-alive must be non-negative")
         self.env = env
         self.cluster = cluster
         self.constants = constants or ServerlessConstants()

@@ -62,10 +62,14 @@ import numpy as np
 
 from ..config import PaperConstants
 from ..telemetry import LatencyBreakdown, MetricSeries
-from .gateway import GATEWAY_SEED_OFFSET
 
 __all__ = ["RegionGateway", "region_server_count",
-           "region_server_offset"]
+           "region_server_offset", "GATEWAY_SEED_OFFSET"]
+
+#: Seed offset separating both cloud tiers' stream namespaces from the
+#: cells' (cells use ``seed + 1000 * cell_index``; the offset keeps the
+#: cloud tier clear of any realistic cell count).
+GATEWAY_SEED_OFFSET = 271_828
 
 #: Straggler-mitigation mirror constants — keep in lockstep with
 #: :class:`repro.core.StragglerMitigator`.
@@ -116,14 +120,15 @@ class RegionGateway:
     :class:`~repro.config.PaperConstants` (same object the monolithic
     gateway receives); ``region_devices`` is this region's device count
     and ``total_devices`` the whole fleet's (the controller pool scales
-    with the fleet exactly as the unsharded runner's ``_n_controllers``
-    does, then splits across regions).
+    with the fleet by
+    :meth:`~repro.platforms.base.PlatformConfig.controllers_for`, then
+    splits across regions).
     """
 
     def __init__(self, config, scenario, constants: PaperConstants,
                  region: int, n_regions: int, region_devices: int,
                  total_devices: int, seed: int = 0, serving=None):
-        if config.execution not in ("cloud_faas", "hybrid"):
+        if not config.cloud_backed:
             raise ValueError(
                 "RegionGateway requires a cloud-backed platform "
                 f"(got execution={config.execution!r})")
@@ -169,12 +174,8 @@ class RegionGateway:
         # reason): a recognition's and its dedup's controller requests
         # are priced seconds apart, so slot reservations made in pricing
         # order would stall later head-of-pipe requests behind them.
-        n_controllers = config.n_controllers
-        if config.scheduler == "hivemind":
-            n_controllers = max(n_controllers,
-                                math.ceil(total_devices / 64))
         self._controller_slots = max(
-            1, math.ceil(n_controllers / n_regions))
+            1, math.ceil(config.controllers_for(total_devices) / n_regions))
         self._controller_work = 0.0
         # -- regional CouchDB shard ------------------------------------
         # Fluid-backlog model rather than absolute slot reservations:

@@ -48,7 +48,8 @@ from .. import obs
 from ..config import DEFAULT, PaperConstants
 from ..network import boundary_lookahead
 from ..platforms.base import PlatformConfig, RunResult
-from ..platforms.scenario_runner import CLOUD_BUDGET_CORES, ScenarioRunner
+from ..platforms.base import CLOUD_BUDGET_CORES, DEVICES_PER_CONTROLLER
+from ..platforms.scenario_runner import ScenarioRunner
 from ..serverless.gateway import CloudGateway
 from ..telemetry import (BandwidthMeter, BreakdownAggregate,
                          LatencyBreakdown, MetricSeries)
@@ -65,10 +66,10 @@ __all__ = ["CellSpec", "CloudCall", "CellBoundary", "plan_cells",
            "DEFAULT_REGION_DEVICES"]
 
 #: Devices per cell: matches the granularity at which HiveMind itself
-#: scales out shared-state schedulers (one controller per 64 devices, see
-#: ``ScenarioRunner._n_controllers``), so a cell is one controller's
-#: worth of swarm.
-DEFAULT_CELL_DEVICES = 64
+#: scales out shared-state schedulers (see
+#: :meth:`~repro.platforms.base.PlatformConfig.controllers_for`), so a
+#: cell is one controller's worth of swarm.
+DEFAULT_CELL_DEVICES = DEVICES_PER_CONTROLLER
 
 #: Default barrier window (simulated seconds). Correctness only requires
 #: ``window >= boundary_lookahead`` (~13 ms); the large default amortizes
@@ -529,7 +530,7 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
         raise ValueError("shards must be at least 1")
     if cloud_shards < 0:
         raise ValueError("cloud_shards must be non-negative")
-    if config.execution not in ("cloud_faas", "hybrid"):
+    if not config.cloud_backed:
         raise ValueError(
             "sharded execution requires a cloud-backed platform "
             f"(got execution={config.execution!r})")

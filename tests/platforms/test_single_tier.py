@@ -3,7 +3,8 @@
 import pytest
 
 from repro.apps import app
-from repro.platforms import SingleTierRunner, platform_config
+from repro.platforms import (PlatformConfig, SingleTierRunner,
+                             platform_config)
 
 
 def run(platform, app_key, **kwargs):
@@ -31,6 +32,39 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SingleTierRunner(platform_config("hivemind"), app("S1"),
                              rate_override=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(frame_mb=-1.0), dict(frame_mb=0.0), dict(fps=0.0),
+        dict(fps=-2.0), dict(frame_mb=float("nan"))])
+    def test_rejects_non_positive_resolution(self, kwargs):
+        with pytest.raises(ValueError,
+                           match="fps and frame size must be positive"):
+            SingleTierRunner(platform_config("hivemind"), app("S1"),
+                             **kwargs)
+
+    @pytest.mark.parametrize("duration_s", [0.0, -5.0, float("nan")])
+    def test_rejects_non_positive_duration(self, duration_s):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            SingleTierRunner(platform_config("hivemind"), app("S1"),
+                             duration_s=duration_s)
+
+    def test_rejects_nan_iaas_headroom(self):
+        with pytest.raises(ValueError, match="headroom"):
+            SingleTierRunner(platform_config("centralized_iaas"), app("S1"),
+                             iaas_headroom=float("nan"))
+
+    def test_rejects_negative_keepalive_override(self):
+        runner = SingleTierRunner(platform_config("centralized_faas"),
+                                  app("S1"), duration_s=5.0,
+                                  keepalive_s=-1.0)
+        with pytest.raises(ValueError, match="keep-alive"):
+            runner.run()
+
+    @pytest.mark.parametrize("keepalive_s", [-1.0, float("nan")])
+    def test_config_rejects_bad_keepalive(self, keepalive_s):
+        with pytest.raises(ValueError, match="keep-alive"):
+            PlatformConfig(name="x", execution="cloud_faas",
+                           container_keepalive_s=keepalive_s)
 
     def test_hivemind_config_flags(self):
         config = platform_config("hivemind")

@@ -32,6 +32,14 @@ class TestInvoke:
         with pytest.raises(ValueError):
             make_platform(env, n_controllers=0)
 
+    @pytest.mark.parametrize("keepalive_s", [-1.0, float("nan")])
+    def test_rejects_bad_keepalive(self, env, keepalive_s):
+        with pytest.raises(ValueError, match="keep-alive"):
+            make_platform(env, keepalive_s=keepalive_s)
+
+    def test_zero_keepalive_is_allowed(self, env):
+        assert make_platform(env, keepalive_s=0.0).invokers
+
     def test_single_invocation_completes(self, env):
         platform = make_platform(env)
         spec = FunctionSpec("face-rec")
