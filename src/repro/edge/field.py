@@ -35,7 +35,7 @@ class FieldWorld:
 
     def __init__(self, width_m: float, height_m: float,
                  rng: np.random.Generator):
-        if width_m <= 0 or height_m <= 0:
+        if not (width_m > 0 and height_m > 0):
             raise ValueError("field dimensions must be positive")
         self.width_m = width_m
         self.height_m = height_m
@@ -46,6 +46,10 @@ class FieldWorld:
         #: Lazily built uniform grid over the (static) items: cell -> ids.
         self._item_grid: Optional[Dict[Tuple[int, int], List[int]]] = None
         self._cell_m = 1.0
+        #: Walker positions as an (n, 2) array and their ids, in person-id
+        #: order; None until a query after the walkers last moved.
+        self._people_xy: Optional[np.ndarray] = None
+        self._people_ids: Optional[np.ndarray] = None
 
     def _random_point(self) -> Point:
         return (float(self._rng.uniform(0, self.width_m)),
@@ -64,6 +68,9 @@ class FieldWorld:
         """Scatter ``count`` walkers uniformly (Scenario B)."""
         if count < 0:
             raise ValueError("count must be non-negative")
+        if not 0 < speed_mps < math.inf:
+            raise ValueError(
+                f"walking speed must be positive and finite, got {speed_mps}")
         start = len(self.people)
         for index in range(start, start + count):
             self.people[index] = Person(
@@ -72,15 +79,20 @@ class FieldWorld:
                 waypoint=self._random_point(),
                 speed_mps=speed_mps,
             )
+        if count:
+            self._people_xy = None
 
     def advance(self, to_time: float) -> None:
         """Move every person forward to simulation time ``to_time``."""
         dt = to_time - self._clock
+        if not math.isfinite(dt):
+            raise ValueError(f"world time must be finite, got {to_time}")
         if dt < 0:
             raise ValueError("world time cannot run backwards")
         if dt == 0:
             return
         self._clock = to_time
+        self._people_xy = None
         for person in self.people.values():
             remaining = dt * person.speed_mps
             while remaining > 0:
@@ -99,11 +111,6 @@ class FieldWorld:
                         person.position[0] + fraction * dx,
                         person.position[1] + fraction * dy)
                     remaining = 0.0
-
-    def _in_footprint(self, point: Point, center: Point,
-                      width_m: float, depth_m: float) -> bool:
-        return (abs(point[0] - center[0]) <= width_m / 2 and
-                abs(point[1] - center[1]) <= depth_m / 2)
 
     def _build_item_grid(self) -> Dict[Tuple[int, int], List[int]]:
         """Bucket the stationary items into a uniform grid so footprint
@@ -150,8 +157,24 @@ class FieldWorld:
 
     def visible_people(self, center: Point, width_m: float,
                        depth_m: float) -> List[int]:
-        return [p.person_id for p in self.people.values()
-                if self._in_footprint(p.position, center, width_m, depth_m)]
+        """Person ids inside an axis-aligned camera footprint, in id order.
+
+        Two elementwise masks over the walkers' position array: each
+        element is the same IEEE ``abs(x - c) <= w / 2`` a per-walker
+        scan evaluates, so the ids are exactly the scan's.
+        """
+        if not self.people:
+            return []
+        xy = self._people_xy
+        if xy is None:
+            people = self.people.values()
+            xy = self._people_xy = np.array(
+                [p.position for p in people], dtype=np.float64)
+            self._people_ids = np.array(
+                [p.person_id for p in people], dtype=np.intp)
+        inside = ((np.abs(xy[:, 0] - center[0]) <= width_m / 2) &
+                  (np.abs(xy[:, 1] - center[1]) <= depth_m / 2))
+        return self._people_ids[inside].tolist()
 
     @property
     def item_count(self) -> int:

@@ -40,9 +40,9 @@ class Camera:
 
     def __init__(self, fps: float, frame_mb: float,
                  fov_width_m: float, fov_depth_m: float):
-        if fps <= 0 or frame_mb <= 0:
+        if not (fps > 0 and frame_mb > 0):
             raise ValueError("fps and frame size must be positive")
-        if fov_width_m <= 0 or fov_depth_m <= 0:
+        if not (fov_width_m > 0 and fov_depth_m > 0):
             raise ValueError("field of view must be positive")
         self.fps = fps
         self.frame_mb = frame_mb

@@ -24,15 +24,17 @@ class NearestCentroidClassifier:
     def __init__(self, dim: int, accept_radius: float = 0.8):
         if dim <= 0:
             raise ValueError("dimension must be positive")
-        if accept_radius <= 0:
+        if not accept_radius > 0:
             raise ValueError("acceptance radius must be positive")
         self.dim = dim
         self.accept_radius = accept_radius
         self._sums: Dict[int, np.ndarray] = {}
         self._counts: Dict[int, int] = {}
-        # Cached (identities, centroid-matrix) for vectorized predict;
-        # invalidated on every add_observation.
+        # Cached centroid matrix for vectorized predict, one row per
+        # identity in sorted order. An observation of a known identity
+        # rewrites its row; a new identity drops the matrix for a rebuild.
         self._matrix_ids: list = []
+        self._matrix_rows: Dict[int, int] = {}
         self._matrix: Optional[np.ndarray] = None
 
     @property
@@ -52,10 +54,13 @@ class NearestCentroidClassifier:
         if identity in self._sums:
             self._sums[identity] = self._sums[identity] + embedding
             self._counts[identity] += 1
+            if self._matrix is not None:
+                self._matrix[self._matrix_rows[identity]] = (
+                    self._sums[identity] / self._counts[identity])
         else:
             self._sums[identity] = embedding.copy()
             self._counts[identity] = 1
-        self._matrix = None
+            self._matrix = None
 
     def centroid_estimate(self, identity: int) -> np.ndarray:
         if identity not in self._sums:
@@ -67,6 +72,9 @@ class NearestCentroidClassifier:
             return None
         if self._matrix is None:
             self._matrix_ids = sorted(self._sums)
+            self._matrix_rows = {
+                identity: row
+                for row, identity in enumerate(self._matrix_ids)}
             self._matrix = np.stack([
                 self._sums[i] / self._counts[i] for i in self._matrix_ids])
         return self._matrix
@@ -93,24 +101,41 @@ class DeduplicationEngine:
     """
 
     def __init__(self, merge_radius: float = 0.8):
-        if merge_radius <= 0:
+        if not merge_radius > 0:
             raise ValueError("merge radius must be positive")
         self.merge_radius = merge_radius
         self._sums: List[np.ndarray] = []
         self._counts: List[int] = []
+        #: Running centroids, one row per cluster.
+        self._centroids: Optional[np.ndarray] = None
         self.observations = 0
 
     def add(self, embedding: np.ndarray) -> int:
-        """Assign the embedding to a cluster; returns the cluster index."""
+        """Assign the embedding to a cluster; returns the cluster index.
+
+        All clusters are screened at once with a row-wise norm and a
+        relative margin of 1e-9, which absorbs the last-bit difference
+        between a row-wise reduction and a 1-D ``np.linalg.norm``. The
+        candidates are then confirmed in index order with the 1-D test,
+        so the first cluster within ``merge_radius`` wins as in a scan.
+        """
         embedding = np.asarray(embedding, dtype=float)
         self.observations += 1
-        for index in range(len(self._sums)):
-            centroid = self._sums[index] / self._counts[index]
-            if float(np.linalg.norm(centroid - embedding)) <= \
-                    self.merge_radius:
-                self._sums[index] = self._sums[index] + embedding
-                self._counts[index] += 1
-                return index
+        centroids = self._centroids
+        if centroids is not None:
+            screen = np.linalg.norm(centroids - embedding, axis=1) <= \
+                self.merge_radius * (1 + 1e-9)
+            for index in np.flatnonzero(screen).tolist():
+                if float(np.linalg.norm(centroids[index] - embedding)) <= \
+                        self.merge_radius:
+                    self._sums[index] = self._sums[index] + embedding
+                    self._counts[index] += 1
+                    centroids[index] = (self._sums[index] /
+                                        self._counts[index])
+                    return index
+        self._centroids = (embedding[np.newaxis].copy()
+                           if centroids is None
+                           else np.vstack([centroids, embedding]))
         self._sums.append(embedding.copy())
         self._counts.append(1)
         return len(self._sums) - 1

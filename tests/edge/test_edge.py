@@ -1,5 +1,7 @@
 """Tests for the edge layer: world, sensors, devices, drones, cars, swarm."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from repro.edge import (
 from repro.sim import Environment, RandomStreams
 
 from .test_engine_parity import digest, flight_evidence
+
+NAN = float("nan")
 
 
 @pytest.fixture
@@ -43,6 +47,24 @@ class TestFieldWorld:
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             FieldWorld(0, 10, rng)
+
+    @pytest.mark.parametrize("width,height", [(NAN, 10), (10, NAN)])
+    def test_nan_dimensions_rejected(self, rng, width, height):
+        with pytest.raises(ValueError):
+            FieldWorld(width, height, rng)
+
+    @pytest.mark.parametrize("to_time", [NAN, math.inf])
+    def test_non_finite_advance_rejected(self, rng, to_time):
+        """A NaN clock used to freeze every walker for good."""
+        world = FieldWorld(10, 10, rng)
+        with pytest.raises(ValueError):
+            world.advance(to_time)
+
+    @pytest.mark.parametrize("speed", [NAN, -1.0, 0.0, math.inf])
+    def test_bad_walking_speed_rejected(self, rng, speed):
+        world = FieldWorld(10, 10, rng)
+        with pytest.raises(ValueError):
+            world.place_people(3, speed_mps=speed)
 
     def test_place_items_inside_field(self, rng):
         world = FieldWorld(100, 50, rng)
@@ -96,6 +118,14 @@ class TestCamera:
             Camera(0, 2, 6.7, 8.75)
         with pytest.raises(ValueError):
             Camera(8, 2, 0, 8.75)
+
+    @pytest.mark.parametrize("args", [
+        (NAN, 2, 6.7, 8.75), (8, NAN, 6.7, 8.75), (8, 2, NAN, 8.75),
+        (8, 2, 6.7, NAN)], ids=["fps", "frame_mb", "fov_width",
+                                "fov_depth"])
+    def test_nan_settings_rejected(self, args):
+        with pytest.raises(ValueError):
+            Camera(*args)
 
     def test_batch_size_matches_paper_default(self, rng):
         world = FieldWorld(100, 100, rng)

@@ -62,6 +62,11 @@ class TestNearestCentroid:
         with pytest.raises(ValueError):
             NearestCentroidClassifier(4, accept_radius=0)
 
+    def test_nan_accept_radius_rejected(self):
+        """A NaN radius used to make predict accept every embedding."""
+        with pytest.raises(ValueError):
+            NearestCentroidClassifier(2, accept_radius=float("nan"))
+
     def test_predict_empty_model_is_unknown(self):
         model = NearestCentroidClassifier(4)
         assert model.predict(np.zeros(4)) is None
@@ -105,6 +110,10 @@ class TestDeduplication:
     def test_validation(self):
         with pytest.raises(ValueError):
             DeduplicationEngine(merge_radius=0)
+
+    def test_nan_merge_radius_rejected(self):
+        with pytest.raises(ValueError):
+            DeduplicationEngine(merge_radius=float("nan"))
 
     def test_exact_duplicates_merge(self, space):
         engine = DeduplicationEngine(merge_radius=0.3)
