@@ -10,9 +10,9 @@ call at its exact arrival time.
 
 It has the cloud-tier shape the driver shares with the regional tier:
 ``serve(batch, until)`` feeds a window's calls, runs the kernel to
-``until`` and returns the ``(cell, seq, done_s, breakdown)`` tuples
-completed so far; ``finish()`` drains and returns the rest plus
-``{0: stats()}``.
+``until`` and returns the calls completed so far as
+:class:`Completions` columns; ``finish()`` drains and returns the rest
+plus ``{0: stats()}``.
 
 Determinism: calls arrive in canonical ``(arrival_s, cell, seq)`` order
 carrying their cells' service-time draws, and the gateway draws only
@@ -24,21 +24,54 @@ them.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Tuple
+from typing import Dict, Generator, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from ..config import PaperConstants
 from ..network import build_fabric
 from ..platforms.stack import build_cloud
 from ..sim import Environment, RandomStreams
-from ..telemetry import LatencyBreakdown
+from ..telemetry import LatencyBreakdown, breakdown_array
 from .function import InvocationRequest
 from .region import GATEWAY_SEED_OFFSET
 
-__all__ = ["CloudGateway", "GATEWAY_SEED_OFFSET"]
+__all__ = ["CloudGateway", "Completions", "GATEWAY_SEED_OFFSET"]
 
-#: ``(cell, seq, done_s, breakdown)``: one served call, the shape both
-#: cloud tiers return.
+#: ``(cell, seq, done_s, breakdown)``: one served call, as a gateway
+#: prices it.
 Completion = Tuple[int, int, float, Dict[str, float]]
+
+
+class Completions(NamedTuple):
+    """Served calls as columns: the shape both cloud tiers return.
+
+    Row ``i`` is call ``(cell[i], seq[i])``, done at ``done_s[i]``, with
+    its cloud-side breakdown in ``breakdown[i]`` (``COMPONENTS`` order),
+    so a worker pipe carries four arrays, not a tuple and a dict per
+    call.
+    """
+
+    cell: np.ndarray  # int64
+    seq: np.ndarray  # int64
+    done_s: np.ndarray  # float64
+    breakdown: np.ndarray  # (n, 4) float64
+
+    @classmethod
+    def pack(cls, served: Sequence[Completion]) -> "Completions":
+        """Columns of ``(cell, seq, done_s, breakdown dict)`` tuples."""
+        count = len(served)
+        return cls(
+            np.fromiter((done[0] for done in served), np.int64, count),
+            np.fromiter((done[1] for done in served), np.int64, count),
+            np.fromiter((done[2] for done in served), float, count),
+            breakdown_array([done[3] for done in served]))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Completions"]) -> "Completions":
+        if not parts:
+            return cls.pack(())
+        return cls(*(np.concatenate(column) for column in zip(*parts)))
 
 
 class CloudGateway:
@@ -77,7 +110,7 @@ class CloudGateway:
         self._done: List[Completion] = []
 
     # -- cloud-tier shape ----------------------------------------------
-    def serve(self, calls, until: float) -> List[Completion]:
+    def serve(self, calls, until: float) -> Completions:
         """Feed one window's calls (canonical order, none before
         ``env.now``), run the kernel to ``until`` and return the
         completions since the previous call."""
@@ -97,15 +130,16 @@ class CloudGateway:
         if until > self.env.now:
             self.env.run(until=until)
         done, self._done = self._done, []
-        return done
+        return Completions.pack(done)
 
-    def finish(self) -> Tuple[List[Completion], Dict[int, Dict]]:
+    def finish(self) -> Tuple[Completions, Dict[int, Dict]]:
         """Drain every fed call; return the remaining completions and
         ``{0: stats}`` (the whole backend is one region)."""
         while self._outstanding > 0:
             self._idle_event = self.env.event()
             self.env.run(until=self._idle_event)
-        return self._done, {0: self.stats()}
+        done, self._done = self._done, []
+        return Completions.pack(done), {0: self.stats()}
 
     def stats(self) -> Dict[str, float]:
         return {

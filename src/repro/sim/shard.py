@@ -8,11 +8,12 @@ its own :class:`~repro.sim.Environment` — in front of one **cloud
 tier**: the monolithic :class:`~repro.serverless.gateway.CloudGateway`
 or per-region :class:`~repro.serverless.region.RegionGateway` slices.
 Both tiers have one shape, ``serve(batch, until) -> completions`` and
-``finish() -> (completions, stats_by_region)``, with ``(cell, seq,
-done_s, breakdown)`` completions. :func:`run_sharded` is three stages:
-:func:`plan_run` (pure: cells, worker groups, cloud tier, faults),
-:func:`sync` (the barrier loop) and :func:`merge` (pure: joins the two
-halves of every call into one :class:`~repro.platforms.base.RunResult`).
+``finish() -> (completions, stats_by_region)``, with columnar
+:class:`~repro.serverless.gateway.Completions`. :func:`run_sharded` is
+three stages: :func:`plan_run` (pure: cells, worker groups, cloud tier,
+faults), :func:`sync` (the barrier loop) and :func:`merge` (pure: joins
+the two halves of every call, with index arrays, into one
+:class:`~repro.platforms.base.RunResult`).
 
 Determinism: the cell and region plan depends only on ``(n_devices,
 cell_devices, region_devices)``; cell ``k`` seeds its streams with
@@ -44,15 +45,17 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import obs
 from ..config import DEFAULT, PaperConstants
 from ..network import boundary_lookahead
 from ..platforms.base import PlatformConfig, RunResult
 from ..platforms.base import CLOUD_BUDGET_CORES, DEVICES_PER_CONTROLLER
 from ..platforms.scenario_runner import ScenarioRunner
-from ..serverless.gateway import CloudGateway
+from ..serverless.gateway import CloudGateway, Completions
 from ..telemetry import (BandwidthMeter, BreakdownAggregate,
-                         LatencyBreakdown, MetricSeries)
+                         LatencyBreakdown, MetricSeries, breakdown_array)
 from ..faults.plan import region_count
 from ..faults.worker import WorkerFaultPlan
 from .flags import resolve
@@ -60,9 +63,9 @@ from .supervisor import (ProtocolError, SupervisedConnection,
                          incident_count, incidents_since,
                          resolve_worker_deadline, resolve_worker_retries)
 
-__all__ = ["CellSpec", "CloudCall", "CellBoundary", "plan_cells",
-           "RunPlan", "plan_run", "sync", "merge", "run_sharded",
-           "DEFAULT_CELL_DEVICES", "DEFAULT_WINDOW_S",
+__all__ = ["CellSpec", "CloudCall", "CellBoundary", "EdgeLedger",
+           "plan_cells", "RunPlan", "plan_run", "sync", "merge",
+           "run_sharded", "DEFAULT_CELL_DEVICES", "DEFAULT_WINDOW_S",
            "DEFAULT_REGION_DEVICES"]
 
 #: Devices per cell: matches the granularity at which HiveMind itself
@@ -186,6 +189,21 @@ _FIELDS = operator.attrgetter(
 _SORT_KEY = operator.attrgetter("sort_key")
 
 
+class EdgeLedger(NamedTuple):
+    """A cell's late-bound edge halves as columns: one row per call whose
+    local task finished (``start_s`` set), in submit order.
+
+    The driver forwarded every :class:`CloudCall` to the cloud tier
+    while the cell ran, so a cell's ``finish`` ships only what was
+    stamped after submission.
+    """
+
+    seq: np.ndarray  # int64
+    start_s: np.ndarray  # float64
+    edge_done_s: np.ndarray  # float64
+    breakdown: np.ndarray  # (n, 4) float64, COMPONENTS order
+
+
 class CellBoundary:
     """The cell side of the edge/cloud boundary.
 
@@ -217,6 +235,16 @@ class CellBoundary:
     def take_fresh(self) -> List[CloudCall]:
         fresh, self._fresh = self._fresh, []
         return fresh
+
+    def ledger(self) -> EdgeLedger:
+        joined = [call for call in self.calls if call.start_s is not None]
+        count = len(joined)
+        return EdgeLedger(
+            np.fromiter((call.seq for call in joined), np.int64, count),
+            np.fromiter((call.start_s for call in joined), float, count),
+            np.fromiter((call.edge_done_s for call in joined), float,
+                        count),
+            breakdown_array([call.edge_breakdown for call in joined]))
 
 
 def plan_cells(n_devices: int, seed: int = 0,
@@ -283,7 +311,7 @@ class _Cells:
     ``("advance", t)`` steps every cell to barrier ``t`` and returns
     ``(fresh_calls, status)``, where ``status`` maps cell index to its
     makespan once finished; ``("finish", duration)`` finalizes every
-    cell and returns ``(cell, RunResult, call ledger)`` triples.
+    cell and returns ``(cell, RunResult, EdgeLedger)`` triples.
     """
 
     def __init__(self, config: PlatformConfig, scenario,
@@ -316,7 +344,7 @@ class _Cells:
             return fresh, status
         if command == "finish":
             return [(spec.index, runner.finish(duration_override=argument),
-                     boundary.calls)
+                     boundary.ledger())
                     for spec, runner, boundary in self._cells]
         raise ProtocolError(f"unknown cell command {command!r}")
 
@@ -325,11 +353,12 @@ class _Regions:
     """Executor for one worker group of cloud regions.
 
     ``("serve", [(region, calls), ...])`` prices each region's batch on
-    its virtual clock and returns ``(cell, seq, completion_s,
-    breakdown)`` tuples; ``("finish", None)`` returns ``{region:
-    stats}``. ``region_plans`` maps region index to its partitioned
-    backend :class:`~repro.faults.FaultPlan` (simulated faults: a
-    respawned worker applies them again, unlike one-shot worker chaos).
+    its virtual clock and returns the completions, packed into
+    :class:`~repro.serverless.gateway.Completions` before they cross the
+    pipe; ``("finish", None)`` returns ``{region: stats}``.
+    ``region_plans`` maps region index to its partitioned backend
+    :class:`~repro.faults.FaultPlan` (simulated faults: a respawned
+    worker applies them again, unlike one-shot worker chaos).
     """
 
     def __init__(self, region_specs, config, scenario, constants,
@@ -363,7 +392,7 @@ class _Regions:
             completions: List = []
             for region, calls in argument:
                 completions.extend(self._gateways[region].serve(calls))
-            return completions
+            return Completions.pack(completions)
         if command == "finish":
             return {region: gateway.stats()
                     for region, gateway in self._gateways.items()}
@@ -401,7 +430,7 @@ class _RegionTier:
         self._streams = plan.streams.by_region
         self._cursor = dict.fromkeys(self._streams, 0)
 
-    def serve(self, batch: List[CloudCall], until: float) -> List:
+    def serve(self, batch: List[CloudCall], until: float) -> Completions:
         by_region: Dict[int, List[CloudCall]] = {}
         for call in batch:
             by_region.setdefault(call.region, []).append(call)
@@ -422,9 +451,9 @@ class _RegionTier:
                     if handle in by_handle]
         for handle in involved:
             handle.send("serve", by_handle[handle])
-        return [done for handle in involved for done in handle.collect()]
+        return Completions.concat([handle.collect() for handle in involved])
 
-    def finish(self) -> Tuple[List, Dict[int, Dict]]:
+    def finish(self) -> Tuple[Completions, Dict[int, Dict]]:
         from ..experiments.parallel import absorb_worker_counts
         # Background streams can outlast the exact cells' missions.
         completions = self.serve([], MAX_HORIZON_S)
@@ -634,7 +663,7 @@ def _cloud_done(stats: Dict[int, Dict]) -> float:
 
 
 def sync(plan: RunPlan, cells: Sequence[SupervisedConnection], cloud
-         ) -> Tuple[List[Tuple[int, RunResult, List[CloudCall]]], List,
+         ) -> Tuple[List[Tuple[int, RunResult, EdgeLedger]], Completions,
                     Dict[int, Dict]]:
     """The barrier loop: step the cells to each barrier and serve the
     window's calls in canonical order on ``cloud`` (either tier), until
@@ -643,7 +672,7 @@ def sync(plan: RunPlan, cells: Sequence[SupervisedConnection], cloud
     from ..experiments.parallel import absorb_worker_counts
     n_exact = sum(len(group) for group in plan.cell_groups)
     finished: Dict[int, float] = {}
-    completions: List = []
+    completions: List[Completions] = []
     barrier = 0.0
     while len(finished) < n_exact:
         barrier += plan.window_s
@@ -659,66 +688,107 @@ def sync(plan: RunPlan, cells: Sequence[SupervisedConnection], cloud
             batch.extend(fresh)
             finished.update(status)
         batch.sort(key=_SORT_KEY)
-        completions.extend(cloud.serve(batch, barrier))
+        completions.append(cloud.serve(batch, barrier))
     done, stats = cloud.finish()
-    completions.extend(done)
+    completions.append(done)
 
     makespan = max(max(finished.values()), _cloud_done(stats))
     for handle in cells:
         handle.send("finish", makespan)
-    results: List[Tuple[int, RunResult, List[CloudCall]]] = []
+    results: List[Tuple[int, RunResult, EdgeLedger]] = []
     for handle, group in zip(cells, plan.cell_groups):
         results.extend(handle.collect())
         # Worker spans are re-homed under the group's first cell index
         # (the replica-tagging pattern across processes).
         absorb_worker_counts(handle.counters, replica=group[0].index)
     results.sort(key=operator.itemgetter(0))
-    return results, completions, stats
+    return results, Completions.concat(completions), stats
 
 
 # -- merge --------------------------------------------------------------
 
-def _merge_latencies(results: List[Tuple[int, RunResult, List[CloudCall]]],
-                     done: Dict[Tuple[int, int], Tuple], name: str
-                     ) -> Tuple[MetricSeries, BreakdownAggregate]:
+#: Row position offset of a cell's deferred (cloud-completing) rows:
+#: after every local row at an equal start time.
+_DEFERRED = 10 ** 9
+
+
+def _join(completions: Completions, cell: np.ndarray,
+          seq: np.ndarray) -> np.ndarray:
+    """The ``completions`` row that served each ``(cell, seq)`` key, or -1.
+
+    Keys become flat indices into a ``(cells, seqs)`` grid
+    (``ravel_multi_index`` raises rather than overflow), are ranked with
+    a stable sort and looked up by bisection; a key served twice
+    resolves to its last completion, as a dict filled in completion
+    order would.
+    """
+    index = np.full(seq.shape[0], -1, dtype=np.int64)
+    if not seq.shape[0] or not completions.seq.shape[0]:
+        return index
+    dims = (int(max(cell.max(), completions.cell.max())) + 1,
+            int(max(seq.max(), completions.seq.max())) + 1)
+    served = np.ravel_multi_index((completions.cell, completions.seq), dims)
+    wanted = np.ravel_multi_index((cell, seq), dims)
+    order = np.argsort(served, kind="stable")
+    ranked = served[order]
+    slot = np.searchsorted(ranked, wanted, side="right") - 1
+    hit = slot >= 0
+    hit[hit] = ranked[slot[hit]] == wanted[hit]
+    index[hit] = order[slot[hit]]
+    return index
+
+
+def _merge_rows(results: List[Tuple[int, RunResult, EdgeLedger]],
+                completions: Completions, name: str
+                ) -> Tuple[MetricSeries, BreakdownAggregate]:
     """Join edge/cloud task halves and merge all rows in canonical order.
 
-    ``done`` maps ``(cell, seq)`` to the cloud half ``(done_s,
-    breakdown)``. Canonical row order is ``(start time, cell,
-    within-cell position)`` with deferred (cloud-completing) rows
-    positioned after the cell's local rows — a pure function of the cell
-    decomposition, so the merged series is identical at any shard count.
+    Canonical row order is ``(start time, cell, within-cell position)``
+    with deferred (cloud-completing) rows positioned after the cell's
+    local rows — a pure function of the cell decomposition, so the
+    merged series is identical at any shard count. A call with no
+    completion has no row (its device died mid-run). Every step is an
+    elementwise IEEE operation or a sort over unique keys, so rows are
+    bit-identical to joining them one at a time.
     """
-    rows = []
-    for cell, result, calls in results:
+    starts, cells, positions, values = [], [], [], []
+    records: List[LatencyBreakdown] = []
+    for cell, result, _ in results:
         series = result.task_latencies
-        values, times = series.values, series.times
-        for position in range(len(series)):
-            rows.append((float(times[position]), cell, position,
-                         float(values[position]), None))
-        for call in calls:
-            cloud_half = done.get((call.cell, call.seq))
-            if call.start_s is None or cloud_half is None:
-                continue  # task never completed (e.g. device died mid-run)
-            done_s, cloud_breakdown = cloud_half
-            latency = max(call.edge_done_s, done_s) - call.start_s
-            breakdown = (LatencyBreakdown(**call.edge_breakdown) +
-                         LatencyBreakdown(**cloud_breakdown))
-            rows.append((call.start_s, cell, 10 ** 9 + call.seq,
-                         latency, breakdown))
-    rows.sort(key=lambda row: row[:3])
-    # A cell's local breakdown records were appended in lockstep with its
-    # latency samples (handle_batch adds both together), so local row
-    # ``position`` maps straight to ``_records[position]``.
-    local_records = {cell: result.breakdowns._records
-                     for cell, result, _ in results}
+        local = result.breakdowns._records
+        if len(local) != len(series):
+            # handle_batch adds a local row's sample and breakdown
+            # together, so position i is record i.
+            raise ValueError(f"cell {cell}: {len(series)} local rows but "
+                             f"{len(local)} breakdown records")
+        starts.append(series.times)
+        values.append(series.values)
+        cells.append(np.full(len(series), cell, dtype=np.int64))
+        positions.append(np.arange(len(series), dtype=np.int64))
+        records.extend(local)
+    ledgers = [ledger for _, _, ledger in results]
+    ledger = EdgeLedger(*map(np.concatenate, zip(*ledgers)))
+    ledger_cell = np.repeat(
+        np.array([cell for cell, _, _ in results], dtype=np.int64),
+        [len(part.seq) for part in ledgers])
+    index = _join(completions, ledger_cell, ledger.seq)
+    joined = index >= 0
+    index = index[joined]
+    deferred_start = ledger.start_s[joined]
+    starts.append(deferred_start)
+    cells.append(ledger_cell[joined])
+    positions.append(_DEFERRED + ledger.seq[joined])
+    values.append(np.maximum(ledger.edge_done_s[joined],
+                             completions.done_s[index]) - deferred_start)
+    deferred = ledger.breakdown[joined] + completions.breakdown[index]
+    records.extend(LatencyBreakdown(*row) for row in deferred.tolist())
+    start = np.concatenate(starts)
+    order = np.lexsort((np.concatenate(positions), np.concatenate(cells),
+                        start))
     latencies = MetricSeries(name)
+    latencies.extend(np.concatenate(values)[order], start[order])
     breakdowns = BreakdownAggregate()
-    for time, cell, position, value, breakdown in rows:
-        latencies.add(value, time=time)
-        if breakdown is None:
-            breakdown = local_records[cell][position]
-        breakdowns.add(breakdown)
+    breakdowns.extend([records[row] for row in order.tolist()])
     return latencies, breakdowns
 
 
@@ -728,7 +798,20 @@ _SUMMED = ("persisted_documents", "cold_starts", "warm_starts",
            "duplicate_launches", "background_completions")
 
 
-def _aggregate_serving(serving_cfg, streams: _Streams, done,
+def _serving_latencies(calls: Sequence[CloudCall],
+                       completions: Completions) -> np.ndarray:
+    """End-to-end latency of each served call, in ``calls`` order."""
+    count = len(calls)
+    index = _join(completions,
+                  np.fromiter((call.cell for call in calls), np.int64, count),
+                  np.fromiter((call.seq for call in calls), np.int64, count))
+    joined = index >= 0
+    arrival = np.fromiter((call.arrival_s for call in calls), float, count)
+    return completions.done_s[index[joined]] - arrival[joined]
+
+
+def _aggregate_serving(serving_cfg, streams: _Streams,
+                       completions: Completions,
                        region_stats) -> Dict[str, object]:
     """Merge per-region serving counters and price the background
     stream's end-to-end latency from the driver's serving calls.
@@ -754,11 +837,7 @@ def _aggregate_serving(serving_cfg, streams: _Streams, done,
         autoscale = per_region.get("autoscale") or {}
         scale_outs += autoscale.get("scale_outs", 0)
         scale_ins += autoscale.get("scale_ins", 0)
-    latencies: List[float] = []
-    for call in streams.serving_calls:
-        cloud_half = done.get((call.cell, call.seq))
-        if cloud_half is not None:
-            latencies.append(cloud_half[0] - call.arrival_s)
+    latencies = _serving_latencies(streams.serving_calls, completions)
     out: Dict[str, object] = {
         "tenants": [tenant.name for tenant in serving_cfg.tenants],
         "offered_calls": len(streams.serving_calls),
@@ -772,13 +851,11 @@ def _aggregate_serving(serving_cfg, streams: _Streams, done,
         "admission_enabled": serving_cfg.admission_enabled,
         "autoscale_enabled": serving_cfg.autoscale_enabled,
     }
-    if latencies:
-        import numpy
-        array = numpy.asarray(latencies)
+    if len(latencies):
         for label, quantile in (("p50", 50.0), ("p99", 99.0),
                                 ("p999", 99.9)):
             out[f"latency_{label}_s"] = round(
-                float(numpy.percentile(array, quantile)), 6)
+                float(np.percentile(latencies, quantile)), 6)
     if streams.truncated:
         # No silent caps: name the tenants whose streams hit the
         # per-tenant call ceiling.
@@ -787,29 +864,28 @@ def _aggregate_serving(serving_cfg, streams: _Streams, done,
 
 
 def merge(plan: RunPlan,
-          results: List[Tuple[int, RunResult, List[CloudCall]]],
-          completions: Sequence[Tuple], stats: Dict[int, Dict]
+          results: List[Tuple[int, RunResult, EdgeLedger]],
+          completions: Completions, stats: Dict[int, Dict]
           ) -> RunResult:
     """Join the edge and cloud halves of every call and merge the cells'
     and the cloud tier's accounting into one :class:`RunResult`.
 
-    Pure. ``results`` are the cells' ``(cell, RunResult, call ledger)``
-    triples in cell order, ``completions`` the cloud tier's ``(cell,
-    seq, done_s, breakdown)`` tuples and ``stats`` its counters by
-    region: the same shapes from either tier.
+    Pure. ``results`` are the cells' ``(cell, RunResult, EdgeLedger)``
+    triples in cell order, ``completions`` the cloud tier's columns and
+    ``stats`` its counters by region: the same shapes from either tier.
     """
-    done = {(cell, seq): (done_s, breakdown)
-            for cell, seq, done_s, breakdown in completions}
-    latencies, breakdowns = _merge_latencies(
-        results, done, f"{plan.scenario.key}.{plan.config.name}")
+    latencies, breakdowns = _merge_rows(
+        results, completions, f"{plan.scenario.key}.{plan.config.name}")
     streams = plan.streams
-    meter = BandwidthMeter("wireless")
     ordered = [result for _, result, _ in results]
-    for result in ordered:
-        for time, megabytes in result.wireless_meter.events:
-            meter.record(time, megabytes)
-    for time, megabytes in streams.meter:
-        meter.record(time, megabytes)
+    # Cells' records in cell order, then the mean-field background's.
+    meters = [result.wireless_meter for result in ordered]
+    background = np.array(streams.meter, dtype=float).reshape(-1, 2)
+    meter = BandwidthMeter("wireless")
+    meter.extend(
+        np.concatenate([part.times for part in meters] + [background[:, 0]]),
+        np.concatenate([part.megabytes for part in meters]
+                       + [background[:, 1]]))
 
     from ..learning.accuracy import DetectionTally
     tally = DetectionTally()
@@ -849,8 +925,8 @@ def merge(plan: RunPlan,
         extras["injected_backend_faults"] = sum(
             region.get("injected_faults", 0) for region in stats.values())
     if plan.serving is not None:
-        extras["serving"] = _aggregate_serving(plan.serving, streams, done,
-                                               stats)
+        extras["serving"] = _aggregate_serving(plan.serving, streams,
+                                               completions, stats)
     if "unique_people" in first:
         extras["unique_people"] = sum(
             r.extras["unique_people"] for r in ordered)

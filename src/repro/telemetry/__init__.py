@@ -1,7 +1,8 @@
 """Telemetry: metric series, latency breakdowns, power and bandwidth meters."""
 
 from .bandwidth import BandwidthMeter
-from .breakdown import COMPONENTS, BreakdownAggregate, LatencyBreakdown
+from .breakdown import (COMPONENTS, BreakdownAggregate, LatencyBreakdown,
+                        breakdown_array)
 from .metrics import DistributionSummary, MetricRegistry, MetricSeries
 from .power import BatteryDepleted, EnergyAccount, fleet_consumed_percent
 from .report import format_value, render_series, render_table
@@ -12,6 +13,7 @@ __all__ = [
     "DistributionSummary",
     "LatencyBreakdown",
     "BreakdownAggregate",
+    "breakdown_array",
     "COMPONENTS",
     "EnergyAccount",
     "BatteryDepleted",

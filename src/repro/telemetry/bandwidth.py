@@ -8,7 +8,7 @@ and 99th-percentile window (markers).
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -16,32 +16,71 @@ __all__ = ["BandwidthMeter"]
 
 
 class BandwidthMeter:
-    """Records (time, megabytes) transfer events on one medium."""
+    """Records (time, megabytes) transfer events on one medium.
+
+    Times and sizes must be finite and non-negative: a NaN, infinite or
+    negative one would land in no window, or in the wrong one.
+    """
 
     def __init__(self, name: str = "", window_s: float = 1.0):
-        if window_s <= 0:
-            raise ValueError("window must be positive")
+        if not (window_s > 0 and math.isfinite(window_s)):
+            raise ValueError(
+                f"window must be positive and finite, got {window_s!r}")
         self.name = name
         self.window_s = window_s
-        self._events: List[Tuple[float, float]] = []
+        self._times: List[float] = []
+        self._megabytes: List[float] = []
 
     def record(self, time: float, megabytes: float) -> None:
-        if megabytes < 0:
-            raise ValueError("megabytes must be non-negative")
-        self._events.append((float(time), float(megabytes)))
+        time = float(time)
+        megabytes = float(megabytes)
+        if not (time >= 0 and math.isfinite(time)):
+            raise ValueError(
+                f"time must be finite and non-negative, got {time!r}")
+        if not (megabytes >= 0 and math.isfinite(megabytes)):
+            raise ValueError(f"megabytes must be finite and non-negative, "
+                             f"got {megabytes!r}")
+        self._times.append(time)
+        self._megabytes.append(megabytes)
+
+    def extend(self, times: Sequence[float],
+               megabytes: Sequence[float]) -> None:
+        """Record many events at once, with :meth:`record`'s checks."""
+        times = np.asarray(times, dtype=float)
+        megabytes = np.asarray(megabytes, dtype=float)
+        if times.ndim != 1 or times.shape != megabytes.shape:
+            raise ValueError(f"times {times.shape} and megabytes "
+                             f"{megabytes.shape} must be equal-length "
+                             "flat sequences")
+        if not np.all((times >= 0) & np.isfinite(times)):
+            raise ValueError("times must be finite and non-negative")
+        if not np.all((megabytes >= 0) & np.isfinite(megabytes)):
+            raise ValueError("megabytes must be finite and non-negative")
+        self._times.extend(times.tolist())
+        self._megabytes.extend(megabytes.tolist())
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._times)
 
     @property
     def events(self) -> Tuple[Tuple[float, float], ...]:
         """The raw (time, megabytes) records, in arrival order."""
-        return tuple(self._events)
+        return tuple(zip(self._times, self._megabytes))
+
+    @property
+    def times(self) -> np.ndarray:
+        """Record times, in arrival order."""
+        return np.array(self._times, dtype=float)
+
+    @property
+    def megabytes(self) -> np.ndarray:
+        """Record sizes, in arrival order."""
+        return np.array(self._megabytes, dtype=float)
 
     @property
     def total_mb(self) -> float:
         # fsum: exact, so the total is independent of record order.
-        return math.fsum(mb for _, mb in self._events)
+        return math.fsum(self._megabytes)
 
     def _window_series(self, horizon_s: float = None) -> np.ndarray:
         """MB transferred per window, padded to the horizon.
@@ -52,10 +91,10 @@ class BandwidthMeter:
         DESIGN.md, "Virtual-clock queueing"), and float accumulation must
         not expose that tie order as ULP noise in the windowed series.
         """
-        if not self._events:
+        if not self._times:
             return np.zeros(1)
-        times = np.array([t for t, _ in self._events])
-        sizes = np.array([mb for _, mb in self._events])
+        times = self.times
+        sizes = self.megabytes
         order = np.lexsort((sizes, times))
         times = times[order]
         sizes = sizes[order]

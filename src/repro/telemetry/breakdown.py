@@ -14,14 +14,27 @@ median/tail fraction bars the paper plots.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
-__all__ = ["COMPONENTS", "LatencyBreakdown", "BreakdownAggregate"]
+__all__ = ["COMPONENTS", "LatencyBreakdown", "BreakdownAggregate",
+           "breakdown_array"]
 
 COMPONENTS = ("network", "management", "data_io", "execution")
+
+_BY_COMPONENT = operator.itemgetter(*COMPONENTS)
+
+
+def breakdown_array(breakdowns: Sequence[Dict[str, float]]) -> np.ndarray:
+    """``(n, 4)`` seconds of :meth:`LatencyBreakdown.as_dict` breakdowns,
+    one row each, in :data:`COMPONENTS` order (the order of
+    ``LatencyBreakdown``'s fields, so ``LatencyBreakdown(*row)`` rebuilds
+    one)."""
+    return np.array([_BY_COMPONENT(breakdown) for breakdown in breakdowns],
+                    dtype=float).reshape(len(breakdowns), len(COMPONENTS))
 
 
 @dataclass

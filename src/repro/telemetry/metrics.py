@@ -73,9 +73,40 @@ class MetricSeries:
         self._time_buffer[count] = time
         self._count = count + 1
 
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
+    def extend(self, values: Iterable[float],
+               times: Optional[Iterable[float]] = None) -> None:
+        """Append samples in bulk, with their ``times`` (same length;
+        NaN when omitted, as for :meth:`add`)."""
+        values = _column(values)
+        count = self._count
+        end = count + values.shape[0]
+        if times is not None:
+            times = _column(times)
+            if times.shape != values.shape:
+                raise ValueError(f"{times.shape[0]} times for "
+                                 f"{values.shape[0]} values")
+        capacity = self._buffer.shape[0]
+        if end > capacity:
+            capacity = max(end, 2 * capacity)
+            buffer = np.empty(capacity, dtype=float)
+            buffer[:count] = self._buffer[:count]
+            time_buffer = np.empty(capacity, dtype=float)
+            time_buffer[:count] = self._time_buffer[:count]
+            self._buffer, self._time_buffer = buffer, time_buffer
+        self._buffer[count:end] = values
+        self._time_buffer[count:end] = math.nan if times is None else times
+        self._count = end
+
+    def __getstate__(self):
+        # The live samples only: neither the spare capacity (uninitialised
+        # memory) nor the sorted cache crosses a pipe, so equal series
+        # pickle to equal bytes.
+        return self.name, self.values, self.times
+
+    def __setstate__(self, state) -> None:
+        name, values, times = state
+        self.__init__(name)
+        self.extend(values, times)
 
     def __len__(self) -> int:
         return self._count
@@ -205,6 +236,17 @@ class MetricSeries:
         for index in indices:
             counts[index] += 1
         return counts
+
+
+def _column(samples: Iterable[float]) -> np.ndarray:
+    if isinstance(samples, np.ndarray):
+        column = samples.astype(float, copy=False)
+    else:
+        column = np.fromiter(samples, dtype=float)
+    if column.ndim != 1:
+        raise ValueError(f"expected a flat sequence of samples, got shape "
+                         f"{column.shape}")
+    return column
 
 
 class MetricRegistry:

@@ -1,0 +1,189 @@
+"""The columnar ``merge`` against the row-wise join it replaced.
+
+``merge`` joins the edge and cloud halves of every call with index
+arrays and orders rows with one ``np.lexsort``. The reference below is
+the row-wise join it replaced, kept here only: one Python tuple per row,
+one ``LatencyBreakdown`` sum per call and a ``(cell, seq)`` dict of
+completions. Over random cells (tied start times within and across
+cells, calls with no completion or no edge half, empty cells, sparse
+sequence numbers) both must give the same rows and breakdown records,
+bit for bit, and the serving-latency join must match the dict join.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.serverless.gateway import Completions
+from repro.sim import shard
+from repro.sim.shard import CloudCall, merge, plan_run
+from repro.telemetry import (BreakdownAggregate, LatencyBreakdown,
+                             MetricSeries)
+from tests.sim.test_shard_determinism import scenario_variant
+from tests.sim.test_shard_stages import (CONFIG, _cell_result, _ledger,
+                                         _stats)
+
+N_CELLS = 4
+
+
+# -- the row-wise reference ---------------------------------------------
+
+def _merge_latencies(results, done, name):
+    """Row-wise join: ``results`` are ``(cell, RunResult, calls)``
+    triples, ``done`` maps ``(cell, seq)`` to ``(done_s, breakdown)``."""
+    rows = []
+    for cell, result, calls in results:
+        series = result.task_latencies
+        values, times = series.values, series.times
+        for position in range(len(series)):
+            rows.append((float(times[position]), cell, position,
+                         float(values[position]), None))
+        for call in calls:
+            cloud_half = done.get((call.cell, call.seq))
+            if call.start_s is None or cloud_half is None:
+                continue
+            done_s, cloud_breakdown = cloud_half
+            latency = max(call.edge_done_s, done_s) - call.start_s
+            breakdown = (LatencyBreakdown(**call.edge_breakdown) +
+                         LatencyBreakdown(**cloud_breakdown))
+            rows.append((call.start_s, cell, 10 ** 9 + call.seq,
+                         latency, breakdown))
+    rows.sort(key=lambda row: row[:3])
+    local_records = {cell: result.breakdowns._records
+                     for cell, result, _ in results}
+    latencies = MetricSeries(name)
+    breakdowns = BreakdownAggregate()
+    for time, cell, position, value, breakdown in rows:
+        latencies.add(value, time=time)
+        if breakdown is None:
+            breakdown = local_records[cell][position]
+        breakdowns.add(breakdown)
+    return latencies, breakdowns
+
+
+def _serving_latencies(calls, served):
+    done = {(cell, seq): done_s for cell, seq, done_s, _ in served}
+    return [done[(call.cell, call.seq)] - call.arrival_s
+            for call in calls if (call.cell, call.seq) in done]
+
+
+# -- random inputs --------------------------------------------------------
+
+#: A few start times shared by many rows, so ties within and across
+#: cells, local and deferred, are common.
+_TIED = st.sampled_from([0.0, 1.0, 2.5, 7.25])
+_times = st.one_of(_TIED, st.floats(0.0, 500.0))
+_seconds = st.floats(0.0, 50.0)
+_charges = st.fixed_dictionaries({
+    name: _seconds for name in ("network", "management", "data_io",
+                                "execution")})
+
+
+@st.composite
+def _cell(draw, cell):
+    """One cell: its local ``(time, latency)`` rows, its calls and the
+    cloud tier's completions for them."""
+    local = draw(st.lists(st.tuples(_times, _seconds), max_size=6))
+    # Sparse, but often below the local row count: a deferred row must
+    # still follow every local row of its cell at an equal start.
+    seqs = sorted(draw(st.sets(st.integers(0, 6) | st.integers(0, 10 ** 6),
+                               max_size=6)))
+    calls, served = [], []
+    for seq in seqs:
+        start = draw(st.none() | _times)
+        call = CloudCall(cell=cell, seq=seq, device_id=f"d{cell}",
+                         arrival_s=0.0, recognition_s=0.1, dedup_s=None,
+                         input_mb=1.0, output_mb=0.1)
+        if start is not None:
+            call.start_s = start
+            call.edge_done_s = start + draw(_seconds)
+            call.edge_breakdown = draw(_charges)
+        calls.append(call)
+        if draw(st.booleans()):
+            served.append((cell, seq, draw(_times), draw(_charges)))
+    return local, calls, served
+
+
+@st.composite
+def _run(draw):
+    cells = [draw(_cell(cell)) for cell in range(N_CELLS)]
+    served = [done for _, _, part in cells for done in part]
+    # Completions arrive in any order, with some for calls no cell
+    # ledger holds (the serving and background streams).
+    served += draw(st.lists(st.tuples(
+        st.integers(1_000_000, 1_000_002), st.integers(0, 20), _times,
+        _charges), max_size=4, unique_by=lambda done: done[:2]))
+    served = draw(st.permutations(served))
+    return cells, served
+
+
+def _results(cells):
+    """The cells' ``(cell, RunResult, calls)`` triples."""
+    return [(cell, _cell_result(local), calls)
+            for cell, (local, calls, _) in enumerate(cells)]
+
+
+def _bits(series):
+    return series.values.tobytes(), series.times.tobytes()
+
+
+def _record_bits(breakdowns):
+    return np.array([[record.network, record.management, record.data_io,
+                      record.execution]
+                     for record in breakdowns._records]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def plan():
+    return plan_run(CONFIG, scenario_variant("S1"), 16, cell_devices=4)
+
+
+class TestColumnarMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(_run())
+    def test_rows_match_the_row_wise_join(self, plan, run):
+        cells, served = run
+        results = _results(cells)
+        done = {(cell, seq): (done_s, breakdown)
+                for cell, seq, done_s, breakdown in served}
+        expected, expected_breakdowns = _merge_latencies(results, done, "x")
+        merged = merge(plan,
+                       [(cell, result, _ledger(*calls))
+                        for cell, result, calls in results],
+                       Completions.pack(served), _stats(len(served)))
+        assert _bits(merged.task_latencies) == _bits(expected)
+        assert len(merged.breakdowns) == len(expected_breakdowns)
+        assert (_record_bits(merged.breakdowns)
+                == _record_bits(expected_breakdowns))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_run())
+    def test_serving_join_matches_the_dict_join(self, run):
+        cells, served = run
+        calls = [call for _, part, _ in cells for call in part]
+        calls += [CloudCall(cell=cell, seq=seq, device_id="tenant:t",
+                            arrival_s=0.5, recognition_s=0.1, dedup_s=None,
+                            input_mb=0.1, output_mb=0.1, synthetic=True)
+                  for cell in (1_000_000, 1_000_001) for seq in range(8)]
+        joined = shard._serving_latencies(calls, Completions.pack(served))
+        assert (joined.tobytes()
+                == np.array(_serving_latencies(calls, served),
+                            dtype=float).tobytes())
+
+
+class TestJoin:
+    def test_a_key_served_twice_resolves_to_its_last_completion(self):
+        served = Completions.pack([
+            (0, 3, 1.0, LatencyBreakdown().as_dict()),
+            (0, 3, 2.0, LatencyBreakdown().as_dict())])
+        index = shard._join(served, np.array([0, 0]), np.array([3, 4]))
+        assert index.tolist() == [1, -1]
+
+    def test_negative_keys_raise(self):
+        served = Completions.pack([(0, 3, 1.0,
+                                    LatencyBreakdown().as_dict())])
+        with pytest.raises(ValueError):
+            shard._join(served, np.array([0]), np.array([-1]))

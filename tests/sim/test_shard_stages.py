@@ -18,10 +18,10 @@ from repro.config import DEFAULT
 from repro.faults import FaultPlan
 from repro.platforms import platform_config
 from repro.platforms.base import RunResult
-from repro.serverless.gateway import CloudGateway
+from repro.serverless.gateway import CloudGateway, Completions
 from repro.serverless.region import RegionGateway
-from repro.sim.shard import (CloudCall, merge, plan_cells, plan_run,
-                             run_sharded)
+from repro.sim.shard import (CellBoundary, CloudCall, merge, plan_cells,
+                             plan_run, run_sharded)
 from repro.telemetry import (BandwidthMeter, BreakdownAggregate,
                              LatencyBreakdown, MetricSeries)
 from tests.serverless.test_region_pricing import HOST_KEYS, _digest
@@ -103,14 +103,17 @@ def _call(cell=0, seq=0, arrival_s=1.0, **kwargs):
 
 
 class TestGatewayShape:
-    def test_serve_returns_completion_tuples(self):
+    def test_serve_returns_completion_columns(self):
         gateway = CloudGateway(CONFIG, SCENARIO_A, DEFAULT, n_devices=16)
-        assert gateway.serve([_call(cell=3, seq=7)], 1.0) == []
+        assert len(gateway.serve([_call(cell=3, seq=7)], 1.0).seq) == 0
         completions, stats = gateway.finish()
-        [(cell, seq, done_s, breakdown)] = completions
+        [cell], [seq], [done_s] = (completions.cell, completions.seq,
+                                   completions.done_s)
+        [breakdown] = completions.breakdown
         assert (cell, seq) == (3, 7)
         assert done_s > 1.0
-        assert set(breakdown) >= {"management", "execution"}
+        # COMPONENTS order: management and execution are charged.
+        assert breakdown[1] > 0 and breakdown[3] > 0
         assert stats == {0: gateway.stats()}
         assert stats[0]["completions"] == 1
         assert stats[0]["last_completion_s"] == done_s
@@ -150,7 +153,22 @@ def _cell_result(local_rows, makespan_s=50.0):
 def _edge_call(cell, seq, start_s, edge_done_s):
     return _call(cell=cell, seq=seq, arrival_s=start_s + 0.1,
                  start_s=start_s, edge_done_s=edge_done_s,
-                 edge_breakdown={"network": edge_done_s - start_s})
+                 edge_breakdown=_breakdown(
+                     network=edge_done_s - start_s).as_dict())
+
+
+def _ledger(*calls):
+    """The edge ledger a cell whose boundary saw ``calls`` ships."""
+    boundary = CellBoundary(0)
+    boundary.calls.extend(calls)
+    return boundary.ledger()
+
+
+def _completions(*served):
+    """Cloud-tier columns of ``(cell, seq, done_s, charges)`` calls."""
+    return Completions.pack([(cell, seq, done_s, _breakdown(**charges)
+                              .as_dict())
+                             for cell, seq, done_s, charges in served])
 
 
 def _stats(completions=1, last=0.0):
@@ -167,30 +185,34 @@ class TestMerge:
     def test_local_rows_precede_deferred_rows_at_equal_start(self,
                                                              mono_plan):
         results = [(0, _cell_result([(5.0, 1.0)]),
-                    [_edge_call(0, 0, 5.0, 6.0)]),
-                   (1, _cell_result([(5.0, 3.0)]), [])]
+                    _ledger(_edge_call(0, 0, 5.0, 6.0))),
+                   (1, _cell_result([(5.0, 3.0)]), _ledger())]
         merged = merge(mono_plan, results,
-                       [(0, 0, 7.0, {"execution": 1.0})], _stats(last=7.0))
+                       _completions((0, 0, 7.0, {"execution": 1.0})),
+                       _stats(last=7.0))
         assert tuple(merged.task_latencies.times) == (5.0, 5.0, 5.0)
         # cell 0 local, cell 0 deferred, then cell 1 local.
         assert tuple(merged.task_latencies.values) == (1.0, 2.0, 3.0)
 
     def test_call_without_completion_has_no_row(self, mono_plan):
-        results = [(0, _cell_result([]), [_edge_call(0, 0, 5.0, 6.0),
-                                          _edge_call(0, 1, 6.0, 7.0)]),
-                   (1, _cell_result([]), [])]
+        results = [(0, _cell_result([]),
+                    _ledger(_edge_call(0, 0, 5.0, 6.0),
+                            _edge_call(0, 1, 6.0, 7.0))),
+                   (1, _cell_result([]), _ledger())]
         merged = merge(mono_plan, results,
-                       [(0, 1, 9.0, {"execution": 1.0})], _stats(last=9.0))
+                       _completions((0, 1, 9.0, {"execution": 1.0})),
+                       _stats(last=9.0))
         assert tuple(merged.task_latencies.values) == (3.0,)
 
     def test_latency_and_breakdown_join_both_halves(self, mono_plan):
         # Call 0's edge half finishes last, call 1's cloud half does.
-        calls = [_edge_call(0, 0, 5.0, 9.0), _edge_call(0, 1, 6.0, 7.0)]
-        completions = [(0, 0, 8.0, {"execution": 1.5}),
-                       (0, 1, 10.0, {"management": 0.25,
-                                     "execution": 2.0})]
-        merged = merge(mono_plan, [(0, _cell_result([]), calls),
-                                   (1, _cell_result([]), [])],
+        ledger = _ledger(_edge_call(0, 0, 5.0, 9.0),
+                         _edge_call(0, 1, 6.0, 7.0))
+        completions = _completions(
+            (0, 0, 8.0, {"execution": 1.5}),
+            (0, 1, 10.0, {"management": 0.25, "execution": 2.0}))
+        merged = merge(mono_plan, [(0, _cell_result([]), ledger),
+                                   (1, _cell_result([]), _ledger())],
                        completions, _stats(2, last=10.0))
         assert tuple(merged.task_latencies.values) == (9.0 - 5.0,
                                                        10.0 - 6.0)
@@ -200,21 +222,24 @@ class TestMerge:
                                     execution=2.0)
 
     def test_makespan_covers_the_cloud_tail(self, mono_plan):
-        results = [(0, _cell_result([], makespan_s=40.0), []),
-                   (1, _cell_result([], makespan_s=45.0), [])]
-        merged = merge(mono_plan, results, [], _stats(0, last=60.0))
+        results = [(0, _cell_result([], makespan_s=40.0), _ledger()),
+                   (1, _cell_result([], makespan_s=45.0), _ledger())]
+        merged = merge(mono_plan, results, _completions(),
+                       _stats(0, last=60.0))
         assert merged.duration_s == merged.extras["makespan_s"] == 60.0
-        merged = merge(mono_plan, results, [], _stats(0, last=30.0))
+        merged = merge(mono_plan, results, _completions(),
+                       _stats(0, last=30.0))
         assert merged.duration_s == 45.0
 
     def test_each_tier_keeps_its_extras_key_set(self, mono_plan):
-        results = [(0, _cell_result([]), []), (1, _cell_result([]), [])]
+        results = [(0, _cell_result([]), _ledger()),
+                   (1, _cell_result([]), _ledger())]
         cell_keys = {"makespan_s", "targets", "recognition_tier",
                      "cloud_fraction", "tally", "failed_devices", "cells",
                      "shards", "shard_workers", "window_s", "items_found"}
         gateway = CloudGateway(CONFIG, SCENARIO_A, DEFAULT, n_devices=8)
         _, stats = gateway.finish()
-        merged = merge(mono_plan, results, [], stats)
+        merged = merge(mono_plan, results, _completions(), stats)
         assert set(merged.extras) == cell_keys | {
             "cloud_completions", "cloud_makespan_s",
             "persisted_documents", "cold_starts"}
@@ -224,7 +249,8 @@ class TestMerge:
         region = RegionGateway(CONFIG, SCENARIO_A, DEFAULT, region=0,
                                n_regions=1, region_devices=8,
                                total_devices=8)
-        merged = merge(regional_plan, results, [], {0: region.stats()})
+        merged = merge(regional_plan, results, _completions(),
+                       {0: region.stats()})
         assert set(merged.extras) == cell_keys | {
             "cloud_completions", "cloud_makespan_s",
             "persisted_documents", "cold_starts", "warm_starts",

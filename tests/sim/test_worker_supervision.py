@@ -101,6 +101,33 @@ class TestKillRecovery:
         assert chaotic.extras["worker_recoveries"] == 1
         assert chaotic.extras["worker_incidents"][0]["worker"] == "cloud0"
 
+    def test_kill_on_finish_is_byte_identical(self, monkeypatch):
+        """A cell worker and a region worker each killed on their
+        ``finish`` op replay their journals and ship the same rows."""
+        shape = dict(cloud_shards=2, region_devices=8)
+        sent = {}
+        send = SupervisedConnection.send
+
+        def counting(handle, command, argument):
+            sent.setdefault(handle.name, []).append(command)
+            return send(handle, command, argument)
+
+        monkeypatch.setattr(SupervisedConnection, "send", counting)
+        baseline = _run(WorkerFaultPlan(), **shape)
+        monkeypatch.undo()
+        finish_op = {name: commands.index("finish") + 1
+                     for name, commands in sent.items()}
+        plan = (WorkerFaultPlan().kill("shard", 0, finish_op["shard0"])
+                .kill("cloud", 0, finish_op["cloud0"]))
+        chaotic = _run(plan, **shape)
+        assert result_bytes(chaotic) == result_bytes(baseline)
+        incidents = chaotic.extras["worker_incidents"]
+        assert sorted(incident["worker"] for incident in incidents) == [
+            "cloud0", "shard0"]
+        for incident in incidents:
+            assert incident["op"].startswith("finish@")
+            assert incident["failure"] == "death"
+
 
 @needs_processes
 class TestHangRecovery:

@@ -1,5 +1,7 @@
 """Tests for latency breakdowns, energy accounts, and bandwidth meters."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -188,3 +190,35 @@ class TestBandwidthMeter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             BandwidthMeter().record(0, -1)
+
+    @pytest.mark.parametrize("window_s", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_non_finite_window_rejected(self, window_s):
+        with pytest.raises(ValueError, match="window"):
+            BandwidthMeter(window_s=window_s)
+
+    @pytest.mark.parametrize("time, megabytes", [
+        (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+        (1.0, math.nan), (1.0, math.inf),
+    ], ids=["nan-time", "inf-time", "negative-time", "nan-size",
+            "inf-size"])
+    def test_bad_record_rejected(self, time, megabytes):
+        meter = BandwidthMeter()
+        with pytest.raises(ValueError):
+            meter.record(time, megabytes)
+        with pytest.raises(ValueError):
+            meter.extend([0.5, time], [1.0, megabytes])
+        assert len(meter) == 0
+
+    def test_extend_matches_record(self):
+        one, bulk = BandwidthMeter(), BandwidthMeter()
+        times, sizes = [0.5, 2.25, 0.5, 3.0], [1.0, 2.0, 0.0, 4.5]
+        for time, megabytes in zip(times, sizes):
+            one.record(time, megabytes)
+        bulk.extend(times, sizes)
+        assert bulk.events == one.events
+        assert bulk.series_mbs().tobytes() == one.series_mbs().tobytes()
+
+    def test_extend_needs_equal_lengths(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            BandwidthMeter().extend([1.0, 2.0], [1.0])

@@ -1,5 +1,7 @@
 """Tests for MetricSeries / MetricRegistry."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -91,6 +93,55 @@ class TestMetricSeries:
         series = MetricSeries()
         series.extend(values)
         assert series.minimum - 1e-9 <= series.mean <= series.maximum + 1e-9
+
+
+class TestBulkAndPickle:
+    def test_extend_with_times_matches_add(self):
+        one, bulk = MetricSeries("s"), MetricSeries("s")
+        values, times = [3.0, 1.0, 2.0] * 40, [0.5, 1.5, 2.5] * 40
+        for value, time in zip(values, times):
+            one.add(value, time=time)
+        bulk.extend(values, times)
+        assert bulk.values.tobytes() == one.values.tobytes()
+        assert bulk.times.tobytes() == one.times.tobytes()
+
+    def test_extend_without_times_leaves_them_nan(self):
+        series = MetricSeries()
+        series.extend([1.0, 2.0])
+        assert np.isnan(series.times).all()
+
+    def test_extend_needs_one_time_per_value(self):
+        with pytest.raises(ValueError):
+            MetricSeries().extend([1.0, 2.0], [0.5])
+
+    def test_equal_series_pickle_to_identical_bytes(self):
+        grown = MetricSeries("lat")
+        for index in range(70):  # past the first buffer: spare capacity
+            grown.add(float(index % 7), time=float(index))
+        assert grown.median == 3.0  # fills the sorted cache
+        bulk = MetricSeries("lat")
+        bulk.extend([float(index % 7) for index in range(70)],
+                    [float(index) for index in range(70)])
+        assert pickle.dumps(grown) == pickle.dumps(bulk)
+
+    def test_round_trip_keeps_values_times_and_percentiles(self):
+        series = MetricSeries("lat")
+        for index in range(100):
+            series.add(index * 0.5, time=index * 2.0)
+        before = (series.values.tobytes(), series.times.tobytes(),
+                  series.percentile(37.5), series.p99)
+        copy = pickle.loads(pickle.dumps(series))
+        assert copy.name == "lat"
+        assert (copy.values.tobytes(), copy.times.tobytes(),
+                copy.percentile(37.5), copy.p99) == before
+        copy.add(1.0, time=1.0)  # the restored buffer still grows
+        assert len(copy) == 101
+
+    def test_empty_round_trip_can_grow(self):
+        copy = pickle.loads(pickle.dumps(MetricSeries("none")))
+        assert len(copy) == 0
+        copy.add(2.0)
+        assert copy.median == 2.0
 
 
 class TestMetricRegistry:
