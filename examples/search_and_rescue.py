@@ -20,7 +20,7 @@ FAIL_AT_S = 30.0
 def fly(platform: str) -> None:
     result = ScenarioRunner(
         platform_config(platform), SCENARIO_A, seed=7,
-        fail_device_at=(FAILED_DRONE, FAIL_AT_S)).run()
+        fail_devices_at=[(FAILED_DRONE, FAIL_AT_S)]).run()
     print(f"\n[{platform}] drone{FAILED_DRONE:04d} fails at "
           f"t={FAIL_AT_S:.0f}s")
     print(f"  failed devices : {result.extras['failed_devices']}")

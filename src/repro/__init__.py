@@ -6,7 +6,8 @@ Public API map:
   API codegen, the compiler.
 - :mod:`repro.platforms` — the systems under test and mission runners
   (the top-level entry point for most users).
-- :mod:`repro.core` — the HiveMind controller and its subsystems.
+- :mod:`repro.core` — the controller's straggler watchdog and heartbeat
+  failure detector.
 - :mod:`repro.serverless` — the OpenWhisk-style platform emulation.
 - :mod:`repro.edge`, :mod:`repro.routing`, :mod:`repro.learning`,
   :mod:`repro.network`, :mod:`repro.cluster`, :mod:`repro.hardware`

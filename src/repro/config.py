@@ -214,13 +214,6 @@ class ControlConstants:
     heartbeat_timeout_s: float = 3.0     # paper: >3 s means failed
     straggler_percentile: float = 90.0   # paper: p90 respawn threshold
     probation_s: float = 180.0           # paper: "a few minutes"
-    monitor_period_s: float = 1.0        # worker monitor sampling
-    # Monitoring overhead bounds the paper verifies (<0.1% tail latency).
-    monitor_overhead_fraction: float = 0.001
-    # Controller redundancy (paper: two hot standbys).
-    hot_standbys: int = 2
-    # Load balancer default policy.
-    load_balance_policy: str = "round_robin"
 
 
 @dataclass(frozen=True)

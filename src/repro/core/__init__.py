@@ -1,21 +1,12 @@
-"""HiveMind core: the centralized controller and its subsystems."""
+"""HiveMind core: the controller's straggler watchdog and failure detector.
 
-from .controller import HiveMindController
+The rest of the centralized controller (sections 4.2-4.7) lives where the
+runs use it: the scheduler in :mod:`repro.serverless`, continuous learning
+in :mod:`repro.learning.retraining` (driven by ``ScenarioRunner``) and
+placement in :class:`~repro.platforms.PlatformConfig` and :mod:`repro.dsl`.
+"""
+
 from .fault_tolerance import FailureDetector
-from .learning_manager import ContinuousLearningManager
-from .load_balancer import LoadBalancer
-from .monitoring import EdgeMonitor, MonitoringSystem, WorkerMonitor
-from .placement_manager import RuntimePlacementManager
 from .straggler import StragglerMitigator
 
-__all__ = [
-    "HiveMindController",
-    "LoadBalancer",
-    "MonitoringSystem",
-    "WorkerMonitor",
-    "EdgeMonitor",
-    "StragglerMitigator",
-    "FailureDetector",
-    "ContinuousLearningManager",
-    "RuntimePlacementManager",
-]
+__all__ = ["FailureDetector", "StragglerMitigator"]

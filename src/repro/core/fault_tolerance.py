@@ -8,7 +8,7 @@ pushing updated routes to the heirs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..config import ControlConstants
 from ..edge import Swarm
@@ -17,22 +17,18 @@ from ..sim import Environment
 
 __all__ = ["FailureDetector"]
 
-FailureCallback = Callable[[str, Dict[str, list]], None]
-
 
 class FailureDetector:
-    """Consumes the swarm heartbeat bus and detects silent devices."""
+    """Observes the swarm's heartbeats and detects silent devices."""
 
     #: Minimum battery fraction a neighbour needs to inherit work.
     MIN_HEIR_BATTERY = 0.10
 
     def __init__(self, env: Environment, swarm: Swarm,
-                 constants: Optional[ControlConstants] = None,
-                 on_failure: Optional[FailureCallback] = None):
+                 constants: Optional[ControlConstants] = None):
         self.env = env
         self.swarm = swarm
         self.constants = constants or swarm.control
-        self.on_failure = on_failure
         # Seed with the subscription instant, not 0.0: a detector created
         # (or a device joining) late in the mission would otherwise see a
         # stale epoch-zero "beat" and declare every device dead on its
@@ -40,10 +36,6 @@ class FailureDetector:
         self.last_beat: Dict[str, float] = {
             device_id: env.now for device_id in swarm.devices}
         self.failed: List[str] = []
-        # Observe beats synchronously instead of running a consumer process
-        # over the heartbeat bus: each update lands at the same simulated
-        # instant the bus hand-off would deliver it, without the per-beat
-        # put/get event traffic.
         swarm.subscribe_heartbeats(self._observe)
         self._checker = env.process(self._check())
 
@@ -75,15 +67,12 @@ class FailureDetector:
         # engine truncates an armed analytic leg from the fail hook); the
         # controller stops dispatching to it either way.
         device.fail()
-        new_assignment = self._repartition(device_id)
-        if self.on_failure is not None:
-            self.on_failure(device_id, new_assignment)
+        self._repartition(device_id)
 
-    def _repartition(self, device_id: str) -> Dict[str, list]:
+    def _repartition(self, device_id: str) -> None:
         """Give the failed device's region(s) to healthy neighbours."""
         if device_id not in self.swarm.regions:
-            return {d: r for d, r in self.swarm.regions.items()
-                    if d != device_id}
+            return
         # Flatten to a single-region view for the geometric repartition,
         # skipping heirs whose battery is too low (section 4.6: "assuming
         # they have sufficient battery").
@@ -124,7 +113,6 @@ class FailureDetector:
                     new_assignment[d] = list(regions)
         self.swarm.regions = {d: list(regions)
                               for d, regions in new_assignment.items()}
-        return new_assignment
 
     def _eligible(self, device_id: str, failed_id: str) -> bool:
         if device_id == failed_id:

@@ -39,10 +39,6 @@ class CompiledPlan:
     estimate: PlanEstimate
     apis: ApiBundle
 
-    @property
-    def meets_constraints(self) -> bool:
-        return self.estimate.feasible
-
 
 @dataclass
 class CompilationResult:

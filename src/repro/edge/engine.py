@@ -19,9 +19,9 @@ O(1) of actual work each.
   whole leg becomes a single event at its final tick boundary, with the
   per-tick position/energy arithmetic replayed at settlement so the energy
   ledger is bit-identical to ticking it.
-- Heartbeats are absorbed into the same action heap (one wake per beat
-  instant for the whole swarm) and emit the same :class:`Heartbeat`
-  objects to the same sinks/bus as ``Swarm.start_heartbeats``.
+- Heartbeats run off the same action heap (one wake per beat instant for
+  the whole swarm) and hand each :class:`Heartbeat` to the swarm's sinks
+  (``Swarm.subscribe_heartbeats``); the engine is their only emitter.
 - The engine itself draws no randomness — drone jitter lognormals are
   drawn by the per-device ``runner.drone{i}`` streams, which the platform
   runners serve from draw-ahead buffers (:meth:`~repro.sim.rng.
@@ -189,9 +189,10 @@ class SwarmEngine:
     def add_heartbeats(self, swarm: Swarm) -> None:
         """Run the swarm's 1 Hz heartbeat protocol off the action heap.
 
-        Emits the same :class:`Heartbeat` objects to the same sinks (or
-        the bus) at the same instants as ``Swarm.start_heartbeats``, but
-        all devices beating at one instant share a single kernel event.
+        Each device beats now and then every ``heartbeat_period_s`` (each
+        instant the previous one plus the period) while alive; devices
+        beating at one instant share a single kernel event and beat in
+        creation order.
         """
         for device in swarm.devices.values():
             self._arm(0.0, _BEAT, _BeatLoop(swarm, device), 0)
@@ -479,18 +480,11 @@ class SwarmEngine:
     def _do_beat(self, loop: _BeatLoop) -> None:
         device = loop.device
         if not device.alive:
-            return  # Swarm._beat's `while device.alive` exit: beat stops
+            return
         swarm = loop.swarm
-        beat = Heartbeat(
-            device_id=device.device_id,
-            time=self.env.now,
-            battery_fraction=device.energy.remaining_fraction)
-        sinks = swarm._beat_sinks
-        if sinks:
-            for sink in sinks:
-                sink(beat)
-        else:
-            swarm.heartbeat_bus.put(beat)
+        beat = Heartbeat(device.device_id, self.env.now)
+        for sink in swarm._beat_sinks:
+            sink(beat)
         self._arm(swarm.control.heartbeat_period_s, _BEAT, loop, 0)
 
     # -- completion --------------------------------------------------------

@@ -106,14 +106,6 @@ class FlightProfile:
     last_capture_s: float    #: time of the last capture
     n_turns: int             #: inter-leg turn penalties paid
 
-    @property
-    def capture_spacing_s(self) -> float:
-        """Mean spacing between a device's captures over the flight."""
-        if self.batches <= 1:
-            return self.flight_s
-        return (self.last_capture_s - self.first_capture_s) / (
-            self.batches - 1)
-
 
 def flight_profile(constants: PaperConstants) -> FlightProfile:
     """Replay the representative tile's route in closed form.

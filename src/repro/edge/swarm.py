@@ -1,10 +1,11 @@
 """Swarm container: devices, work regions, heartbeats, failure injection.
 
 The swarm owns the mapping from devices to field regions (initial equal
-partition, section 2.1) and runs the heartbeat protocol every device speaks
-(one beat per second, section 4.6). Failure injection schedules a device
-crash mid-mission so the controller-side fault tolerance (3 s timeout +
-repartitioning) can be exercised end to end.
+partition, section 2.1) and the observers of the heartbeat protocol every
+device speaks (one beat per second, section 4.6); the beats themselves run
+off :meth:`~repro.edge.engine.SwarmEngine.add_heartbeats`. Failure injection
+schedules a device crash mid-mission so the controller-side fault tolerance
+(3 s timeout + repartitioning) can be exercised end to end.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from ..config import ControlConstants, PaperConstants
 from ..routing import Region, coverage_route, partition_field
-from ..sim import Environment, RandomStreams, Store
-from ..sim.accounting import tally
+from ..sim import Environment, RandomStreams
 from .device import EdgeDevice
 from .drone import Drone
 
@@ -28,7 +28,6 @@ class Heartbeat:
 
     device_id: str
     time: float
-    battery_fraction: float
 
 
 class Swarm:
@@ -46,12 +45,8 @@ class Swarm:
                                                for d in devices}
         self.control = control or ControlConstants()
         self.regions: Dict[str, List[Region]] = {}
-        #: Heartbeats flow into this store; the controller consumes them.
-        self.heartbeat_bus: Store = Store(env)
-        #: Synchronous beat observers; when any are registered the bus is
-        #: bypassed entirely (see :meth:`subscribe_heartbeats`).
+        #: Synchronous beat observers (see :meth:`subscribe_heartbeats`).
         self._beat_sinks: List[Callable[[Heartbeat], None]] = []
-        self._heartbeat_procs = []
 
     def __len__(self) -> int:
         return len(self.devices)
@@ -85,50 +80,14 @@ class Swarm:
         return waypoints
 
     # -- heartbeats ------------------------------------------------------------
-    def start_heartbeats(self, engine=None) -> None:
-        """Begin the 1 Hz heartbeat protocol for every device.
-
-        With an ``engine`` (:class:`~repro.edge.engine.SwarmEngine`) the
-        beats run off the engine's shared action heap — one kernel event
-        per beat instant for the whole swarm instead of one process per
-        device — with identical beat objects at identical instants.
-        """
-        if engine is not None:
-            engine.add_heartbeats(self)
-            return
-        for device in self.devices.values():
-            self._heartbeat_procs.append(
-                self.env.process(self._beat(device)))
-
     def subscribe_heartbeats(self,
                              sink: Callable[[Heartbeat], None]) -> None:
         """Register a synchronous beat observer.
 
-        With at least one observer the beats are handed over directly and
-        the :attr:`heartbeat_bus` store is bypassed: at swarm scale the bus
-        round-trip (put event, get event, consumer wakeup) dominates the
-        event count of centralized runs, and an observer sees each beat at
-        the same simulated instant the bus consumer would have.
+        Every beat the engine emits for this swarm is handed to each sink
+        at the beat's simulated instant, in subscription order.
         """
         self._beat_sinks.append(sink)
-
-    def _beat(self, device: EdgeDevice) -> Generator:
-        sinks = self._beat_sinks
-        timeout = self.env.timeout
-        period = self.control.heartbeat_period_s
-        while device.alive:
-            beat = Heartbeat(
-                device_id=device.device_id,
-                time=self.env.now,
-                battery_fraction=device.energy.remaining_fraction)
-            if sinks:
-                tally("edge", 1)
-                for sink in sinks:
-                    sink(beat)
-            else:
-                tally("edge", 2)
-                yield self.heartbeat_bus.put(beat)
-            yield timeout(period)
 
     # -- failure injection --------------------------------------------------
     def fail_device_at(self, device_id: str, at_time: float) -> None:

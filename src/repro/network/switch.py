@@ -70,7 +70,3 @@ class ClusterNetwork:
         yield from self._rx[dst].transfer(megabytes)
         self.meter.record(self.env.now, megabytes)
         return self.env.now - start
-
-    def one_way_latency(self) -> float:
-        """Unloaded propagation/processing latency server-to-server."""
-        return self.constants.tor_latency_s

@@ -53,6 +53,10 @@ __all__ = ["ScenarioRunner"]
 OBSTACLE_SERVICE_S = 0.06
 OBSTACLE_SLOWDOWN = 1.2
 
+#: Fleet the static IaaS reservation is sized for: the real 16-drone
+#: testbed, whatever the simulated swarm size.
+IAAS_BASELINE_DEVICES = 16
+
 
 class ScenarioRunner:
     """Executes one end-to-end scenario on one platform."""
@@ -62,10 +66,8 @@ class ScenarioRunner:
                  seed: int = 0,
                  n_devices: Optional[int] = None,
                  retraining: Optional[str] = None,
-                 fail_device_at: Optional[Tuple[int, float]] = None,
                  frame_mb: Optional[float] = None,
                  fps: Optional[float] = None,
-                 iaas_baseline_devices: int = 16,
                  passes: int = 1,
                  cloud_boundary: Optional[object] = None,
                  device_id_base: int = 0,
@@ -79,12 +81,8 @@ class ScenarioRunner:
                           else constants.scaled_for_swarm(n_devices))
         self.seed = seed
         self.retraining = retraining
-        self.fail_device_at = fail_device_at
         self.frame_mb = frame_mb
         self.fps = fps
-        if iaas_baseline_devices <= 0:
-            raise ValueError("baseline fleet must be positive")
-        self.iaas_baseline_devices = iaas_baseline_devices
         if passes <= 0:
             raise ValueError("passes must be positive")
         #: Coverage passes over the field (continuous-surveillance runs
@@ -118,9 +116,9 @@ class ScenarioRunner:
         #: (sharded mode passes the *global* device count so every cell
         #: compiles the same whole-swarm placement).
         self.placement_devices = placement_devices
-        #: Scheduled device failures ((local index, time) pairs) — the
-        #: multi-device generalization of ``fail_device_at``, used by the
-        #: shard runtime to apply a partitioned fault plan per cell.
+        #: Scheduled device failures: (local device index, absolute time)
+        #: pairs. The shard runtime passes each cell its share of a
+        #: partitioned fault plan.
         self.fail_devices_at = list(fail_devices_at or ())
         self._st: Optional[Dict[str, object]] = None
         self._finished = False
@@ -218,7 +216,7 @@ class ScenarioRunner:
             # not grow with simulated swarm size — the scalability wall of
             # Fig 1 — and the fleet boots at mission start, paying the
             # instance spin-up lag (Fig 5b's inelasticity).
-            demand = (self.iaas_baseline_devices * app.cloud_service_s *
+            demand = (IAAS_BASELINE_DEVICES * app.cloud_service_s *
                       min(1.0, app.rate_hz))
             pool = FixedPool(env, cores=1)
             env.process(pool.resize(max(1, math.ceil(demand * 0.5))))
@@ -235,11 +233,8 @@ class ScenarioRunner:
         # Fault tolerance (global-view platforms only).
         detector = None
         if execution != "edge":
-            swarm.start_heartbeats(engine=engine)
+            engine.add_heartbeats(swarm)
             detector = FailureDetector(env, swarm, constants.control)
-        if self.fail_device_at is not None:
-            index, at_time = self.fail_device_at
-            swarm.fail_device_at(drones[index].device_id, at_time)
         for index, at_time in self.fail_devices_at:
             swarm.fail_device_at(drones[index].device_id, at_time)
 

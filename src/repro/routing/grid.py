@@ -46,10 +46,6 @@ class GridMap:
     def is_free(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and cell not in self._blocked
 
-    @property
-    def blocked_cells(self) -> Set[Cell]:
-        return set(self._blocked)
-
     def neighbors(self, cell: Cell) -> Iterator[Cell]:
         x, y = cell
         for dx, dy in self.MOVES:

@@ -113,11 +113,3 @@ class Invocation:
     def latency_s(self) -> float:
         """End-to-end latency inside the cloud (arrival to completion)."""
         return self.t_complete - self.t_arrive
-
-    @property
-    def queueing_s(self) -> float:
-        return self.t_scheduled - self.t_arrive
-
-    @property
-    def execution_s(self) -> float:
-        return self.t_complete - self.t_exec_start

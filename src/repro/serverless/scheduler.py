@@ -3,8 +3,8 @@
 The base :class:`OpenWhiskScheduler` reproduces the stock behaviour: prefer
 an invoker with a compatible warm container (OpenWhisk's home-invoker
 affinity), otherwise the least-loaded healthy server. HiveMind's scheduler
-(:class:`HiveMindScheduler`, used by :mod:`repro.core`) adds the two
-optimizations of section 4.3:
+(:class:`HiveMindScheduler`, ``OpenWhiskPlatform(scheduler="hivemind")``)
+adds the two optimizations of section 4.3:
 
 1. place a child function in its parent's still-live container for
    in-memory data exchange;

@@ -23,7 +23,7 @@ the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .admission import AdmissionConfig, AdmissionController
@@ -65,16 +65,6 @@ class ServingConfig:
                         else DEFAULT_DURATION_S),
             admission_enabled=resolve("REPRO_SERVING_ADMISSION", admission),
             autoscale_enabled=resolve("REPRO_SERVING_AUTOSCALE", autoscale))
-
-    def with_policies(self, admission: Optional[AdmissionConfig] = None,
-                      autoscale: Optional[AutoscaleConfig] = None
-                      ) -> "ServingConfig":
-        out = self
-        if admission is not None:
-            out = replace(out, admission=admission)
-        if autoscale is not None:
-            out = replace(out, autoscale=autoscale)
-        return out
 
     @property
     def tenant_weights(self) -> Dict[str, float]:

@@ -292,7 +292,6 @@ class Process(Event):
         """Advance the generator with ``event``'s outcome."""
         env = self.env
         generator = self._generator
-        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -322,7 +321,6 @@ class Process(Event):
                 break
             # Already processed: loop immediately with its outcome.
             event = next_event
-        env._active_process = None
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))
@@ -414,7 +412,6 @@ class Environment:
         self._urgent: deque = deque()
         self._normal: deque = deque()
         self._eid = itertools.count()
-        self._active_process: Optional[Process] = None
         #: Recycled callback lists / Timeout objects (see module docstring).
         self._list_pool: List[list] = []
         self._timeout_pool: List[Timeout] = []
@@ -425,10 +422,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -472,22 +465,6 @@ class Environment:
         timeout._delay = when - self._now
         self._schedule_at(timeout, NORMAL, when)
         return timeout
-
-    def succeed_at(self, event: Event, when: float,
-                   value: Any = None) -> Event:
-        """Trigger ``event`` successfully at the absolute time ``when``.
-
-        The virtual-clock queue models arm waiter gates with this: the
-        event fires at the exact precomputed float instant (see
-        :meth:`timeout_at`), merging into (time, priority, eid) order with
-        an eid drawn now.
-        """
-        if event._value is not _PENDING:
-            raise RuntimeError(f"{event!r} has already been triggered")
-        event._ok = True
-        event._value = value
-        self._schedule_at(event, NORMAL, when)
-        return event
 
     def reserve_eid(self) -> int:
         """Draw an insertion id *now* for an event scheduled later.

@@ -3,13 +3,12 @@
 from .bandwidth import BandwidthMeter
 from .breakdown import (COMPONENTS, BreakdownAggregate, LatencyBreakdown,
                         breakdown_array)
-from .metrics import DistributionSummary, MetricRegistry, MetricSeries
+from .metrics import DistributionSummary, MetricSeries
 from .power import BatteryDepleted, EnergyAccount, fleet_consumed_percent
 from .report import format_value, render_series, render_table
 
 __all__ = [
     "MetricSeries",
-    "MetricRegistry",
     "DistributionSummary",
     "LatencyBreakdown",
     "BreakdownAggregate",

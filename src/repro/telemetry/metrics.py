@@ -11,11 +11,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-__all__ = ["MetricSeries", "DistributionSummary", "MetricRegistry"]
+__all__ = ["MetricSeries", "DistributionSummary"]
 
 
 @dataclass(frozen=True)
@@ -247,29 +247,3 @@ def _column(samples: Iterable[float]) -> np.ndarray:
         raise ValueError(f"expected a flat sequence of samples, got shape "
                          f"{column.shape}")
     return column
-
-
-class MetricRegistry:
-    """Keyed collection of :class:`MetricSeries` (lazily created)."""
-
-    def __init__(self) -> None:
-        self._series: Dict[str, MetricSeries] = {}
-
-    def series(self, name: str) -> MetricSeries:
-        found = self._series.get(name)
-        if found is None:
-            found = MetricSeries(name)
-            self._series[name] = found
-        return found
-
-    def add(self, name: str, value: float, time: float = math.nan) -> None:
-        self.series(name).add(value, time)
-
-    def names(self) -> Sequence[str]:
-        return sorted(self._series)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._series
-
-    def __getitem__(self, name: str) -> MetricSeries:
-        return self._series[name]

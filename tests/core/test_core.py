@@ -1,31 +1,13 @@
-"""Tests for the HiveMind controller subsystems."""
+"""Tests for the controller's straggler watchdog and failure detector."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.config import (
-    DEFAULT,
-    ClusterConstants,
-    ControlConstants,
-    DroneConstants,
-    PaperConstants,
-)
-from repro.core import (
-    ContinuousLearningManager,
-    FailureDetector,
-    HiveMindController,
-    LoadBalancer,
-    MonitoringSystem,
-    RuntimePlacementManager,
-    StragglerMitigator,
-)
-from repro.dsl import DirectiveSet, Learn, LatencyConstraint, HiveMindCompiler
-from repro.edge import Drone, Swarm, build_drone_swarm
-from repro.learning import IdentitySpace, RetrainingMode
+from repro.config import ClusterConstants
+from repro.core import FailureDetector, StragglerMitigator
 from repro.serverless import FunctionSpec, InvocationRequest, OpenWhiskPlatform
 from repro.sim import Environment, RandomStreams
-from tests.dsl.test_dsl import scenario_b_graph
+from tests.faults.test_failure_detector import make_swarm
 
 
 @pytest.fixture
@@ -37,104 +19,6 @@ def small_platform(env, **kwargs):
     cluster = Cluster(env, ClusterConstants(servers=2, cores_per_server=8))
     platform = OpenWhiskPlatform(env, cluster, RandomStreams(3), **kwargs)
     return cluster, platform
-
-
-class TestLoadBalancer:
-    def _drones(self, env, n=4):
-        return [Drone(env, f"d{i}", DroneConstants()) for i in range(n)]
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            LoadBalancer("coin_flip")
-
-    def test_round_robin_cycles(self, env):
-        balancer = LoadBalancer("round_robin")
-        drones = self._drones(env, 3)
-        picks = [balancer.assign(drones).device_id for _ in range(6)]
-        assert picks == ["d0", "d1", "d2", "d0", "d1", "d2"]
-
-    def test_skips_dead_devices(self, env):
-        balancer = LoadBalancer("round_robin")
-        drones = self._drones(env, 3)
-        drones[1].fail()
-        picks = {balancer.assign(drones).device_id for _ in range(4)}
-        assert "d1" not in picks
-
-    def test_no_alive_devices(self, env):
-        balancer = LoadBalancer()
-        drones = self._drones(env, 1)
-        drones[0].fail()
-        with pytest.raises(ValueError):
-            balancer.assign(drones)
-
-    def test_least_loaded(self, env):
-        balancer = LoadBalancer("least_loaded")
-        drones = self._drones(env, 2)
-        first = balancer.assign(drones)
-        second = balancer.assign(drones)
-        assert first.device_id != second.device_id
-        balancer.complete(first.device_id)
-        third = balancer.assign(drones)
-        assert third.device_id == first.device_id
-
-    def test_complete_without_outstanding(self):
-        with pytest.raises(ValueError):
-            LoadBalancer().complete("ghost")
-
-    def test_split_even(self, env):
-        balancer = LoadBalancer()
-        shares = balancer.split(10, self._drones(env, 3))
-        assert sum(shares.values()) == 10
-        assert max(shares.values()) - min(shares.values()) <= 1
-
-    def test_split_battery_weighted(self, env):
-        balancer = LoadBalancer("battery_weighted")
-        drones = self._drones(env, 2)
-        drones[0].energy.draw_power("motion", 42, 600)  # drain ~60%
-        shares = balancer.split(10, drones)
-        assert shares["d1"] > shares["d0"]
-        assert sum(shares.values()) == 10
-
-    def test_split_validation(self, env):
-        with pytest.raises(ValueError):
-            LoadBalancer().split(-1, self._drones(env, 1))
-
-
-class TestMonitoring:
-    def test_worker_monitors_sample(self, env):
-        cluster, platform = small_platform(env)
-        monitoring = MonitoringSystem(env, cluster)
-        env.run(until=5.5)
-        for monitor in monitoring.worker_monitors.values():
-            assert monitor.samples == 6
-
-    def test_overhead_within_paper_bound(self, env):
-        cluster, _ = small_platform(env)
-        monitoring = MonitoringSystem(env, cluster)
-        assert monitoring.overhead_factor() - 1.0 <= 0.001
-
-    def test_least_utilized_server(self, env):
-        cluster, _ = small_platform(env)
-        monitoring = MonitoringSystem(env, cluster)
-
-        def occupy():
-            grant = yield env.process(
-                cluster.server("server0").acquire_cores(4))
-            yield env.timeout(100)
-            grant.release()
-
-        env.process(occupy())
-        env.run(until=3)
-        assert monitoring.least_utilized_server() == "server1"
-
-    def test_edge_monitor_tracks_alive(self, env):
-        cluster, _ = small_platform(env)
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        monitoring = MonitoringSystem(env, cluster, swarm)
-        swarm.devices["drone0000"].fail()
-        env.run(until=2.5)
-        series = monitoring.registry.series("swarm.alive")
-        assert series.values[-1] == 15
 
 
 class TestStragglerMitigation:
@@ -177,9 +61,7 @@ class TestStragglerMitigation:
 
 class TestFailureDetector:
     def test_silent_device_declared_failed(self, env):
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        swarm.assign_regions(110, 110)
-        swarm.start_heartbeats()
+        swarm = make_swarm(env)
         detector = FailureDetector(env, swarm)
         swarm.fail_device_at("drone0003", at_time=10.0)
         env.run(until=20.0)
@@ -187,136 +69,22 @@ class TestFailureDetector:
         assert detector.alive_count == 15
 
     def test_failed_region_reassigned(self, env):
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        swarm.assign_regions(110, 110)
-        swarm.start_heartbeats()
-        failures = []
-        detector = FailureDetector(
-            env, swarm,
-            on_failure=lambda d, assignment: failures.append(d))
+        swarm = make_swarm(env)
+        detector = FailureDetector(env, swarm)
         total_area_before = sum(
             r.area for regions in swarm.regions.values() for r in regions)
         swarm.fail_device_at("drone0005", at_time=5.0)
         env.run(until=15.0)
-        assert failures == ["drone0005"]
+        assert detector.failed == ["drone0005"]
         assert "drone0005" not in swarm.regions
+        # The heirs received extra regions (their routes were updated).
+        assert any(len(regions) > 1 for regions in swarm.regions.values())
         total_area_after = sum(
             r.area for regions in swarm.regions.values() for r in regions)
         assert total_area_after == pytest.approx(total_area_before)
 
     def test_healthy_swarm_no_failures(self, env):
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        swarm.assign_regions(110, 110)
-        swarm.start_heartbeats()
+        swarm = make_swarm(env)
         detector = FailureDetector(env, swarm)
         env.run(until=30.0)
         assert detector.failed == []
-
-
-class TestLearningManager:
-    def test_scope_mapping(self):
-        assert ContinuousLearningManager.mode_for_scope("Global") is \
-            RetrainingMode.SWARM
-        assert ContinuousLearningManager.mode_for_scope("local") is \
-            RetrainingMode.SELF
-        assert ContinuousLearningManager.mode_for_scope("off") is \
-            RetrainingMode.NONE
-        with pytest.raises(ValueError):
-            ContinuousLearningManager.mode_for_scope("sideways")
-
-    def test_register_with_directives(self):
-        graph = scenario_b_graph()
-        directives = DirectiveSet()
-        Learn(directives, graph, "faceRecognition", "Global")
-        manager = ContinuousLearningManager(
-            ["d0", "d1"], np.random.default_rng(1))
-        space = IdentitySpace(5, rng=np.random.default_rng(2))
-        recognizer = manager.register_task(
-            "faceRecognition", space, directives)
-        assert recognizer.mode is RetrainingMode.SWARM
-        assert manager.recognizer_for("faceRecognition") is recognizer
-        with pytest.raises(KeyError):
-            manager.recognizer_for("ghost")
-
-
-class TestPlacementManager:
-    def _result(self):
-        return HiveMindCompiler(n_devices=16).compile(scenario_b_graph())
-
-    def test_starts_on_chosen_plan(self):
-        result = self._result()
-        manager = RuntimePlacementManager(result)
-        assert manager.active_plan is result.chosen
-
-    def test_remap_after_sustained_violation(self):
-        result = self._result()
-        manager = RuntimePlacementManager(
-            result, constraints=[LatencyConstraint(0.001)])
-        remapped = False
-        for _ in range(manager.VIOLATION_WINDOW):
-            remapped = manager.observe(latency_s=10.0)
-        assert remapped
-        assert manager.remaps == 1
-        assert manager.active_plan is not result.chosen
-
-    def test_good_measurements_reset_violations(self):
-        result = self._result()
-        manager = RuntimePlacementManager(
-            result, constraints=[LatencyConstraint(1.0)])
-        for _ in range(manager.VIOLATION_WINDOW - 1):
-            manager.observe(latency_s=10.0)
-        manager.observe(latency_s=0.1)  # reset
-        for _ in range(manager.VIOLATION_WINDOW - 1):
-            assert not manager.observe(latency_s=10.0)
-
-    def test_no_constraints_never_remaps(self):
-        result = self._result()
-        manager = RuntimePlacementManager(result, constraints=[])
-        for _ in range(20):
-            assert not manager.observe(latency_s=1e9)
-
-
-class TestController:
-    def test_dispatch_completes(self, env):
-        cluster, platform = small_platform(env)
-        controller = HiveMindController(env, cluster, platform,
-                                        constants=PaperConstants())
-
-        def run():
-            invocation = yield env.process(controller.dispatch(
-                InvocationRequest(FunctionSpec("f"), service_s=0.1)))
-            return invocation
-
-        invocation = env.run(env.process(run()))
-        assert invocation.t_complete > 0
-
-    def test_failover_consumes_standby(self, env):
-        cluster, platform = small_platform(env)
-        controller = HiveMindController(env, cluster, platform)
-
-        def run():
-            remaining = yield env.process(controller.fail_over())
-            return remaining
-
-        assert env.run(env.process(run())) == \
-            ControlConstants().hot_standbys - 1
-        assert controller.failovers == 1
-
-    def test_failover_exhaustion(self, env):
-        cluster, platform = small_platform(env)
-        controller = HiveMindController(env, cluster, platform)
-        controller.standbys_remaining = 0
-        process = env.process(controller.fail_over())
-        with pytest.raises(RuntimeError):
-            env.run(process)
-
-    def test_device_failure_triggers_route_updates(self, env):
-        cluster, platform = small_platform(env)
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(2))
-        swarm.assign_regions(110, 110)
-        controller = HiveMindController(
-            env, cluster, platform, swarm=swarm,
-            rng=np.random.default_rng(5))
-        swarm.fail_device_at("drone0002", at_time=3.0)
-        env.run(until=12.0)
-        assert controller.route_updates  # neighbours got new routes

@@ -323,17 +323,20 @@ class TestSwarm:
 
     def test_heartbeats_flow(self, env):
         swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        swarm.start_heartbeats()
+        beats = []
+        swarm.subscribe_heartbeats(beats.append)
+        SwarmEngine(env).add_heartbeats(swarm)
         env.run(until=5.5)
         # 16 drones x 6 beats (t=0..5).
-        assert len(swarm.heartbeat_bus.items) == 16 * 6
+        assert len(beats) == 16 * 6
 
     def test_heartbeats_stop_after_failure(self, env):
         swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        swarm.start_heartbeats()
+        beats = []
+        swarm.subscribe_heartbeats(beats.append)
+        SwarmEngine(env).add_heartbeats(swarm)
         swarm.fail_device_at("drone0000", at_time=2.5)
         env.run(until=10.0)
-        beats = [hb for hb in swarm.heartbeat_bus.items
-                 if hb.device_id == "drone0000"]
+        beats = [hb for hb in beats if hb.device_id == "drone0000"]
         assert len(beats) == 3  # t = 0, 1, 2
         assert len(swarm.alive_devices) == 15

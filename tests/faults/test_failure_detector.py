@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import DEFAULT
 from repro.core import FailureDetector
-from repro.edge import build_drone_swarm
+from repro.edge import SwarmEngine, build_drone_swarm
 from repro.sim import Environment, RandomStreams
 
 
@@ -17,7 +17,7 @@ def env():
 def make_swarm(env, seed=1):
     swarm = build_drone_swarm(env, DEFAULT, RandomStreams(seed))
     swarm.assign_regions(110, 110)
-    swarm.start_heartbeats()
+    SwarmEngine(env).add_heartbeats(swarm)
     return swarm
 
 
@@ -109,7 +109,7 @@ class TestLateJoiners:
             # seeded at subscribe time the first check sees fresh beats;
             # epoch-zero seeding would declare the whole swarm dead.
             yield env.timeout(50.0)
-            swarm.start_heartbeats()
+            SwarmEngine(env).add_heartbeats(swarm)
             holder["detector"] = FailureDetector(env, swarm)
 
         env.process(boot())

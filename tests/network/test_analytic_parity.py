@@ -205,7 +205,7 @@ SCENARIO_CASES = [
         "20200ca15abef9f8e95a15841e65044e",
         "836ba9e14d773f6ec69aa48cbaff9070",
         "5bdf7afa00258da3133e2b2d5c7e63ac")),
-    ("hivemind", SCENARIO_A, {"fail_device_at": (2, 10.0)}, (
+    ("hivemind", SCENARIO_A, {"fail_devices_at": [(2, 10.0)]}, (
         "5f7f1d6466cc1aa539192d07530566b2",
         "1d6725e6551acf8043d373da858bafb6",
         "008125f65764b7f483771f2a208153a0",

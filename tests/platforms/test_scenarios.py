@@ -20,9 +20,6 @@ class TestScenarioRunner:
         with pytest.raises(ValueError):
             ScenarioRunner(platform_config("hivemind"), SCENARIO_A,
                            passes=0)
-        with pytest.raises(ValueError):
-            ScenarioRunner(platform_config("hivemind"), SCENARIO_A,
-                           iaas_baseline_devices=0)
 
     def test_scenario_a_finds_items(self):
         result = run_scenario("hivemind", SCENARIO_A)
@@ -58,7 +55,7 @@ class TestScenarioRunner:
 
     def test_device_failure_repartitions_and_completes(self):
         result = run_scenario("hivemind", SCENARIO_A,
-                              fail_device_at=(3, 10.0))
+                              fail_devices_at=[(3, 10.0)])
         assert "drone0003" in result.extras["failed_devices"]
         # The failed drone's region was inherited: mission still covers
         # the field and completes.
@@ -66,7 +63,7 @@ class TestScenarioRunner:
 
     def test_device_failure_without_global_view_loses_coverage(self):
         result = run_scenario("distributed_edge", SCENARIO_A,
-                              fail_device_at=(3, 10.0))
+                              fail_devices_at=[(3, 10.0)])
         assert not result.completed
 
     def test_retraining_mode_override(self):

@@ -1,4 +1,4 @@
-"""Tests for MetricSeries / MetricRegistry."""
+"""Tests for MetricSeries."""
 
 import pickle
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.telemetry import MetricRegistry, MetricSeries
+from repro.telemetry import MetricSeries
 
 
 class TestMetricSeries:
@@ -142,22 +142,3 @@ class TestBulkAndPickle:
         assert len(copy) == 0
         copy.add(2.0)
         assert copy.median == 2.0
-
-
-class TestMetricRegistry:
-    def test_lazy_creation(self):
-        registry = MetricRegistry()
-        assert "latency" not in registry
-        registry.add("latency", 1.0)
-        assert "latency" in registry
-        assert registry["latency"].mean == 1.0
-
-    def test_same_series_returned(self):
-        registry = MetricRegistry()
-        assert registry.series("x") is registry.series("x")
-
-    def test_names_sorted(self):
-        registry = MetricRegistry()
-        registry.add("b", 1)
-        registry.add("a", 1)
-        assert list(registry.names()) == ["a", "b"]

@@ -39,7 +39,6 @@ class TestPaperStatedConstants:
         assert DEFAULT.control.heartbeat_period_s == 1.0
         assert DEFAULT.control.heartbeat_timeout_s == 3.0
         assert DEFAULT.control.straggler_percentile == 90.0
-        assert DEFAULT.control.hot_standbys == 2
 
     def test_keepalive_window(self):
         assert DEFAULT.serverless.keepalive_min_s == 10.0

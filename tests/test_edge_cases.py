@@ -3,9 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.config import ClusterConstants, DroneConstants
-from repro.core import HiveMindController, LoadBalancer
-from repro.edge import Drone
+from repro.config import ClusterConstants
 from repro.routing import Maze, WallFollower, generate_maze
 from repro.serverless import FunctionSpec, InvocationRequest, OpenWhiskPlatform
 from repro.sim import Environment, RandomStreams
@@ -14,38 +12,6 @@ from repro.sim import Environment, RandomStreams
 @pytest.fixture
 def env():
     return Environment()
-
-
-class TestControllerWithoutSubsystems:
-    def test_dispatch_without_mitigation_or_monitoring(self, env):
-        cluster = Cluster(env, ClusterConstants(servers=2,
-                                                cores_per_server=4))
-        platform = OpenWhiskPlatform(env, cluster, RandomStreams(2))
-        controller = HiveMindController(
-            env, cluster, platform,
-            enable_monitoring=False,
-            enable_straggler_mitigation=False,
-            enable_fault_tolerance=False)
-        assert controller.monitoring is None
-        assert controller.straggler is None
-        assert controller.failure_detector is None
-
-        def run():
-            invocation = yield env.process(controller.dispatch(
-                InvocationRequest(FunctionSpec("f"), service_s=0.05)))
-            return invocation
-
-        assert env.run(env.process(run())).t_complete > 0
-
-
-class TestBatteryWeightedAssign:
-    def test_most_charged_device_chosen(self, env):
-        balancer = LoadBalancer("battery_weighted")
-        drones = [Drone(env, f"d{i}", DroneConstants()) for i in range(3)]
-        drones[0].energy.draw_power("motion", 42, 200)
-        drones[2].energy.draw_power("motion", 42, 100)
-        # d1 is untouched: the fullest battery wins.
-        assert balancer.assign(drones).device_id == "d1"
 
 
 class TestWallFollowerLimits:
