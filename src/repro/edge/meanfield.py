@@ -476,7 +476,7 @@ def synthetic_stream(platform: Union[str, object],
 
     Instead of simulating the cell's ``n_devices * B`` tasks, the cell's
     mission-long demand is compressed into at most ``slots`` synthetic
-    :class:`~repro.sim.shard.CloudCall` messages, each carrying
+    cloud calls (:class:`~repro.serverless.wire.Calls` rows), each carrying
     ``weight = total_tasks / slots`` tasks' worth of service time and
     payload — total core-seconds, storage bytes, and wireless megabytes
     are conserved exactly, while per-call granularity is coarse (the
@@ -486,14 +486,14 @@ def synthetic_stream(platform: Union[str, object],
     runner's boundary-submit sites.
 
     Returns ``(calls, meter_events)``: the calls in canonical
-    (arrival, cell, seq) order flagged ``synthetic=True`` (the region
+    (arrival, cell, seq) order flagged ``synthetic`` (the region
     gateway serves them without straggler mitigation and counts them as
     background completions), and the wireless-meter events
     ``(time, megabytes)`` the cell's uploads/result pushes would have
     recorded.
     """
     from ..platforms import platform_config
-    from ..sim.shard import CloudCall
+    from ..serverless.wire import Calls
     config = (platform_config(platform) if isinstance(platform, str)
               else platform)
     if isinstance(scenario, str):
@@ -528,9 +528,10 @@ def synthetic_stream(platform: Union[str, object],
         np.arange(K) < n_cloud) if 0 < n_cloud < K else (
         np.full(K, n_cloud >= K))
 
-    calls = []
+    # One (arrival, recognition draw, dedup draw, input MB, output MB)
+    # row per call; a dedup-only call has no recognition draw.
+    rows = []
     meter_events = []
-    seq = 0
     for slot in range(K):
         arrival = float(arrivals[slot])
         if is_cloud[slot]:
@@ -539,13 +540,8 @@ def synthetic_stream(platform: Union[str, object],
             dedup_s = (weight * float(rng.lognormal(
                 math.log(dedup.cloud_service_s), dedup.service_sigma))
                 if dedup is not None else None)
-            calls.append(CloudCall(
-                cell=cell_index, seq=seq, device_id=f"mf{cell_index}",
-                arrival_s=arrival, recognition_s=recognition_s,
-                dedup_s=dedup_s, input_mb=upload_mb * weight,
-                output_mb=app.output_mb * weight,
-                synthetic=True, weight=weight))
-            seq += 1
+            rows.append((arrival, recognition_s, dedup_s,
+                         upload_mb * weight, app.output_mb * weight))
             meter_events.append((arrival, upload_mb * weight))
         else:
             # Edge-executed batch: the result push still crosses the
@@ -555,13 +551,11 @@ def synthetic_stream(platform: Union[str, object],
             if dedup is not None:
                 dedup_s = weight * float(rng.lognormal(
                     math.log(dedup.cloud_service_s), dedup.service_sigma))
-                calls.append(CloudCall(
-                    cell=cell_index, seq=seq,
-                    device_id=f"mf{cell_index}", arrival_s=arrival,
-                    recognition_s=None, dedup_s=dedup_s,
-                    input_mb=0.1 * weight, output_mb=0.05 * weight,
-                    synthetic=True, weight=weight))
-                seq += 1
+                rows.append((arrival, None, dedup_s, 0.1 * weight,
+                             0.05 * weight))
+    calls = Calls.build(cell_index, range(len(rows)),
+                        *Calls.float_columns(rows), weight=weight,
+                        synthetic=True)
     return calls, meter_events
 
 

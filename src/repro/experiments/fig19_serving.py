@@ -45,10 +45,9 @@ from ..apps import SCENARIO_A
 from ..config import DEFAULT
 from ..platforms import platform_config
 from ..serverless.region import RegionGateway
-from ..serving import (AdmissionConfig, AutoscaleConfig, ServingConfig,
-                       ServingPolicy, TenantSpec, emit_serving_spans,
+from ..serving import (AutoscaleConfig, ServingConfig, ServingPolicy,
+                       TenantSpec, emit_serving_spans,
                        generate_serving_calls)
-from ..sim.flags import resolve
 from .common import ExperimentResult
 
 __all__ = ["run", "SERVING_SERVERS", "SERVING_CORES",
@@ -100,15 +99,13 @@ def _run_lane(tenants: Tuple[TenantSpec, ...], serving_cfg: ServingConfig,
         seed=seed, serving=policy)
     calls, truncated = generate_serving_calls(
         tenants, serving_cfg.duration_s, seed, SCENARIO_A, n_regions=1)
-    arrivals = {(call.cell, call.seq): call.arrival_s for call in calls}
     completions = gateway.serve(calls)
-    latencies = np.asarray([done_s - arrivals[(cell, seq)]
-                            for cell, seq, done_s, _ in completions])
-    offered = len(calls)
+    latencies = completions.latencies(calls)
+    offered = len(calls.seq)
     shed = gateway.shed_calls
     out: Dict[str, object] = {
         "offered_calls": offered,
-        "served_calls": len(completions),
+        "served_calls": len(completions.seq),
         "shed_calls": shed,
         "shed_rate": (shed / offered) if offered else 0.0,
         "cold_starts": gateway.cold_starts,
@@ -128,40 +125,29 @@ def _run_lane(tenants: Tuple[TenantSpec, ...], serving_cfg: ServingConfig,
 
 
 def run(base_seed: int = 0, duration_s: float = 60.0,
-        multipliers: Optional[Sequence[float]] = None,
-        admission: Optional[bool] = None,
-        autoscale: Optional[bool] = None) -> ExperimentResult:
+        multipliers: Optional[Sequence[float]] = None) -> ExperimentResult:
     """p50/p99/p999 + shed rate vs offered load, and flash-crowd
     autoscaler reaction time.
 
-    ``admission``/``autoscale`` override the
-    ``REPRO_SERVING_ADMISSION``/``REPRO_SERVING_AUTOSCALE``
-    sub-switches (the knee sweep always pins the autoscaler off — its
-    subject is the fixed slice's knee; the flash lane runs once with
-    the autoscaler as resolved, scaling up from one server, and once
+    Admission is armed in every lane. The knee sweep pins the
+    autoscaler off (its subject is the fixed slice's knee); the flash
+    lane runs once autoscaled, scaling up from one server, and once
     pinned off at full static provisioning, so the rows compare
-    elasticity against the peak-provisioned baseline).
+    elasticity against the peak-provisioned baseline.
     """
-    admission_on = resolve("REPRO_SERVING_ADMISSION", admission)
-    autoscale_on = resolve("REPRO_SERVING_AUTOSCALE", autoscale)
     cap = capacity_rps()
     headers = ["lane", "offered_rps", "p50_ms", "p99_ms", "p999_ms",
                "shed_%", "scale_outs", "reaction_s"]
     rows: List[List] = []
-    data: Dict[str, object] = {
-        "capacity_rps": cap,
-        "admission_enabled": admission_on,
-        "autoscale_enabled": autoscale_on,
-    }
+    data: Dict[str, object] = {"capacity_rps": cap}
 
     sweep: Dict[float, Dict[str, object]] = {}
     for multiplier in (multipliers or OFFERED_MULTIPLIERS):
         rate = cap * multiplier
         tenants = (TenantSpec(name="users", kind="poisson",
                               rate_rps=rate),)
-        cfg = ServingConfig(
-            tenants=tenants, duration_s=duration_s,
-            admission_enabled=admission_on, autoscale_enabled=False)
+        cfg = ServingConfig(tenants=tenants, duration_s=duration_s,
+                            autoscale_enabled=False)
         lane = _run_lane(tenants, cfg, base_seed,
                          f"sweep-{multiplier:g}x")
         sweep[multiplier] = lane
@@ -177,12 +163,10 @@ def run(base_seed: int = 0, duration_s: float = 60.0,
         rate_rps=cap * FLASH_UTILISATION, burst_mult=FLASH_BURST_MULT,
         on_s=FLASH_ON_S, off_s=FLASH_OFF_S)
     flash: Dict[str, Dict[str, object]] = {}
-    for lane_key, armed in (("autoscaled", autoscale_on),
-                            ("static", False)):
+    for lane_key, armed in (("autoscaled", True), ("static", False)):
         cfg = ServingConfig(
             tenants=(flash_tenant,), duration_s=duration_s,
-            admission_enabled=admission_on, autoscale_enabled=armed,
-            admission=AdmissionConfig(),
+            autoscale_enabled=armed,
             # The backlog signal counts every in-flight invocation
             # (recognition *and* its dedup hold admission slots), so
             # the per-core default threshold sits below baseline

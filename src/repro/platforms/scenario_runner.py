@@ -290,14 +290,14 @@ class ScenarioRunner:
                 # the cloud shard a timestamped message carrying every
                 # service-time draw it needs (drawn *here*, from this
                 # cell's streams, so the cloud side stays deterministic
-                # at any shard count). The returned ticket is finalized
-                # by handle_batch once the edge side of the task is done.
+                # at any shard count). handle_batch settles the returned
+                # sequence number once the edge side of the task is done.
                 dedup_s = (self.scenario.dedup.sample_cloud_service(rng)
                            if dedup_spec is not None else None)
                 return boundary.submit(
-                    device_id=device.device_id, arrival_s=env.now,
-                    recognition_s=intrinsic, dedup_s=dedup_s,
-                    input_mb=upload_mb, output_mb=app.output_mb)
+                    arrival_s=env.now, recognition_s=intrinsic,
+                    dedup_s=dedup_s, input_mb=upload_mb,
+                    output_mb=app.output_mb)
             if cloud is not None:
                 request = InvocationRequest(
                     spec=recognition_spec, service_s=intrinsic,
@@ -406,8 +406,7 @@ class ScenarioRunner:
                         # boundary, mirroring aggregate_stage's no-parent
                         # invocation shape.
                         ticket = boundary.submit(
-                            device_id=device.device_id, arrival_s=env.now,
-                            recognition_s=None,
+                            arrival_s=env.now, recognition_s=None,
                             dedup_s=self.scenario.dedup.sample_cloud_service(
                                 rng),
                             input_mb=0.1, output_mb=0.05)
@@ -418,9 +417,7 @@ class ScenarioRunner:
                     # Deferred task: the cloud half runs in the cloud
                     # shard; the merge layer joins both halves into the
                     # final latency/breakdown row (canonical order).
-                    ticket.start_s = start
-                    ticket.edge_done_s = env.now
-                    ticket.edge_breakdown = breakdown.as_dict()
+                    boundary.settle(ticket, start, env.now, breakdown)
                 else:
                     latencies.add(env.now - start, time=start)
                     breakdowns.add(breakdown)

@@ -24,54 +24,19 @@ them.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, NamedTuple, Sequence, Tuple
-
-import numpy as np
+import math
+from typing import Dict, Generator, List, Tuple
 
 from ..config import PaperConstants
 from ..network import build_fabric
 from ..platforms.stack import build_cloud
 from ..sim import Environment, RandomStreams
-from ..telemetry import LatencyBreakdown, breakdown_array
+from ..telemetry import LatencyBreakdown
 from .function import InvocationRequest
 from .region import GATEWAY_SEED_OFFSET
+from .wire import Calls, Completions
 
-__all__ = ["CloudGateway", "Completions", "GATEWAY_SEED_OFFSET"]
-
-#: ``(cell, seq, done_s, breakdown)``: one served call, as a gateway
-#: prices it.
-Completion = Tuple[int, int, float, Dict[str, float]]
-
-
-class Completions(NamedTuple):
-    """Served calls as columns: the shape both cloud tiers return.
-
-    Row ``i`` is call ``(cell[i], seq[i])``, done at ``done_s[i]``, with
-    its cloud-side breakdown in ``breakdown[i]`` (``COMPONENTS`` order),
-    so a worker pipe carries four arrays, not a tuple and a dict per
-    call.
-    """
-
-    cell: np.ndarray  # int64
-    seq: np.ndarray  # int64
-    done_s: np.ndarray  # float64
-    breakdown: np.ndarray  # (n, 4) float64
-
-    @classmethod
-    def pack(cls, served: Sequence[Completion]) -> "Completions":
-        """Columns of ``(cell, seq, done_s, breakdown dict)`` tuples."""
-        count = len(served)
-        return cls(
-            np.fromiter((done[0] for done in served), np.int64, count),
-            np.fromiter((done[1] for done in served), np.int64, count),
-            np.fromiter((done[2] for done in served), float, count),
-            breakdown_array([done[3] for done in served]))
-
-    @classmethod
-    def concat(cls, parts: Sequence["Completions"]) -> "Completions":
-        if not parts:
-            return cls.pack(())
-        return cls(*(np.concatenate(column) for column in zip(*parts)))
+__all__ = ["CloudGateway", "GATEWAY_SEED_OFFSET"]
 
 
 class CloudGateway:
@@ -107,30 +72,33 @@ class CloudGateway:
         self.last_completion_s = 0.0
         self._outstanding = 0
         self._idle_event = None
-        self._done: List[Completion] = []
+        self._done: Tuple[List, List, List, List] = ([], [], [], [])
 
     # -- cloud-tier shape ----------------------------------------------
-    def serve(self, calls, until: float) -> Completions:
+    def serve(self, calls: Calls, until: float) -> Completions:
         """Feed one window's calls (canonical order, none before
         ``env.now``), run the kernel to ``until`` and return the
         completions since the previous call."""
-        for call in calls:
-            if call.arrival_s < self.env.now:
+        if calls.synthetic.any():
+            raise RuntimeError(
+                "synthetic mean-field call fed to the monolithic "
+                "CloudGateway; hybrid runs must use the regional "
+                "cloud tier (cloud_shards >= 1)")
+        for row in zip(calls.cell.tolist(), calls.seq.tolist(),
+                       calls.arrival_s.tolist(),
+                       calls.recognition_s.tolist(),
+                       calls.dedup_s.tolist(), calls.input_mb.tolist(),
+                       calls.output_mb.tolist()):
+            if row[2] < self.env.now:
                 raise RuntimeError(
-                    f"late cloud message: arrival {call.arrival_s:.6f} < "
+                    f"late cloud message: arrival {row[2]:.6f} < "
                     f"gateway time {self.env.now:.6f} (barrier protocol "
                     "violated)")
-            if call.synthetic:
-                raise RuntimeError(
-                    "synthetic mean-field call fed to the monolithic "
-                    "CloudGateway; hybrid runs must use the regional "
-                    "cloud tier (cloud_shards >= 1)")
             self._outstanding += 1
-            self.env.process(self._serve(call))
+            self.env.process(self._serve(*row))
         if until > self.env.now:
             self.env.run(until=until)
-        done, self._done = self._done, []
-        return Completions.pack(done)
+        return self._take_done()
 
     def finish(self) -> Tuple[Completions, Dict[int, Dict]]:
         """Drain every fed call; return the remaining completions and
@@ -138,8 +106,11 @@ class CloudGateway:
         while self._outstanding > 0:
             self._idle_event = self.env.event()
             self.env.run(until=self._idle_event)
-        done, self._done = self._done, []
-        return Completions.pack(done), {0: self.stats()}
+        return self._take_done(), {0: self.stats()}
+
+    def _take_done(self) -> Completions:
+        done, self._done = self._done, ([], [], [], [])
+        return Completions.build(*done)
 
     def stats(self) -> Dict[str, float]:
         return {
@@ -156,32 +127,36 @@ class CloudGateway:
         yield from self.platform.couchdb.store(key, megabytes)
         self.persisted_documents += 1
 
-    def _serve(self, call) -> Generator:
-        yield self.env.timeout_at(call.arrival_s)
+    def _serve(self, cell: int, seq: int, arrival_s: float,
+               recognition_s: float, dedup_s: float, input_mb: float,
+               output_mb: float) -> Generator:
+        yield self.env.timeout_at(arrival_s)
         breakdown = LatencyBreakdown()
         try:
             parent = None
-            if call.recognition_s is not None:
+            if not math.isnan(recognition_s):
                 request = InvocationRequest(
-                    spec=self.recognition_spec,
-                    service_s=call.recognition_s,
-                    input_mb=call.input_mb, output_mb=call.output_mb)
+                    spec=self.recognition_spec, service_s=recognition_s,
+                    input_mb=input_mb, output_mb=output_mb)
                 parent = yield from self._cloud.invoke(request, breakdown)
                 yield from self._persist(
                     "recognition", f"rec-{parent.invocation_id}",
-                    call.output_mb)
-            if call.dedup_s is not None and self.dedup_spec is not None:
+                    output_mb)
+            if not math.isnan(dedup_s) and self.dedup_spec is not None:
                 request = InvocationRequest(
-                    spec=self.dedup_spec, service_s=call.dedup_s,
+                    spec=self.dedup_spec, service_s=dedup_s,
                     input_mb=(parent.request.output_mb
-                              if parent is not None else call.input_mb),
+                              if parent is not None else input_mb),
                     output_mb=0.05, parent=parent)
                 invocation = yield from self._cloud.invoke(request,
                                                            breakdown)
                 yield from self._persist(
                     "aggregate", f"agg-{invocation.invocation_id}", 0.05)
-            self._done.append((call.cell, call.seq, self.env.now,
-                               breakdown.as_dict()))
+            cells, seqs, done_s, breakdowns = self._done
+            cells.append(cell)
+            seqs.append(seq)
+            done_s.append(self.env.now)
+            breakdowns.append(breakdown)
             self.completions += 1
             self.last_completion_s = max(self.last_completion_s,
                                          self.env.now)

@@ -24,7 +24,7 @@ from ..hardware.remote_memory import RemoteMemoryFabric
 from ..network.rpc import SoftwareClusterRpc
 from ..network.switch import ClusterNetwork
 from ..sim.accounting import tally
-from ..sim import Environment, NullTracer, RandomStreams
+from ..sim import Environment, RandomStreams
 from .couchdb import CouchDB
 from .datasharing import (
     CouchDBSharing,
@@ -54,8 +54,7 @@ class OpenWhiskPlatform:
                  keepalive_s: Optional[float] = None,
                  n_controllers: int = 1,
                  cluster_network: Optional[ClusterNetwork] = None,
-                 remote_memory: Optional[RemoteMemoryFabric] = None,
-                 tracer=None):
+                 remote_memory: Optional[RemoteMemoryFabric] = None):
         if sharing not in SHARING_PROTOCOLS:
             raise ValueError(f"unknown sharing protocol {sharing!r}")
         if n_controllers <= 0:
@@ -109,9 +108,6 @@ class OpenWhiskPlatform:
             RemoteMemorySharing(env, remote_memory)
             if remote_memory is not None else None)
         self.invocations: List[Invocation] = []
-        #: Optional observability hook: every completed activation emits a
-        #: trace record (category "invocation") with its timing split.
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.active_tasks = 0
         #: (time, active_count) samples, appended on every change (Fig 5c).
         self.active_samples: List[Tuple[float, int]] = [(0.0, 0)]
@@ -353,14 +349,6 @@ class OpenWhiskPlatform:
                 invocation.invocation_id, None)
             if action is not None:
                 self.recovery_log.complete(action)
-        self.tracer.emit(
-            self.env.now, "invocation",
-            function=invocation.spec.name,
-            server=invocation.server_id,
-            latency_s=invocation.latency_s,
-            cold=invocation.cold_start,
-            colocated=invocation.colocated,
-            failures=invocation.failures)
         invocation.trace.close(
             invocation.t_complete,
             server=invocation.server_id, cold=invocation.cold_start,

@@ -62,6 +62,7 @@ import numpy as np
 
 from ..config import PaperConstants
 from ..telemetry import LatencyBreakdown, MetricSeries
+from .wire import Calls, Completions
 
 __all__ = ["RegionGateway", "region_server_count",
            "region_server_offset", "GATEWAY_SEED_OFFSET"]
@@ -70,12 +71,6 @@ __all__ = ["RegionGateway", "region_server_count",
 #: cells' (cells use ``seed + 1000 * cell_index``; the offset keeps the
 #: cloud tier clear of any realistic cell count).
 GATEWAY_SEED_OFFSET = 271_828
-
-#: Straggler-mitigation mirror constants — keep in lockstep with
-#: :class:`repro.core.StragglerMitigator`.
-_MIN_HISTORY = 20
-_THRESHOLD_SLACK = 1.5
-_PROBATION_THRESHOLD = 3
 
 #: The monolithic CouchDB store runs 8 concurrent request handlers; each
 #: region gets its proportional shard of them (total conserved).
@@ -221,6 +216,12 @@ class RegionGateway:
         self._keepalive_s = config.container_keepalive_s
         self._mitigate = bool(config.straggler_mitigation)
         self._history: Dict[str, MetricSeries] = {}
+        # The watchdog's rule, read from its owner (a module-level
+        # import would be circular: repro.core imports this package).
+        from ..core.straggler import StragglerMitigator
+        self._min_history = StragglerMitigator.MIN_HISTORY
+        self._threshold_slack = StragglerMitigator.THRESHOLD_SLACK
+        self._probation_threshold = StragglerMitigator.PROBATION_THRESHOLD
 
         #: Open-loop serving stack (:class:`repro.serving.ServingPolicy`)
         #: — admission gate + invoker-pool autoscaler. ``None`` (the
@@ -477,7 +478,7 @@ class RegionGateway:
 
     def _strike(self, server: int, t: float) -> None:
         self._strikes[server] += 1
-        if self._strikes[server] >= _PROBATION_THRESHOLD:
+        if self._strikes[server] >= self._probation_threshold:
             self._probation_until[server] = t + self._control.probation_s
             self._strikes[server] = 0
 
@@ -489,9 +490,9 @@ class RegionGateway:
         """The straggler watchdog's duplicate race, priced analytically."""
         history = self._history.get(spec.name)
         threshold = None
-        if history is not None and len(history) >= _MIN_HISTORY:
+        if history is not None and len(history) >= self._min_history:
             threshold = (history.percentile(
-                self._control.straggler_percentile) * _THRESHOLD_SLACK)
+                self._control.straggler_percentile) * self._threshold_slack)
         primary_bd = LatencyBreakdown()
         done, server, container = self._invoke(
             t_submit, spec, service_s, parent, parent_output_mb,
@@ -539,84 +540,96 @@ class RegionGateway:
         return len(self._admitted)
 
     # -- serving --------------------------------------------------------
-    def serve(self, calls) -> List[Tuple[int, int, float, Dict[str, float]]]:
-        """Serve one canonical-order batch; returns completion tuples
-        ``(cell, seq, completion_s, breakdown_dict)`` and stamps the
-        calls in place. Calls shed by the admission gate are stamped
-        ``shed=True`` and yield no completion tuple."""
-        out = []
-        for call in calls:
-            if call.arrival_s < self._last_arrival:
+    def serve(self, calls: Calls) -> Completions:
+        """Serve one canonical-order batch and return its completions.
+        Calls the admission gate sheds have no completion."""
+        tenants = (self._serving.config.tenants
+                   if self._serving is not None else ())
+        rows = zip(calls.cell.tolist(), calls.seq.tolist(),
+                   calls.arrival_s.tolist(), calls.recognition_s.tolist(),
+                   calls.dedup_s.tolist(), calls.output_mb.tolist(),
+                   calls.weight.tolist(), calls.tenant.tolist(),
+                   calls.synthetic.tolist())
+        cells, seqs, done_s, breakdowns = [], [], [], []
+        for (cell, seq, arrival, recognition_s, dedup_s, output_mb, weight,
+             tenant, synthetic) in rows:
+            if arrival < self._last_arrival:
                 raise RuntimeError(
                     f"region {self.region}: out-of-order cloud message "
-                    f"({call.arrival_s:.6f} < {self._last_arrival:.6f})")
-            self._last_arrival = call.arrival_s
-            served = self._serve(call)
-            if served is not None:
-                out.append(served)
-        return out
+                    f"({arrival:.6f} < {self._last_arrival:.6f})")
+            self._last_arrival = arrival
+            if self._serving is not None and not self._admit(
+                    arrival, tenants[tenant].name if tenant >= 0 else None,
+                    weight):
+                self.shed_calls += 1
+                continue
+            breakdown = LatencyBreakdown()
+            done = self._serve(arrival, recognition_s, dedup_s, output_mb,
+                               synthetic, breakdown)
+            cells.append(cell)
+            seqs.append(seq)
+            done_s.append(done)
+            breakdowns.append(breakdown)
+        return Completions.build(cells, seqs, done_s, breakdowns)
 
-    def _serve(self, call
-               ) -> Optional[Tuple[int, int, float, Dict[str, float]]]:
-        t = call.arrival_s
-        if self._serving is not None:
-            backlog = self._backlog(t)
-            self._serving.observe(t, backlog)
-            tenant = getattr(call, "tenant", None)
-            if tenant is not None:
-                # Estimated queueing delay: in-flight work beyond the
-                # regional core pool, at mean service occupancy.
-                cores = self._n_servers * self._cores
-                excess = max(0, backlog - cores)
-                est_delay = (excess / cores) * self._mean_service_s
-                if not self._serving.admit(t, tenant, call.weight,
-                                           backlog, est_delay):
-                    call.shed = True
-                    call.completion_s = None
-                    self.shed_calls += 1
-                    return None
-        breakdown = LatencyBreakdown()
-        synthetic = bool(getattr(call, "synthetic", False))
+    def _admit(self, t: float, tenant: Optional[str],
+               weight: float) -> bool:
+        """Feed the serving policies; False when the gate sheds a
+        tenant call (swarm and mean-field calls are never shed)."""
+        backlog = self._backlog(t)
+        self._serving.observe(t, backlog)
+        if tenant is None:
+            return True
+        # Estimated queueing delay: in-flight work beyond the regional
+        # core pool, at mean service occupancy.
+        cores = self._n_servers * self._cores
+        excess = max(0, backlog - cores)
+        est_delay = (excess / cores) * self._mean_service_s
+        return self._serving.admit(t, tenant, weight, backlog, est_delay)
+
+    def _serve(self, t: float, recognition_s: float, dedup_s: float,
+               output_mb: float, synthetic: bool,
+               breakdown: LatencyBreakdown) -> float:
+        """Price one call's pipeline from arrival ``t``; returns its
+        completion instant."""
         mitigate = self._mitigate and not synthetic
         parent: Optional[Tuple[int, List[float]]] = None
         parent_output = 0.0
-        if call.recognition_s is not None:
+        if not math.isnan(recognition_s):
             if mitigate:
                 done, server, container = self._mitigated_invoke(
-                    t, self.recognition_spec, call.recognition_s,
+                    t, self.recognition_spec, recognition_s,
                     None, 0.0, breakdown)
             else:
                 done, server, container = self._invoke(
-                    t, self.recognition_spec, call.recognition_s,
+                    t, self.recognition_spec, recognition_s,
                     None, 0.0, colocate=True, breakdown=breakdown)
             t = done
             if "recognition" in self._persisted_tasks:
-                t = self._couch_access(t, call.output_mb)
+                t = self._couch_access(t, output_mb)
                 self.persisted_documents += 1
             parent = (server, container)
-            parent_output = call.output_mb
-        if call.dedup_s is not None and self.dedup_spec is not None:
+            parent_output = output_mb
+        if not math.isnan(dedup_s) and self.dedup_spec is not None:
             share_mb = parent_output if parent is not None else 0.0
             if mitigate:
                 t, _, _ = self._mitigated_invoke(
-                    t, self.dedup_spec, call.dedup_s, parent,
+                    t, self.dedup_spec, dedup_s, parent,
                     share_mb, breakdown)
             else:
                 t, _, _ = self._invoke(
-                    t, self.dedup_spec, call.dedup_s, parent, share_mb,
+                    t, self.dedup_spec, dedup_s, parent, share_mb,
                     colocate=True, breakdown=breakdown)
             if "aggregate" in self._persisted_tasks:
                 t = self._couch_access(t, 0.05)
                 self.persisted_documents += 1
-        call.completion_s = t
-        call.cloud_breakdown = breakdown.as_dict()
         if synthetic:
             self.background_completions += 1
             self.last_background_s = max(self.last_background_s, t)
         else:
             self.completions += 1
             self.last_completion_s = max(self.last_completion_s, t)
-        return (call.cell, call.seq, t, call.cloud_breakdown)
+        return t
 
     def stats(self) -> Dict[str, float]:
         out = {

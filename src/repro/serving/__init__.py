@@ -15,10 +15,10 @@ completions) and react with elasticity instead of melting:
 Arming: ``REPRO_SERVING=<spec>`` (or ``--serving``) injects background
 load into sharded swarm runs (the serving stream is served by the
 regional cloud tier, which serving arms implicitly — exactly the
-hybrid mean-field precedent); ``REPRO_SERVING_ADMISSION=0`` and
-``REPRO_SERVING_AUTOSCALE=0`` disarm each policy independently.
-Unarmed runs never construct any of this and stay byte-identical to
-the seed.
+hybrid mean-field precedent). Both policies are armed whenever
+serving is; :class:`ServingConfig` holds their switches for callers
+that build lanes of their own (fig19). Unarmed runs never construct
+any of this and stay byte-identical to the seed.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from typing import Dict, Optional, Tuple
 
 from .admission import AdmissionConfig, AdmissionController
 from .autoscale import AutoscaleConfig, InvokerAutoscaler, ScaleEvent
-from .load import (DEFAULT_DURATION_S, LoadGenerator, SERVING_CELL_BASE,
+from .load import (DEFAULT_DURATION_S, SERVING_CELL_BASE,
                    SERVING_SEED_OFFSET, TenantSpec, generate_serving_calls,
                    parse_serving_spec)
 
-__all__ = ["TenantSpec", "LoadGenerator", "parse_serving_spec",
+__all__ = ["TenantSpec", "parse_serving_spec",
            "generate_serving_calls", "AdmissionConfig",
            "AdmissionController", "AutoscaleConfig", "InvokerAutoscaler",
            "ScaleEvent", "ServingConfig", "ServingPolicy",
@@ -54,17 +54,12 @@ class ServingConfig:
 
     @classmethod
     def from_spec(cls, spec: str,
-                  admission: Optional[bool] = None,
-                  autoscale: Optional[bool] = None,
                   duration_s: Optional[float] = None) -> "ServingConfig":
-        """Resolve a spec string plus the sub-switch flags."""
-        from ..sim.flags import resolve
+        """Parse a ``REPRO_SERVING`` spec string; both policies armed."""
         return cls(
             tenants=parse_serving_spec(spec),
             duration_s=(duration_s if duration_s is not None
-                        else DEFAULT_DURATION_S),
-            admission_enabled=resolve("REPRO_SERVING_ADMISSION", admission),
-            autoscale_enabled=resolve("REPRO_SERVING_AUTOSCALE", autoscale))
+                        else DEFAULT_DURATION_S))
 
     @property
     def tenant_weights(self) -> Dict[str, float]:

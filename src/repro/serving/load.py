@@ -6,8 +6,8 @@ the cloud tier as a *shared serverless service* — independent user
 traffic arrives whether or not earlier queries completed. This module
 produces that traffic: per-tenant arrival streams (Poisson, bursty
 on/off flash crowds, diurnal envelopes), priced as tenant-tagged
-:class:`~repro.sim.shard.CloudCall` messages and injected into the
-cloud tier alongside swarm calls.
+cloud calls (:class:`~repro.serverless.wire.Calls`) and injected into
+the cloud tier alongside swarm calls.
 
 Determinism contract (the same one every other stream in the repo
 honours):
@@ -35,11 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from ..sim.rng import RandomStreams
 
-__all__ = ["TenantSpec", "LoadGenerator", "parse_serving_spec",
+__all__ = ["TenantSpec", "parse_serving_spec",
            "arrival_times", "generate_serving_calls",
            "SERVING_SEED_OFFSET", "SERVING_CELL_BASE",
            "DEFAULT_DURATION_S", "MAX_CALLS_PER_TENANT"]
@@ -240,9 +242,10 @@ def generate_serving_calls(tenants: Sequence[TenantSpec],
     slots as swarm traffic) with a query-sized payload and a service
     draw from the tenant's own stream. Calls are ``synthetic`` (no
     straggler mitigation, never joined into swarm latency rows) and
-    carry ``tenant`` for the admission controller's fairness ledger.
+    carry ``tenant`` (the index into ``tenants``) for the admission
+    controller's fairness ledger.
     """
-    from ..sim.shard import CloudCall
+    from ..serverless.wire import Calls
     if duration_s <= 0:
         raise ValueError("serving duration must be positive")
     if n_regions < 1:
@@ -250,7 +253,7 @@ def generate_serving_calls(tenants: Sequence[TenantSpec],
     app = scenario.recognition
     log_service = math.log(app.cloud_service_s)
     streams = RandomStreams(seed + SERVING_SEED_OFFSET)
-    calls: List[CloudCall] = []
+    parts: List[Calls] = []
     truncated: List[str] = []
     for index, tenant in enumerate(tenants):
         rng = streams.stream(f"serving.{tenant.name}")
@@ -258,36 +261,11 @@ def generate_serving_calls(tenants: Sequence[TenantSpec],
                                        max_calls=max_calls)
         if hit_cap:
             truncated.append(tenant.name)
-        cell = SERVING_CELL_BASE + index
-        for seq, arrival in enumerate(times):
-            service_s = float(rng.lognormal(log_service,
-                                            app.service_sigma))
-            calls.append(CloudCall(
-                cell=cell, seq=seq, device_id=f"tenant:{tenant.name}",
-                arrival_s=arrival, recognition_s=service_s,
-                dedup_s=None, input_mb=QUERY_INPUT_MB,
-                output_mb=QUERY_OUTPUT_MB,
-                region=seq % n_regions,
-                synthetic=True, weight=1.0,
-                tenant=tenant.name))
-    calls.sort(key=lambda call: call.sort_key)
-    return calls, truncated
-
-
-class LoadGenerator:
-    """Convenience bundle: a tenant set plus its seeded registry.
-
-    The functional API above is what the sharded driver uses; this
-    class exists for interactive/standalone use (fig19, notebooks)."""
-
-    def __init__(self, tenants: Sequence[TenantSpec], seed: int = 0):
-        if not tenants:
-            raise ValueError("need at least one tenant")
-        self.tenants = tuple(tenants)
-        self.seed = seed
-
-    def calls(self, duration_s: float, scenario, n_regions: int = 1,
-              max_calls: int = MAX_CALLS_PER_TENANT):
-        return generate_serving_calls(
-            self.tenants, duration_s, self.seed, scenario,
-            n_regions=n_regions, max_calls=max_calls)
+        service_s = [float(rng.lognormal(log_service, app.service_sigma))
+                     for _ in times]
+        seq = np.arange(len(times))
+        parts.append(Calls.build(
+            SERVING_CELL_BASE + index, seq, times, service_s, None,
+            QUERY_INPUT_MB, QUERY_OUTPUT_MB, region=seq % n_regions,
+            tenant=index, synthetic=True))
+    return Calls.concat(parts).sorted(), truncated

@@ -7,7 +7,6 @@ Public surface:
 - resources: :class:`Resource`, :class:`PriorityResource`,
   :class:`Container`, :class:`Store`
 - rng: :class:`RandomStreams`
-- trace: :class:`Tracer`, :class:`NullTracer`
 """
 
 from .kernel import (
@@ -21,7 +20,6 @@ from .kernel import (
 )
 from .resources import Container, Preempted, PriorityResource, Resource, Store
 from .rng import RandomStreams
-from .trace import NullTracer, Tracer, TraceRecord
 
 __all__ = [
     "Environment",
@@ -37,7 +35,4 @@ __all__ = [
     "Container",
     "Store",
     "RandomStreams",
-    "Tracer",
-    "NullTracer",
-    "TraceRecord",
 ]

@@ -98,10 +98,6 @@ FLAGS: Dict[str, Flag] = {flag.env: flag for flag in (
          help="overlay open-loop background tenants on the regional "
               "cloud tier, e.g. 'poisson:200,onoff:80:flash'; '1' arms "
               "one default Poisson tenant; implies a sharded cloud tier"),
-    Flag("REPRO_SERVING_ADMISSION", "switch", True,
-         help="disarm the serving admission/shedding gate"),
-    Flag("REPRO_SERVING_AUTOSCALE", "switch", True,
-         help="disarm the serving invoker-pool autoscaler"),
     Flag("REPRO_WORKER_DEADLINE", "duration",
          rule="worker deadline must be positive", metavar="S",
          help="hang-detection deadline in seconds for supervised "

@@ -7,9 +7,9 @@ disjoint groups of devices, each flying its slice of the scaled field in
 its own :class:`~repro.sim.Environment` — in front of one **cloud
 tier**: the monolithic :class:`~repro.serverless.gateway.CloudGateway`
 or per-region :class:`~repro.serverless.region.RegionGateway` slices.
-Both tiers have one shape, ``serve(batch, until) -> completions`` and
-``finish() -> (completions, stats_by_region)``, with columnar
-:class:`~repro.serverless.gateway.Completions`. :func:`run_sharded` is
+Both tiers have one shape, ``serve(calls, until) -> completions`` and
+``finish() -> (completions, stats_by_region)``, over the columnar wire
+forms of :mod:`repro.serverless.wire`. :func:`run_sharded` is
 three stages: :func:`plan_run` (pure: cells, worker groups, cloud tier,
 faults), :func:`sync` (the barrier loop) and :func:`merge` (pure: joins
 the two halves of every call, with index arrays, into one
@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +53,8 @@ from ..network import boundary_lookahead
 from ..platforms.base import PlatformConfig, RunResult
 from ..platforms.base import CLOUD_BUDGET_CORES, DEVICES_PER_CONTROLLER
 from ..platforms.scenario_runner import ScenarioRunner
-from ..serverless.gateway import CloudGateway, Completions
+from ..serverless.gateway import CloudGateway
+from ..serverless.wire import Calls, Completions
 from ..telemetry import (BandwidthMeter, BreakdownAggregate,
                          LatencyBreakdown, MetricSeries, breakdown_array)
 from ..faults.plan import region_count
@@ -63,7 +64,7 @@ from .supervisor import (ProtocolError, SupervisedConnection,
                          incident_count, incidents_since,
                          resolve_worker_deadline, resolve_worker_retries)
 
-__all__ = ["CellSpec", "CloudCall", "CellBoundary", "EdgeLedger",
+__all__ = ["CellSpec", "CellBoundary", "EdgeLedger",
            "plan_cells", "RunPlan", "plan_run", "sync", "merge",
            "run_sharded", "DEFAULT_CELL_DEVICES", "DEFAULT_WINDOW_S",
            "DEFAULT_REGION_DEVICES"]
@@ -123,79 +124,13 @@ class CellSpec:
     region: int = 0
 
 
-@dataclass
-class CloudCall:
-    """One cloud-bound message crossing the cell/cloud boundary.
-
-    The edge half fills the submit-time fields (including every
-    service-time draw the cloud side will need, taken from the cell's
-    own streams); the cloud shard fills ``completion_s`` and
-    ``cloud_breakdown``; the cell later fills the edge-completion fields
-    when its local task wrapper (obstacle-avoidance join) finishes. The
-    merge layer joins both halves into one result row.
-    """
-
-    cell: int
-    seq: int
-    device_id: str
-    arrival_s: float
-    #: Cloud recognition service draw; None for dedup-only messages
-    #: (edge-executed recognition whose aggregation is still cloud-side).
-    recognition_s: Optional[float]
-    dedup_s: Optional[float]
-    input_mb: float
-    output_mb: float
-    # -- edge half (filled at the obstacle join) -----------------------
-    start_s: Optional[float] = None
-    edge_done_s: Optional[float] = None
-    edge_breakdown: Optional[Dict[str, float]] = None
-    # -- cloud half (filled by the gateway) ----------------------------
-    completion_s: Optional[float] = None
-    cloud_breakdown: Optional[Dict[str, float]] = None
-    # -- cloud-tier sharding -------------------------------------------
-    #: Owning cloud region (stamped by the boundary; 0 when the cloud
-    #: tier is monolithic).
-    region: int = 0
-    #: True for mean-field background load (hybrid runs): served without
-    #: straggler mitigation, counted as background completions, and
-    #: never joined into a latency row.
-    synthetic: bool = False
-    #: Tasks' worth of load this message carries (synthetic streams
-    #: compress many batches into one weighted call; exact calls are 1).
-    weight: float = 1.0
-    # -- open-loop serving ---------------------------------------------
-    #: Owning serving tenant (``None`` for swarm and mean-field
-    #: traffic). Tenant-tagged calls go through the admission gate and
-    #: its per-tenant fairness ledger; swarm calls never do.
-    tenant: Optional[str] = None
-    #: True when the admission controller shed this call (no pipeline
-    #: stages priced, no completion).
-    shed: bool = False
-
-    @property
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.arrival_s, self.cell, self.seq)
-
-    def __reduce__(self):
-        # Positional wire form: a pipe crossing carries the field values
-        # in declaration order, not a per-call dict of attribute names.
-        return CloudCall, _FIELDS(self)
-
-
-_FIELDS = operator.attrgetter(
-    *(field.name for field in fields(CloudCall)))
-
-#: Canonical order of cloud-bound calls: ``(arrival_s, cell, seq)``.
-_SORT_KEY = operator.attrgetter("sort_key")
-
-
 class EdgeLedger(NamedTuple):
-    """A cell's late-bound edge halves as columns: one row per call whose
-    local task finished (``start_s`` set), in submit order.
+    """A cell's edge halves as columns: one row per call whose local
+    task finished (:meth:`CellBoundary.settle`), in ``seq`` order.
 
-    The driver forwarded every :class:`CloudCall` to the cloud tier
-    while the cell ran, so a cell's ``finish`` ships only what was
-    stamped after submission.
+    The driver forwarded every call to the cloud tier while the cell
+    ran, so a cell's ``finish`` ships only what was settled after
+    submission.
     """
 
     seq: np.ndarray  # int64
@@ -208,7 +143,8 @@ class CellBoundary:
     """The cell side of the edge/cloud boundary.
 
     :class:`~repro.platforms.scenario_runner.ScenarioRunner` calls
-    :meth:`submit` instead of invoking an in-process platform; the shard
+    :meth:`submit` instead of invoking an in-process platform and
+    :meth:`settle` when the call's local task finishes; the shard
     driver drains :meth:`take_fresh` at each barrier.
     """
 
@@ -216,35 +152,41 @@ class CellBoundary:
         self.cell = cell
         self.region = region
         self._seq = 0
-        self.calls: List[CloudCall] = []
-        self._fresh: List[CloudCall] = []
+        #: Calls submitted since the last take, as ``(arrival_s,
+        #: recognition_s, dedup_s, input_mb, output_mb)`` rows.
+        self._fresh: List[Tuple] = []
+        #: ``(seq, start_s, edge_done_s, breakdown)`` of settled calls.
+        self._settled: List[Tuple[int, float, float, LatencyBreakdown]] = []
 
-    def submit(self, device_id: str, arrival_s: float,
-               recognition_s: Optional[float], dedup_s: Optional[float],
-               input_mb: float, output_mb: float) -> CloudCall:
-        call = CloudCall(
-            cell=self.cell, seq=self._seq, device_id=device_id,
-            arrival_s=arrival_s, recognition_s=recognition_s,
-            dedup_s=dedup_s, input_mb=input_mb, output_mb=output_mb,
-            region=self.region)
+    def submit(self, arrival_s: float, recognition_s: Optional[float],
+               dedup_s: Optional[float], input_mb: float,
+               output_mb: float) -> int:
+        """Record one cloud-bound call; returns its sequence number.
+        ``None`` draws mark a call without that stage."""
+        self._fresh.append((arrival_s, recognition_s, dedup_s, input_mb,
+                            output_mb))
         self._seq += 1
-        self.calls.append(call)
-        self._fresh.append(call)
-        return call
+        return self._seq - 1
 
-    def take_fresh(self) -> List[CloudCall]:
+    def settle(self, seq: int, start_s: float, edge_done_s: float,
+               breakdown: LatencyBreakdown) -> None:
+        """Record the edge half of call ``seq`` once its task is done."""
+        self._settled.append((seq, start_s, edge_done_s, breakdown))
+
+    def take_fresh(self) -> Calls:
         fresh, self._fresh = self._fresh, []
-        return fresh
+        return Calls.build(self.cell,
+                           range(self._seq - len(fresh), self._seq),
+                           *Calls.float_columns(fresh), region=self.region)
 
     def ledger(self) -> EdgeLedger:
-        joined = [call for call in self.calls if call.start_s is not None]
-        count = len(joined)
+        settled = sorted(self._settled, key=operator.itemgetter(0))
+        count = len(settled)
         return EdgeLedger(
-            np.fromiter((call.seq for call in joined), np.int64, count),
-            np.fromiter((call.start_s for call in joined), float, count),
-            np.fromiter((call.edge_done_s for call in joined), float,
-                        count),
-            breakdown_array([call.edge_breakdown for call in joined]))
+            np.fromiter((row[0] for row in settled), np.int64, count),
+            np.fromiter((row[1] for row in settled), float, count),
+            np.fromiter((row[2] for row in settled), float, count),
+            breakdown_array([row[3] for row in settled]))
 
 
 def plan_cells(n_devices: int, seed: int = 0,
@@ -309,9 +251,10 @@ class _Cells:
     """Executor for one scheduling group of cells.
 
     ``("advance", t)`` steps every cell to barrier ``t`` and returns
-    ``(fresh_calls, status)``, where ``status`` maps cell index to its
-    makespan once finished; ``("finish", duration)`` finalizes every
-    cell and returns ``(cell, RunResult, EdgeLedger)`` triples.
+    ``(calls, status)``: the :class:`Calls` its cells submitted since
+    the last barrier and, per finished cell index, its makespan.
+    ``("finish", duration)`` finalizes every cell and returns ``(cell,
+    RunResult, EdgeLedger)`` triples.
     """
 
     def __init__(self, config: PlatformConfig, scenario,
@@ -335,13 +278,13 @@ class _Cells:
     def request(self, command: str, argument) -> object:
         if command == "advance":
             status = {}
-            fresh: List[CloudCall] = []
+            fresh: List[Calls] = []
             for spec, runner, boundary in self._cells:
                 runner.advance_to(argument)
-                fresh.extend(boundary.take_fresh())
+                fresh.append(boundary.take_fresh())
                 if runner.finished:
                     status[spec.index] = runner.makespan
-            return fresh, status
+            return Calls.concat(fresh), status
         if command == "finish":
             return [(spec.index, runner.finish(duration_override=argument),
                      boundary.ledger())
@@ -352,10 +295,10 @@ class _Cells:
 class _Regions:
     """Executor for one worker group of cloud regions.
 
-    ``("serve", [(region, calls), ...])`` prices each region's batch on
-    its virtual clock and returns the completions, packed into
-    :class:`~repro.serverless.gateway.Completions` before they cross the
-    pipe; ``("finish", None)`` returns ``{region: stats}``.
+    ``("serve", [(region, calls), ...])`` prices each region's
+    :class:`Calls` on its virtual clock and returns the regions'
+    :class:`Completions`, concatenated; ``("finish", None)`` returns
+    ``{region: stats}``.
     ``region_plans`` maps region index to its partitioned backend
     :class:`~repro.faults.FaultPlan` (simulated faults: a respawned
     worker applies them again, unlike one-shot worker chaos).
@@ -389,10 +332,8 @@ class _Regions:
 
     def request(self, command: str, argument) -> object:
         if command == "serve":
-            completions: List = []
-            for region, calls in argument:
-                completions.extend(self._gateways[region].serve(calls))
-            return Completions.pack(completions)
+            return Completions.concat([self._gateways[region].serve(calls)
+                                       for region, calls in argument])
         if command == "finish":
             return {region: gateway.stats()
                     for region, gateway in self._gateways.items()}
@@ -430,19 +371,17 @@ class _RegionTier:
         self._streams = plan.streams.by_region
         self._cursor = dict.fromkeys(self._streams, 0)
 
-    def serve(self, batch: List[CloudCall], until: float) -> Completions:
-        by_region: Dict[int, List[CloudCall]] = {}
-        for call in batch:
-            by_region.setdefault(call.region, []).append(call)
+    def serve(self, batch: Calls, until: float) -> Completions:
+        by_region = batch.by_region()
         for region, pending in self._streams.items():
-            start = stop = self._cursor[region]
-            while stop < len(pending) and pending[stop].arrival_s <= until:
-                stop += 1
+            start = self._cursor[region]
+            stop = int(np.searchsorted(pending.arrival_s, until, "right"))
             if stop > start:
                 self._cursor[region] = stop
-                merged = by_region.setdefault(region, [])
-                merged.extend(pending[start:stop])
-                merged.sort(key=_SORT_KEY)
+                due = pending.take(slice(start, stop))
+                if region in by_region:
+                    due = Calls.concat([by_region[region], due]).sorted()
+                by_region[region] = due
         by_handle: Dict[SupervisedConnection, List] = {}
         for region, calls in sorted(by_region.items()):
             by_handle.setdefault(self._owner[region], []).append(
@@ -456,7 +395,7 @@ class _RegionTier:
     def finish(self) -> Tuple[Completions, Dict[int, Dict]]:
         from ..experiments.parallel import absorb_worker_counts
         # Background streams can outlast the exact cells' missions.
-        completions = self.serve([], MAX_HORIZON_S)
+        completions = self.serve(Calls.concat(()), MAX_HORIZON_S)
         stats: Dict[int, Dict] = {}
         for handle, region in zip(self._handles, self._first_region):
             stats.update(handle.request("finish", None))
@@ -468,9 +407,9 @@ class _RegionTier:
 
 class _Streams(NamedTuple):
     #: Region -> synthetic and serving calls in canonical order.
-    by_region: Dict[int, List[CloudCall]]
+    by_region: Dict[int, Calls]
     meter: List[Tuple[float, float]]  # mean-field wireless events
-    serving_calls: List[CloudCall]
+    serving_calls: Calls
     truncated: Tuple[str, ...]  # tenants that hit the call ceiling
 
 
@@ -508,7 +447,7 @@ class RunPlan:
         """Mean-field synthetic and serving streams, built on first use:
         after the region workers fork, which would otherwise count their
         pages in every worker's peak RSS."""
-        by_region: Dict[int, List[CloudCall]] = {}
+        parts: List[Calls] = []
         meter: List[Tuple[float, float]] = []
         meanfield = [spec for spec in self.cells if spec.mode == "meanfield"]
         if meanfield:
@@ -520,21 +459,19 @@ class RunPlan:
                     self.config, self.scenario, spec.n_devices, spec.index,
                     spec.device_id_base, self.n_devices, seed=self.seed,
                     constants=self.constants, slots=slots)
-                for call in calls:
-                    call.region = spec.region
-                by_region.setdefault(spec.region, []).extend(calls)
+                parts.append(calls._replace(
+                    region=np.full_like(calls.region, spec.region)))
                 meter.extend(events)
-        serving_calls: List[CloudCall] = []
+        serving_calls = Calls.concat(())
         truncated: Tuple[str, ...] = ()
         if self.serving is not None:
             from ..serving import generate_serving_calls
             serving_calls, truncated = generate_serving_calls(
                 self.serving.tenants, self.serving.duration_s, self.seed,
                 self.scenario, n_regions=self.n_regions)
-            for call in serving_calls:
-                by_region.setdefault(call.region, []).append(call)
-        for calls in by_region.values():
-            calls.sort(key=_SORT_KEY)
+            parts.append(serving_calls)
+        by_region = {region: calls.sorted() for region, calls
+                     in Calls.concat(parts).by_region().items()}
         return _Streams(by_region, meter, serving_calls, truncated)
 
 
@@ -682,13 +619,13 @@ def sync(plan: RunPlan, cells: Sequence[SupervisedConnection], cloud
                 "sharded barrier loop aborted")
         for handle in cells:
             handle.send("advance", barrier)
-        batch: List[CloudCall] = []
+        fresh: List[Calls] = []
         for handle in cells:
-            fresh, status = handle.collect()
-            batch.extend(fresh)
+            calls, status = handle.collect()
+            fresh.append(calls)
             finished.update(status)
-        batch.sort(key=_SORT_KEY)
-        completions.append(cloud.serve(batch, barrier))
+        completions.append(cloud.serve(Calls.concat(fresh).sorted(),
+                                       barrier))
     done, stats = cloud.finish()
     completions.append(done)
 
@@ -710,32 +647,6 @@ def sync(plan: RunPlan, cells: Sequence[SupervisedConnection], cloud
 #: Row position offset of a cell's deferred (cloud-completing) rows:
 #: after every local row at an equal start time.
 _DEFERRED = 10 ** 9
-
-
-def _join(completions: Completions, cell: np.ndarray,
-          seq: np.ndarray) -> np.ndarray:
-    """The ``completions`` row that served each ``(cell, seq)`` key, or -1.
-
-    Keys become flat indices into a ``(cells, seqs)`` grid
-    (``ravel_multi_index`` raises rather than overflow), are ranked with
-    a stable sort and looked up by bisection; a key served twice
-    resolves to its last completion, as a dict filled in completion
-    order would.
-    """
-    index = np.full(seq.shape[0], -1, dtype=np.int64)
-    if not seq.shape[0] or not completions.seq.shape[0]:
-        return index
-    dims = (int(max(cell.max(), completions.cell.max())) + 1,
-            int(max(seq.max(), completions.seq.max())) + 1)
-    served = np.ravel_multi_index((completions.cell, completions.seq), dims)
-    wanted = np.ravel_multi_index((cell, seq), dims)
-    order = np.argsort(served, kind="stable")
-    ranked = served[order]
-    slot = np.searchsorted(ranked, wanted, side="right") - 1
-    hit = slot >= 0
-    hit[hit] = ranked[slot[hit]] == wanted[hit]
-    index[hit] = order[slot[hit]]
-    return index
 
 
 def _merge_rows(results: List[Tuple[int, RunResult, EdgeLedger]],
@@ -771,7 +682,7 @@ def _merge_rows(results: List[Tuple[int, RunResult, EdgeLedger]],
     ledger_cell = np.repeat(
         np.array([cell for cell, _, _ in results], dtype=np.int64),
         [len(part.seq) for part in ledgers])
-    index = _join(completions, ledger_cell, ledger.seq)
+    index = completions.rows_for(ledger_cell, ledger.seq)
     joined = index >= 0
     index = index[joined]
     deferred_start = ledger.start_s[joined]
@@ -798,18 +709,6 @@ _SUMMED = ("persisted_documents", "cold_starts", "warm_starts",
            "duplicate_launches", "background_completions")
 
 
-def _serving_latencies(calls: Sequence[CloudCall],
-                       completions: Completions) -> np.ndarray:
-    """End-to-end latency of each served call, in ``calls`` order."""
-    count = len(calls)
-    index = _join(completions,
-                  np.fromiter((call.cell for call in calls), np.int64, count),
-                  np.fromiter((call.seq for call in calls), np.int64, count))
-    joined = index >= 0
-    arrival = np.fromiter((call.arrival_s for call in calls), float, count)
-    return completions.done_s[index[joined]] - arrival[joined]
-
-
 def _aggregate_serving(serving_cfg, streams: _Streams,
                        completions: Completions,
                        region_stats) -> Dict[str, object]:
@@ -819,7 +718,7 @@ def _aggregate_serving(serving_cfg, streams: _Streams,
     The region workers returned their gate/autoscaler ledgers in
     ``stats()["serving"]``; the driver still holds every serving call
     it generated, so joining completions back by ``(cell, seq)`` gives
-    per-call latency without shipping call objects back over the pipe.
+    per-call latency without shipping calls back over the pipe.
     """
     offered: Dict[str, int] = {}
     admitted: Dict[str, int] = {}
@@ -837,10 +736,10 @@ def _aggregate_serving(serving_cfg, streams: _Streams,
         autoscale = per_region.get("autoscale") or {}
         scale_outs += autoscale.get("scale_outs", 0)
         scale_ins += autoscale.get("scale_ins", 0)
-    latencies = _serving_latencies(streams.serving_calls, completions)
+    latencies = completions.latencies(streams.serving_calls)
     out: Dict[str, object] = {
         "tenants": [tenant.name for tenant in serving_cfg.tenants],
-        "offered_calls": len(streams.serving_calls),
+        "offered_calls": len(streams.serving_calls.seq),
         "served_calls": len(latencies),
         "shed_calls": shed_calls,
         "offered": offered,

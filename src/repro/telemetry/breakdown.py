@@ -25,14 +25,13 @@ __all__ = ["COMPONENTS", "LatencyBreakdown", "BreakdownAggregate",
 
 COMPONENTS = ("network", "management", "data_io", "execution")
 
-_BY_COMPONENT = operator.itemgetter(*COMPONENTS)
+_BY_COMPONENT = operator.attrgetter(*COMPONENTS)
 
 
-def breakdown_array(breakdowns: Sequence[Dict[str, float]]) -> np.ndarray:
-    """``(n, 4)`` seconds of :meth:`LatencyBreakdown.as_dict` breakdowns,
-    one row each, in :data:`COMPONENTS` order (the order of
-    ``LatencyBreakdown``'s fields, so ``LatencyBreakdown(*row)`` rebuilds
-    one)."""
+def breakdown_array(breakdowns: Sequence["LatencyBreakdown"]) -> np.ndarray:
+    """``(n, 4)`` seconds of ``breakdowns``, one row each, in
+    :data:`COMPONENTS` order (the order of ``LatencyBreakdown``'s
+    fields, so ``LatencyBreakdown(*row)`` rebuilds one)."""
     return np.array([_BY_COMPONENT(breakdown) for breakdown in breakdowns],
                     dtype=float).reshape(len(breakdowns), len(COMPONENTS))
 

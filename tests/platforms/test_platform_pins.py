@@ -12,6 +12,7 @@ was.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -153,6 +154,11 @@ def _digest(value) -> str:
     return hashlib.md5(repr(value).encode()).hexdigest()
 
 
+def _draw(seconds: float):
+    """A service-draw column value; NaN (no such stage) reads as None."""
+    return None if math.isnan(seconds) else seconds
+
+
 def test_fig18_closed_form_predictions():
     predictions = [(spec.key, platform,
                     fig18_validation._predict(spec, platform))
@@ -189,7 +195,15 @@ def test_meanfield_synthetic_streams():
         for key in ("ScA", "ScB"):
             calls, meter = synthetic_stream(name, key, 4096, 3, 12288,
                                             1 << 20, seed=2)
+            # The tuples the object form carried: NaN draws were None.
+            rows = zip(calls.cell.tolist(), calls.seq.tolist(),
+                       calls.arrival_s.tolist(),
+                       calls.recognition_s.tolist(),
+                       calls.dedup_s.tolist(), calls.input_mb.tolist(),
+                       calls.output_mb.tolist(), calls.weight.tolist())
             streams.append((name, key, [
-                (c.cell, c.seq, c.arrival_s, c.recognition_s, c.dedup_s,
-                 c.input_mb, c.output_mb, c.weight) for c in calls], meter))
+                (cell, seq, arrival, _draw(recognition), _draw(dedup),
+                 input_mb, output_mb, weight)
+                for cell, seq, arrival, recognition, dedup, input_mb,
+                output_mb, weight in rows], meter))
     assert _digest(streams) == MEANFIELD_STREAMS

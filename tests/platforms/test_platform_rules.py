@@ -146,6 +146,9 @@ OWNERS = {
     r"/ (64|DEVICES_PER_CONTROLLER)\)": ("platforms/base.py",),
     r"StragglerMitigator\(": ("platforms/stack.py",
                               "experiments/ablation_mechanisms.py"),
+    # The watchdog's rule has one owner; the regional tier reads it.
+    r"(MIN_HISTORY|THRESHOLD_SLACK|PROBATION_THRESHOLD) =": (
+        "core/straggler.py",),
     # One heartbeat emitter and one learner factory.
     r"Heartbeat\(": ("edge/engine.py",),
     r"OnlineRecognizer\(": ("learning/", "platforms/scenario_runner.py"),

@@ -317,9 +317,7 @@ class TestIsolateDirective:
 
 class TestTracing:
     def test_tracer_records_invocations(self, env):
-        from repro.sim import Tracer
-        tracer = Tracer()
-        platform = make_platform(env, tracer=tracer)
+        platform = make_platform(env)
         spec = FunctionSpec("traced")
 
         def run():
@@ -328,9 +326,9 @@ class TestTracing:
                     InvocationRequest(spec, service_s=0.05)))
 
         env.run(env.process(run()))
-        assert tracer.count("invocation") == 3
-        records = list(tracer.records("invocation"))
-        assert records[0].payload["function"] == "traced"
-        assert records[0].payload["cold"] is True
-        assert records[1].payload["cold"] is False
-        assert all(r.payload["latency_s"] > 0 for r in records)
+        records = platform.invocations
+        assert len(records) == 3
+        assert all(r.spec.name == "traced" for r in records)
+        assert records[0].cold_start is True
+        assert records[1].cold_start is False
+        assert all(r.latency_s > 0 for r in records)

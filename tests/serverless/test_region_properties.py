@@ -1,19 +1,15 @@
-"""Property tests for the regional tier's sorted pools and wire form.
+"""Property tests for the regional tier's sorted pools.
 
 The core pools of :class:`~repro.serverless.region.RegionGateway` and
 the autoscaler's readiness list are sorted lists that answer busy and
 ready counts by bisection; these properties hold each count equal to a
-brute-force scan. :class:`~repro.sim.shard.CloudCall` crosses worker
-pipes in a positional wire form; it must round-trip every optional
-field and carry no attribute names.
+brute-force scan.
 """
 
 from __future__ import annotations
 
 import heapq
-import pickle
 from bisect import bisect_right
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +20,6 @@ from repro.config import DEFAULT
 from repro.platforms import platform_config
 from repro.serverless.region import RegionGateway
 from repro.serving import AutoscaleConfig, InvokerAutoscaler
-from repro.sim.shard import CloudCall
 
 times = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
 
@@ -86,32 +81,3 @@ class TestAutoscalerReadiness:
         scaler.observe(5.0, backlog=0)  # equal instants are fine
         with pytest.raises(ValueError, match="back in time"):
             scaler.observe(4.0, backlog=0)
-
-
-breakdowns = st.none() | st.dictionaries(
-    st.sampled_from(["management", "data_io", "execution", "network"]),
-    st.floats(0.0, 10.0), min_size=1)
-
-
-class TestCloudCallWireForm:
-    @settings(max_examples=200, deadline=None)
-    @given(tenant=st.none() | st.text("XYZ", min_size=1, max_size=8),
-           shed=st.booleans(), synthetic=st.booleans(),
-           recognition_s=st.none() | st.floats(0.0, 5.0),
-           dedup_s=st.none() | st.floats(0.0, 5.0),
-           edge=breakdowns, cloud=breakdowns,
-           completion_s=st.none() | times)
-    def test_round_trip_without_field_names(
-            self, tenant, shed, synthetic, recognition_s, dedup_s, edge,
-            cloud, completion_s):
-        call = CloudCall(
-            cell=3, seq=7, device_id="drone-3", arrival_s=1.25,
-            recognition_s=recognition_s, dedup_s=dedup_s, input_mb=2.0,
-            output_mb=0.1, start_s=1.0, edge_done_s=2.0,
-            edge_breakdown=edge, completion_s=completion_s,
-            cloud_breakdown=cloud, region=1, synthetic=synthetic,
-            weight=2.5, tenant=tenant, shed=shed)
-        wire = pickle.dumps(call, protocol=pickle.HIGHEST_PROTOCOL)
-        assert pickle.loads(wire) == call
-        for field in fields(CloudCall):
-            assert field.name.encode() not in wire

@@ -150,8 +150,8 @@ class TestDeterminism:
             " TenantSpec(name='f', kind='onoff', rate_rps=10.0))\n"
             "calls, _ = generate_serving_calls(tenants, 20.0, 11,"
             " SCENARIO_A, n_regions=2)\n"
-            "payload = repr([(c.cell, c.seq, c.arrival_s, c.region,"
-            " c.tenant, c.recognition_s) for c in calls]).encode()\n"
+            "payload = repr([column.tolist() for column in calls])"
+            ".encode()\n"
             "print(hashlib.md5(payload).hexdigest())\n")
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
@@ -168,16 +168,18 @@ class TestDeterminism:
         calls, truncated = generate_serving_calls(
             tenants, 20.0, 11, SCENARIO_A, n_regions=2)
         assert truncated == []
-        assert calls == sorted(calls, key=lambda c: c.sort_key)
-        assert {c.tenant for c in calls} == {"u", "f"}
-        assert all(c.synthetic for c in calls)
-        assert all(c.cell >= SERVING_CELL_BASE for c in calls)
-        assert all(c.recognition_s > 0 for c in calls)
-        assert {c.region for c in calls} == {0, 1}
+        keys = list(zip(calls.arrival_s.tolist(), calls.cell.tolist(),
+                        calls.seq.tolist()))
+        assert keys == sorted(keys)
+        assert set(calls.tenant.tolist()) == {0, 1}  # u, f
+        assert calls.synthetic.all()
+        assert (calls.cell >= SERVING_CELL_BASE).all()
+        assert (calls.recognition_s > 0).all()
+        assert set(calls.region.tolist()) == {0, 1}
 
     def test_per_tenant_cap_is_reported_not_silent(self):
         tenants = (TenantSpec(name="hot", rate_rps=500.0),)
         calls, truncated = generate_serving_calls(
             tenants, 10.0, 0, SCENARIO_A, max_calls=100)
         assert truncated == ["hot"]
-        assert len(calls) == 100
+        assert len(calls.seq) == 100

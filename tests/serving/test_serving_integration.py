@@ -78,8 +78,7 @@ class TestFig19:
     def figure(self):
         from repro.experiments import fig19_serving
         return fig19_serving.run(base_seed=0, duration_s=60.0,
-                                 multipliers=(0.5, 2.4),
-                                 admission=True, autoscale=True)
+                                 multipliers=(0.5, 2.4))
 
     def test_knee_shape(self, figure):
         sweep = figure.data["sweep"]
@@ -106,8 +105,7 @@ class TestFig19:
     def test_two_runs_are_byte_identical(self, figure):
         from repro.experiments import fig19_serving
         again = fig19_serving.run(base_seed=0, duration_s=60.0,
-                                  multipliers=(0.5, 2.4),
-                                  admission=True, autoscale=True)
+                                  multipliers=(0.5, 2.4))
         assert again.rows == figure.rows
         assert again.data == figure.data
 
@@ -124,10 +122,8 @@ class TestUnarmedFigureRows:
 
     @pytest.fixture(autouse=True)
     def clear_flags(self, monkeypatch):
-        for var in ("REPRO_SERVING", "REPRO_SERVING_ADMISSION",
-                    "REPRO_SERVING_AUTOSCALE", "REPRO_SHARDS",
-                    "REPRO_CLOUD_SHARDS", "REPRO_MEANFIELD",
-                    "REPRO_HYBRID_EXACT"):
+        for var in ("REPRO_SERVING", "REPRO_SHARDS", "REPRO_CLOUD_SHARDS",
+                    "REPRO_MEANFIELD", "REPRO_HYBRID_EXACT"):
             monkeypatch.delenv(var, raising=False)
 
     def test_fig01_rows_unchanged(self):

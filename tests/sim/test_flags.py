@@ -15,9 +15,6 @@ import pytest
 
 from repro.sim.flags import FLAGS, knob_table, resolve
 
-_SWITCH_ON = {"good": [("", True), ("1", True), ("0", False)],
-              "bad": ["false", "off", "yes", "2"],
-              "override": (False, False)}
 _SWITCH_OFF = {"good": [("", False), ("1", True), ("0", False)],
                "bad": ["true", "yes", "on", "2"],
                "override": (False, False)}
@@ -26,8 +23,6 @@ _SWITCH_OFF = {"good": [("", False), ("1", True), ("0", False)],
 #: values with the error text each must carry, ``override`` (argument,
 #: resolved value), and ``bad_override`` (argument, error text).
 CASES = {
-    "REPRO_SERVING_ADMISSION": _SWITCH_ON,
-    "REPRO_SERVING_AUTOSCALE": _SWITCH_ON,
     "REPRO_TRACE": _SWITCH_OFF,
     "REPRO_MEANFIELD": _SWITCH_OFF,
     "REPRO_SHARDS": {
@@ -129,8 +124,6 @@ def test_bad_override_is_rejected_without_the_variable(monkeypatch, name):
 def test_switch_options_follow_their_default():
     options = {flag.env: flag.option for flag in FLAGS.values()
                if flag.help}
-    assert options["REPRO_SERVING_ADMISSION"] == "--no-serving-admission"
-    assert options["REPRO_SERVING_AUTOSCALE"] == "--no-serving-autoscale"
     assert options["REPRO_MEANFIELD"] == "--meanfield"
     assert options["REPRO_TRACE"] == "--trace"
     assert options["REPRO_CLOUD_SHARDS"] == "--cloud-shards"

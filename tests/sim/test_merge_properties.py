@@ -17,9 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serverless.gateway import Completions
-from repro.sim import shard
-from repro.sim.shard import CloudCall, merge, plan_run
+from repro.serverless.wire import Calls, Completions
+from repro.sim.shard import merge, plan_run
 from repro.telemetry import (BreakdownAggregate, LatencyBreakdown,
                              MetricSeries)
 from tests.sim.test_shard_determinism import scenario_variant
@@ -32,8 +31,10 @@ N_CELLS = 4
 # -- the row-wise reference ---------------------------------------------
 
 def _merge_latencies(results, done, name):
-    """Row-wise join: ``results`` are ``(cell, RunResult, calls)``
-    triples, ``done`` maps ``(cell, seq)`` to ``(done_s, breakdown)``."""
+    """Row-wise join: ``results`` are ``(cell, RunResult, halves)``
+    triples, each half a settled call's ``(seq, start_s, edge_done_s,
+    charges)``; ``done`` maps ``(cell, seq)`` to ``(done_s,
+    charges)``."""
     rows = []
     for cell, result, calls in results:
         series = result.task_latencies
@@ -41,16 +42,15 @@ def _merge_latencies(results, done, name):
         for position in range(len(series)):
             rows.append((float(times[position]), cell, position,
                          float(values[position]), None))
-        for call in calls:
-            cloud_half = done.get((call.cell, call.seq))
-            if call.start_s is None or cloud_half is None:
+        for seq, start_s, edge_done_s, edge_breakdown in calls:
+            cloud_half = done.get((cell, seq))
+            if cloud_half is None:
                 continue
             done_s, cloud_breakdown = cloud_half
-            latency = max(call.edge_done_s, done_s) - call.start_s
-            breakdown = (LatencyBreakdown(**call.edge_breakdown) +
+            latency = max(edge_done_s, done_s) - start_s
+            breakdown = (LatencyBreakdown(**edge_breakdown) +
                          LatencyBreakdown(**cloud_breakdown))
-            rows.append((call.start_s, cell, 10 ** 9 + call.seq,
-                         latency, breakdown))
+            rows.append((start_s, cell, 10 ** 9 + seq, latency, breakdown))
     rows.sort(key=lambda row: row[:3])
     local_records = {cell: result.breakdowns._records
                      for cell, result, _ in results}
@@ -65,9 +65,19 @@ def _merge_latencies(results, done, name):
 
 
 def _serving_latencies(calls, served):
+    """``calls`` are ``(cell, seq, arrival_s)`` triples."""
     done = {(cell, seq): done_s for cell, seq, done_s, _ in served}
-    return [done[(call.cell, call.seq)] - call.arrival_s
-            for call in calls if (call.cell, call.seq) in done]
+    return [done[(cell, seq)] - arrival_s
+            for cell, seq, arrival_s in calls if (cell, seq) in done]
+
+
+def _completions(served):
+    """Columns of ``(cell, seq, done_s, charges)`` completions."""
+    if not served:
+        return Completions.concat(())
+    cells, seqs, done_s, charges = zip(*served)
+    return Completions.build(cells, seqs, done_s,
+                             [LatencyBreakdown(**each) for each in charges])
 
 
 # -- random inputs --------------------------------------------------------
@@ -84,33 +94,30 @@ _charges = st.fixed_dictionaries({
 
 @st.composite
 def _cell(draw, cell):
-    """One cell: its local ``(time, latency)`` rows, its calls and the
-    cloud tier's completions for them."""
+    """One cell: its local ``(time, latency)`` rows, its calls'
+    sequence numbers and settled edge halves, and the cloud tier's
+    completions for them."""
     local = draw(st.lists(st.tuples(_times, _seconds), max_size=6))
     # Sparse, but often below the local row count: a deferred row must
     # still follow every local row of its cell at an equal start.
     seqs = sorted(draw(st.sets(st.integers(0, 6) | st.integers(0, 10 ** 6),
                                max_size=6)))
-    calls, served = [], []
+    halves, served = [], []
     for seq in seqs:
         start = draw(st.none() | _times)
-        call = CloudCall(cell=cell, seq=seq, device_id=f"d{cell}",
-                         arrival_s=0.0, recognition_s=0.1, dedup_s=None,
-                         input_mb=1.0, output_mb=0.1)
         if start is not None:
-            call.start_s = start
-            call.edge_done_s = start + draw(_seconds)
-            call.edge_breakdown = draw(_charges)
-        calls.append(call)
+            halves.append((seq, start, start + draw(_seconds),
+                           draw(_charges)))
         if draw(st.booleans()):
             served.append((cell, seq, draw(_times), draw(_charges)))
-    return local, calls, served
+    # Calls settle in task-completion order, not submit order.
+    return local, seqs, draw(st.permutations(halves)), served
 
 
 @st.composite
 def _run(draw):
     cells = [draw(_cell(cell)) for cell in range(N_CELLS)]
-    served = [done for _, _, part in cells for done in part]
+    served = [done for *_, part in cells for done in part]
     # Completions arrive in any order, with some for calls no cell
     # ledger holds (the serving and background streams).
     served += draw(st.lists(st.tuples(
@@ -121,9 +128,9 @@ def _run(draw):
 
 
 def _results(cells):
-    """The cells' ``(cell, RunResult, calls)`` triples."""
-    return [(cell, _cell_result(local), calls)
-            for cell, (local, calls, _) in enumerate(cells)]
+    """The cells' ``(cell, RunResult, halves)`` triples."""
+    return [(cell, _cell_result(local), halves)
+            for cell, (local, _, halves, _) in enumerate(cells)]
 
 
 def _bits(series):
@@ -151,9 +158,12 @@ class TestColumnarMerge:
                 for cell, seq, done_s, breakdown in served}
         expected, expected_breakdowns = _merge_latencies(results, done, "x")
         merged = merge(plan,
-                       [(cell, result, _ledger(*calls))
-                        for cell, result, calls in results],
-                       Completions.pack(served), _stats(len(served)))
+                       [(cell, result, _ledger(*(
+                           (seq, start_s, edge_done_s,
+                            LatencyBreakdown(**charges))
+                           for seq, start_s, edge_done_s, charges in halves)))
+                        for cell, result, halves in results],
+                       _completions(served), _stats(len(served)))
         assert _bits(merged.task_latencies) == _bits(expected)
         assert len(merged.breakdowns) == len(expected_breakdowns)
         assert (_record_bits(merged.breakdowns)
@@ -163,12 +173,13 @@ class TestColumnarMerge:
     @given(_run())
     def test_serving_join_matches_the_dict_join(self, run):
         cells, served = run
-        calls = [call for _, part, _ in cells for call in part]
-        calls += [CloudCall(cell=cell, seq=seq, device_id="tenant:t",
-                            arrival_s=0.5, recognition_s=0.1, dedup_s=None,
-                            input_mb=0.1, output_mb=0.1, synthetic=True)
-                  for cell in (1_000_000, 1_000_001) for seq in range(8)]
-        joined = shard._serving_latencies(calls, Completions.pack(served))
+        calls = [(cell, seq, 0.0) for cell, (_, seqs, _, _)
+                 in enumerate(cells) for seq in seqs]
+        calls += [(cell, seq, 0.5) for cell in (1_000_000, 1_000_001)
+                  for seq in range(8)]
+        cell, seq, arrival_s = zip(*calls) if calls else ((), (), ())
+        columns = Calls.build(cell, seq, arrival_s, 0.1, None, 0.1, 0.1)
+        joined = _completions(served).latencies(columns)
         assert (joined.tobytes()
                 == np.array(_serving_latencies(calls, served),
                             dtype=float).tobytes())
@@ -176,14 +187,11 @@ class TestColumnarMerge:
 
 class TestJoin:
     def test_a_key_served_twice_resolves_to_its_last_completion(self):
-        served = Completions.pack([
-            (0, 3, 1.0, LatencyBreakdown().as_dict()),
-            (0, 3, 2.0, LatencyBreakdown().as_dict())])
-        index = shard._join(served, np.array([0, 0]), np.array([3, 4]))
+        served = _completions([(0, 3, 1.0, {}), (0, 3, 2.0, {})])
+        index = served.rows_for(np.array([0, 0]), np.array([3, 4]))
         assert index.tolist() == [1, -1]
 
     def test_negative_keys_raise(self):
-        served = Completions.pack([(0, 3, 1.0,
-                                    LatencyBreakdown().as_dict())])
+        served = _completions([(0, 3, 1.0, {})])
         with pytest.raises(ValueError):
-            shard._join(served, np.array([0]), np.array([-1]))
+            served.rows_for(np.array([0]), np.array([-1]))

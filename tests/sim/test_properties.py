@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, RandomStreams, Resource, Store, Tracer
+from repro.sim import Environment, RandomStreams, Resource, Store
 
 
 class TestClockInvariants:
@@ -132,18 +132,3 @@ class TestRandomStreams:
     def test_cached_stream_identity(self):
         streams = RandomStreams(1)
         assert streams.stream("s") is streams.stream("s")
-
-
-class TestTracer:
-    def test_emit_and_filter(self):
-        tracer = Tracer()
-        tracer.emit(1.0, "task", name="a")
-        tracer.emit(2.0, "net", mb=4)
-        tracer.emit(3.0, "task", name="b")
-        assert tracer.count("task") == 2
-        assert len(tracer) == 3
-        assert [r.payload["name"] for r in tracer.records("task")] == \
-            ["a", "b"]
-        assert tracer.series("net", "mb") == [(2.0, 4)]
-        tracer.clear()
-        assert len(tracer) == 0

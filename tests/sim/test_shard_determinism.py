@@ -131,15 +131,14 @@ class TestHybridDeterminism:
 
     def test_monolithic_gateway_rejects_synthetic_calls(self):
         from repro.serverless.gateway import CloudGateway
-        from repro.sim.shard import CloudCall
+        from repro.serverless.wire import Calls
         gateway = CloudGateway(platform_config("hivemind"), SCENARIO_A,
                                DEFAULT, n_devices=16)
-        for tenant in (None, "users"):
-            call = CloudCall(cell=0, seq=0, device_id="d0", arrival_s=1.0,
-                             recognition_s=0.1, dedup_s=None, input_mb=1.0,
-                             output_mb=0.1, synthetic=True, tenant=tenant)
+        for tenant in (-1, 0):
+            calls = Calls.build(0, [0], 1.0, 0.1, None, 1.0, 0.1,
+                                synthetic=True, tenant=tenant)
             with pytest.raises(RuntimeError, match="synthetic"):
-                gateway.serve([call], 1.0)
+                gateway.serve(calls, 1.0)
 
     def test_hybrid_needs_positive_exact_devices(self):
         with pytest.raises(ValueError):

@@ -18,10 +18,11 @@ from repro.config import DEFAULT
 from repro.faults import FaultPlan
 from repro.platforms import platform_config
 from repro.platforms.base import RunResult
-from repro.serverless.gateway import CloudGateway, Completions
+from repro.serverless.gateway import CloudGateway
 from repro.serverless.region import RegionGateway
-from repro.sim.shard import (CellBoundary, CloudCall, merge, plan_cells,
-                             plan_run, run_sharded)
+from repro.serverless.wire import Calls, Completions
+from repro.sim.shard import (CellBoundary, merge, plan_cells, plan_run,
+                             run_sharded)
 from repro.telemetry import (BandwidthMeter, BreakdownAggregate,
                              LatencyBreakdown, MetricSeries)
 from tests.serverless.test_region_pricing import HOST_KEYS, _digest
@@ -97,15 +98,15 @@ class TestBackendFaultsArmRegionalTier:
 # -- one cloud-tier shape ------------------------------------------------
 
 def _call(cell=0, seq=0, arrival_s=1.0, **kwargs):
-    return CloudCall(cell=cell, seq=seq, device_id=f"d{cell}",
-                     arrival_s=arrival_s, recognition_s=0.1,
-                     dedup_s=None, input_mb=1.0, output_mb=0.1, **kwargs)
+    """One recognition-only call as a one-row batch."""
+    return Calls.build(cell, [seq], arrival_s, 0.1, None, 1.0, 0.1,
+                       **kwargs)
 
 
 class TestGatewayShape:
     def test_serve_returns_completion_columns(self):
         gateway = CloudGateway(CONFIG, SCENARIO_A, DEFAULT, n_devices=16)
-        assert len(gateway.serve([_call(cell=3, seq=7)], 1.0).seq) == 0
+        assert len(gateway.serve(_call(cell=3, seq=7), 1.0).seq) == 0
         completions, stats = gateway.finish()
         [cell], [seq], [done_s] = (completions.cell, completions.seq,
                                    completions.done_s)
@@ -120,9 +121,9 @@ class TestGatewayShape:
 
     def test_late_message_rejected(self):
         gateway = CloudGateway(CONFIG, SCENARIO_A, DEFAULT, n_devices=16)
-        gateway.serve([], 5.0)
+        gateway.serve(Calls.concat(()), 5.0)
         with pytest.raises(RuntimeError, match="late cloud message"):
-            gateway.serve([_call(arrival_s=4.0)], 6.0)
+            gateway.serve(_call(arrival_s=4.0), 6.0)
 
 
 # -- merge on hand-built inputs ------------------------------------------
@@ -150,25 +151,27 @@ def _cell_result(local_rows, makespan_s=50.0):
                 "failed_devices": [], "items_found": 1})
 
 
-def _edge_call(cell, seq, start_s, edge_done_s):
-    return _call(cell=cell, seq=seq, arrival_s=start_s + 0.1,
-                 start_s=start_s, edge_done_s=edge_done_s,
-                 edge_breakdown=_breakdown(
-                     network=edge_done_s - start_s).as_dict())
+def _edge_half(seq, start_s, edge_done_s):
+    """A settled call's edge half: network time from start to done."""
+    return (seq, start_s, edge_done_s,
+            _breakdown(network=edge_done_s - start_s))
 
 
-def _ledger(*calls):
-    """The edge ledger a cell whose boundary saw ``calls`` ships."""
+def _ledger(*halves):
+    """The edge ledger a cell whose boundary settled ``halves`` ships."""
     boundary = CellBoundary(0)
-    boundary.calls.extend(calls)
+    for half in halves:
+        boundary.settle(*half)
     return boundary.ledger()
 
 
 def _completions(*served):
     """Cloud-tier columns of ``(cell, seq, done_s, charges)`` calls."""
-    return Completions.pack([(cell, seq, done_s, _breakdown(**charges)
-                              .as_dict())
-                             for cell, seq, done_s, charges in served])
+    if not served:
+        return Completions.concat(())
+    cells, seqs, done_s, charges = zip(*served)
+    return Completions.build(cells, seqs, done_s,
+                             [_breakdown(**each) for each in charges])
 
 
 def _stats(completions=1, last=0.0):
@@ -185,7 +188,7 @@ class TestMerge:
     def test_local_rows_precede_deferred_rows_at_equal_start(self,
                                                              mono_plan):
         results = [(0, _cell_result([(5.0, 1.0)]),
-                    _ledger(_edge_call(0, 0, 5.0, 6.0))),
+                    _ledger(_edge_half(0, 5.0, 6.0))),
                    (1, _cell_result([(5.0, 3.0)]), _ledger())]
         merged = merge(mono_plan, results,
                        _completions((0, 0, 7.0, {"execution": 1.0})),
@@ -196,8 +199,8 @@ class TestMerge:
 
     def test_call_without_completion_has_no_row(self, mono_plan):
         results = [(0, _cell_result([]),
-                    _ledger(_edge_call(0, 0, 5.0, 6.0),
-                            _edge_call(0, 1, 6.0, 7.0))),
+                    _ledger(_edge_half(0, 5.0, 6.0),
+                            _edge_half(1, 6.0, 7.0))),
                    (1, _cell_result([]), _ledger())]
         merged = merge(mono_plan, results,
                        _completions((0, 1, 9.0, {"execution": 1.0})),
@@ -206,8 +209,8 @@ class TestMerge:
 
     def test_latency_and_breakdown_join_both_halves(self, mono_plan):
         # Call 0's edge half finishes last, call 1's cloud half does.
-        ledger = _ledger(_edge_call(0, 0, 5.0, 9.0),
-                         _edge_call(0, 1, 6.0, 7.0))
+        ledger = _ledger(_edge_half(0, 5.0, 9.0),
+                         _edge_half(1, 6.0, 7.0))
         completions = _completions(
             (0, 0, 8.0, {"execution": 1.5}),
             (0, 1, 10.0, {"management": 0.25, "execution": 2.0}))
@@ -264,6 +267,12 @@ def _regions(plan):
     return sorted(pair for group in plan.region_groups for pair in group)
 
 
+def _keys(calls):
+    """Canonical ``(arrival_s, cell, seq)`` keys, in stream order."""
+    return list(zip(calls.arrival_s.tolist(), calls.cell.tolist(),
+                    calls.seq.tolist()))
+
+
 class TestPlanRun:
     def test_grouping_never_changes_the_plan(self):
         plans = [plan_run(CONFIG, scenario_variant("S1"), 64, shards=shards,
@@ -278,10 +287,9 @@ class TestPlanRun:
             assert _regions(plan) == _regions(reference)
             assert sorted(spec.index for group in plan.cell_groups
                           for spec in group) == [0, 1]
-            assert ({region: [call.sort_key for call in calls]
-                     for region, calls in plan.streams.by_region.items()}
-                    == {region: [call.sort_key for call in calls]
-                        for region, calls
+            assert ({region: _keys(calls) for region, calls
+                     in plan.streams.by_region.items()}
+                    == {region: _keys(calls) for region, calls
                         in reference.streams.by_region.items()})
         assert _regions(reference) == [(0, 16), (1, 16), (2, 16), (3, 16)]
 
