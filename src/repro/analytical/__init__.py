@@ -5,13 +5,11 @@ from .queueing import (
     fork_join_response,
     lognormal_percentile,
     mm1_inflation,
-    mm1_response_time,
     mmc_wait_time,
 )
 
 __all__ = [
     "mm1_inflation",
-    "mm1_response_time",
     "mmc_wait_time",
     "erlang_c",
     "fork_join_response",

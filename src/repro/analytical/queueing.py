@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "mm1_response_time",
     "mm1_inflation",
     "mmc_wait_time",
     "erlang_c",
@@ -38,13 +37,6 @@ def mm1_inflation(utilization: float, cap: float = 50.0) -> float:
     if utilization >= 1.0 - 1.0 / cap:
         return cap
     return 1.0 / (1.0 - utilization)
-
-
-def mm1_response_time(service_s: float, utilization: float) -> float:
-    """Mean response time of an M/M/1 queue at the given utilization."""
-    if service_s < 0:
-        raise ValueError("service time must be non-negative")
-    return service_s * mm1_inflation(utilization)
 
 
 def erlang_c(servers: int, offered_load: float) -> float:

@@ -54,7 +54,7 @@ class AppSpec:
     #: (obstacle avoidance always runs on-board to avoid catastrophic
     #: failures from network delays — section 2.1).
     edge_pinned: bool = False
-    #: Container memory reservation for the serverless function.
+    #: Memory reserved for the serverless function's container.
     memory_mb: float = 256.0
     #: HiveMind's hybrid execution can split the task: a cheap on-board
     #: filtering stage (keyframe selection / crop / compress) keeps this

@@ -1,11 +1,12 @@
 """Backend server model.
 
 A :class:`Server` exposes its logical cores as a resource pool and its RAM
-as a container. HiveMind's scheduler pins containers to cores (two containers
-may share a server but never a core, section 4.3); pinning is modeled by
-acquiring dedicated core slots for the container's lifetime. Interference on
-*shared* (unpinned) deployments is modeled as a utilization-dependent
-service-time inflation, which produces the serverless variability of Fig 6a.
+as a free-MB counter. HiveMind's scheduler pins containers to cores (two
+containers may share a server but never a core, section 4.3); pinning is
+modeled by acquiring dedicated core slots for the container's lifetime.
+Interference on *shared* (unpinned) deployments is modeled as a
+utilization-dependent service-time inflation, which produces the serverless
+variability of Fig 6a.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from ..config import ClusterConstants
-from ..sim import Container, Environment, Interrupt, Resource
+from ..sim import Environment, Interrupt, Resource
 
 __all__ = ["Server", "CoreGrant", "Cluster"]
 
@@ -48,8 +49,8 @@ class Server:
         self.env = env
         self.server_id = server_id
         self.cores = Resource(env, capacity=cores)
-        self.memory = Container(env, capacity=ram_gb * 1024.0,
-                                init=ram_gb * 1024.0)  # MB free
+        self.memory_capacity_mb = ram_gb * 1024.0
+        self._free_mb = self.memory_capacity_mb
         #: Set by the straggler mitigator when the node misbehaves
         #: (section 4.6); a server on probation receives no new functions.
         self.probation_until: float = 0.0
@@ -76,7 +77,7 @@ class Server:
 
     @property
     def free_memory_mb(self) -> float:
-        return self.memory.level
+        return self._free_mb
 
     @property
     def on_probation(self) -> bool:
@@ -130,14 +131,25 @@ class Server:
 
     def reserve_memory(self, mb: float) -> bool:
         """Non-blocking memory claim; False when the server is full."""
-        return self.memory.try_get(mb)
+        if mb <= self._free_mb:
+            self._free_mb -= mb
+            return True
+        return False
 
     def add_free_memory_listener(self, callback) -> None:
         """Register a zero-arg callback fired after each memory release."""
         self._free_listeners.append(callback)
 
     def free_memory(self, mb: float) -> None:
-        self.memory.put(mb)
+        """Return ``mb`` to the pool; freeing more than was reserved is a
+        bookkeeping fault and raises."""
+        if mb < 0:
+            raise ValueError("amount must be non-negative")
+        if self._free_mb + mb > self.memory_capacity_mb:
+            raise ValueError(
+                f"{self.server_id}: freeing {mb} MB overflows the "
+                f"{self.memory_capacity_mb} MB pool")
+        self._free_mb += mb
         for listener in self._free_listeners:
             listener()
 

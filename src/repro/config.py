@@ -190,13 +190,6 @@ class AccelerationConstants:
     # Remote memory access between functions over the UPI fabric.
     remote_mem_latency_s: float = 3.6e-6
     remote_mem_mbs: float = 8_200.0
-    # FPGA area accounting (paper: 18% LUTs remote memory, 24% RPC).
-    lut_total: int = 1_150_000           # Arria 10 GX1150
-    remote_mem_lut_fraction: float = 0.18
-    rpc_lut_fraction: float = 0.24
-    # Reconfiguration costs (section 4.5).
-    hard_reconfig_s: float = 2.5         # full/partial bitstream load
-    soft_reconfig_s: float = 18e-6       # soft register file write
     # Network acceleration freeing host CPU: fraction of the software
     # per-RPC CPU cost that remains with offload.
     residual_cpu_fraction: float = 0.06

@@ -139,7 +139,7 @@ def Learn(directives: DirectiveSet, graph: TaskGraph, task: str,
 
 
 def Persist(directives: DirectiveSet, graph: TaskGraph, task: str) -> None:
-    """Store the task's output in persistent storage."""
+    """Persist the task's output in durable storage."""
     _require_tasks(graph, task)
     if task not in directives.persisted:
         directives.persisted.append(task)

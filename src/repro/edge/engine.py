@@ -23,9 +23,9 @@ O(1) of actual work each.
   the whole swarm) and hand each :class:`Heartbeat` to the swarm's sinks
   (``Swarm.subscribe_heartbeats``); the engine is their only emitter.
 - The engine itself draws no randomness — drone jitter lognormals are
-  drawn by the per-device ``runner.drone{i}`` streams, which the platform
-  runners serve from draw-ahead buffers (:meth:`~repro.sim.rng.
-  RandomStreams.buffered`), so engine wakes never touch a Generator.
+  scalar draws from the per-device ``runner.drone{i}`` streams
+  (:meth:`~repro.sim.rng.RandomStreams.stream`), made by the devices, so
+  engine wakes never touch a Generator.
 
 Determinism contract: at fixed seeds a flight matches the digests pinned
 from the retired per-tick path (``tests/edge/test_engine_parity.py``):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional
 
 from ..config import ControlConstants, PaperConstants
-from ..routing import Region, coverage_route, partition_field
+from ..routing import Region, partition_field
 from ..sim import Environment, RandomStreams
 from .device import EdgeDevice
 from .drone import Drone
@@ -57,10 +57,6 @@ class Swarm:
             raise KeyError(f"unknown device {device_id!r}")
         return found
 
-    @property
-    def alive_devices(self) -> List[EdgeDevice]:
-        return [d for d in self.devices.values() if d.alive]
-
     # -- work assignment ---------------------------------------------------
     def assign_regions(self, width_m: float, height_m: float) -> None:
         """Initial equal division of the field among all devices."""
@@ -69,15 +65,6 @@ class Swarm:
             device_id: [tile]
             for device_id, tile in zip(sorted(self.devices), tiles)
         }
-
-    def route_for(self, device_id: str, swath_m: float) -> List:
-        """Concatenated coverage route over the device's regions."""
-        if device_id not in self.regions:
-            raise KeyError(f"no region assigned to {device_id!r}")
-        waypoints = []
-        for region in self.regions[device_id]:
-            waypoints.extend(coverage_route(region, swath_m))
-        return waypoints
 
     # -- heartbeats ------------------------------------------------------------
     def subscribe_heartbeats(self,

@@ -1,19 +1,12 @@
-"""FPGA acceleration fabrics: area model, remote memory, RPC offload."""
+"""FPGA acceleration fabrics: remote memory and RPC offload."""
 
-from .fpga import FpgaFabric, FpgaRegion
-from .reconfig import HardConfig, ReconfigController, SoftConfig
 from .remote_memory import RemoteMemoryFabric, RemoteObject
 from .rpc_accel import AcceleratedClusterRpc, AcceleratedEdgeRpc, RpcServerPool
 
 __all__ = [
-    "FpgaFabric",
-    "FpgaRegion",
     "RemoteMemoryFabric",
     "RemoteObject",
     "AcceleratedClusterRpc",
     "AcceleratedEdgeRpc",
     "RpcServerPool",
-    "ReconfigController",
-    "HardConfig",
-    "SoftConfig",
 ]

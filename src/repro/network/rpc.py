@@ -15,8 +15,8 @@ accounting needs (wire vs. per-call processing).
 
 RPC transports draw no randomness of their own — all stochastic loss
 retries happen inside the links they ride (see
-:class:`~repro.network.wireless.WirelessNetwork`, whose shared loss
-stream is served from a vectorized draw-ahead buffer).
+:class:`~repro.network.wireless.WirelessNetwork`, which draws scalars
+from its shared ``network.loss`` stream).
 """
 
 from __future__ import annotations

@@ -211,10 +211,6 @@ class SingleTierRunner:
             yield gate
 
         def download_response(device: Drone, trace=None) -> Generator:
-            if not chaos:
-                down_s = yield from fabric.wireless.download(
-                    device.device_id, self.app.output_mb, trace=trace)
-                return down_s
             while True:
                 try:
                     down_s = yield from fabric.wireless.download(

@@ -1,21 +1,12 @@
-"""Route planning: grids, A*, coverage sweeps, partitioning, mazes."""
+"""Route planning: coverage sweeps, partitioning, mazes."""
 
-from .astar import NoPathError, astar, path_length
-from .coverage import Region, coverage_route, coverage_time, route_length
-from .grid import Cell, GridMap
+from .coverage import Region, coverage_route
 from .maze import Maze, WallFollower, generate_maze
 from .partition import neighbors_of, partition_field, repartition_on_failure
 
 __all__ = [
-    "GridMap",
-    "Cell",
-    "astar",
-    "path_length",
-    "NoPathError",
     "Region",
     "coverage_route",
-    "coverage_time",
-    "route_length",
     "partition_field",
     "repartition_on_failure",
     "neighbors_of",

@@ -3,8 +3,7 @@
 Each drone must photograph every point of its assigned region. With a camera
 swath of ``fov_width_m`` the classic minimal-turn plan is back-and-forth
 sweep legs spaced one swath apart. :func:`coverage_route` produces the
-waypoints; :func:`coverage_time` the flight-time estimate the load balancer
-uses when partitioning work.
+waypoints.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-__all__ = ["Region", "coverage_route", "coverage_time", "route_length"]
+__all__ = ["Region", "coverage_route"]
 
 Point = Tuple[float, float]
 
@@ -77,21 +76,3 @@ def coverage_route(region: Region, swath_m: float) -> List[Point]:
             ends = (ends[1], ends[0])
         waypoints.extend(ends)
     return waypoints
-
-
-def route_length(waypoints: List[Point]) -> float:
-    """Euclidean length of a waypoint route."""
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(waypoints, waypoints[1:]):
-        total += math.hypot(x1 - x0, y1 - y0)
-    return total
-
-
-def coverage_time(region: Region, swath_m: float, speed_mps: float,
-                  turn_time_s: float = 0.0) -> float:
-    """Estimated seconds to cover ``region`` (flight + turn penalties)."""
-    if speed_mps <= 0:
-        raise ValueError("speed must be positive")
-    waypoints = coverage_route(region, swath_m)
-    n_turns = max(0, len(waypoints) // 2 - 1)
-    return route_length(waypoints) / speed_mps + n_turns * turn_time_s

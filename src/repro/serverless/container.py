@@ -1,4 +1,4 @@
-"""Container lifecycle for serverless functions.
+"""Lifecycle of serverless function containers.
 
 Functions run in Docker containers instantiated by an invoker. The pieces
 the paper's figures depend on:

@@ -95,8 +95,9 @@ class Invocation:
     #: Times this activation was re-enqueued after its invoker/server
     #: crashed mid-flight (chaos recovery; always 0 in fault-free runs).
     requeues: int = 0
-    #: Container instantiation seconds (the Fig 6b "instantiation" slice;
-    #: also charged to the breakdown's management component).
+    #: Instantiation seconds of the function's container (the Fig 6b
+    #: "instantiation" slice; also charged to the breakdown's management
+    #: component).
     instantiation_s: float = 0.0
     #: Inter-function data exchange seconds (the Fig 6b "data I/O" slice).
     data_share_s: float = 0.0

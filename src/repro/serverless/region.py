@@ -445,7 +445,7 @@ class RegionGateway:
         if self._kafka_outages:
             t = self._after_outages(t, self._kafka_outages)
         breakdown.charge("management", t - hop_start)
-        # Container: keepalive'd warm claim, else a cold start.
+        # Warm container: keepalive'd claim, else a cold start.
         if container is None:
             container = self._claim_warm(server, spec.image, t)
         if container is not None:

@@ -4,8 +4,7 @@ Public surface:
 
 - kernel: :class:`Environment`, :class:`Event`, :class:`Timeout`,
   :class:`Process`, :class:`Interrupt`
-- resources: :class:`Resource`, :class:`PriorityResource`,
-  :class:`Container`, :class:`Store`
+- resources: :class:`Resource`
 - rng: :class:`RandomStreams`
 """
 
@@ -18,7 +17,7 @@ from .kernel import (
     StopSimulation,
     Timeout,
 )
-from .resources import Container, Preempted, PriorityResource, Resource, Store
+from .resources import Resource
 from .rng import RandomStreams
 
 __all__ = [
@@ -30,9 +29,5 @@ __all__ = [
     "Interrupt",
     "StopSimulation",
     "Resource",
-    "PriorityResource",
-    "Preempted",
-    "Container",
-    "Store",
     "RandomStreams",
 ]

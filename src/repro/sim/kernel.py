@@ -531,12 +531,6 @@ class Environment:
             heapq.heappush(self._queue,
                            (when, priority, next(self._eid), event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._urgent or self._normal:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
-
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an event, or queue exhaustion).
 

@@ -1,38 +1,21 @@
 """Shared resources for the simulation kernel.
 
-Three primitives cover everything the HiveMind models need:
-
-- :class:`Resource` — ``capacity`` interchangeable slots with a FIFO (or
-  priority) wait queue. Used for CPU cores, wireless airtime grants, invoker
-  slots.
-- :class:`Container` — a continuous level between 0 and ``capacity``. Used
-  for battery charge and memory pools.
-- :class:`Store` — a queue of discrete items. Used for message buses
-  (Kafka topics), mailboxes, and work queues.
+:class:`Resource` — ``capacity`` interchangeable slots with a FIFO wait
+queue — is the one blocking primitive the HiveMind models need: server
+cores, the IaaS worker pool and the RPC offload engine.
 
 Requests are events: a process does ``yield resource.request()`` (or uses the
-request as a context manager) and resumes once the slot/amount/item is
-granted.
+request as a context manager) and resumes once the slot is granted.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Deque, List, Optional
 
 from .kernel import Environment, Event
 
-__all__ = ["Resource", "PriorityResource", "Preempted", "Container", "Store"]
-
-
-class _FlowEvent(Event):
-    """Container/Store bookkeeping event; the pending amount/item/predicate
-    rides along in dedicated slots (the kernel's :class:`Event` is slotted,
-    so arbitrary attributes cannot be attached)."""
-
-    __slots__ = ("amount", "item", "predicate")
+__all__ = ["Resource"]
 
 
 class Request(Event):
@@ -55,27 +38,10 @@ class Request(Event):
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request."""
-        self.resource._cancel(self)
-
-
-class PriorityRequest(Request):
-    """A request with a priority (lower value = more urgent)."""
-
-    __slots__ = ("priority", "time")
-
-    def __init__(self, resource: "Resource", priority: int = 0):
-        self.priority = priority
-        self.time = resource.env.now
-        super().__init__(resource)
-
-
-class Preempted(Exception):
-    """Cause attached to an interrupt when a user is preempted."""
-
-    def __init__(self, by: Any, usage_since: float):
-        super().__init__(by, usage_since)
-        self.by = by
-        self.usage_since = usage_since
+        try:
+            self.resource.queue.remove(self)
+        except ValueError:
+            pass
 
 
 class Resource:
@@ -129,12 +95,6 @@ class Resource:
         while self.queue and len(self.users) < self._capacity:
             self._grant(self.queue.popleft())
 
-    def _cancel(self, req: Request) -> None:
-        try:
-            self.queue.remove(req)
-        except ValueError:
-            pass
-
     def resize(self, capacity: int) -> None:
         """Change capacity online (elastic pools). Shrinking never evicts
         current users; it only stops granting until usage drops below the
@@ -143,189 +103,3 @@ class Resource:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._wake_next()
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are served lowest-``priority`` value first."""
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        self._heap: List = []
-        self._tie = itertools.count()
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, req: Request) -> None:
-        if len(self.users) < self._capacity:
-            self._grant(req)
-        else:
-            prio = getattr(req, "priority", 0)
-            heapq.heappush(self._heap, (prio, next(self._tie), req))
-
-    def _wake_next(self) -> None:
-        while self._heap and len(self.users) < self._capacity:
-            _, _, req = heapq.heappop(self._heap)
-            if req.triggered:
-                continue
-            self._grant(req)
-
-    def _cancel(self, req: Request) -> None:
-        self._heap = [(p, t, r) for (p, t, r) in self._heap if r is not req]
-        heapq.heapify(self._heap)
-
-    @property
-    def queued(self) -> int:
-        return len(self._heap)
-
-
-class Container:
-    """A continuous quantity between 0 and ``capacity``.
-
-    ``get`` blocks until the requested amount is available; ``put`` blocks
-    until there is headroom. Amounts are floats.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: Deque = deque()
-        self._putters: Deque = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = _FlowEvent(self.env)
-        event.amount = amount
-        self._getters.append(event)
-        self._drain()
-        return event
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = _FlowEvent(self.env)
-        event.amount = amount
-        self._putters.append(event)
-        self._drain()
-        return event
-
-    def try_get(self, amount: float) -> bool:
-        """Non-blocking take; returns False (and takes nothing) on shortfall."""
-        if amount <= self._level:
-            self._level -= amount
-            self._drain()
-            return True
-        return False
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and (
-                    self._level + self._putters[0].amount <= self.capacity):
-                event = self._putters.popleft()
-                self._level += event.amount
-                event.succeed(event.amount)
-                progress = True
-            if self._getters and self._getters[0].amount <= self._level:
-                event = self._getters.popleft()
-                self._level -= event.amount
-                event.succeed(event.amount)
-                progress = True
-
-
-class Store:
-    """FIFO queue of discrete items with blocking get/put."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        event = _FlowEvent(self.env)
-        event.item = item
-        self._putters.append(event)
-        self._drain()
-        return event
-
-    def put_nowait(self, item: Any) -> bool:
-        """Non-blocking put: append ``item`` if there is room *and* no
-        earlier putter is waiting (FIFO order must hold); returns whether
-        the item was accepted.
-
-        Skips the put-event round trip a successful :meth:`put` pays —
-        the caller continues inline, one kernel event earlier — while
-        waiting getters are served exactly as :meth:`put` would.
-        """
-        if self._putters or len(self.items) >= self.capacity:
-            return False
-        self.items.append(item)
-        self._drain()
-        return True
-
-    def get(self) -> Event:
-        event = _FlowEvent(self.env)
-        self._getters.append(event)
-        self._drain()
-        return event
-
-    def get_where(self, predicate: Callable[[Any], bool]) -> Event:
-        """Blocking get of the first item satisfying ``predicate``."""
-        event = _FlowEvent(self.env)
-        event.predicate = predicate
-        self._getters.append(event)
-        self._drain()
-        return event
-
-    #: Sentinel distinguishing "no match" from a stored None item.
-    _NO_MATCH = object()
-
-    def _match(self, event: Event) -> Any:
-        predicate = getattr(event, "predicate", None)
-        if predicate is None:
-            return self.items.popleft() if self.items else self._NO_MATCH
-        for index, item in enumerate(self.items):
-            if predicate(item):
-                del self.items[index]
-                return item
-        return self._NO_MATCH
-
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and len(self.items) < self.capacity:
-                event = self._putters.popleft()
-                self.items.append(event.item)
-                event.succeed(event.item)
-                progress = True
-            if self._getters and self.items:
-                # Serve the first getter whose predicate (if any) matches an
-                # item; a predicate getter waiting on a missing item does not
-                # block plain getters behind it.
-                for index, event in enumerate(self._getters):
-                    item = self._match(event)
-                    if item is not self._NO_MATCH:
-                        del self._getters[index]
-                        event.succeed(item)
-                        progress = True
-                        break

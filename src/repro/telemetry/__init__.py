@@ -5,7 +5,7 @@ from .breakdown import (COMPONENTS, BreakdownAggregate, LatencyBreakdown,
                         breakdown_array)
 from .metrics import DistributionSummary, MetricSeries
 from .power import BatteryDepleted, EnergyAccount, fleet_consumed_percent
-from .report import format_value, render_series, render_table
+from .report import format_value, render_table
 
 __all__ = [
     "MetricSeries",
@@ -19,6 +19,5 @@ __all__ = [
     "fleet_consumed_percent",
     "BandwidthMeter",
     "render_table",
-    "render_series",
     "format_value",
 ]

@@ -113,9 +113,3 @@ class BandwidthMeter:
         """Windowed percentile MB/s (the p99 markers in Fig 14b)."""
         return float(np.percentile(self._window_series(horizon_s), q,
                                    method="linear"))
-
-    def peak_mbs(self, horizon_s: float = None) -> float:
-        return float(self._window_series(horizon_s).max())
-
-    def series_mbs(self, horizon_s: float = None) -> np.ndarray:
-        return self._window_series(horizon_s)

@@ -195,9 +195,6 @@ class MetricSeries:
             return 0.0
         return self.std / mean
 
-    def iqr(self) -> float:
-        return self.percentile(75) - self.percentile(25)
-
     def summary(self) -> DistributionSummary:
         # Percentile convention, pinned repo-wide: numpy's "linear"
         # interpolation (the pre-numpy-1.22 default), matching

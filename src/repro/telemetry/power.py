@@ -84,9 +84,6 @@ class EnergyAccount:
     def by_category(self) -> Dict[str, float]:
         return dict(self._drawn)
 
-    def category_percent(self, category: str) -> float:
-        return 100.0 * self._drawn[category] / self.capacity_wh
-
 
 def fleet_consumed_percent(accounts: Iterable[EnergyAccount]) -> "tuple[float, float]":
     """(mean, worst-case) consumed-battery percent across a fleet.

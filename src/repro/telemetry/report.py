@@ -1,15 +1,14 @@
 """Plain-text table rendering for the benchmark harnesses.
 
 Every figure's harness ends by printing rows/series in the same layout the
-paper reports. :func:`render_table` produces aligned monospace tables;
-:func:`render_series` prints (x, y...) sweeps.
+paper reports. :func:`render_table` produces aligned monospace tables.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Iterable, List, Sequence
 
-__all__ = ["render_table", "render_series", "format_value"]
+__all__ = ["render_table", "format_value"]
 
 
 def format_value(value: Any, precision: int = 3) -> str:
@@ -54,18 +53,3 @@ def render_table(headers: Sequence[str],
     lines.append("-+-".join("-" * w for w in widths))
     lines.extend(render_row(row) for row in rendered_rows)
     return "\n".join(lines)
-
-
-def render_series(x_name: str, x_values: Sequence[Any],
-                  series: Dict[str, Sequence[Any]],
-                  title: str = "") -> str:
-    """Render a sweep: one row per x value, one column per series."""
-    headers = [x_name] + list(series)
-    rows = []
-    for index, x in enumerate(x_values):
-        row = [x]
-        for name in series:
-            values = series[name]
-            row.append(values[index] if index < len(values) else "")
-        rows.append(row)
-    return render_table(headers, rows, title=title)

@@ -74,6 +74,17 @@ class TestServer:
         server.free_memory(1000)
         assert server.free_memory_mb == pytest.approx(1024)
 
+    def test_free_memory_past_capacity_rejected(self, env):
+        server = Server(env, "s0", cores=1, ram_gb=1)
+        assert server.reserve_memory(100)
+        with pytest.raises(ValueError):
+            server.free_memory(200)
+        with pytest.raises(ValueError):
+            server.free_memory(-1)
+        assert server.free_memory_mb == pytest.approx(924)
+        server.free_memory(100)
+        assert server.free_memory_mb == server.memory_capacity_mb
+
     def test_probation(self, env):
         server = Server(env, "s0")
         assert not server.on_probation

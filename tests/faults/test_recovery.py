@@ -170,7 +170,7 @@ class TestCancellation:
             env.run(process)
         env.run()  # drain the interrupt's cleanup
         assert server.utilization == 0
-        assert server.free_memory_mb == server.memory.capacity
+        assert server.free_memory_mb == server.memory_capacity_mb
 
 
 class TestOutageWindows:
@@ -188,12 +188,15 @@ class TestOutageWindows:
     def test_kafka_outage_stalls_publish(self, env):
         platform = make_platform(env)
         platform.kafka.set_outage(8.0)
+        delivered = []
+        platform.kafka.subscribe("probe", delivered.append)
 
         def op():
-            yield from platform.kafka.publish("nowhere", object())
+            yield from platform.kafka.publish("probe", "m")
 
         env.run(env.process(op()))
         assert env.now >= 8.0
+        assert delivered == ["m"]
 
     def test_outage_windows_merge(self, env):
         platform = make_platform(env)

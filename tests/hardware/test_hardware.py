@@ -1,4 +1,4 @@
-"""Tests for FPGA fabric, remote memory, RPC offload, and reconfiguration."""
+"""Tests for the remote-memory and RPC-offload fabrics."""
 
 import pytest
 
@@ -6,11 +6,7 @@ from repro.config import AccelerationConstants, WirelessConstants
 from repro.hardware import (
     AcceleratedClusterRpc,
     AcceleratedEdgeRpc,
-    FpgaFabric,
-    HardConfig,
-    ReconfigController,
     RemoteMemoryFabric,
-    SoftConfig,
 )
 from repro.network import EdgeCloudRpc, WirelessNetwork
 from repro.sim import Environment
@@ -19,39 +15,6 @@ from repro.sim import Environment
 @pytest.fixture
 def env():
     return Environment()
-
-
-class TestFpgaFabric:
-    def test_default_partitioning_matches_paper(self):
-        fabric = FpgaFabric()
-        constants = AccelerationConstants()
-        remote = fabric.region("remote_memory")
-        rpc = fabric.region("rpc_offload")
-        assert remote.lut_count == int(
-            constants.lut_total * constants.remote_mem_lut_fraction)
-        assert rpc.lut_count == int(
-            constants.lut_total * constants.rpc_lut_fraction)
-        # Paper: 18% + 24% fit with headroom to spare.
-        assert fabric.utilization == pytest.approx(0.42, abs=0.01)
-
-    def test_over_allocation_rejected(self):
-        fabric = FpgaFabric()
-        with pytest.raises(ValueError):
-            fabric.allocate_region("huge", fabric.free_luts + 1, "blue")
-
-    def test_duplicate_region_rejected(self):
-        fabric = FpgaFabric()
-        with pytest.raises(ValueError):
-            fabric.allocate_region("rpc_offload", 10, "green")
-
-    def test_release_region(self):
-        fabric = FpgaFabric()
-        used = fabric.used_luts
-        fabric.release_region("rpc_offload")
-        assert fabric.used_luts < used
-        assert not fabric.has_region("rpc_offload")
-        with pytest.raises(KeyError):
-            fabric.release_region("rpc_offload")
 
 
 class TestRemoteMemory:
@@ -154,90 +117,3 @@ class TestAcceleratedRpc:
         soft_result = env.run(env.process(run(software)))
         accel_result = env.run(env.process(run(accelerated)))
         assert accel_result.processing_s < soft_result.processing_s
-
-
-class TestReconfig:
-    def test_hard_config_validation(self):
-        with pytest.raises(ValueError):
-            HardConfig(interface="usb")
-        with pytest.raises(ValueError):
-            HardConfig(transport="sctp")
-
-    def test_soft_config_validation(self):
-        with pytest.raises(ValueError):
-            SoftConfig(ccip_batch_size=0)
-        with pytest.raises(ValueError):
-            SoftConfig(load_balance="random_walk")
-        with pytest.raises(ValueError):
-            SoftConfig(queue_depth=0)
-
-    def test_hard_reconfig_costs_seconds(self, env):
-        controller = ReconfigController(env)
-
-        def run():
-            yield env.process(controller.apply_hard(HardConfig(
-                transport="udp")))
-            return env.now
-
-        took = env.run(env.process(run()))
-        assert took == pytest.approx(AccelerationConstants().hard_reconfig_s)
-        assert controller.hard_reconfigs == 1
-
-    def test_noop_reconfig_is_free(self, env):
-        controller = ReconfigController(env)
-
-        def run():
-            yield env.process(controller.apply_hard(HardConfig()))
-            yield env.process(controller.apply_soft(SoftConfig()))
-            return env.now
-
-        assert env.run(env.process(run())) == 0.0
-        assert controller.hard_reconfigs == 0
-        assert controller.soft_reconfigs == 0
-
-    def test_soft_reconfig_is_microseconds(self, env):
-        controller = ReconfigController(env)
-
-        def run():
-            yield env.process(controller.apply_soft(
-                SoftConfig(ccip_batch_size=16)))
-            return env.now
-
-        assert env.run(env.process(run())) < 1e-3
-        assert controller.soft_reconfigs == 1
-
-    def test_tune_for_payload_tiers(self, env):
-        controller = ReconfigController(env)
-        small = controller.tune_for_payload(0.001)
-        medium = controller.tune_for_payload(0.5)
-        bulk = controller.tune_for_payload(8.0)
-        assert small.ccip_batch_size > medium.ccip_batch_size > \
-            bulk.ccip_batch_size
-        assert bulk.queue_depth > small.queue_depth
-        with pytest.raises(ValueError):
-            controller.tune_for_payload(-1)
-
-
-class TestDynamicRepartition:
-    def test_resize_costs_hard_reconfig(self, env):
-        fabric = FpgaFabric()
-        before = fabric.region("rpc_offload").lut_count
-
-        def run():
-            region = yield env.process(fabric.repartition(
-                env, "rpc_offload", before + 10_000))
-            return region
-
-        region = env.run(env.process(run()))
-        assert region.lut_count == before + 10_000
-        assert env.now == pytest.approx(
-            AccelerationConstants().hard_reconfig_s)
-
-    def test_resize_validation(self, env):
-        fabric = FpgaFabric()
-        with pytest.raises(ValueError):
-            env.run(env.process(fabric.repartition(env, "rpc_offload", 0)))
-        huge = fabric.constants.lut_total
-        process = env.process(fabric.repartition(env, "rpc_offload", huge))
-        with pytest.raises(ValueError):
-            env.run(process)

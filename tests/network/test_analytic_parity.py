@@ -249,9 +249,9 @@ class TestScenarioSeedSweep:
         assert _digest(fingerprint) == FAULTED_CELLS[seed]
 
     def test_analytic_path_reduces_events(self):
-        """The S3 cell dispatches 8,302 events; the Resource-based queues
+        """The S3 cell dispatches 8,285 events; the Resource-based queues
         it replaced dispatched 12,791 for the same rows."""
         before = events_consumed()
         SingleTierRunner(platform_config("centralized_faas"), app("S3"),
                          seed=0, duration_s=30.0, load_fraction=0.6).run()
-        assert events_consumed() - before == 8302
+        assert events_consumed() - before == 8285

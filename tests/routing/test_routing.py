@@ -1,4 +1,4 @@
-"""Tests for grid, A*, coverage planning, partitioning, and mazes."""
+"""Tests for coverage planning, partitioning, and mazes."""
 
 import math
 
@@ -8,93 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing import (
-    GridMap,
     Maze,
-    NoPathError,
     Region,
     WallFollower,
-    astar,
     coverage_route,
-    coverage_time,
     generate_maze,
     neighbors_of,
     partition_field,
-    path_length,
     repartition_on_failure,
-    route_length,
 )
-
-
-class TestGridMap:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridMap(0, 5)
-
-    def test_block_and_free(self):
-        grid = GridMap(4, 4)
-        assert grid.is_free((1, 1))
-        grid.block((1, 1))
-        assert not grid.is_free((1, 1))
-        grid.unblock((1, 1))
-        assert grid.is_free((1, 1))
-
-    def test_block_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            GridMap(2, 2).block((5, 5))
-
-    def test_neighbors_respect_bounds_and_blocks(self):
-        grid = GridMap(3, 3, blocked=[(1, 0)])
-        neighbors = set(grid.neighbors((0, 0)))
-        assert neighbors == {(0, 1)}
-
-    def test_free_cells_count(self):
-        grid = GridMap(3, 3, blocked=[(0, 0), (2, 2)])
-        assert len(list(grid.free_cells())) == 7
-
-
-class TestAstar:
-    def test_trivial_path(self):
-        grid = GridMap(5, 5)
-        assert astar(grid, (2, 2), (2, 2)) == [(2, 2)]
-
-    def test_straight_line(self):
-        grid = GridMap(5, 5)
-        path = astar(grid, (0, 0), (4, 0))
-        assert path[0] == (0, 0) and path[-1] == (4, 0)
-        assert path_length(path) == 4
-
-    def test_detour_around_wall(self):
-        grid = GridMap(5, 5, blocked=[(2, 0), (2, 1), (2, 2), (2, 3)])
-        path = astar(grid, (0, 0), (4, 0))
-        assert path_length(path) > 4
-        assert all(grid.is_free(cell) for cell in path)
-
-    def test_no_path_raises(self):
-        grid = GridMap(3, 3, blocked=[(1, 0), (1, 1), (1, 2)])
-        with pytest.raises(NoPathError):
-            astar(grid, (0, 0), (2, 0))
-
-    def test_blocked_endpoints_rejected(self):
-        grid = GridMap(3, 3, blocked=[(0, 0)])
-        with pytest.raises(ValueError):
-            astar(grid, (0, 0), (2, 2))
-        with pytest.raises(ValueError):
-            astar(grid, (2, 2), (0, 0))
-
-    def test_path_steps_are_adjacent(self):
-        grid = GridMap(8, 8, blocked=[(3, y) for y in range(7)])
-        path = astar(grid, (0, 0), (7, 7))
-        for a, b in zip(path, path[1:]):
-            assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-
-    @settings(max_examples=25)
-    @given(st.integers(0, 7), st.integers(0, 7),
-           st.integers(0, 7), st.integers(0, 7))
-    def test_optimality_on_open_grid(self, x0, y0, x1, y1):
-        """On an empty grid A* must return the Manhattan distance."""
-        grid = GridMap(8, 8)
-        path = astar(grid, (x0, y0), (x1, y1))
-        assert path_length(path) == abs(x1 - x0) + abs(y1 - y0)
 
 
 class TestCoverage:
@@ -118,21 +40,6 @@ class TestCoverage:
     def test_swath_validation(self):
         with pytest.raises(ValueError):
             coverage_route(Region(0, 0, 1, 1), 0)
-
-    def test_route_length(self):
-        assert route_length([(0, 0), (3, 4)]) == pytest.approx(5.0)
-        assert route_length([(0, 0)]) == 0.0
-
-    def test_coverage_time_scales_with_area(self):
-        small = coverage_time(Region(0, 0, 50, 50), 7, 4.0)
-        large = coverage_time(Region(0, 0, 100, 100), 7, 4.0)
-        assert large > 1.8 * small
-
-    def test_coverage_time_turn_penalty(self):
-        region = Region(0, 0, 100, 30)
-        without = coverage_time(region, 10, 4.0, turn_time_s=0)
-        with_turns = coverage_time(region, 10, 4.0, turn_time_s=2)
-        assert with_turns == pytest.approx(without + 2 * 2)
 
     @settings(max_examples=25)
     @given(st.floats(10, 200), st.floats(10, 200), st.floats(2, 20))

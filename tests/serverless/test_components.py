@@ -145,15 +145,12 @@ class TestKafka:
     def test_publish_consume(self, env):
         bus = KafkaBus(env)
         received = []
-
-        def consumer():
-            message = yield env.process(bus.consume("activations"))
-            received.append((env.now, message))
+        bus.subscribe("activations",
+                      lambda message: received.append((env.now, message)))
 
         def producer():
             yield env.process(bus.publish("activations", {"id": 1}))
 
-        env.process(consumer())
         env.process(producer())
         env.run()
         assert received[0][1] == {"id": 1}
@@ -161,10 +158,17 @@ class TestKafka:
             ServerlessConstants().kafka_hop_s)
         assert bus.published == 1
 
-    def test_topic_depth(self, env):
+    def test_publish_without_subscriber_rejected(self, env):
         bus = KafkaBus(env)
-        env.run(env.process(bus.publish("t", "m")))
-        assert bus.depth("t") == 1
+        with pytest.raises(KeyError):
+            env.run(env.process(bus.publish("nowhere", "m")))
+        assert bus.published == 0
+
+    def test_second_subscriber_rejected(self, env):
+        bus = KafkaBus(env)
+        bus.subscribe("t", lambda message: None)
+        with pytest.raises(ValueError):
+            bus.subscribe("t", lambda message: None)
 
 
 class TestDataSharing:

@@ -302,12 +302,6 @@ def test_run_out_of_events_before_until_event():
         env.run(until=event)
 
 
-def test_peek_empty_queue_is_inf():
-    env = Environment()
-    env.run()
-    assert env.peek() == float("inf")
-
-
 def test_is_alive_lifecycle():
     env = Environment()
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, RandomStreams, Resource, Store
+from repro.sim import Environment, RandomStreams, Resource
 
 
 class TestClockInvariants:
@@ -79,30 +79,6 @@ class TestResourceInvariants:
             env.process(user(hold))
         env.run()
         assert env.now <= sum(holds) + 1e-9
-
-
-class TestStoreInvariants:
-    @settings(max_examples=40)
-    @given(st.lists(st.integers(), min_size=1, max_size=40))
-    def test_fifo_order_preserved(self, items):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def producer():
-            for item in items:
-                yield store.put(item)
-                yield env.timeout(0.1)
-
-        def consumer():
-            for _ in items:
-                value = yield store.get()
-                received.append(value)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert received == items
 
 
 class TestRandomStreams:

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource / Container / Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource
 
 
 @pytest.fixture
@@ -95,215 +95,3 @@ class TestResource:
         assert not third.triggered  # still at capacity 1 with one user
         res.release(second)
         assert third.triggered
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def user(name, priority, start):
-            yield env.timeout(start)
-            with res.request(priority=priority) as req:
-                yield req
-                log.append(name)
-                yield env.timeout(10)
-
-        env.process(user("holder", 0, 0))
-        env.process(user("low", 5, 1))
-        env.process(user("high", 1, 2))
-        env.run()
-        assert log == ["holder", "high", "low"]
-
-    def test_queued_counter(self, env):
-        res = PriorityResource(env, capacity=1)
-        res.request(priority=0)
-        res.request(priority=1)
-        res.request(priority=2)
-        assert res.queued == 2
-
-
-class TestContainer:
-    def test_initial_level(self, env):
-        tank = Container(env, capacity=10, init=4)
-        assert tank.level == 4
-
-    def test_init_bounds_checked(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=11)
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-
-    def test_get_blocks_until_put(self, env):
-        tank = Container(env, capacity=10, init=0)
-        log = []
-
-        def consumer():
-            yield tank.get(5)
-            log.append(env.now)
-
-        def producer():
-            yield env.timeout(3)
-            yield tank.put(5)
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert log == [3]
-        assert tank.level == 0
-
-    def test_put_blocks_at_capacity(self, env):
-        tank = Container(env, capacity=10, init=10)
-        log = []
-
-        def producer():
-            yield tank.put(1)
-            log.append(env.now)
-
-        def consumer():
-            yield env.timeout(2)
-            yield tank.get(4)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert log == [2]
-        assert tank.level == 7
-
-    def test_try_get_success_and_shortfall(self, env):
-        tank = Container(env, capacity=10, init=3)
-        assert tank.try_get(2)
-        assert tank.level == 1
-        assert not tank.try_get(2)
-        assert tank.level == 1
-
-    def test_negative_amount_rejected(self, env):
-        tank = Container(env, capacity=10, init=5)
-        with pytest.raises(ValueError):
-            tank.get(-1)
-        with pytest.raises(ValueError):
-            tank.put(-1)
-
-
-class TestStore:
-    def test_put_then_get_fifo(self, env):
-        store = Store(env)
-        results = []
-
-        def producer():
-            for item in ("x", "y", "z"):
-                yield store.put(item)
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                results.append(item)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert results == ["x", "y", "z"]
-
-    def test_get_blocks_until_item(self, env):
-        store = Store(env)
-        log = []
-
-        def consumer():
-            item = yield store.get()
-            log.append((env.now, item))
-
-        def producer():
-            yield env.timeout(4)
-            yield store.put("late")
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert log == [(4, "late")]
-
-    def test_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put(1)
-            yield store.put(2)
-            log.append(env.now)
-
-        def consumer():
-            yield env.timeout(5)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert log == [5]
-
-    def test_get_where_selects_matching(self, env):
-        store = Store(env)
-        results = []
-
-        def consumer():
-            item = yield store.get_where(lambda i: i % 2 == 0)
-            results.append(item)
-
-        def producer():
-            yield store.put(1)
-            yield store.put(3)
-            yield store.put(4)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert results == [4]
-        assert list(store.items) == [1, 3]
-
-    def test_predicate_getter_does_not_block_plain_getter(self, env):
-        store = Store(env)
-        results = []
-
-        def pred_consumer():
-            item = yield store.get_where(lambda i: i == "never")
-            results.append(("pred", item))
-
-        def plain_consumer():
-            item = yield store.get()
-            results.append(("plain", item))
-
-        env.process(pred_consumer())
-        env.process(plain_consumer())
-
-        def producer():
-            yield env.timeout(1)
-            yield store.put("hello")
-
-        env.process(producer())
-        env.run()
-        assert results == [("plain", "hello")]
-
-    def test_len(self, env):
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        assert len(store) == 2
-
-
-class TestStoreNoneItems:
-    def test_none_items_are_delivered_not_dropped(self):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def consumer():
-            item = yield store.get()
-            received.append(item)
-
-        env.process(consumer())
-
-        def producer():
-            yield store.put(None)
-
-        env.process(producer())
-        env.run()
-        assert received == [None]
-        assert len(store.items) == 0

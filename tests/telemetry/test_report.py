@@ -1,8 +1,8 @@
-"""Tests for the table/series renderers."""
+"""Tests for the table renderer."""
 
 import pytest
 
-from repro.telemetry import format_value, render_series, render_table
+from repro.telemetry import format_value, render_table
 
 
 class TestFormatValue:
@@ -34,13 +34,3 @@ class TestRenderTable:
     def test_row_width_mismatch(self):
         with pytest.raises(ValueError):
             render_table(["a", "b"], [[1]])
-
-    def test_render_series(self):
-        text = render_series("x", [1, 2],
-                             {"y1": [10, 20], "y2": [30, 40]})
-        assert "y1" in text and "y2" in text
-        assert "10" in text and "40" in text
-
-    def test_series_pads_missing(self):
-        text = render_series("x", [1, 2, 3], {"y": [10]})
-        assert text  # renders without raising

@@ -11,7 +11,6 @@ from repro.analytical import (
     fork_join_response,
     lognormal_percentile,
     mm1_inflation,
-    mm1_response_time,
     mmc_wait_time,
 )
 
@@ -30,11 +29,6 @@ class TestMM1:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             mm1_inflation(-0.1)
-        with pytest.raises(ValueError):
-            mm1_response_time(-1, 0.5)
-
-    def test_response_time(self):
-        assert mm1_response_time(2.0, 0.5) == pytest.approx(4.0)
 
     @given(st.floats(0, 0.97))
     def test_monotone_in_load(self, rho):

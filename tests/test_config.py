@@ -32,8 +32,6 @@ class TestPaperStatedConstants:
     def test_acceleration_headline_numbers(self):
         assert DEFAULT.accel.accel_rtt_s == pytest.approx(2.1e-6)
         assert DEFAULT.accel.accel_mrps == pytest.approx(12.4)
-        assert DEFAULT.accel.remote_mem_lut_fraction == 0.18
-        assert DEFAULT.accel.rpc_lut_fraction == 0.24
 
     def test_control_plane_policies(self):
         assert DEFAULT.control.heartbeat_period_s == 1.0

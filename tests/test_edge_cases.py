@@ -63,9 +63,3 @@ class TestDistributionSummaryRoundTrip:
         series.add(1.0, time=0.5)
         counts = series.windowed_counts(window_s=1.0, horizon_s=5.0)
         assert list(counts) == [1, 0, 0, 0, 0]
-
-    def test_iqr(self):
-        from repro.telemetry import MetricSeries
-        series = MetricSeries()
-        series.extend(range(101))
-        assert series.iqr() == pytest.approx(50.0)

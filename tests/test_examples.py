@@ -9,8 +9,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -20,7 +18,6 @@ def run_example(name, *args, timeout=420):
         capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.slow
 class TestExamples:
     def test_quickstart(self):
         result = run_example("quickstart.py")
