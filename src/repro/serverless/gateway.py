@@ -31,7 +31,7 @@ from ..config import PaperConstants
 from ..network import build_fabric
 from ..platforms.stack import build_cloud
 from ..sim import Environment, RandomStreams
-from ..telemetry import LatencyBreakdown
+from ..telemetry import LatencyBreakdown, breakdown_array
 from .function import InvocationRequest
 from .region import GATEWAY_SEED_OFFSET
 from .wire import Calls, Completions
@@ -109,8 +109,10 @@ class CloudGateway:
         return self._take_done(), {0: self.stats()}
 
     def _take_done(self) -> Completions:
-        done, self._done = self._done, ([], [], [], [])
-        return Completions.build(*done)
+        (cells, seqs, done_s, breakdowns), self._done = (
+            self._done, ([], [], [], []))
+        return Completions.build(cells, seqs, done_s,
+                                 breakdown_array(breakdowns))
 
     def stats(self) -> Dict[str, float]:
         return {

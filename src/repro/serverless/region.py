@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import PaperConstants
-from ..telemetry import LatencyBreakdown, MetricSeries
+from ..telemetry import MetricSeries
 from .wire import Calls, Completions
 
 __all__ = ["RegionGateway", "region_server_count",
@@ -75,6 +75,38 @@ GATEWAY_SEED_OFFSET = 271_828
 #: The monolithic CouchDB store runs 8 concurrent request handlers; each
 #: region gets its proportional shard of them (total conserved).
 _COUCH_SLOTS = 8
+
+#: One priced invocation: (done, server, container, management,
+#: data_io, execution), the last three the running stage sums.
+_Priced = Tuple[float, int, List, float, float, float]
+
+#: The fixed stage costs the pipeline adds to a call's sums, by
+#: ``PaperConstants`` section; each must be finite and non-negative.
+_STAGE_COSTS = (
+    ("serverless", ("frontend_latency_s", "auth_check_s",
+                    "controller_decision_s", "controller_service_s",
+                    "inmem_latency_s", "couchdb_handle_s",
+                    "couchdb_latency_s", "kafka_hop_s", "warm_start_s")),
+    ("accel", ("remote_mem_latency_s",)))
+
+#: The transfer rates (MB/s) a data-sharing or store stage divides by;
+#: each must be finite and positive.
+_STAGE_RATES = (("serverless", ("inmem_mbs", "couchdb_mbs")),
+                ("accel", ("remote_mem_mbs",)))
+
+
+def _check_stage_constants(constants: PaperConstants) -> None:
+    """Refuse a stage cost or rate that could make a priced stage
+    negative or non-finite."""
+    for table, positive in ((_STAGE_COSTS, False), (_STAGE_RATES, True)):
+        for section, names in table:
+            for name in names:
+                value = getattr(getattr(constants, section), name)
+                if not (math.isfinite(value)
+                        and (value > 0 if positive else value >= 0)):
+                    rule = "positive" if positive else "non-negative"
+                    raise ValueError(f"{section}.{name} must be finite "
+                                     f"and {rule}, got {value!r}")
 
 
 def region_server_count(region: int, n_regions: int, n_servers: int) -> int:
@@ -132,6 +164,7 @@ class RegionGateway:
         self.config = config
         self.region = region
         self.n_regions = n_regions
+        _check_stage_constants(constants)
         cst = self._cst = constants.serverless
         self._control = constants.control
         self._accel = constants.accel
@@ -398,9 +431,12 @@ class RegionGateway:
     # -- one invocation through the regional pipeline ------------------
     def _invoke(self, t_submit: float, spec, service_s: float,
                 parent: Optional[Tuple], parent_output_mb: float,
-                colocate: bool, breakdown: LatencyBreakdown
-                ) -> Tuple[float, int, List[float]]:
-        """Price one invocation; returns (done, server, container)."""
+                management: float, data_io: float, execution: float,
+                colocate: bool = True) -> _Priced:
+        """Price one invocation, adding its stage costs to the running
+        ``management``/``data_io``/``execution`` sums in charge order;
+        returns (done, server, container, management, data_io,
+        execution)."""
         cst = self._cst
         t = t_submit
         # Admission: regional share of the concurrency limit.
@@ -411,15 +447,14 @@ class RegionGateway:
         # Frontend + CouchDB auth (fixed-duration, no compaction tail).
         t += cst.frontend_latency_s
         t = self._couch_serve(t, cst.auth_check_s)
-        breakdown.charge("management",
-                         cst.frontend_latency_s + cst.auth_check_s)
+        management += cst.frontend_latency_s + cst.auth_check_s
         # Controller: fluid k-server pool, decision + service hold.
         queue_start = t
         hold = cst.controller_decision_s + cst.controller_service_s
         grant = max(t, self._controller_work / self._controller_slots)
         self._controller_work += hold
         t = grant + hold
-        breakdown.charge("management", t - queue_start)
+        management += t - queue_start
         # Placement (after the controller decision, as in the platform).
         server, container = self._place(
             spec, t, parent if colocate else None)
@@ -438,13 +473,13 @@ class RegionGateway:
                 t += 2 * cst.couchdb_handle_s
                 t = self._couch_access(t, parent_output_mb)
                 t = self._couch_access(t, parent_output_mb)
-            breakdown.charge("data_io", t - share_start)
+            data_io += t - share_start
         # Kafka hop to the invoker's topic.
         hop_start = t
         t += cst.kafka_hop_s
         if self._kafka_outages:
             t = self._after_outages(t, self._kafka_outages)
-        breakdown.charge("management", t - hop_start)
+        management += t - hop_start
         # Warm container: keepalive'd claim, else a cold start.
         if container is None:
             container = self._claim_warm(server, spec.image, t)
@@ -457,7 +492,7 @@ class RegionGateway:
             self.cold_starts += 1
             container = [0.0, 0.0, True, spec.image]
         t += start_cost
-        breakdown.charge("management", start_cost)
+        management += start_cost
         # Core grant + utilization-dependent interference.
         cores = self._core_free[server]
         grant = max(cores.pop(0), t)
@@ -466,15 +501,17 @@ class RegionGateway:
                          * max(0.0, busy / self._cores - 0.5))
                         * float(self._rng.lognormal(0.0, 0.16)))
         service = service_s * interference
+        if service < 0:
+            raise ValueError(f"negative service {service} for {spec.name}")
         t = grant + service
         insort(cores, t)
-        breakdown.charge("execution", service)
+        execution += service
         # Return the container to the warm pool.
         container[0] = t
         container[1] = t + self._keepalive_s
         self._return_warm(server, container)
         heapq.heappush(self._admitted, t)
-        return t, server, container
+        return t, server, container, management, data_io, execution
 
     def _strike(self, server: int, t: float) -> None:
         self._strikes[server] += 1
@@ -484,51 +521,42 @@ class RegionGateway:
 
     def _mitigated_invoke(self, t_submit: float, spec, service_s: float,
                           parent: Optional[Tuple],
-                          parent_output_mb: float,
-                          breakdown: LatencyBreakdown
-                          ) -> Tuple[float, int, List[float]]:
-        """The straggler watchdog's duplicate race, priced analytically."""
+                          parent_output_mb: float, management: float,
+                          data_io: float, execution: float) -> _Priced:
+        """The straggler watchdog's duplicate race, priced analytically.
+
+        Both launches are priced from zero sums and the winner's are
+        added to the running ones afterwards, so a mitigated call's
+        sums associate as ``running + (winner's stages)``."""
         history = self._history.get(spec.name)
         threshold = None
         if history is not None and len(history) >= self._min_history:
             threshold = (history.percentile(
                 self._control.straggler_percentile) * self._threshold_slack)
-        primary_bd = LatencyBreakdown()
-        done, server, container = self._invoke(
-            t_submit, spec, service_s, parent, parent_output_mb,
-            colocate=True, breakdown=primary_bd)
-        if threshold is None or done - t_submit <= threshold:
-            self._record(spec.name, done - t_submit)
-            self._merge(breakdown, primary_bd)
-            return done, server, container
-        # Primary blew the p90*slack watchdog: a duplicate launches at
-        # the firing instant, never colocated; first completion wins
-        # (the loser keeps running, as in the legacy parity mode).
-        self.duplicate_launches += 1
-        dup_bd = LatencyBreakdown()
-        dup = self._invoke(
-            t_submit + threshold, spec, service_s, parent,
-            parent_output_mb, colocate=False, breakdown=dup_bd)
-        if dup[0] < done:
-            self._strike(server, dup[0])
-            done, server, container = dup
-            primary_bd = dup_bd
+        won = self._invoke(t_submit, spec, service_s, parent,
+                           parent_output_mb, 0.0, 0.0, 0.0)
+        if threshold is not None and won[0] - t_submit > threshold:
+            # Primary blew the p90*slack watchdog: a duplicate launches
+            # at the firing instant, never colocated; first completion
+            # wins (the loser keeps running, as in the legacy parity
+            # mode).
+            self.duplicate_launches += 1
+            dup = self._invoke(t_submit + threshold, spec, service_s,
+                               parent, parent_output_mb, 0.0, 0.0, 0.0,
+                               colocate=False)
+            if dup[0] < won[0]:
+                self._strike(won[1], dup[0])
+                won = dup
+        done, server, container, stage_mgmt, stage_io, stage_exec = won
         self._record(spec.name, done - t_submit)
-        self._merge(breakdown, primary_bd)
-        return done, server, container
+        return (done, server, container, management + stage_mgmt,
+                data_io + stage_io, execution + stage_exec)
 
     def _record(self, name: str, latency: float) -> None:
         series = self._history.get(name)
         if series is None:
             series = self._history[name] = MetricSeries(f"region-{name}")
         series.add(latency)
-
-    @staticmethod
-    def _merge(into: LatencyBreakdown, part: LatencyBreakdown) -> None:
-        into.charge("management", part.management)
-        into.charge("data_io", part.data_io)
-        into.charge("execution", part.execution)
-        into.charge("network", part.network)
 
     def _backlog(self, t: float) -> int:
         """In-flight admitted calls at ``t`` (the queue-depth signal
@@ -563,13 +591,13 @@ class RegionGateway:
                     weight):
                 self.shed_calls += 1
                 continue
-            breakdown = LatencyBreakdown()
-            done = self._serve(arrival, recognition_s, dedup_s, output_mb,
-                               synthetic, breakdown)
+            done, management, data_io, execution = self._serve(
+                arrival, recognition_s, dedup_s, output_mb, synthetic)
             cells.append(cell)
             seqs.append(seq)
             done_s.append(done)
-            breakdowns.append(breakdown)
+            # COMPONENTS order; the cloud side charges no network time.
+            breakdowns.append((0.0, management, data_io, execution))
         return Completions.build(cells, seqs, done_s, breakdowns)
 
     def _admit(self, t: float, tenant: Optional[str],
@@ -588,23 +616,20 @@ class RegionGateway:
         return self._serving.admit(t, tenant, weight, backlog, est_delay)
 
     def _serve(self, t: float, recognition_s: float, dedup_s: float,
-               output_mb: float, synthetic: bool,
-               breakdown: LatencyBreakdown) -> float:
+               output_mb: float, synthetic: bool
+               ) -> Tuple[float, float, float, float]:
         """Price one call's pipeline from arrival ``t``; returns its
-        completion instant."""
-        mitigate = self._mitigate and not synthetic
+        completion instant and its management, data-I/O and execution
+        seconds."""
+        invoke = (self._mitigated_invoke if self._mitigate and not synthetic
+                  else self._invoke)
+        management = data_io = execution = 0.0
         parent: Optional[Tuple[int, List[float]]] = None
         parent_output = 0.0
         if not math.isnan(recognition_s):
-            if mitigate:
-                done, server, container = self._mitigated_invoke(
-                    t, self.recognition_spec, recognition_s,
-                    None, 0.0, breakdown)
-            else:
-                done, server, container = self._invoke(
-                    t, self.recognition_spec, recognition_s,
-                    None, 0.0, colocate=True, breakdown=breakdown)
-            t = done
+            (t, server, container, management, data_io,
+             execution) = invoke(t, self.recognition_spec, recognition_s,
+                                 None, 0.0, management, data_io, execution)
             if "recognition" in self._persisted_tasks:
                 t = self._couch_access(t, output_mb)
                 self.persisted_documents += 1
@@ -612,14 +637,9 @@ class RegionGateway:
             parent_output = output_mb
         if not math.isnan(dedup_s) and self.dedup_spec is not None:
             share_mb = parent_output if parent is not None else 0.0
-            if mitigate:
-                t, _, _ = self._mitigated_invoke(
-                    t, self.dedup_spec, dedup_s, parent,
-                    share_mb, breakdown)
-            else:
-                t, _, _ = self._invoke(
-                    t, self.dedup_spec, dedup_s, parent, share_mb,
-                    colocate=True, breakdown=breakdown)
+            t, _, _, management, data_io, execution = invoke(
+                t, self.dedup_spec, dedup_s, parent, share_mb, management,
+                data_io, execution)
             if "aggregate" in self._persisted_tasks:
                 t = self._couch_access(t, 0.05)
                 self.persisted_documents += 1
@@ -629,7 +649,7 @@ class RegionGateway:
         else:
             self.completions += 1
             self.last_completion_s = max(self.last_completion_s, t)
-        return t
+        return t, management, data_io, execution
 
     def stats(self) -> Dict[str, float]:
         out = {

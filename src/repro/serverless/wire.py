@@ -16,7 +16,7 @@ from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
-from ..telemetry import LatencyBreakdown, breakdown_array
+from ..telemetry import COMPONENTS
 
 __all__ = ["Calls", "Completions"]
 
@@ -111,12 +111,14 @@ class Completions(NamedTuple):
 
     @classmethod
     def build(cls, cell: Sequence[int], seq: Sequence[int],
-              done_s: Sequence[float],
-              breakdowns: Sequence[LatencyBreakdown]) -> "Completions":
+              done_s: Sequence[float], breakdown) -> "Completions":
+        """Columns from sequences; ``breakdown`` is an ``(n, 4)``
+        array-like, one row per call in ``COMPONENTS`` order."""
         return cls(np.asarray(cell, dtype=np.int64),
                    np.asarray(seq, dtype=np.int64),
                    np.asarray(done_s, dtype=float),
-                   breakdown_array(breakdowns))
+                   np.asarray(breakdown, dtype=float).reshape(
+                       len(seq), len(COMPONENTS)))
 
     @classmethod
     def concat(cls, parts: Sequence["Completions"]) -> "Completions":

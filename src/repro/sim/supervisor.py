@@ -302,6 +302,8 @@ class SupervisedConnection:
         self._journal: List[Tuple[str, Any]] = []
         self._outstanding: Optional[Tuple[str, Any]] = None
         self._ops_sent = 0
+        #: Set when a kill op fires; that op's reply is never read.
+        self._killed = False
         self.counters = None
         if in_process:
             self._local = build()
@@ -335,8 +337,12 @@ class SupervisedConnection:
             return
         if self._ops_sent in self._kill_ops:
             # Parent-side chaos: SIGKILL the worker right after the
-            # send, so it dies genuinely mid-operation.
+            # send. A fast worker may have answered already, so the
+            # kill is joined and collect() treats the op as lost
+            # rather than merging a reply from a killed worker.
             self._process.kill()
+            self._process.join()
+            self._killed = True
 
     def collect(self) -> Any:
         if self._outstanding is None:
@@ -347,6 +353,10 @@ class SupervisedConnection:
         if self._local is not None:
             return self._local.request(command, argument)
         try:
+            if self._killed:
+                self._killed = False
+                raise WorkerDeath(f"{self.name}: killed after op "
+                                  f"{self._ops_sent}")
             payload = self._recv(command)
         except WorkerFailure as failure:
             payload = self._recover(failure, command, argument)

@@ -10,19 +10,33 @@ lists. A drift means the regional model changed, not just its speed.
 Per-region ``stats()`` never reach the merged result, so the pins read
 them off the driver's ``finish`` round trip to each region worker group
 (the only ``request("finish")`` a sharded run makes).
+
+The breakdown pins (``_breakdown_digest``: the straggler case and
+``TestBreakdownPins``) digest the merged breakdown records, which
+neither the rows nor the benchmark's rows digest cover: each is the md5
+of an ``(n, 4)`` float64 array in row order, recorded before the region
+priced with plain float sums instead of ``LatencyBreakdown`` charges.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
+from repro import apps
+from repro.config import DEFAULT
 from repro.faults import FaultPlan
 from repro.platforms import platform_config
+from repro.serverless.region import RegionGateway
+from repro.serverless.wire import Calls
 from repro.serving import AutoscaleConfig, ServingConfig, parse_serving_spec
 from repro.sim import supervisor
 from repro.sim.shard import run_sharded
+from repro.telemetry import breakdown_array
 from tests.sim.test_shard_determinism import result_bytes, scenario_variant
 
 #: Extras that depend on the host's core count, not on the model.
@@ -57,6 +71,12 @@ def _pins(result, stats):
             _digest(sorted(stats.items())))
 
 
+def _breakdown_digest(result) -> str:
+    records = breakdown_array(result.breakdowns._records)
+    return hashlib.md5(np.ascontiguousarray(
+        records, dtype=np.float64).tobytes()).hexdigest()
+
+
 def _run(n_devices=16, cell_devices=4, region_devices=8, **kwargs):
     return run_sharded(platform_config("hivemind"), scenario_variant("S1"),
                        n_devices, shards=2, cell_devices=cell_devices,
@@ -72,6 +92,8 @@ class TestRegionPricingPins:
             "5605707fb7b35b0632cee77c9ff5fb9d",
             "1f8e6c7f0eccd441ab019b580d683829",
             "4cfdb2e858a3001019e7ccdedf285523")
+        assert _breakdown_digest(result) == (
+            "20bb392077b2930ebbc37344303eaf48")
 
     def test_serving_sheds_and_scales_both_ways(self, region_stats):
         serving = ServingConfig(
@@ -106,3 +128,69 @@ class TestRegionPricingPins:
             "e446958fa83d3a30598730af2949281e",
             "d72b2fbb7a449930883e9ad42e38a790",
             "56f7b0f32d4f0340b54bdc612ea5eb56")
+
+
+class TestBreakdownPins:
+    def test_serving_flash(self):
+        # The serving-flash benchmark workload at seed 0.
+        result = run_sharded(platform_config("hivemind"), apps.SCENARIO_A,
+                             64, seed=0, shards=2, cloud_shards=2,
+                             serving="poisson:200:bg,onoff:100:crowd")
+        assert _breakdown_digest(result) == (
+            "e0aa63e00965d45e7b969b8e3fb5e868")
+
+    @pytest.mark.slow
+    def test_fleet_1024(self):
+        # The fleet-1024 benchmark workload at seed 0.
+        result = run_sharded(platform_config("hivemind"), apps.SCENARIO_B,
+                             1024, seed=0, shards=2, cloud_shards=2)
+        assert _breakdown_digest(result) == (
+            "25c25394910e46e74c0d87afe6040466")
+
+
+def _gateway(section="serverless", **fields):
+    constants = dataclasses.replace(DEFAULT, **{
+        section: dataclasses.replace(getattr(DEFAULT, section), **fields)})
+    return RegionGateway(platform_config("hivemind"), apps.SCENARIO_A,
+                         constants, region=0, n_regions=1,
+                         region_devices=16, total_devices=16)
+
+
+class TestStageCostValidation:
+    """The pricer adds plain floats, so a stage cost that could make a
+    breakdown negative or non-finite is refused up front."""
+
+    @pytest.mark.parametrize("value", [-1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("section,name", [
+        ("serverless", "frontend_latency_s"), ("serverless", "auth_check_s"),
+        ("serverless", "controller_decision_s"),
+        ("serverless", "controller_service_s"),
+        ("serverless", "inmem_latency_s"), ("serverless", "couchdb_handle_s"),
+        ("serverless", "couchdb_latency_s"), ("serverless", "kafka_hop_s"),
+        ("serverless", "warm_start_s"), ("accel", "remote_mem_latency_s")])
+    def test_bad_fixed_stage_cost_is_refused(self, section, name, value):
+        with pytest.raises(ValueError,
+                           match=rf"{section}\.{name} must be finite and "
+                                 "non-negative"):
+            _gateway(section, **{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("section,name", [
+        ("serverless", "inmem_mbs"), ("serverless", "couchdb_mbs"),
+        ("accel", "remote_mem_mbs")])
+    def test_bad_transfer_rate_is_refused(self, section, name, value):
+        with pytest.raises(ValueError,
+                           match=rf"{section}\.{name} must be finite and "
+                                 "positive"):
+            _gateway(section, **{name: value})
+
+    def test_zero_costs_are_accepted(self):
+        _gateway(frontend_latency_s=0.0, warm_start_s=0.0)
+        _gateway("accel", remote_mem_latency_s=0.0)
+
+    def test_negative_service_is_refused(self):
+        calls = Calls.build(cell=0, seq=[0], arrival_s=1.0,
+                            recognition_s=-0.5, dedup_s=None, input_mb=1.0,
+                            output_mb=1.0)
+        with pytest.raises(ValueError, match="negative service"):
+            _gateway().serve(calls)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.serverless.wire import Calls, Completions
 from repro.sim.shard import merge, plan_run
 from repro.telemetry import (BreakdownAggregate, LatencyBreakdown,
-                             MetricSeries)
+                             MetricSeries, breakdown_array)
 from tests.sim.test_shard_determinism import scenario_variant
 from tests.sim.test_shard_stages import (CONFIG, _cell_result, _ledger,
                                          _stats)
@@ -76,8 +76,8 @@ def _completions(served):
     if not served:
         return Completions.concat(())
     cells, seqs, done_s, charges = zip(*served)
-    return Completions.build(cells, seqs, done_s,
-                             [LatencyBreakdown(**each) for each in charges])
+    return Completions.build(cells, seqs, done_s, breakdown_array(
+        [LatencyBreakdown(**each) for each in charges]))
 
 
 # -- random inputs --------------------------------------------------------

@@ -24,7 +24,8 @@ from repro.serverless.wire import Calls, Completions
 from repro.sim.shard import (CellBoundary, merge, plan_cells, plan_run,
                              run_sharded)
 from repro.telemetry import (BandwidthMeter, BreakdownAggregate,
-                             LatencyBreakdown, MetricSeries)
+                             LatencyBreakdown, MetricSeries,
+                             breakdown_array)
 from tests.serverless.test_region_pricing import HOST_KEYS, _digest
 from tests.sim.test_shard_determinism import result_bytes, scenario_variant
 
@@ -170,8 +171,8 @@ def _completions(*served):
     if not served:
         return Completions.concat(())
     cells, seqs, done_s, charges = zip(*served)
-    return Completions.build(cells, seqs, done_s,
-                             [_breakdown(**each) for each in charges])
+    return Completions.build(cells, seqs, done_s, breakdown_array(
+        [_breakdown(**each) for each in charges]))
 
 
 def _stats(completions=1, last=0.0):

@@ -68,6 +68,40 @@ def _run(worker_faults, **overrides):
                        N_DEVICES, worker_faults=worker_faults, **options)
 
 
+def _finish_ops(monkeypatch, **shape):
+    """An undisturbed run and each worker's 1-based ``finish`` op in
+    it."""
+    sent = {}
+    send = SupervisedConnection.send
+
+    def counting(handle, command, argument):
+        sent.setdefault(handle.name, []).append(command)
+        return send(handle, command, argument)
+
+    monkeypatch.setattr(SupervisedConnection, "send", counting)
+    result = _run(WorkerFaultPlan(), **shape)
+    monkeypatch.undo()
+    return result, {name: commands.index("finish") + 1
+                    for name, commands in sent.items()}
+
+
+class _ReplyFirst:
+    """A worker process whose SIGKILL waits until the reply to the op
+    just sent is buffered in the driver's pipe: the worker wins the
+    race against its kill every time."""
+
+    def __init__(self, conn, process):
+        self._conn = conn
+        self._process = process
+
+    def kill(self):
+        assert self._conn.poll(30.0), "worker never answered"
+        self._process.kill()
+
+    def __getattr__(self, name):
+        return getattr(self._process, name)
+
+
 @pytest.fixture(scope="module")
 def undisturbed_bytes():
     """One fault-free twin shared by every recovery test."""
@@ -105,18 +139,7 @@ class TestKillRecovery:
         """A cell worker and a region worker each killed on their
         ``finish`` op replay their journals and ship the same rows."""
         shape = dict(cloud_shards=2, region_devices=8)
-        sent = {}
-        send = SupervisedConnection.send
-
-        def counting(handle, command, argument):
-            sent.setdefault(handle.name, []).append(command)
-            return send(handle, command, argument)
-
-        monkeypatch.setattr(SupervisedConnection, "send", counting)
-        baseline = _run(WorkerFaultPlan(), **shape)
-        monkeypatch.undo()
-        finish_op = {name: commands.index("finish") + 1
-                     for name, commands in sent.items()}
+        baseline, finish_op = _finish_ops(monkeypatch, **shape)
         plan = (WorkerFaultPlan().kill("shard", 0, finish_op["shard0"])
                 .kill("cloud", 0, finish_op["cloud0"]))
         chaotic = _run(plan, **shape)
@@ -127,6 +150,27 @@ class TestKillRecovery:
         for incident in incidents:
             assert incident["op"].startswith("finish@")
             assert incident["failure"] == "death"
+
+    def test_reply_buffered_before_the_kill_is_not_merged(self,
+                                                          monkeypatch):
+        """A worker that answers ``finish`` before its SIGKILL lands is
+        still a death: the buffered reply is dropped and the op is
+        replayed on a fresh worker."""
+        undisturbed, finish_ops = _finish_ops(monkeypatch)
+        start = supervisor._start_worker
+
+        def starting(build, faults):
+            conn, process = start(build, faults)
+            return conn, _ReplyFirst(conn, process)
+
+        monkeypatch.setattr(supervisor, "_start_worker", starting)
+        result = _run(WorkerFaultPlan().kill("shard", 0,
+                                             finish_ops["shard0"]))
+        assert result_bytes(result) == result_bytes(undisturbed)
+        [incident] = result.extras["worker_incidents"]
+        assert incident["worker"] == "shard0"
+        assert incident["op"].startswith("finish@")
+        assert incident["failure"] == "death"
 
 
 @needs_processes
