@@ -40,10 +40,6 @@ class FixedPool:
     def cores(self) -> int:
         return self.workers.capacity
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self.workers.queue)
-
     def execute(self, service_s: float) -> Generator:
         """Process: run one task; returns (wait_s, service_s)."""
         if service_s < 0:

@@ -4,6 +4,11 @@ Devices heartbeat once per second; miss three seconds of beats and the
 controller declares the device failed (section 4.6) and repartitions its
 assigned area among neighbouring devices with sufficient battery (Fig 10),
 pushing updated routes to the heirs.
+
+A beat carries nothing but its sender's liveness, so beats are modelled in
+closed form rather than as messages: the detector checks on the beat grid
+itself and, at each check instant, reads a device's ``alive`` flag as that
+instant's beat.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ __all__ = ["FailureDetector"]
 
 
 class FailureDetector:
-    """Observes the swarm's heartbeats and detects silent devices."""
+    """Samples the swarm's liveness on the beat grid and detects silent
+    devices."""
 
     #: Minimum battery fraction a neighbour needs to inherit work.
     MIN_HEIR_BATTERY = 0.10
@@ -29,35 +35,30 @@ class FailureDetector:
         self.env = env
         self.swarm = swarm
         self.constants = constants or swarm.control
-        # Seed with the subscription instant, not 0.0: a detector created
-        # (or a device joining) late in the mission would otherwise see a
-        # stale epoch-zero "beat" and declare every device dead on its
-        # first check before a single real heartbeat could land.
+        # Seeded with the construction instant, the grid's first beat: a
+        # device already silent then is declared one timeout later, not
+        # at the first check of a detector built late in the mission.
         self.last_beat: Dict[str, float] = {
             device_id: env.now for device_id in swarm.devices}
         self.failed: List[str] = []
-        swarm.subscribe_heartbeats(self._observe)
         self._checker = env.process(self._check())
 
-    def _observe(self, beat) -> None:
-        self.last_beat[beat.device_id] = beat.time
-
-    def watch(self, device_id: str) -> None:
-        """Start monitoring a device that joined after construction.
-
-        The grace clock starts now — the late joiner gets a full timeout
-        window to produce its first heartbeat."""
-        if device_id not in self.last_beat:
-            self.last_beat[device_id] = self.env.now
-
     def _check(self) -> Generator:
+        """Check every ``heartbeat_period_s`` from construction on.
+
+        Each check instant is the previous one plus the period, the grid
+        the devices beat on, so a device alive at a check beat at it."""
         timeout = self.constants.heartbeat_timeout_s
+        devices = self.swarm.devices
         while True:
             yield self.env.timeout(self.constants.heartbeat_period_s)
+            now = self.env.now
             for device_id, last in list(self.last_beat.items()):
                 if device_id in self.failed:
                     continue
-                if self.env.now - last > timeout:
+                if devices[device_id].alive:
+                    self.last_beat[device_id] = now
+                elif now - last > timeout:
                     self._declare_failed(device_id)
 
     def _declare_failed(self, device_id: str) -> None:

@@ -5,7 +5,7 @@ from .device import EdgeDevice
 from .drone import Drone
 from .field import FieldWorld, Person
 from .sensors import Camera, FrameBatch, SensorReading, SensorSuite
-from .swarm import Heartbeat, Swarm, build_drone_swarm
+from .swarm import Swarm, build_drone_swarm
 from .engine import SwarmEngine
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "SensorReading",
     "SensorSuite",
     "Swarm",
-    "Heartbeat",
     "build_drone_swarm",
 ]

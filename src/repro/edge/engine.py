@@ -19,9 +19,6 @@ O(1) of actual work each.
   whole leg becomes a single event at its final tick boundary, with the
   per-tick position/energy arithmetic replayed at settlement so the energy
   ledger is bit-identical to ticking it.
-- Heartbeats run off the same action heap (one wake per beat instant for
-  the whole swarm) and hand each :class:`Heartbeat` to the swarm's sinks
-  (``Swarm.subscribe_heartbeats``); the engine is their only emitter.
 - The engine itself draws no randomness — drone jitter lognormals are
   scalar draws from the per-device ``runner.drone{i}`` streams
   (:meth:`~repro.sim.rng.RandomStreams.stream`), made by the devices, so
@@ -40,8 +37,8 @@ The engine holds them by
 2. assigning every armed action a monotone sequence number at arm time —
    the engine-internal mirror of the kernel's event id — and dispatching
    same-instant actions in sequence order, which reproduces per-process
-   creation-order semantics (beats re-armed before ticks keep firing
-   before ticks, a turn armed before a tick keeps preceding it, ...);
+   creation-order semantics (a turn armed before a tick keeps preceding
+   it, ...);
 3. arming each kernel wake with the same *delay* float a per-device
    ``timeout()`` would take, so wake instants are the exact same doubles
    as per-device arrival instants;
@@ -67,7 +64,6 @@ from .. import obs
 from .drone import Drone
 from .field import FieldWorld
 from .sensors import FrameBatch
-from .swarm import Heartbeat, Swarm
 
 __all__ = ["SwarmEngine"]
 
@@ -75,9 +71,9 @@ Point = Tuple[float, float]
 BatchCallback = Callable[[FrameBatch], None]
 
 #: Action kinds on the engine heap. A tick is the landing of an in-flight
-#: 1-second step; a turn is the end of an inter-leg turn penalty; a beat is
-#: one device's heartbeat; a settle is the landing of an analytic leg.
-_TICK, _TURN, _BEAT, _SETTLE = 0, 1, 2, 3
+#: 1-second step; a turn is the end of an inter-leg turn penalty; a settle
+#: is the landing of an analytic leg.
+_TICK, _TURN, _SETTLE = 0, 1, 2
 
 #: Cohorts at least this large take the numpy path; smaller ones use the
 #: scalar loop (identical IEEE-754 results, less fixed overhead).
@@ -121,16 +117,6 @@ class _Flight:
         #: tracing is off) and the pending analytic leg's start instant.
         self.trace = obs.NULL_CONTEXT
         self.leg_started = 0.0
-
-
-class _BeatLoop:
-    """One device's recurring heartbeat action."""
-
-    __slots__ = ("swarm", "device")
-
-    def __init__(self, swarm: Swarm, device) -> None:
-        self.swarm = swarm
-        self.device = device
 
 
 class SwarmEngine:
@@ -186,17 +172,6 @@ class SwarmEngine:
         self._next_leg(flight)
         return event
 
-    def add_heartbeats(self, swarm: Swarm) -> None:
-        """Run the swarm's 1 Hz heartbeat protocol off the action heap.
-
-        Each device beats now and then every ``heartbeat_period_s`` (each
-        instant the previous one plus the period) while alive; devices
-        beating at one instant share a single kernel event and beat in
-        creation order.
-        """
-        for device in swarm.devices.values():
-            self._arm(0.0, _BEAT, _BeatLoop(swarm, device), 0)
-
     # -- slots ------------------------------------------------------------
     def _alloc_slot(self) -> int:
         if not self._free:
@@ -247,11 +222,9 @@ class SwarmEngine:
                 continue
             _, _, _, payload, gen = due[index]
             index += 1
-            if kind == _BEAT:
-                self._do_beat(payload)
-            elif gen != payload.gen:
+            if gen != payload.gen:
                 continue  # cancelled (analytic leg truncated)
-            elif kind == _TURN:
+            if kind == _TURN:
                 self._end_turn(payload)
             else:
                 self._settle_leg(payload)
@@ -475,17 +448,6 @@ class SwarmEngine:
             self._end_of_leg(flight)
         else:
             self._complete(flight)
-
-    # -- heartbeats --------------------------------------------------------
-    def _do_beat(self, loop: _BeatLoop) -> None:
-        device = loop.device
-        if not device.alive:
-            return
-        swarm = loop.swarm
-        beat = Heartbeat(device.device_id, self.env.now)
-        for sink in swarm._beat_sinks:
-            sink(beat)
-        self._arm(swarm.control.heartbeat_period_s, _BEAT, loop, 0)
 
     # -- completion --------------------------------------------------------
     def _complete(self, flight: _Flight) -> None:

@@ -1,17 +1,17 @@
-"""Swarm container: devices, work regions, heartbeats, failure injection.
+"""Swarm container: devices, work regions, failure injection.
 
 The swarm owns the mapping from devices to field regions (initial equal
-partition, section 2.1) and the observers of the heartbeat protocol every
-device speaks (one beat per second, section 4.6); the beats themselves run
-off :meth:`~repro.edge.engine.SwarmEngine.add_heartbeats`. Failure injection
-schedules a device crash mid-mission so the controller-side fault tolerance
-(3 s timeout + repartitioning) can be exercised end to end.
+partition, section 2.1) and the control constants of the heartbeat protocol
+every device speaks (one beat per second, section 4.6), which the
+controller's :class:`~repro.core.FailureDetector` models in closed form.
+Failure injection schedules a device crash mid-mission so the
+controller-side fault tolerance (3 s timeout + repartitioning) can be
+exercised end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..config import ControlConstants, PaperConstants
 from ..routing import Region, partition_field
@@ -19,15 +19,7 @@ from ..sim import Environment, RandomStreams
 from .device import EdgeDevice
 from .drone import Drone
 
-__all__ = ["Heartbeat", "Swarm", "build_drone_swarm"]
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """One liveness beat from a device."""
-
-    device_id: str
-    time: float
+__all__ = ["Swarm", "build_drone_swarm"]
 
 
 class Swarm:
@@ -45,8 +37,6 @@ class Swarm:
                                                for d in devices}
         self.control = control or ControlConstants()
         self.regions: Dict[str, List[Region]] = {}
-        #: Synchronous beat observers (see :meth:`subscribe_heartbeats`).
-        self._beat_sinks: List[Callable[[Heartbeat], None]] = []
 
     def __len__(self) -> int:
         return len(self.devices)
@@ -65,16 +55,6 @@ class Swarm:
             device_id: [tile]
             for device_id, tile in zip(sorted(self.devices), tiles)
         }
-
-    # -- heartbeats ------------------------------------------------------------
-    def subscribe_heartbeats(self,
-                             sink: Callable[[Heartbeat], None]) -> None:
-        """Register a synchronous beat observer.
-
-        Every beat the engine emits for this swarm is handed to each sink
-        at the beat's simulated instant, in subscription order.
-        """
-        self._beat_sinks.append(sink)
 
     # -- failure injection --------------------------------------------------
     def fail_device_at(self, device_id: str, at_time: float) -> None:

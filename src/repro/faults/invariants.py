@@ -16,8 +16,8 @@ Checked invariants:
    charge (accounting bugs show up as drains past capacity + epsilon).
 4. **Kernel clock monotonicity** — observed at the kernel's heap pop,
    the only place the clock moves: the environment's clock never moves
-   backwards across dispatched events. Per-entity clocks (heartbeat
-   times per device, invocation timestamp trails) must be monotone too.
+   backwards across dispatched events. Per-entity clocks (task
+   submission times per device) must be monotone too.
 
 The checker is armed explicitly (chaos mode); an unarmed simulation never
 constructs one, preserving the byte-identical fault-free contract.

@@ -346,8 +346,9 @@ class PartitionedPlan:
                              seed=self.source.seed))
 
     def device_crash_schedule(self) -> List[Tuple[int, float]]:
-        """(global device index, time) crash pairs for
-        :func:`repro.sim.shard.run_sharded`'s ``device_faults``."""
+        """(global device index, time) crash pairs, which
+        :func:`repro.sim.shard.plan_run` hands to
+        :func:`~repro.sim.shard.plan_cells` to place on their cells."""
         schedule = []
         for event in self.source.sorted_events():
             if event.kind == "device_crash":

@@ -8,11 +8,11 @@ the synchronization barrier. Detection quality is *real*: camera sightings
 of world entities feed the embedding recognizer, whose accuracy depends on
 the continuous-learning mode.
 
-Fault tolerance runs live: heartbeats flow, a silent drone is declared
-failed after 3 s, and its region is repartitioned to neighbours who then
-fly the extra coverage (HiveMind / centralized platforms; the distributed
-platform has no global view, so a failed drone's region simply goes
-unsearched).
+Fault tolerance runs live: the detector samples each drone's liveness on
+the 1 s heartbeat grid, a silent drone is declared failed after 3 s, and
+its region is repartitioned to neighbours who then fly the extra coverage
+(HiveMind / centralized platforms; the distributed platform has no global
+view, so a failed drone's region simply goes unsearched).
 
 This runner is the *exact* tier: every device is discrete-event
 simulated in one kernel. ``repro.sim.shard.run_sharded`` decomposes the
@@ -233,7 +233,6 @@ class ScenarioRunner:
         # Fault tolerance (global-view platforms only).
         detector = None
         if execution != "edge":
-            engine.add_heartbeats(swarm)
             detector = FailureDetector(env, swarm, constants.control)
         for index, at_time in self.fail_devices_at:
             swarm.fail_device_at(drones[index].device_id, at_time)

@@ -131,9 +131,9 @@ class Completions(NamedTuple):
 
         Keys become flat indices into a ``(cells, seqs)`` grid
         (``ravel_multi_index`` raises rather than overflow), are ranked
-        with a stable sort and looked up by bisection; a key served
-        twice resolves to its last completion, as a dict filled in
-        completion order would.
+        with a stable sort and looked up by bisection. A served key is
+        unique (serving calls take ``SERVING_CELL_BASE + index`` as their
+        cell), so a key served twice raises ``ValueError``.
         """
         index = np.full(seq.shape[0], -1, dtype=np.int64)
         if not seq.shape[0] or not self.seq.shape[0]:
@@ -144,6 +144,12 @@ class Completions(NamedTuple):
         wanted = np.ravel_multi_index((cell, seq), dims)
         order = np.argsort(served, kind="stable")
         ranked = served[order]
+        repeated = np.flatnonzero(ranked[1:] == ranked[:-1])
+        if repeated.size:
+            first = order[repeated[0]]
+            raise ValueError(
+                f"key (cell={int(self.cell[first])}, "
+                f"seq={int(self.seq[first])}) served more than once")
         slot = np.searchsorted(ranked, wanted, side="right") - 1
         hit = slot >= 0
         hit[hit] = ranked[slot[hit]] == wanted[hit]

@@ -178,14 +178,6 @@ class Event:
         self.env._schedule(self, priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy outcome from another (triggered) event. Used as a callback."""
-        if self._value is not _PENDING:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self, NORMAL)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")

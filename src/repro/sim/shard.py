@@ -480,7 +480,6 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
              cell_devices: int = DEFAULT_CELL_DEVICES,
              window_s: Optional[float] = None,
              constants: PaperConstants = DEFAULT,
-             device_faults: Sequence[Tuple[int, float]] = (),
              cloud_shards: int = 0,
              region_devices: int = DEFAULT_REGION_DEVICES,
              exact_devices: Optional[int] = None,
@@ -510,12 +509,12 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
     chaos_armed = worker_faults.armed
     retries = resolve_worker_retries(worker_retries)
     region_plans: Dict = {}
+    device_faults: Sequence[Tuple[int, float]] = ()
     if fault_plan is not None and fault_plan.armed:
         partitioned = fault_plan.partition(
             n_devices, cell_devices=cell_devices,
             region_devices=region_devices)
-        device_faults = (tuple(device_faults)
-                         + tuple(partitioned.device_crash_schedule()))
+        device_faults = partitioned.device_crash_schedule()
         region_plans = partitioned.regions
     cells = tuple(plan_cells(n_devices, seed=seed, cell_devices=cell_devices,
                              device_faults=device_faults,
@@ -849,7 +848,6 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
                 cell_devices: int = DEFAULT_CELL_DEVICES,
                 window_s: Optional[float] = None,
                 constants: PaperConstants = DEFAULT,
-                device_faults: Sequence[Tuple[int, float]] = (),
                 cloud_shards: int = 0,
                 region_devices: int = DEFAULT_REGION_DEVICES,
                 exact_devices: Optional[int] = None,
@@ -870,8 +868,8 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     mean-field aggregates injecting synthetic cloud load), ``serving``
     (open-loop tenants: a ``REPRO_SERVING`` spec or a
     :class:`~repro.serving.ServingConfig`) and a ``fault_plan`` with
-    backend events imply it. ``fault_plan`` device crashes, like
-    ``device_faults`` ((global index, time) pairs), go to their cells.
+    backend events imply it. ``fault_plan`` device crashes go to their
+    cells.
     Worker pipes are deadline-guarded (``worker_deadline_s``) and dead
     or hung workers respawned ``worker_retries`` times, then run
     in-process, with the same bytes (:mod:`repro.sim.supervisor`);
@@ -882,7 +880,7 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     plan = plan_run(
         config, scenario, n_devices, seed=seed, shards=shards,
         cell_devices=cell_devices, window_s=window_s, constants=constants,
-        device_faults=device_faults, cloud_shards=cloud_shards,
+        cloud_shards=cloud_shards,
         region_devices=region_devices, exact_devices=exact_devices,
         fault_plan=fault_plan, worker_faults=worker_faults,
         worker_deadline_s=worker_deadline_s,

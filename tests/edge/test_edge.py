@@ -316,22 +316,3 @@ class TestSwarm:
                     for r in regions)
         assert total == pytest.approx(110 * 110)
 
-    def test_heartbeats_flow(self, env):
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        beats = []
-        swarm.subscribe_heartbeats(beats.append)
-        SwarmEngine(env).add_heartbeats(swarm)
-        env.run(until=5.5)
-        # 16 drones x 6 beats (t=0..5).
-        assert len(beats) == 16 * 6
-
-    def test_heartbeats_stop_after_failure(self, env):
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        beats = []
-        swarm.subscribe_heartbeats(beats.append)
-        SwarmEngine(env).add_heartbeats(swarm)
-        swarm.fail_device_at("drone0000", at_time=2.5)
-        env.run(until=10.0)
-        beats = [hb for hb in beats if hb.device_id == "drone0000"]
-        assert len(beats) == 3  # t = 0, 1, 2
-        assert sum(d.alive for d in swarm.devices.values()) == 15

@@ -6,8 +6,9 @@ tick process per drone. The two agreed byte-for-byte at fixed seeds
 ledgers, full scenario rows), and the md5 digests recorded from both
 before the tick path was deleted are pinned here as the exactness
 contract. A digest that moves means the engine's flight arithmetic or
-dispatch order changed. Heartbeats, emitted only by the engine, are
-held to the protocol's closed form.
+dispatch order changed. Heartbeats are no longer messages: the failure
+detector samples liveness on the beat grid, and its declaration instants
+are pinned in ``tests/faults/test_failure_detector.py``.
 """
 
 import hashlib
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.apps import SCENARIO_A
-from repro.config import ControlConstants, DroneConstants
-from repro.edge import Drone, FieldWorld, Heartbeat, Swarm, SwarmEngine
+from repro.config import DroneConstants
+from repro.edge import Drone, FieldWorld, SwarmEngine
 from repro.platforms import platform_config
 from repro.platforms.scenario_runner import ScenarioRunner
 from repro.sim import Environment
@@ -160,67 +161,6 @@ class TestAnalyticLegs:
         evidence, _ = fly([(0.0, 0.0), (400.0, 0.0)], capture=False,
                           kill_at=6.0)
         assert digest(evidence) == "982bd5d4781a495fc1477ac1ce90f335"
-
-
-def expected_beats(ids, period, until, fail_at=None):
-    """Closed form of the heartbeat protocol: each device beats at t0 = 0
-    and t(k+1) = t(k) + period (repeated float addition, not k * period)
-    while alive, in device-creation order at equal instants."""
-    fail_at = fail_at or {}
-    beats = []
-    t = 0.0
-    while t < until:
-        beats.extend(Heartbeat(device_id, t) for device_id in ids
-                     if t < fail_at.get(device_id, float("inf")))
-        t += period
-    return beats
-
-
-class TestHeartbeatParity:
-    #: Creation order differs from sorted order, so a beat loop that
-    #: sorts (or reverses) the devices fails the comparison.
-    IDS = ("d2", "d0", "d3", "d1")
-    #: 0.1 s accumulates rounding: the running sum drifts off k * 0.1.
-    PERIOD = 0.1
-
-    def _run_beats(self, until, fail_at=None):
-        env = Environment()
-        drones = [Drone(env, device_id, DroneConstants())
-                  for device_id in self.IDS]
-        swarm = Swarm(env, drones,
-                      control=ControlConstants(heartbeat_period_s=self.PERIOD))
-        seen = []
-        swarm.subscribe_heartbeats(seen.append)
-        SwarmEngine(env).add_heartbeats(swarm)
-        for device_id, at_time in (fail_at or {}).items():
-            swarm.fail_device_at(device_id, at_time=at_time)
-        env.run(until=until)
-        return seen
-
-    def test_beats_match_closed_form(self):
-        until = 2.05
-        seen = self._run_beats(until)
-        assert seen == expected_beats(self.IDS, self.PERIOD, until)
-        assert len(seen) == 4 * 21
-        instants = sorted({beat.time for beat in seen})
-        assert any(t != k * self.PERIOD for k, t in enumerate(instants))
-
-    def test_beats_stop_after_failure(self):
-        fail_at = {"d0": 0.25}
-        seen = self._run_beats(1.0, fail_at)
-        assert seen == expected_beats(self.IDS, self.PERIOD, 1.0, fail_at)
-        assert [b.time for b in seen if b.device_id == "d0"] == \
-            [0.0, 0.1, 0.2]
-
-    def test_beats_reach_sinks(self):
-        env = Environment()
-        swarm = Swarm(env, [Drone(env, "d0", DroneConstants())])
-        first, second = [], []
-        swarm.subscribe_heartbeats(first.append)
-        swarm.subscribe_heartbeats(second.append)
-        SwarmEngine(env).add_heartbeats(swarm)
-        env.run(until=2.5)
-        assert first == second == expected_beats(["d0"], 1.0, 2.5)
 
 
 def _scenario_fingerprint(**kwargs):

@@ -149,8 +149,7 @@ OWNERS = {
     # The watchdog's rule has one owner; the regional tier reads it.
     r"(MIN_HISTORY|THRESHOLD_SLACK|PROBATION_THRESHOLD) =": (
         "core/straggler.py",),
-    # One heartbeat emitter and one learner factory.
-    r"Heartbeat\(": ("edge/engine.py",),
+    # One learner factory.
     r"OnlineRecognizer\(": ("learning/", "platforms/scenario_runner.py"),
 }
 

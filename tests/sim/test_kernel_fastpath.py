@@ -3,8 +3,8 @@
 The fast paths (slotted events, zero-delay FIFO lanes, pooled timeouts,
 recycled callback lists) must preserve the documented dispatch contract —
 (time, priority, insertion order) — exactly. These tests pin that contract
-plus the two bug fixes that rode along: double-trigger detection and
-condition defusing of late constituent failures.
+plus the bug fix that rode along: condition defusing of late constituent
+failures (double-trigger detection is in ``test_kernel.py``).
 """
 
 import pytest
@@ -14,26 +14,6 @@ from repro.sim import kernel
 
 
 pytestmark = pytest.mark.quick
-
-
-class TestDoubleTrigger:
-    def test_trigger_on_already_triggered_target_raises(self):
-        env = Environment()
-        source = Event(env)
-        source.succeed("payload")
-        target = Event(env)
-        target.succeed("already here")
-        with pytest.raises(RuntimeError):
-            target.trigger(source)
-
-    def test_trigger_copies_outcome(self):
-        env = Environment()
-        source = Event(env)
-        source.succeed("payload")
-        target = Event(env)
-        target.trigger(source)
-        env.run()
-        assert target.value == "payload"
 
 
 class TestConditionDefuse:

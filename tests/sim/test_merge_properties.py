@@ -186,10 +186,11 @@ class TestColumnarMerge:
 
 
 class TestJoin:
-    def test_a_key_served_twice_resolves_to_its_last_completion(self):
-        served = _completions([(0, 3, 1.0, {}), (0, 3, 2.0, {})])
-        index = served.rows_for(np.array([0, 0]), np.array([3, 4]))
-        assert index.tolist() == [1, -1]
+    def test_a_key_served_twice_raises(self):
+        served = _completions([(0, 3, 1.0, {}), (1, 3, 1.5, {}),
+                               (0, 3, 2.0, {})])
+        with pytest.raises(ValueError, match=r"cell=0, seq=3"):
+            served.rows_for(np.array([0, 0]), np.array([3, 4]))
 
     def test_negative_keys_raise(self):
         served = _completions([(0, 3, 1.0, {})])
