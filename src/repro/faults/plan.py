@@ -13,11 +13,12 @@ never at injection time — so arming a plan perturbs no workload stream.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["FaultEvent", "FaultPlan", "PartitionedPlan", "named_plan",
-           "plan_names", "region_count"]
+           "plan_names", "region_count", "server_index"]
 
 #: Every fault kind the injector understands, with the layer it targets.
 KINDS = {
@@ -31,6 +32,25 @@ KINDS = {
     "kafka_outage": "serverless",  # duration_s: bus stalls
     "function_faults": "serverless",  # magnitude: per-execution fault rate
 }
+
+
+#: A backend server id as the cluster names it (``server0``, ``server1``,
+#: ...): no sign, no leading zero, nothing after the index.
+_SERVER_ID = re.compile(r"server(0|[1-9][0-9]*)")
+
+
+def server_index(target: Optional[str], n_servers: int) -> int:
+    """The index of the backend server a crash event targets.
+
+    Only an id the cluster has is accepted, ``server<N>`` with
+    ``N < n_servers``, as the monolithic platform's ``invoker_of``
+    accepts; anything else raises ``ValueError``.
+    """
+    match = _SERVER_ID.fullmatch(str(target))
+    if match is None or int(match.group(1)) >= n_servers:
+        raise ValueError(f"crash target {target!r} is not a server id "
+                         f"server0..server{n_servers - 1}")
+    return int(match.group(1))
 
 
 @dataclass(frozen=True)
@@ -215,10 +235,9 @@ class FaultPlan:
         if region_devices is not None:
             n_regions = region_count(n_devices, cell_devices,
                                      region_devices)
-            if n_servers is None:
-                from ..config import DEFAULT
-                n_servers = DEFAULT.scaled_for_swarm(
-                    n_devices).cluster.servers
+        if n_servers is None:
+            from ..config import DEFAULT
+            n_servers = DEFAULT.scaled_for_swarm(n_devices).cluster.servers
 
         def cell_plan(index: int) -> FaultPlan:
             if index not in cells:
@@ -254,13 +273,13 @@ class FaultPlan:
                     for region in range(n_regions):
                         region_plan(region).add(event)
             else:  # cluster / serverless — shared backend state.
+                crash = event.kind in ("server_crash", "invoker_crash")
+                if crash:
+                    server = server_index(event.target, n_servers)
                 cloud.add(event)
                 if n_regions is None:
                     continue
-                if event.kind in ("server_crash", "invoker_crash"):
-                    server = int("".join(
-                        ch for ch in str(event.target) if ch.isdigit())
-                        or 0)
+                if crash:
                     region_plan(_owning_region(
                         server, n_regions, n_servers)).add(event)
                 elif event.kind in ("couchdb_outage", "kafka_outage"):

@@ -56,11 +56,12 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right, insort
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..config import PaperConstants
+from ..faults.plan import server_index
 from ..telemetry import MetricSeries
 from .wire import Calls, Completions
 
@@ -79,6 +80,10 @@ _COUCH_SLOTS = 8
 #: One priced invocation: (done, server, container, management,
 #: data_io, execution), the last three the running stage sums.
 _Priced = Tuple[float, int, List, float, float, float]
+
+#: A healthy-list cache entry ``(lo, hi, healthy)`` valid for no
+#: instant: the next placement rebuilds it.
+_STALE: Tuple[float, float, List[int]] = (math.inf, -math.inf, [])
 
 #: The fixed stage costs the pipeline adds to a call's sums, by
 #: ``PaperConstants`` section; each must be finite and non-negative.
@@ -196,6 +201,10 @@ class RegionGateway:
         self._probation_until = [0.0] * n_servers
         self._strikes = [0] * n_servers
         self._rotation = 0
+        #: The placement candidates of every instant in ``[lo, hi)``
+        #: (:meth:`_healthy`); reset to :data:`_STALE` whenever a
+        #: probation or the autoscaled pool changes.
+        self._healthy_span = _STALE
 
         # -- regional controller pool ----------------------------------
         # Fluid-backlog like the couch shard below (and for the same
@@ -239,6 +248,13 @@ class RegionGateway:
         self.recognition_spec = scenario.recognition.function_spec()
         self.dedup_spec = (scenario.dedup.function_spec()
                            if scenario.dedup is not None else None)
+        #: Per image, the servers whose pool holds a live container:
+        #: exactly the servers with ``live > 0`` for that image, kept
+        #: wherever ``live`` changes.
+        self._warm_servers: Dict[str, Set[int]] = {
+            spec.image: set() for spec in (self.recognition_spec,
+                                           self.dedup_spec)
+            if spec is not None}
         #: Mean recognition service time (lognormal mean), the
         #: occupancy scale the admission delay estimate divides by.
         self._mean_service_s = (
@@ -300,9 +316,8 @@ class RegionGateway:
                     (event.time, event.time + event.duration_s))
                 self.injected_faults += 1
             elif event.kind in ("server_crash", "invoker_crash"):
-                server = int("".join(
-                    ch for ch in str(event.target) if ch.isdigit()) or 0)
-                local = server - offset
+                local = server_index(event.target,
+                                     self._total_servers) - offset
                 if 0 <= local < self._n_servers:
                     until = (math.inf if event.duration_s == 0
                              else event.time + event.duration_s)
@@ -311,6 +326,7 @@ class RegionGateway:
                     self.injected_faults += 1
         self._couch_outages.sort()
         self._kafka_outages.sort()
+        self._healthy_span = _STALE
 
     @staticmethod
     def _after_outages(t: float,
@@ -342,7 +358,14 @@ class RegionGateway:
         free = self._core_free[server]
         return (len(free) - bisect_right(free, t)) / self._cores
 
-    def _reap(self, pool: Dict, t: float) -> None:
+    def _take_live(self, server: int, pool: Dict, image: str) -> None:
+        """One live container of ``image`` left ``server``'s pool
+        (claimed or expired)."""
+        pool["live"] -= 1
+        if not pool["live"]:
+            self._warm_servers[image].discard(server)
+
+    def _reap(self, server: int, pool: Dict, t: float) -> None:
         """Drop expired records (lazy: stale heap entries are skipped)."""
         expiry = pool["expiry"]
         while expiry and expiry[0][0] <= t:
@@ -350,14 +373,7 @@ class RegionGateway:
             if record[2] or record[1] > t:
                 continue  # claimed, or re-warmed since this entry
             record[2] = True
-            pool["live"] -= 1
-
-    def _warm_available(self, server: int, image: str, t: float) -> bool:
-        pool = self._warm[server].get(image)
-        if not pool:
-            return False
-        self._reap(pool, t)
-        return pool["live"] > 0
+            self._take_live(server, pool, record[3])
 
     def _claim_warm(self, server: int, image: str, t: float
                     ) -> Optional[List]:
@@ -365,20 +381,21 @@ class RegionGateway:
         pool = self._warm[server].get(image)
         if not pool:
             return None
-        self._reap(pool, t)
+        self._reap(server, pool, t)
         ready = pool["ready"]
         while ready and ready[0][0] <= t:
             key, _, record = heapq.heappop(ready)
             if record[2] or record[0] != key:
                 continue  # claimed/expired, or re-warmed since pushed
             record[2] = True
-            pool["live"] -= 1
+            self._take_live(server, pool, image)
             return record
         return None
 
     def _return_warm(self, server: int, record: List) -> None:
+        image = record[3]
         pool = self._warm[server].setdefault(
-            record[3], {"ready": [], "expiry": [], "live": 0})
+            image, {"ready": [], "expiry": [], "live": 0})
         record[2] = False
         self._pool_counter += 1
         heapq.heappush(pool["ready"],
@@ -386,42 +403,74 @@ class RegionGateway:
         heapq.heappush(pool["expiry"],
                        (record[1], self._pool_counter, record))
         pool["live"] += 1
+        self._warm_servers[image].add(server)
 
     # -- placement mirror ----------------------------------------------
     def _healthy(self, t: float) -> List[int]:
+        """The servers placement may use at ``t``, in server order.
+
+        The list is cached with the interval ``[lo, hi)`` it holds on:
+        the probation ends and autoscaler readiness instants on either
+        side of ``t``. Pricing time is not monotone (a dedup stage is
+        priced after later calls' recognitions), so both bounds are
+        checked."""
+        lo, hi, healthy = self._healthy_span
+        if lo <= t < hi:
+            return healthy
         limit = self._n_servers
+        lo, hi = -math.inf, math.inf
         if self._serving is not None:
-            active = self._serving.active_servers(t)
-            if active is not None:
+            span = self._serving.active_span(t)
+            if span is not None:
                 # Autoscaled pool: placement only sees the active
                 # prefix. A just-activated server joins with an empty
                 # warm pool, so scale-out pays cold starts through the
                 # existing invoker model.
+                active, lo, hi = span
                 limit = max(1, min(limit, active))
-        healthy = [s for s in range(limit)
-                   if self._probation_until[s] <= t]
-        return healthy or list(range(limit))
+        healthy = []
+        for server in range(limit):
+            until = self._probation_until[server]
+            if until <= t:
+                healthy.append(server)
+                lo = max(lo, until)
+            else:
+                hi = min(hi, until)
+        healthy = healthy or list(range(limit))
+        self._healthy_span = (lo, hi, healthy)
+        return healthy
 
     def _place(self, spec, t: float, parent: Optional[Tuple]
                ) -> Tuple[int, Optional[List[float]]]:
         """Mirror of the scheduler: (server, claimed parent container)."""
+        image = spec.image
         if (self.config.scheduler == "hivemind" and parent is not None):
             parent_server, parent_record = parent
             if (self._probation_until[parent_server] <= t
                     and not parent_record[2]
-                    and parent_record[3] == spec.image
+                    and parent_record[3] == image
                     and parent_record[1] > t and parent_record[0] <= t):
                 # Same-image + still-warm: claim the parent's very
                 # container for in-memory data exchange.
                 parent_record[2] = True
-                self._warm[parent_server][spec.image]["live"] -= 1
+                self._take_live(parent_server,
+                                self._warm[parent_server][image], image)
                 return parent_server, parent_record
         candidates = self._healthy(t)
-        for server in candidates:
-            if (self._warm_available(server, spec.image, t)
-                    and self._utilization(server, t) < 1.0):
-                return server, None
-        utilization = [self._utilization(s, t) for s in candidates]
+        # First fit among servers with a live container of the image:
+        # any other server's pool has nothing to claim or to reap.
+        warm = self._warm_servers[image]
+        seen: Dict[int, float] = {}
+        if warm:
+            for server in candidates:
+                if server in warm:
+                    self._reap(server, self._warm[server][image], t)
+                    if server in warm:
+                        load = seen[server] = self._utilization(server, t)
+                        if load < 1.0:
+                            return server, None
+        utilization = [seen[s] if s in seen else self._utilization(s, t)
+                       for s in candidates]
         best = min(utilization)
         tied = [s for s, u in zip(candidates, utilization) if u == best]
         chosen = tied[self._rotation % len(tied)]
@@ -518,6 +567,7 @@ class RegionGateway:
         if self._strikes[server] >= self._probation_threshold:
             self._probation_until[server] = t + self._control.probation_s
             self._strikes[server] = 0
+            self._healthy_span = _STALE
 
     def _mitigated_invoke(self, t_submit: float, spec, service_s: float,
                           parent: Optional[Tuple],
@@ -605,7 +655,8 @@ class RegionGateway:
         """Feed the serving policies; False when the gate sheds a
         tenant call (swarm and mean-field calls are never shed)."""
         backlog = self._backlog(t)
-        self._serving.observe(t, backlog)
+        if self._serving.observe(t, backlog):
+            self._healthy_span = _STALE
         if tenant is None:
             return True
         # Estimated queueing delay: in-flight work beyond the regional

@@ -86,9 +86,10 @@ class ServingPolicy:
             config.autoscale, n_servers, cores_per_server)
             if config.autoscale_enabled else None)
 
-    def observe(self, t: float, backlog: int) -> None:
-        if self.autoscaler is not None:
-            self.autoscaler.observe(t, backlog)
+    def observe(self, t: float, backlog: int) -> bool:
+        """Feed the autoscaler; True when it resized the pool."""
+        return (self.autoscaler is not None
+                and self.autoscaler.observe(t, backlog))
 
     def admit(self, t: float, tenant: Optional[str], weight: float,
               backlog: int, est_delay_s: float) -> bool:
@@ -97,12 +98,13 @@ class ServingPolicy:
         return self.admission.offer(t, tenant, weight, backlog,
                                     est_delay_s)
 
-    def active_servers(self, t: float) -> Optional[int]:
-        """Autoscaled active-server count, or ``None`` when the pool is
-        static (autoscaler disarmed)."""
+    def active_span(self, t: float) -> Optional[Tuple[int, float, float]]:
+        """Autoscaled active-server count with the interval it holds on
+        (:meth:`InvokerAutoscaler.active_span`), or ``None`` when the
+        pool is static (autoscaler disarmed)."""
         if self.autoscaler is None:
             return None
-        return self.autoscaler.active(t)
+        return self.autoscaler.active_span(t)
 
     def stats(self) -> Dict[str, object]:
         out: Dict[str, object] = {

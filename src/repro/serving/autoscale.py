@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["AutoscaleConfig", "ScaleEvent", "InvokerAutoscaler"]
 
@@ -106,14 +106,25 @@ class InvokerAutoscaler:
         ready = bisect_right(self._ready_at, t)
         return min(self.max_servers, self.min_servers + ready)
 
+    def active_span(self, t: float) -> Tuple[int, float, float]:
+        """``(active(t), lo, hi)``: the count holds for every instant
+        in ``[lo, hi)``, the readiness instants around ``t``, until the
+        next scale decision."""
+        ready_at = self._ready_at
+        ready = bisect_right(ready_at, t)
+        lo = ready_at[ready - 1] if ready else -math.inf
+        hi = ready_at[ready] if ready < len(ready_at) else math.inf
+        return min(self.max_servers, self.min_servers + ready), lo, hi
+
     def _record(self, event: ScaleEvent) -> None:
         if len(self.events) < MAX_SCALE_EVENTS:
             self.events.append(event)
         else:
             self.dropped_events += 1
 
-    def observe(self, t: float, backlog: int) -> None:
-        """Feed one ``(t, backlog)`` observation (non-decreasing t)."""
+    def observe(self, t: float, backlog: int) -> bool:
+        """Feed one ``(t, backlog)`` observation (non-decreasing t);
+        True when it scaled the pool out or in."""
         if t < self._last_t:
             raise ValueError(
                 f"autoscaler observations must not go back in time "
@@ -135,7 +146,7 @@ class InvokerAutoscaler:
             self._target = want
             self._cooldown_until = t + self.cooldown_s
             self._low_since = None
-            return
+            return True
         if backlog * 4 < self.threshold * active:
             if self._low_since is None:
                 self._low_since = t
@@ -150,8 +161,10 @@ class InvokerAutoscaler:
                 self._target -= 1
                 self._cooldown_until = t + self.cooldown_s
                 self._low_since = t
+                return True
         else:
             self._low_since = None
+        return False
 
     def reaction_s(self, burst_start_s: float) -> Optional[float]:
         """Time from a burst onset to the first post-onset scale-out

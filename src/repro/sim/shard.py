@@ -656,10 +656,12 @@ def _merge_rows(results: List[Tuple[int, RunResult, EdgeLedger]],
     Canonical row order is ``(start time, cell, within-cell position)``
     with deferred (cloud-completing) rows positioned after the cell's
     local rows — a pure function of the cell decomposition, so the
-    merged series is identical at any shard count. A call with no
-    completion has no row (its device died mid-run). Every step is an
-    elementwise IEEE operation or a sort over unique keys, so rows are
-    bit-identical to joining them one at a time.
+    merged series is identical at any shard count. Every settled call
+    must have a completion: one without raises ``ValueError`` naming
+    its ``(cell, seq)``, because a lost completion would otherwise
+    leave a plausible row set. Every step is an elementwise IEEE
+    operation or a sort over unique keys, so rows are bit-identical to
+    joining them one at a time.
     """
     starts, cells, positions, values = [], [], [], []
     records: List[LatencyBreakdown] = []
@@ -682,15 +684,18 @@ def _merge_rows(results: List[Tuple[int, RunResult, EdgeLedger]],
         np.array([cell for cell, _, _ in results], dtype=np.int64),
         [len(part.seq) for part in ledgers])
     index = completions.rows_for(ledger_cell, ledger.seq)
-    joined = index >= 0
-    index = index[joined]
-    deferred_start = ledger.start_s[joined]
-    starts.append(deferred_start)
-    cells.append(ledger_cell[joined])
-    positions.append(_DEFERRED + ledger.seq[joined])
-    values.append(np.maximum(ledger.edge_done_s[joined],
-                             completions.done_s[index]) - deferred_start)
-    deferred = ledger.breakdown[joined] + completions.breakdown[index]
+    unjoined = np.flatnonzero(index < 0)
+    if unjoined.size:
+        first = unjoined[0]
+        raise ValueError(
+            f"settled call (cell={int(ledger_cell[first])}, "
+            f"seq={int(ledger.seq[first])}) has no completion")
+    starts.append(ledger.start_s)
+    cells.append(ledger_cell)
+    positions.append(_DEFERRED + ledger.seq)
+    values.append(np.maximum(ledger.edge_done_s,
+                             completions.done_s[index]) - ledger.start_s)
+    deferred = ledger.breakdown + completions.breakdown[index]
     records.extend(LatencyBreakdown(*row) for row in deferred.tolist())
     start = np.concatenate(starts)
     order = np.lexsort((np.concatenate(positions), np.concatenate(cells),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import FaultEvent, FaultPlan, named_plan, plan_names
+from repro.faults.plan import server_index
 
 
 class TestFaultEvent:
@@ -201,3 +202,40 @@ class TestRegionPartition:
     def test_bad_region_devices_rejected(self):
         with pytest.raises(ValueError):
             self.build().partition(1024, region_devices=0)
+
+
+class TestCrashTargets:
+    """A crash target is a server id the cluster has, or the plan is
+    refused when it is partitioned, as ``invoker_of`` refuses it."""
+
+    def test_server_ids_parse_to_their_index(self):
+        assert server_index("server0", 12) == 0
+        assert server_index("server11", 12) == 11
+
+    @pytest.mark.parametrize("target", [
+        "invoker", "srv-1", "server", "server01", "server-1", "server1x",
+        " server1", "server12", None])
+    def test_other_targets_are_refused(self, target):
+        with pytest.raises(ValueError, match="not a server id"):
+            server_index(target, 12)
+
+    @pytest.mark.parametrize("target", ["invoker", "srv-1", "server12"])
+    @pytest.mark.parametrize("region_devices", [None, 512])
+    def test_partition_refuses_a_bad_target(self, target, region_devices):
+        plan = FaultPlan(name="bad").server_crash(8.0, target)
+        with pytest.raises(ValueError, match="not a server id"):
+            plan.partition(1024, cell_devices=64,
+                           region_devices=region_devices, n_servers=12)
+
+    def test_region_refuses_a_bad_target(self):
+        from repro.apps import SCENARIO_A
+        from repro.config import DEFAULT
+        from repro.platforms import platform_config
+        from repro.serverless.region import RegionGateway
+        gateway = RegionGateway(platform_config("hivemind"), SCENARIO_A,
+                                DEFAULT, region=0, n_regions=1,
+                                region_devices=16, total_devices=16)
+        plan = FaultPlan(name="bad").invoker_crash(8.0, "invoker")
+        with pytest.raises(ValueError, match="not a server id"):
+            gateway.apply_fault_plan(plan)
+        assert gateway._probation_until == [0.0] * gateway._n_servers

@@ -16,6 +16,11 @@ The breakdown pins (``_breakdown_digest``: the straggler case and
 neither the rows nor the benchmark's rows digest cover: each is the md5
 of an ``(n, 4)`` float64 array in row order, recorded before the region
 priced with plain float sums instead of ``LatencyBreakdown`` charges.
+
+``TestStartCountLaw`` checks that every start is one priced stage or
+duplicate, and ``TestPlacementEquivalence`` holds the cached healthy
+list and the warm-server index to the per-call scan they replaced,
+kept here as ``_ReferenceGateway``.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import apps
 from repro.config import DEFAULT
@@ -33,7 +41,8 @@ from repro.faults import FaultPlan
 from repro.platforms import platform_config
 from repro.serverless.region import RegionGateway
 from repro.serverless.wire import Calls
-from repro.serving import AutoscaleConfig, ServingConfig, parse_serving_spec
+from repro.serving import (AutoscaleConfig, ServingConfig, ServingPolicy,
+                           parse_serving_spec)
 from repro.sim import supervisor
 from repro.sim.shard import run_sharded
 from repro.telemetry import breakdown_array
@@ -148,6 +157,81 @@ class TestBreakdownPins:
             "25c25394910e46e74c0d87afe6040466")
 
 
+@pytest.fixture
+def stage_calls(monkeypatch, region_stats):
+    """Have every region count the calls it served with a recognition
+    stage, with a dedup stage and with both, and report the counts in
+    its ``stats()`` (read back through ``region_stats``)."""
+    serve, stats = RegionGateway.serve, RegionGateway.stats
+
+    def counting(self, calls):
+        done = serve(self, calls)
+        served = done.rows_for(calls.cell, calls.seq) >= 0
+        recognition = ~np.isnan(calls.recognition_s[served])
+        dedup = ~np.isnan(calls.dedup_s[served])
+        if self.dedup_spec is None:
+            dedup[:] = False  # no dedup function to price
+        counts = vars(self).setdefault("stage_calls", Counter())
+        counts.update(recognition=int(recognition.sum()),
+                      dedup=int(dedup.sum()),
+                      both=int((recognition & dedup).sum()))
+        return done
+
+    def reporting(self):
+        out = stats(self)
+        out["stage_calls"] = dict(vars(self).get("stage_calls", {}))
+        return out
+
+    monkeypatch.setattr(RegionGateway, "serve", counting)
+    monkeypatch.setattr(RegionGateway, "stats", reporting)
+
+    def total():
+        calls = Counter()
+        for region in region_stats.values():
+            calls.update(region["stage_calls"])
+        return calls
+
+    return total
+
+
+def _starts_close(result, calls):
+    """Every priced invocation is one cold or warm start: one per
+    recognition stage, one per dedup stage, one per duplicate."""
+    extras = result.extras
+    assert (extras["cold_starts"] + extras["warm_starts"]
+            == calls["recognition"] + calls["dedup"]
+            + extras["duplicate_launches"])
+
+
+class TestStartCountLaw:
+    def test_straggler_case(self, stage_calls):
+        result = _run(seed=0)
+        assert result.extras["duplicate_launches"] > 0
+        _starts_close(result, stage_calls())
+
+    def test_serving_flash(self, stage_calls):
+        result = run_sharded(platform_config("hivemind"), apps.SCENARIO_A,
+                             64, seed=0, shards=2, cloud_shards=2,
+                             serving="poisson:200:bg,onoff:100:crowd")
+        assert result.extras["serving"]["shed_calls"] > 0
+        _starts_close(result, stage_calls())
+
+    @pytest.mark.slow
+    def test_hybrid_100k(self, stage_calls):
+        # Rows plus background completions undercount the starts by the
+        # calls that carry both stages: 14,635 one-stage calls + 2 x 26
+        # two-stage calls + 149 duplicates = 14,836 starts.
+        result = run_sharded(platform_config("hivemind"), apps.SCENARIO_B,
+                             100_000, seed=0, shards=2, cloud_shards=2,
+                             exact_devices=256)
+        calls = stage_calls()
+        _starts_close(result, calls)
+        assert calls["both"] == 26
+        assert result.extras["duplicate_launches"] == 149
+        assert (result.extras["cold_starts"]
+                + result.extras["warm_starts"]) == 14_836
+
+
 def _gateway(section="serverless", **fields):
     constants = dataclasses.replace(DEFAULT, **{
         section: dataclasses.replace(getattr(DEFAULT, section), **fields)})
@@ -194,3 +278,196 @@ class TestStageCostValidation:
                             output_mb=1.0)
         with pytest.raises(ValueError, match="negative service"):
             _gateway().serve(calls)
+
+
+# -- placement equivalence -------------------------------------------------
+
+class _ReferenceGateway(RegionGateway):
+    """Placement as a scan: the healthy list rebuilt on every call and
+    every candidate's warm pool reaped and read in turn. This is the
+    placement ``RegionGateway`` had before it cached the healthy list
+    and indexed warm servers, kept here only."""
+
+    def _healthy(self, t):
+        limit = self._n_servers
+        if self._serving is not None and self._serving.autoscaler is not None:
+            limit = max(1, min(limit, self._serving.autoscaler.active(t)))
+        healthy = [s for s in range(limit)
+                   if self._probation_until[s] <= t]
+        return healthy or list(range(limit))
+
+    def _warm_available(self, server, image, t):
+        pool = self._warm[server].get(image)
+        if not pool:
+            return False
+        self._reap(server, pool, t)
+        return pool["live"] > 0
+
+    def _place(self, spec, t, parent):
+        if self.config.scheduler == "hivemind" and parent is not None:
+            parent_server, parent_record = parent
+            if (self._probation_until[parent_server] <= t
+                    and not parent_record[2]
+                    and parent_record[3] == spec.image
+                    and parent_record[1] > t and parent_record[0] <= t):
+                parent_record[2] = True
+                self._warm[parent_server][spec.image]["live"] -= 1
+                return parent_server, parent_record
+        candidates = self._healthy(t)
+        for server in candidates:
+            if (self._warm_available(server, spec.image, t)
+                    and self._utilization(server, t) < 1.0):
+                return server, None
+        utilization = [self._utilization(s, t) for s in candidates]
+        best = min(utilization)
+        tied = [s for s, u in zip(candidates, utilization) if u == best]
+        chosen = tied[self._rotation % len(tied)]
+        self._rotation += 1
+        return chosen, None
+
+
+#: Four servers of two cores: full servers and ties are common.
+_SERVERS = 4
+
+_instants = st.floats(0.0, 30.0)
+_services = st.floats(0.01, 4.0)
+#: A stage's service time, or None (no such stage) a third of the time.
+_stage = st.none() | _services | _services
+_crash = st.tuples(_instants, st.integers(0, _SERVERS - 1),
+                   st.sampled_from([0.0, 1.0]) | st.floats(0.5, 10.0))
+#: One call priced from its arrival; arrivals come in any order.
+_call = st.tuples(st.just("call"), _instants, _stage, _stage,
+                  st.floats(0.0, 5.0), st.booleans())
+_op = st.one_of(
+    _call, _call, _call,
+    # Straggler strikes on one server, enough of them to start a
+    # probation or not.
+    st.tuples(st.just("strike"), _instants,
+              st.integers(0, _SERVERS - 1), st.integers(1, 3)),
+    # The serving gate's observation clock moves forward: the
+    # autoscaler may scale out or in.
+    st.tuples(st.just("observe"), st.floats(0.0, 6.0)))
+
+
+def _placement_gateway(cls, probation_s, keepalive_s, shared_image,
+                       autoscale):
+    constants = dataclasses.replace(
+        DEFAULT,
+        cluster=dataclasses.replace(DEFAULT.cluster, servers=_SERVERS,
+                                    cores_per_server=2),
+        control=dataclasses.replace(DEFAULT.control,
+                                    probation_s=probation_s))
+    config = dataclasses.replace(platform_config("hivemind"),
+                                 container_keepalive_s=keepalive_s)
+    serving = None
+    if autoscale:
+        serving = ServingPolicy(
+            ServingConfig(tenants=parse_serving_spec("poisson:10"),
+                          admission_enabled=False,
+                          autoscale=AutoscaleConfig(
+                              scale_out_backlog=1, scale_in_idle_s=1.0,
+                              cooldown_s=0.5, provision_s=1.5)),
+            n_servers=_SERVERS, cores_per_server=2)
+    gateway = cls(config, apps.SCENARIO_B, constants, region=0,
+                  n_regions=1, region_devices=16, total_devices=16,
+                  seed=3, serving=serving)
+    # A short watchdog history, so duplicates launch in short streams.
+    gateway._min_history = 3
+    if shared_image:
+        # A dedup sharing the recognition's image, so the parent's very
+        # container can be claimed (SCENARIO_B's images differ).
+        gateway.dedup_spec = dataclasses.replace(
+            gateway.dedup_spec, image=gateway.recognition_spec.image)
+    return gateway
+
+
+def _decisions(gateway):
+    """Record each placement as ``(task, t, server, parent claimed,
+    rotation after)``."""
+    log = []
+    place = gateway._place
+
+    def recorded(spec, t, parent):
+        server, container = place(spec, t, parent)
+        log.append((spec.name, t, server, container is not None,
+                    gateway._rotation))
+        return server, container
+
+    gateway._place = recorded
+    return log
+
+
+def _step(gateway, op, observed):
+    """Apply one op; a call returns its priced outcome."""
+    if op[0] == "call":
+        _, at, recognition_s, dedup_s, output_mb, synthetic = op
+        return gateway._serve(
+            at, math.nan if recognition_s is None else recognition_s,
+            math.nan if dedup_s is None else dedup_s, output_mb, synthetic)
+    if op[0] == "strike":
+        _, at, server, count = op
+        for _ in range(count):
+            gateway._strike(server, at)
+    elif gateway._serving is not None:
+        gateway._admit(observed, None, 1.0)
+    return None
+
+
+class TestPlacementEquivalence:
+    """The cached healthy list and the warm-server index place every
+    call where the per-call scan does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_op, min_size=30, max_size=120),
+           crashes=st.lists(_crash, max_size=4),
+           all_down=st.booleans(),
+           probation_s=st.sampled_from([180.0]) | st.floats(0.5, 8.0),
+           keepalive_s=st.sampled_from([20.0]) | st.floats(0.2, 3.0),
+           shared_image=st.booleans(), autoscale=st.booleans())
+    def test_decisions_match_the_scan(self, ops, crashes, all_down,
+                                      probation_s, keepalive_s,
+                                      shared_image, autoscale):
+        plan = FaultPlan("backend")
+        if all_down:
+            # Every server crashes at once: placement falls back to the
+            # whole pool until the first reboot.
+            crashes = crashes + [(5.0, server, 4.0 + server)
+                                 for server in range(_SERVERS)]
+        for at, server, reboot_s in crashes:
+            plan.server_crash(at, f"server{server}", reboot_s=reboot_s)
+        gateways = [_placement_gateway(cls, probation_s, keepalive_s,
+                                       shared_image, autoscale)
+                    for cls in (RegionGateway, _ReferenceGateway)]
+        for gateway in gateways:
+            gateway.apply_fault_plan(plan)
+        logs = [_decisions(gateway) for gateway in gateways]
+        observed = 0.0
+        for op in ops:
+            if op[0] == "observe":
+                observed += op[1]
+            outcomes = [_step(gateway, op, observed) for gateway in gateways]
+            assert logs[0] == logs[1]
+            assert outcomes[0] == outcomes[1]
+        new, reference = gateways
+        assert new._rotation == reference._rotation
+        assert new.stats() == reference.stats()
+        for image, servers in new._warm_servers.items():
+            assert servers == {
+                server for server in range(_SERVERS)
+                if new._warm[server].get(image, {}).get("live", 0) > 0}
+
+    def test_every_server_on_probation_falls_back_to_the_pool(self):
+        plan = FaultPlan("backend")
+        for server in range(_SERVERS):
+            plan.server_crash(1.0, f"server{server}", reboot_s=2.0 + server)
+        gateway = _placement_gateway(RegionGateway, 180.0, 20.0, False,
+                                     False)
+        gateway.apply_fault_plan(plan)
+        # Reboots end at 3, 4, 5 and 6 s.
+        assert gateway._healthy(0.5) == [0, 1, 2, 3]
+        assert gateway._healthy(1.5) == [0, 1, 2, 3]  # all down
+        assert gateway._healthy(4.5) == [0, 1]
+        # Back in time, inside the all-down window again.
+        assert gateway._healthy(2.9) == [0, 1, 2, 3]
+        assert gateway._healthy(3.0) == [0]
+        assert gateway._healthy(6.0) == [0, 1, 2, 3]

@@ -156,7 +156,7 @@ class TestServingPolicy:
         # static pool.
         assert neither.admit(0.0, "u", 1.0, backlog=10**6,
                              est_delay_s=1e9)
-        assert neither.active_servers(0.0) is None
+        assert neither.active_span(0.0) is None
 
     def test_stats_shape_follows_arming(self):
         tenants = (TenantSpec(name="u"),)

@@ -5,9 +5,10 @@ arrays and orders rows with one ``np.lexsort``. The reference below is
 the row-wise join it replaced, kept here only: one Python tuple per row,
 one ``LatencyBreakdown`` sum per call and a ``(cell, seq)`` dict of
 completions. Over random cells (tied start times within and across
-cells, calls with no completion or no edge half, empty cells, sparse
-sequence numbers) both must give the same rows and breakdown records,
-bit for bit, and the serving-latency join must match the dict join.
+cells, calls with no edge half, empty cells, sparse sequence numbers)
+both must give the same rows and breakdown records, bit for bit, and
+the serving-latency join must match the dict join. Every settled call
+has a completion; one without makes ``merge`` raise.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def _cell(draw, cell):
         if start is not None:
             halves.append((seq, start, start + draw(_seconds),
                            draw(_charges)))
-        if draw(st.booleans()):
+        # A settled call always has a completion; an unsettled one may.
+        if start is not None or draw(st.booleans()):
             served.append((cell, seq, draw(_times), draw(_charges)))
     # Calls settle in task-completion order, not submit order.
     return local, seqs, draw(st.permutations(halves)), served
@@ -183,6 +185,19 @@ class TestColumnarMerge:
         assert (joined.tobytes()
                 == np.array(_serving_latencies(calls, served),
                             dtype=float).tobytes())
+
+
+class TestUnjoined:
+    def test_settled_call_without_completion_raises(self, plan):
+        halves = [(2, 1.0, 1.5, LatencyBreakdown()),
+                  (5, 2.0, 2.5, LatencyBreakdown())]
+        results = [(0, _cell_result([]), _ledger(*halves))] + [
+            (cell, _cell_result([]), _ledger())
+            for cell in range(1, N_CELLS)]
+        with pytest.raises(ValueError,
+                           match=r"\(cell=0, seq=5\) has no completion"):
+            merge(plan, results, _completions([(0, 2, 3.0, {})]),
+                  _stats(1))
 
 
 class TestJoin:

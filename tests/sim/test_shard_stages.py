@@ -198,15 +198,18 @@ class TestMerge:
         # cell 0 local, cell 0 deferred, then cell 1 local.
         assert tuple(merged.task_latencies.values) == (1.0, 2.0, 3.0)
 
-    def test_call_without_completion_has_no_row(self, mono_plan):
+    def test_call_without_completion_raises(self, mono_plan):
+        # A settled call the cloud tier never completed is a lost
+        # completion, not a row to drop.
         results = [(0, _cell_result([]),
                     _ledger(_edge_half(0, 5.0, 6.0),
                             _edge_half(1, 6.0, 7.0))),
                    (1, _cell_result([]), _ledger())]
-        merged = merge(mono_plan, results,
-                       _completions((0, 1, 9.0, {"execution": 1.0})),
-                       _stats(last=9.0))
-        assert tuple(merged.task_latencies.values) == (3.0,)
+        with pytest.raises(ValueError,
+                           match=r"\(cell=0, seq=0\) has no completion"):
+            merge(mono_plan, results,
+                  _completions((0, 1, 9.0, {"execution": 1.0})),
+                  _stats(last=9.0))
 
     def test_latency_and_breakdown_join_both_halves(self, mono_plan):
         # Call 0's edge half finishes last, call 1's cloud half does.
