@@ -1,7 +1,7 @@
 """Benchmark applications: S1-S10 suite plus end-to-end scenarios."""
 
 from .base import AppSpec
-from .car_scenarios import CAR_MAZE, TREASURE_HUNT, CarScenarioSpec, car_scenario
+from .car_scenarios import CAR_MAZE, TREASURE_HUNT, CarScenarioSpec
 from .scenarios import (
     ITEM_RECOGNITION,
     SCENARIO_A,
@@ -25,5 +25,4 @@ __all__ = [
     "CarScenarioSpec",
     "TREASURE_HUNT",
     "CAR_MAZE",
-    "car_scenario",
 ]

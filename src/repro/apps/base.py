@@ -80,16 +80,6 @@ class AppSpec:
         return float(rng.lognormal(np.log(self.cloud_service_s),
                                    self.service_sigma))
 
-    def edge_service_for(self, cloud_service_s: float,
-                         device_slowdown_ratio: float = 1.0) -> float:
-        """On-board seconds for a task that needs ``cloud_service_s``.
-
-        ``device_slowdown_ratio`` rescales the drone-calibrated per-app
-        slowdown for other device classes (a Raspberry Pi car is faster
-        than an AR Drone's A8).
-        """
-        return cloud_service_s * self.edge_slowdown * device_slowdown_ratio
-
     # -- serverless/DSL views -----------------------------------------------
     def function_spec(self) -> FunctionSpec:
         return FunctionSpec(name=self.key.lower(), memory_mb=self.memory_mb,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .base import AppSpec
 from .suite import SUITE
 
-__all__ = ["CarScenarioSpec", "TREASURE_HUNT", "CAR_MAZE", "car_scenario"]
+__all__ = ["CarScenarioSpec", "TREASURE_HUNT", "CAR_MAZE"]
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,3 @@ CAR_MAZE = CarScenarioSpec(
     perception=SUITE["S6"],
     maze_side=12,
 )
-
-_SCENARIOS = {"TreasureHunt": TREASURE_HUNT, "Maze": CAR_MAZE}
-
-
-def car_scenario(key: str) -> CarScenarioSpec:
-    found = _SCENARIOS.get(key)
-    if found is None:
-        raise KeyError(
-            f"unknown car scenario {key!r}; valid: TreasureHunt, Maze")
-    return found

@@ -152,5 +152,5 @@ _SCENARIOS = {"ScA": SCENARIO_A, "ScB": SCENARIO_B}
 def scenario(key: str) -> ScenarioSpec:
     found = _SCENARIOS.get(key)
     if found is None:
-        raise KeyError(f"unknown scenario {key!r}; valid: ScA, ScB")
+        raise ValueError(f"unknown scenario {key!r}; valid: ScA, ScB")
     return found

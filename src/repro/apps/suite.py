@@ -106,7 +106,7 @@ APP_KEYS: List[str] = list(SUITE)
 def app(key: str) -> AppSpec:
     found = SUITE.get(key)
     if found is None:
-        raise KeyError(f"unknown application {key!r}; valid: {APP_KEYS}")
+        raise ValueError(f"unknown application {key!r}; valid: {APP_KEYS}")
     return found
 
 

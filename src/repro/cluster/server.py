@@ -199,16 +199,6 @@ class Cluster:
     def busy_cores(self) -> int:
         return sum(s.busy_cores for s in self.servers.values())
 
-    def least_loaded(self, exclude_probation: bool = True) -> Server:
-        """The healthy server with the most free cores."""
-        candidates = [
-            s for s in self.servers.values()
-            if not (exclude_probation and s.on_probation)
-        ]
-        if not candidates:
-            candidates = list(self.servers.values())
-        return min(candidates, key=lambda s: (s.utilization, s.server_id))
-
     def mean_utilization(self, horizon_s: float) -> float:
         values = [s.mean_utilization(horizon_s)
                   for s in self.servers.values()]

@@ -5,8 +5,8 @@ models. Values fall in two classes:
 
 - **Paper-stated** — taken directly from the ISCA'22 paper (section noted in
   the field comment). Examples: drone speed 4 m/s, camera 8 fps x 2 MB
-  frames, two 867 Mbps access points, accelerated RPC RTT 2.1 us, heartbeat
-  period 1 s / timeout 3 s, straggler threshold p90, FPGA LUT split 18 %+24 %.
+  frames, two 867 Mbps access points, heartbeat period 1 s / timeout 3 s,
+  straggler threshold p90.
 - **Calibrated** — the paper gives only chart shapes (per-application service
   times, CouchDB latency, container cold-start); these are set to
   representative magnitudes for the named technologies so the reproduced
@@ -183,10 +183,6 @@ class ServerlessConstants:
 class AccelerationConstants:
     """FPGA fabrics (paper sections 4.4, 4.5)."""
 
-    # RPC offload: paper-stated round trip and single-core throughput.
-    accel_rtt_s: float = 2.1e-6          # paper: 2.1 us server-to-server RTT
-    accel_mrps: float = 12.4             # paper: 12.4 Mrps for 64 B RPCs
-    accel_bandwidth_mbs: float = 4_600.0  # UPI-attached streaming bandwidth
     # Remote memory access between functions over the UPI fabric.
     remote_mem_latency_s: float = 3.6e-6
     remote_mem_mbs: float = 8_200.0

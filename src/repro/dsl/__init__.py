@@ -3,25 +3,13 @@
 from .ast import PLACEMENTS, Placement, Stream, Task, TaskGraph, TaskProfile
 from .codegen import ApiArtifact, ApiBundle, generate_apis
 from .compiler import CompilationResult, CompiledPlan, HiveMindCompiler
-from .constraints import (
-    Constraint,
-    CostConstraint,
-    ExecTimeConstraint,
-    LatencyConstraint,
-    PlanEstimate,
-    PowerConstraint,
-    ThroughputConstraint,
-)
+from .constraints import Constraint, ExecTimeConstraint, PlanEstimate
 from .directives import (
     DirectiveSet,
-    Isolate,
     Learn,
-    Overlap,
     Parallel,
     Persist,
     Place,
-    Restore,
-    Schedule,
     Serial,
     Synchronize,
 )
@@ -37,13 +25,9 @@ __all__ = [
     "PLACEMENTS",
     "Parallel",
     "Serial",
-    "Overlap",
     "Synchronize",
     "DirectiveSet",
-    "Schedule",
-    "Isolate",
     "Place",
-    "Restore",
     "Learn",
     "Persist",
     "validate_graph",
@@ -58,9 +42,5 @@ __all__ = [
     "CompiledPlan",
     "PlanEstimate",
     "Constraint",
-    "LatencyConstraint",
     "ExecTimeConstraint",
-    "PowerConstraint",
-    "CostConstraint",
-    "ThroughputConstraint",
 ]

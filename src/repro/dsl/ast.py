@@ -60,11 +60,6 @@ class Stream:
         """Continuous bandwidth of the stream (MB/s)."""
         return self.rate_hz * self.item_mb
 
-    @property
-    def window_mb(self) -> float:
-        """Payload a consumer receives per window."""
-        return self.mbs * self.window_s
-
 
 @dataclass(frozen=True)
 class TaskProfile:
@@ -148,11 +143,10 @@ class TaskGraph:
         self.name = name
         self.constraints = list(constraints or [])
         self._tasks: Dict[str, Task] = {}
-        #: Relationship annotations (Parallel/Serial/Overlap pairs and
+        #: Relationship annotations (Parallel/Serial pairs and
         #: Synchronize points), filled by the directive helpers.
         self.parallel_pairs: List[Tuple[str, str]] = []
         self.serial_pairs: List[Tuple[str, str]] = []
-        self.overlap_pairs: List[Tuple[str, str]] = []
         self.sync_points: Dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
@@ -253,17 +247,6 @@ class Placement:
             if name == task:
                 return tier
         raise KeyError(f"task {task!r} not in placement")
-
-    def as_dict(self) -> Dict[str, str]:
-        return dict(self.assignment)
-
-    @property
-    def cloud_tasks(self) -> List[str]:
-        return [name for name, tier in self.assignment if tier == "cloud"]
-
-    @property
-    def edge_tasks(self) -> List[str]:
-        return [name for name, tier in self.assignment if tier == "edge"]
 
     def __str__(self) -> str:
         return ", ".join(f"{name}@{tier}" for name, tier in self.assignment)

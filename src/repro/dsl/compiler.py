@@ -53,10 +53,6 @@ class CompilationResult:
     def placement(self) -> Placement:
         return self.chosen.placement
 
-    def plans_satisfying(self, constraints) -> List[CompiledPlan]:
-        return [plan for plan in self.plans
-                if all(c.satisfied_by(plan.estimate) for c in constraints)]
-
 
 class HiveMindCompiler:
     """Compiles a task graph into a ranked set of execution models."""

@@ -14,11 +14,7 @@ from typing import List
 __all__ = [
     "PlanEstimate",
     "Constraint",
-    "LatencyConstraint",
     "ExecTimeConstraint",
-    "PowerConstraint",
-    "CostConstraint",
-    "ThroughputConstraint",
 ]
 
 
@@ -46,24 +42,6 @@ class Constraint:
     def satisfied_by(self, estimate: PlanEstimate) -> bool:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class LatencyConstraint(Constraint):
-    max_latency_s: float
-
-    def __post_init__(self):
-        if self.max_latency_s <= 0:
-            raise ValueError("latency bound must be positive")
-
-    def satisfied_by(self, estimate: PlanEstimate) -> bool:
-        return estimate.feasible and estimate.latency_s <= self.max_latency_s
-
-    def describe(self) -> str:
-        return f"latency <= {self.max_latency_s}s"
-
 
 @dataclass(frozen=True)
 class ExecTimeConstraint(Constraint):
@@ -78,56 +56,3 @@ class ExecTimeConstraint(Constraint):
 
     def satisfied_by(self, estimate: PlanEstimate) -> bool:
         return estimate.feasible and estimate.latency_s <= self.max_exec_s
-
-    def describe(self) -> str:
-        return f"exec time <= {self.max_exec_s}s"
-
-
-@dataclass(frozen=True)
-class PowerConstraint(Constraint):
-    max_device_power_w: float
-
-    def __post_init__(self):
-        if self.max_device_power_w <= 0:
-            raise ValueError("power bound must be positive")
-
-    def satisfied_by(self, estimate: PlanEstimate) -> bool:
-        return (estimate.feasible and
-                estimate.device_power_w <= self.max_device_power_w)
-
-    def describe(self) -> str:
-        return f"device power <= {self.max_device_power_w}W"
-
-
-@dataclass(frozen=True)
-class CostConstraint(Constraint):
-    """Ceiling on cloud resource usage (core-seconds per second)."""
-
-    max_cloud_cores: float
-
-    def __post_init__(self):
-        if self.max_cloud_cores < 0:
-            raise ValueError("cost bound must be non-negative")
-
-    def satisfied_by(self, estimate: PlanEstimate) -> bool:
-        return (estimate.feasible and
-                estimate.cloud_core_demand <= self.max_cloud_cores)
-
-    def describe(self) -> str:
-        return f"cloud cores <= {self.max_cloud_cores}"
-
-
-@dataclass(frozen=True)
-class ThroughputConstraint(Constraint):
-    min_throughput_hz: float
-
-    def __post_init__(self):
-        if self.min_throughput_hz <= 0:
-            raise ValueError("throughput bound must be positive")
-
-    def satisfied_by(self, estimate: PlanEstimate) -> bool:
-        return (estimate.feasible and
-                estimate.throughput_hz >= self.min_throughput_hz)
-
-    def describe(self) -> str:
-        return f"throughput >= {self.min_throughput_hz}/s"

@@ -1,10 +1,12 @@
 """DSL relationship operations and optional management directives.
 
-Paper Listing 1 (relationships): ``Parallel``, ``Overlap``, ``Serial``,
-``Synchronize``. Paper Listing 2 (management): ``Schedule``, ``Isolate``,
-``Place``, ``Restore``, ``Learn``, ``Persist``. Implemented as small helper
-functions/records that annotate a :class:`~repro.dsl.ast.TaskGraph`; the
-compiler and the HiveMind controller consume the annotations.
+Paper Listing 1 (relationships): ``Parallel``, ``Serial``,
+``Synchronize``. Paper Listing 2 (management): ``Place``, ``Learn``,
+``Persist``. Implemented as small helper functions/records that annotate
+a :class:`~repro.dsl.ast.TaskGraph`; the compiler, the runners and the
+serverless gateways consume the annotations. The paper's ``Overlap``,
+``Schedule``, ``Isolate`` and ``Restore`` are not modelled: no component
+acts on what they would record.
 """
 
 from __future__ import annotations
@@ -17,13 +19,9 @@ from .ast import Task, TaskGraph
 __all__ = [
     "Parallel",
     "Serial",
-    "Overlap",
     "Synchronize",
     "DirectiveSet",
-    "Schedule",
-    "Isolate",
     "Place",
-    "Restore",
     "Learn",
     "Persist",
 ]
@@ -55,12 +53,6 @@ def Serial(graph: TaskGraph, task_a: str, task_b: str) -> None:
     graph.serial_pairs.append((task_a, task_b))
 
 
-def Overlap(graph: TaskGraph, task_a: str, task_b: str) -> None:
-    """Declare that two tasks may partially overlap."""
-    _require_tasks(graph, task_a, task_b)
-    graph.overlap_pairs.append((task_a, task_b))
-
-
 def Synchronize(graph: TaskGraph, task: str, condition: str) -> None:
     """Install a synchronization barrier on a task (e.g. 'all' devices
     must deliver before the task runs — Scenario B's deduplication)."""
@@ -74,34 +66,14 @@ def Synchronize(graph: TaskGraph, task: str, condition: str) -> None:
 class DirectiveSet:
     """Per-application management directives (paper Listing 2)."""
 
-    #: task -> scheduling priority (lower = more urgent).
-    priorities: Dict[str, int] = field(default_factory=dict)
-    #: tasks requiring a dedicated container (no colocation).
-    isolated: List[str] = field(default_factory=list)
     #: task -> fixed tier ("edge" / "cloud"), optionally scoped
     #: ("edge:all" pins every device's instance).
     placements: Dict[str, str] = field(default_factory=dict)
-    #: task -> fault-tolerance policy name.
-    restore_policies: Dict[str, str] = field(default_factory=dict)
     #: task -> learning scope: "global" (swarm-wide), "local" (one
     #: device), or "off".
     learning: Dict[str, str] = field(default_factory=dict)
     #: tasks whose outputs go to persistent storage.
     persisted: List[str] = field(default_factory=list)
-
-
-def Schedule(directives: DirectiveSet, graph: TaskGraph, task: str,
-             priority: int = 0) -> None:
-    """Attach a scheduling constraint / priority to a task."""
-    _require_tasks(graph, task)
-    directives.priorities[task] = priority
-
-
-def Isolate(directives: DirectiveSet, graph: TaskGraph, task: str) -> None:
-    """Require a dedicated container for a task."""
-    _require_tasks(graph, task)
-    if task not in directives.isolated:
-        directives.isolated.append(task)
 
 
 def Place(directives: DirectiveSet, graph: TaskGraph, task: str,
@@ -112,16 +84,6 @@ def Place(directives: DirectiveSet, graph: TaskGraph, task: str,
     if tier not in ("edge", "cloud"):
         raise ValueError(f"unknown placement {where!r}")
     directives.placements[task] = tier
-
-
-def Restore(directives: DirectiveSet, graph: TaskGraph, task: str,
-            policy: str = "repartition") -> None:
-    """Select the fault-tolerance policy applied when a device running
-    this task fails."""
-    _require_tasks(graph, task)
-    if policy not in ("repartition", "respawn", "ignore"):
-        raise ValueError(f"unknown restore policy {policy!r}")
-    directives.restore_policies[task] = policy
 
 
 def Learn(directives: DirectiveSet, graph: TaskGraph, task: str,

@@ -75,10 +75,6 @@ def validate_graph(graph: TaskGraph,
             if profile.cloud_only and tier == "edge":
                 raise ValidationError(
                     f"task {task_name!r} is cloud-only but placed at edge")
-        for task_name in directives.isolated:
-            if task_name not in graph:
-                raise ValidationError(
-                    f"Isolate references unknown task {task_name!r}")
 
     # Synchronization points must sit on join nodes or be trivially
     # satisfiable; a barrier on a root is almost surely a mistake.

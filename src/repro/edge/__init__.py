@@ -5,7 +5,7 @@ from .device import EdgeDevice
 from .drone import Drone
 from .field import FieldWorld, Person
 from .sensors import Camera, FrameBatch, SensorReading, SensorSuite
-from .swarm import Swarm, build_drone_swarm
+from .swarm import Swarm
 from .engine import SwarmEngine
 
 __all__ = [
@@ -20,5 +20,4 @@ __all__ = [
     "SensorReading",
     "SensorSuite",
     "Swarm",
-    "build_drone_swarm",
 ]

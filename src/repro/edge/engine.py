@@ -1,4 +1,4 @@
-"""Vectorized swarm stepping: array-backed flight state, batched ticks.
+"""Batched swarm stepping: one action heap, one kernel wake per instant.
 
 The flight model is 1-second ticks along straight legs with a turn
 penalty between legs. Run as one generator process per drone, it pushes
@@ -9,9 +9,9 @@ O(1) of actual work each.
 
 :class:`SwarmEngine` runs the same model off a single action heap:
 
-- Device kinematics (position, leg target, speed) live in numpy arrays
-  indexed by flight slot; each engine *wake* advances every device due at
-  that instant with one batch of array ops.
+- Each engine *wake* lands every device due at that instant, then steps
+  each survivor with the one scalar kinematics helper,
+  :func:`_step_toward`, that every leg start, tick and analytic leg uses.
 - One kernel event is armed per **distinct** due instant, not per device:
   a synchronized 256-drone cohort costs one wake instead of 256 timeout
   dispatches.
@@ -29,11 +29,10 @@ from the retired per-tick path (``tests/edge/test_engine_parity.py``):
 positions, timings, batch counts, energy ledgers and full scenario rows.
 The engine holds them by
 
-1. replaying the exact scalar arithmetic of the tick loop — numpy's
-   elementwise ``+ - * / sqrt minimum`` on float64 are the same correctly
-   rounded IEEE-754 operations as Python's scalar float math, so the
-   vector and scalar cohort paths produce identical bits (leg distances
-   are ``sqrt(dx*dx + dy*dy)``, not ``math.hypot``, for the same reason);
+1. replaying the exact scalar arithmetic of the tick loop in
+   :func:`_step_toward`: the same float expressions in the same order
+   (leg distances are ``sqrt(dx*dx + dy*dy)``, not ``math.hypot``, which
+   rounds differently);
 2. assigning every armed action a monotone sequence number at arm time —
    the engine-internal mirror of the kernel's event id — and dispatching
    same-instant actions in sequence order, which reproduces per-process
@@ -56,8 +55,6 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
 from ..sim import Environment
 from ..sim.accounting import tally
 from .. import obs
@@ -75,19 +72,33 @@ BatchCallback = Callable[[FrameBatch], None]
 #: is the landing of an analytic leg.
 _TICK, _TURN, _SETTLE = 0, 1, 2
 
-#: Cohorts at least this large take the numpy path; smaller ones use the
-#: scalar loop (identical IEEE-754 results, less fixed overhead).
-_VECTOR_MIN = 8
-
 #: Distance below which a leg counts as complete.
 _EPS = 1e-9
+
+
+def _step_toward(position: Point, target: Point, speed: float):
+    """One tick of flight from ``position`` toward ``target``.
+
+    Returns ``(step_s, x, y)``: the tick's duration and the position it
+    lands on, or ``None`` when the leg is already complete.
+    """
+    px, py = position
+    dx = target[0] - px
+    dy = target[1] - py
+    dist = math.sqrt(dx * dx + dy * dy)
+    if dist < _EPS:
+        return None
+    step_s = min(1.0, dist / speed)
+    step_m = speed * step_s
+    frac = min(1.0, step_m / dist)
+    return step_s, px + frac * dx, py + frac * dy
 
 
 class _Flight:
     """Mutable per-route state for one device flown by the engine."""
 
     __slots__ = ("drone", "world", "on_batch", "capture", "waypoints",
-                 "wp_index", "event", "batches", "slot", "pending_s", "gen",
+                 "wp_index", "target", "event", "batches", "pending_s", "gen",
                  "leg_steps", "leg_arrivals", "leg_positions",
                  "trace", "leg_started")
 
@@ -100,9 +111,10 @@ class _Flight:
         self.capture = capture
         self.waypoints = waypoints
         self.wp_index = 0
+        #: Waypoint the current leg flies toward.
+        self.target = waypoints[0]
         self.event = event
         self.batches = 0
-        self.slot = -1
         #: Duration of the step currently in flight (armed as a _TICK).
         self.pending_s = 0.0
         #: Generation counter; bumping it invalidates armed actions that
@@ -120,7 +132,7 @@ class _Flight:
 
 
 class SwarmEngine:
-    """Array-backed swarm stepper sharing one action heap per environment."""
+    """Swarm stepper sharing one action heap per environment."""
 
     def __init__(self, env: Environment):
         self.env = env
@@ -131,14 +143,6 @@ class SwarmEngine:
         self._seq = count()
         #: Absolute instants that already have a kernel wake scheduled.
         self._armed = set()
-        # Flight-slot arrays: position, leg target, cruise speed.
-        capacity = 16
-        self._px = np.zeros(capacity)
-        self._py = np.zeros(capacity)
-        self._tx = np.zeros(capacity)
-        self._ty = np.zeros(capacity)
-        self._speed = np.zeros(capacity)
-        self._free = list(range(capacity - 1, -1, -1))
         # Telemetry for the benchmark harness.
         self.wakes = 0
         self.actions_run = 0
@@ -165,24 +169,9 @@ class SwarmEngine:
         flight.trace = obs.root_span("flight", "edge", self.env.now,
                                      device=drone.device_id,
                                      waypoints=len(waypoints))
-        flight.slot = self._alloc_slot()
         drone.position = waypoints[0]
-        self._px[flight.slot], self._py[flight.slot] = waypoints[0]
-        self._speed[flight.slot] = drone.speed_mps
         self._next_leg(flight)
         return event
-
-    # -- slots ------------------------------------------------------------
-    def _alloc_slot(self) -> int:
-        if not self._free:
-            old = len(self._px)
-            new = old * 2
-            for name in ("_px", "_py", "_tx", "_ty", "_speed"):
-                grown = np.zeros(new)
-                grown[:old] = getattr(self, name)
-                setattr(self, name, grown)
-            self._free.extend(range(new - 1, old - 1, -1))
-        return self._free.pop()
 
     # -- scheduling ----------------------------------------------------------
     def _arm(self, delay: float, kind: int, payload, gen: int) -> None:
@@ -233,11 +222,10 @@ class SwarmEngine:
     def _tick_cohort(self, flights: List[_Flight]) -> None:
         """Land the in-flight step of every due flight, then arm the next.
 
-        Phase 1 runs the per-tick landing sequence per device, in
-        arm order: motion accounting, world clock, capture + callback.
-        Phase 2 computes every survivor's next step in one batch of array
-        ops, then applies results (or leg-boundary handling) per device,
-        again in arm order.
+        Phase 1 runs the per-tick landing sequence per device, in arm
+        order: motion accounting, world clock, capture + callback. Phase 2
+        then steps every survivor (or handles its leg boundary), again in
+        arm order.
         """
         env = self.env
         now = env.now
@@ -253,64 +241,25 @@ class SwarmEngine:
                 flight.batches += 1
                 if flight.on_batch is not None:
                     flight.on_batch(batch)
-        live = [flight for flight in flights if flight.drone.alive]
-        vector = len(live) >= _VECTOR_MIN
-        if vector:
-            idx = np.array([flight.slot for flight in live], dtype=np.intp)
-            px = self._px[idx]
-            py = self._py[idx]
-            dx = self._tx[idx] - px
-            dy = self._ty[idx] - py
-            dist = np.sqrt(dx * dx + dy * dy)
-            done = dist < _EPS
-            speed = self._speed[idx]
-            step_s = np.minimum(1.0, dist / speed)
-            step_m = speed * step_s
-            # Done lanes never read their fraction; keep them finite.
-            frac = np.minimum(1.0, step_m / np.where(done, 1.0, dist))
-            new_x = px + frac * dx
-            new_y = py + frac * dy
-        cursor = 0
         for flight in flights:
             if not flight.drone.alive:
                 # Legacy loop-top `while self.alive` break: the landed tick
                 # was accounted above, no turn follows, the route ends now.
                 self._complete(flight)
                 continue
-            if vector:
-                if done[cursor]:
-                    self._end_of_leg(flight)
-                else:
-                    self._advance_tick(flight, float(step_s[cursor]),
-                                       float(new_x[cursor]),
-                                       float(new_y[cursor]))
-                cursor += 1
+            drone = flight.drone
+            step = _step_toward(drone.position, flight.target,
+                                drone.speed_mps)
+            if step is None:
+                self._end_of_leg(flight)
             else:
-                self._step_or_finish(flight)
-
-    def _step_or_finish(self, flight: _Flight) -> None:
-        """Scalar twin of the vectorized phase-2 kinematics."""
-        drone = flight.drone
-        px, py = drone.position
-        dx = self._tx[flight.slot] - px
-        dy = self._ty[flight.slot] - py
-        dist = math.sqrt(dx * dx + dy * dy)
-        if dist < _EPS:
-            self._end_of_leg(flight)
-            return
-        speed = drone.speed_mps
-        step_s = min(1.0, dist / speed)
-        step_m = speed * step_s
-        frac = min(1.0, step_m / dist)
-        self._advance_tick(flight, step_s, px + frac * dx, py + frac * dy)
+                self._advance_tick(flight, *step)
 
     def _advance_tick(self, flight: _Flight, step_s: float,
                       new_x: float, new_y: float) -> None:
         # Position moves at arm time, before the wait, so a capture at
         # the landing instant sees the already-moved position.
         flight.drone.position = (new_x, new_y)
-        self._px[flight.slot] = new_x
-        self._py[flight.slot] = new_y
         flight.pending_s = step_s
         self._arm(step_s, _TICK, flight, flight.gen)
 
@@ -341,13 +290,9 @@ class SwarmEngine:
             if flight.wp_index >= len(waypoints) or not drone.alive:
                 self._complete(flight)
                 return
-            target = waypoints[flight.wp_index]
-            self._tx[flight.slot], self._ty[flight.slot] = target
-            px, py = drone.position
-            dx = target[0] - px
-            dy = target[1] - py
-            dist = math.sqrt(dx * dx + dy * dy)
-            if dist < _EPS:
+            target = flight.target = waypoints[flight.wp_index]
+            step = _step_toward(drone.position, target, drone.speed_mps)
+            if step is None:
                 # Zero-length leg: no tick, but the turn still applies.
                 turn = drone.constants.turn_time_s
                 if turn > 0:
@@ -357,12 +302,7 @@ class SwarmEngine:
             if not flight.capture and not drone.energy.strict:
                 self._start_analytic(flight, target)
                 return
-            speed = drone.speed_mps
-            step_s = min(1.0, dist / speed)
-            step_m = speed * step_s
-            frac = min(1.0, step_m / dist)
-            self._advance_tick(flight, step_s, px + frac * dx,
-                               py + frac * dy)
+            self._advance_tick(flight, *step)
             return
 
     # -- analytic legs -----------------------------------------------------
@@ -379,27 +319,21 @@ class SwarmEngine:
         """
         drone = flight.drone
         speed = drone.speed_mps
-        px, py = drone.position
-        tx, ty = target
+        position = drone.position
         t = self.env.now
         steps: List[float] = []
         arrivals: List[float] = []
         positions: List[Point] = []
         while True:
-            dx = tx - px
-            dy = ty - py
-            dist = math.sqrt(dx * dx + dy * dy)
-            if dist < _EPS:
+            step = _step_toward(position, target, speed)
+            if step is None:
                 break
-            step_s = min(1.0, dist / speed)
-            step_m = speed * step_s
-            frac = min(1.0, step_m / dist)
-            px = px + frac * dx
-            py = py + frac * dy
+            step_s, px, py = step
+            position = (px, py)
             t = t + step_s
             steps.append(step_s)
             arrivals.append(t)
-            positions.append((px, py))
+            positions.append(position)
         flight.leg_steps = steps
         flight.leg_arrivals = arrivals
         flight.leg_positions = positions
@@ -437,10 +371,7 @@ class SwarmEngine:
         for step_s in flight.leg_steps:
             drone.account_motion(step_s)
         flight.world.advance(self.env.now)
-        new_x, new_y = flight.leg_positions[-1]
-        drone.position = (new_x, new_y)
-        self._px[flight.slot] = new_x
-        self._py[flight.slot] = new_y
+        drone.position = flight.leg_positions[-1]
         flight.leg_steps = None
         flight.leg_arrivals = None
         flight.leg_positions = None
@@ -453,6 +384,5 @@ class SwarmEngine:
     def _complete(self, flight: _Flight) -> None:
         flight.gen += 1
         flight.drone._fail_hook = None
-        self._free.append(flight.slot)
         flight.trace.close(self.env.now, batches=flight.batches)
         flight.event.succeed(flight.batches)

@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..analytical import lognormal_percentile, mmc_wait_time
+from ..analytical import mmc_wait_time
 from ..apps.scenarios import ScenarioSpec
 from ..config import DEFAULT, PaperConstants
 from ..routing import coverage_route

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from ..config import ControlConstants, PaperConstants
+from ..config import ControlConstants
 from ..routing import Region, partition_field
-from ..sim import Environment, RandomStreams
+from ..sim import Environment
 from .device import EdgeDevice
-from .drone import Drone
 
-__all__ = ["Swarm", "build_drone_swarm"]
+__all__ = ["Swarm"]
 
 
 class Swarm:
@@ -69,19 +68,3 @@ class Swarm:
             device.fail()
 
         self.env.process(killer())
-
-
-def build_drone_swarm(env: Environment, constants: PaperConstants,
-                      streams: RandomStreams,
-                      strict_battery: bool = False,
-                      frame_mb: Optional[float] = None,
-                      fps: Optional[float] = None) -> Swarm:
-    """Build the drone swarm described by ``constants``."""
-    drones = [
-        Drone(env, f"drone{i:04d}", constants.drone,
-              rng=streams.stream(f"edge.drone{i}"),
-              strict_battery=strict_battery,
-              frame_mb=frame_mb, fps=fps)
-        for i in range(constants.drone.count)
-    ]
-    return Swarm(env, drones, control=constants.control)

@@ -19,7 +19,10 @@ import pstats
 import sys
 
 from .. import obs
-from ..sim.flags import FLAGS
+from ..apps import app
+from ..faults import WorkerFaultPlan, named_plan
+from ..sim.flags import FLAGS, resolve
+from .chaos import worker_lanes
 from .common import ExperimentResult
 from .registry import EXPERIMENTS, experiment_ids, run_experiment
 
@@ -48,6 +51,33 @@ def _add_flag(parser, flag) -> None:
             flag.option, dest=flag.key, metavar=flag.metavar,
             type={"count": int, "duration": float}.get(flag.kind, str),
             help=f"{flag.help} (sets {flag.env}={flag.metavar})")
+
+
+def _names(text):
+    """A comma-separated option value as a list; ``None`` if not given."""
+    if text is None:
+        return None
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _check_inputs(args) -> None:
+    """Resolve every option value that can be malformed, before anything
+    runs; raises the ``ValueError`` the API raises for the same value."""
+    for flag in FLAGS.values():
+        value = getattr(args, flag.key, None)
+        if value is not None:
+            try:
+                resolve(flag.env, value)
+            except ValueError as error:
+                raise ValueError(
+                    f"{flag.option} {value}: {error}") from None
+    if args.chaos_workers:
+        WorkerFaultPlan.parse(args.chaos_workers)
+    for key in args.scenarios or ():
+        app(key)
+    for name in args.plans or ():
+        named_plan(name, duration_s=1.0)  # any horizon: checks the name
+    worker_lanes(args.lanes)
 
 
 def main(argv=None) -> int:
@@ -107,6 +137,13 @@ def main(argv=None) -> int:
     if args.figure not in (None, "all") and args.figure not in EXPERIMENTS:
         parser.error(f"unknown figure id {args.figure!r} "
                      f"(see --list for the valid ids)")
+    args.scenarios = _names(args.scenarios)
+    args.plans = _names(args.plans)
+    args.lanes = _names(args.lanes)
+    try:
+        _check_inputs(args)
+    except ValueError as error:
+        parser.error(str(error))
 
     if args.trace_out:
         args.trace = True
@@ -158,11 +195,9 @@ def _dispatch_chaos_workers(args) -> int:
 
     options = {"base_seed": args.seed}
     if args.scenarios:
-        options["scenarios"] = [
-            key.strip() for key in args.scenarios.split(",") if key]
+        options["scenarios"] = args.scenarios
     if args.lanes:
-        options["lanes"] = [
-            name.strip() for name in args.lanes.split(",") if name]
+        options["lanes"] = args.lanes
     if args.chaos_workers:  # non-empty SPEC overrides the lane defaults
         options["faults"] = args.chaos_workers
     if args.worker_deadline is not None:
@@ -206,14 +241,12 @@ def _dispatch(args) -> int:
         return _dispatch_chaos_workers(args)
 
     if args.chaos:
-        from .chaos import DEFAULT_SCENARIOS, run as run_chaos
+        from .chaos import run as run_chaos
         options = {"base_seed": args.seed}
         if args.scenarios:
-            options["scenarios"] = [
-                key.strip() for key in args.scenarios.split(",") if key]
+            options["scenarios"] = args.scenarios
         if args.plans:
-            options["plans"] = [
-                name.strip() for name in args.plans.split(",") if name]
+            options["plans"] = args.plans
         result = run_chaos(**options)
         print(result.render())
         if args.csv:

@@ -38,7 +38,8 @@ from ..sim.shard import run_sharded
 from .common import ExperimentResult
 
 __all__ = ["run", "run_pair", "run_workers", "run_worker_lane",
-           "DEFAULT_SCENARIOS", "WORKER_LANES", "DEFAULT_WORKER_FAULTS"]
+           "worker_lanes", "DEFAULT_SCENARIOS", "WORKER_LANES",
+           "DEFAULT_WORKER_FAULTS"]
 
 #: The scenario sweep the issue's acceptance criteria name (S1-S3).
 DEFAULT_SCENARIOS = ("S1", "S2", "S3")
@@ -221,6 +222,18 @@ def run_worker_lane(app_key: str, lane: str, seed: int = 0,
     }
 
 
+def worker_lanes(lanes: Optional[Sequence[str]] = None) -> List[str]:
+    """The worker-chaos lanes to run, every lane by default; raises
+    ``ValueError`` naming any unknown one."""
+    lane_keys = list(lanes) if lanes else list(WORKER_LANES)
+    unknown = [key for key in lane_keys if key not in WORKER_LANES]
+    if unknown:
+        raise ValueError(
+            f"unknown worker-chaos lane(s) {unknown}; "
+            f"valid: {sorted(WORKER_LANES)}")
+    return lane_keys
+
+
 def run_workers(base_seed: int = 0,
                 scenarios: Sequence[str] = ("S1",),
                 lanes: Optional[Sequence[str]] = None,
@@ -233,12 +246,7 @@ def run_workers(base_seed: int = 0,
     spawned at all — there is no real process to kill there, and the
     supervised runtime already degrades to in-process execution.
     """
-    lane_keys = list(lanes) if lanes else list(WORKER_LANES)
-    unknown = [key for key in lane_keys if key not in WORKER_LANES]
-    if unknown:
-        raise KeyError(
-            f"unknown worker-chaos lane(s) {unknown}; "
-            f"valid: {sorted(WORKER_LANES)}")
+    lane_keys = worker_lanes(lanes)
     if faults:
         WorkerFaultPlan.parse(faults)  # reject a bad spec before any run
     skipped = not supervisor.can_spawn_workers()

@@ -11,14 +11,13 @@ the full harness runnable in minutes; pass ``repeats=...`` for more.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..telemetry import render_table
-from .parallel import run_replicas
 
-__all__ = ["ExperimentResult", "mean_over_seeds", "summarize_runs"]
+__all__ = ["ExperimentResult", "mean_over_seeds"]
 
 
 @dataclass
@@ -65,19 +64,3 @@ def mean_over_seeds(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("no values")
     return float(np.mean(values))
-
-
-def summarize_runs(run_factory: Callable[[int], Any],
-                   repeats: int, base_seed: int = 0,
-                   max_workers: Optional[int] = None) -> List[Any]:
-    """Run ``repeats`` replicas with distinct seeds, replica order kept.
-
-    Replicas fan out over a process pool when ``run_factory`` is picklable
-    (module-level functions — closures fall back to in-process execution);
-    the seed schedule and result order are identical either way.
-    """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
-    return [task.value for task in
-            run_replicas(run_factory, repeats, base_seed,
-                         max_workers=max_workers)]

@@ -48,6 +48,7 @@ from ..serverless.region import RegionGateway
 from ..serving import (AutoscaleConfig, ServingConfig, ServingPolicy,
                        TenantSpec, emit_serving_spans,
                        generate_serving_calls)
+from ..serving.autoscale import reaction_s
 from .common import ExperimentResult
 
 __all__ = ["run", "SERVING_SERVERS", "SERVING_CORES",
@@ -179,14 +180,9 @@ def run(base_seed: int = 0, duration_s: float = 60.0,
                                 f"flash-{lane_key}")
         reaction = None
         if armed:
-            events = (policy_lane["stats"].get("autoscale") or {})
-            for event in events.get("events", ()):
-                if (event["direction"] == "out"
-                        and event["decided_s"]
-                        >= flash_tenant.burst_start_s):
-                    reaction = (event["ready_s"]
-                                - flash_tenant.burst_start_s)
-                    break
+            autoscale = policy_lane["stats"].get("autoscale") or {}
+            reaction = reaction_s(autoscale.get("events", ()),
+                                  flash_tenant.burst_start_s)
         policy_lane["reaction_s"] = reaction
         flash[lane_key] = policy_lane
         rows.append([

@@ -7,8 +7,7 @@ its own seed. This module fans those cells out over a
 **bit-identical** to a serial run:
 
 - Seeds are assigned up front by *replica index* (``base_seed + 1000 *
-  index``, the same schedule :func:`repro.experiments.common.summarize_runs`
-  has always used), never by completion order.
+  index``, :func:`replica_seeds`), never by completion order.
 - Results are returned ordered by task index, regardless of which worker
   finished first.
 - Each simulation builds its own :class:`~repro.sim.RandomStreams` from its
@@ -47,7 +46,6 @@ __all__ = [
     "pool_degradations",
     "replica_seeds",
     "run_tasks",
-    "run_replicas",
     "run_sweep",
     "total_events_consumed",
     "total_layer_counts",
@@ -324,16 +322,6 @@ def run_tasks(calls: Sequence[Call],
             if result.spans:
                 tracer.absorb(result.spans, replica=result.index)
     return results
-
-
-def run_replicas(fn: Callable[..., Any], repeats: int, base_seed: int = 0,
-                 max_workers: Optional[int] = None,
-                 args: Tuple = ()) -> List[TaskResult]:
-    """Run ``fn(seed, *args)`` once per replica seed, results in order."""
-    return run_tasks(
-        [(fn, (seed,) + tuple(args), {})
-         for seed in replica_seeds(repeats, base_seed)],
-        max_workers=max_workers)
 
 
 def run_sweep(fn: Callable[..., Any], cells: Sequence[Sequence[Any]],

@@ -6,6 +6,7 @@ import time
 from typing import Callable, Dict, List
 
 from . import (
+    ablation_mechanisms,
     chaos,
     fig01_treasure_hunt,
     fig03_network_overheads,
@@ -33,6 +34,10 @@ from .parallel import (pool_degradations, total_events_consumed,
 __all__ = ["EXPERIMENTS", "run_experiment", "experiment_ids"]
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
+    # Micro-ablations of single mechanisms (sections 4.3/4.6).
+    "ablation-colocation": ablation_mechanisms.run_colocation,
+    "ablation-keepalive": ablation_mechanisms.run_keepalive,
+    "ablation-straggler": ablation_mechanisms.run_straggler,
     "chaos": chaos.run,
     # Worker chaos: SIGKILL/hang real shard workers, assert byte-parity.
     "chaos-workers": chaos.run_workers,

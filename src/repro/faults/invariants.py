@@ -26,7 +26,7 @@ constructs one, preserving the byte-identical fault-free contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["InvariantChecker", "Violation"]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["FaultEvent", "FaultPlan", "PartitionedPlan", "named_plan",
            "plan_names", "region_count", "server_index"]
@@ -432,7 +432,8 @@ def named_plan(name: str, duration_s: float) -> FaultPlan:
     """Build one of the canonical plans, scaled to ``duration_s``."""
     builder = _NAMED.get(name)
     if builder is None:
-        raise KeyError(f"unknown fault plan {name!r}; valid: {plan_names()}")
+        raise ValueError(
+            f"unknown fault plan {name!r}; valid: {plan_names()}")
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     return builder(duration_s)

@@ -124,20 +124,6 @@ class WorkerFaultPlan:
     def spec(self) -> str:
         return ",".join(fault.spec() for fault in self.faults)
 
-    # -- composition (immutable append) --------------------------------
-    def kill(self, scope: str, worker: int, op: int) -> "WorkerFaultPlan":
-        return WorkerFaultPlan(self.faults + (
-            WorkerFault("kill", scope, worker, op),))
-
-    def hang(self, scope: str, worker: int, op: int) -> "WorkerFaultPlan":
-        return WorkerFaultPlan(self.faults + (
-            WorkerFault("hang", scope, worker, op),))
-
-    def slow(self, scope: str, worker: int, op: int,
-             delay_s: float = DEFAULT_SLOW_S) -> "WorkerFaultPlan":
-        return WorkerFaultPlan(self.faults + (
-            WorkerFault("slow", scope, worker, op, delay_s),))
-
     # -- routing --------------------------------------------------------
     def kill_ops(self, scope: str, worker: int) -> FrozenSet[int]:
         """Driver-side kill schedule for one worker."""

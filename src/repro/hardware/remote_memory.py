@@ -86,14 +86,6 @@ class RemoteMemoryFabric:
     def exists(self, handle: str) -> bool:
         return handle in self._objects
 
-    def home_of(self, handle: str) -> str:
-        """Controller-side lookup (section 4.4: physical placement is known
-        by the centralized controller, not by the functions)."""
-        obj = self._objects.get(handle)
-        if obj is None:
-            raise KeyError(f"unknown remote-memory handle {handle!r}")
-        return obj.home_server
-
     def evict(self, handle: str) -> None:
         self._objects.pop(handle, None)
 

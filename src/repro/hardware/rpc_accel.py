@@ -1,17 +1,16 @@
-"""FPGA RPC offload (paper section 4.5).
+"""FPGA RPC offload (paper section 4.5), on edge-facing traffic.
 
 The entire RPC stack runs on the FPGA NIC; the UPI interconnect exposes the
-FPGA to the host as another NUMA node with zero-copy buffers. The paper
-reports 2.1 us round trips between servers on the same ToR and 12.4 Mrps from
-a single CPU core for 64 B RPCs — those two numbers anchor this model.
-
-:class:`AcceleratedClusterRpc` mirrors :class:`~repro.network.rpc.
-SoftwareClusterRpc`'s interface so the serverless layer can swap stacks.
+FPGA to the host as another NUMA node with zero-copy buffers.
 :class:`AcceleratedEdgeRpc` applies the offload to edge-facing traffic: the
 radio still bounds throughput (the FPGA cannot speed up air time), but all
 host-side packet processing leaves the CPU, shrinking the per-call processing
 and its latency variance — the "22 % lower latency on average" the car swarm
 sees from network acceleration.
+
+The server-to-server side of the fabric (the paper's 2.1 us round trips and
+12.4 Mrps per core for 64 B RPCs) is not modelled: no platform routes a
+cluster-internal RPC through it.
 """
 
 from __future__ import annotations
@@ -21,62 +20,9 @@ from typing import Generator, Optional
 from ..config import AccelerationConstants
 from ..network.rpc import EdgeCloudRpc, RpcResult
 from ..network.wireless import WirelessNetwork
-from ..sim import Environment, Resource
+from ..sim import Environment
 
-__all__ = ["AcceleratedClusterRpc", "AcceleratedEdgeRpc", "RpcServerPool"]
-
-
-class RpcServerPool:
-    """Throughput guard: one offload engine sustains ``mrps`` requests/s."""
-
-    def __init__(self, env: Environment, mrps: float):
-        if mrps <= 0:
-            raise ValueError("throughput must be positive")
-        self.env = env
-        self.service_s = 1.0 / (mrps * 1e6)
-        self._engine = Resource(env, capacity=1)
-
-    def admit(self) -> Generator:
-        """Process: occupy the engine for one request slot."""
-        with self._engine.request() as grant:
-            yield grant
-            yield self.env.timeout(self.service_s)
-
-
-class AcceleratedClusterRpc:
-    """Server-to-server RPCs terminated on the FPGA NIC."""
-
-    def __init__(self, env: Environment,
-                 constants: Optional[AccelerationConstants] = None):
-        self.env = env
-        self.constants = constants or AccelerationConstants()
-        self._pool = RpcServerPool(env, self.constants.accel_mrps)
-        self.calls = 0
-
-    @property
-    def per_call_cpu_s(self) -> float:
-        """Residual host-CPU cost per RPC (most is offloaded)."""
-        return self.constants.residual_cpu_fraction * 2 * 45e-6
-
-    def call(self, src: str, dst: str, request_mb: float,
-             response_mb: float) -> Generator:
-        """Process: accelerated request/response; returns RpcResult."""
-        start = self.env.now
-        yield from self._pool.admit()
-        wire_s = (self.constants.accel_rtt_s +
-                  (request_mb + response_mb) / self.constants.accel_bandwidth_mbs)
-        if src != dst:
-            yield self.env.timeout(wire_s)
-        else:
-            wire_s = 0.0
-        self.calls += 1
-        return RpcResult(
-            total_s=self.env.now - start,
-            wire_s=wire_s,
-            processing_s=self.per_call_cpu_s,
-            request_mb=request_mb,
-            response_mb=response_mb,
-        )
+__all__ = ["AcceleratedEdgeRpc"]
 
 
 class AcceleratedEdgeRpc(EdgeCloudRpc):

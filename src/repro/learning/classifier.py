@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -139,10 +139,6 @@ class DeduplicationEngine:
         self._sums.append(embedding.copy())
         self._counts.append(1)
         return len(self._sums) - 1
-
-    def add_all(self, embeddings: Sequence[np.ndarray]) -> None:
-        for embedding in embeddings:
-            self.add(embedding)
 
     @property
     def unique_count(self) -> int:

@@ -57,26 +57,9 @@ class IdentitySpace:
                                  size=self.dim)
         return self.centroids[identity] + noise
 
-    def clutter(self, scale: float = 1.0) -> np.ndarray:
-        """A background (non-identity) embedding — clutter the recognizer
-        may wrongly match (false-positive source)."""
-        vector = self._rng.normal(size=self.dim)
-        return scale * vector / np.linalg.norm(vector)
-
     def confusable(self, noise_sigma: float = 1.05) -> np.ndarray:
         """Background that *resembles* a random identity (a pale stone in
         a tennis-ball search): far enough that a well-trained model
         rejects it, close enough that a poorly trained one may not."""
         identity = int(self._rng.integers(len(self.centroids)))
         return self.observe(identity, noise_sigma)
-
-    def min_centroid_separation(self) -> float:
-        """Smallest pairwise distance between identities (task hardness)."""
-        ids = self.identities
-        best = float("inf")
-        for index, a in enumerate(ids):
-            for b in ids[index + 1:]:
-                distance = float(np.linalg.norm(
-                    self.centroids[a] - self.centroids[b]))
-                best = min(best, distance)
-        return best

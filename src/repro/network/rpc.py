@@ -4,11 +4,11 @@ Two RPC paths exist in the paper's system:
 
 - **Edge <-> cloud** (Apache Thrift over TCP/IP over WiFi): sensor payloads
   up, responses/route updates down. Modeled by :class:`EdgeCloudRpc`.
-- **Server <-> server** inside the cluster: either the kernel TCP/IP stack
-  (:class:`SoftwareClusterRpc`, ~tens of microseconds of per-RPC CPU cost)
-  or HiveMind's FPGA offload (see :mod:`repro.hardware.rpc_accel`, 2.1 us
-  RTT). Both expose the same ``call`` coroutine so the serverless layer can
-  swap them.
+- **Server <-> server** inside the cluster: the kernel TCP/IP stack
+  (:class:`SoftwareClusterRpc`, ~tens of microseconds of per-RPC CPU cost).
+  HiveMind's FPGA offload of this path (2.1 us RTT) is not modelled; the
+  offload is modelled on the edge-facing path only
+  (:mod:`repro.hardware.rpc_accel`).
 
 A call returns :class:`RpcResult` with the wall-clock split the breakdown
 accounting needs (wire vs. per-call processing).

@@ -126,12 +126,6 @@ class WirelessNetwork:
         self._assignment[device_id] = ap
         return ap
 
-    def access_point_of(self, device_id: str) -> AccessPoint:
-        ap = self._assignment.get(device_id)
-        if ap is None:
-            raise KeyError(f"device {device_id!r} is not attached")
-        return ap
-
     def upload(self, device_id: str, megabytes: float,
                extra_delay_s: float = 0.0, trace=None) -> Generator:
         """Process: send ``megabytes`` from device to the cloud edge."""
@@ -167,10 +161,6 @@ class WirelessNetwork:
                                  extra_delay_s=self.constants.base_rtt_s,
                                  trace=trace)
         return self.env.now - start
-
-    @property
-    def total_capacity_mbs(self) -> float:
-        return self.constants.total_mbs
 
     def utilization(self, horizon_s: float) -> float:
         """Mean uplink busy fraction across access points."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
 
 from .span import Span
 

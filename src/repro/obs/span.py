@@ -26,7 +26,7 @@ byte-identical to a build without this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Span", "SpanTracer", "TraceContext", "NullTraceContext",

@@ -9,7 +9,7 @@ the simulation can charge per-step compute and movement.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -119,14 +119,3 @@ class WallFollower:
                 self.trail.append(self.position)
                 return self.position
         raise RuntimeError("unreachable: no direction chosen")
-
-    def solve(self, max_steps: Optional[int] = None) -> List[Cell]:
-        """Walk until the goal; returns the trail."""
-        limit = max_steps if max_steps is not None else \
-            4 * self.maze.width * self.maze.height
-        while not self.done:
-            if self.steps >= limit:
-                raise RuntimeError(
-                    f"wall follower exceeded {limit} steps")
-            self.step()
-        return self.trail

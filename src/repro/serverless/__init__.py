@@ -7,7 +7,6 @@ from .datasharing import (
     InMemorySharing,
     RemoteMemorySharing,
     RpcSharing,
-    SharingProtocol,
 )
 from .function import FunctionSpec, Invocation, InvocationRequest
 from .invoker import ActivationCancelled, Invoker
@@ -32,7 +31,6 @@ __all__ = [
     "OpenWhiskPlatform",
     "RegionGateway",
     "region_server_count",
-    "SharingProtocol",
     "CouchDBSharing",
     "RpcSharing",
     "InMemorySharing",

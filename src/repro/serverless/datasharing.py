@@ -19,8 +19,7 @@ charges to the invocation's ``data_io`` component.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Protocol
-
+from typing import Generator, Optional
 
 from ..config import ServerlessConstants
 from ..hardware.remote_memory import RemoteMemoryFabric
@@ -29,23 +28,11 @@ from ..sim import Environment
 from .couchdb import CouchDB
 
 __all__ = [
-    "SharingProtocol",
     "CouchDBSharing",
     "RpcSharing",
     "InMemorySharing",
     "RemoteMemorySharing",
 ]
-
-
-class SharingProtocol(Protocol):
-    """Common interface: move ``megabytes`` from parent to child."""
-
-    name: str
-
-    def share(self, src_server: str, dst_server: str,
-              megabytes: float) -> Generator:
-        """Process returning the seconds the exchange took."""
-        ...
 
 
 class CouchDBSharing:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .container import FunctionContainer
-from .function import Invocation, InvocationRequest
+from .function import InvocationRequest
 from .invoker import Invoker
 
 __all__ = ["Placement", "OpenWhiskScheduler", "HiveMindScheduler"]

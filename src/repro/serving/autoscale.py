@@ -34,9 +34,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["AutoscaleConfig", "ScaleEvent", "InvokerAutoscaler"]
+__all__ = ["AutoscaleConfig", "ScaleEvent", "InvokerAutoscaler",
+           "reaction_s"]
 
 #: Scale-event retention shipped across worker pipes (a run makes a
 #: handful; the cap is a backstop, and hitting it is counted).
@@ -166,14 +167,6 @@ class InvokerAutoscaler:
             self._low_since = None
         return False
 
-    def reaction_s(self, burst_start_s: float) -> Optional[float]:
-        """Time from a burst onset to the first post-onset scale-out
-        capacity coming online, or ``None`` if none fired."""
-        for event in self.events:
-            if event.direction == "out" and event.decided_s >= burst_start_s:
-                return event.ready_s - burst_start_s
-        return None
-
     def stats(self) -> Dict[str, object]:
         outs = [e for e in self.events if e.direction == "out"]
         ins = [e for e in self.events if e.direction == "in"]
@@ -187,3 +180,15 @@ class InvokerAutoscaler:
             "dropped_events": self.dropped_events,
             "events": [e.to_dict() for e in self.events],
         }
+
+
+def reaction_s(events: Sequence[Dict[str, object]],
+               burst_start_s: float) -> Optional[float]:
+    """Time from a burst onset to the first post-onset scale-out capacity
+    coming online, or ``None`` if none fired. ``events`` are the
+    ``stats()["events"]`` records of an :class:`InvokerAutoscaler`."""
+    for event in events:
+        if (event["direction"] == "out"
+                and event["decided_s"] >= burst_start_s):
+            return event["ready_s"] - burst_start_s
+    return None

@@ -41,9 +41,5 @@ class RandomStreams:
             f"{self.seed}:{name}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")
 
-    def fork(self, label: str) -> "RandomStreams":
-        """A child factory whose streams are disjoint from the parent's."""
-        return RandomStreams(self._derive(f"fork:{label}"))
-
     def __repr__(self) -> str:
         return f"RandomStreams(seed={self.seed})"

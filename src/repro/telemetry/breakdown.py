@@ -62,9 +62,6 @@ class LatencyBreakdown:
             return {name: 0.0 for name in COMPONENTS}
         return {name: getattr(self, name) / total for name in COMPONENTS}
 
-    def as_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in COMPONENTS}
-
     def __add__(self, other: "LatencyBreakdown") -> "LatencyBreakdown":
         return LatencyBreakdown(
             network=self.network + other.network,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -34,14 +34,6 @@ class DistributionSummary:
     p95: float
     p99: float
     maximum: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count, "mean": self.mean, "std": self.std,
-            "min": self.minimum, "p5": self.p5, "p25": self.p25,
-            "median": self.median, "p75": self.p75, "p90": self.p90,
-            "p95": self.p95, "p99": self.p99, "max": self.maximum,
-        }
 
 
 class MetricSeries:
@@ -218,21 +210,6 @@ class MetricSeries:
     def histogram(self, bins: int = 40) -> "tuple[np.ndarray, np.ndarray]":
         """(counts, edges) — the PDF data behind the paper's violin plots."""
         return np.histogram(self._require_samples(), bins=bins)
-
-    def windowed_counts(self, window_s: float,
-                        horizon_s: Optional[float] = None) -> np.ndarray:
-        """Samples per time window (used for active-task timelines)."""
-        times = self.times
-        times = times[~np.isnan(times)]
-        if times.size == 0:
-            return np.zeros(0)
-        end = horizon_s if horizon_s is not None else float(times.max())
-        n_windows = max(1, int(math.ceil(end / window_s)))
-        counts = np.zeros(n_windows)
-        indices = np.minimum((times / window_s).astype(int), n_windows - 1)
-        for index in indices:
-            counts[index] += 1
-        return counts
 
 
 def _column(samples: Iterable[float]) -> np.ndarray:

@@ -8,7 +8,6 @@ for one-shot costs. Consumed-battery percentages are what the paper plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 __all__ = ["EnergyAccount", "BatteryDepleted", "fleet_consumed_percent"]

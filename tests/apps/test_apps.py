@@ -12,7 +12,6 @@ from repro.apps import (
     AppSpec,
     all_apps,
     app,
-    car_scenario,
     scenario,
 )
 from repro.dsl import HiveMindCompiler, validate_graph
@@ -24,7 +23,7 @@ class TestSuite:
         assert list(SUITE) == [f"S{i}" for i in range(1, 11)]
 
     def test_unknown_app(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             app("S99")
 
     def test_app_lookup(self):
@@ -62,13 +61,6 @@ class TestSuite:
             spec.cloud_service_s, rel=0.15)
         assert all(s > 0 for s in samples)
 
-    def test_edge_service_scaling(self):
-        spec = SUITE["S1"]
-        assert spec.edge_service_for(1.0) == pytest.approx(8.0)
-        # A car (4/9 of the drone slowdown ratio) runs it faster.
-        assert spec.edge_service_for(1.0, 4.0 / 9.0) == \
-            pytest.approx(8.0 * 4.0 / 9.0)
-
     def test_function_specs_unique_images(self):
         images = {spec.function_spec().image for spec in all_apps()}
         assert len(images) == 10
@@ -96,7 +88,7 @@ class TestScenarios:
     def test_lookup(self):
         assert scenario("ScA") is SCENARIO_A
         assert scenario("ScB") is SCENARIO_B
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             scenario("ScC")
 
     def test_scenario_b_has_dedup(self):
@@ -130,12 +122,6 @@ class TestScenarios:
 
 
 class TestCarScenarios:
-    def test_lookup(self):
-        assert car_scenario("TreasureHunt") is TREASURE_HUNT
-        assert car_scenario("Maze") is CAR_MAZE
-        with pytest.raises(KeyError):
-            car_scenario("Rally")
-
     def test_treasure_hunt_uses_ocr(self):
         assert TREASURE_HUNT.perception is SUITE["S9"]
         assert TREASURE_HUNT.panels == 10

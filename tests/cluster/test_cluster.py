@@ -117,30 +117,6 @@ class TestCluster:
         with pytest.raises(KeyError):
             Cluster(env).server("ghost")
 
-    def test_least_loaded_prefers_idle(self, env):
-        cluster = Cluster(env, ClusterConstants(servers=2))
-
-        def occupy():
-            server = cluster.server("server0")
-            grant = yield env.process(server.acquire_cores(10))
-            yield env.timeout(100)
-            grant.release()
-
-        env.process(occupy())
-        env.run(until=1)
-        assert cluster.least_loaded().server_id == "server1"
-
-    def test_least_loaded_skips_probation(self, env):
-        cluster = Cluster(env, ClusterConstants(servers=2))
-        cluster.server("server0").put_on_probation(60)
-        assert cluster.least_loaded().server_id == "server1"
-
-    def test_least_loaded_all_on_probation_falls_back(self, env):
-        cluster = Cluster(env, ClusterConstants(servers=2))
-        for server in cluster.servers.values():
-            server.put_on_probation(60)
-        assert cluster.least_loaded() is not None
-
 
 class TestFixedPool:
     def test_validation(self, env):

@@ -4,15 +4,11 @@ import pytest
 
 from repro.dsl import (
     DirectiveSet,
-    Isolate,
     Learn,
-    Overlap,
     Parallel,
     Persist,
     Place,
     Placement,
-    Restore,
-    Schedule,
     Serial,
     Synchronize,
     SynthesisError,
@@ -145,30 +141,15 @@ class TestDirectives:
         with pytest.raises(ValueError):
             Learn(directives, graph, "faceRecognition", "sideways")
 
-    def test_restore_policies(self):
-        graph = scenario_b_graph()
-        directives = DirectiveSet()
-        Restore(directives, graph, "collectImage", "repartition")
-        with pytest.raises(ValueError):
-            Restore(directives, graph, "collectImage", "pray")
-
-    def test_persist_isolate_idempotent(self):
+    def test_persist_idempotent(self):
         graph = scenario_b_graph()
         directives = DirectiveSet()
         Persist(directives, graph, "deduplication")
         Persist(directives, graph, "deduplication")
-        Isolate(directives, graph, "deduplication")
-        Isolate(directives, graph, "deduplication")
         assert directives.persisted == ["deduplication"]
-        assert directives.isolated == ["deduplication"]
 
-    def test_schedule_and_overlap_and_sync(self):
+    def test_sync_needs_a_condition(self):
         graph = scenario_b_graph()
-        directives = DirectiveSet()
-        Schedule(directives, graph, "faceRecognition", priority=1)
-        Overlap(graph, "createRoute", "collectImage")
-        assert directives.priorities["faceRecognition"] == 1
-        assert ("createRoute", "collectImage") in graph.overlap_pairs
         with pytest.raises(ValueError):
             Synchronize(graph, "deduplication", "")
 
@@ -266,8 +247,7 @@ class TestPlacement:
     def test_of_and_accessors(self):
         placement = Placement.of({"a": "cloud", "b": "edge"})
         assert placement.tier_of("a") == "cloud"
-        assert placement.cloud_tasks == ["a"]
-        assert placement.edge_tasks == ["b"]
+        assert placement.tier_of("b") == "edge"
         assert "a@cloud" in str(placement)
 
     def test_unknown_tier_rejected(self):

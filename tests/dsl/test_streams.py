@@ -44,7 +44,6 @@ class TestStream:
     def test_derived_rates(self):
         stream = Stream("frames", rate_hz=8.0, item_mb=2.0, window_s=1.0)
         assert stream.mbs == 16.0
-        assert stream.window_mb == 16.0
 
     def test_task_stream_accessors(self):
         graph, stream = stream_graph()

@@ -15,9 +15,10 @@ from repro.edge import (
     SensorSuite,
     Swarm,
     SwarmEngine,
-    build_drone_swarm,
 )
 from repro.sim import Environment, RandomStreams
+
+from tests.faults.test_failure_detector import make_swarm
 
 from .test_engine_parity import digest, flight_evidence
 
@@ -305,13 +306,8 @@ class TestSwarm:
         with pytest.raises(ValueError):
             Swarm(env, drones)
 
-    def test_build_drone_swarm_size(self, env):
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        assert len(swarm) == DEFAULT.drone.count
-
     def test_assign_regions_covers_field(self, env):
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        swarm.assign_regions(110, 110)
+        swarm = make_swarm(env)
         total = sum(r.area for regions in swarm.regions.values()
                     for r in regions)
         assert total == pytest.approx(110 * 110)

@@ -27,7 +27,9 @@ from repro.experiments import (
 
 class TestRegistry:
     def test_all_figures_registered(self):
-        expected = {"chaos", "chaos-workers", "fig01", "fig03a",
+        expected = {"ablation-colocation", "ablation-keepalive",
+                    "ablation-straggler", "chaos", "chaos-workers",
+                    "fig01", "fig03a",
                     "fig03b", "fig04",
                     "fig05a", "fig05b", "fig05c", "fig06a", "fig06b",
                     "fig06c", "fig11", "fig12", "fig13", "fig14", "fig15",
@@ -215,14 +217,10 @@ class TestFig18:
 
 
 class TestCommonHelpers:
-    def test_summarize_runs_validation(self):
-        from repro.experiments.common import mean_over_seeds, summarize_runs
-        with pytest.raises(ValueError):
-            summarize_runs(lambda seed: seed, repeats=0)
+    def test_mean_over_seeds_validation(self):
+        from repro.experiments.common import mean_over_seeds
         with pytest.raises(ValueError):
             mean_over_seeds([])
-        assert summarize_runs(lambda seed: seed, repeats=3) == \
-            [0, 1000, 2000]
         assert mean_over_seeds([1.0, 3.0]) == 2.0
 
 
@@ -245,6 +243,22 @@ class TestCli:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "unknown figure id 'fig99'" in err and "--list" in err
+        # Every other malformed option value is a usage error too, named
+        # in one line, before anything runs.
+        for argv, bad in (
+                (["--chaos-workers", "kill:cell:x:1"], "'kill:cell:x:1'"),
+                (["--chaos", "--plans", "bogus"], "'bogus'"),
+                (["--chaos-workers", "--lanes", "bogus"], "'bogus'"),
+                (["--chaos", "--scenarios", "S99"], "'S99'"),
+                (["fig04", "--shards", "-3"], "--shards -3"),
+        ):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2, argv
+            [message] = [line for line in
+                         capsys.readouterr().err.splitlines()
+                         if "error:" in line]
+            assert bad in message, argv
 
     def test_runs_one_figure(self, capsys):
         from repro.experiments.__main__ import main

@@ -8,12 +8,10 @@ change wall-clock, never numbers.
 import pytest
 
 from repro.experiments import parallel
-from repro.experiments.common import summarize_runs
 from repro.experiments.parallel import (
     TaskResult,
     default_workers,
     replica_seeds,
-    run_replicas,
     run_sweep,
     run_tasks,
 )
@@ -43,17 +41,6 @@ class TestSeedSchedule:
     def test_rejects_non_positive_repeats(self):
         with pytest.raises(ValueError):
             replica_seeds(0)
-
-    def test_summarize_runs_keeps_legacy_schedule(self):
-        seen = []
-
-        def factory(seed):
-            seen.append(seed)
-            return seed
-
-        values = summarize_runs(factory, 3, base_seed=10, max_workers=1)
-        assert seen == [10, 1010, 2010]
-        assert values == [10, 1010, 2010]
 
 
 class TestRunTasks:
@@ -94,17 +81,6 @@ class TestRunTasks:
 
 
 class TestReplicasAndSweep:
-    def test_run_replicas_fans_out_seeds(self):
-        results = run_replicas(_simulate, 3, base_seed=2, max_workers=1)
-        assert [r.value for r in results] == [
-            _simulate(2), _simulate(1002), _simulate(2002)]
-
-    def test_run_replicas_forwards_extra_args(self):
-        results = run_replicas(_simulate, 2, base_seed=0, max_workers=1,
-                               args=(3,))
-        assert [r.value for r in results] == [
-            _simulate(0, 3), _simulate(1000, 3)]
-
     def test_run_sweep_preserves_cell_order(self):
         cells = [(seed, scale) for seed in (4, 2) for scale in (1, 2)]
         results = run_sweep(_simulate, cells, max_workers=2)

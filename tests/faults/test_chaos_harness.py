@@ -69,7 +69,7 @@ class TestWorkerChaosLanes:
     supervision, rows twin-compared byte-for-byte."""
 
     def test_unknown_lane_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             chaos.run_workers(lanes=("warp",))
 
     @pytest.mark.skipif(

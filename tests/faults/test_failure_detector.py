@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import DEFAULT, ControlConstants, DroneConstants
 from repro.core import FailureDetector
-from repro.edge import Drone, Swarm, build_drone_swarm
+from repro.edge import Drone, Swarm
 from repro.sim import Environment, RandomStreams
 
 
@@ -14,8 +14,17 @@ def env():
     return Environment()
 
 
+def drone_swarm(env, seed=1):
+    """The default drone fleet, one ``edge.drone{i}`` stream each."""
+    streams = RandomStreams(seed)
+    drones = [Drone(env, f"drone{i:04d}", DEFAULT.drone,
+                    rng=streams.stream(f"edge.drone{i}"))
+              for i in range(DEFAULT.drone.count)]
+    return Swarm(env, drones, control=DEFAULT.control)
+
+
 def make_swarm(env, seed=1):
-    swarm = build_drone_swarm(env, DEFAULT, RandomStreams(seed))
+    swarm = drone_swarm(env, seed)
     swarm.assign_regions(110, 110)
     return swarm
 
@@ -106,8 +115,7 @@ class TestHeirBatteryExhaustion:
 
 class TestLateJoiners:
     def test_detector_built_mid_mission_grants_grace(self, env):
-        swarm = build_drone_swarm(env, DEFAULT, RandomStreams(1))
-        swarm.assign_regions(110, 110)
+        swarm = make_swarm(env)
         holder = {}
 
         def boot():

@@ -63,7 +63,7 @@ class TestFaultPlan:
         long = named_plan("mixed", duration_s=600.0)
         assert short.armed and long.armed
         assert long.horizon() == pytest.approx(10 * short.horizon())
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             named_plan("nonexistent", duration_s=60.0)
         with pytest.raises(ValueError):
             named_plan("mixed", duration_s=0.0)

@@ -90,11 +90,6 @@ class TestWireless:
         assert ap_a is ap_c  # wraps around
         assert network.attach("d0") is ap_a  # stable
 
-    def test_access_point_of_unattached(self, env):
-        network = WirelessNetwork(env, WirelessConstants())
-        with pytest.raises(KeyError):
-            network.access_point_of("ghost")
-
     def test_upload_duration_scales_with_size(self, env):
         constants = WirelessConstants(access_points=1, loss_rate=0.0)
         durations = []
@@ -129,9 +124,8 @@ class TestWireless:
 
     def test_total_capacity(self, env):
         constants = WirelessConstants(access_points=2, ap_mbps=800)
-        network = WirelessNetwork(env, constants)
         expected = 2 * 100.0 * constants.mac_efficiency
-        assert network.total_capacity_mbs == pytest.approx(expected)
+        assert constants.total_mbs == pytest.approx(expected)
 
     def test_utilization(self, env):
         constants = WirelessConstants(access_points=1, loss_rate=0.0)

@@ -10,6 +10,7 @@ import pytest
 from repro.serving import (AdmissionConfig, AdmissionController,
                            AutoscaleConfig, InvokerAutoscaler,
                            ServingConfig, ServingPolicy, TenantSpec)
+from repro.serving.autoscale import reaction_s
 
 pytestmark = pytest.mark.quick
 
@@ -93,7 +94,7 @@ class TestAutoscaler:
         assert scaler.stats()["target"] == 3
         assert scaler.active(0.0) == 1
         assert scaler.active(8.0) == 3
-        assert scaler.reaction_s(0.0) == 8.0
+        assert reaction_s(scaler.stats()["events"], 0.0) == 8.0
 
     def test_cooldown_damps_repeat_decisions(self):
         scaler = self._scaler()
@@ -124,9 +125,9 @@ class TestAutoscaler:
     def test_reaction_ignores_pre_burst_events(self):
         scaler = self._scaler()
         scaler.observe(0.0, backlog=9)
-        assert scaler.reaction_s(burst_start_s=5.0) is None
+        assert reaction_s(scaler.stats()["events"], 5.0) is None
         scaler.observe(12.0, backlog=500)
-        assert scaler.reaction_s(burst_start_s=5.0) == pytest.approx(
+        assert reaction_s(scaler.stats()["events"], 5.0) == pytest.approx(
             12.0 + 8.0 - 5.0)
 
     def test_pool_bounds_are_clamped(self):

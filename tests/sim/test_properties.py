@@ -100,11 +100,6 @@ class TestRandomStreams:
         streams = RandomStreams(7)
         assert streams.stream("a").random() != streams.stream("b").random()
 
-    def test_fork_disjoint(self):
-        parent = RandomStreams(7)
-        child = parent.fork("child")
-        assert parent.stream("x").random() != child.stream("x").random()
-
     def test_cached_stream_identity(self):
         streams = RandomStreams(1)
         assert streams.stream("s") is streams.stream("s")

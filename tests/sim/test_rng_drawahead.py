@@ -86,15 +86,6 @@ class TestFactoryWiring:
         assert streams.stream("a") is streams.stream("a")
         assert streams.stream("a") is not streams.stream("b")
 
-    def test_fork_children_unaffected_by_parent_draws(self):
-        parent = RandomStreams(5)
-        hot = parent.stream("hot")
-        [hot.random() for _ in range(17)]
-        child = parent.fork("worker")
-        fresh_child = RandomStreams(5).fork("worker")
-        assert [child.stream("hot").random() for _ in range(20)] == \
-            [fresh_child.stream("hot").random() for _ in range(20)]
-
 
 class TestFullRunParity:
     @pytest.mark.parametrize("fault_rate,digest", (

@@ -1,13 +1,11 @@
 """Stream-name derivation audit.
 
 Every named stream maps to a generator seeded by
-``sha256(f"{seed}:{name}")`` and fork children by
-``sha256(f"{seed}:fork:{label}")`` — all in one namespace. This audit is
+``sha256(f"{seed}:{name}")``, all in one namespace. This audit is
 grep-driven: it scans ``src/`` for every ``stream(...)`` call site,
 checks the names against a registry of
 known patterns, expands the patterns to realistic swarm scales, and
-asserts the derived seeds collide nowhere (including fork children and
-across the fork namespace boundary).
+asserts the derived seeds collide nowhere.
 """
 
 import pathlib
@@ -101,23 +99,6 @@ class TestDerivationCollisions:
         names = _expanded_names()
         derived = [streams._derive(name) for name in names]
         assert len(set(derived)) == len(names)
-
-    def test_fork_children_disjoint_from_parent_streams(self):
-        parent = RandomStreams(0)
-        parent_seeds = {parent._derive(n) for n in _expanded_names()}
-        fork_seeds = {parent._derive(f"fork:worker{i}")
-                      for i in range(EXPAND)}
-        assert not parent_seeds & fork_seeds
-        # A fork child's *streams* must also miss the parent's streams.
-        child = parent.fork("worker0")
-        child_seeds = {child._derive(n) for n in _expanded_names()}
-        assert not parent_seeds & child_seeds
-
-    def test_no_registered_name_shadows_fork_namespace(self):
-        # fork("x") derives from "fork:x"; a stream literally named
-        # "fork:x" would alias it. Keep the namespaces disjoint.
-        assert not any(name.startswith("fork:")
-                       for name in _expanded_names())
 
     def test_same_name_same_seed_is_stable(self):
         assert RandomStreams(9)._derive("network.loss") == \

@@ -112,7 +112,7 @@ def undisturbed_bytes():
 class TestKillRecovery:
     def test_sigkill_mid_advance_is_byte_identical(self, undisturbed_bytes):
         mark = supervisor.incident_count()
-        result = _run(WorkerFaultPlan().kill("shard", 0, 2))
+        result = _run(WorkerFaultPlan.parse("kill:shard:0:2"))
         assert result_bytes(result) == undisturbed_bytes
         incidents = supervisor.incidents_since(mark)
         assert len(incidents) == 1
@@ -121,7 +121,7 @@ class TestKillRecovery:
         assert incidents[0].recovery in ("respawned", "in_process")
 
     def test_incidents_surface_in_extras(self):
-        result = _run(WorkerFaultPlan().kill("shard", 1, 3))
+        result = _run(WorkerFaultPlan.parse("kill:shard:1:3"))
         assert result.extras["worker_recoveries"] == 1
         [incident] = result.extras["worker_incidents"]
         assert incident["worker"] == "shard1"
@@ -130,7 +130,7 @@ class TestKillRecovery:
     def test_cloud_worker_kill_is_byte_identical(self):
         shape = dict(cloud_shards=2, region_devices=8)
         baseline = _run(WorkerFaultPlan(), **shape)
-        chaotic = _run(WorkerFaultPlan().kill("cloud", 0, 2), **shape)
+        chaotic = _run(WorkerFaultPlan.parse("kill:cloud:0:2"), **shape)
         assert result_bytes(chaotic) == result_bytes(baseline)
         assert chaotic.extras["worker_recoveries"] == 1
         assert chaotic.extras["worker_incidents"][0]["worker"] == "cloud0"
@@ -140,8 +140,9 @@ class TestKillRecovery:
         ``finish`` op replay their journals and ship the same rows."""
         shape = dict(cloud_shards=2, region_devices=8)
         baseline, finish_op = _finish_ops(monkeypatch, **shape)
-        plan = (WorkerFaultPlan().kill("shard", 0, finish_op["shard0"])
-                .kill("cloud", 0, finish_op["cloud0"]))
+        plan = WorkerFaultPlan.parse(
+            f"kill:shard:0:{finish_op['shard0']},"
+            f"kill:cloud:0:{finish_op['cloud0']}")
         chaotic = _run(plan, **shape)
         assert result_bytes(chaotic) == result_bytes(baseline)
         incidents = chaotic.extras["worker_incidents"]
@@ -164,8 +165,8 @@ class TestKillRecovery:
             return conn, _ReplyFirst(conn, process)
 
         monkeypatch.setattr(supervisor, "_start_worker", starting)
-        result = _run(WorkerFaultPlan().kill("shard", 0,
-                                             finish_ops["shard0"]))
+        result = _run(WorkerFaultPlan.parse(
+            f"kill:shard:0:{finish_ops['shard0']}"))
         assert result_bytes(result) == result_bytes(undisturbed)
         [incident] = result.extras["worker_incidents"]
         assert incident["worker"] == "shard0"
@@ -178,7 +179,7 @@ class TestHangRecovery:
     def test_hung_worker_is_detected_and_byte_identical(
             self, undisturbed_bytes):
         mark = supervisor.incident_count()
-        result = _run(WorkerFaultPlan().hang("shard", 1, 3))
+        result = _run(WorkerFaultPlan.parse("hang:shard:1:3"))
         assert result_bytes(result) == undisturbed_bytes
         [incident] = supervisor.incidents_since(mark)
         assert incident.failure == "hang"
@@ -186,7 +187,7 @@ class TestHangRecovery:
 
     def test_slow_reply_within_deadline_is_not_an_incident(
             self, undisturbed_bytes):
-        result = _run(WorkerFaultPlan().slow("shard", 0, 2, delay_s=0.2),
+        result = _run(WorkerFaultPlan.parse("slow:shard:0:2:0.2"),
                       worker_deadline_s=5.0)
         assert result_bytes(result) == undisturbed_bytes
         assert "worker_incidents" not in result.extras
@@ -195,7 +196,7 @@ class TestHangRecovery:
 @needs_processes
 class TestDegradationLadder:
     def test_zero_retries_degrades_to_in_process(self, undisturbed_bytes):
-        result = _run(WorkerFaultPlan().kill("shard", 0, 2),
+        result = _run(WorkerFaultPlan.parse("kill:shard:0:2"),
                       worker_retries=0)
         assert result_bytes(result) == undisturbed_bytes
         [incident] = result.extras["worker_incidents"]
@@ -431,16 +432,16 @@ class TestEventAccounting:
         reference = self._deltas(WorkerFaultPlan(), shards=1)
         assert reference[0] > 0 and all(reference[1].values())
         assert self._deltas(WorkerFaultPlan()) == reference
-        assert self._deltas(WorkerFaultPlan().kill("shard", 0, 2)) \
+        assert self._deltas(WorkerFaultPlan.parse("kill:shard:0:2")) \
             == reference
-        assert self._deltas(WorkerFaultPlan().kill("shard", 0, 2),
+        assert self._deltas(WorkerFaultPlan.parse("kill:shard:0:2"),
                             worker_retries=0) == reference
 
     def test_region_worker_kill_counts_the_same_events(self):
         shape = dict(cloud_shards=2, region_devices=8)
         undisturbed = self._deltas(WorkerFaultPlan(), **shape)
         assert undisturbed[0] > 0
-        assert self._deltas(WorkerFaultPlan().kill("cloud", 0, 2),
+        assert self._deltas(WorkerFaultPlan.parse("kill:cloud:0:2"),
                             **shape) == undisturbed
 
 

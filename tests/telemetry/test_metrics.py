@@ -56,9 +56,6 @@ class TestMetricSeries:
         assert summary.minimum == 0
         assert summary.maximum == 10
         assert summary.p25 <= summary.median <= summary.p75
-        assert set(summary.as_dict()) == {
-            "count", "mean", "std", "min", "p5", "p25", "median",
-            "p75", "p90", "p95", "p99", "max"}
 
     def test_histogram_total(self):
         series = MetricSeries()
@@ -66,18 +63,6 @@ class TestMetricSeries:
         counts, edges = series.histogram(bins=10)
         assert counts.sum() == 50
         assert len(edges) == 11
-
-    def test_windowed_counts(self):
-        series = MetricSeries()
-        for t in (0.1, 0.2, 1.5, 2.9):
-            series.add(1.0, time=t)
-        counts = series.windowed_counts(window_s=1.0, horizon_s=4.0)
-        assert list(counts) == [2, 1, 1, 0]
-
-    def test_windowed_counts_no_times(self):
-        series = MetricSeries()
-        series.add(1.0)  # NaN time
-        assert series.windowed_counts(1.0).size == 0
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=200))

@@ -30,8 +30,8 @@ class TestPaperStatedConstants:
         assert DEFAULT.wireless.ap_mbps == 867.0
 
     def test_acceleration_headline_numbers(self):
-        assert DEFAULT.accel.accel_rtt_s == pytest.approx(2.1e-6)
-        assert DEFAULT.accel.accel_mrps == pytest.approx(12.4)
+        assert DEFAULT.accel.remote_mem_latency_s == pytest.approx(3.6e-6)
+        assert DEFAULT.accel.residual_cpu_fraction == pytest.approx(0.06)
 
     def test_control_plane_policies(self):
         assert DEFAULT.control.heartbeat_period_s == 1.0
