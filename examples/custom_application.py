@@ -35,24 +35,20 @@ def build_wildfire_watch() -> "tuple[TaskGraph, DirectiveSet]":
                       constraints=[ExecTimeConstraint(5.0)])
     graph.add_task(Task(
         "collectThermal", data_out="thermalFrames",
-        code="tasks/collect_thermal.py",
         profile=TaskProfile(0.004, input_mb=8.0, output_mb=8.0,
                             edge_only=True),
         children=["hotspotFilter"]))
     graph.add_task(Task(
         "hotspotFilter", data_in="thermalFrames", data_out="candidates",
-        code="tasks/hotspot_filter.py",
         profile=TaskProfile(0.03, input_mb=8.0, output_mb=1.5),
         parents=["collectThermal"], children=["fireConfirm"]))
     graph.add_task(Task(
         "fireConfirm", data_in="candidates", data_out="confirmations",
-        code="tasks/fire_confirm.py",
         profile=TaskProfile(0.35, input_mb=1.5, output_mb=0.05,
                             parallelism=4),
         parents=["hotspotFilter"], children=["alertAggregate"]))
     graph.add_task(Task(
         "alertAggregate", data_in="confirmations", data_out="alerts",
-        code="tasks/alert_aggregate.py",
         profile=TaskProfile(0.08, input_mb=0.05, output_mb=0.01,
                             cloud_only=True),
         parents=["fireConfirm"]))

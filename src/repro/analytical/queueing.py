@@ -26,16 +26,20 @@ __all__ = [
 ]
 
 
-def mm1_inflation(utilization: float, cap: float = 50.0) -> float:
+#: Ceiling of :func:`mm1_inflation`.
+MM1_CAP = 50.0
+
+
+def mm1_inflation(utilization: float) -> float:
     """Mean response-time inflation 1/(1-rho) for an M/M/1 queue.
 
-    Capped (default 50x) so infeasible operating points stay finite and
-    comparable instead of dividing by zero.
+    Capped at :data:`MM1_CAP` so infeasible operating points stay finite
+    and comparable instead of dividing by zero.
     """
     if utilization < 0:
         raise ValueError("utilization must be non-negative")
-    if utilization >= 1.0 - 1.0 / cap:
-        return cap
+    if utilization >= 1.0 - 1.0 / MM1_CAP:
+        return MM1_CAP
     return 1.0 / (1.0 - utilization)
 
 

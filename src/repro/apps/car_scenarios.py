@@ -34,8 +34,6 @@ class CarScenarioSpec:
     #: Panels to find (treasure hunt) or maze side length (maze).
     panels: int = 0
     maze_side: int = 0
-    #: Steps of driving between two instruction panels.
-    steps_between_panels: int = 8
 
     def __post_init__(self):
         if self.panels == 0 and self.maze_side == 0:

@@ -71,13 +71,11 @@ class ScenarioSpec:
         recognition_profile = self.recognition.task_profile()
         graph.add_task(Task(
             "createRoute", data_in="inputMap", data_out="outputRoute",
-            code="tasks/create_route.py",
             profile=TaskProfile(0.02, output_mb=0.01),
             args={"load_balancer": "round robin"},
             children=["collectImage"]))
         graph.add_task(Task(
             "collectImage", data_out="sensorData",
-            code="tasks/collect_image.py",
             profile=TaskProfile(
                 0.005, input_mb=self.recognition.input_mb,
                 output_mb=self.recognition.input_mb, edge_only=True),
@@ -87,14 +85,14 @@ class ScenarioSpec:
             children=["obstacleAvoidance", "recognition"]))
         graph.add_task(Task(
             "obstacleAvoidance", data_in="sensorData",
-            data_out="adjustRoute", code="tasks/obstacle_avoidance.py",
+            data_out="adjustRoute",
             profile=TaskProfile(0.06, input_mb=4.0, output_mb=0.01,
                                 edge_only=True),
             args={"algorithm": "slam"},
             parents=["collectImage"]))
         graph.add_task(Task(
             "recognition", data_in="sensorData",
-            data_out="recognitionStats", code="tasks/recognition.py",
+            data_out="recognitionStats",
             profile=recognition_profile,
             args={"trainingData": "zoo", "algorithm": "tensorflow_zoo"},
             parents=["collectImage"],
@@ -105,7 +103,6 @@ class ScenarioSpec:
         # Aggregation needs the whole swarm's results: cloud-only.
         graph.add_task(Task(
             "aggregate", data_in="recognitionStats", data_out="finalList",
-            code="tasks/aggregate.py",
             profile=TaskProfile(
                 aggregate_profile.cloud_service_s,
                 input_mb=aggregate_profile.input_mb,

@@ -41,7 +41,7 @@ class FailureDetector:
         self.last_beat: Dict[str, float] = {
             device_id: env.now for device_id in swarm.devices}
         self.failed: List[str] = []
-        self._checker = env.process(self._check())
+        env.process(self._check())
 
     def _check(self) -> Generator:
         """Check every ``heartbeat_period_s`` from construction on.

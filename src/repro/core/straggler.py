@@ -116,7 +116,6 @@ class StragglerMitigator:
             input_mb=request.input_mb, output_mb=request.output_mb,
             parent=request.parent,
             colocate_with_parent=False,  # new server on purpose
-            priority=request.priority,
             trace=request.trace)
         duplicate = self.env.process(
             self.platform.invoke(duplicate_request))

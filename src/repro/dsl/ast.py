@@ -6,7 +6,6 @@ surface mirrors the paper's listings::
 
     graph = TaskGraph(constraints=[ExecTimeConstraint(10.0)])
     graph.add_task(Task("createRoute", data_in="map", data_out="route",
-                        code="tasks/create_route.py",
                         children=["collectImage"]))
     ...
 
@@ -34,7 +33,7 @@ class Stream:
     supports both individual objects and data streams).
 
     A stream flows at ``rate_hz`` items of ``item_mb`` each; consumers see
-    windows of ``window_s`` seconds. Declaring an edge's payload as a
+    one-second windows. Declaring an edge's payload as a
     Stream tells the compiler to budget *continuous* bandwidth for the
     crossing and tells codegen to emit a subscription API instead of a
     request/response one.
@@ -43,7 +42,6 @@ class Stream:
     name: str
     rate_hz: float
     item_mb: float
-    window_s: float = 1.0
 
     def __post_init__(self):
         if not self.name:
@@ -52,8 +50,6 @@ class Stream:
             raise ValueError("stream rate must be positive")
         if self.item_mb < 0:
             raise ValueError("stream item size must be non-negative")
-        if self.window_s <= 0:
-            raise ValueError("stream window must be positive")
 
     @property
     def mbs(self) -> float:
@@ -110,7 +106,6 @@ class Task:
     name: str
     data_in: Optional[object] = None
     data_out: Optional[object] = None
-    code: str = ""
     profile: Optional[TaskProfile] = None
     parents: List[str] = field(default_factory=list)
     children: List[str] = field(default_factory=list)

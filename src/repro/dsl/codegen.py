@@ -67,7 +67,7 @@ def _thrift_api(parent: str, child: str, payload: str,
         # Continuous flow: subscription API with windowed delivery.
         source = f"""// Generated by HiveMind codegen — do not edit.
 // Streaming crossing: {parent} -> {child}
-// {stream.rate_hz} items/s x {stream.item_mb} MB, {stream.window_s} s windows
+// {stream.rate_hz} items/s x {stream.item_mb} MB, 1 s windows
 namespace cpp hivemind.{parent}_{child}
 
 struct {_camel(stream.name)}Window {{
@@ -80,7 +80,7 @@ struct {_camel(stream.name)}Window {{
 service {service} {{
   // Subscribe the child to the parent's stream.
   i64 subscribe(1: string consumer_id);
-  // Windowed delivery, one call per {stream.window_s} s window.
+  // Windowed delivery, one call per 1 s window.
   oneway void deliver(1: {_camel(stream.name)}Window window);
   void unsubscribe(1: i64 subscription);
 }}

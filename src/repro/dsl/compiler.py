@@ -44,7 +44,6 @@ class CompiledPlan:
 class CompilationResult:
     """Everything the compiler produced for one application."""
 
-    graph: TaskGraph
     plans: List[CompiledPlan]          # ranked, best first
     chosen: CompiledPlan
     warnings: List[str]
@@ -190,28 +189,12 @@ class HiveMindCompiler:
                                                 rho["network"])
             finish[name] = ready + self._task_latency(profile, tier, rho)
         latency = max(finish.values())
-        # Device power above motion baseline: compute busy + radio airtime.
-        compute_fraction = min(1.0, rho["edge"])
-        tx_mbs_per_device = rho["net_demand_mbs"] / self.n_devices
-        tx_fraction = min(1.0, tx_mbs_per_device /
-                          self.constants.wireless.ap_mbs)
-        power = (compute_fraction * (self.device.compute_power_w -
-                                     self.device.compute_idle_w) +
-                 tx_fraction * (self.device.radio_tx_w -
-                                self.device.radio_idle_w))
         feasible = (rho["edge"] < 1.0 and rho["cloud"] < 1.0 and
                     rho["network"] < 1.0)
-        bottleneck = max(rho["edge"], rho["cloud"], rho["network"])
-        base_rate = min((self._profile(graph, n).rate_hz
-                         for n in graph.task_names))
-        throughput = base_rate * (1.0 if bottleneck < 1.0
-                                  else 1.0 / bottleneck)
         return PlanEstimate(
             latency_s=latency,
-            device_power_w=power,
             network_mbs=rho["net_demand_mbs"],
             cloud_core_demand=rho["cloud_core_demand"],
-            throughput_hz=throughput,
             feasible=feasible,
         )
 
@@ -239,4 +222,4 @@ class HiveMindCompiler:
 
         plans.sort(key=rank_key)
         return CompilationResult(
-            graph=graph, plans=plans, chosen=plans[0], warnings=warnings)
+            plans=plans, chosen=plans[0], warnings=warnings)

@@ -1,4 +1,4 @@
-"""User-facing performance/power/cost constraints and plan estimates.
+"""User-facing performance/cost constraints and plan estimates.
 
 In addition to the control flow, users specify the performance metrics the
 application must meet — execution time, latency, throughput — and optionally
@@ -24,14 +24,10 @@ class PlanEstimate:
 
     #: Critical-path latency of one task-graph activation (seconds).
     latency_s: float
-    #: Mean extra power draw per device above baseline motion (watts).
-    device_power_w: float
     #: Aggregate edge-to-cloud bandwidth demand (MB/s).
     network_mbs: float
     #: Cloud core-seconds consumed per second (cost proxy).
     cloud_core_demand: float
-    #: Sustainable activations per second per device.
-    throughput_hz: float
     #: False when some resource is past saturation.
     feasible: bool = True
 

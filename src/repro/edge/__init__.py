@@ -1,10 +1,10 @@
-"""Edge devices: field world, sensors, drones, robotic cars, swarms."""
+"""Edge devices: field world, camera, drones, robotic cars, swarms."""
 
 from .car import RoboticCar
 from .device import EdgeDevice
 from .drone import Drone
 from .field import FieldWorld, Person
-from .sensors import Camera, FrameBatch, SensorReading, SensorSuite
+from .sensors import Camera, FrameBatch
 from .swarm import Swarm
 from .engine import SwarmEngine
 
@@ -17,7 +17,5 @@ __all__ = [
     "Person",
     "Camera",
     "FrameBatch",
-    "SensorReading",
-    "SensorSuite",
     "Swarm",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 from ..config import CarConstants
 from ..sim import Environment
 from .device import EdgeDevice
-from .sensors import SensorSuite
 
 __all__ = ["RoboticCar"]
 
@@ -31,8 +30,7 @@ class RoboticCar(EdgeDevice):
 
     def __init__(self, env: Environment, device_id: str,
                  constants: CarConstants,
-                 rng: Optional[np.random.Generator] = None,
-                 strict_battery: bool = False):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__(
             env, device_id,
             cpu_cores=constants.cpu_cores,
@@ -44,10 +42,9 @@ class RoboticCar(EdgeDevice):
             radio_rx_w=constants.radio_rx_w,
             radio_idle_w=constants.radio_idle_w,
             cloud_to_edge_slowdown=constants.cloud_to_edge_slowdown,
-            rng=rng, strict_battery=strict_battery)
+            rng=rng)
         self.constants = constants
         self.speed_mps = constants.speed_mps
-        self.sensors = SensorSuite(rng) if rng is not None else None
         self.cell: Tuple[int, int] = (0, 0)
 
     def drive_to_cell(self, cell: Tuple[int, int]) -> Generator:

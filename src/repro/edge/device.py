@@ -10,7 +10,7 @@ aggregate.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ class EdgeDevice:
                  compute_power_w: float, compute_idle_w: float,
                  radio_tx_w: float, radio_rx_w: float, radio_idle_w: float,
                  cloud_to_edge_slowdown: float,
-                 rng: Optional[np.random.Generator] = None,
-                 strict_battery: bool = False):
+                 rng: Optional[np.random.Generator] = None):
         if cpu_cores <= 0:
             raise ValueError("device needs at least one core")
         if cloud_to_edge_slowdown <= 0:
@@ -46,8 +45,7 @@ class EdgeDevice:
         #: equals arrival order (same argument as the CouchDB store —
         #: see DESIGN.md, "Virtual-clock queueing").
         self._core_free: List[float] = [0.0] * cpu_cores
-        self.energy = EnergyAccount(battery_wh, device=device_id,
-                                    strict=strict_battery)
+        self.energy = EnergyAccount(battery_wh, device=device_id)
         self.motion_power_w = motion_power_w
         self.compute_power_w = compute_power_w
         self.compute_idle_w = compute_idle_w
@@ -58,9 +56,6 @@ class EdgeDevice:
         self._rng = rng
         self.position: Point = (0.0, 0.0)
         self.alive = True
-        #: Invoked synchronously by :meth:`fail` — the vectorized engine
-        #: hangs an analytic-leg truncation here while a leg is in flight.
-        self._fail_hook: Optional[Callable[[], None]] = None
         # Activity accounting for the lazy idle-draw settlement.
         self.busy_compute_s = 0.0
         self.radio_active_s = 0.0
@@ -74,9 +69,6 @@ class EdgeDevice:
     def fail(self) -> None:
         """Device failure (crash, dead battery, lost link)."""
         self.alive = False
-        hook = self._fail_hook
-        if hook is not None:
-            hook()
 
     def finalize_mission(self, end_time: Optional[float] = None) -> float:
         """Settle idle energy draws for the mission window; returns span.

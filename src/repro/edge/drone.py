@@ -1,8 +1,8 @@
 """Drone model (Parrot AR. Drone 2.0, section 2.1).
 
-A drone flies a waypoint route at constant speed, captures one
-:class:`~repro.edge.sensors.FrameBatch` per second while airborne, and
-samples its telemetry sensors. The flight runs on
+A drone flies a waypoint route at constant speed and captures one
+:class:`~repro.edge.sensors.FrameBatch` per second while airborne. The
+flight runs on
 :meth:`repro.edge.engine.SwarmEngine.fly_route`; its batch callback is how
 the platform layer decides what happens to the data (upload to the cloud,
 process on-board, or HiveMind's hybrid split) without the drone knowing
@@ -18,7 +18,7 @@ import numpy as np
 from ..config import DroneConstants
 from ..sim import Environment
 from .device import EdgeDevice
-from .sensors import Camera, SensorSuite
+from .sensors import Camera
 
 __all__ = ["Drone"]
 
@@ -29,7 +29,6 @@ class Drone(EdgeDevice):
     def __init__(self, env: Environment, device_id: str,
                  constants: DroneConstants,
                  rng: Optional[np.random.Generator] = None,
-                 strict_battery: bool = False,
                  frame_mb: Optional[float] = None,
                  fps: Optional[float] = None):
         super().__init__(
@@ -43,7 +42,7 @@ class Drone(EdgeDevice):
             radio_rx_w=constants.radio_rx_w,
             radio_idle_w=constants.radio_idle_w,
             cloud_to_edge_slowdown=constants.cloud_to_edge_slowdown,
-            rng=rng, strict_battery=strict_battery)
+            rng=rng)
         self.constants = constants
         self.speed_mps = constants.speed_mps
         self.camera = Camera(
@@ -51,4 +50,3 @@ class Drone(EdgeDevice):
             frame_mb=frame_mb if frame_mb is not None else constants.frame_mb,
             fov_width_m=constants.fov_width_m,
             fov_depth_m=constants.fov_depth_m)
-        self.sensors = SensorSuite(rng) if rng is not None else None

@@ -11,14 +11,12 @@ O(1) of actual work each.
 
 - Each engine *wake* lands every device due at that instant, then steps
   each survivor with the one scalar kinematics helper,
-  :func:`_step_toward`, that every leg start, tick and analytic leg uses.
+  :func:`_step_toward`, that every leg start and tick uses.
 - One kernel event is armed per **distinct** due instant, not per device:
   a synchronized 256-drone cohort costs one wake instead of 256 timeout
   dispatches.
-- Straight legs flown without capture are integrated **analytically**: the
-  whole leg becomes a single event at its final tick boundary, with the
-  per-tick position/energy arithmetic replayed at settlement so the energy
-  ledger is bit-identical to ticking it.
+- Every tick captures a frame batch: the paper's drones film the whole
+  route, so there is no capture-free flight mode.
 - The engine itself draws no randomness — drone jitter lognormals are
   scalar draws from the per-device ``runner.drone{i}`` streams
   (:meth:`~repro.sim.rng.RandomStreams.stream`), made by the devices, so
@@ -50,7 +48,6 @@ The engine holds them by
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from heapq import heappop, heappush
 from itertools import count
 from typing import Callable, List, Optional, Tuple
@@ -68,9 +65,8 @@ Point = Tuple[float, float]
 BatchCallback = Callable[[FrameBatch], None]
 
 #: Action kinds on the engine heap. A tick is the landing of an in-flight
-#: 1-second step; a turn is the end of an inter-leg turn penalty; a settle
-#: is the landing of an analytic leg.
-_TICK, _TURN, _SETTLE = 0, 1, 2
+#: 1-second step; a turn is the end of an inter-leg turn penalty.
+_TICK, _TURN = 0, 1
 
 #: Distance below which a leg counts as complete.
 _EPS = 1e-9
@@ -97,18 +93,15 @@ def _step_toward(position: Point, target: Point, speed: float):
 class _Flight:
     """Mutable per-route state for one device flown by the engine."""
 
-    __slots__ = ("drone", "world", "on_batch", "capture", "waypoints",
-                 "wp_index", "target", "event", "batches", "pending_s", "gen",
-                 "leg_steps", "leg_arrivals", "leg_positions",
-                 "trace", "leg_started")
+    __slots__ = ("drone", "world", "on_batch", "waypoints", "wp_index",
+                 "target", "event", "batches", "pending_s", "trace")
 
     def __init__(self, drone: Drone, world: FieldWorld,
-                 on_batch: Optional[BatchCallback], capture: bool,
+                 on_batch: Optional[BatchCallback],
                  waypoints: List[Point], event) -> None:
         self.drone = drone
         self.world = world
         self.on_batch = on_batch
-        self.capture = capture
         self.waypoints = waypoints
         self.wp_index = 0
         #: Waypoint the current leg flies toward.
@@ -117,18 +110,9 @@ class _Flight:
         self.batches = 0
         #: Duration of the step currently in flight (armed as a _TICK).
         self.pending_s = 0.0
-        #: Generation counter; bumping it invalidates armed actions that
-        #: still carry the old value (analytic-leg truncation on failure).
-        self.gen = 0
-        # Analytic-leg replay (step durations, arrival instants, per-tick
-        # positions) — populated only while a _SETTLE action is armed.
-        self.leg_steps: Optional[List[float]] = None
-        self.leg_arrivals: Optional[List[float]] = None
-        self.leg_positions: Optional[List[Point]] = None
         #: Causal trace handle for the whole route (NULL_CONTEXT when
-        #: tracing is off) and the pending analytic leg's start instant.
+        #: tracing is off).
         self.trace = obs.NULL_CONTEXT
-        self.leg_started = 0.0
 
 
 class SwarmEngine:
@@ -136,25 +120,20 @@ class SwarmEngine:
 
     def __init__(self, env: Environment):
         self.env = env
-        #: Pending actions: (time, seq, kind, payload, gen). ``seq`` is
-        #: unique, so heap order is exactly (time, seq) — the engine's
-        #: mirror of the kernel's (time, priority, eid) dispatch order.
+        #: Pending actions: (time, seq, kind, flight). ``seq`` is unique,
+        #: so heap order is exactly (time, seq) — the engine's mirror of
+        #: the kernel's (time, priority, eid) dispatch order.
         self._actions: List = []
         self._seq = count()
         #: Absolute instants that already have a kernel wake scheduled.
         self._armed = set()
-        # Telemetry for the benchmark harness.
-        self.wakes = 0
-        self.actions_run = 0
-        self.analytic_legs = 0
 
     # -- public API ---------------------------------------------------------
     def fly_route(self, drone: Drone, waypoints: List[Point],
                   world: FieldWorld,
-                  on_batch: Optional[BatchCallback] = None,
-                  capture: bool = True):
+                  on_batch: Optional[BatchCallback] = None):
         """Fly ``waypoints`` through the engine, capturing one batch per
-        1-second tick (when ``capture``) and turning between legs.
+        1-second tick and turning between legs.
 
         Returns an :class:`~repro.sim.Event` that succeeds with the number
         of batches captured when the final turn completes, or at the first
@@ -164,8 +143,7 @@ class SwarmEngine:
         if not waypoints:
             event.succeed(0)
             return event
-        flight = _Flight(drone, world, on_batch, capture,
-                         waypoints, event)
+        flight = _Flight(drone, world, on_batch, waypoints, event)
         flight.trace = obs.root_span("flight", "edge", self.env.now,
                                      device=drone.device_id,
                                      waypoints=len(waypoints))
@@ -174,7 +152,7 @@ class SwarmEngine:
         return event
 
     # -- scheduling ----------------------------------------------------------
-    def _arm(self, delay: float, kind: int, payload, gen: int) -> None:
+    def _arm(self, delay: float, kind: int, flight: _Flight) -> None:
         """Arm one action ``delay`` seconds from now.
 
         The wake instant is computed with the same ``now + delay`` float
@@ -183,7 +161,7 @@ class SwarmEngine:
         sharing an instant share one kernel event.
         """
         time = self.env.now + delay
-        heappush(self._actions, (time, next(self._seq), kind, payload, gen))
+        heappush(self._actions, (time, next(self._seq), kind, flight))
         if time not in self._armed:
             self._armed.add(time)
             tally("edge", 1)
@@ -193,30 +171,21 @@ class SwarmEngine:
     def _wake(self, _event) -> None:
         now = self.env.now
         self._armed.discard(now)
-        self.wakes += 1
         actions = self._actions
         due = []
         while actions and actions[0][0] <= now:
             due.append(heappop(actions))
-        self.actions_run += len(due)
         index, n = 0, len(due)
         while index < n:
-            kind = due[index][2]
-            if kind == _TICK:
-                stop = index + 1
-                while stop < n and due[stop][2] == _TICK:
-                    stop += 1
-                self._tick_cohort([entry[3] for entry in due[index:stop]])
-                index = stop
+            if due[index][2] == _TURN:
+                self._end_turn(due[index][3])
+                index += 1
                 continue
-            _, _, _, payload, gen = due[index]
-            index += 1
-            if gen != payload.gen:
-                continue  # cancelled (analytic leg truncated)
-            if kind == _TURN:
-                self._end_turn(payload)
-            else:
-                self._settle_leg(payload)
+            stop = index + 1
+            while stop < n and due[stop][2] == _TICK:
+                stop += 1
+            self._tick_cohort([entry[3] for entry in due[index:stop]])
+            index = stop
 
     # -- ticks ------------------------------------------------------------
     def _tick_cohort(self, flights: List[_Flight]) -> None:
@@ -234,7 +203,7 @@ class SwarmEngine:
             step = flight.pending_s
             drone.account_motion(step)
             flight.world.advance(now)
-            if flight.capture and step >= 0.5:
+            if step >= 0.5:
                 batch = drone.camera.capture_batch(
                     drone.device_id, flight.world, drone.position, now,
                     duration_s=step)
@@ -261,14 +230,14 @@ class SwarmEngine:
         # the landing instant sees the already-moved position.
         flight.drone.position = (new_x, new_y)
         flight.pending_s = step_s
-        self._arm(step_s, _TICK, flight, flight.gen)
+        self._arm(step_s, _TICK, flight)
 
     # -- leg boundaries ---------------------------------------------------
     def _end_of_leg(self, flight: _Flight) -> None:
         """Leg finished with the device alive: pay the turn penalty."""
         turn = flight.drone.constants.turn_time_s
         if turn > 0:
-            self._arm(turn, _TURN, flight, flight.gen)
+            self._arm(turn, _TURN, flight)
         else:
             self._next_leg(flight)
 
@@ -296,93 +265,13 @@ class SwarmEngine:
                 # Zero-length leg: no tick, but the turn still applies.
                 turn = drone.constants.turn_time_s
                 if turn > 0:
-                    self._arm(turn, _TURN, flight, flight.gen)
+                    self._arm(turn, _TURN, flight)
                     return
                 continue
-            if not flight.capture and not drone.energy.strict:
-                self._start_analytic(flight, target)
-                return
             self._advance_tick(flight, *step)
             return
 
-    # -- analytic legs -----------------------------------------------------
-    def _start_analytic(self, flight: _Flight, target: Point) -> None:
-        """Integrate a capture-free leg as one event at its final tick.
-
-        The per-tick trajectory is replayed *numerically* up front (same
-        floats, same order as ticking it) so the arrival instant and
-        final position are bit-identical; the per-tick energy draws are
-        replayed at settlement, keeping the ledger's float accumulation
-        sequence intact. Restricted to non-strict batteries because the
-        draws land at the leg boundary rather than mid-leg, which would
-        move a strict battery's depletion instant.
-        """
-        drone = flight.drone
-        speed = drone.speed_mps
-        position = drone.position
-        t = self.env.now
-        steps: List[float] = []
-        arrivals: List[float] = []
-        positions: List[Point] = []
-        while True:
-            step = _step_toward(position, target, speed)
-            if step is None:
-                break
-            step_s, px, py = step
-            position = (px, py)
-            t = t + step_s
-            steps.append(step_s)
-            arrivals.append(t)
-            positions.append(position)
-        flight.leg_steps = steps
-        flight.leg_arrivals = arrivals
-        flight.leg_positions = positions
-        flight.leg_started = self.env.now
-        flight.gen += 1
-        self.analytic_legs += 1
-        drone._fail_hook = lambda: self._truncate_analytic(flight)
-        self._arm(arrivals[-1] - self.env.now, _SETTLE, flight, flight.gen)
-
-    def _truncate_analytic(self, flight: _Flight) -> None:
-        """Device failed mid-leg: cut the analytic leg at the tick boundary.
-
-        Called synchronously from :meth:`EdgeDevice.fail`. A ticked leg
-        lets the in-flight tick land (accounting included) before the
-        alive check breaks it, so the leg is truncated at the first tick
-        arrival at or after the failure instant.
-        """
-        flight.drone._fail_hook = None
-        arrivals = flight.leg_arrivals
-        cut = min(bisect_left(arrivals, self.env.now), len(arrivals) - 1)
-        flight.leg_steps = flight.leg_steps[:cut + 1]
-        flight.leg_arrivals = arrivals[:cut + 1]
-        flight.leg_positions = flight.leg_positions[:cut + 1]
-        flight.gen += 1
-        self._arm(arrivals[cut] - self.env.now, _SETTLE, flight, flight.gen)
-
-    def _settle_leg(self, flight: _Flight) -> None:
-        drone = flight.drone
-        drone._fail_hook = None
-        if flight.trace:
-            # Synthesized span at the closed-form instants: the whole leg
-            # was integrated up front, so start/end are already exact.
-            flight.trace.emit("analytic_leg", "edge", flight.leg_started,
-                              self.env.now, ticks=len(flight.leg_steps))
-        for step_s in flight.leg_steps:
-            drone.account_motion(step_s)
-        flight.world.advance(self.env.now)
-        drone.position = flight.leg_positions[-1]
-        flight.leg_steps = None
-        flight.leg_arrivals = None
-        flight.leg_positions = None
-        if drone.alive:
-            self._end_of_leg(flight)
-        else:
-            self._complete(flight)
-
     # -- completion --------------------------------------------------------
     def _complete(self, flight: _Flight) -> None:
-        flight.gen += 1
-        flight.drone._fail_hook = None
         flight.trace.close(self.env.now, batches=flight.batches)
         flight.event.succeed(flight.batches)

@@ -168,7 +168,6 @@ class MeanFieldCell:
     """One aggregate cell's predicted fig17b observables."""
 
     platform: str
-    scenario_key: str
     n_devices: int
     bandwidth_mbs: float
     task_p99_s: float
@@ -209,7 +208,6 @@ def _stage_backlog(arrival_hz: float, capacity_hz: float,
 def predict_cell(platform: Union[str, object],
                  scenario: Union[str, ScenarioSpec],
                  n_devices: int,
-                 constants: Optional[PaperConstants] = None,
                  seed: int = 0) -> MeanFieldCell:
     """Predict one fig17b cell without simulating any device.
 
@@ -229,8 +227,7 @@ def predict_cell(platform: Union[str, object],
         scenario = {s.key: s for s in (SCENARIO_A, SCENARIO_B)}[scenario]
     if n_devices <= 0:
         raise ValueError("n_devices must be positive")
-    base = constants if constants is not None else DEFAULT
-    cst = base.scaled_for_swarm(n_devices)
+    cst = DEFAULT.scaled_for_swarm(n_devices)
     profile = flight_profile(cst)
     B = max(1, profile.batches)
 
@@ -445,8 +442,7 @@ def predict_cell(platform: Union[str, object],
     bandwidth = total_mb / max(1, math.ceil(makespan))
 
     return MeanFieldCell(
-        platform=config.name, scenario_key=scenario.key,
-        n_devices=n_devices, bandwidth_mbs=bandwidth,
+        platform=config.name, n_devices=n_devices, bandwidth_mbs=bandwidth,
         task_p99_s=task_p99, makespan_s=makespan,
         details={
             "batches_per_device": float(B),

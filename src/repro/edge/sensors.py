@@ -1,11 +1,12 @@
-"""On-board sensing: the camera and the telemetry sensor suite.
+"""On-board sensing: the camera.
 
 Drones carry an 8 MP underside camera collecting 8 frames per second at
-2 MB per frame by default (section 2.1), plus gyroscope, accelerometer,
-thermometer, magnetometer, hygrometer, and ultrasound altitude sensors.
-A :class:`FrameBatch` is the unit the tasks consume — one second of frames —
-matching the paper's task definition ("recognizing a human face in a frame
-batch of one second").
+2 MB per frame by default (section 2.1). A :class:`FrameBatch` is the unit
+the tasks consume — one second of frames — matching the paper's task
+definition ("recognizing a human face in a frame batch of one second").
+The paper's drones also carry gyroscope, accelerometer, thermometer,
+magnetometer, hygrometer and ultrasound altitude sensors; no figure's
+pipeline reads them, so they are not modelled.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-import numpy as np
-
 from .field import FieldWorld
 
-__all__ = ["FrameBatch", "Camera", "SensorReading", "SensorSuite"]
+__all__ = ["FrameBatch", "Camera"]
 
 Point = Tuple[float, float]
 
@@ -29,7 +28,6 @@ class FrameBatch:
     device_id: str
     time: float
     position: Point
-    frame_count: int
     total_mb: float
     item_sightings: List[int] = field(default_factory=list)
     people_sightings: List[int] = field(default_factory=list)
@@ -60,52 +58,9 @@ class Camera:
             device_id=device_id,
             time=time,
             position=position,
-            frame_count=frames,
             total_mb=frames * self.frame_mb,
             item_sightings=world.visible_items(
                 position, self.fov_width_m, self.fov_depth_m),
             people_sightings=world.visible_people(
                 position, self.fov_width_m, self.fov_depth_m),
-        )
-
-
-@dataclass(frozen=True)
-class SensorReading:
-    """One sample of the non-camera sensors."""
-
-    time: float
-    temperature_c: float
-    humidity_pct: float
-    altitude_m: float
-    acceleration: Tuple[float, float, float]
-    heading_deg: float
-    size_mb: float = 0.002  # a telemetry record is a couple of KB
-
-
-class SensorSuite:
-    """Generates plausible telemetry streams for the analytics jobs."""
-
-    def __init__(self, rng: np.random.Generator,
-                 base_temperature_c: float = 24.0,
-                 base_humidity_pct: float = 55.0):
-        self._rng = rng
-        self.base_temperature_c = base_temperature_c
-        self.base_humidity_pct = base_humidity_pct
-
-    def sample(self, time: float, altitude_m: float = 5.0) -> SensorReading:
-        rng = self._rng
-        # Slow diurnal-ish drift plus sensor noise.
-        drift = 2.0 * np.sin(time / 600.0)
-        return SensorReading(
-            time=time,
-            temperature_c=float(self.base_temperature_c + drift +
-                                rng.normal(0, 0.3)),
-            humidity_pct=float(np.clip(
-                self.base_humidity_pct - 3 * drift + rng.normal(0, 1.0),
-                0, 100)),
-            altitude_m=float(altitude_m + rng.normal(0, 0.15)),
-            acceleration=(float(rng.normal(0, 0.4)),
-                          float(rng.normal(0, 0.4)),
-                          float(rng.normal(9.81, 0.2))),
-            heading_deg=float(rng.uniform(0, 360)),
         )

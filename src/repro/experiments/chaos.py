@@ -47,10 +47,9 @@ PLATFORM = "centralized_faas"
 
 
 def run_pair(scenario: str, plan: FaultPlan, seed: int = 0,
-             duration_s: Optional[float] = None,
-             platform: str = PLATFORM) -> ResilienceReport:
+             duration_s: Optional[float] = None) -> ResilienceReport:
     """One chaos run plus its fault-free twin; returns the report."""
-    config = platform_config(platform)
+    config = platform_config(PLATFORM)
     spec = app(scenario)
 
     def runner(fault_plan: Optional[FaultPlan]) -> "RunResult":

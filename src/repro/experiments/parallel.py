@@ -325,8 +325,7 @@ def run_tasks(calls: Sequence[Call],
 
 
 def run_sweep(fn: Callable[..., Any], cells: Sequence[Sequence[Any]],
-              max_workers: Optional[int] = None,
-              common: Optional[Dict[str, Any]] = None) -> List[TaskResult]:
-    """Run ``fn(*cell, **common)`` for every cell, results in cell order."""
-    return run_tasks([(fn, tuple(cell), dict(common or {}))
-                      for cell in cells], max_workers=max_workers)
+              max_workers: Optional[int] = None) -> List[TaskResult]:
+    """Run ``fn(*cell)`` for every cell, results in cell order."""
+    return run_tasks([(fn, tuple(cell), {}) for cell in cells],
+                     max_workers=max_workers)

@@ -86,7 +86,7 @@ def run_experiment(figure: str, **options) -> ExperimentResult:
     """
     runner = EXPERIMENTS.get(figure)
     if runner is None:
-        raise KeyError(
+        raise ValueError(
             f"unknown experiment {figure!r}; valid: {experiment_ids()}")
     events_before = total_events_consumed()
     layers_before = total_layer_counts()

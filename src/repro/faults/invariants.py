@@ -151,16 +151,10 @@ class InvariantChecker:
 
     # -- energy ------------------------------------------------------------
     def check_energy(self, accounts) -> None:
-        """Flag batteries drained below zero (accounting corruption)."""
+        """Flag negative category draws (accounting corruption). An
+        overdrawn battery is not one: the ledger runs past capacity (the
+        battery-swap abstraction)."""
         for account in accounts:
-            # remaining_wh clamps at zero, so inspect the raw balance.
-            # Non-strict accounts may legitimately over-draw (the
-            # battery-swap abstraction); a strict account below zero means
-            # the ledger was corrupted past the BatteryDepleted guard.
-            balance = account.capacity_wh - account.consumed_wh
-            if account.strict and balance < -ENERGY_EPSILON_WH:
-                self._flag("energy", account.device,
-                           f"balance {balance} Wh < 0")
             drawn = account.by_category()
             for category, wh in drawn.items():
                 if wh < -ENERGY_EPSILON_WH:

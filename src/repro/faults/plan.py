@@ -294,8 +294,8 @@ class FaultPlan:
                     for region in range(n_regions):
                         region_plan(region).add(event)
         return PartitionedPlan(source=self, n_devices=n_devices,
-                               cell_devices=cell_devices, cells=cells,
-                               cloud=cloud, region_devices=region_devices,
+                               cells=cells, cloud=cloud,
+                               region_devices=region_devices,
                                regions=regions)
 
 
@@ -337,7 +337,6 @@ class PartitionedPlan:
 
     source: FaultPlan
     n_devices: int
-    cell_devices: int
     #: Cell index -> that cell's local plan (device targets re-indexed;
     #: network events replicated). Cells with no events are absent.
     cells: Dict[int, FaultPlan]

@@ -19,22 +19,12 @@ opaque handles, and timed ``write``/``read`` coroutines.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
 from ..config import AccelerationConstants
 from ..sim import Environment
 
-__all__ = ["RemoteObject", "RemoteMemoryFabric"]
-
-
-@dataclass(frozen=True)
-class RemoteObject:
-    """An object published into the remote-memory fabric."""
-
-    handle: str
-    size_mb: float
-    home_server: str     # known to the fabric/controller, never to readers
+__all__ = ["RemoteMemoryFabric"]
 
 
 class RemoteMemoryFabric:
@@ -44,7 +34,9 @@ class RemoteMemoryFabric:
                  constants: Optional[AccelerationConstants] = None):
         self.env = env
         self.constants = constants or AccelerationConstants()
-        self._objects: Dict[str, RemoteObject] = {}
+        #: Handle -> object size in MB. The home server stays with the
+        #: fabric's address map, never with readers.
+        self._objects: Dict[str, float] = {}
         self._handles = itertools.count()
         self.reads = 0
         self.writes = 0
@@ -63,7 +55,7 @@ class RemoteMemoryFabric:
             raise ValueError("size must be non-negative")
         yield self.env.timeout(self._transfer_time(size_mb))
         handle = f"rmobj-{next(self._handles)}"
-        self._objects[handle] = RemoteObject(handle, size_mb, server_id)
+        self._objects[handle] = size_mb
         self.writes += 1
         return handle
 
@@ -76,12 +68,12 @@ class RemoteMemoryFabric:
         matches the paper's 'child sees a virtualized object location'
         framing.
         """
-        obj = self._objects.get(handle)
-        if obj is None:
+        size_mb = self._objects.get(handle)
+        if size_mb is None:
             raise KeyError(f"unknown remote-memory handle {handle!r}")
-        yield self.env.timeout(self._transfer_time(obj.size_mb))
+        yield self.env.timeout(self._transfer_time(size_mb))
         self.reads += 1
-        return obj.size_mb
+        return size_mb
 
     def exists(self, handle: str) -> bool:
         return handle in self._objects
@@ -95,4 +87,4 @@ class RemoteMemoryFabric:
 
     @property
     def resident_mb(self) -> float:
-        return sum(o.size_mb for o in self._objects.values())
+        return sum(self._objects.values())

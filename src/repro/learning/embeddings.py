@@ -57,9 +57,12 @@ class IdentitySpace:
                                  size=self.dim)
         return self.centroids[identity] + noise
 
-    def confusable(self, noise_sigma: float = 1.05) -> np.ndarray:
+    #: Observation noise of :meth:`confusable` background.
+    CONFUSABLE_SIGMA = 1.05
+
+    def confusable(self) -> np.ndarray:
         """Background that *resembles* a random identity (a pale stone in
         a tennis-ball search): far enough that a well-trained model
         rejects it, close enough that a poorly trained one may not."""
         identity = int(self._rng.integers(len(self.centroids)))
-        return self.observe(identity, noise_sigma)
+        return self.observe(identity, self.CONFUSABLE_SIGMA)

@@ -39,13 +39,15 @@ class RetrainingMode(Enum):
 class OnlineRecognizer:
     """Recognition with optional per-device or swarm-wide retraining."""
 
+    #: Acceptance radius of every device's recognition model.
+    ACCEPT_RADIUS = 0.8
+
     def __init__(self, space: IdentitySpace, device_ids: List[str],
                  mode: RetrainingMode,
                  rng: np.random.Generator,
                  sensor_noise: float = 0.45,
                  pretrain_noise: float = 0.6,
                  pretrain_samples: int = 2,
-                 accept_radius: float = 0.8,
                  clutter_rate: float = 0.06):
         if not device_ids:
             raise ValueError("need at least one device")
@@ -58,20 +60,18 @@ class OnlineRecognizer:
         self.clutter_rate = clutter_rate
         self.tally = DetectionTally()
         if mode is RetrainingMode.SWARM:
-            shared = self._pretrained(pretrain_noise, pretrain_samples,
-                                      accept_radius)
+            shared = self._pretrained(pretrain_noise, pretrain_samples)
             self._models: Dict[str, NearestCentroidClassifier] = {
                 device: shared for device in device_ids}
         else:
             self._models = {
-                device: self._pretrained(pretrain_noise, pretrain_samples,
-                                         accept_radius)
+                device: self._pretrained(pretrain_noise, pretrain_samples)
                 for device in device_ids}
 
-    def _pretrained(self, noise: float, samples: int,
-                    accept_radius: float) -> NearestCentroidClassifier:
+    def _pretrained(self, noise: float,
+                    samples: int) -> NearestCentroidClassifier:
         """A model shipped with only a few noisy training examples."""
-        model = NearestCentroidClassifier(self.space.dim, accept_radius)
+        model = NearestCentroidClassifier(self.space.dim, self.ACCEPT_RADIUS)
         for identity in self.space.identities:
             for _ in range(samples):
                 model.add_observation(

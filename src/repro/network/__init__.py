@@ -1,9 +1,8 @@
 """Network substrate: links, wireless access, cluster fabric, RPC transports."""
 
 from .link import Link
-from .rpc import (EdgeCloudRpc, ReliableEdgeRpc, RetryPolicy,
-                  RpcResult, RpcTimeout, SoftwareClusterRpc,
-                  boundary_lookahead)
+from .rpc import (EdgeCloudRpc, ReliableEdgeRpc, RpcResult, RpcTimeout,
+                  SoftwareClusterRpc, boundary_lookahead)
 from .switch import ClusterNetwork, ToRSwitch
 from .topology import Fabric, build_fabric
 from .wireless import AccessPoint, NetworkPartitioned, WirelessNetwork
@@ -18,7 +17,6 @@ __all__ = [
     "RpcResult",
     "EdgeCloudRpc",
     "ReliableEdgeRpc",
-    "RetryPolicy",
     "RpcTimeout",
     "SoftwareClusterRpc",
     "Fabric",

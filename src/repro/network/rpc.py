@@ -22,14 +22,13 @@ from its shared ``network.loss`` stream).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
-from ..config import ClusterConstants
 from ..sim import Environment
 from .switch import ClusterNetwork
 from .wireless import NetworkPartitioned, WirelessNetwork
 
-__all__ = ["RpcResult", "RpcTimeout", "RetryPolicy", "EdgeCloudRpc",
+__all__ = ["RpcResult", "RpcTimeout", "EdgeCloudRpc",
            "ReliableEdgeRpc", "SoftwareClusterRpc", "boundary_lookahead"]
 
 
@@ -70,31 +69,6 @@ class RpcTimeout(Exception):
             f"({waited_s:.3f}s)")
         self.device_id = device_id
         self.attempts = attempts
-        self.waited_s = waited_s
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry/backoff parameters for :class:`ReliableEdgeRpc`.
-
-    Each failed attempt costs up to ``attempt_timeout_s`` of discovery
-    (the client waits that long before concluding the cloud is gone)
-    plus an exponential backoff before the next try; the whole call never
-    exceeds ``total_budget_s`` of wall time spent on failures.
-    """
-
-    max_attempts: int = 4
-    base_backoff_s: float = 0.25
-    backoff_factor: float = 2.0
-    attempt_timeout_s: float = 1.0
-    total_budget_s: float = 10.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("need at least one attempt")
-        if min(self.base_backoff_s, self.attempt_timeout_s,
-               self.total_budget_s) < 0 or self.backoff_factor < 1:
-            raise ValueError("invalid retry policy parameters")
 
 
 class EdgeCloudRpc:
@@ -161,18 +135,26 @@ class ReliableEdgeRpc:
     :class:`EdgeCloudRpc` or the accelerated variant). When a transfer
     hits a cloud-partition window (:class:`NetworkPartitioned`), the
     caller pays the per-attempt discovery timeout plus exponential
-    backoff, then retries; when the policy's attempt or budget ceiling is
+    backoff, then retries; when the attempt or budget ceiling is
     exhausted it raises :class:`RpcTimeout` so the runtime can shed the
     task to on-device compute. Used only by chaos runs — fault-free runs
     keep the bare transport, so their event streams are untouched.
     """
 
-    def __init__(self, env: Environment, inner,
-                 policy: Optional[RetryPolicy] = None,
-                 recovery_log=None):
+    #: Retry schedule. Each failed attempt costs up to
+    #: ``ATTEMPT_TIMEOUT_S`` of discovery (the client waits that long
+    #: before concluding the cloud is gone) plus an exponential backoff
+    #: before the next try; the whole call never exceeds
+    #: ``TOTAL_BUDGET_S`` of wall time spent on failures.
+    MAX_ATTEMPTS = 4
+    BASE_BACKOFF_S = 0.25
+    BACKOFF_FACTOR = 2.0
+    ATTEMPT_TIMEOUT_S = 1.0
+    TOTAL_BUDGET_S = 10.0
+
+    def __init__(self, env: Environment, inner, recovery_log=None):
         self.env = env
         self.inner = inner
-        self.policy = policy or RetryPolicy()
         self.recovery_log = recovery_log
         self.retries = 0
 
@@ -194,10 +176,9 @@ class ReliableEdgeRpc:
         return result
 
     def _reliable(self, device_id: str, attempt, trace=None) -> Generator:
-        policy = self.policy
         start = self.env.now
-        deadline = start + policy.total_budget_s
-        backoff = policy.base_backoff_s
+        deadline = start + self.TOTAL_BUDGET_S
+        backoff = self.BASE_BACKOFF_S
         attempts = 0
         action = None
         while True:
@@ -206,7 +187,7 @@ class ReliableEdgeRpc:
                 result = yield from attempt()
             except NetworkPartitioned:
                 remaining = deadline - self.env.now
-                if attempts >= policy.max_attempts or remaining <= 0:
+                if attempts >= self.MAX_ATTEMPTS or remaining <= 0:
                     raise RpcTimeout(device_id, attempts,
                                      self.env.now - start)
                 if action is None and self.recovery_log is not None:
@@ -216,11 +197,11 @@ class ReliableEdgeRpc:
                 # the next, clipped to the remaining budget.
                 retry_start = self.env.now
                 yield self.env.timeout(
-                    min(policy.attempt_timeout_s + backoff, remaining))
+                    min(self.ATTEMPT_TIMEOUT_S + backoff, remaining))
                 if trace:
                     trace.emit("rpc_retry", "network", retry_start,
                                self.env.now, attempt=attempts)
-                backoff *= policy.backoff_factor
+                backoff *= self.BACKOFF_FACTOR
                 continue
             if action is not None:
                 self.recovery_log.complete(action)
@@ -230,11 +211,10 @@ class ReliableEdgeRpc:
 class SoftwareClusterRpc:
     """Kernel TCP/IP RPC between cluster servers (the baseline stack)."""
 
-    def __init__(self, env: Environment, network: ClusterNetwork,
-                 constants: Optional[ClusterConstants] = None):
+    def __init__(self, env: Environment, network: ClusterNetwork):
         self.env = env
         self.network = network
-        self.constants = constants or network.constants
+        self.constants = network.constants
 
     @property
     def per_call_cpu_s(self) -> float:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional
 
-import numpy as np
-
 from ..config import ClusterConstants
 from ..sim import Environment
 from ..telemetry import BandwidthMeter
@@ -37,8 +35,7 @@ class ClusterNetwork:
     """NICs + ToR connecting the backend servers (section 2.1)."""
 
     def __init__(self, env: Environment, constants: ClusterConstants,
-                 meter: Optional[BandwidthMeter] = None,
-                 rng: Optional[np.random.Generator] = None):
+                 meter: Optional[BandwidthMeter] = None):
         self.env = env
         self.constants = constants
         self.meter = meter if meter is not None else BandwidthMeter("cluster")

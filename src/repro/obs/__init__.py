@@ -64,13 +64,11 @@ def tracing_enabled() -> bool:
     return active_tracer() is not None
 
 
-def install(tracer: Optional[SpanTracer] = None) -> SpanTracer:
+def install() -> SpanTracer:
     """Enable tracing for this process (idempotent when already on)."""
     global _ACTIVE, _ENV_CHECKED
     _ENV_CHECKED = True
-    if tracer is not None:
-        _ACTIVE = tracer
-    elif _ACTIVE is None:
+    if _ACTIVE is None:
         _ACTIVE = SpanTracer()
     return _ACTIVE
 

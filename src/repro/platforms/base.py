@@ -194,7 +194,7 @@ PLATFORMS: Dict[str, PlatformConfig] = {
 def platform_config(name: str) -> PlatformConfig:
     found = PLATFORMS.get(name)
     if found is None:
-        raise KeyError(
+        raise ValueError(
             f"unknown platform {name!r}; valid: {sorted(PLATFORMS)}")
     return found
 

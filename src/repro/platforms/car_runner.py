@@ -22,7 +22,7 @@ from typing import Generator, List, Optional
 
 from ..apps import CarScenarioSpec
 from ..cluster import FixedPool
-from ..config import DEFAULT, PaperConstants
+from ..config import DEFAULT
 from ..edge import RoboticCar
 from ..network import build_fabric
 from ..routing import WallFollower, generate_maze
@@ -40,20 +40,22 @@ INTERPRET_SERVICE_S = 0.08
 #: Cloud-core seconds per maze movement decision.
 MAZE_DECISION_S = 0.30
 
+#: Steps of driving between two instruction panels.
+STEPS_BETWEEN_PANELS = 8
+
 
 class CarScenarioRunner:
     """Executes one car scenario on one platform configuration."""
 
     def __init__(self, config: PlatformConfig, scenario: CarScenarioSpec,
-                 constants: PaperConstants = DEFAULT,
                  seed: int = 0,
                  n_devices: Optional[int] = None):
         self.config = config
         self.scenario = scenario
-        self.constants = constants
+        self.constants = DEFAULT
         self.seed = seed
         self.n_devices = (n_devices if n_devices is not None
-                          else constants.car.count)
+                          else DEFAULT.car.count)
         if self.n_devices <= 0:
             raise ValueError("need at least one car")
 
@@ -141,7 +143,7 @@ class CarScenarioRunner:
             car.start_mission()
             start = env.now
             for _ in range(self.scenario.panels):
-                for step in range(self.scenario.steps_between_panels):
+                for step in range(STEPS_BETWEEN_PANELS):
                     target = (car.cell[0] + 1, car.cell[1])
                     yield from car.drive_to_cell(target)
                 service = app.sample_cloud_service(rng)

@@ -47,8 +47,9 @@ def partition_field(width: float, height: float,
     return regions
 
 
-def _touches(a: Region, b: Region, tolerance: float = 1e-9) -> bool:
+def _touches(a: Region, b: Region) -> bool:
     """True when two regions share an edge (not merely a corner)."""
+    tolerance = 1e-9
     horizontal_adjacent = (
         (abs(a.x1 - b.x0) < tolerance or abs(b.x1 - a.x0) < tolerance) and
         min(a.y1, b.y1) - max(a.y0, b.y0) > tolerance)

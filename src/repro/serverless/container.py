@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Optional
 
 from .function import FunctionSpec
 
@@ -42,10 +41,6 @@ class FunctionContainer:
         self.memory_mb = memory_mb
         self.state = ContainerState.COLD_STARTING
         self.warm_expiry: float = 0.0
-        self.executions = 0
-        #: Identifier of the last invocation that ran here — lets a child
-        #: confirm it landed in its parent's container (in-memory sharing).
-        self.last_invocation_id: Optional[int] = None
 
     def compatible_with(self, spec: FunctionSpec) -> bool:
         """Warm reuse requires the same image and enough memory."""

@@ -37,16 +37,18 @@ __all__ = ["CouchDB"]
 class CouchDB:
     """Shared document store with tail-heavy access latency."""
 
+    #: Requests the store serves at once.
+    CONCURRENCY = 8
+
     def __init__(self, env: Environment,
                  constants: Optional[ServerlessConstants] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 concurrency: int = 8):
+                 rng: Optional[np.random.Generator] = None):
         self.env = env
         self.constants = constants or ServerlessConstants()
         self._rng = rng
-        #: Virtual clocks: when each of the ``concurrency`` servers
+        #: Virtual clocks: when each of the ``CONCURRENCY`` servers
         #: frees up.
-        self._free: List[float] = [0.0] * concurrency
+        self._free: List[float] = [0.0] * self.CONCURRENCY
         self.operations = 0
         self._documents = {}
         #: Chaos outage window: no operation starts service before this

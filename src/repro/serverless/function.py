@@ -1,7 +1,8 @@
 """Function and invocation records for the serverless platform.
 
 - :class:`FunctionSpec` — static registration of a serverless action
-  (name, memory reservation, runtime image), as registered with OpenWhisk.
+  (name, memory reservation, container image), as registered with
+  OpenWhisk.
 - :class:`InvocationRequest` — one activation: the work to do (service
   seconds on one core), payload sizes, and the optional parent invocation
   whose output this function consumes (multi-tier jobs).
@@ -29,7 +30,6 @@ class FunctionSpec:
 
     name: str
     memory_mb: float = 256.0
-    runtime: str = "python3"
     #: Runtimes with identical images can share a warm container; different
     #: software dependencies force a cold start (section 4.3 notes a child
     #: may need different dependencies than its parent).
@@ -56,11 +56,6 @@ class InvocationRequest:
     #: HiveMind hint: the scheduler may place this function in its parent's
     #: container for in-memory data exchange (section 4.3).
     colocate_with_parent: bool = True
-    #: Scheduling priority (exposed through the DSL's Schedule directive).
-    priority: int = 0
-    #: Dedicated container (the DSL's Isolate directive): never reuse a
-    #: warm container, never share this one afterwards.
-    isolate: bool = False
     #: Back-pointer to this request's live invocation record, filled in by
     #: the platform at invoke time. Lets wrappers (straggler mitigation,
     #: chaos recovery) attribute the request to the server it actually ran
@@ -85,7 +80,6 @@ class Invocation:
     invocation_id: int = field(default_factory=lambda: next(_invocation_ids))
     t_arrive: float = 0.0
     t_scheduled: float = 0.0
-    t_exec_start: float = 0.0
     t_complete: float = 0.0
     server_id: str = ""
     container_id: str = ""

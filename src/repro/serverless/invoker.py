@@ -4,7 +4,8 @@ Each backend server runs one invoker. It maintains a warm-container pool,
 pays cold/warm start costs, pins a core for the execution, models
 interference from co-located functions, injects faults when an experiment
 asks for them, and respawns failed executions (OpenWhisk respawns failed
-tasks by default — Fig 5c).
+tasks by default — Fig 5c). Every finished container goes back to the warm
+pool for its keep-alive window; no request asks for a dedicated one.
 """
 
 from __future__ import annotations
@@ -286,8 +287,7 @@ class Invoker:
     def _acquire_container(self, request: InvocationRequest,
                            invocation: Invocation,
                            prefer: Optional[FunctionContainer]) -> Generator:
-        container = (None if request.isolate
-                     else self.take_warm(request, prefer=prefer))
+        container = self.take_warm(request, prefer=prefer)
         try:
             if container is not None:
                 start_cost = self.constants.warm_start_s
@@ -346,8 +346,6 @@ class Invoker:
                 attempt_start = self.env.now
                 tally("serverless", 2)  # core grant + compute timeout
                 grant = yield from self.server.acquire_cores(1)
-                invocation.t_exec_start = (
-                    invocation.t_exec_start or self.env.now)
                 service = request.service_s * self._interference_factor()
                 faulty = (self.fault_rate > 0 and
                           float(self.rng.random()) < self.fault_rate)
@@ -379,21 +377,12 @@ class Invoker:
             self.server.free_memory(container.memory_mb)
             raise
 
-        container.executions += 1
-        container.last_invocation_id = invocation.invocation_id
-        if request.isolate:
-            # Dedicated container (Isolate directive): tear down rather
-            # than offering it for reuse.
-            container.mark_warm(self.env.now, 0.0)
-            container.mark_terminated()
-            self.server.free_memory(container.memory_mb)
-        else:
-            container.mark_warm(self.env.now, self.keepalive_s)
-            self._warm.setdefault(container.image, []).append(container)
-            if container.warm_expiry < self._warm_min_expiry:
-                self._warm_min_expiry = container.warm_expiry
-            # A fresh warm container is evictable: wake memory waits.
-            self._signal_memory()
+        container.mark_warm(self.env.now, self.keepalive_s)
+        self._warm.setdefault(container.image, []).append(container)
+        if container.warm_expiry < self._warm_min_expiry:
+            self._warm_min_expiry = container.warm_expiry
+        # A fresh warm container is evictable: wake memory waits.
+        self._signal_memory()
         return invocation
 
     # -- Kafka consumer -------------------------------------------------------

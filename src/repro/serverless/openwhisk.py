@@ -367,21 +367,13 @@ class OpenWhiskPlatform:
         if ways == 1:
             single = yield from self.invoke(request)
             return [single]
-        shard = InvocationRequest(
+        shards = [self.env.process(self.invoke(InvocationRequest(
             spec=request.spec,
             service_s=request.service_s / ways,
             input_mb=request.input_mb / ways,
             output_mb=request.output_mb / ways,
             parent=request.parent,
             colocate_with_parent=request.colocate_with_parent,
-            priority=request.priority,
-        )
-        shards = [self.env.process(self.invoke(InvocationRequest(
-            spec=shard.spec, service_s=shard.service_s,
-            input_mb=shard.input_mb, output_mb=shard.output_mb,
-            parent=shard.parent,
-            colocate_with_parent=shard.colocate_with_parent,
-            priority=shard.priority,
             trace=request.trace))) for _ in range(ways)]
         results = yield self.env.all_of(shards)
         return list(results.values())

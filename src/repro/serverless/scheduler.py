@@ -86,11 +86,9 @@ class HiveMindScheduler(OpenWhiskScheduler):
     name = "hivemind"
 
     def place(self, request: InvocationRequest) -> Placement:
-        # Optimization 1: child into the parent's container when possible
-        # (never for isolated requests — they demand a dedicated container).
+        # Optimization 1: child into the parent's container when possible.
         parent = request.parent
-        if parent is not None and request.colocate_with_parent and \
-                not request.isolate:
+        if parent is not None and request.colocate_with_parent:
             invoker = self._invoker_for(parent.server_id)
             if invoker is not None and invoker.alive and \
                     invoker.server.alive and not invoker.server.on_probation:

@@ -49,17 +49,12 @@ class ServingConfig:
     duration_s: float = DEFAULT_DURATION_S
     admission_enabled: bool = True
     autoscale_enabled: bool = True
-    admission: AdmissionConfig = AdmissionConfig()
     autoscale: AutoscaleConfig = AutoscaleConfig()
 
     @classmethod
-    def from_spec(cls, spec: str,
-                  duration_s: Optional[float] = None) -> "ServingConfig":
+    def from_spec(cls, spec: str) -> "ServingConfig":
         """Parse a ``REPRO_SERVING`` spec string; both policies armed."""
-        return cls(
-            tenants=parse_serving_spec(spec),
-            duration_s=(duration_s if duration_s is not None
-                        else DEFAULT_DURATION_S))
+        return cls(tenants=parse_serving_spec(spec))
 
     @property
     def tenant_weights(self) -> Dict[str, float]:
@@ -79,7 +74,7 @@ class ServingPolicy:
         cores = max(1, n_servers * cores_per_server)
         self.config = config
         self.admission = (AdmissionController(
-            config.admission, cores,
+            AdmissionConfig(), cores,
             tenant_weights=config.tenant_weights)
             if config.admission_enabled else None)
         self.autoscaler = (InvokerAutoscaler(

@@ -76,6 +76,10 @@ DIURNAL_PROFILE: Tuple[float, ...] = (
     0.92, 1.10, 1.20, 1.28, 1.32, 1.28, 1.24, 1.22,
     1.26, 1.40, 1.62, 1.86, 1.90, 1.60, 1.10, 0.62)
 
+#: One full diurnal envelope period, compressed from 24 h so short
+#: experiments still sweep through peak and trough.
+DIURNAL_PERIOD_S = 240.0
+
 _KINDS = ("poisson", "onoff", "diurnal")
 
 
@@ -102,9 +106,6 @@ class TenantSpec:
     burst_mult: float = 8.0
     on_s: float = 10.0
     off_s: float = 30.0
-    #: diurnal kind: one full envelope period, compressed from 24 h so
-    #: short experiments still sweep through peak and trough.
-    period_s: float = 240.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -139,9 +140,9 @@ class TenantSpec:
                                             if phase_on else 1.0)))
                 t, phase_on = end, not phase_on
             return out
-        # diurnal: hourly buckets compressed into period_s.
+        # diurnal: hourly buckets compressed into DIURNAL_PERIOD_S.
         mean = sum(DIURNAL_PROFILE) / len(DIURNAL_PROFILE)
-        bucket = self.period_s / len(DIURNAL_PROFILE)
+        bucket = DIURNAL_PERIOD_S / len(DIURNAL_PROFILE)
         out, t = [], 0.0
         while t < duration_s:
             index = int(t / bucket) % len(DIURNAL_PROFILE)

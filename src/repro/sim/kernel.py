@@ -163,7 +163,7 @@ class Event:
         self.env._schedule(self, priority)
         return self
 
-    def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
         A waiting process sees the exception raised at its ``yield``.
@@ -175,7 +175,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._defused = False
-        self.env._schedule(self, priority)
+        self.env._schedule(self, NORMAL)
         return self
 
     def __repr__(self) -> str:
@@ -433,7 +433,7 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
-    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+    def timeout_at(self, when: float) -> Timeout:
         """Timeout firing at the *absolute* time ``when``.
 
         ``timeout(when - now)`` re-derives the target as ``now + (when -
@@ -452,7 +452,7 @@ class Environment:
             timeout.env = self
             timeout.callbacks = []
         timeout._ok = True
-        timeout._value = value
+        timeout._value = None
         timeout._defused = True
         timeout._delay = when - self._now
         self._schedule_at(timeout, NORMAL, when)
@@ -470,8 +470,7 @@ class Environment:
         """
         return next(self._eid)
 
-    def succeed_at_eid(self, event: Event, when: float, eid: int,
-                       value: Any = None) -> Event:
+    def succeed_at_eid(self, event: Event, when: float, eid: int) -> Event:
         """Trigger ``event`` at ``when`` under a *reserved* insertion id.
 
         ``when`` at or before ``now`` falls back to a fresh zero-delay
@@ -480,7 +479,7 @@ class Environment:
         if event._value is not _PENDING:
             raise RuntimeError(f"{event!r} has already been triggered")
         event._ok = True
-        event._value = value
+        event._value = None
         if when <= self._now:
             self._schedule(event, NORMAL)
         else:

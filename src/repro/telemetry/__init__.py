@@ -4,7 +4,7 @@ from .bandwidth import BandwidthMeter
 from .breakdown import (COMPONENTS, BreakdownAggregate, LatencyBreakdown,
                         breakdown_array)
 from .metrics import DistributionSummary, MetricSeries
-from .power import BatteryDepleted, EnergyAccount, fleet_consumed_percent
+from .power import EnergyAccount, fleet_consumed_percent
 from .report import format_value, render_table
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "breakdown_array",
     "COMPONENTS",
     "EnergyAccount",
-    "BatteryDepleted",
     "fleet_consumed_percent",
     "BandwidthMeter",
     "render_table",

@@ -92,7 +92,9 @@ class BreakdownAggregate:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _band(self, percentile: float, width: float = 5.0) -> List[LatencyBreakdown]:
+    def _band(self, percentile: float) -> List[LatencyBreakdown]:
+        """The records within 5 percentiles of ``percentile``."""
+        width = 5.0
         if not self._records:
             raise ValueError("no breakdown records")
         totals = np.array([r.total for r in self._records])

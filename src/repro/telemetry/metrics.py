@@ -30,7 +30,6 @@ class DistributionSummary:
     p25: float
     median: float
     p75: float
-    p90: float
     p95: float
     p99: float
     maximum: float
@@ -201,7 +200,6 @@ class MetricSeries:
             p25=float(np.percentile(data, 25, method="linear")),
             median=float(np.percentile(data, 50, method="linear")),
             p75=float(np.percentile(data, 75, method="linear")),
-            p90=float(np.percentile(data, 90, method="linear")),
             p95=float(np.percentile(data, 95, method="linear")),
             p99=float(np.percentile(data, 99, method="linear")),
             maximum=float(data.max()),

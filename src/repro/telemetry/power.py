@@ -4,41 +4,31 @@ An :class:`EnergyAccount` tracks watt-hours drawn per category (motion,
 compute, radio_tx, radio_rx, idle) against a battery capacity. Devices call
 :meth:`draw_power` for steady draws over an interval and :meth:`draw_energy`
 for one-shot costs. Consumed-battery percentages are what the paper plots.
+
+A draw never raises: a drained battery keeps its ledger running past
+capacity (the battery-swap abstraction), so a device drops out of a run
+only through a fault plan, never through depletion.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-__all__ = ["EnergyAccount", "BatteryDepleted", "fleet_consumed_percent"]
+__all__ = ["EnergyAccount", "fleet_consumed_percent"]
 
 CATEGORIES = ("motion", "compute", "radio_tx", "radio_rx", "idle")
 
 WH_PER_JOULE = 1.0 / 3600.0
 
 
-class BatteryDepleted(Exception):
-    """Raised when a draw would take the battery below zero."""
-
-    def __init__(self, device: str, category: str):
-        super().__init__(f"{device}: battery depleted during {category}")
-        self.device = device
-        self.category = category
-
-
 class EnergyAccount:
     """Watt-hour ledger for one device's battery."""
 
-    def __init__(self, capacity_wh: float, device: str = "device",
-                 strict: bool = False):
+    def __init__(self, capacity_wh: float, device: str = "device"):
         if capacity_wh <= 0:
             raise ValueError("battery capacity must be positive")
         self.capacity_wh = float(capacity_wh)
         self.device = device
-        #: When strict, exhausting the battery raises BatteryDepleted —
-        #: used by scenario runs where drones can drop out (section 2.3
-        #: reports Scenario B left incomplete on the distributed platform).
-        self.strict = strict
         self._drawn: Dict[str, float] = {name: 0.0 for name in CATEGORIES}
 
     def draw_power(self, category: str, watts: float, seconds: float) -> None:
@@ -56,8 +46,6 @@ class EnergyAccount:
         if category not in self._drawn:
             raise KeyError(f"unknown energy category {category!r}")
         self._drawn[category] += wh
-        if self.strict and self.depleted:
-            raise BatteryDepleted(self.device, category)
 
     @property
     def consumed_wh(self) -> float:
@@ -65,7 +53,7 @@ class EnergyAccount:
 
     @property
     def consumed_percent(self) -> float:
-        """May exceed 100 in non-strict mode (battery-swap abstraction)."""
+        """May exceed 100 (battery-swap abstraction)."""
         return 100.0 * self.consumed_wh / self.capacity_wh
 
     @property

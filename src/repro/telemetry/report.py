@@ -11,8 +11,9 @@ from typing import Any, Iterable, List, Sequence
 __all__ = ["render_table", "format_value"]
 
 
-def format_value(value: Any, precision: int = 3) -> str:
-    """Human formatting: floats trimmed, large numbers grouped."""
+def format_value(value: Any) -> str:
+    """Human formatting: floats to 3 significant digits, large numbers
+    grouped."""
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, float):
@@ -22,7 +23,7 @@ def format_value(value: Any, precision: int = 3) -> str:
             return f"{value:,.0f}"
         if abs(value) < 0.001:
             return f"{value:.2e}"
-        return f"{value:.{precision}g}"
+        return f"{value:.3g}"
     if isinstance(value, int) and abs(value) >= 1000:
         return f"{value:,}"
     return str(value)

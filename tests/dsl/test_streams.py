@@ -38,11 +38,9 @@ class TestStream:
             Stream("s", 0, 1)
         with pytest.raises(ValueError):
             Stream("s", 1, -1)
-        with pytest.raises(ValueError):
-            Stream("s", 1, 1, window_s=0)
 
     def test_derived_rates(self):
-        stream = Stream("frames", rate_hz=8.0, item_mb=2.0, window_s=1.0)
+        stream = Stream("frames", rate_hz=8.0, item_mb=2.0)
         assert stream.mbs == 16.0
 
     def test_task_stream_accessors(self):

@@ -113,6 +113,5 @@ class TestSynthesisProperties:
             estimate = plan.estimate
             assert estimate.latency_s > 0
             assert estimate.latency_s < float("inf")
-            assert estimate.device_power_w >= 0
             assert estimate.network_mbs >= 0
             assert estimate.cloud_core_demand >= 0

@@ -1,4 +1,4 @@
-"""Tests for the edge layer: world, sensors, devices, drones, cars, swarm."""
+"""Tests for the edge layer: world, camera, devices, drones, cars, swarm."""
 
 import math
 
@@ -12,7 +12,6 @@ from repro.edge import (
     EdgeDevice,
     FieldWorld,
     RoboticCar,
-    SensorSuite,
     Swarm,
     SwarmEngine,
 )
@@ -132,8 +131,7 @@ class TestCamera:
         world = FieldWorld(100, 100, rng)
         camera = Camera(8, 2.0, 6.7, 8.75)
         batch = camera.capture_batch("d0", world, (50, 50), 0.0)
-        assert batch.frame_count == 8
-        assert batch.total_mb == 16.0
+        assert batch.total_mb == 8 * 2.0
 
     def test_batch_sees_items_in_footprint(self, rng):
         world = FieldWorld(100, 100, rng)
@@ -147,16 +145,6 @@ class TestCamera:
         world = FieldWorld(10, 10, rng)
         with pytest.raises(ValueError):
             camera.capture_batch("d0", world, (5, 5), 0.0, duration_s=0)
-
-
-class TestSensorSuite:
-    def test_readings_plausible(self, rng):
-        suite = SensorSuite(rng)
-        reading = suite.sample(time=100.0, altitude_m=5.0)
-        assert 0 <= reading.humidity_pct <= 100
-        assert 15 < reading.temperature_c < 35
-        assert reading.altitude_m == pytest.approx(5.0, abs=1.0)
-        assert reading.size_mb < 0.01
 
 
 class TestEdgeDevice:

@@ -34,13 +34,12 @@ def digest(value) -> str:
     return hashlib.md5(repr(value).encode()).hexdigest()
 
 
-def fly(waypoints, capture=True, kill_at=None, strict=False,
-        world_seed=7):
-    """Fly one route through the SwarmEngine; return (evidence, engine)."""
+def fly(waypoints, kill_at=None, world_seed=7):
+    """Fly one route through the SwarmEngine; return its evidence."""
     env = Environment()
     engine = SwarmEngine(env)
     world = FieldWorld(1000, 1000, np.random.default_rng(world_seed))
-    drone = Drone(env, "d0", DroneConstants(), strict_battery=strict)
+    drone = Drone(env, "d0", DroneConstants())
     batches = []
     if kill_at is not None:
         def killer():
@@ -50,12 +49,11 @@ def fly(waypoints, capture=True, kill_at=None, strict=False,
 
     def run():
         count = yield engine.fly_route(
-            drone, waypoints, world, on_batch=batches.append,
-            capture=capture)
+            drone, waypoints, world, on_batch=batches.append)
         return count
 
     count = env.run(env.process(run()))
-    return flight_evidence(env, drone, count, batches), engine
+    return flight_evidence(env, drone, count, batches)
 
 
 def _plain(point):
@@ -84,26 +82,26 @@ def flight_evidence(env, drone, count, batches, world=None):
 
 class TestRouteParity:
     def test_single_leg(self):
-        evidence, _ = fly([(0.0, 0.0), (40.0, 0.0)])
+        evidence = fly([(0.0, 0.0), (40.0, 0.0)])
         assert digest(evidence) == "ef3083710fdab19999c542a5c8378965"
 
     def test_multi_leg_with_turns(self):
-        evidence, _ = fly(
+        evidence = fly(
             [(0.0, 0.0), (40.0, 0.0), (40.0, 30.0), (3.0, 30.0)])
         assert digest(evidence) == "d0fefc4226bd4f3e8a41b40a5c8eb552"
 
     def test_diagonal_fractional_legs(self):
         # Leg lengths that do not divide evenly into 1 s ticks.
-        evidence, _ = fly([(0.0, 0.0), (11.3, 7.9), (2.2, 19.47)])
+        evidence = fly([(0.0, 0.0), (11.3, 7.9), (2.2, 19.47)])
         assert digest(evidence) == "2e6e8dec670ede1a6ad28325dded45c9"
 
     def test_zero_length_leg(self):
-        evidence, _ = fly(
+        evidence = fly(
             [(0.0, 0.0), (8.0, 0.0), (8.0, 0.0), (8.0, 12.0)])
         assert digest(evidence) == "e354fa4060962ada53c9280416249117"
 
     def test_failure_mid_route(self):
-        evidence, _ = fly([(0.0, 0.0), (400.0, 0.0)], kill_at=5.3)
+        evidence = fly([(0.0, 0.0), (400.0, 0.0)], kill_at=5.3)
         assert digest(evidence) == "05ce3cde16e5d54ada919f490fe69246"
         assert not evidence["alive"]
         # The in-flight tick still lands before the route ends.
@@ -126,41 +124,6 @@ class TestRouteParity:
         before = events_consumed()
         fly([(0.0, 0.0), (200.0, 0.0), (200.0, 200.0)])
         assert events_consumed() - before == 105
-
-
-class TestAnalyticLegs:
-    """capture=False legs collapse to one settle event per leg."""
-
-    def test_parity_and_single_event(self):
-        evidence, engine = fly(
-            [(0.0, 0.0), (160.0, 0.0), (160.0, 43.7)], capture=False)
-        assert digest(evidence) == "4605dfdc42f4359bbca10876030c8214"
-        assert engine.analytic_legs == 2
-        # ~52 ticks of flight collapse into a handful of engine wakes.
-        assert engine.wakes < 10
-
-    def test_capture_leg_not_analytic(self):
-        _, engine = fly([(0.0, 0.0), (40.0, 0.0)])
-        assert engine.analytic_legs == 0
-
-    def test_strict_battery_disables_analytic(self):
-        evidence, engine = fly([(0.0, 0.0), (60.0, 0.0)], capture=False,
-                               strict=True)
-        assert engine.analytic_legs == 0
-        assert digest(evidence) == "b176f967730e6c8ca783cf6c06ebe347"
-
-    def test_failure_truncates_analytic_leg(self):
-        evidence, engine = fly([(0.0, 0.0), (400.0, 0.0)], capture=False,
-                               kill_at=5.3)
-        assert engine.analytic_legs == 1
-        assert digest(evidence) == "982bd5d4781a495fc1477ac1ce90f335"
-        assert evidence["finish_time"] == 6.0
-
-    def test_failure_at_exact_tick_boundary(self):
-        # Same evidence as a kill at 5.3 s: the tick in flight lands.
-        evidence, _ = fly([(0.0, 0.0), (400.0, 0.0)], capture=False,
-                          kill_at=6.0)
-        assert digest(evidence) == "982bd5d4781a495fc1477ac1ce90f335"
 
 
 def _scenario_fingerprint(**kwargs):

@@ -67,7 +67,7 @@ class TestPredictCell:
         assert cell.makespan_s > cell.details["flight_s"] - 1e-9
 
     def test_unknown_platform_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown platform"):
             predict_cell("no_such_platform", "ScA", 16)
 
 

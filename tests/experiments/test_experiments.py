@@ -38,7 +38,7 @@ class TestRegistry:
         assert set(experiment_ids()) == expected
 
     def test_unknown_experiment(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown experiment"):
             run_experiment("fig99")
 
 

@@ -94,16 +94,6 @@ class TestClocksAndEnergy:
         assert any(v.invariant == "entity_clock"
                    for v in checker.violations)
 
-    def test_corrupted_strict_ledger_flagged(self, checker):
-        # A strict account can never legally go below zero (BatteryDepleted
-        # fires first), so a negative balance means the ledger was
-        # corrupted behind the API's back — exactly what the checker is
-        # for.
-        account = EnergyAccount(1.0, device="d0", strict=True)
-        account._drawn["idle"] = 2.0  # 2 Wh from a 1 Wh cell
-        checker.check_energy([account])
-        assert any(v.invariant == "energy" for v in checker.violations)
-
     def test_negative_category_draw_flagged(self, checker):
         account = EnergyAccount(1.0, device="d0")
         account._drawn["compute"] = -0.5

@@ -10,7 +10,6 @@ from repro.network import (
     EdgeCloudRpc,
     NetworkPartitioned,
     ReliableEdgeRpc,
-    RetryPolicy,
     RpcTimeout,
     build_fabric,
 )
@@ -205,12 +204,18 @@ class TestOutageWindows:
         assert platform.couchdb._outage_until == 10.0
 
 
+class _ShortRetryRpc(ReliableEdgeRpc):
+    MAX_ATTEMPTS = 3
+    BASE_BACKOFF_S = 0.1
+    ATTEMPT_TIMEOUT_S = 0.2
+    TOTAL_BUDGET_S = 2.0
+
+
 class TestRpcRetry:
-    def _rpc(self, env, policy=None, log=None):
+    def _rpc(self, env, rpc_class=ReliableEdgeRpc, log=None):
         fabric = build_fabric(env, DEFAULT, RandomStreams(5))
         inner = EdgeCloudRpc(env, fabric.wireless)
-        return fabric.wireless, ReliableEdgeRpc(env, inner, policy=policy,
-                                                recovery_log=log)
+        return fabric.wireless, rpc_class(env, inner, recovery_log=log)
 
     def test_transparent_when_healthy(self, env):
         _, rpc = self._rpc(env)
@@ -246,9 +251,7 @@ class TestRpcRetry:
 
     def test_exhausted_budget_raises_timeout(self, env):
         wireless, rpc = self._rpc(
-            env, policy=RetryPolicy(max_attempts=3, base_backoff_s=0.1,
-                                    attempt_timeout_s=0.2,
-                                    total_budget_s=2.0))
+            env, rpc_class=_ShortRetryRpc)
         wireless.set_partitioned(True)  # never heals
 
         def op():

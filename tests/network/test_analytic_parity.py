@@ -152,11 +152,15 @@ class TestMeterAtSerializationEnd:
         assert sum(mb for _, mb in meter.events) == 40.0
 
 
+class _ThreeServerCouchDB(CouchDB):
+    CONCURRENCY = 3
+
+
 class TestCouchDBParity:
     def test_contended_store_parity(self):
         env = Environment()
-        store = CouchDB(env, ServerlessConstants(),
-                        rng=np.random.default_rng(11), concurrency=3)
+        store = _ThreeServerCouchDB(env, ServerlessConstants(),
+                                    rng=np.random.default_rng(11))
         results = []
 
         def client(delay, megabytes):

@@ -219,8 +219,10 @@ class TestRpc:
 class TestFabric:
     def test_build_fabric_registers_servers(self, env):
         fabric = build_fabric(env, DEFAULT, RandomStreams(1))
-        assert len(fabric.server_ids) == DEFAULT.cluster.servers
-        assert all(fabric.cluster.has_server(s) for s in fabric.server_ids)
+        servers = DEFAULT.cluster.servers
+        assert all(fabric.cluster.has_server(f"server{index}")
+                   for index in range(servers))
+        assert not fabric.cluster.has_server(f"server{servers}")
 
     def test_fabric_wireless_matches_constants(self, env):
         fabric = build_fabric(env, DEFAULT, RandomStreams(1))

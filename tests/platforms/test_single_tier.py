@@ -16,7 +16,7 @@ def run(platform, app_key, **kwargs):
 
 class TestConfigs:
     def test_unknown_platform(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown platform"):
             platform_config("skynet")
 
     def test_validation(self):

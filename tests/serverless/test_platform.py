@@ -280,41 +280,6 @@ class TestIntraTaskParallelism:
         assert all(s.t_complete > 0 for s in shards)
 
 
-class TestIsolateDirective:
-    def test_isolated_requests_always_cold_and_never_reused(self, env):
-        platform = make_platform(env, keepalive_s=60.0)
-        spec = FunctionSpec("secure")
-
-        def run():
-            results = []
-            for _ in range(3):
-                invocation = yield env.process(platform.invoke(
-                    InvocationRequest(spec, service_s=0.05, isolate=True)))
-                results.append(invocation)
-            return results
-
-        results = env.run(env.process(run()))
-        assert all(r.cold_start for r in results)
-        assert len({r.container_id for r in results}) == 3
-        assert platform.warm_starts == 0
-
-    def test_isolated_child_never_colocates(self, env):
-        platform = make_platform(env, scheduler="hivemind")
-        spec = FunctionSpec("stage")
-
-        def run():
-            parent = yield env.process(platform.invoke(
-                InvocationRequest(spec, service_s=0.05, output_mb=1.0)))
-            child = yield env.process(platform.invoke(
-                InvocationRequest(spec, service_s=0.05, parent=parent,
-                                  isolate=True)))
-            return child
-
-        child = env.run(env.process(run()))
-        assert not child.colocated
-        assert child.cold_start
-
-
 class TestTracing:
     def test_tracer_records_invocations(self, env):
         platform = make_platform(env)

@@ -113,8 +113,7 @@ class TestSegments:
             TenantSpec(name="u", kind="poisson").burst_start_s
 
     def test_diurnal_mean_rate_is_preserved(self):
-        tenant = TenantSpec(name="u", kind="diurnal", rate_rps=40.0,
-                            period_s=240.0)
+        tenant = TenantSpec(name="u", kind="diurnal", rate_rps=40.0)
         segments = tenant.segments(240.0)
         assert len(segments) == 24
         mass = sum((end - start) * rate for start, end, rate in segments)

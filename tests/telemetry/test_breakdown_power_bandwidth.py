@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.telemetry import (
     BandwidthMeter,
-    BatteryDepleted,
     BreakdownAggregate,
     EnergyAccount,
     LatencyBreakdown,
@@ -117,12 +116,6 @@ class TestEnergyAccount:
             account.draw_power("motion", -1, 1)
         with pytest.raises(ValueError):
             account.draw_energy("motion", -1)
-
-    def test_strict_mode_raises_on_depletion(self):
-        account = EnergyAccount(capacity_wh=0.001, device="drone0",
-                                strict=True)
-        with pytest.raises(BatteryDepleted):
-            account.draw_power("compute", watts=100, seconds=100)
 
     def test_nonstrict_can_exceed_100(self):
         account = EnergyAccount(capacity_wh=0.001)
