@@ -22,7 +22,7 @@ from .codegen import ApiBundle, generate_apis
 from .constraints import PlanEstimate
 from .directives import DirectiveSet
 from .synthesis import enumerate_placements
-from .validation import validate_graph
+from .validation import ValidationError, validate_graph
 
 __all__ = ["CompiledPlan", "CompilationResult", "HiveMindCompiler"]
 
@@ -46,7 +46,6 @@ class CompilationResult:
 
     plans: List[CompiledPlan]          # ranked, best first
     chosen: CompiledPlan
-    warnings: List[str]
 
     @property
     def placement(self) -> Placement:
@@ -202,8 +201,15 @@ class HiveMindCompiler:
     def compile(self, graph: TaskGraph,
                 directives: Optional[DirectiveSet] = None
                 ) -> CompilationResult:
-        """Validate, synthesize, estimate, rank, and pick a plan."""
+        """Validate, synthesize, estimate, rank, and pick a plan.
+
+        A graph :func:`~repro.dsl.validation.validate_graph` warns about
+        is refused with :class:`~repro.dsl.validation.ValidationError`
+        listing the warnings."""
         warnings = validate_graph(graph, directives)
+        if warnings:
+            raise ValidationError(
+                f"graph {graph.name!r} has warnings: {'; '.join(warnings)}")
         placements = enumerate_placements(graph, directives)
         plans = []
         for placement in placements:
@@ -221,5 +227,4 @@ class HiveMindCompiler:
                     plan.estimate.latency_s)
 
         plans.sort(key=rank_key)
-        return CompilationResult(
-            plans=plans, chosen=plans[0], warnings=warnings)
+        return CompilationResult(plans=plans, chosen=plans[0])

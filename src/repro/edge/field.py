@@ -19,6 +19,9 @@ __all__ = ["FieldWorld", "Person"]
 
 Point = Tuple[float, float]
 
+#: Walking speed of every person (m/s).
+WALK_SPEED_MPS = 1.2
+
 
 @dataclass
 class Person:
@@ -27,7 +30,6 @@ class Person:
     person_id: int
     position: Point
     waypoint: Point
-    speed_mps: float = 1.2
 
 
 class FieldWorld:
@@ -64,20 +66,16 @@ class FieldWorld:
             self.items[index] = self._random_point()
         self._item_grid = None
 
-    def place_people(self, count: int, speed_mps: float = 1.2) -> None:
+    def place_people(self, count: int) -> None:
         """Scatter ``count`` walkers uniformly (Scenario B)."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        if not 0 < speed_mps < math.inf:
-            raise ValueError(
-                f"walking speed must be positive and finite, got {speed_mps}")
         start = len(self.people)
         for index in range(start, start + count):
             self.people[index] = Person(
                 person_id=index,
                 position=self._random_point(),
                 waypoint=self._random_point(),
-                speed_mps=speed_mps,
             )
         if count:
             self._people_xy = None
@@ -94,7 +92,7 @@ class FieldWorld:
         self._clock = to_time
         self._people_xy = None
         for person in self.people.values():
-            remaining = dt * person.speed_mps
+            remaining = dt * WALK_SPEED_MPS
             while remaining > 0:
                 dx = person.waypoint[0] - person.position[0]
                 dy = person.waypoint[1] - person.position[1]

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -465,7 +465,6 @@ def synthetic_stream(platform: Union[str, object],
                      n_devices: int, cell_index: int,
                      device_id_base: int, total_devices: int,
                      seed: int = 0,
-                     constants: Optional[PaperConstants] = None,
                      slots: int = 64):
     """Price one mean-field cell's *cloud-bound load* as weighted
     synthetic arrival streams for the sharded cloud tier (hybrid runs).
@@ -499,8 +498,7 @@ def synthetic_stream(platform: Union[str, object],
         raise ValueError("n_devices must be positive")
     if slots <= 0:
         raise ValueError("slots must be positive")
-    base = constants if constants is not None else DEFAULT
-    cst = base.scaled_for_swarm(total_devices)
+    cst = DEFAULT.scaled_for_swarm(total_devices)
     profile = flight_profile(cst)
     B = max(1, profile.batches)
     _, f_cloud = _admission(config, scenario, total_devices, cst)

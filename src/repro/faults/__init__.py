@@ -10,6 +10,11 @@ tasks. This package makes that claim testable end to end:
   rate changes).
 - :class:`FaultInjector` — arms a plan against a live simulation: it owns
   one process that walks the schedule and drives the per-layer hooks.
+  It is the only place a plan runs: the monolithic
+  :class:`~repro.platforms.runner.SingleTierRunner` (``--chaos``).
+  Sharded runs take no simulated plan; their chaos is
+  :class:`WorkerFaultPlan`, which kills and hangs real shard workers
+  (``--chaos-workers``).
 - :class:`InvariantChecker` — conservation-of-work observer: every
   submitted task completes or is accounted exactly once, no invocation
   finishes twice, device batteries never go negative, and the kernel
@@ -26,8 +31,7 @@ streams the workload models own.
 
 from .invariants import InvariantChecker, Violation
 from .injector import FaultInjector
-from .plan import (FaultEvent, FaultPlan, PartitionedPlan,
-                   named_plan, plan_names)
+from .plan import FaultEvent, FaultPlan, named_plan, plan_names
 from .report import RecoveryLog, ResilienceReport
 from .worker import WorkerFault, WorkerFaultPlan
 
@@ -39,7 +43,6 @@ __all__ = [
     "RecoveryLog",
     "ResilienceReport",
     "Violation",
-    "PartitionedPlan",
     "WorkerFault",
     "WorkerFaultPlan",
     "named_plan",

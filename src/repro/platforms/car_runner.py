@@ -18,7 +18,7 @@ returns, so perception latency translates directly into job latency.
 from __future__ import annotations
 
 import math
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from ..apps import CarScenarioSpec
 from ..cluster import FixedPool
@@ -48,16 +48,12 @@ class CarScenarioRunner:
     """Executes one car scenario on one platform configuration."""
 
     def __init__(self, config: PlatformConfig, scenario: CarScenarioSpec,
-                 seed: int = 0,
-                 n_devices: Optional[int] = None):
+                 seed: int = 0):
         self.config = config
         self.scenario = scenario
         self.constants = DEFAULT
         self.seed = seed
-        self.n_devices = (n_devices if n_devices is not None
-                          else DEFAULT.car.count)
-        if self.n_devices <= 0:
-            raise ValueError("need at least one car")
+        self.n_devices = DEFAULT.car.count
 
     @property
     def _device_ratio(self) -> float:

@@ -32,7 +32,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..apps import ScenarioSpec
 from ..cluster import FixedPool
-from ..config import DEFAULT, PaperConstants
+from ..config import DEFAULT
 from ..core import FailureDetector
 from ..edge import Drone, FieldWorld, FrameBatch, Swarm, SwarmEngine
 from ..learning import DeduplicationEngine, IdentitySpace, RetrainingMode
@@ -62,7 +62,6 @@ class ScenarioRunner:
     """Executes one end-to-end scenario on one platform."""
 
     def __init__(self, config: PlatformConfig, scenario: ScenarioSpec,
-                 constants: PaperConstants = DEFAULT,
                  seed: int = 0,
                  n_devices: Optional[int] = None,
                  retraining: Optional[str] = None,
@@ -77,8 +76,8 @@ class ScenarioRunner:
                  = None):
         self.config = config
         self.scenario = scenario
-        self.constants = (constants if n_devices is None
-                          else constants.scaled_for_swarm(n_devices))
+        self.constants = (DEFAULT if n_devices is None
+                          else DEFAULT.scaled_for_swarm(n_devices))
         self.seed = seed
         self.retraining = retraining
         self.frame_mb = frame_mb
@@ -116,9 +115,8 @@ class ScenarioRunner:
         #: (sharded mode passes the *global* device count so every cell
         #: compiles the same whole-swarm placement).
         self.placement_devices = placement_devices
-        #: Scheduled device failures: (local device index, absolute time)
-        #: pairs. The shard runtime passes each cell its share of a
-        #: partitioned fault plan.
+        #: Scheduled device failures: (device index, absolute time)
+        #: pairs.
         self.fail_devices_at = list(fail_devices_at or ())
         self._st: Optional[Dict[str, object]] = None
         self._finished = False

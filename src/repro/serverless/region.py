@@ -44,6 +44,10 @@ observable tolerance instead):
   (the legacy scan's "most recent same-named invocation" is overwhelmingly
   the primary itself in the regional slice).
 
+The slice takes no simulated fault plan: a server goes on probation only
+after straggler strikes, and simulated faults run in the monolithic
+runner alone (:class:`~repro.faults.FaultInjector`).
+
 Determinism: a region's stream is ``default_rng([seed + GATEWAY_SEED_
 OFFSET, region])`` and its call sequence is a pure function of the cell
 plan and the region size — never of how cells or regions were grouped
@@ -61,12 +65,10 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..config import PaperConstants
-from ..faults.plan import server_index
 from ..telemetry import MetricSeries
 from .wire import Calls, Completions
 
-__all__ = ["RegionGateway", "region_server_count",
-           "region_server_offset", "GATEWAY_SEED_OFFSET"]
+__all__ = ["RegionGateway", "region_server_count", "GATEWAY_SEED_OFFSET"]
 
 #: Seed offset separating both cloud tiers' stream namespaces from the
 #: cells' (cells use ``seed + 1000 * cell_index``; the offset keeps the
@@ -130,21 +132,6 @@ def region_server_count(region: int, n_regions: int, n_servers: int) -> int:
     return base + (1 if region < extra else 0)
 
 
-def region_server_offset(region: int, n_regions: int,
-                         n_servers: int) -> int:
-    """First *global* backend server index owned by ``region`` under the
-    same contiguous split as :func:`region_server_count` (when regions
-    outnumber servers, region ``r`` maps to logical server
-    ``min(r, n_servers - 1)``). Used to translate a fault plan's global
-    server targets into a region's local server indices."""
-    if not 0 <= region < n_regions:
-        raise ValueError(f"region {region} outside 0..{n_regions - 1}")
-    if n_regions >= n_servers:
-        return min(region, n_servers - 1)
-    base, extra = divmod(n_servers, n_regions)
-    return region * base + min(region, extra)
-
-
 class RegionGateway:
     """One region's cloud slice, priced on a virtual clock.
 
@@ -168,7 +155,6 @@ class RegionGateway:
             raise ValueError("region must own at least one device")
         self.config = config
         self.region = region
-        self.n_regions = n_regions
         _check_stage_constants(constants)
         cst = self._cst = constants.serverless
         self._control = constants.control
@@ -234,17 +220,6 @@ class RegionGateway:
             1, math.ceil(cst.concurrency_limit / n_regions))
         self._admitted: List[float] = []
 
-        #: Chaos outage windows ``(start_s, end_s)`` from a
-        #: region-partitioned fault plan (:meth:`apply_fault_plan`): a
-        #: CouchDB/Kafka operation landing inside a window is pushed to
-        #: its end; operations before the window are untouched.
-        self._couch_outages: List[Tuple[float, float]] = []
-        self._kafka_outages: List[Tuple[float, float]] = []
-        self._total_servers = constants.cluster.servers
-        #: Backend fault-plan events this region actually armed
-        #: (outage windows + local server crashes).
-        self.injected_faults = 0
-
         self.recognition_spec = scenario.recognition.function_spec()
         self.dedup_spec = (scenario.dedup.function_spec()
                            if scenario.dedup is not None else None)
@@ -290,60 +265,10 @@ class RegionGateway:
         self.duplicate_launches = 0
         self._last_arrival = 0.0
 
-    # -- chaos arming ---------------------------------------------------
-    def apply_fault_plan(self, plan) -> None:
-        """Arm this region's slice of a partitioned backend
-        :class:`~repro.faults.FaultPlan` (see
-        :meth:`~repro.faults.FaultPlan.partition`).
-
-        CouchDB/Kafka outages become shard-local stall windows;
-        server/invoker crashes put the targeted server (translated from
-        its global index to this region's local slice) on probation for
-        the reboot window (permanently for ``duration_s == 0``).
-        Network-layer and function-fault events are ignored here — in
-        exact runs those are injected by the cell-side network and
-        serverless layers, not the analytic regional model.
-        """
-        offset = region_server_offset(self.region, self.n_regions,
-                                      self._total_servers)
-        for event in plan.sorted_events():
-            if event.kind == "couchdb_outage":
-                self._couch_outages.append(
-                    (event.time, event.time + event.duration_s))
-                self.injected_faults += 1
-            elif event.kind == "kafka_outage":
-                self._kafka_outages.append(
-                    (event.time, event.time + event.duration_s))
-                self.injected_faults += 1
-            elif event.kind in ("server_crash", "invoker_crash"):
-                local = server_index(event.target,
-                                     self._total_servers) - offset
-                if 0 <= local < self._n_servers:
-                    until = (math.inf if event.duration_s == 0
-                             else event.time + event.duration_s)
-                    self._probation_until[local] = max(
-                        self._probation_until[local], until)
-                    self.injected_faults += 1
-        self._couch_outages.sort()
-        self._kafka_outages.sort()
-        self._healthy_span = _STALE
-
-    @staticmethod
-    def _after_outages(t: float,
-                       windows: List[Tuple[float, float]]) -> float:
-        """Push ``t`` past every outage window it lands in (windows are
-        sorted by start, so chained/overlapping windows cascade)."""
-        for start, end in windows:
-            if start <= t < end:
-                t = end
-        return t
-
     # -- resource primitives -------------------------------------------
     def _couch_serve(self, t: float, duration: float) -> float:
         """One store operation of fixed ``duration`` (auth checks)."""
         grant = max(t, self._couch_work / self._couch_slots)
-        if self._couch_outages:
-            grant = self._after_outages(grant, self._couch_outages)
         self._couch_work += duration
         return grant + duration
 
@@ -526,8 +451,6 @@ class RegionGateway:
         # Kafka hop to the invoker's topic.
         hop_start = t
         t += cst.kafka_hop_s
-        if self._kafka_outages:
-            t = self._after_outages(t, self._kafka_outages)
         management += t - hop_start
         # Warm container: keepalive'd claim, else a cold start.
         if container is None:
@@ -712,7 +635,6 @@ class RegionGateway:
             "cold_starts": self.cold_starts,
             "warm_starts": self.warm_starts,
             "duplicate_launches": self.duplicate_launches,
-            "injected_faults": self.injected_faults,
         }
         if self._serving is not None:
             out["shed_calls"] = self.shed_calls

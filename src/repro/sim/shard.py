@@ -10,8 +10,8 @@ or per-region :class:`~repro.serverless.region.RegionGateway` slices.
 Both tiers have one shape, ``serve(calls, until) -> completions`` and
 ``finish() -> (completions, stats_by_region)``, over the columnar wire
 forms of :mod:`repro.serverless.wire`. :func:`run_sharded` is
-three stages: :func:`plan_run` (pure: cells, worker groups, cloud tier,
-faults), :func:`sync` (the barrier loop) and :func:`merge` (pure: joins
+three stages: :func:`plan_run` (pure: cells, worker groups, cloud tier),
+:func:`sync` (the barrier loop) and :func:`merge` (pure: joins
 the two halves of every call, with index arrays, into one
 :class:`~repro.platforms.base.RunResult`).
 
@@ -57,7 +57,6 @@ from ..serverless.gateway import CloudGateway
 from ..serverless.wire import Calls, Completions
 from ..telemetry import (BandwidthMeter, BreakdownAggregate,
                          LatencyBreakdown, MetricSeries, breakdown_array)
-from ..faults.plan import region_count
 from ..faults.worker import WorkerFaultPlan
 from .flags import resolve
 from .supervisor import (ProtocolError, SupervisedConnection,
@@ -113,9 +112,6 @@ class CellSpec:
     #: budget, so the hybrid runtime-remapping fraction matches the
     #: whole-swarm value.
     cloud_budget_cores: float
-    #: Scheduled device failures local to this cell:
-    #: (cell-local device index, time) pairs.
-    fail_devices_at: Tuple[Tuple[int, float], ...] = ()
     #: ``"exact"`` (simulate every device) or ``"meanfield"`` (hybrid
     #: runs: price the cell's cloud load as a synthetic arrival stream).
     mode: str = "exact"
@@ -191,23 +187,20 @@ class CellBoundary:
 
 def plan_cells(n_devices: int, seed: int = 0,
                cell_devices: int = DEFAULT_CELL_DEVICES,
-               device_faults: Sequence[Tuple[int, float]] = (),
                exact_devices: Optional[int] = None,
                region_devices: int = DEFAULT_REGION_DEVICES
                ) -> List[CellSpec]:
     """Decompose ``n_devices`` into cells (shard-count independent).
 
-    ``device_faults`` is a sequence of (global device index, time) crash
-    schedules, partitioned onto the owning cells. ``exact_devices``
-    (hybrid runs) keeps the cells covering the first ``exact_devices``
-    devices exact and marks the rest ``mode="meanfield"``; a cell
-    straddling the split stays exact, so the exact focus sub-swarm never
-    shrinks below what was asked for. ``region_devices`` sets the cloud
-    region granularity; a cell belongs entirely to the region owning its
-    base device (``device_id_base // region_devices``), so cells never
-    straddle regions, and a swarm spanning several regions needs
-    ``region_devices`` to be a multiple of ``cell_devices``
-    (:func:`~repro.faults.plan.region_count`).
+    ``exact_devices`` (hybrid runs) keeps the cells covering the first
+    ``exact_devices`` devices exact and marks the rest
+    ``mode="meanfield"``; a cell straddling the split stays exact, so the
+    exact focus sub-swarm never shrinks below what was asked for.
+    ``region_devices`` sets the cloud region granularity; a cell belongs
+    entirely to the region owning its base device (``device_id_base //
+    region_devices``), so cells never straddle regions, and a swarm
+    spanning several regions needs ``region_devices`` to be a multiple
+    of ``cell_devices``.
     """
     if n_devices <= 0:
         raise ValueError("n_devices must be positive")
@@ -215,15 +208,14 @@ def plan_cells(n_devices: int, seed: int = 0,
         raise ValueError("cell_devices must be positive")
     if exact_devices is not None and exact_devices <= 0:
         raise ValueError("a hybrid run needs at least one exact device")
+    if region_devices <= 0:
+        raise ValueError("region_devices must be positive")
     cell_devices = min(cell_devices, n_devices)
-    region_count(n_devices, cell_devices, region_devices)
+    if n_devices > region_devices and region_devices % cell_devices:
+        raise ValueError(
+            f"region_devices={region_devices} is not a multiple of "
+            f"cell_devices={cell_devices}")
     n_cells = math.ceil(n_devices / cell_devices)
-    by_cell: Dict[int, List[Tuple[int, float]]] = {}
-    for index, at_time in device_faults:
-        if not 0 <= index < n_devices:
-            raise ValueError(f"device index {index} outside the swarm")
-        by_cell.setdefault(index // cell_devices, []).append(
-            (index % cell_devices, at_time))
     specs = []
     for cell in range(n_cells):
         base = cell * cell_devices
@@ -231,16 +223,10 @@ def plan_cells(n_devices: int, seed: int = 0,
         mode = ("meanfield"
                 if exact_devices is not None and base >= exact_devices
                 else "exact")
-        if mode == "meanfield" and by_cell.get(cell):
-            # Scheduled crashes demand per-device simulation: a faulted
-            # cell is promoted back to exact rather than silently
-            # dropping its fault schedule.
-            mode = "exact"
         specs.append(CellSpec(
             index=cell, n_devices=count, device_id_base=base,
             seed=seed + 1000 * cell,
             cloud_budget_cores=CLOUD_BUDGET_CORES * count / n_devices,
-            fail_devices_at=tuple(by_cell.get(cell, ())),
             mode=mode, region=base // region_devices))
     return specs
 
@@ -258,20 +244,16 @@ class _Cells:
     """
 
     def __init__(self, config: PlatformConfig, scenario,
-                 specs: List[CellSpec], constants: PaperConstants,
-                 total_devices: int, runner_kwargs: Dict):
+                 specs: List[CellSpec], total_devices: int):
         self._cells = []
         for spec in specs:
             boundary = CellBoundary(spec.index, region=spec.region)
             runner = ScenarioRunner(
-                config, scenario, constants=constants,
-                n_devices=spec.n_devices, seed=spec.seed,
+                config, scenario, n_devices=spec.n_devices, seed=spec.seed,
                 cloud_boundary=boundary,
                 device_id_base=spec.device_id_base,
                 cloud_budget_cores=spec.cloud_budget_cores,
-                placement_devices=total_devices,
-                fail_devices_at=spec.fail_devices_at,
-                **runner_kwargs)
+                placement_devices=total_devices)
             runner.start()
             self._cells.append((spec, runner, boundary))
 
@@ -299,14 +281,11 @@ class _Regions:
     :class:`Calls` on its virtual clock and returns the regions'
     :class:`Completions`, concatenated; ``("finish", None)`` returns
     ``{region: stats}``.
-    ``region_plans`` maps region index to its partitioned backend
-    :class:`~repro.faults.FaultPlan` (simulated faults: a respawned
-    worker applies them again, unlike one-shot worker chaos).
     """
 
     def __init__(self, region_specs, config, scenario, constants,
                  total_devices: int, seed: int, n_regions: int,
-                 region_plans: Optional[Dict], serving_cfg):
+                 serving_cfg):
         from ..serverless.region import RegionGateway, region_server_count
         self._gateways = {}
         for region, count in region_specs:
@@ -321,14 +300,10 @@ class _Regions:
                     n_servers=region_server_count(
                         region, n_regions, constants.cluster.servers),
                     cores_per_server=constants.cluster.cores_per_server)
-            gateway = RegionGateway(
+            self._gateways[region] = RegionGateway(
                 config, scenario, constants, region=region,
                 n_regions=n_regions, region_devices=count,
                 total_devices=total_devices, seed=seed, serving=serving)
-            plan = (region_plans or {}).get(region)
-            if plan is not None and plan.armed:
-                gateway.apply_fault_plan(plan)
-            self._gateways[region] = gateway
 
     def request(self, command: str, argument) -> object:
         if command == "serve":
@@ -360,7 +335,7 @@ class _RegionTier:
                 functools.partial(
                     _Regions, group, plan.config, plan.scenario,
                     plan.cloud_constants, plan.n_devices, plan.seed,
-                    plan.n_regions, plan.region_plans, plan.serving),
+                    plan.n_regions, plan.serving),
                 in_process))
         self._handles = handles
         self._owner = {region: handle
@@ -421,9 +396,7 @@ class RunPlan:
     scenario: object
     n_devices: int
     seed: int
-    constants: PaperConstants  # as given; each cell scales its own
     cloud_constants: PaperConstants  # scaled to the whole swarm
-    runner_kwargs: Dict
     cells: Tuple[CellSpec, ...]  # exact and mean-field
     window_s: float
     shards: int
@@ -434,7 +407,6 @@ class RunPlan:
     region_groups: Tuple[Tuple[Tuple[int, int], ...], ...]
     cloud_workers: int
     n_regions: int
-    region_plans: Dict  # region -> backend FaultPlan
     serving: object  # ServingConfig or None
     #: The regional tier's layout extras, in extras order.
     cloud_extras: Tuple[Tuple[str, object], ...]
@@ -458,7 +430,7 @@ class RunPlan:
                 calls, events = synthetic_stream(
                     self.config, self.scenario, spec.n_devices, spec.index,
                     spec.device_id_base, self.n_devices, seed=self.seed,
-                    constants=self.constants, slots=slots)
+                    slots=slots)
                 parts.append(calls._replace(
                     region=np.full_like(calls.region, spec.region)))
                 meter.extend(events)
@@ -479,16 +451,12 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
              seed: int = 0, shards: int = 1,
              cell_devices: int = DEFAULT_CELL_DEVICES,
              window_s: Optional[float] = None,
-             constants: PaperConstants = DEFAULT,
              cloud_shards: int = 0,
              region_devices: int = DEFAULT_REGION_DEVICES,
              exact_devices: Optional[int] = None,
-             fault_plan=None,
              worker_faults: Optional[WorkerFaultPlan] = None,
              worker_deadline_s: Optional[float] = None,
-             worker_retries: Optional[int] = None,
-             serving=None,
-             **runner_kwargs) -> RunPlan:
+             serving=None) -> RunPlan:
     """Validate :func:`run_sharded`'s arguments and plan the run. Pure:
     starts no worker (the host's core count sets only the grouping)."""
     if shards < 1:
@@ -507,22 +475,13 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
     if worker_faults is None:
         worker_faults = WorkerFaultPlan()
     chaos_armed = worker_faults.armed
-    retries = resolve_worker_retries(worker_retries)
-    region_plans: Dict = {}
-    device_faults: Sequence[Tuple[int, float]] = ()
-    if fault_plan is not None and fault_plan.armed:
-        partitioned = fault_plan.partition(
-            n_devices, cell_devices=cell_devices,
-            region_devices=region_devices)
-        device_faults = partitioned.device_crash_schedule()
-        region_plans = partitioned.regions
+    retries = resolve_worker_retries()
     cells = tuple(plan_cells(n_devices, seed=seed, cell_devices=cell_devices,
-                             device_faults=device_faults,
                              exact_devices=exact_devices,
                              region_devices=region_devices))
     exact = [spec for spec in cells if spec.mode == "exact"]
     shards = min(shards, len(exact))
-    cloud_constants = constants.scaled_for_swarm(n_devices)
+    cloud_constants = DEFAULT.scaled_for_swarm(n_devices)
     window = resolve_window(cloud_constants, window_s)
     from ..experiments.parallel import default_workers
 
@@ -535,8 +494,8 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
                         for worker in range(workers))
 
     # The monolithic gateway serves exact cells' calls only: background
-    # load, serving tenants and backend faults arm the regional tier.
-    if exact_devices is not None or serving_cfg is not None or region_plans:
+    # load and serving tenants arm the regional tier.
+    if exact_devices is not None or serving_cfg is not None:
         cloud_shards = max(cloud_shards, 1)
     # Regions are contiguous blocks of whole cells (plan_cells checks).
     regions = [(region, min(region_devices,
@@ -559,12 +518,10 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
                              ("meanfield_cells", len(cells) - len(exact)))
     return RunPlan(
         config=config, scenario=scenario, n_devices=n_devices, seed=seed,
-        constants=constants, cloud_constants=cloud_constants,
-        runner_kwargs=runner_kwargs, cells=cells, window_s=window,
+        cloud_constants=cloud_constants, cells=cells, window_s=window,
         shards=shards, cell_groups=cell_groups,
         region_groups=region_groups, cloud_workers=cloud_workers,
-        n_regions=len(regions), region_plans=region_plans,
-        serving=serving_cfg, cloud_extras=cloud_extras,
+        n_regions=len(regions), serving=serving_cfg, cloud_extras=cloud_extras,
         worker_faults=worker_faults,
         deadline_s=resolve_worker_deadline(window, worker_deadline_s),
         retries=retries)
@@ -824,9 +781,6 @@ def merge(plan: RunPlan,
         if key in stats[0]:
             extras[key] = sum(region[key] for region in stats.values())
     extras.update(plan.cloud_extras)
-    if plan.region_plans:
-        extras["injected_backend_faults"] = sum(
-            region.get("injected_faults", 0) for region in stats.values())
     if plan.serving is not None:
         extras["serving"] = _aggregate_serving(plan.serving, streams,
                                                completions, stats)
@@ -852,16 +806,12 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
                 seed: int = 0, shards: int = 1,
                 cell_devices: int = DEFAULT_CELL_DEVICES,
                 window_s: Optional[float] = None,
-                constants: PaperConstants = DEFAULT,
                 cloud_shards: int = 0,
                 region_devices: int = DEFAULT_REGION_DEVICES,
                 exact_devices: Optional[int] = None,
-                fault_plan=None,
                 worker_faults: Optional[WorkerFaultPlan] = None,
                 worker_deadline_s: Optional[float] = None,
-                worker_retries: Optional[int] = None,
-                serving=None,
-                **runner_kwargs) -> RunResult:
+                serving=None) -> RunResult:
     """Run one scenario with the swarm decomposed into cells over
     ``shards`` worker processes (:func:`plan_run`, :func:`sync`,
     :func:`merge`); the result is byte-identical at any ``shards`` and
@@ -872,24 +822,19 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     ``cloud_shards`` workers; ``exact_devices`` (hybrid: later cells are
     mean-field aggregates injecting synthetic cloud load), ``serving``
     (open-loop tenants: a ``REPRO_SERVING`` spec or a
-    :class:`~repro.serving.ServingConfig`) and a ``fault_plan`` with
-    backend events imply it. ``fault_plan`` device crashes go to their
-    cells.
+    :class:`~repro.serving.ServingConfig`) imply it.
     Worker pipes are deadline-guarded (``worker_deadline_s``) and dead
-    or hung workers respawned ``worker_retries`` times, then run
+    or hung workers respawned ``REPRO_WORKER_RETRIES`` times, then run
     in-process, with the same bytes (:mod:`repro.sim.supervisor`);
     ``worker_faults`` arms :mod:`repro.faults.worker` chaos.
-    ``runner_kwargs`` pass through to every cell's
-    :class:`~repro.platforms.scenario_runner.ScenarioRunner`.
     """
     plan = plan_run(
         config, scenario, n_devices, seed=seed, shards=shards,
-        cell_devices=cell_devices, window_s=window_s, constants=constants,
+        cell_devices=cell_devices, window_s=window_s,
         cloud_shards=cloud_shards,
         region_devices=region_devices, exact_devices=exact_devices,
-        fault_plan=fault_plan, worker_faults=worker_faults,
-        worker_deadline_s=worker_deadline_s,
-        worker_retries=worker_retries, serving=serving, **runner_kwargs)
+        worker_faults=worker_faults,
+        worker_deadline_s=worker_deadline_s, serving=serving)
     incident_mark = incident_count()
     cells: List[SupervisedConnection] = []
     regions: List[SupervisedConnection] = []
@@ -908,8 +853,7 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
             cells.append(_supervise(
                 plan, "shard", worker_id,
                 functools.partial(_Cells, plan.config, plan.scenario,
-                                  list(group), plan.constants,
-                                  plan.n_devices, plan.runner_kwargs),
+                                  list(group), plan.n_devices),
                 in_process))
 
         results, completions, stats = sync(plan, cells, cloud)

@@ -169,8 +169,8 @@ def resolve_worker_deadline(window_s: float,
     return max(DEADLINE_FLOOR_S, float(window_s))
 
 
-def resolve_worker_retries(override: Optional[int] = None) -> int:
-    return resolve("REPRO_WORKER_RETRIES", override)
+def resolve_worker_retries() -> int:
+    return resolve("REPRO_WORKER_RETRIES")
 
 
 def _spawn_probe() -> None:

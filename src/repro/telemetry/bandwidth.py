@@ -22,12 +22,11 @@ class BandwidthMeter:
     negative one would land in no window, or in the wrong one.
     """
 
-    def __init__(self, name: str = "", window_s: float = 1.0):
-        if not (window_s > 0 and math.isfinite(window_s)):
-            raise ValueError(
-                f"window must be positive and finite, got {window_s!r}")
+    #: Width of the utilization windows the MB/s series is reduced to.
+    WINDOW_S = 1.0
+
+    def __init__(self, name: str = ""):
         self.name = name
-        self.window_s = window_s
         self._times: List[float] = []
         self._megabytes: List[float] = []
 
@@ -99,11 +98,12 @@ class BandwidthMeter:
         times = times[order]
         sizes = sizes[order]
         end = horizon_s if horizon_s is not None else float(times.max()) + 1e-9
-        n_windows = max(1, int(math.ceil(end / self.window_s)))
+        n_windows = max(1, int(math.ceil(end / self.WINDOW_S)))
         series = np.zeros(n_windows)
-        indices = np.minimum((times / self.window_s).astype(int), n_windows - 1)
+        indices = np.minimum((times / self.WINDOW_S).astype(int),
+                             n_windows - 1)
         np.add.at(series, indices, sizes)
-        return series / self.window_s  # MB per window -> MB/s
+        return series / self.WINDOW_S  # MB per window -> MB/s
 
     def mean_mbs(self, horizon_s: float = None) -> float:
         """Average MB/s over the run (the bars in Fig 14b)."""

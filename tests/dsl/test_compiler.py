@@ -10,6 +10,7 @@ from repro.dsl import (
     Task,
     TaskGraph,
     TaskProfile,
+    ValidationError,
     generate_apis,
 )
 from tests.dsl.test_dsl import scenario_b_graph
@@ -140,10 +141,13 @@ class TestCompiler:
             ExecTimeConstraint(-1)
 
     def test_warnings_propagated(self):
+        # The consumer reads the producer's output but declares no
+        # parent: compile refuses the graph and names the warning.
         graph = TaskGraph()
         graph.add_task(Task("producer", data_out="frames",
                             profile=TaskProfile(0.1, output_mb=1)))
         graph.add_task(Task("consumer", data_in="frames",
                             profile=TaskProfile(0.1)))
-        result = HiveMindCompiler().compile(graph)
-        assert result.warnings
+        with pytest.raises(ValidationError,
+                           match="'consumer' consumes 'frames'"):
+            HiveMindCompiler().compile(graph)

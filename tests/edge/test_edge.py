@@ -60,12 +60,6 @@ class TestFieldWorld:
         with pytest.raises(ValueError):
             world.advance(to_time)
 
-    @pytest.mark.parametrize("speed", [NAN, -1.0, 0.0, math.inf])
-    def test_bad_walking_speed_rejected(self, rng, speed):
-        world = FieldWorld(10, 10, rng)
-        with pytest.raises(ValueError):
-            world.place_people(3, speed_mps=speed)
-
     def test_place_items_inside_field(self, rng):
         world = FieldWorld(100, 50, rng)
         world.place_items(15)

@@ -124,7 +124,7 @@ class TestMeterAtSerializationEnd:
     def test_record_excludes_propagation(self):
         from repro.telemetry import BandwidthMeter
         env = Environment()
-        meter = BandwidthMeter("m", window_s=1.0)
+        meter = BandwidthMeter("m")
         # 10 MB/s link, 1.0 s propagation: a 5 MB transfer at t=0
         # serializes over [0, 0.5] and lands at t=1.5.
         link = Link(env, "l", bandwidth_mbs=10.0, latency_s=1.0,
@@ -137,7 +137,7 @@ class TestMeterAtSerializationEnd:
     def test_metered_bytes_align_with_busy_fraction(self):
         from repro.telemetry import BandwidthMeter
         env = Environment()
-        meter = BandwidthMeter("m", window_s=1.0)
+        meter = BandwidthMeter("m")
         link = Link(env, "l", bandwidth_mbs=10.0, latency_s=2.0,
                     meter=meter)
 

@@ -86,11 +86,6 @@ class TestScenarioRunner:
 
 
 class TestCarRunner:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CarScenarioRunner(platform_config("hivemind"), TREASURE_HUNT,
-                              n_devices=0)
-
     def test_treasure_hunt_completes_all_cars(self):
         result = CarScenarioRunner(platform_config("hivemind"),
                                    TREASURE_HUNT, seed=3).run()

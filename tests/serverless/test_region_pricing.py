@@ -37,9 +37,8 @@ from hypothesis import strategies as st
 
 from repro import apps
 from repro.config import DEFAULT
-from repro.faults import FaultPlan
 from repro.platforms import platform_config
-from repro.serverless.region import RegionGateway
+from repro.serverless.region import _STALE, RegionGateway
 from repro.serverless.wire import Calls
 from repro.serving import (AutoscaleConfig, ServingConfig, ServingPolicy,
                            parse_serving_spec)
@@ -100,7 +99,7 @@ class TestRegionPricingPins:
         assert _pins(result, region_stats) == (
             "5605707fb7b35b0632cee77c9ff5fb9d",
             "1f8e6c7f0eccd441ab019b580d683829",
-            "4cfdb2e858a3001019e7ccdedf285523")
+            "f35a06df72bfe7d3d645d09bd7076590")
         assert _breakdown_digest(result) == (
             "20bb392077b2930ebbc37344303eaf48")
 
@@ -117,17 +116,7 @@ class TestRegionPricingPins:
         assert _pins(result, region_stats) == (
             "10900b045bc1ba08c823275e1ca4838a",
             "917d33bf0ade804f0cb00d158c714b53",
-            "095b847bea0e0c76a2827256992aa74f")
-
-    def test_backend_fault_plan(self, region_stats):
-        plan = (FaultPlan("backend").couchdb_outage(5.0, 10.0)
-                .server_crash(8.0, "server1", reboot_s=20.0))
-        result = _run(seed=0, fault_plan=plan)
-        assert result.extras["injected_backend_faults"] > 0
-        assert _pins(result, region_stats) == (
-            "f53526c9a7db55df5183b940448989cc",
-            "90ebfdf6ad36f66e3e1cc8ecf2f93867",
-            "3c9ca36ce85ef8504df545a320d05bd5")
+            "c931afc3aa0205fa0be598207193eb4a")
 
     def test_hybrid_exact_devices(self, region_stats):
         result = _run(n_devices=64, cell_devices=16, region_devices=16,
@@ -136,7 +125,7 @@ class TestRegionPricingPins:
         assert _pins(result, region_stats) == (
             "e446958fa83d3a30598730af2949281e",
             "d72b2fbb7a449930883e9ad42e38a790",
-            "56f7b0f32d4f0340b54bdc612ea5eb56")
+            "dad581ec78031fde8aa50ae06cd1c153")
 
 
 class TestBreakdownPins:
@@ -333,7 +322,8 @@ _instants = st.floats(0.0, 30.0)
 _services = st.floats(0.01, 4.0)
 #: A stage's service time, or None (no such stage) a third of the time.
 _stage = st.none() | _services | _services
-_crash = st.tuples(_instants, st.integers(0, _SERVERS - 1),
+#: A probation window ``(start, server, length)``; length 0 is for good.
+_probation = st.tuples(_instants, st.integers(0, _SERVERS - 1),
                    st.sampled_from([0.0, 1.0]) | st.floats(0.5, 10.0))
 #: One call priced from its arrival; arrivals come in any order.
 _call = st.tuples(st.just("call"), _instants, _stage, _stage,
@@ -381,6 +371,18 @@ def _placement_gateway(cls, probation_s, keepalive_s, shared_image,
     return gateway
 
 
+def _put_on_probation(gateway, probations):
+    """Hold each ``(start, server, length)`` server on probation until
+    ``start + length``, or for good when ``length`` is 0; overlapping
+    windows keep the later end. A gateway keeps one end per server, so
+    the server is off placement at every instant before it."""
+    for start, server, length in probations:
+        until = math.inf if length == 0 else start + length
+        gateway._probation_until[server] = max(
+            gateway._probation_until[server], until)
+    gateway._healthy_span = _STALE
+
+
 def _decisions(gateway):
     """Record each placement as ``(task, t, server, parent claimed,
     rotation after)``."""
@@ -419,27 +421,24 @@ class TestPlacementEquivalence:
 
     @settings(max_examples=150, deadline=None)
     @given(ops=st.lists(_op, min_size=30, max_size=120),
-           crashes=st.lists(_crash, max_size=4),
+           probations=st.lists(_probation, max_size=4),
            all_down=st.booleans(),
            probation_s=st.sampled_from([180.0]) | st.floats(0.5, 8.0),
            keepalive_s=st.sampled_from([20.0]) | st.floats(0.2, 3.0),
            shared_image=st.booleans(), autoscale=st.booleans())
-    def test_decisions_match_the_scan(self, ops, crashes, all_down,
+    def test_decisions_match_the_scan(self, ops, probations, all_down,
                                       probation_s, keepalive_s,
                                       shared_image, autoscale):
-        plan = FaultPlan("backend")
         if all_down:
-            # Every server crashes at once: placement falls back to the
-            # whole pool until the first reboot.
-            crashes = crashes + [(5.0, server, 4.0 + server)
-                                 for server in range(_SERVERS)]
-        for at, server, reboot_s in crashes:
-            plan.server_crash(at, f"server{server}", reboot_s=reboot_s)
+            # Every server is down at once: placement falls back to the
+            # whole pool until the first one is back.
+            probations = probations + [(5.0, server, 4.0 + server)
+                                       for server in range(_SERVERS)]
         gateways = [_placement_gateway(cls, probation_s, keepalive_s,
                                        shared_image, autoscale)
                     for cls in (RegionGateway, _ReferenceGateway)]
         for gateway in gateways:
-            gateway.apply_fault_plan(plan)
+            _put_on_probation(gateway, probations)
         logs = [_decisions(gateway) for gateway in gateways]
         observed = 0.0
         for op in ops:
@@ -457,13 +456,11 @@ class TestPlacementEquivalence:
                 if new._warm[server].get(image, {}).get("live", 0) > 0}
 
     def test_every_server_on_probation_falls_back_to_the_pool(self):
-        plan = FaultPlan("backend")
-        for server in range(_SERVERS):
-            plan.server_crash(1.0, f"server{server}", reboot_s=2.0 + server)
         gateway = _placement_gateway(RegionGateway, 180.0, 20.0, False,
                                      False)
-        gateway.apply_fault_plan(plan)
-        # Reboots end at 3, 4, 5 and 6 s.
+        _put_on_probation(gateway, [(1.0, server, 2.0 + server)
+                                    for server in range(_SERVERS)])
+        # Probations end at 3, 4, 5 and 6 s.
         assert gateway._healthy(0.5) == [0, 1, 2, 3]
         assert gateway._healthy(1.5) == [0, 1, 2, 3]  # all down
         assert gateway._healthy(4.5) == [0, 1]

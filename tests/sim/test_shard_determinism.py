@@ -162,16 +162,6 @@ class TestCellPlan:
         assert [s.device_id_base for s in specs] == [0, 64, 128]
         assert [s.seed for s in specs] == [5, 1005, 2005]
 
-    def test_fault_routing(self):
-        specs = plan_cells(128, cell_devices=64,
-                           device_faults=[(70, 12.5), (3, 1.0)])
-        assert specs[0].fail_devices_at == ((3, 1.0),)
-        assert specs[1].fail_devices_at == ((6, 12.5),)
-
-    def test_fault_outside_swarm_rejected(self):
-        with pytest.raises(ValueError):
-            plan_cells(64, device_faults=[(64, 1.0)])
-
 
 class TestUnarmedPath:
     """No REPRO_SHARDS / REPRO_MEANFIELD -> the seed's exact numbers."""

@@ -3,8 +3,7 @@
 ``merge`` and ``plan_run`` are pure, so they are tested here on
 hand-built inputs with no worker. The monolithic gateway path is pinned
 by md5 digests recorded before the two cloud tiers were given one shape,
-and the region layout rule shared by ``plan_cells`` and
-``FaultPlan.partition`` is checked on both.
+and ``plan_cells``'s region layout rule is checked.
 """
 
 from __future__ import annotations
@@ -15,12 +14,12 @@ import pytest
 
 from repro.apps import SCENARIO_A
 from repro.config import DEFAULT
-from repro.faults import FaultPlan
 from repro.platforms import platform_config
 from repro.platforms.base import RunResult
 from repro.serverless.gateway import CloudGateway
 from repro.serverless.region import RegionGateway
 from repro.serverless.wire import Calls, Completions
+from repro.sim import shard
 from repro.sim.shard import (CellBoundary, merge, plan_cells, plan_run,
                              run_sharded)
 from repro.telemetry import (BandwidthMeter, BreakdownAggregate,
@@ -35,11 +34,6 @@ CONFIG = platform_config("hivemind")
 def _run(**kwargs):
     return run_sharded(CONFIG, scenario_variant("S1"), 16, shards=2,
                        cell_devices=4, **kwargs)
-
-
-def _backend_plan():
-    return (FaultPlan("store-outage").couchdb_outage(10.0, 30.0)
-            .kafka_outage(20.0, 30.0))
 
 
 # -- monolithic gateway pins ---------------------------------------------
@@ -73,27 +67,6 @@ class TestMonolithicGatewayPins:
         assert gateways[0].mitigator.duplicates_launched > 0
         assert _pins(result) == ("c6897be87b2282ff4cce3ebe0a3b23f0",
                                  "45de7962625ce5e3e4da29ea88a3de14")
-
-    def test_device_crash_plan(self, gateways):
-        plan = (FaultPlan("crash").device_crash(20.0, "3")
-                .device_crash(45.0, "9"))
-        result = _run(seed=0, fault_plan=plan)
-        assert len(gateways) == 1  # device crashes keep the gateway
-        assert result.extras["failed_devices"]
-        assert _pins(result) == ("1854b53b3b01b5c59d5835d9b858819d",
-                                 "4430472eada95a7f7951fe9af8c986dc")
-
-
-class TestBackendFaultsArmRegionalTier:
-    def test_edge_sharded_run_injects_backend_faults(self):
-        quiet = _run(seed=0, region_devices=8)
-        stormy = _run(seed=0, region_devices=8, fault_plan=_backend_plan())
-        regional = _run(seed=0, region_devices=8, cloud_shards=1,
-                        fault_plan=_backend_plan())
-        assert result_bytes(stormy) != result_bytes(quiet)
-        assert result_bytes(stormy) == result_bytes(regional)
-        # 2 regions x 2 outage kinds.
-        assert stormy.extras["injected_backend_faults"] == 4
 
 
 # -- one cloud-tier shape ------------------------------------------------
@@ -300,23 +273,35 @@ class TestPlanRun:
     @pytest.mark.parametrize("arming", [
         {"exact_devices": 8},
         {"serving": "poisson:20"},
-        {"fault_plan": _backend_plan()},
-    ], ids=["hybrid", "serving", "backend-faults"])
+    ], ids=["hybrid", "serving"])
     def test_regional_tier_armed(self, arming):
         plan = plan_run(CONFIG, scenario_variant("S1"), 16, cell_devices=4,
                         region_devices=8, **arming)
         assert _regions(plan) == [(0, 8), (1, 8)]
         assert dict(plan.cloud_extras)["cloud_shards"] == 1
 
-    @pytest.mark.parametrize("arming", [
-        {},
-        {"fault_plan": FaultPlan("crash").device_crash(20.0, "3")},
-    ], ids=["quiet", "device-crash"])
+    @pytest.mark.parametrize("arming", [{}], ids=["quiet"])
     def test_monolithic_gateway_otherwise(self, arming):
         plan = plan_run(CONFIG, scenario_variant("S1"), 16, cell_devices=4,
                         region_devices=8, **arming)
         assert plan.region_groups == ()
         assert plan.cloud_extras == ()
+
+    @pytest.mark.parametrize("keyword", ["fault_plan", "shard"])
+    def test_unknown_keyword_fails_before_any_worker(self, monkeypatch,
+                                                     keyword):
+        # A simulated fault plan is no sharded option, and a typo must
+        # not reach the forked cell workers: both fail in the caller.
+        built = []
+        monkeypatch.setattr(shard, "SupervisedConnection",
+                            lambda *args, **kwargs: built.append(args))
+        with pytest.raises(TypeError, match=keyword):
+            plan_run(CONFIG, scenario_variant("S1"), 16, cell_devices=4,
+                     **{keyword: 2})
+        with pytest.raises(TypeError, match=keyword):
+            run_sharded(CONFIG, scenario_variant("S1"), 16, shards=2,
+                        cell_devices=4, **{keyword: 2})
+        assert built == []
 
     def test_plan_is_frozen(self, mono_plan):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -331,9 +316,6 @@ class TestRegionLayout:
     def test_partial_cell_regions_rejected(self):
         with pytest.raises(ValueError, match="multiple of cell_devices"):
             plan_cells(201, cell_devices=64, region_devices=100)
-        with pytest.raises(ValueError, match="multiple of cell_devices"):
-            _backend_plan().partition(201, cell_devices=64,
-                                      region_devices=100)
 
     def test_sub_cell_regions_rejected_before_serving(self):
         with pytest.raises(ValueError, match="multiple of cell_devices"):
@@ -341,15 +323,10 @@ class TestRegionLayout:
                         region_devices=32, cloud_shards=1,
                         serving="poisson:50")
 
-    def test_cells_and_fault_plans_count_the_same_regions(self):
+    def test_cells_count_whole_regions(self):
         specs = plan_cells(256, cell_devices=64, region_devices=128)
         assert [spec.region for spec in specs] == [0, 0, 1, 1]
-        partitioned = _backend_plan().partition(
-            256, cell_devices=64, region_devices=128)
-        assert sorted(partitioned.regions) == [0, 1]
 
     def test_single_region_swarm_needs_no_whole_cells(self):
         specs = plan_cells(100, cell_devices=64, region_devices=512)
         assert {spec.region for spec in specs} == {0}
-        assert sorted(_backend_plan().partition(
-            100, cell_devices=64, region_devices=512).regions) == [0]

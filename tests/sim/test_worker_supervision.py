@@ -195,9 +195,10 @@ class TestHangRecovery:
 
 @needs_processes
 class TestDegradationLadder:
-    def test_zero_retries_degrades_to_in_process(self, undisturbed_bytes):
-        result = _run(WorkerFaultPlan.parse("kill:shard:0:2"),
-                      worker_retries=0)
+    def test_zero_retries_degrades_to_in_process(self, monkeypatch,
+                                                 undisturbed_bytes):
+        monkeypatch.setenv("REPRO_WORKER_RETRIES", "0")
+        result = _run(WorkerFaultPlan.parse("kill:shard:0:2"))
         assert result_bytes(result) == undisturbed_bytes
         [incident] = result.extras["worker_incidents"]
         assert incident["recovery"] == "in_process"
@@ -235,13 +236,10 @@ class TestResolvers:
 
     def test_retries_env_var(self, monkeypatch):
         assert resolve_worker_retries() == 2
-        assert resolve_worker_retries(override=5) == 5
         monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
         assert resolve_worker_retries() == 1
 
     def test_bad_retries_env_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="non-negative"):
-            resolve_worker_retries(override=-1)
         monkeypatch.setenv("REPRO_WORKER_RETRIES", "-1")
         with pytest.raises(ValueError,
                            match="REPRO_WORKER_RETRIES=-1: .*non-negative"):
@@ -434,8 +432,9 @@ class TestEventAccounting:
         assert self._deltas(WorkerFaultPlan()) == reference
         assert self._deltas(WorkerFaultPlan.parse("kill:shard:0:2")) \
             == reference
-        assert self._deltas(WorkerFaultPlan.parse("kill:shard:0:2"),
-                            worker_retries=0) == reference
+        monkeypatch.setenv("REPRO_WORKER_RETRIES", "0")
+        assert self._deltas(WorkerFaultPlan.parse("kill:shard:0:2")) \
+            == reference
 
     def test_region_worker_kill_counts_the_same_events(self):
         shape = dict(cloud_shards=2, region_devices=8)
@@ -443,29 +442,3 @@ class TestEventAccounting:
         assert undisturbed[0] > 0
         assert self._deltas(WorkerFaultPlan.parse("kill:cloud:0:2"),
                             **shape) == undisturbed
-
-
-class TestBackendFaultParity:
-    """Satellite: CouchDB/Kafka outage windows must arm *every* region,
-    so rows stay identical at any (shards, cloud_shards) grouping."""
-
-    def _plan(self):
-        from repro.faults import FaultPlan
-        return (FaultPlan(name="store-outage", seed=0)
-                .couchdb_outage(10.0, 30.0)
-                .kafka_outage(20.0, 30.0))
-
-    def test_outage_rows_identical_across_groupings(self):
-        shape = dict(region_devices=8, fault_plan=self._plan())
-        one = _run(WorkerFaultPlan(), cloud_shards=1, **shape)
-        two = _run(WorkerFaultPlan(), cloud_shards=2, **shape)
-        assert result_bytes(one) == result_bytes(two)
-        # Both regions armed: 2 regions x 2 outage kinds.
-        assert one.extras["injected_backend_faults"] == 4
-        assert two.extras["injected_backend_faults"] == 4
-
-    def test_outages_actually_perturb_the_run(self):
-        shape = dict(region_devices=8, cloud_shards=2)
-        quiet = _run(WorkerFaultPlan(), **shape)
-        stormy = _run(WorkerFaultPlan(), fault_plan=self._plan(), **shape)
-        assert result_bytes(quiet) != result_bytes(stormy)
