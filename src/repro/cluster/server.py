@@ -91,10 +91,6 @@ class Server:
         """Crash the server (chaos injection): stop taking new work."""
         self.alive = False
 
-    def restore(self) -> None:
-        """Bring a crashed server back (reboot complete)."""
-        self.alive = True
-
     def acquire_cores(self, n: int = 1) -> Generator:
         """Process: claim ``n`` pinned cores; returns a :class:`CoreGrant`.
 

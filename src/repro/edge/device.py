@@ -14,7 +14,8 @@ from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..sim import Environment
+from ..sim import Environment, Timeout
+from ..sim.accounting import tally
 from ..telemetry import EnergyAccount
 
 __all__ = ["EdgeDevice"]
@@ -102,26 +103,43 @@ class EdgeDevice:
             return base
         return base * float(self._rng.lognormal(0.0, 0.18))
 
-    def execute(self, cloud_service_s: float,
-                slowdown: Optional[float] = None) -> Generator:
-        """Process: run a task on-board; returns the edge seconds spent."""
+    def reserve(self, cloud_service_s: float,
+                slowdown: Optional[float] = None) -> Timeout:
+        """Claim a core for a task now; return its completion timeout.
+
+        Draws the task's service time, takes the earliest-free core and
+        returns the ``timeout_at`` that fires when the task ends, valued
+        with the edge seconds spent. The task's compute energy and
+        ``busy_compute_s`` are charged by the timeout's first callback,
+        ahead of whatever waits on it.
+        """
         if cloud_service_s < 0:
             raise ValueError("service time must be non-negative")
         service = self.edge_service_time(cloud_service_s, slowdown)
+        now = self.env.now
         free_at = heapq.heappop(self._core_free)
-        start = free_at if free_at > self.env.now else self.env.now
-        end = start + service
+        end = (free_at if free_at > now else now) + service
         heapq.heappush(self._core_free, end)
-        yield self.env.timeout_at(end)
+        tally("edge")
+        done = self.env.timeout_at(end, service)
+        done.callbacks.append(self._charge_compute)
+        return done
+
+    def _charge_compute(self, done: Timeout) -> None:
+        # A device that failed mid-service produced nothing; charging its
+        # battery (and its busy-compute ledger) for the aborted work would
+        # double-bill the post-mortem idle settlement.
         if self.alive:
-            # A device that failed mid-service produced nothing; charging
-            # its battery (and its busy-compute ledger) for the aborted
-            # work would double-bill the post-mortem idle settlement.
+            service = done.value
             self.busy_compute_s += service
             self.energy.draw_power(
                 "compute", self.compute_power_w - self.compute_idle_w,
                 service)
-        return service
+
+    def execute(self, cloud_service_s: float,
+                slowdown: Optional[float] = None) -> Generator:
+        """Process: run a task on-board; returns the edge seconds spent."""
+        return (yield self.reserve(cloud_service_s, slowdown))
 
     # -- radio ------------------------------------------------------------
     def account_tx(self, airtime_s: float) -> None:

@@ -119,10 +119,6 @@ class FaultInjector:
     # -- cluster / serverless layer ---------------------------------------------
     def _apply_server_crash(self, event: FaultEvent) -> None:
         self.platform.crash_server(event.target)
-        if event.duration_s:
-            self._schedule_restore(
-                event.duration_s,
-                lambda: self.platform.restore_server(event.target))
 
     def _apply_invoker_crash(self, event: FaultEvent) -> None:
         self.platform.crash_invoker(event.target)

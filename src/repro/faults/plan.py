@@ -37,8 +37,9 @@ class FaultEvent:
     time: float
     kind: str
     target: Optional[str] = None
-    #: Length of windowed faults (outages, partitions, reboot delay of a
-    #: crash). Zero means permanent (crashes) or instantaneous (brownout).
+    #: Length of windowed faults (outages, partitions, reboot delay of an
+    #: invoker crash). Zero means permanent (crashes) or instantaneous
+    #: (brownout).
     duration_s: float = 0.0
     #: Kind-specific intensity: capacity factor for ``link_degrade``,
     #: drained battery fraction for ``battery_brownout``, per-execution

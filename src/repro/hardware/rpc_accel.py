@@ -21,6 +21,7 @@ from ..config import AccelerationConstants
 from ..network.rpc import EdgeCloudRpc, RpcResult
 from ..network.wireless import WirelessNetwork
 from ..sim import Environment
+from ..sim.accounting import tally
 
 __all__ = ["AcceleratedEdgeRpc"]
 
@@ -66,6 +67,7 @@ class AcceleratedEdgeRpc(EdgeCloudRpc):
         start = self.env.now
         processing = (self.EDGE_PROC_S + self._cloud_processing_s +
                       self.PER_MB_MARSHAL_S * 0.25 * megabytes)
+        tally("network")
         yield self.env.timeout(processing)
         if trace:
             trace.emit("rpc_processing", "network", start, self.env.now)
@@ -74,6 +76,7 @@ class AcceleratedEdgeRpc(EdgeCloudRpc):
         # Offload cannot remove the over-the-air ack round trip.
         rtt = self.wireless.constants.base_rtt_s
         ack_start = self.env.now
+        tally("network")
         yield self.env.timeout(rtt)
         if trace:
             trace.emit("ack_rtt", "network", ack_start, self.env.now)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Generator
 
 from ..sim import Environment
+from ..sim.accounting import tally
 from .switch import ClusterNetwork
 from .wireless import NetworkPartitioned, WirelessNetwork
 
@@ -116,6 +117,7 @@ class EdgeCloudRpc:
         start = self.env.now
         processing = (self.EDGE_PROC_S + self.CLOUD_PROC_S +
                       self.PER_MB_MARSHAL_S * megabytes)
+        tally("network")
         yield self.env.timeout(processing)
         if trace:
             trace.emit("rpc_processing", "network", start, self.env.now)

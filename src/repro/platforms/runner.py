@@ -412,7 +412,7 @@ class SingleTierRunner:
                         continue
                     outstanding[device.device_id] += 1
                     intrinsic = self.app.sample_cloud_service(rng)
-                    env.process(handle(device, intrinsic))
+                    env.start(handle(device, intrinsic))
 
         injector = None
         if chaos:

@@ -40,7 +40,7 @@ from ..learning.retraining import OnlineRecognizer
 from ..network import build_fabric
 from ..routing import Region, coverage_route
 from ..serverless import Invocation, InvocationRequest
-from ..sim import Environment, RandomStreams
+from ..sim import Environment, RandomStreams, Timeout
 from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
 from .. import obs
 from .base import CLOUD_BUDGET_CORES, PlatformConfig, RunResult
@@ -264,14 +264,12 @@ class ScenarioRunner:
         filtering = config.filters(app)
         upload_mb = config.upload_mb(app, input_mb)
 
-        def recognition_cloud(device: Drone, batch: FrameBatch,
+        def recognition_cloud(device: Drone, filtered: Optional[Timeout],
                               breakdown: LatencyBreakdown,
                               trace=obs.NULL_CONTEXT) -> Generator:
-            if filtering:
+            if filtered is not None:
                 filter_start = env.now
-                filter_s = yield from device.execute(
-                    app.edge_filter_service_s,
-                    slowdown=EDGE_FILTER_SLOWDOWN)
+                filter_s = yield filtered
                 breakdown.charge("execution", filter_s)
                 if trace:
                     trace.emit("edge_filter", "edge", filter_start, env.now)
@@ -313,14 +311,11 @@ class ScenarioRunner:
                            env.now)
             return None
 
-        def recognition_edge(device: Drone,
+        def recognition_edge(device: Drone, executed: Timeout,
                              breakdown: LatencyBreakdown,
                              trace=obs.NULL_CONTEXT) -> Generator:
-            intrinsic = (app.sample_cloud_service(rng) +
-                         self.scenario.edge_extra_service_s)
             exec_start = env.now
-            service = yield from device.execute(
-                intrinsic, slowdown=app.edge_slowdown)
+            service = yield executed
             breakdown.charge("execution", service)
             if trace:
                 trace.emit("edge_execute", "edge", exec_start, env.now)
@@ -374,18 +369,34 @@ class ScenarioRunner:
                                   device=device.device_id,
                                   platform=self.config.name)
             try:
+                to_cloud = (recognition_tier == "cloud" and device.alive and
+                            (cloud_fraction >= 1.0 or
+                             float(rng.random()) < cloud_fraction))
+                # Recognition's first on-board stage (the cloud path's
+                # filter, or the whole edge execution) claims its core
+                # here, so the obstacle branch below can claim the next.
+                if not to_cloud:
+                    first = device.reserve(
+                        app.sample_cloud_service(rng) +
+                        self.scenario.edge_extra_service_s,
+                        slowdown=app.edge_slowdown)
+                elif filtering:
+                    first = device.reserve(app.edge_filter_service_s,
+                                           slowdown=EDGE_FILTER_SLOWDOWN)
+                else:
+                    first = None
                 # Obstacle avoidance always on-board (section 2.1), and
                 # declared Parallel(obstacleAvoidance, recognition) in the
                 # Listing-3 graph: it runs concurrently with the
                 # recognition pipeline, contending only for the device CPU.
-                obstacle = env.process(device.execute(
-                    OBSTACLE_SERVICE_S, slowdown=OBSTACLE_SLOWDOWN))
-                to_cloud = (recognition_tier == "cloud" and device.alive and
-                            (cloud_fraction >= 1.0 or
-                             float(rng.random()) < cloud_fraction))
+                # Its core claim comes right after recognition's first
+                # one and before recognition first waits: the claim order
+                # every pinned Scenario row was recorded with.
+                obstacle = device.reserve(OBSTACLE_SERVICE_S,
+                                          slowdown=OBSTACLE_SLOWDOWN)
                 if to_cloud:
                     parent = yield from recognition_cloud(
-                        device, batch, breakdown, trace=trace)
+                        device, first, breakdown, trace=trace)
                     if boundary is not None:
                         ticket, parent = parent, None
                     if parent is not None:
@@ -394,8 +405,8 @@ class ScenarioRunner:
                             f"rec-{parent.invocation_id}",
                             app.output_mb, trace=trace)
                 else:
-                    parent = yield from recognition_edge(device, breakdown,
-                                                         trace=trace)
+                    parent = yield from recognition_edge(
+                        device, first, breakdown, trace=trace)
                     if boundary is not None and dedup_spec is not None:
                         # The aggregate stage still runs at the cloud tier
                         # for edge-executed recognition: ship a dedup-only
@@ -427,7 +438,7 @@ class ScenarioRunner:
                 if not device.alive:
                     return
                 pending["count"] += 1
-                env.process(handle_batch(device, batch))
+                env.start(handle_batch(device, batch))
             return callback
 
         completed = {"all": True}

@@ -95,7 +95,7 @@ class CloudGateway:
                     f"gateway time {self.env.now:.6f} (barrier protocol "
                     "violated)")
             self._outstanding += 1
-            self.env.process(self._serve(*row))
+            self.env.start(self._serve(*row))
         if until > self.env.now:
             self.env.run(until=until)
         return self._take_done()

@@ -152,11 +152,6 @@ class OpenWhiskPlatform:
         containers die; in-flight activations are re-enqueued."""
         return self._crash_and_requeue(self.invoker_of(server_id))
 
-    def restore_server(self, server_id: str) -> None:
-        invoker = self.invoker_of(server_id)
-        invoker.server.restore()
-        invoker.restore()
-
     def restore_invoker(self, server_id: str) -> None:
         self.invoker_of(server_id).restore()
 
@@ -178,7 +173,7 @@ class OpenWhiskPlatform:
             self._pending_recovery[invocation.invocation_id] = \
                 self.recovery_log.record(
                     "requeue", f"invocation {invocation.invocation_id}")
-        self.env.process(self._republish(message))
+        self.env.start(self._republish(message))
 
     def _republish(self, message: ActivationMessage) -> Generator:
         # Fresh placement: the scheduler skips dead invokers. The original

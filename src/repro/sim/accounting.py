@@ -3,14 +3,18 @@
 :func:`repro.sim.kernel.events_consumed` says how many events the kernel
 dispatched; this module says *on whose behalf*. The edge, network, and
 serverless layers tag the events they schedule at their chokepoints
-(flight ticks and engine wakes; link grants/serialization/propagation;
-CouchDB, Kafka, and invoker steps), and the benchmark harness reports the
-breakdown so the next optimisation target is measured instead of guessed.
+(engine wakes and on-board core reservations; link
+grants/serialization/propagation and the edge RPC's processing and ack
+timeouts; CouchDB, Kafka, and invoker steps), and the benchmark harness
+reports the breakdown so the next optimisation target is measured
+instead of guessed.
 
 The counters are process-wide (like ``events_consumed``) and tagged *at
 scheduling time*: a layer adds ``n`` when it schedules ``n`` kernel
-events. Untagged traffic — process starts, condition bookkeeping,
-harness orchestration — is reported as ``other`` (total dispatched minus
+events. Untagged traffic — the start and completion events of
+:class:`~repro.sim.kernel.Process` objects (generators started with
+``Environment.start`` have neither), condition bookkeeping, harness
+orchestration — is reported as ``other`` (total dispatched minus
 tagged). Tags are plain integer adds on one-element lists, cheap enough
 for the hot paths that call them.
 

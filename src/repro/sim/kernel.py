@@ -9,7 +9,9 @@ offline), with the pieces the rest of the repository needs:
 - :class:`Timeout` — event that fires after a virtual-time delay.
 - :class:`Process` — wraps a generator; ``yield``-ing an event suspends the
   process until that event fires. A process is itself an event that succeeds
-  with the generator's return value.
+  with the generator's return value. :meth:`Environment.start` runs a
+  generator nothing waits on through the same resume loop, without the
+  start and completion events.
 - :class:`Condition` / :func:`Environment.all_of` / :func:`Environment.any_of`
   — composite waits.
 - :class:`Interrupt` — exception thrown into a process by
@@ -205,6 +207,14 @@ class Timeout(Event):
         return f"<Timeout delay={self._delay}>"
 
 
+#: Outcome a started generator is first resumed with: ``send(None)``.
+_GO = Event.__new__(Event)
+_GO.callbacks = None
+_GO._ok = True
+_GO._value = None
+_GO._defused = True
+
+
 class Initialize(Event):
     """Immediate event that starts a freshly created :class:`Process`."""
 
@@ -282,7 +292,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        env = self.env
         generator = self._generator
         while True:
             try:
@@ -292,19 +301,19 @@ class Process(Event):
                     event._defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                env._schedule(self, NORMAL)
+                self._end(True, stop.value)
                 break
             except BaseException as exc:
-                self._ok = False
-                self._value = exc
-                self._defused = False
-                env._schedule(self, NORMAL)
+                self._end(False, exc)
                 break
             if not isinstance(next_event, Event):
-                generator.throw(TypeError(
-                    f"process yielded a non-event: {next_event!r}"))
+                # Thrown through the handlers above, so a generator that
+                # catches it resumes with what it yields next, and one
+                # that does not ends with it like any uncaught error.
+                event = Event.__new__(Event)
+                event._ok = False
+                event._value = TypeError(
+                    f"process yielded a non-event: {next_event!r}")
                 continue
             if next_event.callbacks is not None:
                 # Pending (or triggered-but-unprocessed): wait for it.
@@ -314,9 +323,47 @@ class Process(Event):
             # Already processed: loop immediately with its outcome.
             event = next_event
 
+    def _end(self, returned: bool, value: Any) -> None:
+        """The generator returned ``value`` (``returned``) or raised it:
+        fire the process as an event so waiters resume."""
+        self._ok = returned
+        self._value = value
+        self._defused = returned
+        self.env._schedule(self, NORMAL)
+
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))
         return f"<Process {name} {'alive' if self.is_alive else 'dead'}>"
+
+
+class _Started(Process):
+    """A process nothing waits on, started by :meth:`Environment.start`.
+
+    It shares :class:`Process`'s resume loop but costs no kernel event of
+    its own: the first segment runs at the call instead of at an
+    ``Initialize`` event, and the end fires nothing. With no waiter to
+    hand it to, an uncaught exception raises where the generator raised
+    it, inside ``start`` or the dispatch loop, which is as loud as an
+    undefused failed process.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", generator: Generator):
+        if not hasattr(generator, "throw"):
+            raise TypeError(f"{generator!r} is not a generator")
+        self.env = env
+        self.callbacks = None
+        self._value = _PENDING
+        self._ok = None
+        self._defused = True
+        self._generator = generator
+        self._target = None
+        self._resume(_GO)
+
+    def _end(self, returned: bool, value: Any) -> None:
+        if not returned:
+            raise value
 
 
 class Condition(Event):
@@ -433,8 +480,8 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
-    def timeout_at(self, when: float) -> Timeout:
-        """Timeout firing at the *absolute* time ``when``.
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Timeout firing at the *absolute* time ``when`` with ``value``.
 
         ``timeout(when - now)`` re-derives the target as ``now + (when -
         now)``, which need not equal ``when`` in float64; analytic models
@@ -452,7 +499,7 @@ class Environment:
             timeout.env = self
             timeout.callbacks = []
         timeout._ok = True
-        timeout._value = None
+        timeout._value = value
         timeout._defused = True
         timeout._delay = when - self._now
         self._schedule_at(timeout, NORMAL, when)
@@ -488,6 +535,24 @@ class Environment:
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
+
+    def start(self, generator: Generator) -> None:
+        """Run ``generator`` as a process that nothing waits on,
+        interrupts or inspects.
+
+        It runs now, up to its first ``yield``, and then resumes exactly
+        as a :class:`Process` would, but it schedules no ``Initialize``
+        and no completion event, so it returns nothing to wait on. An
+        uncaught exception propagates at once: out of this call during
+        the first segment, out of :meth:`run` after it.
+
+        Starting at the call instead of at an ``Initialize`` event draws
+        every id and random number of the first segment earlier, so a
+        spawn site may switch from :meth:`process` only where that
+        leaves its dispatch order unchanged (see DESIGN.md, kernel
+        determinism contract).
+        """
+        _Started(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> Condition:
         return Condition(self, Condition.all_events, events)

@@ -199,6 +199,49 @@ class TestEdgeDevice:
         with pytest.raises(RuntimeError):
             device.finalize_mission()
 
+    @pytest.mark.parametrize("joined", ["execute", "reserve"])
+    def test_two_core_overlap_with_failure_pin(self, env, joined):
+        """Two cores, six overlapping tasks, a crash mid-service at 0.7 s.
+
+        Finish instants, compute energy and ``busy_compute_s`` were
+        recorded when ``execute`` did its own core claim and charge; the
+        reservation and the ``execute`` wrapper over it must reproduce
+        them. Only the two tasks done before the crash are charged.
+        """
+        device = make_device(env, rng=np.random.default_rng(7),
+                             cpu_cores=2, cloud_to_edge_slowdown=2.0)
+        finishes = []
+
+        def task(delay, service):
+            yield env.timeout(delay)
+            if joined == "execute":
+                spent = yield env.process(device.execute(service))
+            else:
+                spent = yield device.reserve(service)
+            finishes.append((env.now, spent))
+
+        for delay, service in ((0.0, 0.3), (0.1, 0.2), (0.15, 0.25),
+                               (0.2, 0.1), (0.45, 0.05), (1.0, 0.1)):
+            env.process(task(delay, service))
+
+        def crash():
+            yield env.timeout(0.7)
+            device.fail()
+
+        env.process(crash())
+        env.run()
+        assert finishes == [
+            (0.5220985188836903, 0.42209851888369027),
+            (0.6001328712727491, 0.6001328712727491),
+            (0.7705093953785044, 0.17037652410575532),
+            (0.8626512644711284, 0.09214186909262402),
+            (0.9980249493570219, 0.4759264304733316),
+            (1.1673054170368289, 0.167305417036829),
+        ]
+        assert device.energy.by_category()["compute"] == \
+            0.0015049517688414246
+        assert device.busy_compute_s == 1.0222313901564393
+
 
 def fly_drone(env, world, route, kill_at=None):
     """Fly ``route`` through the SwarmEngine; return (drone, evidence).

@@ -129,14 +129,6 @@ class TestServerCrash:
                 InvocationRequest(spec, service_s=0.1))
             assert placement.invoker.server.server_id != dead
 
-    def test_restore_rejoins_the_pool(self, env):
-        platform = make_platform(env, servers=2)
-        dead = platform.invokers[0].server.server_id
-        platform.crash_server(dead)
-        platform.restore_server(dead)
-        assert platform.invoker_of(dead).server.alive
-        assert platform.invoker_of(dead).alive
-
 
 class TestCancellation:
     def test_cancel_mid_execution_fails_done(self, env):

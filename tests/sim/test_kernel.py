@@ -336,3 +336,140 @@ def test_nested_process_chain():
         return result + 1
 
     assert env.run(env.process(level(10))) == 11
+
+
+def test_caught_non_event_error_resumes_with_next_yield():
+    env = Environment()
+    seen = []
+
+    def proc():
+        try:
+            yield 42
+        except TypeError as error:
+            seen.append(str(error))
+        yield env.timeout(2.0)
+        return env.now
+
+    assert env.run(env.process(proc())) == 2.0
+    assert seen == ["process yielded a non-event: 42"]
+
+
+class TestStart:
+    """``Environment.start``: a process with no start or end event."""
+
+    def test_first_segment_runs_at_the_call(self):
+        env = Environment()
+        steps = []
+
+        def proc():
+            steps.append(("first", env.now))
+            yield env.timeout(1.0)
+            steps.append(("second", env.now))
+            yield env.timeout(0.5)
+            steps.append(("third", env.now))
+
+        assert env.start(proc()) is None
+        assert steps == [("first", 0.0)]
+        env.run()
+        assert steps == [("first", 0.0), ("second", 1.0), ("third", 1.5)]
+        # Only the two yielded timeouts: no Initialize, no completion.
+        assert env.dispatched == 2
+
+    def test_process_costs_two_more_events(self):
+        env = Environment()
+
+        def proc():
+            yield env.timeout(1.0)
+            yield env.timeout(0.5)
+
+        env.process(proc())
+        env.run()
+        assert env.dispatched == 4
+
+    def test_non_event_gets_type_error_thrown_in(self):
+        env = Environment()
+        seen = []
+
+        def proc():
+            try:
+                yield "not an event"
+            except TypeError as error:
+                seen.append(str(error))
+            yield env.timeout(1.0)
+            seen.append(env.now)
+
+        env.start(proc())
+        assert seen == ["process yielded a non-event: 'not an event'"]
+        env.run()
+        assert seen[1:] == [1.0]
+
+    def test_uncaught_non_event_error_raises_at_once(self):
+        env = Environment()
+
+        def proc():
+            yield 42
+
+        with pytest.raises(TypeError, match="non-event"):
+            env.start(proc())
+
+    def test_uncaught_exception_escapes_run(self):
+        env = Environment()
+
+        def proc():
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        env.start(proc())
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
+        assert env.now == 1.0
+
+    def test_exception_before_first_yield_escapes_start(self):
+        env = Environment()
+
+        def proc():
+            raise KeyError("early")
+            yield env.timeout(1.0)
+
+        with pytest.raises(KeyError):
+            env.start(proc())
+        assert env.dispatched == 0
+
+    def test_processed_event_continues_at_once(self):
+        env = Environment()
+        done = env.timeout(1.0, value="payload")
+        env.run()
+        assert done.processed
+        seen = []
+
+        def proc():
+            value = yield done
+            seen.append((value, env.now))
+            yield env.timeout(1.0)
+            seen.append(env.now)
+
+        env.start(proc())
+        assert seen == [("payload", 1.0)]
+        env.run()
+        assert seen == [("payload", 1.0), 2.0]
+
+    def test_failed_event_is_thrown_in_and_defused(self):
+        env = Environment()
+        caught = []
+
+        def proc(event):
+            try:
+                yield event
+            except RuntimeError as error:
+                caught.append((str(error), env.now))
+
+        event = env.event()
+        env.start(proc(event))
+        event.fail(RuntimeError("lost"))
+        env.run()
+        assert caught == [("lost", 0.0)]
+
+    def test_rejects_non_generator(self):
+        env = Environment()
+        with pytest.raises(TypeError):
+            env.start(lambda: None)
