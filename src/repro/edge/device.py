@@ -10,7 +10,7 @@ aggregate.
 from __future__ import annotations
 
 import heapq
-from typing import Generator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -135,11 +135,6 @@ class EdgeDevice:
             self.energy.draw_power(
                 "compute", self.compute_power_w - self.compute_idle_w,
                 service)
-
-    def execute(self, cloud_service_s: float,
-                slowdown: Optional[float] = None) -> Generator:
-        """Process: run a task on-board; returns the edge seconds spent."""
-        return (yield self.reserve(cloud_service_s, slowdown))
 
     # -- radio ------------------------------------------------------------
     def account_tx(self, airtime_s: float) -> None:

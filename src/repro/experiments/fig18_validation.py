@@ -27,7 +27,7 @@ from ..apps import AppSpec, all_apps
 from ..config import DEFAULT
 from ..network.rpc import EdgeCloudRpc
 from ..platforms import PlatformConfig, SingleTierRunner, platform_config
-from ..platforms.runner import EDGE_FILTER_SLOWDOWN
+from ..platforms.pipeline import EDGE_FILTER_SLOWDOWN
 from .common import ExperimentResult
 
 PLATFORMS = ("centralized_faas", "distributed_edge", "hivemind")

@@ -28,6 +28,12 @@ KINDS = frozenset({
     "kafka_outage",      # duration_s: bus stalls
     "function_faults",   # magnitude: per-execution fault rate
 })
+#: Kinds that act on the serverless cloud: a platform without one cannot
+#: apply them.
+CLOUD_KINDS = frozenset({"server_crash", "invoker_crash", "couchdb_outage",
+                         "kafka_outage", "function_faults"})
+#: Kinds whose target is one edge device.
+DEVICE_KINDS = frozenset({"device_crash", "battery_brownout"})
 
 
 @dataclass(frozen=True)

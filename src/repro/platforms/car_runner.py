@@ -12,7 +12,8 @@ medium and the serverless backend:
   before the car moves.
 
 Both missions are latency-critical: the car cannot move until the decision
-returns, so perception latency translates directly into job latency.
+returns, so perception latency translates directly into job latency. A
+decision's stages are :class:`~repro.platforms.pipeline.TaskPipeline`'s.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from ..network import build_fabric
 from ..routing import WallFollower, generate_maze
 from ..serverless import InvocationRequest
 from ..sim import Environment, RandomStreams
-from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
+from ..telemetry import LatencyBreakdown, MetricSeries
 from .base import PlatformConfig, RunResult
-from .runner import TX_DUTY
-from .stack import build_cloud, build_edge_rpc
+from .pipeline import TaskPipeline
+from .stack import build_cloud
 
 __all__ = ["CarScenarioRunner"]
 
@@ -80,7 +81,8 @@ class CarScenarioRunner:
             demand = self.n_devices * app.cloud_service_s * 0.5
             pool = FixedPool(env, cores=max(1, math.ceil(demand)))
 
-        edge_rpc = build_edge_rpc(env, config, constants, fabric.wireless)
+        stages = TaskPipeline(env, config, constants, fabric, cloud, pool,
+                              f"{self.scenario.key}.{self.config.name}")
         perception_tier = config.tier_of(app, "process", constants,
                                          self.n_devices, device_kind="car")
 
@@ -89,9 +91,6 @@ class CarScenarioRunner:
                        rng=streams.stream(f"cars.car{i}"))
             for i in range(self.n_devices)
         ]
-        phase_latencies = MetricSeries(
-            f"{self.scenario.key}.{self.config.name}")
-        breakdowns = BreakdownAggregate()
         job_latencies: List[float] = []
 
         def perceive(car: RoboticCar, service_s: float, photo_mb: float,
@@ -100,40 +99,24 @@ class CarScenarioRunner:
             start = env.now
             breakdown = LatencyBreakdown()
             if perception_tier == "edge":
-                spent = yield from car.execute(
-                    service_s,
-                    slowdown=app.edge_slowdown * self._device_ratio)
-                breakdown.charge("execution", spent)
+                slowdown = app.edge_slowdown * self._device_ratio
+                yield from stages.edge_stage(
+                    car.reserve(service_s, slowdown=slowdown), breakdown)
                 if chain_interpret:
-                    spent = yield from car.execute(
-                        INTERPRET_SERVICE_S, slowdown=2.0)
-                    breakdown.charge("execution", spent)
+                    yield from stages.edge_stage(car.reserve(
+                        INTERPRET_SERVICE_S, slowdown=2.0), breakdown)
             else:
-                push = yield from edge_rpc.push(car.device_id, photo_mb)
-                car.account_tx(TX_DUTY * push.total_s)
-                breakdown.charge("network", push.total_s)
-                if cloud is not None:
-                    request = InvocationRequest(
-                        spec=app.function_spec(), service_s=service_s,
-                        input_mb=photo_mb, output_mb=0.5)
-                    invocation = yield from cloud.invoke(request, breakdown)
-                    if chain_interpret:
-                        child = InvocationRequest(
-                            spec=app.function_spec(),
-                            service_s=INTERPRET_SERVICE_S,
-                            input_mb=0.5, output_mb=0.02,
-                            parent=invocation)
-                        yield from cloud.invoke(child, breakdown)
-                else:
-                    wait_s, spent = yield from pool.execute(service_s)
-                    breakdown.charge("management", wait_s)
-                    breakdown.charge("execution", spent)
-                down = yield from fabric.wireless.download(
-                    car.device_id, 0.02)
-                car.account_rx(TX_DUTY * down)
-                breakdown.charge("network", down)
-            phase_latencies.add(env.now - start, time=start)
-            breakdowns.add(breakdown)
+                yield from stages.upload(car, photo_mb, breakdown)
+                invocation = yield from stages.execute(
+                    app.function_spec(), service_s, photo_mb, 0.5, breakdown)
+                if chain_interpret and invocation is not None:
+                    child = InvocationRequest(
+                        spec=app.function_spec(),
+                        service_s=INTERPRET_SERVICE_S,
+                        input_mb=0.5, output_mb=0.02, parent=invocation)
+                    yield from cloud.invoke(child, breakdown)
+                yield from stages.download(car, 0.02, breakdown)
+            stages.record(start, breakdown)
 
         def treasure_hunt(car: RoboticCar) -> Generator:
             car.start_mission()
@@ -180,8 +163,8 @@ class CarScenarioRunner:
         return RunResult(
             platform=self.config.name,
             workload=self.scenario.key,
-            task_latencies=phase_latencies,
-            breakdowns=breakdowns,
+            task_latencies=stages.latencies,
+            breakdowns=stages.breakdowns,
             energy_accounts=[car.energy for car in cars],
             wireless_meter=fabric.wireless_meter,
             duration_s=end,

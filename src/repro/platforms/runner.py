@@ -12,6 +12,10 @@ max load here", section 2.2); saturation experiments pass
 ``MAX_OUTSTANDING`` tasks in flight (sensor data is perishable; fresh
 batches supersede a hopeless backlog), which keeps saturated systems at a
 finite operating point instead of an unbounded queue.
+
+A task's stages are :class:`~repro.platforms.pipeline.TaskPipeline`'s;
+this module keeps the load model, the per-task handler ``handle`` with
+its chaos accounting, and every workload draw and core claim.
 """
 
 from __future__ import annotations
@@ -24,29 +28,27 @@ from ..cluster import FixedPool
 from ..config import DEFAULT, PaperConstants
 from ..edge import Drone
 from ..faults import FaultInjector, FaultPlan, InvariantChecker, RecoveryLog
-from ..network import NetworkPartitioned, RpcTimeout, build_fabric
+from ..faults.plan import CLOUD_KINDS, DEVICE_KINDS
+from ..network import RpcTimeout, build_fabric
 from .. import obs
-from ..serverless import InvocationRequest
 from ..sim import Environment, RandomStreams
-from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
+from ..telemetry import LatencyBreakdown
 from .base import PlatformConfig, RunResult
-from .stack import build_cloud, build_edge_rpc
+from .pipeline import EDGE_FILTER_SLOWDOWN, TaskPipeline
+from .stack import build_cloud
 
 __all__ = ["SingleTierRunner"]
 
-#: A filter/crop/compress pass is simple streaming work: it does not suffer
-#: the cache-starved CNN slowdown on the A8.
-EDGE_FILTER_SLOWDOWN = 1.5
 #: Per-device in-flight task cap (perishable sensor data).
 MAX_OUTSTANDING = 8
 #: Bounded on-board compute backlog for the distributed platform.
 EDGE_OUTSTANDING = 3
-#: Fraction of a transfer's wall time the radio spends at TX-level power;
-#: while queued behind other stations it idles in backoff (CSMA carrier
-#: sense and retries keep it partially active).
-TX_DUTY = 0.35
 
 LoadProfile = Callable[[float], float]
+
+
+def _device_id(index: int) -> str:
+    return f"drone{index:04d}"
 
 
 class SingleTierRunner:
@@ -111,6 +113,25 @@ class SingleTierRunner:
         #: unarmed — the run is then byte-identical to one without this
         #: parameter.
         self.fault_plan = fault_plan
+        if fault_plan is not None:
+            self._check_fault_plan(fault_plan)
+
+    def _check_fault_plan(self, plan: FaultPlan) -> None:
+        """Refuse, before anything runs, a plan this run cannot apply."""
+        cloud_kinds = sorted({e.kind for e in plan.events} & CLOUD_KINDS)
+        if cloud_kinds and not self.config.cloud_backed:
+            raise ValueError(
+                f"fault plan {plan.name!r} injects {', '.join(cloud_kinds)}"
+                f" but platform {self.config.name!r} has no serverless "
+                "cloud")
+        # A device target is an id or an index into the id order.
+        devices = ({_device_id(i) for i in range(self.n_devices)} |
+                   {str(i) for i in range(self.n_devices)})
+        for event in plan.events:
+            if event.kind in DEVICE_KINDS and event.target not in devices:
+                raise ValueError(
+                    f"{event.kind} target {event.target!r} names no device "
+                    f"of {self.n_devices} (an id or an index)")
 
     # -- derived workload parameters ------------------------------------------
     @property
@@ -140,9 +161,8 @@ class SingleTierRunner:
         streams = RandomStreams(self.seed)
         fabric = build_fabric(env, self.config.fabric_constants(
             self.constants), streams)
-        latencies = MetricSeries(f"{self.app.key}.{self.config.name}")
-        breakdowns = BreakdownAggregate()
         rng = streams.stream("runner.workload")
+        app = self.app
 
         # Chaos machinery (armed plans only; fault-free runs construct
         # nothing and take the exact pre-chaos code paths).
@@ -157,7 +177,6 @@ class SingleTierRunner:
         # Cloud side.
         cloud = None
         platform = None
-        mitigator = None
         pool = None
         rate = self.task_rate_hz()
         if self.config.cloud_backed:
@@ -165,187 +184,38 @@ class SingleTierRunner:
                 env, self.config, self.constants, streams, fabric.cluster,
                 self.n_devices, fault_rate=self.fault_rate,
                 keepalive_s=self.keepalive_s, harden_races=chaos)
-            platform, mitigator = cloud.platform, cloud.mitigator
+            platform = cloud.platform
             if chaos:
                 platform.recovery_log = recovery_log
                 platform.add_completion_listener(
                     checker.invocation_finished)
         elif self.config.execution == "cloud_iaas":
-            demand = self.n_devices * rate * self.app.cloud_service_s
+            demand = self.n_devices * rate * app.cloud_service_s
             pool = FixedPool(
                 env, cores=max(1, math.ceil(demand * self.iaas_headroom)),
-                name=f"iaas.{self.app.key}")
+                name=f"iaas.{app.key}")
 
-        # Edge <-> cloud transport; chaos runs retry across partitions,
-        # so tasks can shed to on-device compute once the budget is spent.
-        edge_rpc = build_edge_rpc(env, self.config, self.constants,
-                                  fabric.wireless, recovery_log)
-        process_tier = self.config.tier_of(self.app, "process",
+        # Chaos runs retry across partitions, so tasks can shed to
+        # on-device compute once the budget is spent.
+        stages = TaskPipeline(env, self.config, self.constants, fabric,
+                              cloud, pool, f"{app.key}.{self.config.name}",
+                              recovery_log)
+        process_tier = self.config.tier_of(app, "process",
                                            self.constants, self.n_devices)
 
         # Devices.
         devices = [
-            Drone(env, f"drone{i:04d}", self.constants.drone,
+            Drone(env, _device_id(i), self.constants.drone,
                   rng=streams.stream(f"runner.drone{i}"))
             for i in range(self.n_devices)
         ]
         outstanding: Dict[str, int] = {d.device_id: 0 for d in devices}
         skipped = {"count": 0}
-        function_spec = self.app.function_spec()
-
-        # Heal gate (chaos only): processes stranded by a cloud partition
-        # park on an event that the wireless fabric's heal listener fires.
-        heal_waiters: list = []
-        if chaos:
-            def _on_heal() -> None:
-                waiting, heal_waiters[:] = heal_waiters[:], []
-                for gate in waiting:
-                    gate.succeed()
-            fabric.wireless.add_heal_listener(_on_heal)
-
-        def wait_for_heal() -> Generator:
-            if not fabric.wireless.partitioned:
-                return
-            gate = env.event()
-            heal_waiters.append(gate)
-            yield gate
-
-        def download_response(device: Drone, trace=None) -> Generator:
-            while True:
-                try:
-                    down_s = yield from fabric.wireless.download(
-                        device.device_id, self.app.output_mb, trace=trace)
-                    return down_s
-                except NetworkPartitioned:
-                    # The response waits cloud-side; re-fetch after heal.
-                    yield from wait_for_heal()
-
-        def shed_to_edge(device: Drone, intrinsic: float,
-                         breakdown: LatencyBreakdown,
-                         start: float, trace=obs.NULL_CONTEXT) -> Generator:
-            """Cloud unreachable past the retry budget: fall back to
-            on-device compute, then ship the (small) result once the
-            partition heals so downstream consumers still get it."""
-            action = recovery_log.record("shed", device.device_id)
-            if trace:
-                trace.emit("shed_to_edge", "serverless", env.now, env.now)
-            exec_start = env.now
-            service = yield from device.execute(
-                intrinsic, slowdown=self.app.edge_slowdown)
-            breakdown.charge("execution", service)
-            if trace:
-                trace.emit("edge_execute", "edge", exec_start, env.now)
-            push_ctx = trace.span("upload", "network", env.now)
-            while True:
-                try:
-                    push = yield from edge_rpc.push(device.device_id,
-                                                    self.app.output_mb,
-                                                    trace=push_ctx)
-                    break
-                except RpcTimeout:
-                    yield from wait_for_heal()
-            push_ctx.close(env.now, mb=self.app.output_mb)
-            device.account_tx(TX_DUTY * push.total_s)
-            breakdown.charge("network", push.total_s)
-            recovery_log.complete(action)
-            latencies.add(env.now - start, time=start)
-            breakdowns.add(breakdown)
-
-        filtering = self.config.filters(self.app)
-        upload_mb = self.config.upload_mb(self.app, self.input_mb)
-
-        def cloud_task(device: Drone, intrinsic: float,
-                       trace=obs.NULL_CONTEXT) -> Generator:
-            start = env.now
-            breakdown = LatencyBreakdown()
-            if filtering:
-                filter_start = env.now
-                filter_s = yield from device.execute(
-                    self.app.edge_filter_service_s,
-                    slowdown=EDGE_FILTER_SLOWDOWN)
-                breakdown.charge("execution", filter_s)
-                if trace:
-                    trace.emit("edge_filter", "edge", filter_start, env.now)
-            push_ctx = trace.span("upload", "network", env.now)
-            try:
-                push = yield from edge_rpc.push(device.device_id, upload_mb,
-                                                trace=push_ctx)
-            except RpcTimeout:
-                # Chaos only: the bare transport never raises this.
-                push_ctx.close(env.now, timed_out=True)
-                yield from shed_to_edge(device, intrinsic, breakdown, start,
-                                        trace=trace)
-                return
-            push_ctx.close(env.now, mb=upload_mb)
-            # CSMA contention keeps the radio active for most of the
-            # transfer's wall time, not just its serialization slice.
-            device.account_tx(TX_DUTY * push.total_s)
-            breakdown.charge("network", push.total_s)
-            if cloud is not None:
-                request = InvocationRequest(
-                    spec=function_spec, service_s=intrinsic,
-                    input_mb=upload_mb, output_mb=self.app.output_mb,
-                    trace=trace)
-                if self.intra_task_parallelism and self.app.parallelism > 1:
-                    shards = yield from platform.invoke_parallel(
-                        request, self.app.parallelism)
-                    for shard in shards:
-                        breakdown.charge(
-                            "management",
-                            shard.breakdown.management / len(shards))
-                        breakdown.charge(
-                            "data_io", shard.breakdown.data_io / len(shards))
-                    breakdown.charge(
-                        "execution",
-                        max(s.breakdown.execution for s in shards))
-                else:
-                    yield from cloud.invoke(request, breakdown)
-            else:
-                pool_start = env.now
-                wait_s, service_s = yield from pool.execute(intrinsic)
-                breakdown.charge("management", wait_s)
-                breakdown.charge("execution", service_s)
-                if trace:
-                    trace.emit("pool_queue", "serverless", pool_start,
-                               pool_start + wait_s)
-                    trace.emit("execute", "execution",
-                               pool_start + wait_s, env.now)
-            if self.app.response_to_device:
-                down_ctx = trace.span("download", "network", env.now)
-                down_s = yield from download_response(device,
-                                                      trace=down_ctx)
-                down_ctx.close(env.now, mb=self.app.output_mb)
-                device.account_rx(TX_DUTY * down_s)
-                breakdown.charge("network", down_s)
-            latencies.add(env.now - start, time=start)
-            breakdowns.add(breakdown)
-
-        def edge_task(device: Drone, intrinsic: float,
-                      trace=obs.NULL_CONTEXT) -> Generator:
-            start = env.now
-            breakdown = LatencyBreakdown()
-            service = yield from device.execute(
-                intrinsic, slowdown=self.app.edge_slowdown)
-            breakdown.charge("execution", service)
-            if trace:
-                trace.emit("edge_execute", "edge", start, env.now)
-            push_ctx = trace.span("upload", "network", env.now)
-            while True:
-                try:
-                    push = yield from edge_rpc.push(device.device_id,
-                                                    self.app.output_mb,
-                                                    trace=push_ctx)
-                    break
-                except RpcTimeout:
-                    # Chaos only: result is already computed on-board;
-                    # hold it until the partition heals.
-                    yield from wait_for_heal()
-            push_ctx.close(env.now, mb=self.app.output_mb)
-            device.account_tx(TX_DUTY * push.total_s)
-            breakdown.charge("network", push.total_s)
-            latencies.add(env.now - start, time=start)
-            breakdowns.add(breakdown)
-
+        function_spec = app.function_spec()
+        filtering = self.config.filters(app)
+        upload_mb = self.config.upload_mb(app, self.input_mb)
+        parallelism = (app.parallelism if self.intra_task_parallelism
+                       else 1)
         task_seq = {"n": 0}
 
         def handle(device: Drone, intrinsic: float) -> Generator:
@@ -356,14 +226,44 @@ class SingleTierRunner:
                 checker.task_submitted(task_id)
                 checker.observe_clock(device.device_id, env.now)
             trace = obs.root_span("task", "task", env.now,
-                                  app=self.app.key,
+                                  app=app.key,
                                   device=device.device_id,
                                   platform=self.config.name)
+            start = env.now
+            breakdown = LatencyBreakdown()
             try:
                 if process_tier == "edge":
-                    yield from edge_task(device, intrinsic, trace=trace)
+                    yield from stages.edge_stage(
+                        device.reserve(intrinsic, slowdown=app.edge_slowdown),
+                        breakdown, trace)
+                    # Chaos only: the result is already computed on-board;
+                    # hold it until the partition heals.
+                    yield from stages.upload(device, app.output_mb,
+                                             breakdown, trace, hold=True)
                 else:
-                    yield from cloud_task(device, intrinsic, trace=trace)
+                    if filtering:
+                        yield from stages.edge_stage(
+                            device.reserve(app.edge_filter_service_s,
+                                           slowdown=EDGE_FILTER_SLOWDOWN),
+                            breakdown, trace, span="edge_filter")
+                    try:
+                        yield from stages.upload(device, upload_mb,
+                                                 breakdown, trace)
+                    except RpcTimeout:
+                        # Chaos only: the bare transport never raises this.
+                        yield from stages.shed(
+                            device, device.reserve(
+                                intrinsic, slowdown=app.edge_slowdown),
+                            app.output_mb, breakdown, trace)
+                    else:
+                        yield from stages.execute(
+                            function_spec, intrinsic, upload_mb,
+                            app.output_mb, breakdown, trace,
+                            parallelism=parallelism)
+                        if app.response_to_device:
+                            yield from stages.download(
+                                device, app.output_mb, breakdown, trace)
+                stages.record(start, breakdown)
                 if checker is not None:
                     checker.task_completed(task_id)
             except RpcTimeout:
@@ -411,7 +311,7 @@ class SingleTierRunner:
                         skipped["count"] += 1
                         continue
                     outstanding[device.device_id] += 1
-                    intrinsic = self.app.sample_cloud_service(rng)
+                    intrinsic = app.sample_cloud_service(rng)
                     env.start(handle(device, intrinsic))
 
         injector = None
@@ -419,7 +319,6 @@ class SingleTierRunner:
             injector = FaultInjector(
                 env, self.fault_plan,
                 wireless=fabric.wireless, platform=platform,
-                cluster=platform.cluster if platform else None,
                 devices={d.device_id: d for d in devices},
                 recovery_log=recovery_log)
             injector.start()
@@ -449,8 +348,8 @@ class SingleTierRunner:
         if pool is not None:
             extras["pool_cores"] = pool.cores
             extras["pool_utilization"] = pool.utilization(end)
-        if mitigator is not None:
-            extras["stragglers"] = mitigator.stragglers_detected
+        if cloud is not None and cloud.mitigator is not None:
+            extras["stragglers"] = cloud.mitigator.stragglers_detected
         if checker is not None:
             checker.finalize([d.energy for d in devices])
             extras["chaos"] = {
@@ -458,7 +357,7 @@ class SingleTierRunner:
                 "recoveries": recovery_log.counts_by_kind(),
                 "recovery_latencies_s": recovery_log.latencies(),
                 "injected": list(injector.applied),
-                "rpc_retries": edge_rpc.retries,
+                "rpc_retries": stages.edge_rpc.retries,
                 "requeues": platform.requeues if platform else 0,
                 "cancellations": platform.cancellations if platform else 0,
                 "makespan_s": end,
@@ -466,9 +365,9 @@ class SingleTierRunner:
             extras["violations"] = len(checker.violations)
         return RunResult(
             platform=self.config.name,
-            workload=self.app.key,
-            task_latencies=latencies,
-            breakdowns=breakdowns,
+            workload=app.key,
+            task_latencies=stages.latencies,
+            breakdowns=stages.breakdowns,
             energy_accounts=[d.energy for d in devices],
             wireless_meter=fabric.wireless_meter,
             duration_s=end,

@@ -23,6 +23,11 @@ background fleet.
 Results from this runner remain the ground truth the sharded and hybrid
 tiers are validated against (see tests/sim/test_shard_determinism.py
 and tests/edge/test_meanfield_parity.py).
+
+A batch's stages are :class:`~repro.platforms.pipeline.TaskPipeline`'s
+and persistence is :meth:`~repro.platforms.stack.CloudStack.persist`;
+``handle_batch`` keeps the order of the batch's draws and core claims,
+which every pinned Scenario row was recorded with.
 """
 
 from __future__ import annotations
@@ -39,13 +44,13 @@ from ..learning import DeduplicationEngine, IdentitySpace, RetrainingMode
 from ..learning.retraining import OnlineRecognizer
 from ..network import build_fabric
 from ..routing import Region, coverage_route
-from ..serverless import Invocation, InvocationRequest
-from ..sim import Environment, RandomStreams, Timeout
-from ..telemetry import BreakdownAggregate, LatencyBreakdown, MetricSeries
+from ..serverless import InvocationRequest
+from ..sim import Environment, RandomStreams
+from ..telemetry import LatencyBreakdown
 from .. import obs
 from .base import CLOUD_BUDGET_CORES, PlatformConfig, RunResult
-from .runner import EDGE_FILTER_SLOWDOWN, TX_DUTY
-from .stack import build_cloud, build_edge_rpc
+from .pipeline import EDGE_FILTER_SLOWDOWN, TaskPipeline
+from .stack import build_cloud
 
 __all__ = ["ScenarioRunner"]
 
@@ -118,8 +123,11 @@ class ScenarioRunner:
         #: Scheduled device failures: (device index, absolute time)
         #: pairs.
         self.fail_devices_at = list(fail_devices_at or ())
-        self._st: Optional[Dict[str, object]] = None
+        # Run state: start() builds it, finish() reads it.
+        self._env: Optional[Environment] = None
+        self._stages: Optional[TaskPipeline] = None
         self._finished = False
+        self._completed = True
         self._makespan = 0.0
 
     # -- defaults -------------------------------------------------------------
@@ -195,17 +203,13 @@ class ScenarioRunner:
 
         # Cloud side.
         cloud = None
-        platform = None
         pool = None
         execution = config.execution
-        if boundary is not None:
-            # Sharded cell: the cloud tier lives in the cloud shard; this
-            # runner only records cloud-bound messages on the boundary.
-            pass
-        elif config.cloud_backed:
+        # A sharded cell's cloud tier lives in the cloud shard; the cell
+        # only records cloud-bound messages on the boundary.
+        if config.cloud_backed and boundary is None:
             cloud = build_cloud(env, config, constants, streams,
                                 fabric.cluster, constants.drone.count)
-            platform = cloud.platform
         elif execution == "cloud_iaas":
             # Statically provisioned resources of equal cost: sized for the
             # real 16-drone testbed's long-run average demand (missions are
@@ -219,7 +223,8 @@ class ScenarioRunner:
             pool = FixedPool(env, cores=1)
             env.process(pool.resize(max(1, math.ceil(demand * 0.5))))
 
-        edge_rpc = build_edge_rpc(env, config, constants, fabric.wireless)
+        stages = TaskPipeline(env, config, constants, fabric, cloud, pool,
+                              f"{self.scenario.key}.{self.config.name}")
         recognition_tier = config.tier_of(
             self.scenario, "recognition", constants,
             self.placement_devices or len(drones))
@@ -235,18 +240,23 @@ class ScenarioRunner:
         for index, at_time in self.fail_devices_at:
             swarm.fail_device_at(drones[index].device_id, at_time)
 
-        # Metrics + scenario state.
-        latencies = MetricSeries(f"{self.scenario.key}.{self.config.name}")
-        breakdowns = BreakdownAggregate()
+        # Scenario state.
         found_items: Set[int] = set()
         pending = {"count": 0}
         recognition_spec = app.function_spec()
-        dedup_spec = (self.scenario.dedup.function_spec()
-                      if self.scenario.dedup is not None else None)
+        dedup_app = self.scenario.dedup
+        dedup_spec = (dedup_app.function_spec() if dedup_app is not None
+                      else None)
         input_mb = (self.frame_mb * (self.fps or
                                      constants.drone.frames_per_second)
                     if self.frame_mb is not None
                     else app.input_mb)
+        filtering = config.filters(app)
+        upload_mb = config.upload_mb(app, input_mb)
+        # Persist directives (Listing 2): outputs of the marked tasks go
+        # to persistent storage (CouchDB on the cloud platforms).
+        _, scenario_directives = self.scenario.dsl_graph()
+        persisted = set(scenario_directives.persisted)
 
         def record_sightings(device: Drone, batch: FrameBatch) -> None:
             sightings = (batch.people_sightings
@@ -261,109 +271,11 @@ class ScenarioRunner:
                 else:
                     found_items.add(predicted)
 
-        filtering = config.filters(app)
-        upload_mb = config.upload_mb(app, input_mb)
-
-        def recognition_cloud(device: Drone, filtered: Optional[Timeout],
-                              breakdown: LatencyBreakdown,
-                              trace=obs.NULL_CONTEXT) -> Generator:
-            if filtered is not None:
-                filter_start = env.now
-                filter_s = yield filtered
-                breakdown.charge("execution", filter_s)
-                if trace:
-                    trace.emit("edge_filter", "edge", filter_start, env.now)
-            push_ctx = trace.span("upload", "network", env.now)
-            push = yield from edge_rpc.push(device.device_id, upload_mb,
-                                            trace=push_ctx)
-            push_ctx.close(env.now, mb=upload_mb)
-            device.account_tx(TX_DUTY * push.total_s)
-            breakdown.charge("network", push.total_s)
-            intrinsic = app.sample_cloud_service(rng)
-            if boundary is not None:
-                # Sharded cell: the upload has crossed the boundary; hand
-                # the cloud shard a timestamped message carrying every
-                # service-time draw it needs (drawn *here*, from this
-                # cell's streams, so the cloud side stays deterministic
-                # at any shard count). handle_batch settles the returned
-                # sequence number once the edge side of the task is done.
-                dedup_s = (self.scenario.dedup.sample_cloud_service(rng)
-                           if dedup_spec is not None else None)
-                return boundary.submit(
-                    arrival_s=env.now, recognition_s=intrinsic,
-                    dedup_s=dedup_s, input_mb=upload_mb,
-                    output_mb=app.output_mb)
-            if cloud is not None:
-                request = InvocationRequest(
-                    spec=recognition_spec, service_s=intrinsic,
-                    input_mb=upload_mb, output_mb=app.output_mb,
-                    trace=trace)
-                invocation = yield from cloud.invoke(request, breakdown)
-                return invocation
-            pool_start = env.now
-            wait_s, service_s = yield from pool.execute(intrinsic)
-            breakdown.charge("management", wait_s)
-            breakdown.charge("execution", service_s)
-            if trace:
-                trace.emit("pool_queue", "serverless", pool_start,
-                           pool_start + wait_s)
-                trace.emit("execute", "execution", pool_start + wait_s,
-                           env.now)
-            return None
-
-        def recognition_edge(device: Drone, executed: Timeout,
-                             breakdown: LatencyBreakdown,
-                             trace=obs.NULL_CONTEXT) -> Generator:
-            exec_start = env.now
-            service = yield executed
-            breakdown.charge("execution", service)
-            if trace:
-                trace.emit("edge_execute", "edge", exec_start, env.now)
-            push_ctx = trace.span("upload", "network", env.now)
-            push = yield from edge_rpc.push(device.device_id, app.output_mb,
-                                            trace=push_ctx)
-            push_ctx.close(env.now, mb=app.output_mb)
-            device.account_tx(TX_DUTY * push.total_s)
-            breakdown.charge("network", push.total_s)
-            return None
-
-        # Persist directives (Listing 2): outputs of the marked tasks go
-        # to persistent storage (CouchDB on the cloud platforms).
-        _, scenario_directives = self.scenario.dsl_graph()
-        persisted_tasks = set(scenario_directives.persisted)
-        persist_counter = {"count": 0}
-
-        def persist_output(task_name: str, key: str, megabytes: float,
-                           trace=obs.NULL_CONTEXT) -> Generator:
-            if platform is None or task_name not in persisted_tasks:
-                return
-            store_start = env.now
-            yield from platform.couchdb.store(key, megabytes)
-            if trace:
-                trace.emit("persist", "data_io", store_start, env.now,
-                           key=key)
-            persist_counter["count"] += 1
-
-        def aggregate_stage(parent: Optional[Invocation],
-                            breakdown: LatencyBreakdown,
-                            trace=obs.NULL_CONTEXT) -> Generator:
-            """Scenario B deduplication / Scenario A location merge."""
-            if platform is None or dedup_spec is None:
-                return
-            intrinsic = self.scenario.dedup.sample_cloud_service(rng)
-            request = InvocationRequest(
-                spec=dedup_spec, service_s=intrinsic,
-                input_mb=(parent.request.output_mb if parent else 0.1),
-                output_mb=0.05, parent=parent, trace=trace)
-            invocation = yield from cloud.invoke(request, breakdown)
-            yield from persist_output(
-                "aggregate", f"agg-{invocation.invocation_id}", 0.05,
-                trace=trace)
-
         def handle_batch(device: Drone, batch: FrameBatch) -> Generator:
             start = env.now
             breakdown = LatencyBreakdown()
             ticket = None
+            parent = None
             trace = obs.root_span("task", "task", env.now,
                                   scenario=self.scenario.key,
                                   device=device.device_id,
@@ -395,31 +307,62 @@ class ScenarioRunner:
                 obstacle = device.reserve(OBSTACLE_SERVICE_S,
                                           slowdown=OBSTACLE_SLOWDOWN)
                 if to_cloud:
-                    parent = yield from recognition_cloud(
-                        device, first, breakdown, trace=trace)
+                    if first is not None:
+                        yield from stages.edge_stage(
+                            first, breakdown, trace, span="edge_filter")
+                    yield from stages.upload(device, upload_mb, breakdown,
+                                             trace)
+                    intrinsic = app.sample_cloud_service(rng)
                     if boundary is not None:
-                        ticket, parent = parent, None
-                    if parent is not None:
-                        yield from persist_output(
-                            "recognition",
-                            f"rec-{parent.invocation_id}",
-                            app.output_mb, trace=trace)
+                        # Sharded cell: the upload has crossed the
+                        # boundary; hand the cloud shard a timestamped
+                        # message carrying every service-time draw it
+                        # needs (drawn *here*, from this cell's streams,
+                        # so the cloud side stays deterministic at any
+                        # shard count). The ticket is settled once the
+                        # edge side of the task is done.
+                        ticket = boundary.submit(
+                            arrival_s=env.now, recognition_s=intrinsic,
+                            dedup_s=(dedup_app.sample_cloud_service(rng)
+                                     if dedup_spec is not None else None),
+                            input_mb=upload_mb, output_mb=app.output_mb)
+                    else:
+                        parent = yield from stages.execute(
+                            recognition_spec, intrinsic, upload_mb,
+                            app.output_mb, breakdown, trace)
+                        if parent is not None:
+                            yield from cloud.persist(
+                                persisted, "recognition",
+                                f"rec-{parent.invocation_id}",
+                                app.output_mb, trace=trace)
                 else:
-                    parent = yield from recognition_edge(
-                        device, first, breakdown, trace=trace)
+                    yield from stages.edge_stage(first, breakdown, trace)
+                    yield from stages.upload(device, app.output_mb,
+                                             breakdown, trace)
                     if boundary is not None and dedup_spec is not None:
                         # The aggregate stage still runs at the cloud tier
                         # for edge-executed recognition: ship a dedup-only
                         # message (no recognition stage) across the
-                        # boundary, mirroring aggregate_stage's no-parent
-                        # invocation shape.
+                        # boundary, mirroring the no-parent aggregate
+                        # invocation below.
                         ticket = boundary.submit(
                             arrival_s=env.now, recognition_s=None,
-                            dedup_s=self.scenario.dedup.sample_cloud_service(
-                                rng),
+                            dedup_s=dedup_app.sample_cloud_service(rng),
                             input_mb=0.1, output_mb=0.05)
                 record_sightings(device, batch)
-                yield from aggregate_stage(parent, breakdown, trace=trace)
+                if cloud is not None and dedup_spec is not None:
+                    # Scenario B deduplication / Scenario A location merge.
+                    request = InvocationRequest(
+                        spec=dedup_spec,
+                        service_s=dedup_app.sample_cloud_service(rng),
+                        input_mb=(parent.request.output_mb if parent
+                                  else 0.1),
+                        output_mb=0.05, parent=parent, trace=trace)
+                    invocation = yield from cloud.invoke(request, breakdown)
+                    yield from cloud.persist(
+                        persisted, "aggregate",
+                        f"agg-{invocation.invocation_id}", 0.05,
+                        trace=trace)
                 yield obstacle  # join the Parallel branch
                 if ticket is not None:
                     # Deferred task: the cloud half runs in the cloud
@@ -427,8 +370,7 @@ class ScenarioRunner:
                     # final latency/breakdown row (canonical order).
                     boundary.settle(ticket, start, env.now, breakdown)
                 else:
-                    latencies.add(env.now - start, time=start)
-                    breakdowns.add(breakdown)
+                    stages.record(start, breakdown)
             finally:
                 trace.close(env.now)
                 pending["count"] -= 1
@@ -440,8 +382,6 @@ class ScenarioRunner:
                 pending["count"] += 1
                 env.start(handle_batch(device, batch))
             return callback
-
-        completed = {"all": True}
 
         def mission(device: Drone) -> Generator:
             device.start_mission()
@@ -459,7 +399,7 @@ class ScenarioRunner:
                         device, route, world, on_batch=on_batch(device))
                     if device.energy.depleted:
                         device.fail()
-                        completed["all"] = False
+                        self._completed = False
                 if not device.alive:
                     break
 
@@ -483,22 +423,26 @@ class ScenarioRunner:
         done.callbacks.append(mark_done)
         done.callbacks.append(env._stop_callback)
 
-        self._st = {
-            "env": env, "drones": drones, "swarm": swarm,
-            "detector": detector, "platform": platform, "fabric": fabric,
-            "latencies": latencies, "breakdowns": breakdowns,
-            "persist_counter": persist_counter, "recognizer": recognizer,
-            "dedup": dedup, "found_items": found_items,
-            "n_targets": n_targets, "recognition_tier": recognition_tier,
-            "cloud_fraction": cloud_fraction, "completed": completed,
-        }
+        self._env, self._stages, self._fabric = env, stages, fabric
+        self._drones, self._swarm, self._detector = drones, swarm, detector
+        self._recognizer, self._dedup = recognizer, dedup
+        self._found_items, self._n_targets = found_items, n_targets
+        self._recognition_tier = recognition_tier
+        self._cloud_fraction = cloud_fraction
+
+    @property
+    def _st(self) -> Dict[str, object]:
+        """The mission's serverless platform (``None`` without one), keyed
+        as ``bench/workloads.py`` reads its warm starts."""
+        cloud = self._stages.cloud if self._stages is not None else None
+        return {"platform": cloud.platform if cloud is not None else None}
 
     @property
     def now(self) -> float:
         """Current simulated time of the cell's kernel."""
-        if self._st is None:
+        if self._env is None:
             raise RuntimeError("start() has not been called")
-        return self._st["env"].now
+        return self._env.now
 
     @property
     def finished(self) -> bool:
@@ -517,11 +461,11 @@ class ScenarioRunner:
         the sharded driver instead calls this with successive barrier
         times. No-op once the mission has drained.
         """
-        if self._st is None:
+        if self._env is None:
             raise RuntimeError("start() has not been called")
         if self._finished:
             return
-        env = self._st["env"]
+        env = self._env
         if until == float("inf"):
             env.run()
             if not self._finished:
@@ -540,49 +484,48 @@ class ScenarioRunner:
         over the same window in every cell regardless of which one
         finished flying first.
         """
-        st = self._st
-        if st is None or not self._finished:
+        if self._env is None or not self._finished:
             raise RuntimeError("finish() before the mission completed")
         makespan = self._makespan
         duration = (makespan if duration_override is None
                     else max(makespan, float(duration_override)))
-        drones = st["drones"]
+        drones = self._drones
         for device in drones:
             device.finalize_mission(duration)
 
-        completed = st["completed"]
-        uncovered = self._uncovered_regions(st["swarm"], drones)
-        if uncovered:
-            completed["all"] = False
+        if self._uncovered_regions(self._swarm, drones):
+            self._completed = False
 
-        detector = st["detector"]
-        platform = st["platform"]
+        detector = self._detector
+        stages = self._stages
+        cloud = stages.cloud
         extras: Dict[str, object] = {
             "makespan_s": makespan,
-            "targets": st["n_targets"],
-            "recognition_tier": st["recognition_tier"],
-            "cloud_fraction": st["cloud_fraction"],
-            "persisted_documents": st["persist_counter"]["count"],
-            "tally": st["recognizer"].tally,
+            "targets": self._n_targets,
+            "recognition_tier": self._recognition_tier,
+            "cloud_fraction": self._cloud_fraction,
+            "persisted_documents": (cloud.persisted_documents
+                                    if cloud is not None else 0),
+            "tally": self._recognizer.tally,
             "failed_devices": (detector.failed if detector is not None
                                else [d.device_id for d in drones
                                      if not d.alive]),
         }
         if self.scenario.moving_targets:
-            extras["unique_people"] = st["dedup"].unique_count
+            extras["unique_people"] = self._dedup.unique_count
         else:
-            extras["items_found"] = len(st["found_items"])
-        if platform is not None:
-            extras["cold_starts"] = platform.cold_starts
+            extras["items_found"] = len(self._found_items)
+        if cloud is not None:
+            extras["cold_starts"] = cloud.platform.cold_starts
         return RunResult(
             platform=self.config.name,
             workload=self.scenario.key,
-            task_latencies=st["latencies"],
-            breakdowns=st["breakdowns"],
+            task_latencies=stages.latencies,
+            breakdowns=stages.breakdowns,
             energy_accounts=[d.energy for d in drones],
-            wireless_meter=st["fabric"].wireless_meter,
+            wireless_meter=self._fabric.wireless_meter,
             duration_s=duration,
-            completed=completed["all"],
+            completed=self._completed,
             extras=extras,
         )
 

@@ -9,18 +9,22 @@ scheduler, sharing protocol, keep-alive and controller count, the
 straggler watchdog when ``straggler_mitigation`` is set (section 4.6),
 and an edge<->cloud RPC transport that is FPGA-offloaded when
 ``net_accel`` is set (section 4.5). This module is the one place that
-does so.
+does so. :meth:`CloudStack.persist` is the one Persist-directive stage
+(Listing 2): the scenario runner and the sharded run's
+:class:`~repro.serverless.gateway.CloudGateway` both store through it.
+The task stages the runners share sit in :mod:`repro.platforms.pipeline`.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import AbstractSet, Generator, Optional
 
 from ..cluster import Cluster
 from ..config import PaperConstants
 from ..core import StragglerMitigator
 from ..hardware import AcceleratedEdgeRpc, RemoteMemoryFabric
 from ..network import EdgeCloudRpc, ReliableEdgeRpc
+from ..obs import NULL_CONTEXT
 from ..serverless import InvocationRequest, OpenWhiskPlatform
 from ..telemetry import LatencyBreakdown
 from .base import PlatformConfig
@@ -30,14 +34,16 @@ __all__ = ["CloudStack", "build_cloud", "build_edge_rpc"]
 
 class CloudStack:
     """The cloud side of one platform: ``platform`` and, when the config
-    mitigates stragglers, the ``mitigator`` wrapping it."""
+    mitigates stragglers, the ``mitigator`` wrapping it.
+    ``persisted_documents`` counts the outputs :meth:`persist` stored."""
 
-    __slots__ = ("platform", "mitigator")
+    __slots__ = ("platform", "mitigator", "persisted_documents")
 
     def __init__(self, platform: OpenWhiskPlatform,
                  mitigator: Optional[StragglerMitigator]):
         self.platform = platform
         self.mitigator = mitigator
+        self.persisted_documents = 0
 
     def invoke(self, request: InvocationRequest,
                breakdown: LatencyBreakdown) -> Generator:
@@ -52,6 +58,19 @@ class CloudStack:
         breakdown.charge("data_io", invocation.breakdown.data_io)
         breakdown.charge("execution", invocation.breakdown.execution)
         return invocation
+
+    def persist(self, persisted: AbstractSet[str], task_name: str, key: str,
+                megabytes: float, trace=NULL_CONTEXT) -> Generator:
+        """Store ``task_name``'s output in CouchDB when the graph's
+        Persist directive names it in ``persisted``; no-op otherwise."""
+        if task_name not in persisted:
+            return
+        env = self.platform.env
+        start = env.now
+        yield from self.platform.couchdb.store(key, megabytes)
+        if trace:
+            trace.emit("persist", "data_io", start, env.now, key=key)
+        self.persisted_documents += 1
 
 
 def build_cloud(env, config: PlatformConfig, constants: PaperConstants,

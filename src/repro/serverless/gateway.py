@@ -67,7 +67,6 @@ class CloudGateway:
                            if scenario.dedup is not None else None)
         _, directives = scenario.dsl_graph()
         self._persisted_tasks = set(directives.persisted)
-        self.persisted_documents = 0
         self.completions = 0
         self.last_completion_s = 0.0
         self._outstanding = 0
@@ -118,16 +117,9 @@ class CloudGateway:
         return {
             "completions": self.completions,
             "last_completion_s": self.last_completion_s,
-            "persisted_documents": self.persisted_documents,
+            "persisted_documents": self._cloud.persisted_documents,
             "cold_starts": self.platform.cold_starts,
         }
-
-    def _persist(self, task_name: str, key: str,
-                 megabytes: float) -> Generator:
-        if task_name not in self._persisted_tasks:
-            return
-        yield from self.platform.couchdb.store(key, megabytes)
-        self.persisted_documents += 1
 
     def _serve(self, cell: int, seq: int, arrival_s: float,
                recognition_s: float, dedup_s: float, input_mb: float,
@@ -141,9 +133,9 @@ class CloudGateway:
                     spec=self.recognition_spec, service_s=recognition_s,
                     input_mb=input_mb, output_mb=output_mb)
                 parent = yield from self._cloud.invoke(request, breakdown)
-                yield from self._persist(
-                    "recognition", f"rec-{parent.invocation_id}",
-                    output_mb)
+                yield from self._cloud.persist(
+                    self._persisted_tasks, "recognition",
+                    f"rec-{parent.invocation_id}", output_mb)
             if not math.isnan(dedup_s) and self.dedup_spec is not None:
                 request = InvocationRequest(
                     spec=self.dedup_spec, service_s=dedup_s,
@@ -152,8 +144,9 @@ class CloudGateway:
                     output_mb=0.05, parent=parent)
                 invocation = yield from self._cloud.invoke(request,
                                                            breakdown)
-                yield from self._persist(
-                    "aggregate", f"agg-{invocation.invocation_id}", 0.05)
+                yield from self._cloud.persist(
+                    self._persisted_tasks, "aggregate",
+                    f"agg-{invocation.invocation_id}", 0.05)
             cells, seqs, done_s, breakdowns = self._done
             cells.append(cell)
             seqs.append(seq)

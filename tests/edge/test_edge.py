@@ -152,7 +152,7 @@ class TestEdgeDevice:
         device = make_device(env)  # no rng -> deterministic
 
         def run():
-            spent = yield env.process(device.execute(1.0))
+            spent = yield device.reserve(1.0)
             return spent
 
         assert env.run(env.process(run())) == pytest.approx(9.0)
@@ -160,7 +160,7 @@ class TestEdgeDevice:
 
     def test_execute_charges_compute_energy(self, env):
         device = make_device(env)
-        env.run(env.process(device.execute(1.0)))
+        env.run(device.reserve(1.0))
         assert device.energy.by_category()["compute"] > 0
 
     def test_single_core_serializes_tasks(self, env):
@@ -168,7 +168,7 @@ class TestEdgeDevice:
         completions = []
 
         def task():
-            yield env.process(device.execute(1.0))
+            yield device.reserve(1.0)
             completions.append(env.now)
 
         env.process(task())
@@ -199,14 +199,13 @@ class TestEdgeDevice:
         with pytest.raises(RuntimeError):
             device.finalize_mission()
 
-    @pytest.mark.parametrize("joined", ["execute", "reserve"])
-    def test_two_core_overlap_with_failure_pin(self, env, joined):
+    def test_two_core_overlap_with_failure_pin(self, env):
         """Two cores, six overlapping tasks, a crash mid-service at 0.7 s.
 
         Finish instants, compute energy and ``busy_compute_s`` were
-        recorded when ``execute`` did its own core claim and charge; the
-        reservation and the ``execute`` wrapper over it must reproduce
-        them. Only the two tasks done before the crash are charged.
+        recorded when a blocking ``execute`` process did its own core
+        claim and charge; the reservation must reproduce them. Only the
+        two tasks done before the crash are charged.
         """
         device = make_device(env, rng=np.random.default_rng(7),
                              cpu_cores=2, cloud_to_edge_slowdown=2.0)
@@ -214,10 +213,7 @@ class TestEdgeDevice:
 
         def task(delay, service):
             yield env.timeout(delay)
-            if joined == "execute":
-                spent = yield env.process(device.execute(service))
-            else:
-                spent = yield device.reserve(service)
+            spent = yield device.reserve(service)
             finishes.append((env.now, spent))
 
         for delay, service in ((0.0, 0.3), (0.1, 0.2), (0.15, 0.25),

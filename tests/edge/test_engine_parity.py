@@ -177,14 +177,14 @@ class TestSatelliteBugfixes:
             device.fail()
 
         env.process(killer())
-        env.run(env.process(device.execute(1.0)))  # runs past the failure
+        env.run(device.reserve(1.0))  # runs past the failure
         assert device.busy_compute_s == 0.0
         assert device.energy.by_category().get("compute", 0.0) == 0.0
 
     def test_execute_charges_when_alive(self):
         env = Environment()
         device = Drone(env, "d0", DroneConstants())
-        env.run(env.process(device.execute(1.0)))
+        env.run(device.reserve(1.0))
         assert device.busy_compute_s > 0.0
         assert device.energy.by_category()["compute"] > 0.0
 

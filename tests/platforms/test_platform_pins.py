@@ -102,6 +102,8 @@ CAR_MAZE_PINS = {
 }
 
 CHAOS_S3_MIXED = "8184900a4e3c24999ee483e106b83a20"
+CHAOS_S3_PARTITION_EDGE = "448ec93a24ec152a1ea62add12190218"
+CHAOS_S3_PARTITION_IAAS = "1d0e6727b50868bf505e42463827b2fb"
 FIG18_PREDICTIONS = "e8a2903c69e3584df34b42c1a45aba4e"
 FIG18_ROWS = "ea7ef386cd74386b920f7a4fc84d0616"
 SWEEP_ROWS = "5362a9153b690cd7bc155fbbf50f2728"
@@ -148,6 +150,25 @@ def test_chaos_run_with_hardened_straggler_races():
     assert result.extras["chaos"]["cancellations"] == 14
     assert result.extras["violations"] == 0
     assert pin(result) == CHAOS_S3_MIXED
+
+
+@pytest.mark.parametrize("name,digest,recoveries", [
+    # On-board tasks hold their computed result across the partition.
+    ("distributed_edge", CHAOS_S3_PARTITION_EDGE, {"rpc_retry": 48}),
+    # Reserved-pool tasks shed to the device once the retries run out.
+    ("centralized_iaas", CHAOS_S3_PARTITION_IAAS,
+     {"rpc_retry": 226, "shed": 106}),
+])
+def test_chaos_partition_paths(name, digest, recoveries):
+    """The held edge upload and the shed after the IaaS-pool branch,
+    which no fault-free digest and not the ``mixed`` run reach. The
+    recovery counts, all above zero, prove the path ran."""
+    result = SingleTierRunner(platform_config(name), app("S3"), seed=0,
+                              duration_s=60,
+                              fault_plan=named_plan("partition", 60.0)).run()
+    assert result.extras["chaos"]["recoveries"] == recoveries
+    assert result.extras["violations"] == 0
+    assert pin(result) == digest
 
 
 def _digest(value) -> str:

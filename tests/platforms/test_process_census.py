@@ -16,7 +16,6 @@ from repro.platforms import ScenarioRunner, SingleTierRunner, platform_config
 from repro.sim import kernel
 
 PER_BATCH = ("ScenarioRunner.start.<locals>.handle_batch",
-             "EdgeDevice.execute",
              "SingleTierRunner.run.<locals>.handle")
 
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.apps import app
+from repro.faults import FaultEvent, FaultPlan, named_plan
+from repro.faults.plan import CLOUD_KINDS
 from repro.platforms import (PlatformConfig, SingleTierRunner,
                              platform_config)
 
@@ -76,6 +78,59 @@ class TestConfigs:
     def test_stock_keepalive_is_aggressive(self):
         assert platform_config("centralized_faas").container_keepalive_s \
             < platform_config("hivemind").container_keepalive_s
+
+
+class TestFaultPlanChecks:
+    """A plan the platform cannot apply fails at construction, not when
+    its first event fires mid-run."""
+
+    @pytest.mark.parametrize("platform", ["centralized_iaas",
+                                          "distributed_edge"])
+    def test_cloud_faults_need_a_serverless_cloud(self, platform):
+        with pytest.raises(ValueError, match=(
+                f"injects function_faults, server_crash but platform "
+                f"'{platform}' has no serverless cloud")):
+            SingleTierRunner(platform_config(platform), app("S3"),
+                             seed=0, duration_s=60,
+                             fault_plan=named_plan("mixed", 60.0))
+
+    @pytest.mark.parametrize("kind", sorted(CLOUD_KINDS))
+    def test_every_cloud_kind_is_refused(self, kind):
+        plan = FaultPlan(events=[FaultEvent(1.0, kind, target="server0",
+                                            duration_s=1.0)])
+        with pytest.raises(ValueError, match=kind):
+            SingleTierRunner(platform_config("centralized_iaas"), app("S3"),
+                             fault_plan=plan)
+
+    def test_edge_faults_run_without_a_cloud(self):
+        result = SingleTierRunner(
+            platform_config("distributed_edge"), app("S3"), seed=0,
+            duration_s=20, n_devices=4,
+            fault_plan=named_plan("edge_attrition", 20.0)).run()
+        assert result.extras["violations"] == 0
+        assert [kind for _, kind, _ in result.extras["chaos"]["injected"]] \
+            == ["device_crash", "battery_brownout"]
+
+    @pytest.mark.parametrize("target", ["4", "-1", "drone0004", "drone4",
+                                        None])
+    def test_device_target_must_name_a_device(self, target):
+        plan = FaultPlan().device_crash(1.0, target)
+        with pytest.raises(ValueError, match="names no device"):
+            SingleTierRunner(platform_config("hivemind"), app("S3"),
+                             n_devices=4, fault_plan=plan)
+        brownout = FaultPlan().battery_brownout(1.0, target, 0.5)
+        with pytest.raises(ValueError, match="names no device"):
+            SingleTierRunner(platform_config("hivemind"), app("S3"),
+                             n_devices=4, fault_plan=brownout)
+
+    @pytest.mark.parametrize("target", ["3", "drone0003"])
+    def test_device_target_by_index_or_id(self, target):
+        runner = SingleTierRunner(platform_config("hivemind"), app("S3"),
+                                  seed=0, duration_s=5, n_devices=4,
+                                  fault_plan=FaultPlan().device_crash(
+                                      1.0, target))
+        assert runner.run().extras["chaos"]["injected"] == [
+            (1.0, "device_crash", target)]
 
 
 class TestRunnerBasics:

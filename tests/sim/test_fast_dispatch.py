@@ -138,7 +138,7 @@ class TestDeviceAnalyticParity:
         finishes = []
 
         def submit(service):
-            yield env.process(device.execute(service))
+            yield device.reserve(service)
             finishes.append(env.now)
 
         # 6 tasks on 2 cores: contention, queueing, exact floats.
