@@ -32,6 +32,7 @@ from ..faults.plan import CLOUD_KINDS, DEVICE_KINDS
 from ..network import RpcTimeout, build_fabric
 from .. import obs
 from ..sim import Environment, RandomStreams
+from ..sim.accounting import tally
 from ..telemetry import LatencyBreakdown
 from .base import PlatformConfig, RunResult
 from .pipeline import EDGE_FILTER_SLOWDOWN, TaskPipeline
@@ -296,6 +297,7 @@ class SingleTierRunner:
                 tick += 1
                 if next_t >= self.duration_s:
                     break
+                tally("edge", 1)  # the drone's sampling clock
                 yield env.timeout(next_t - env.now)
                 if chaos and not device.alive:
                     break  # crashed devices stop emitting sensor batches

@@ -14,14 +14,11 @@ the paper's figures depend on:
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
 from .function import FunctionSpec
 
 __all__ = ["ContainerState", "FunctionContainer"]
-
-_container_ids = itertools.count()
 
 
 class ContainerState(Enum):
@@ -32,10 +29,15 @@ class ContainerState(Enum):
 
 
 class FunctionContainer:
-    """One Docker container hosting serverless function executions."""
+    """One Docker container hosting serverless function executions.
 
-    def __init__(self, server_id: str, image: str, memory_mb: float):
-        self.container_id = f"c{next(_container_ids)}"
+    ``serial`` comes from a counter the platform shares among its
+    invokers: ids are unique within one platform and independent of
+    what else ran in the process."""
+
+    def __init__(self, serial: int, server_id: str, image: str,
+                 memory_mb: float):
+        self.container_id = f"c{serial}"
         self.server_id = server_id
         self.image = image
         self.memory_mb = memory_mb

@@ -14,7 +14,9 @@ the figures depend on:
 
 The concurrency-``k`` FIFO service runs on virtual clocks: a ``k``-entry
 min-heap of server-free times yields each operation's grant instant in
-O(log k), and one ``timeout_at`` event completes it. CouchDB owns its RNG
+O(log k), and one ``timeout_at`` event completes it. The per-request auth
+check is only a claim (:meth:`CouchDB.claim`): the platform folds its end
+instant into the controller's timeout instead. CouchDB owns its RNG
 stream exclusively and FIFO multi-server grant order equals arrival
 order, so the Pareto tail draw happens at arrival time without
 perturbing the draw sequence (see DESIGN.md, "Virtual-clock queueing").
@@ -49,7 +51,6 @@ class CouchDB:
         #: Virtual clocks: when each of the ``CONCURRENCY`` servers
         #: frees up.
         self._free: List[float] = [0.0] * self.CONCURRENCY
-        self.operations = 0
         self._documents = {}
         #: Chaos outage window: no operation starts service before this
         #: instant. 0.0 (the past) in fault-free runs, where the guard in
@@ -74,17 +75,25 @@ class CouchDB:
         multiplier = (1.0 + self._rng.pareto(alpha))
         return base * multiplier
 
-    def _serve(self, duration: float) -> Generator:
-        """Process: one FIFO pass through the concurrency-k service."""
-        tally("serverless", 1)
+    def claim(self, duration: float) -> float:
+        """Claim one FIFO pass through the concurrency-k service that
+        arrives now; returns the instant it ends. Schedules nothing.
+
+        Grant instants never decrease in claim order (the earliest-free
+        server only moves later, as do ``now`` and the outage end), so
+        passes of equal duration also end in claim order."""
         free_at = heapq.heappop(self._free)
         grant_at = free_at if free_at > self.env.now else self.env.now
         if grant_at < self._outage_until:  # chaos outage window
             grant_at = self._outage_until
         end = grant_at + duration
         heapq.heappush(self._free, end)
-        yield self.env.timeout_at(end)
-        self.operations += 1
+        return end
+
+    def _serve(self, duration: float) -> Generator:
+        """Process: one FIFO pass through the concurrency-k service."""
+        tally("serverless", 1)
+        yield self.env.timeout_at(self.claim(duration))
 
     def access(self, megabytes: float = 0.0) -> Generator:
         """Process: one read-or-write of ``megabytes``; returns seconds."""
@@ -92,12 +101,6 @@ class CouchDB:
             raise ValueError("size must be non-negative")
         start = self.env.now
         yield from self._serve(self._op_latency(megabytes))
-        return self.env.now - start
-
-    def authenticate(self) -> Generator:
-        """Process: the per-request subject/auth lookup; returns seconds."""
-        start = self.env.now
-        yield from self._serve(self.constants.auth_check_s)
         return self.env.now - start
 
     def store(self, key: str, megabytes: float) -> Generator:

@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -20,8 +19,6 @@ from ..obs import NULL_CONTEXT
 from ..telemetry import LatencyBreakdown
 
 __all__ = ["FunctionSpec", "InvocationRequest", "Invocation"]
-
-_invocation_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,10 @@ class Invocation:
     """The completed (or in-flight) record of one activation."""
 
     request: InvocationRequest
-    invocation_id: int = field(default_factory=lambda: next(_invocation_ids))
+    #: Drawn from the platform's own counter, so ids (and the persist
+    #: keys built from them) do not depend on what else ran in the
+    #: process.
+    invocation_id: int
     t_arrive: float = 0.0
     t_scheduled: float = 0.0
     t_complete: float = 0.0

@@ -10,7 +10,7 @@ pool for its keep-alive window; no request asks for a dedicated one.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Iterator, List, Optional
 
 import numpy as np
 
@@ -48,9 +48,13 @@ class ActivationMessage:
         self.invocation = invocation
         self.prefer_container = prefer_container
         self.done = done
-        #: Set by :meth:`Invoker.cancel` if the cancel lands before the
-        #: handler process has started.
+        #: Set by :meth:`Invoker.cancel`. A cancel whose interrupt a
+        #: crash overrides leaves it set on the requeued message, and the
+        #: next invoker's handler fails ``done`` instead of running it.
         self.cancelled = False
+        #: The handler running this activation on its current invoker
+        #: (a started process): what crash and cancel interrupt.
+        self.handler = None
 
 
 class Invoker:
@@ -62,6 +66,7 @@ class Invoker:
     def __init__(self, env: Environment, server: Server,
                  constants: ServerlessConstants,
                  rng: np.random.Generator,
+                 container_ids: Iterator[int],
                  fault_rate: float = 0.0,
                  keepalive_s: Optional[float] = None):
         if not 0 <= fault_rate < 1:
@@ -70,6 +75,8 @@ class Invoker:
         self.server = server
         self.constants = constants
         self.rng = rng
+        #: The platform's container-id counter, shared by its invokers.
+        self._container_ids = container_ids
         self.fault_rate = fault_rate
         self.keepalive_s = (keepalive_s if keepalive_s is not None
                             else constants.default_keepalive_s)
@@ -89,10 +96,11 @@ class Invoker:
         self.slow_factor = 1.0
         #: Cleared by :meth:`crash` (chaos invoker/server-crash injection).
         self.alive = True
-        #: In-flight activations: invocation_id -> (message, handler
-        #: process). Registered at handler spawn, removed at handler exit;
-        #: :meth:`crash` interrupts them all, :meth:`cancel` one.
-        self._active: Dict[int, tuple] = {}
+        #: In-flight activations: invocation_id -> message. Registered
+        #: at handler start, removed at handler exit, so every handler
+        #: filed here is alive; :meth:`crash` interrupts them all,
+        #: :meth:`cancel` one.
+        self._active: Dict[int, ActivationMessage] = {}
         self.cold_starts = 0
         self.warm_starts = 0
         self.respawns = 0
@@ -109,14 +117,8 @@ class Invoker:
         """
         self.alive = False
         orphans = []
-        for _, (message, process) in sorted(self._active.items()):
-            if process.is_alive:
-                try:
-                    process.interrupt("crash")
-                except RuntimeError:
-                    # Handler spawned but not yet started: the liveness
-                    # guard in _handle makes it a no-op instead.
-                    pass
+        for _, message in sorted(self._active.items()):
+            message.handler.interrupt("crash")
             orphans.append(message)
         self._active.clear()
         for pool in self._warm.values():
@@ -139,16 +141,11 @@ class Invoker:
         :class:`ActivationCancelled`. Returns False when the activation
         is not executing here (already finished, or still upstream).
         """
-        entry = self._active.get(invocation_id)
-        if entry is None:
+        message = self._active.get(invocation_id)
+        if message is None:
             return False
-        message, process = entry
         message.cancelled = True
-        if process.is_alive:
-            try:
-                process.interrupt("cancel")
-            except RuntimeError:
-                pass  # not yet started; _handle sees `cancelled` and aborts
+        message.handler.interrupt("cancel")
         return True
 
     # -- warm pool ----------------------------------------------------------
@@ -298,8 +295,8 @@ class Invoker:
                 yield from self._reserve_container_memory(
                     request.spec.memory_mb)
                 container = FunctionContainer(
-                    self.server.server_id, request.spec.image,
-                    request.spec.memory_mb)
+                    next(self._container_ids), self.server.server_id,
+                    request.spec.image, request.spec.memory_mb)
                 start_cost = self._cold_start_time()
                 self.cold_starts += 1
                 invocation.cold_start = True
@@ -397,30 +394,40 @@ class Invoker:
         bus.subscribe(topic, self._spawn_handler)
 
     def _spawn_handler(self, message: ActivationMessage) -> None:
-        tally("serverless", 1)  # the handler process start
-        process = self.env.process(self._handle(message))
-        self._active[message.invocation.invocation_id] = (message, process)
+        # Started in place: a Kafka delivery runs inside a NORMAL
+        # dispatch with the urgent lane empty, so the Initialize a
+        # process would schedule was the very next event, and nothing
+        # drew an id or a random number in between. Filed before the
+        # first segment runs, since _handle's finally may pop it there.
+        self._active[message.invocation.invocation_id] = message
+        message.handler = self.env.start(self._handle(message))
 
     def _handle(self, message: ActivationMessage) -> Generator:
         iid = message.invocation.invocation_id
         try:
             if message.cancelled:
+                tally("serverless", 1)
                 message.done.fail(ActivationCancelled(iid))
                 return
             if not self.alive:
-                # Crashed between Kafka delivery and handler start; crash()
-                # already handed the message back for requeueing.
+                # Delivered to the topic of an invoker that crashed
+                # while the message was on the bus: the crash sweep
+                # missed it and nothing requeues it (a known gap,
+                # ROADMAP "No activation lost in a dead invoker's topic").
                 return
             yield from self.run(
                 message.request, message.invocation,
                 prefer_container=message.prefer_container)
+            tally("serverless", 1)
             message.done.succeed(message.invocation)
         except Interrupt as interrupt:
             if interrupt.cause == "cancel":
+                tally("serverless", 1)
                 message.done.fail(ActivationCancelled(iid))
             # "crash": leave `done` pending — the platform requeues the
             # activation and the replacement execution will succeed it.
         except BaseException as error:  # surface crashes to the caller
+            tally("serverless", 1)
             message.done.fail(error)
         finally:
             self._active.pop(iid, None)

@@ -15,6 +15,7 @@ carries the management / data-I/O / execution split of Figs 3a, 6b and 12.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from typing import Generator, List, Optional, Tuple
 
@@ -67,9 +68,14 @@ class OpenWhiskPlatform:
         self.couchdb = CouchDB(env, self.constants,
                                rng=streams.stream("serverless.couchdb"))
         self.kafka = KafkaBus(env, self.constants)
+        #: Per-platform id counters: invocation ids and container ids
+        #: (shared by every invoker) depend only on this run.
+        self._invocation_ids = itertools.count()
+        container_ids = itertools.count()
         self.invokers: List[Invoker] = [
             Invoker(env, server, self.constants,
                     rng=streams.stream(f"serverless.invoker.{server_id}"),
+                    container_ids=container_ids,
                     fault_rate=fault_rate, keepalive_s=keepalive_s)
             for server_id, server in sorted(cluster.servers.items())
         ]
@@ -255,7 +261,9 @@ class OpenWhiskPlatform:
     # -- the activation pipeline -----------------------------------------------
     def invoke(self, request: InvocationRequest) -> Generator:
         """Process: run one activation end to end; returns the Invocation."""
-        invocation = Invocation(request=request, t_arrive=self.env.now)
+        invocation = Invocation(
+            request=request, invocation_id=next(self._invocation_ids),
+            t_arrive=self.env.now)
         request.inflight = invocation
         if request.trace:
             invocation.trace = request.trace.span(
@@ -286,32 +294,31 @@ class OpenWhiskPlatform:
         """Process: the admitted activation pipeline (front end through
         completion)."""
         trace = invocation.trace
-        # Front end + auth check against CouchDB.
+        # Front end, then the auth check against CouchDB and the
+        # controller's scheduler slot, claimed together in one step:
+        # the auth pass arrives at the controller the instant it ends.
         front_start = self.env.now
+        tally("serverless", 1)
         yield self.env.timeout(self.constants.frontend_latency_s)
         auth_start = self.env.now
-        auth_s = yield from self.couchdb.authenticate()
-        invocation.breakdown.charge(
-            "management", self.constants.frontend_latency_s + auth_s)
-        if trace:
-            trace.emit("frontend", "serverless", front_start, auth_start)
-            trace.emit("couchdb_auth", "data_io", auth_start, self.env.now)
-        # Controller: queue for a scheduler slot, decide placement.
-        queue_start = self.env.now
+        auth_end = self.couchdb.claim(self.constants.auth_check_s)
         hold = (self.constants.controller_decision_s +
                 self.constants.controller_service_s)
         tally("serverless", 1)
         free_at = heapq.heappop(self._controller_free)
-        grant_at = free_at if free_at > self.env.now else self.env.now
+        grant_at = free_at if free_at > auth_end else auth_end
         end = grant_at + hold
         heapq.heappush(self._controller_free, end)
         yield self.env.timeout_at(end)
-        placement = self.scheduler.place(request)
         invocation.breakdown.charge(
-            "management", self.env.now - queue_start)
+            "management",
+            self.constants.frontend_latency_s + (auth_end - auth_start))
+        placement = self.scheduler.place(request)
+        invocation.breakdown.charge("management", self.env.now - auth_end)
         if trace:
-            trace.emit("controller", "serverless", queue_start,
-                       self.env.now)
+            trace.emit("frontend", "serverless", front_start, auth_start)
+            trace.emit("couchdb_auth", "data_io", auth_start, auth_end)
+            trace.emit("controller", "serverless", auth_end, self.env.now)
         # Fetch the parent's output (protocol depends on placement).
         share_start = self.env.now
         yield from self._share_parent_output(request, invocation, placement)

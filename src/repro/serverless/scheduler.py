@@ -64,9 +64,9 @@ class OpenWhiskScheduler:
     def _least_loaded(self, candidates: List[Invoker]) -> Invoker:
         """Lowest-utilization invoker; ties rotate (OpenWhisk's hashing
         spreads actions across invokers rather than piling onto one)."""
-        best = min(inv.server.utilization for inv in candidates)
-        tied = [inv for inv in candidates
-                if inv.server.utilization == best]
+        loads = [inv.server.utilization for inv in candidates]
+        best = min(loads)
+        tied = [inv for inv, load in zip(candidates, loads) if load == best]
         chosen = tied[self._rotation % len(tied)]
         self._rotation += 1
         return chosen
@@ -85,11 +85,16 @@ class HiveMindScheduler(OpenWhiskScheduler):
 
     name = "hivemind"
 
+    def __init__(self, invokers: List[Invoker]):
+        super().__init__(invokers)
+        self._by_server = {invoker.server.server_id: invoker
+                           for invoker in self.invokers}
+
     def place(self, request: InvocationRequest) -> Placement:
         # Optimization 1: child into the parent's container when possible.
         parent = request.parent
         if parent is not None and request.colocate_with_parent:
-            invoker = self._invoker_for(parent.server_id)
+            invoker = self._by_server.get(parent.server_id)
             if invoker is not None and invoker.alive and \
                     invoker.server.alive and not invoker.server.on_probation:
                 container = invoker.warm_container_of(parent)
@@ -98,9 +103,3 @@ class HiveMindScheduler(OpenWhiskScheduler):
                     return Placement(invoker, container=container)
         # Optimization 2: prefer idling containers anywhere, then load.
         return super().place(request)
-
-    def _invoker_for(self, server_id: str) -> Optional[Invoker]:
-        for invoker in self.invokers:
-            if invoker.server.server_id == server_id:
-                return invoker
-        return None

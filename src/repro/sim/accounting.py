@@ -3,17 +3,20 @@
 :func:`repro.sim.kernel.events_consumed` says how many events the kernel
 dispatched; this module says *on whose behalf*. The edge, network, and
 serverless layers tag the events they schedule at their chokepoints
-(engine wakes and on-board core reservations; link
-grants/serialization/propagation and the edge RPC's processing and ack
-timeouts; CouchDB, Kafka, and invoker steps), and the benchmark harness
-reports the breakdown so the next optimisation target is measured
-instead of guessed.
+(engine wakes, on-board core reservations and the single-tier drone's
+sampling clock; link grants/serialization/propagation and the edge
+RPC's processing and ack timeouts; the OpenWhisk front end, the one
+timeout that covers CouchDB authentication and the controller, other
+CouchDB passes, Kafka, the invoker's steps and its completion signal),
+and the benchmark harness reports the breakdown so the next
+optimisation target is measured instead of guessed.
 
 The counters are process-wide (like ``events_consumed``) and tagged *at
 scheduling time*: a layer adds ``n`` when it schedules ``n`` kernel
 events. Untagged traffic — the start and completion events of
 :class:`~repro.sim.kernel.Process` objects (generators started with
-``Environment.start`` have neither), condition bookkeeping, harness
+``Environment.start``, such as the invoker's activation handler, have
+neither), the straggler race's watchdog and condition, harness
 orchestration — is reported as ``other`` (total dispatched minus
 tagged). Tags are plain integer adds on one-element lists, cheap enough
 for the hot paths that call them.

@@ -336,12 +336,32 @@ class Process(Event):
         return f"<Process {name} {'alive' if self.is_alive else 'dead'}>"
 
 
+class _NoWaiters:
+    """Callback list of a started process: adding a waiter raises.
+
+    A started process fires no completion event, so a process yielding
+    it, a condition over it or ``run(until=...)`` on it would never
+    resume; each of them appends a callback first, and this refuses it.
+    """
+
+    __slots__ = ()
+
+    def append(self, callback: Callable[[Event], None]) -> None:
+        raise RuntimeError(
+            "a started process fires no completion event; "
+            "use Environment.process to wait on it")
+
+
+_NO_WAITERS = _NoWaiters()
+
+
 class _Started(Process):
     """A process nothing waits on, started by :meth:`Environment.start`.
 
-    It shares :class:`Process`'s resume loop but costs no kernel event of
-    its own: the first segment runs at the call instead of at an
-    ``Initialize`` event, and the end fires nothing. With no waiter to
+    It shares :class:`Process`'s resume loop and :meth:`~Process.interrupt`
+    but costs no kernel event of its own: the first segment runs at the
+    call instead of at an ``Initialize`` event, and the end fires
+    nothing; it only clears :attr:`~Process.is_alive`. With no waiter to
     hand it to, an uncaught exception raises where the generator raised
     it, inside ``start`` or the dispatch loop, which is as loud as an
     undefused failed process.
@@ -353,15 +373,16 @@ class _Started(Process):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         self.env = env
-        self.callbacks = None
+        self.callbacks = _NO_WAITERS
         self._value = _PENDING
         self._ok = None
         self._defused = True
         self._generator = generator
         self._target = None
-        self._resume(_GO)
 
     def _end(self, returned: bool, value: Any) -> None:
+        self._ok = returned
+        self._value = value
         if not returned:
             raise value
 
@@ -536,15 +557,17 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
-    def start(self, generator: Generator) -> None:
-        """Run ``generator`` as a process that nothing waits on,
-        interrupts or inspects.
+    def start(self, generator: Generator) -> Process:
+        """Run ``generator`` as a process that nothing waits on.
 
         It runs now, up to its first ``yield``, and then resumes exactly
         as a :class:`Process` would, but it schedules no ``Initialize``
-        and no completion event, so it returns nothing to wait on. An
-        uncaught exception propagates at once: out of this call during
-        the first segment, out of :meth:`run` after it.
+        and no completion event. The returned handle can be interrupted
+        and reports :attr:`~Process.is_alive`, but it is not an event
+        anyone can wait on: yielding it, putting it in a condition or
+        running until it raises ``RuntimeError``. An uncaught exception
+        propagates at once: out of this call during the first segment,
+        out of :meth:`run` after it.
 
         Starting at the call instead of at an ``Initialize`` event draws
         every id and random number of the first segment earlier, so a
@@ -552,7 +575,9 @@ class Environment:
         leaves its dispatch order unchanged (see DESIGN.md, kernel
         determinism contract).
         """
-        _Started(self, generator)
+        process = _Started(self, generator)
+        process._resume(_GO)
+        return process
 
     def all_of(self, events: Iterable[Event]) -> Condition:
         return Condition(self, Condition.all_events, events)

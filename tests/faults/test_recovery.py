@@ -86,6 +86,35 @@ class TestInvokerCrashMidActivation:
         assert invocation.requeues == 1
         assert len(platform.invocations) == 1
 
+    @pytest.mark.parametrize("stage", ["cold_start", "compute"])
+    def test_crash_frees_the_core_and_memory(self, env, stage):
+        """A crash mid cold start (memory held, no core) or mid compute
+        (memory and a core) gives both back to the server."""
+        platform = make_platform(env, servers=2)
+        request, process = _start_invocation(env, platform, service_s=5.0)
+        seen = {}
+
+        def crasher():
+            while True:
+                server_id = _executing_server(platform)
+                if server_id is not None:
+                    server = platform.invoker_of(server_id).server
+                    held = server.free_memory_mb < server.memory_capacity_mb
+                    computing = server.utilization > 0
+                    if held and computing == (stage == "compute"):
+                        break
+                yield env.timeout(0.001)
+            seen["server"] = server
+            platform.crash_invoker(server_id)
+
+        env.process(crasher())
+        invocation = env.run(process)
+        server = seen["server"]
+        assert invocation.requeues == 1
+        assert invocation.server_id != server.server_id
+        assert server.utilization == 0
+        assert server.free_memory_mb == server.memory_capacity_mb
+
     def test_restore_reenables_invoker(self, env):
         platform = make_platform(env, servers=2)
         server_id = platform.invokers[0].server.server_id
@@ -148,7 +177,7 @@ class TestCancellation:
         spec = FunctionSpec("f")
         request = InvocationRequest(spec, service_s=0.1)
         assert not platform.cancel_invocation(
-            Invocation(request=request, t_arrive=0.0))
+            Invocation(request=request, invocation_id=0, t_arrive=0.0))
 
     def test_cancel_frees_the_core_and_memory(self, env):
         platform = make_platform(env, servers=1)

@@ -3,7 +3,8 @@ Kafka, data sharing."""
 
 import pytest
 
-from repro.config import ServerlessConstants
+from repro.cluster import Cluster
+from repro.config import ClusterConstants, ServerlessConstants
 from repro.hardware import RemoteMemoryFabric
 from repro.serverless import (
     ContainerState,
@@ -14,6 +15,7 @@ from repro.serverless import (
     InMemorySharing,
     InvocationRequest,
     KafkaBus,
+    OpenWhiskPlatform,
     RemoteMemorySharing,
 )
 from repro.sim import Environment, RandomStreams
@@ -41,7 +43,7 @@ class TestFunctionSpec:
 
 class TestContainer:
     def test_lifecycle(self):
-        container = FunctionContainer("s0", "image-a", 256)
+        container = FunctionContainer(0, "s0", "image-a", 256)
         assert container.state is ContainerState.COLD_STARTING
         container.mark_running()
         assert container.state is ContainerState.RUNNING
@@ -51,18 +53,18 @@ class TestContainer:
         assert container.is_expired(now=31.0)
 
     def test_warm_requires_running(self):
-        container = FunctionContainer("s0", "image-a", 256)
+        container = FunctionContainer(0, "s0", "image-a", 256)
         with pytest.raises(RuntimeError):
             container.mark_warm(0, 10)
 
     def test_terminated_cannot_run(self):
-        container = FunctionContainer("s0", "image-a", 256)
+        container = FunctionContainer(0, "s0", "image-a", 256)
         container.mark_terminated()
         with pytest.raises(RuntimeError):
             container.mark_running()
 
     def test_compatibility(self):
-        container = FunctionContainer("s0", "image-a", 256)
+        container = FunctionContainer(0, "s0", "image-a", 256)
         assert container.compatible_with(FunctionSpec("f", image="image-a"))
         assert not container.compatible_with(
             FunctionSpec("f", image="image-b"))
@@ -70,9 +72,25 @@ class TestContainer:
             FunctionSpec("f", memory_mb=512, image="image-a"))
 
     def test_unique_ids(self):
-        a = FunctionContainer("s0", "i", 1)
-        b = FunctionContainer("s0", "i", 1)
-        assert a.container_id != b.container_id
+        """Containers one platform cold-starts on different invokers
+        draw distinct ids from the platform's shared counter, and a
+        second platform starts its own count."""
+
+        def container_ids():
+            env = Environment()
+            cluster = Cluster(env, ClusterConstants(servers=3,
+                                                    cores_per_server=2))
+            platform = OpenWhiskPlatform(env, cluster, RandomStreams(4))
+            for index in range(9):
+                env.process(platform.invoke(InvocationRequest(
+                    FunctionSpec(f"f{index}", image=f"i{index}"),
+                    service_s=0.5)))
+            env.run()
+            return [inv.container_id for inv in platform.invocations]
+
+        first = container_ids()
+        assert sorted(first) == sorted(f"c{n}" for n in range(9))
+        assert container_ids() == first
 
 
 class TestCouchDB:
@@ -87,7 +105,6 @@ class TestCouchDB:
         env.run(env.process(run(0.1)))
         env.run(env.process(run(50.0)))
         assert durations[1] > durations[0]
-        assert db.operations == 2
 
     def test_negative_size_rejected(self, env):
         db = CouchDB(env)
@@ -96,15 +113,16 @@ class TestCouchDB:
             env.run(process)
 
     def test_authentication_cost(self, env):
+        """The auth check is a claim on the store's virtual clocks: on
+        an idle store it ends one auth pass from now, and the k+1-th
+        concurrent claim waits for the earliest pass to end."""
         constants = ServerlessConstants()
         db = CouchDB(env, constants)
-
-        def run():
-            took = yield env.process(db.authenticate())
-            return took
-
-        assert env.run(env.process(run())) == \
-            pytest.approx(constants.auth_check_s)
+        auth = constants.auth_check_s
+        ends = [db.claim(auth) for _ in range(CouchDB.CONCURRENCY + 1)]
+        assert ends[:-1] == [auth] * CouchDB.CONCURRENCY
+        assert ends[-1] == auth + auth
+        assert env.dispatched == 0 and not env._queue
 
     def test_store_and_load(self, env):
         db = CouchDB(env)

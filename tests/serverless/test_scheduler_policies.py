@@ -1,5 +1,7 @@
 """Focused tests for scheduling policies, memory pressure, and limits."""
 
+import itertools
+
 import pytest
 
 from repro.cluster import Cluster
@@ -25,9 +27,10 @@ def make_invokers(env, servers=3, cores=4, ram_gb=1.0):
         servers=servers, cores_per_server=cores,
         ram_gb_per_server=ram_gb))
     streams = RandomStreams(9)
+    container_ids = itertools.count()
     return cluster, [
         Invoker(env, server, ServerlessConstants(),
-                rng=streams.stream(server_id))
+                rng=streams.stream(server_id), container_ids=container_ids)
         for server_id, server in sorted(cluster.servers.items())
     ]
 
@@ -79,7 +82,7 @@ class TestSchedulerPolicies:
         # never registered warm.
         from repro.serverless import Invocation
         parent = Invocation(request=InvocationRequest(
-            FunctionSpec("f"), service_s=0.1))
+            FunctionSpec("f"), service_s=0.1), invocation_id=0)
         parent.server_id = "server0"
         parent.container_id = "ghost"
         placement = scheduler.place(InvocationRequest(

@@ -368,12 +368,92 @@ class TestStart:
             yield env.timeout(0.5)
             steps.append(("third", env.now))
 
-        assert env.start(proc()) is None
+        handle = env.start(proc())
+        assert handle.is_alive
         assert steps == [("first", 0.0)]
         env.run()
         assert steps == [("first", 0.0), ("second", 1.0), ("third", 1.5)]
+        assert not handle.is_alive
         # Only the two yielded timeouts: no Initialize, no completion.
         assert env.dispatched == 2
+
+    def test_interrupt_runs_cleanup_as_a_process_would(self):
+        """The same generator, interrupted as a Process and as a started
+        handle, runs the same cleanup at the same instant; the started
+        one saves exactly the Initialize and completion events."""
+
+        def run(spawn):
+            env = Environment()
+            log = []
+
+            def proc():
+                try:
+                    yield env.timeout(5.0)
+                except Interrupt as interrupt:
+                    log.append(("interrupted", interrupt.cause, env.now))
+                    yield env.timeout(0.5)
+                finally:
+                    log.append(("cleanup", env.now))
+
+            def killer(target):
+                yield env.timeout(2.0)
+                target.interrupt("crash")
+
+            target = spawn(env, proc())
+            env.process(killer(target))
+            env.run()
+            assert not target.is_alive
+            return log, env.dispatched
+
+        process_log, process_events = run(
+            lambda env, gen: env.process(gen))
+        started_log, started_events = run(
+            lambda env, gen: env.start(gen))
+        assert started_log == process_log == [
+            ("interrupted", "crash", 2.0), ("cleanup", 2.5)]
+        assert started_events == process_events - 2
+
+    def test_is_alive_clears_at_the_end(self):
+        env = Environment()
+
+        def proc():
+            yield env.timeout(1.0)
+
+        handle = env.start(proc())
+        env.run(until=0.5)
+        assert handle.is_alive
+        env.run()
+        assert not handle.is_alive
+        with pytest.raises(RuntimeError, match="terminated"):
+            handle.interrupt()
+
+    def test_ended_in_first_segment_is_dead(self):
+        env = Environment()
+
+        def proc():
+            return
+            yield
+
+        assert not env.start(proc()).is_alive
+
+    def test_waiting_on_the_handle_raises(self):
+        env = Environment()
+
+        def proc():
+            yield env.timeout(1.0)
+
+        handle = env.start(proc())
+
+        def waiter():
+            yield handle
+
+        with pytest.raises(RuntimeError, match="no completion event"):
+            env.process(waiter())
+            env.run()
+        with pytest.raises(RuntimeError, match="no completion event"):
+            env.all_of([handle])
+        with pytest.raises(RuntimeError, match="no completion event"):
+            env.run(until=handle)
 
     def test_process_costs_two_more_events(self):
         env = Environment()

@@ -163,7 +163,6 @@ ALLOWED_STATE = {
     "hardware/remote_memory.py::RemoteMemoryFabric.writes": _COUNTER,
     "learning/classifier.py::DeduplicationEngine.observations": _COUNTER,
     "routing/maze.py::WallFollower.steps": _COUNTER,
-    "serverless/couchdb.py::CouchDB.operations": _COUNTER,
     "serverless/kafka.py::KafkaBus.published": _COUNTER,
     "sim/kernel.py::Environment.dispatched": _COUNTER,
 }
