@@ -27,10 +27,6 @@ class CoreGrant:
         self._requests = requests
         self._released = False
 
-    @property
-    def cores(self) -> int:
-        return len(self._requests)
-
     def release(self) -> None:
         if self._released:
             raise RuntimeError("core grant already released")
@@ -55,17 +51,12 @@ class Server:
         #: (section 4.6); a server on probation receives no new functions.
         self.probation_until: float = 0.0
         #: Cleared by :meth:`fail` (chaos server-crash injection); a dead
-        #: server schedules nothing new until :meth:`restore`.
+        #: server schedules nothing new.
         self.alive = True
-        self._busy_core_seconds = 0.0
         #: Zero-arg callbacks fired on every :meth:`free_memory` (the
         #: invoker's event-driven memory waits hook in here instead of
         #: polling on a retry timer).
         self._free_listeners: List = []
-
-    @property
-    def total_cores(self) -> int:
-        return self.cores.capacity
 
     @property
     def busy_cores(self) -> int:
@@ -149,18 +140,11 @@ class Server:
         for listener in self._free_listeners:
             listener()
 
-    def compute(self, grant: CoreGrant, seconds: float) -> Generator:
+    def compute(self, seconds: float) -> Generator:
         """Process: run for ``seconds`` on already-granted cores."""
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
-        self._busy_core_seconds += seconds * grant.cores
         yield self.env.timeout(seconds)
-
-    def mean_utilization(self, horizon_s: float) -> float:
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
-        return min(1.0, self._busy_core_seconds /
-                   (horizon_s * self.total_cores))
 
 
 class Cluster:
@@ -186,16 +170,3 @@ class Cluster:
         if found is None:
             raise KeyError(f"unknown server {server_id!r}")
         return found
-
-    @property
-    def total_cores(self) -> int:
-        return sum(s.total_cores for s in self.servers.values())
-
-    @property
-    def busy_cores(self) -> int:
-        return sum(s.busy_cores for s in self.servers.values())
-
-    def mean_utilization(self, horizon_s: float) -> float:
-        values = [s.mean_utilization(horizon_s)
-                  for s in self.servers.values()]
-        return sum(values) / len(values)

@@ -42,13 +42,9 @@ class DroneConstants:
 
     count: int = 16                      # paper: 16 drones
     cpu_cores: int = 1                   # ARM Cortex A8, single core
-    cpu_ghz: float = 1.0                 # paper: 1 GHz
-    ram_gb: float = 2.0                  # paper: 2 GB
-    flash_gb: float = 32.0               # paper: 32 GB USB flash
     frames_per_second: float = 8.0       # paper: 8 fps default
     frame_mb: float = 2.0                # paper: 2 MB per frame default
     speed_mps: float = 4.0               # paper: 4 m/s
-    altitude_m: float = 5.0              # paper: 4-6 m
     fov_width_m: float = 6.7             # paper: 6.7 m x 8.75 m coverage
     fov_depth_m: float = 8.75
     # Battery (calibrated: AR Drone 2.0 packs are 11.1 Wh new; the fleet's
@@ -76,7 +72,6 @@ class CarConstants:
 
     count: int = 14                      # paper: 14 robotic cars
     cpu_cores: int = 4                   # Raspberry Pi
-    cpu_ghz: float = 1.2
     speed_mps: float = 1.2
     battery_wh: float = 37.0             # cars are less power-constrained
     motion_power_w: float = 9.0
@@ -85,7 +80,6 @@ class CarConstants:
     radio_tx_w: float = 2.1
     radio_rx_w: float = 0.9
     radio_idle_w: float = 0.25
-    turn_time_s: float = 1.0
     cloud_to_edge_slowdown: float = 4.0  # Pi is ~2x the A8 per core, 4 cores
 
 
@@ -115,7 +109,6 @@ class WirelessConstants:
     base_rtt_s: float = 18e-3
     per_hop_latency_s: float = 4e-3
     loss_rate: float = 0.002             # light random loss; retransmit cost
-    mtu_mb: float = 1500e-6
     # CSMA congestion collapse: per-queued-transfer goodput degradation
     # and its cap (calibrated so oversubscribed uplinks lose up to ~60%
     # goodput, the WiFi collision-collapse regime).
@@ -151,8 +144,6 @@ class ServerlessConstants:
     cold_start_sigma: float = 0.35       # lognormal sigma for cold starts
     warm_start_s: float = 0.009
     # Paper section 4.3: idle containers linger 10-30 s.
-    keepalive_min_s: float = 10.0
-    keepalive_max_s: float = 30.0
     default_keepalive_s: float = 20.0
     # CouchDB data sharing (Fig 6c): controller round-trip for the handle
     # plus store/load at limited effective throughput.
@@ -175,8 +166,6 @@ class ServerlessConstants:
     # bottleneck that caps a single OpenWhisk controller near ~450
     # activations/s (calibrated to production OpenWhisk deployments).
     controller_service_s: float = 2.2e-3
-    # Memory reserved per container.
-    container_memory_mb: float = 256.0
 
 
 @dataclass(frozen=True)
@@ -222,10 +211,8 @@ class PaperConstants:
     scenario_b_people: int = 25
     field_width_m: float = 110.0
     field_height_m: float = 110.0
-    # Single-tier job duration and repeats (section 2.3).
+    # Single-tier job duration (section 2.3).
     job_duration_s: float = 120.0
-    job_repeats: int = 10
-    scenario_repeats: int = 50
 
     def scaled_for_swarm(self, n_devices: int) -> "PaperConstants":
         """Scale world and radio for a simulated swarm of ``n_devices``.

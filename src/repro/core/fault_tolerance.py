@@ -62,12 +62,9 @@ class FailureDetector:
                     self._declare_failed(device_id)
 
     def _declare_failed(self, device_id: str) -> None:
+        # Only a device that is already down misses its beats, so there
+        # is nothing to stop: the controller repartitions its region.
         self.failed.append(device_id)
-        device = self.swarm.devices[device_id]
-        # Route through fail() so in-flight work reacts (the vectorized
-        # engine truncates an armed analytic leg from the fail hook); the
-        # controller stops dispatching to it either way.
-        device.fail()
         self._repartition(device_id)
 
     def _repartition(self, device_id: str) -> None:

@@ -61,11 +61,6 @@ class RoboticCar(EdgeDevice):
         self.position = (cell[0] * self.CELL_M, cell[1] * self.CELL_M)
         return travel_s
 
-    def turn(self) -> Generator:
-        """Process: rotate in place (cheap but not free)."""
-        yield self.env.timeout(self.constants.turn_time_s)
-        self.account_motion(self.constants.turn_time_s)
-
     def photograph(self) -> float:
         """Take one front-camera still; returns its size in MB."""
         return self.PHOTO_MB

@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..obs.manifest import RunManifest
 from ..telemetry import render_table
 
 __all__ = ["ExperimentResult", "mean_over_seeds"]
@@ -40,24 +41,11 @@ class ExperimentResult:
     layer_events: Dict[str, int] = field(default_factory=dict)
     #: Structured run manifest (:class:`repro.obs.RunManifest`): seed,
     #: flags, git revision, accounting — attached by the registry.
-    manifest: Optional[Any] = None
+    manifest: Optional[RunManifest] = None
 
     def render(self) -> str:
         return render_table(self.headers, self.rows,
                             title=f"{self.figure}: {self.title}")
-
-    def column(self, header: str) -> List[Any]:
-        index = self.headers.index(header)
-        return [row[index] for row in self.rows]
-
-    def row_for(self, key: Any) -> List[Any]:
-        for row in self.rows:
-            if row[0] == key:
-                return row
-        raise KeyError(f"no row keyed {key!r} in {self.figure}")
-
-    def cell(self, key: Any, header: str) -> Any:
-        return self.row_for(key)[self.headers.index(header)]
 
 
 def mean_over_seeds(values: Sequence[float]) -> float:

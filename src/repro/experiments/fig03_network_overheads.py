@@ -91,8 +91,3 @@ def run_saturation(drone_counts=(2, 4, 6, 8, 10, 12, 14, 16),
         rows=rows,
         data=data,
     )
-
-
-def run(base_seed: int = 0) -> ExperimentResult:
-    """Combined 3a (the headline sub-figure)."""
-    return run_breakdown(base_seed=base_seed)

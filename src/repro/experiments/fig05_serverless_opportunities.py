@@ -144,7 +144,3 @@ def run_fault_tolerance(fault_rates=(0.0, 0.05, 0.10, 0.20),
         rows=rows,
         data=data,
     )
-
-
-def run(base_seed: int = 0) -> ExperimentResult:
-    return run_concurrency(base_seed=base_seed)

@@ -198,7 +198,3 @@ def run_sharing(n_tasks: int = 50, base_seed: int = 0) -> ExperimentResult:
         rows=rows,
         data=data,
     )
-
-
-def run(base_seed: int = 0) -> ExperimentResult:
-    return run_breakdown(base_seed=base_seed)

@@ -253,8 +253,3 @@ def run_hybrid(fleets: Sequence[Tuple[int, int]] = HYBRID_FLEETS,
         rows=rows,
         data=data,
     )
-
-
-def run(base_seed: int = 0,
-        max_workers: Optional[int] = None) -> ExperimentResult:
-    return run_resolution(base_seed=base_seed, max_workers=max_workers)

@@ -1,10 +1,8 @@
 """Whole-run closed-form sweep: price a (app, platform, N) grid without
 stepping the kernel.
 
-PR 2 replaced per-tick flight stepping with analytic legs; PR 3 replaced
-queue polling with virtual-clock grants. This module goes one step
-further for capacity-planning questions ("where does the centralized
-platform saturate as the swarm grows?"): it composes the calibrated
+For capacity-planning questions ("where does the centralized platform
+saturate as the swarm grows?") this module composes the calibrated
 closed forms of :mod:`repro.analytical.queueing` with the fixed-cost
 model the fig18 validation already established, producing fig17-style
 saturation rows for the full grid in microseconds instead of

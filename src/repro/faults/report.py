@@ -54,15 +54,9 @@ class RecoveryLog:
     def complete(self, action: RecoveryAction) -> None:
         action.recovered_at = self.env.now
 
-    def count(self, kind: Optional[str] = None) -> int:
-        if kind is None:
-            return len(self.actions)
-        return sum(1 for a in self.actions if a.kind == kind)
-
-    def latencies(self, kind: Optional[str] = None) -> List[float]:
+    def latencies(self) -> List[float]:
         return [a.latency_s for a in self.actions
-                if a.latency_s is not None and
-                (kind is None or a.kind == kind)]
+                if a.latency_s is not None]
 
     def counts_by_kind(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

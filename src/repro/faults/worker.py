@@ -76,7 +76,8 @@ class WorkerFault:
     def spec(self) -> str:
         base = f"{self.action}:{self.scope}:{self.worker}:{self.op}"
         if self.action == "slow":
-            return f"{base}:{self.delay_s:g}"
+            # repr: the shortest text that parses back to the same float.
+            return f"{base}:{self.delay_s!r}"
         return base
 
 

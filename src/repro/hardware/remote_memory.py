@@ -75,9 +75,6 @@ class RemoteMemoryFabric:
         self.reads += 1
         return size_mb
 
-    def exists(self, handle: str) -> bool:
-        return handle in self._objects
-
     def evict(self, handle: str) -> None:
         self._objects.pop(handle, None)
 

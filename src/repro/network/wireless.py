@@ -161,9 +161,3 @@ class WirelessNetwork:
                                  extra_delay_s=self.constants.base_rtt_s,
                                  trace=trace)
         return self.env.now - start
-
-    def utilization(self, horizon_s: float) -> float:
-        """Mean uplink busy fraction across access points."""
-        fractions = [ap.uplink.busy_fraction(horizon_s)
-                     for ap in self.access_points]
-        return sum(fractions) / len(fractions)

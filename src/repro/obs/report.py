@@ -40,31 +40,6 @@ class TraceReport:
     def latency_s(self) -> float:
         return self.root.duration
 
-    @property
-    def breakdown_sum_s(self) -> float:
-        return sum(self.layers.values())
-
-    def fractions(self) -> Dict[str, float]:
-        total = self.breakdown_sum_s
-        if total <= 0:
-            return {layer: 0.0 for layer in self.layers}
-        return {layer: seconds / total
-                for layer, seconds in self.layers.items()}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "name": self.root.name,
-            "replica": self.root.replica,
-            "start": self.root.start,
-            "latency_s": self.latency_s,
-            "layers": dict(self.layers),
-            "critical_path": [
-                {"name": name, "layer": layer, "start": start, "end": end}
-                for name, layer, start, end in self.critical_path],
-            "attrs": self.root.attr_dict(),
-        }
-
 
 def _depths(spans: Sequence[Span]) -> Dict[int, int]:
     parents = {span.span_id: span.parent_id for span in spans}

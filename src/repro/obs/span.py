@@ -182,9 +182,6 @@ class SpanTracer:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def clear(self) -> None:
-        self.spans.clear()
-
     # -- parallel-executor plumbing --------------------------------------
     def take_from(self, index: int) -> List[Span]:
         """Pop and return every span recorded at or after ``index``
@@ -224,6 +221,3 @@ class SpanTracer:
         for span in self.spans:
             grouped.setdefault(span.trace_id, []).append(span)
         return grouped
-
-    def roots(self) -> List[Span]:
-        return [span for span in self.spans if span.parent_id is None]

@@ -438,13 +438,6 @@ class ScenarioRunner:
         return {"platform": cloud.platform if cloud is not None else None}
 
     @property
-    def now(self) -> float:
-        """Current simulated time of the cell's kernel."""
-        if self._env is None:
-            raise RuntimeError("start() has not been called")
-        return self._env.now
-
-    @property
     def finished(self) -> bool:
         """True once the mission has completed and drained."""
         return self._finished

@@ -109,14 +109,6 @@ class CouchDB:
         self._documents[key] = megabytes
         return took
 
-    def load(self, key: str) -> Generator:
-        """Process: fetch a document; returns its size in MB."""
-        if key not in self._documents:
-            raise KeyError(f"unknown document {key!r}")
-        megabytes = self._documents[key]
-        yield from self.access(megabytes)
-        return megabytes
-
     def has_document(self, key: str) -> bool:
         return key in self._documents
 

@@ -349,7 +349,7 @@ class Invoker:
                 if faulty:
                     # Fail partway through, release the core, respawn.
                     failed_after = service * float(self.rng.uniform(0.1, 0.9))
-                    yield from self.server.compute(grant, failed_after)
+                    yield from self.server.compute(failed_after)
                     grant.release()
                     grant = None
                     invocation.failures += 1
@@ -359,7 +359,7 @@ class Invoker:
                         trace.emit("execute_failed", "execution",
                                    attempt_start, self.env.now)
                     continue
-                yield from self.server.compute(grant, service)
+                yield from self.server.compute(service)
                 grant.release()
                 grant = None
                 invocation.breakdown.charge("execution", service)

@@ -102,8 +102,6 @@ FLAGS: Dict[str, Flag] = {flag.env: flag for flag in (
          rule="worker deadline must be positive", metavar="S",
          help="hang-detection deadline in seconds for supervised "
               "workers (default: max(60s, barrier window))"),
-    Flag("REPRO_WORKER_RETRIES", "count", 2,
-         rule="worker retries must be non-negative"),
     Flag("REPRO_MAX_WORKERS", "count", minimum=1,
          rule="worker count must be at least 1"),
     Flag("REPRO_PROFILE_OUT", "text", "", metavar="PATH",

@@ -261,11 +261,6 @@ class Process(Event):
         self._target: Optional[Event] = Initialize(env, self)
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         return self._value is _PENDING
 

@@ -61,7 +61,7 @@ from ..faults.worker import WorkerFaultPlan
 from .flags import resolve
 from .supervisor import (ProtocolError, SupervisedConnection,
                          incident_count, incidents_since,
-                         resolve_worker_deadline, resolve_worker_retries)
+                         resolve_worker_deadline)
 
 __all__ = ["CellSpec", "CellBoundary", "EdgeLedger",
            "plan_cells", "RunPlan", "plan_run", "sync", "merge",
@@ -412,7 +412,6 @@ class RunPlan:
     cloud_extras: Tuple[Tuple[str, object], ...]
     worker_faults: WorkerFaultPlan
     deadline_s: float
-    retries: int
 
     @functools.cached_property
     def streams(self) -> _Streams:
@@ -475,7 +474,6 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
     if worker_faults is None:
         worker_faults = WorkerFaultPlan()
     chaos_armed = worker_faults.armed
-    retries = resolve_worker_retries()
     cells = tuple(plan_cells(n_devices, seed=seed, cell_devices=cell_devices,
                              exact_devices=exact_devices,
                              region_devices=region_devices))
@@ -523,8 +521,7 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
         region_groups=region_groups, cloud_workers=cloud_workers,
         n_regions=len(regions), serving=serving_cfg, cloud_extras=cloud_extras,
         worker_faults=worker_faults,
-        deadline_s=resolve_worker_deadline(window, worker_deadline_s),
-        retries=retries)
+        deadline_s=resolve_worker_deadline(window, worker_deadline_s))
 
 
 def resolve_window(constants: PaperConstants,
@@ -543,7 +540,7 @@ def _supervise(plan: RunPlan, scope: str, worker_id: int, build,
     faults = plan.worker_faults
     return SupervisedConnection(
         f"{scope}{worker_id}", build, deadline_s=plan.deadline_s,
-        retries=plan.retries, kill_ops=faults.kill_ops(scope, worker_id),
+        kill_ops=faults.kill_ops(scope, worker_id),
         worker_side_faults=faults.worker_side(scope, worker_id),
         in_process=in_process)
 
@@ -824,8 +821,8 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     (open-loop tenants: a ``REPRO_SERVING`` spec or a
     :class:`~repro.serving.ServingConfig`) imply it.
     Worker pipes are deadline-guarded (``worker_deadline_s``) and dead
-    or hung workers respawned ``REPRO_WORKER_RETRIES`` times, then run
-    in-process, with the same bytes (:mod:`repro.sim.supervisor`);
+    or hung workers respawned ``SupervisedConnection.RETRIES`` times,
+    then run in-process, with the same bytes (:mod:`repro.sim.supervisor`);
     ``worker_faults`` arms :mod:`repro.faults.worker` chaos.
     """
     plan = plan_run(

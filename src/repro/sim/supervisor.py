@@ -62,7 +62,7 @@ from .flags import resolve
 __all__ = [
     "ProtocolError", "WorkerFailure", "WorkerDeath", "WorkerHang",
     "WorkerIncident", "SupervisedConnection", "serve", "chaos_pause",
-    "resolve_worker_deadline", "resolve_worker_retries",
+    "resolve_worker_deadline",
     "can_spawn_workers", "incident_count", "incidents_since",
     "record_incident",
 ]
@@ -167,10 +167,6 @@ def resolve_worker_deadline(window_s: float,
     if configured is not None:
         return configured
     return max(DEADLINE_FLOOR_S, float(window_s))
-
-
-def resolve_worker_retries() -> int:
-    return resolve("REPRO_WORKER_RETRIES")
 
 
 def _spawn_probe() -> None:
@@ -286,15 +282,18 @@ class SupervisedConnection:
     ran in this process and are already counted here).
     """
 
+    #: Respawn attempts before a failed worker's work runs in-process;
+    #: tests override it.
+    RETRIES = 2
+
     def __init__(self, name: str, build: Callable[[], Any],
-                 deadline_s: float, retries: int,
+                 deadline_s: float,
                  kill_ops: FrozenSet[int] = frozenset(),
                  worker_side_faults: Tuple[Tuple[str, int, float], ...] = (),
                  in_process: bool = False):
         self.name = name
         self._build = build
         self._deadline_s = float(deadline_s)
-        self._retries = max(0, int(retries))
         self._kill_ops = frozenset(kill_ops)
         self._conn = None
         self._process = None
@@ -420,7 +419,7 @@ class SupervisedConnection:
         retries_used = 0
         payload = None
         recovery = None
-        for attempt in range(self._retries):
+        for attempt in range(self.RETRIES):
             if attempt:
                 time.sleep(min(RESPAWN_BACKOFF_S * (2 ** (attempt - 1)),
                                RESPAWN_BACKOFF_CAP_S))

@@ -76,11 +76,6 @@ class BandwidthMeter:
         """Record sizes, in arrival order."""
         return np.array(self._megabytes, dtype=float)
 
-    @property
-    def total_mb(self) -> float:
-        # fsum: exact, so the total is independent of record order.
-        return math.fsum(self._megabytes)
-
     def _window_series(self, horizon_s: float = None) -> np.ndarray:
         """MB transferred per window, padded to the horizon.
 

@@ -167,14 +167,6 @@ class MetricSeries:
         return self.percentile(99)
 
     @property
-    def maximum(self) -> float:
-        return float(self._require_samples().max())
-
-    @property
-    def minimum(self) -> float:
-        return float(self._require_samples().min())
-
-    @property
     def std(self) -> float:
         return float(self._require_samples().std())
 
@@ -204,10 +196,6 @@ class MetricSeries:
             p99=float(np.percentile(data, 99, method="linear")),
             maximum=float(data.max()),
         )
-
-    def histogram(self, bins: int = 40) -> "tuple[np.ndarray, np.ndarray]":
-        """(counts, edges) — the PDF data behind the paper's violin plots."""
-        return np.histogram(self._require_samples(), bins=bins)
 
 
 def _column(samples: Iterable[float]) -> np.ndarray:

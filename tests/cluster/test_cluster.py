@@ -59,7 +59,7 @@ class TestServer:
         def user(name, hold):
             grant = yield env.process(server.acquire_cores(1))
             order.append((env.now, name))
-            yield env.process(server.compute(grant, hold))
+            yield env.process(server.compute(hold))
             grant.release()
 
         env.process(user("first", 5))
@@ -91,27 +91,14 @@ class TestServer:
         server.put_on_probation(60)
         assert server.on_probation
 
-    def test_mean_utilization(self, env):
-        server = Server(env, "s0", cores=2)
-
-        def run():
-            grant = yield env.process(server.acquire_cores(1))
-            yield env.process(server.compute(grant, 10))
-            grant.release()
-
-        env.run(env.process(run()))
-        assert server.mean_utilization(10.0) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            server.mean_utilization(0)
-
 
 class TestCluster:
     def test_default_shape(self, env):
         cluster = Cluster(env)
         constants = ClusterConstants()
         assert len(cluster) == constants.servers
-        assert cluster.total_cores == \
-            constants.servers * constants.cores_per_server
+        assert all(server.cores.capacity == constants.cores_per_server
+                   for server in cluster.servers.values())
 
     def test_unknown_server(self, env):
         with pytest.raises(KeyError):

@@ -43,13 +43,9 @@ class TestRegistry:
 
 
 class TestExperimentResult:
-    def test_accessors(self):
+    def test_render(self):
         result = ExperimentResult(
             "figX", "title", ["key", "value"], [["a", 1], ["b", 2]])
-        assert result.column("value") == [1, 2]
-        assert result.cell("a", "value") == 1
-        with pytest.raises(KeyError):
-            result.row_for("z")
         assert "figX" in result.render()
 
 

@@ -22,7 +22,7 @@ class TestRemoteMemory:
 
         def run():
             handle = yield env.process(fabric.write("server0", 4.0))
-            assert fabric.exists(handle)
+            assert fabric.object_count == 1
             size = yield env.process(fabric.read("server3", handle))
             return size
 

@@ -87,7 +87,7 @@ class TestContentionCollapse:
         for index in range(16):  # heavy oversubscription
             env.process(device(f"d{index}"))
         env.run(until=horizon * 3)
-        delivered = network.meter.total_mb / env.now
+        delivered = network.meter.megabytes.sum() / env.now
         assert delivered < constants.ap_mbs  # collapse, not just saturation
 
 
@@ -104,7 +104,7 @@ class TestConservation:
         for index, mb in enumerate(payloads):
             env.process(device(index, mb))
         env.run()
-        assert network.meter.total_mb == pytest.approx(sum(payloads))
+        assert network.meter.megabytes.sum() == pytest.approx(sum(payloads))
 
     def test_round_trip_meters_both_directions(self, env):
         constants = WirelessConstants(access_points=1, loss_rate=0.0)
@@ -115,4 +115,4 @@ class TestConservation:
 
         env.process(device())
         env.run()
-        assert network.meter.total_mb == pytest.approx(5.0)
+        assert network.meter.megabytes.sum() == pytest.approx(5.0)

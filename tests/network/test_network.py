@@ -64,7 +64,7 @@ class TestLink:
         meter = BandwidthMeter()
         link = Link(env, "l", 10, meter=meter)
         env.run(env.process(link.transfer(5)))
-        assert meter.total_mb == 5
+        assert meter.megabytes.sum() == 5
 
     def test_busy_fraction(self, env):
         link = Link(env, "l", bandwidth_mbs=10)
@@ -131,7 +131,8 @@ class TestWireless:
         constants = WirelessConstants(access_points=1, loss_rate=0.0)
         network = WirelessNetwork(env, constants)
         env.run(env.process(network.upload("d0", constants.ap_mbs)))
-        assert network.utilization(2.0) == pytest.approx(0.5)
+        (ap,) = network.access_points
+        assert ap.uplink.busy_fraction(2.0) == pytest.approx(0.5)
 
 
 class TestClusterNetwork:

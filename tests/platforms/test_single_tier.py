@@ -196,8 +196,8 @@ class TestExpectedShapes:
     def test_hivemind_ships_fewer_bytes(self):
         hivemind = run("hivemind", "S1")
         centralized = run("centralized_faas", "S1")
-        assert hivemind.wireless_meter.total_mb < \
-            0.6 * centralized.wireless_meter.total_mb
+        assert hivemind.wireless_meter.megabytes.sum() < \
+            0.6 * centralized.wireless_meter.megabytes.sum()
 
     def test_network_share_substantial_when_centralized(self):
         result = run("centralized_faas", "S1", duration_s=60)

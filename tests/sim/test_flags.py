@@ -38,10 +38,6 @@ CASES = {
         "good": [("", 0), ("256", 256)],
         "bad": [("-8", "non-negative"), ("1e3", "expected an integer")],
         "override": (64, 64), "bad_override": (-8, "non-negative")},
-    "REPRO_WORKER_RETRIES": {
-        "good": [("", 2), ("1", 1), ("0", 0)],
-        "bad": [("-1", "non-negative"), ("x", "expected an integer")],
-        "override": (5, 5), "bad_override": (-1, "non-negative")},
     "REPRO_MAX_WORKERS": {
         "good": [("", None), ("3", 3), ("1", 1)],
         "bad": [("-3", "at least 1"), ("0", "at least 1"),

@@ -23,8 +23,7 @@ from repro.sim import supervisor
 from repro.sim.accounting import LAYERS
 from repro.sim.shard import run_sharded
 from repro.sim.supervisor import (ProtocolError, SupervisedConnection,
-                                  can_spawn_workers, resolve_worker_deadline,
-                                  resolve_worker_retries)
+                                  can_spawn_workers, resolve_worker_deadline)
 
 from .test_shard_determinism import result_bytes, scenario_variant
 
@@ -197,7 +196,7 @@ class TestHangRecovery:
 class TestDegradationLadder:
     def test_zero_retries_degrades_to_in_process(self, monkeypatch,
                                                  undisturbed_bytes):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "0")
+        monkeypatch.setattr(SupervisedConnection, "RETRIES", 0)
         result = _run(WorkerFaultPlan.parse("kill:shard:0:2"))
         assert result_bytes(result) == undisturbed_bytes
         [incident] = result.extras["worker_incidents"]
@@ -216,7 +215,6 @@ class TestResolvers:
     @pytest.fixture(autouse=True)
     def clean_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKER_DEADLINE", raising=False)
-        monkeypatch.delenv("REPRO_WORKER_RETRIES", raising=False)
 
     def test_deadline_defaults_to_floor_over_window(self):
         assert resolve_worker_deadline(10.0) == 60.0
@@ -233,21 +231,6 @@ class TestResolvers:
         monkeypatch.setenv("REPRO_WORKER_DEADLINE", "-1")
         with pytest.raises(ValueError, match="REPRO_WORKER_DEADLINE"):
             resolve_worker_deadline(10.0)
-
-    def test_retries_env_var(self, monkeypatch):
-        assert resolve_worker_retries() == 2
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
-        assert resolve_worker_retries() == 1
-
-    def test_bad_retries_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "-1")
-        with pytest.raises(ValueError,
-                           match="REPRO_WORKER_RETRIES=-1: .*non-negative"):
-            resolve_worker_retries()
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "x")
-        with pytest.raises(ValueError,
-                           match="REPRO_WORKER_RETRIES=x: expected an int"):
-            resolve_worker_retries()
 
 
 class _FakeProcess:
@@ -295,8 +278,11 @@ def _supervised(monkeypatch, replies):
     monkeypatch.setattr(
         supervisor, "_start_worker",
         lambda build, faults: (_FakeConn(replies), _FakeProcess()))
-    return SupervisedConnection("fake0", build=lambda: None,
-                                deadline_s=1.0, retries=0)
+    return _NoRetries("fake0", build=lambda: None, deadline_s=1.0)
+
+
+class _NoRetries(SupervisedConnection):
+    RETRIES = 0
 
 
 class TestProtocolErrors:
@@ -432,7 +418,7 @@ class TestEventAccounting:
         assert self._deltas(WorkerFaultPlan()) == reference
         assert self._deltas(WorkerFaultPlan.parse("kill:shard:0:2")) \
             == reference
-        monkeypatch.setenv("REPRO_WORKER_RETRIES", "0")
+        monkeypatch.setattr(SupervisedConnection, "RETRIES", 0)
         assert self._deltas(WorkerFaultPlan.parse("kill:shard:0:2")) \
             == reference
 

@@ -154,7 +154,7 @@ class TestBandwidthMeter:
         meter = BandwidthMeter()
         meter.record(0.5, 10)
         meter.record(1.5, 20)
-        assert meter.total_mb == 30
+        assert meter.megabytes.sum() == 30
 
     def test_mean_mbs(self):
         meter = BandwidthMeter()

@@ -57,27 +57,21 @@ class TestMetricSeries:
         assert summary.maximum == 10
         assert summary.p25 <= summary.median <= summary.p75
 
-    def test_histogram_total(self):
-        series = MetricSeries()
-        series.extend(range(50))
-        counts, edges = series.histogram(bins=10)
-        assert counts.sum() == 50
-        assert len(edges) == 11
-
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=200))
     def test_percentile_bounds_property(self, values):
         series = MetricSeries()
         series.extend(values)
-        assert series.minimum <= series.median <= series.maximum
-        assert series.minimum <= series.p99 <= series.maximum
+        low, high = min(values), max(values)
+        assert low <= series.median <= high
+        assert low <= series.p99 <= high
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=200))
     def test_mean_within_bounds_property(self, values):
         series = MetricSeries()
         series.extend(values)
-        assert series.minimum - 1e-9 <= series.mean <= series.maximum + 1e-9
+        assert min(values) - 1e-9 <= series.mean <= max(values) + 1e-9
 
 
 class TestBulkAndPickle:

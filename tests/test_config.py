@@ -39,8 +39,8 @@ class TestPaperStatedConstants:
         assert DEFAULT.control.straggler_percentile == 90.0
 
     def test_keepalive_window(self):
-        assert DEFAULT.serverless.keepalive_min_s == 10.0
-        assert DEFAULT.serverless.keepalive_max_s == 30.0
+        # Paper section 4.3: idle containers linger 10-30 s.
+        assert 10.0 <= DEFAULT.serverless.default_keepalive_s <= 30.0
 
     def test_scenario_targets(self):
         assert DEFAULT.scenario_a_items == 15

@@ -8,14 +8,23 @@ down: a public function, class, method or property that only tests call
 is kept alive by its tests alone. These guards fail on either, so the
 code is deleted, or wired in, rather than kept.
 
-A name counts as referenced when a program file loads it as a name or an
-attribute, or imports it; comments, docstrings and definitions do not
-count. Program files are everything under ``CALLER_DIRS``: ``tests/``
-and ``benchmarks/`` (pytest shape checks of the figures) are test code.
+A top-level name counts as referenced when a program file loads or
+imports it; comments, docstrings and definitions do not count. Program
+files are everything under ``CALLER_DIRS``: ``tests/`` and
+``benchmarks/`` (pytest shape checks of the figures) are test code.
 Imports in a package ``__init__`` are re-exports and do not count; its
-code counts where it uses a name. References are matched by identifier,
-so a method counts as used when any program file loads an attribute of
-that name.
+code counts where it uses a name. A method or property counts as used
+only where an attribute load's receiver may be an instance of its class,
+as far as :class:`Resolver` reads the receiver's type from the AST:
+``self`` and ``cls`` are their class, and a name, attribute or record
+field is typed by its annotation, else by the constructor calls and
+annotated calls bound to it, and an item of an annotated sequence or
+mapping by the container's annotation. A receiver of one class credits
+that class, its bases and its subclasses. A builtin container, string
+or number, or an imported non-program module (``np``, ``json``), credits
+no class, and a bare-name load credits no method. A receiver the AST
+does not type credits every class that defines the name, so the guard
+never flags a name some program may reach.
 
 A few names are kept although no program calls them: read-only
 accessors through which tests observe a run, reference code the tests
@@ -34,12 +43,15 @@ files:
   ``cls(...)``, ``super().__init__(...)`` or ``dataclasses.replace``.
   A ``**`` splat whose keys are known sets only those keys: a dict
   literal, or a name its scope binds only to a row of a module-level
-  table of dict literals (``shape = WORKER_LANES[lane]``). Callees match
-  by identifier, as names do. A record field the program
-  assigns after construction is state, not a knob.
+  table of dict literals (``shape = WORKER_LANES[lane]``). A method is
+  called where the receiver may be an instance of its class, resolved as
+  for names; functions and constructors are called by name. A record
+  field the program assigns after construction is state, not a knob.
 - **Write-only state.** An attribute ``src/repro`` assigns, or a record
   field it declares, that no program file reads (as an attribute, a
   ``getattr`` name or through ``asdict(self)``) is state nothing uses.
+  This scan still matches reads by identifier: a load of ``x.total``
+  on any receiver reads every class's ``total``.
 
 A parameter only tests set, or an attribute only tests read, counts as
 unset or unread. ``ALLOWED_KNOBS`` and ``ALLOWED_STATE`` keep the
@@ -50,6 +62,7 @@ through their parameters. A stale entry fails.
 """
 
 import ast
+import builtins
 import pathlib
 
 import pytest
@@ -65,6 +78,10 @@ CALLER_DIRS = ("src", "examples", "bench", "scripts")
 ALLOWED = {
     "Server.free_memory_mb":
         "accessor: tests observe a server's memory reservations",
+    "Server.busy_cores":
+        "accessor: tests observe that a crash releases a server's cores",
+    "Link.busy_fraction":
+        "accessor: the queueing digest pins hash a link's busy time",
     "FailureDetector.alive_count":
         "accessor: tests observe how many devices the detector holds live",
     "FieldWorld.item_count":
@@ -146,10 +163,6 @@ ALLOWED_KNOBS = {
 #: Attributes no program reads, kept on purpose: ``module::Owner.attr``
 #: or ``module::Record`` for all its fields -> why it stays.
 ALLOWED_STATE = {
-    **{f"config.py::{table}": "calibration table: its unread constants "
-       "record the paper's stated hardware and settings" for table in (
-        "DroneConstants", "CarConstants", "WirelessConstants",
-        "ServerlessConstants", "PaperConstants")},
     "edge/device.py::EdgeDevice.motion_s":
         "the flight pins (tests/edge/test_engine_parity.py) digest it",
     "edge/sensors.py::FrameBatch.total_mb":
@@ -159,6 +172,8 @@ ALLOWED_STATE = {
     "network/rpc.py::RpcResult":
         "tests check an RPC's cost split against its total",
     "network/rpc.py::RpcTimeout.attempts": _COUNTER,
+    "obs/report.py::TraceReport.critical_path":
+        "tests check that a trace's critical path tiles its root window",
     "hardware/remote_memory.py::RemoteMemoryFabric.reads": _COUNTER,
     "hardware/remote_memory.py::RemoteMemoryFabric.writes": _COUNTER,
     "learning/classifier.py::DeduplicationEngine.observations": _COUNTER,
@@ -166,18 +181,6 @@ ALLOWED_STATE = {
     "serverless/kafka.py::KafkaBus.published": _COUNTER,
     "sim/kernel.py::Environment.dispatched": _COUNTER,
 }
-
-
-def _loads(tree):
-    """Identifiers a file loads as a name or an attribute."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
-        elif (isinstance(node, ast.Attribute)
-              and isinstance(node.ctx, ast.Load)):
-            found.add(node.attr)
-    return found
 
 
 def _imports(tree):
@@ -231,27 +234,6 @@ def _program_files():
         yield from sorted((ROOT / directory).rglob("*.py"))
 
 
-TREES = {path: ast.parse(path.read_text()) for path in _program_files()}
-LOADS = {path: _loads(tree) for path, tree in TREES.items()}
-IMPORTS = {path: _imports(tree) for path, tree in TREES.items()}
-REFERENCES = {path: LOADS[path] | IMPORTS[path] for path in TREES}
-#: Every identifier the program uses; re-exports in ``__init__`` aside.
-USED = set().union(*(
-    LOADS[path] if path.name == "__init__.py" else REFERENCES[path]
-    for path in TREES))
-
-MODULES = sorted(
-    path for path in SRC.rglob("*.py")
-    if path.name not in ("__init__.py", "__main__.py"))
-MODULE_IDS = [m.relative_to(SRC).as_posix() for m in MODULES]
-DEFINITIONS = {module: _definitions(TREES[module]) for module in MODULES}
-
-
-#: Callee key of ``dataclasses.replace(record, **fields)`` and
-#: ``record._replace(**fields)``: sets record fields by keyword.
-_REPLACE = "<replace>"
-
-
 def _name_of(node):
     """The identifier an expression ends in: ``f`` for ``f`` and ``a.b.f``."""
     if isinstance(node, ast.Name):
@@ -293,6 +275,621 @@ def _classes(source):
                 for base in node.bases:
                     children.setdefault(_name_of(base), []).append(node)
     return classes, children
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope):
+    """The nodes of ``scope`` outside the functions and classes nested in
+    it (those nodes themselves included)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+#: Owner tokens of a typed receiver besides class names: a program module
+#: (its attributes are top-level names) and a builtin or an imported
+#: non-program module or something one builds (it owns no program member).
+_MODULE, _FOREIGN = "<module>", "<foreign>"
+#: The type of a number, a string, a flag or ``None``: it owns nothing.
+_NOTHING = frozenset()
+_BUILTINS = frozenset(dir(builtins))
+
+#: Annotation names of sequences and mappings; their items are typed.
+_SEQUENCES = frozenset({
+    "List", "Sequence", "Iterable", "Iterator", "Set", "FrozenSet",
+    "AbstractSet", "Collection", "Deque", "MutableSequence", "list", "set",
+    "frozenset", "deque"})
+_MAPPINGS = frozenset({
+    "Dict", "Mapping", "MutableMapping", "DefaultDict", "OrderedDict",
+    "dict", "defaultdict"})
+_SCALARS = frozenset({"str", "int", "float", "bool", "bytes", "complex"})
+#: Builtins that return a number, a string or a flag.
+_SCALAR_CALLS = frozenset({
+    "abs", "all", "any", "bin", "bool", "callable", "chr", "divmod",
+    "float", "format", "hash", "hex", "id", "int", "isinstance",
+    "issubclass", "len", "ord", "pow", "print", "repr", "round", "str",
+    "sum"})
+#: Builtins that return a sequence of their argument's items.
+_SEQUENCE_CALLS = frozenset({
+    "iter", "frozenset", "list", "reversed", "set", "sorted", "tuple"})
+
+
+def _union(types):
+    """Every type of ``types`` together; unknown if any one is."""
+    types = list(types)
+    if any(t is None for t in types):
+        return None
+    return frozenset().union(*types)
+
+
+def _seq(item):
+    return frozenset({("seq", item)})
+
+
+def _map(key, value):
+    return frozenset({("map", key, value)})
+
+
+class _Scope:
+    """The names one module, class, function or lambda body binds. A name
+    bound more than once has the union of its bindings' types, and its
+    annotations replace its inferred bindings when it has any."""
+
+    def __init__(self, resolver, node, parent):
+        self.resolver, self.node = resolver, node
+        self.outer = (parent.outer if isinstance(getattr(parent, "node", None),
+                                                 ast.ClassDef) else parent)
+        self.cls = node if isinstance(node, ast.ClassDef) else getattr(
+            parent, "cls", None)
+        self.self_name = getattr(parent, "self_name", None)
+        self.nodes = list(_own_nodes(node))
+        #: ``{name: ([declared], [inferred])}``, each a thunk of a type.
+        self.bindings = {}
+        self._types = {}
+        #: The scope a ``global`` or ``nonlocal`` name binds in.
+        self.owner = {}
+        for child in self.nodes:
+            if isinstance(child, (ast.Global, ast.Nonlocal)):
+                for name in child.names:
+                    scope = self.outer
+                    while isinstance(child, ast.Global) and scope.outer:
+                        scope = scope.outer
+                    self.owner[name] = scope.where(name) or scope
+        if isinstance(node, _SCOPES):
+            self._parameters(node, parent)
+        for child in self.nodes:
+            self._collect(child)
+
+    def _parameters(self, node, parent):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        method = (isinstance(parent.node, ast.ClassDef)
+                  and not isinstance(node, ast.Lambda)
+                  and "staticmethod" not in _decorators(node))
+        self.self_name = positional[0].arg if method and positional else (
+            None if isinstance(parent.node, ast.ClassDef) else self.self_name)
+        annotation = self.resolver.annotation
+        for index, arg in enumerate(positional + args.kwonlyargs):
+            if method and index == 0:
+                cls = frozenset({self.cls.name})
+                self._bind(arg.arg, lambda cls=cls: cls, declared=True)
+            elif arg.annotation is not None:
+                self._bind(arg.arg, lambda a=arg.annotation: annotation(a),
+                           declared=True)
+            else:
+                self._bind(arg.arg, lambda: None)
+        if args.vararg is not None:
+            self._bind(args.vararg.arg, lambda a=args.vararg.annotation: _seq(
+                None if a is None else annotation(a)), declared=True)
+        if args.kwarg is not None:
+            self._bind(args.kwarg.arg, lambda: _map(_NOTHING, None))
+
+    def _bind(self, name, thunk, declared=False):
+        self.bindings.setdefault(name, ([], []))[not declared].append(thunk)
+
+    def _collect(self, node):
+        """Record the bindings ``node`` makes in this scope."""
+        resolver, type_of = self.resolver, self.resolver.type_of
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                self._store(target, lambda v=node.value: type_of(v, self))
+        elif isinstance(node, ast.AnnAssign):
+            self._store(node.target,
+                        lambda a=node.annotation: resolver.annotation(a),
+                        declared=True)
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            self._store(node.target, lambda it=node.iter: resolver.element(
+                type_of(it, self)))
+        elif isinstance(node, ast.NamedExpr):
+            self._store(node.target, lambda v=node.value: type_of(v, self))
+        elif isinstance(node, ast.withitem) and node.optional_vars:
+            self._store(node.optional_vars, lambda: None)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            self._bind(node.name, lambda t=node.type: resolver.caught(
+                type_of(t, self)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self._bind(node.name, lambda n=node.name: frozenset({("def", n)}))
+        elif isinstance(node, ast.ClassDef):
+            self._bind(node.name, lambda n=node.name: frozenset({n}))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                kind = _MODULE if top in resolver.modules else _FOREIGN
+                self._bind(alias.asname or top,
+                           lambda kind=kind: frozenset({kind}))
+        elif isinstance(node, ast.ImportFrom):
+            program = node.level or (
+                node.module.split(".")[0] in resolver.modules)
+            for alias in node.names:
+                self._bind(alias.asname or alias.name,
+                           lambda n=alias.name: resolver.member(n) if program
+                           else frozenset({_FOREIGN}))
+
+    def _store(self, target, thunk, declared=False):
+        """Bind an assignment target: a name, an attribute of the method's
+        own instance (a field of its class), an attribute of another
+        receiver (a store every class's field of that name may see) or a
+        tuple unpacked item by item."""
+        fields = self.resolver.fields
+        if isinstance(target, ast.Name):
+            scope = self.owner.get(target.id, self)
+            scope._bind(target.id, thunk, declared)
+            if isinstance(scope.node, ast.Module):
+                self.resolver.globals.setdefault(target.id, []).append(thunk)
+            elif isinstance(scope.node, ast.ClassDef):
+                fields.setdefault(scope.node.name, {}).setdefault(
+                    target.id, ([], []))[not declared].append(thunk)
+        elif isinstance(target, ast.Attribute):
+            if (self.cls is not None and isinstance(target.value, ast.Name)
+                    and target.value.id == self.self_name):
+                fields.setdefault(self.cls.name, {}).setdefault(
+                    target.attr, ([], []))[not declared].append(thunk)
+            else:
+                self.resolver.stores.setdefault(target.attr, []).append(thunk)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            count = len(target.elts)
+            starred = any(isinstance(e, ast.Starred) for e in target.elts)
+            for index, elt in enumerate(target.elts):
+                self._store(elt, lambda i=index: None if starred else
+                            self.resolver.unpack(thunk(), i, count))
+        elif isinstance(target, ast.Starred):
+            self._store(target.value, lambda: _seq(None))
+
+    def where(self, name):
+        """The scope whose binding of ``name`` a load here sees, if any."""
+        scope = self
+        while scope is not None and name not in scope.bindings:
+            scope = scope.outer
+        return scope
+
+    def lookup(self, name):
+        scope = self.where(name)
+        if scope is None:
+            return frozenset({_FOREIGN}) if name in _BUILTINS else None
+        if name not in scope._types:
+            scope._types[name] = None  # a cyclic binding is unknown
+            declared, inferred = scope.bindings[name]
+            scope._types[name] = _union(
+                thunk() for thunk in (declared or inferred))
+        return scope._types[name]
+
+
+class Resolver:
+    """Types the receivers of a set of program files as far as the AST
+    shows them, so an attribute load credits only the classes it can
+    reach.
+
+    A type is ``None`` (unknown) or a frozenset of what the value may be:
+    a class name (an instance or the class itself), :data:`_MODULE`,
+    :data:`_FOREIGN`, a program function ``("def", name)``, a sequence
+    ``("seq", item)``, a mapping ``("map", key, value)`` or a tuple
+    ``("tuple", items)``. Names are typed from their parameter and
+    variable annotations, else from every value bound to them: a
+    constructor call, a call whose return annotation names a class, an
+    item of a typed sequence or mapping. ``self`` and ``cls`` are their
+    method's class, and an attribute of a class is typed from its
+    annotated fields, properties and every value stored to it."""
+
+    def __init__(self, program):
+        self.program = program
+        self.classes, self.children = _classes(program)
+        self.bases = {}
+        self.methods = {}
+        self.functions = {}
+        for tree in program.values():
+            for node, cls in _walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    self.bases.setdefault(node.name, set()).update(
+                        _name_of(base) for base in node.bases)
+                elif isinstance(node, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    if cls is not None and node in cls.body:
+                        self.methods.setdefault(cls.name, {}).setdefault(
+                            node.name, []).append(node)
+                    else:
+                        self.functions.setdefault(node.name, []).append(node)
+        self.modules = {
+            part for path in program for part in (
+                path.relative_to(ROOT) if path.is_absolute() else path
+            ).with_suffix("").parts}
+        self.subclasses = {parent: {child.name for child in children}
+                           for parent, children in self.children.items()}
+        #: ``{class: {attribute: ([declared], [inferred])}}``,
+        #: ``{attribute: [inferred]}`` for stores on other receivers and
+        #: ``{name: [inferred]}`` for module-level variables.
+        self.fields, self.stores, self.globals = {}, {}, {}
+        self.scopes = {}
+        for path, tree in program.items():
+            self.scopes[path] = found = [_Scope(self, tree, None)]
+            for scope in found:
+                found.extend(_Scope(self, child, scope)
+                             for child in scope.nodes
+                             if isinstance(child, (*_SCOPES, ast.ClassDef)))
+        self._types, self._fields, self._family = {}, {}, {}
+        #: ``{path: (names, members)}``: what each file's loads credit.
+        self.credits = {path: self._credits(path) for path in program}
+
+    def family(self, name):
+        """A class, its bases and its subclasses: the classes whose
+        members an attribute of one of its instances may reach."""
+        if name not in self._family:
+            found = {name}
+            for edges in (self.bases, self.subclasses):
+                seen, stack = {name}, [name]
+                while stack:
+                    fresh = edges.get(stack.pop(), set()) - seen
+                    seen |= fresh
+                    stack.extend(fresh)
+                found |= seen
+            self._family[name] = frozenset(found)
+        return self._family[name]
+
+    def owners(self, t):
+        """The classes, and :data:`_MODULE`, an attribute of ``t`` credits;
+        ``None`` when ``t`` is unknown."""
+        if t is None:
+            return None
+        found = set()
+        for item in t:
+            if item == _MODULE:
+                found.add(_MODULE)
+            elif isinstance(item, str) and item != _FOREIGN:
+                found |= self.family(item)
+        return found
+
+    def annotation(self, node):
+        """The type an annotation names."""
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, str):
+                return self.annotation(ast.parse(node.value, mode="eval").body)
+            return _NOTHING
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            return _union([self.annotation(node.left),
+                           self.annotation(node.right)])
+        if isinstance(node, ast.Subscript):
+            base = _name_of(node.value)
+            args = (node.slice.elts if isinstance(node.slice, ast.Tuple)
+                    else [node.slice])
+            if base in ("Optional", "Union", "ClassVar", "Final", "Type"):
+                return _union(self.annotation(arg) for arg in args)
+            if base in _SEQUENCES:
+                return _seq(self.annotation(args[0]))
+            if base in _MAPPINGS and len(args) == 2:
+                return _map(*(self.annotation(arg) for arg in args))
+            if base in ("Tuple", "tuple"):
+                if (len(args) == 2 and isinstance(args[1], ast.Constant)
+                        and args[1].value is Ellipsis):
+                    return _seq(self.annotation(args[0]))
+                return frozenset({("tuple", tuple(
+                    self.annotation(arg) for arg in args))})
+            return None
+        name = _name_of(node)
+        if name in self.classes:
+            return frozenset({name})
+        if name in _SCALARS:
+            return _NOTHING
+        if name in _SEQUENCES:
+            return _seq(None)
+        if name in _MAPPINGS:
+            return _map(None, None)
+        return None
+
+    def member(self, name):
+        """The type of top-level ``name`` of a program module."""
+        found = []
+        if name in self.classes:
+            found.append(frozenset({name}))
+        if name in self.functions:
+            found.append(frozenset({("def", name)}))
+        if name in self.modules:
+            found.append(frozenset({_MODULE}))
+        found.extend(thunk() for thunk in self.globals.get(name, ()))
+        return _union(found) if found else None
+
+    def field(self, cls, name):
+        """The type of attribute ``name`` of an instance of ``cls``: per
+        class of its family, the annotations and properties of that name
+        or else every value stored to it, together with every store of
+        that name on another receiver once any class infers it."""
+        key = (cls, name)
+        if key not in self._fields:
+            self._fields[key] = None  # a cyclic binding is unknown
+            thunks, inferring = [], False
+            for member in self.family(cls):
+                declared, inferred = self.fields.get(member, {}).get(
+                    name, ([], []))
+                declared = declared + [
+                    lambda m=method: self.returns([m])
+                    for method in self.methods.get(member, {}).get(name, ())
+                    if "property" in _decorators(method)]
+                thunks += declared or inferred
+                inferring = inferring or bool(inferred and not declared)
+            if inferring:
+                thunks += self.stores.get(name, [])
+            if thunks:
+                self._fields[key] = _union(thunk() for thunk in thunks)
+        return self._fields[key]
+
+    def caught(self, t):
+        """The type an ``except`` clause binds: the program exception
+        classes it names, unknown when it names a builtin one (a program
+        exception may derive from it)."""
+        t = self.element(t) if t and all(
+            isinstance(item, tuple) for item in t) else t
+        return None if t is None or _FOREIGN in t else t
+
+    def returns(self, functions):
+        """The union of what ``functions`` return per their annotations."""
+        return _union(None if f.returns is None else self.annotation(f.returns)
+                      for f in functions) if functions else None
+
+    def element(self, t):
+        """The type of an item ``t`` iterates over."""
+        found = []
+        for item in t or ():
+            if isinstance(item, tuple) and item[0] in ("seq", "map"):
+                found.append(item[1])
+            elif isinstance(item, tuple) and item[0] == "tuple":
+                found.append(_union(item[1]))
+            else:
+                found.append(None)
+        return _union(found) if found else None
+
+    def unpack(self, t, index, count):
+        """The type of slot ``index`` when ``t`` unpacks into ``count``."""
+        found = []
+        for item in t or ():
+            if (isinstance(item, tuple) and item[0] == "tuple"
+                    and len(item[1]) == count):
+                found.append(item[1][index])
+            else:
+                found.append(self.element(frozenset({item})))
+        return _union(found) if found else None
+
+    def type_of(self, node, scope):
+        key = id(node)
+        if key not in self._types:
+            self._types[key] = None  # a cyclic binding is unknown
+            self._types[key] = self._infer(node, scope)
+        return self._types[key]
+
+    def _infer(self, node, scope):
+        if isinstance(node, ast.Name):
+            return scope.lookup(node.id)
+        if isinstance(node, (ast.Constant, ast.JoinedStr, ast.Compare)):
+            return _NOTHING
+        if isinstance(node, (ast.List, ast.Set, ast.ListComp, ast.SetComp,
+                             ast.GeneratorExp)):
+            return _seq(None)
+        if isinstance(node, (ast.Dict, ast.DictComp)):
+            return _map(None, None)
+        if isinstance(node, ast.Tuple):
+            if any(isinstance(elt, ast.Starred) for elt in node.elts):
+                return _seq(None)
+            return frozenset({("tuple", tuple(
+                self.type_of(elt, scope) for elt in node.elts))})
+        if isinstance(node, ast.BoolOp):
+            return _union(self.type_of(v, scope) for v in node.values)
+        if isinstance(node, ast.IfExp):
+            return _union([self.type_of(node.body, scope),
+                           self.type_of(node.orelse, scope)])
+        if isinstance(node, ast.NamedExpr):
+            return self.type_of(node.value, scope)
+        if isinstance(node, ast.Attribute):
+            return self.attribute(self.type_of(node.value, scope), node.attr)
+        if isinstance(node, ast.Subscript):
+            return self._subscript(self.type_of(node.value, scope), node.slice)
+        if isinstance(node, ast.Call):
+            return self._call(node, scope)
+        return None
+
+    def attribute(self, t, name):
+        """The type of attribute ``name`` of a ``t`` value."""
+        found = []
+        for item in t or ():
+            if item == _FOREIGN:
+                found.append(t)
+            elif item == _MODULE:
+                found.append(self.member(name))
+            elif isinstance(item, str):
+                found.append(self.field(item, name))
+            else:
+                found.append(None)
+        return _union(found) if found else None
+
+    def _subscript(self, t, index):
+        found = []
+        for item in t or ():
+            kind = item[0] if isinstance(item, tuple) else None
+            if kind == "seq":
+                found.append(frozenset({item}) if isinstance(index, ast.Slice)
+                             else item[1])
+            elif kind == "map":
+                found.append(item[2])
+            elif (kind == "tuple" and isinstance(index, ast.Constant)
+                    and isinstance(index.value, int)
+                    and -len(item[1]) <= index.value < len(item[1])):
+                found.append(item[1][index.value])
+            else:
+                found.append(None)
+        return _union(found) if found else None
+
+    def _call(self, node, scope):
+        """The type a call returns."""
+        func, args = node.func, node.args
+        if isinstance(func, ast.Name):
+            if func.id == "super" and scope.cls is not None:
+                return frozenset({scope.cls.name})
+            if scope.where(func.id) is None and func.id in _BUILTINS:
+                return self._builtin(func.id, node, scope)
+            callee = scope.lookup(func.id)
+            name = func.id
+            if name == "replace" and callee == {_FOREIGN} and args:
+                return self.type_of(args[0], scope)
+        elif isinstance(func, ast.Attribute):
+            receiver = self.type_of(func.value, scope)
+            name = func.attr
+            if name == "_replace":
+                return receiver
+            found = []
+            for item in receiver or ():
+                if isinstance(item, tuple) and item[0] != "def":
+                    found.append(self._container_call(item, name, node, scope))
+                elif item in (_FOREIGN, _MODULE):
+                    found.append(self._invoke(
+                        self.attribute(frozenset({item}), name), name))
+                elif isinstance(item, str):
+                    found.append(self.returns([
+                        method for member in self.family(item)
+                        for method in self.methods.get(member, {}).get(
+                            name, ())]))
+                else:
+                    found.append(None)
+            return _union(found) if found else None
+        else:
+            return None
+        return self._invoke(callee, name)
+
+    def _invoke(self, callee, name):
+        """The type a call of a ``callee`` value named ``name`` returns:
+        a class builds an instance, a program function returns its
+        annotation and a capitalized foreign callable builds a foreign
+        object."""
+        found = []
+        for item in callee or ():
+            if item == _FOREIGN:
+                found.append(
+                    _seq(None) if name == "deque"
+                    else _map(None, None) if name in _MAPPINGS
+                    else frozenset({_FOREIGN}) if name[:1].isupper()
+                    else None)
+            elif isinstance(item, tuple) and item[0] == "def":
+                found.append(self.returns(self.functions.get(item[1], ())))
+            elif isinstance(item, str) and item != _MODULE:
+                found.append(frozenset({item}))
+            else:
+                found.append(None)
+        return _union(found) if found else None
+
+    def _container_call(self, item, name, node, scope):
+        kind = item[0]
+        if name in ("count", "index"):
+            return _NOTHING
+        if name == "copy":
+            return frozenset({item})
+        if kind == "seq" and name == "pop":
+            return item[1]
+        if kind == "map":
+            key, value = item[1], item[2]
+            if name == "values":
+                return _seq(value)
+            if name == "keys":
+                return _seq(key)
+            if name == "items":
+                return _seq(frozenset({("tuple", (key, value))}))
+            if name in ("get", "pop", "setdefault"):
+                return _union([value, *(self.type_of(arg, scope)
+                                        for arg in node.args[1:])])
+        return None
+
+    def _builtin(self, name, node, scope):
+        args = [self.type_of(arg, scope) for arg in node.args]
+        if name in _SCALAR_CALLS:
+            return _NOTHING
+        if name in _SEQUENCE_CALLS:
+            return _seq(self.element(args[0]) if args else None)
+        if name == "range":
+            return _seq(_NOTHING)
+        if name in ("dict", "vars"):
+            return _map(None, None)
+        if name == "enumerate" and args:
+            return _seq(frozenset({("tuple", (_NOTHING,
+                                              self.element(args[0])))}))
+        if name == "zip":
+            return _seq(frozenset({("tuple", tuple(
+                self.element(arg) for arg in args))}))
+        if name in ("min", "max", "next") and args:
+            default = [self.type_of(k.value, scope) for k in node.keywords
+                       if k.arg == "default"]
+            items = ([self.element(args[0]), *args[1:]]
+                     if name == "next" or len(args) == 1 else args)
+            return _union(items + default)
+        if name == "type" and args:
+            return args[0]
+        return None
+
+    def _credits(self, path):
+        """``(names, members)`` a file's loads credit: the identifiers of
+        its name loads and of the attributes it loads from a program
+        module or an unknown receiver, and ``(class, attribute)`` for
+        each attribute load, with class ``None`` for an unknown
+        receiver."""
+        names, members = set(), set()
+        for scope in self.scopes[path]:
+            for node in scope.nodes:
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    owners = self.owners(self.type_of(node.value, scope))
+                    if owners is None or _MODULE in owners:
+                        names.add(node.attr)
+                    members.update((owner, node.attr) for owner in (
+                        {None} if owners is None else owners - {_MODULE}))
+        return names, members
+
+
+def unused_names(resolver, source):
+    """``{module: {qualified}}``: the public names of ``source`` modules
+    that no program file uses. A top-level name is used where a program
+    file loads or imports it (imports in a package ``__init__`` are
+    re-exports and do not count); a method or property where an
+    attribute load's receiver may be an instance of its class."""
+    names, members = set(), set()
+    for path, tree in resolver.program.items():
+        loaded, reached = resolver.credits[path]
+        names |= loaded if path.name == "__init__.py" else (
+            loaded | _imports(tree))
+        members |= reached
+    unused = {}
+    for path, tree in source.items():
+        for qualified, name in _definitions(tree).items():
+            owner, _, _ = qualified.rpartition(".")
+            if not ((None, name) in members or (owner, name) in members
+                    if owner else name in names):
+                unused.setdefault(path, set()).add(qualified)
+    return unused
+
+
+#: Callee key of ``dataclasses.replace(record, **fields)`` and
+#: ``record._replace(**fields)``: sets record fields by keyword.
+_REPLACE = "<replace>"
 
 
 def _fields(cls, classes):
@@ -341,8 +938,10 @@ def _constructors(cls, children, record):
 
 
 def _knobs(tree, classes, children):
-    """``(qualified, callees, position, parameter)`` for every defaulted
-    parameter and record field a module defines; ``position`` is the
+    """``(qualified, callees, owner, position, parameter)`` for every
+    defaulted parameter and record field a module defines: a call sets it
+    when it names one of ``callees`` on a receiver that may be ``owner``
+    (a method's class, else :data:`_MODULE`); ``position`` is the
     positional slot a call fills it through, ``None`` for keyword-only."""
     for node, cls in _walk(tree):
         if isinstance(node, ast.ClassDef) and _is_record(node):
@@ -353,7 +952,8 @@ def _knobs(tree, classes, children):
             fields = [f for f in _fields(node, classes) if f[2]]
             for index, (name, default, _) in enumerate(fields):
                 if default and name in own:
-                    yield f"{node.name}.{name}", callees, index, name
+                    yield (f"{node.name}.{name}", callees, _MODULE, index,
+                           name)
             continue
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -362,23 +962,23 @@ def _knobs(tree, classes, children):
         if (dunder and node.name != "__init__") or "property" in _decorators(
                 node):
             continue
+        receiver = _MODULE
         if node.name == "__init__" and method:
             callees = _constructors(cls, children, False)
         else:
             callees = {node.name}
+            receiver = cls.name if method else _MODULE
         owner = f"{cls.name}.{node.name}" if method else node.name
         offset = int(method and "staticmethod" not in _decorators(node))
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
         for index, arg in enumerate(positional[first:], first):
-            yield f"{owner}({arg.arg})", callees, index - offset, arg.arg
+            yield (f"{owner}({arg.arg})", callees, receiver, index - offset,
+                   arg.arg)
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                yield f"{owner}({arg.arg})", callees, None, arg.arg
-
-
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+                yield f"{owner}({arg.arg})", callees, receiver, None, arg.arg
 
 
 def _literal_keys(node):
@@ -406,17 +1006,6 @@ def _tables(tree):
                 if isinstance(target, ast.Name):
                     tables[target.id] = set().union(*rows)
     return tables
-
-
-def _own_nodes(scope):
-    """The nodes of ``scope`` outside the functions and classes nested in
-    it (those nodes themselves included)."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
-            stack.extend(ast.iter_child_nodes(node))
 
 
 def _bindings(scope, tables):
@@ -476,18 +1065,21 @@ def _splats(tree):
     return known
 
 
-def _call_sites(tree):
-    """``{callee: [(positional count, keywords, open)]}`` for every call in
-    a file; ``open`` when ``*args`` or ``**kwargs`` may fill any slot.
-    A ``**`` splat whose keys :func:`_splats` knows sets only those
-    keys. ``functools.partial(f, ...)`` and ``Process(target=f,
-    args=...)`` call ``f``; ``cls(...)`` and ``type(self)(...)`` call the
-    enclosing class; ``super().__init__(...)`` calls its bases."""
+def _call_sites(resolver, path):
+    """``{callee: [(owners, positional count, keywords, open)]}`` for every
+    call in a file: ``owners`` are what :meth:`Resolver.owners` credits
+    for the callee's receiver (:data:`_MODULE` for a bare name), and
+    ``open`` when ``*args`` or ``**kwargs`` may fill any slot. A ``**``
+    splat whose keys :func:`_splats` knows sets only those keys.
+    ``functools.partial(f, ...)`` and ``Process(target=f, args=...)``
+    call ``f``; ``cls(...)`` and ``type(self)(...)`` call the enclosing
+    class; ``super().__init__(...)`` calls its bases."""
     sites = {}
-    splats = _splats(tree)
-    for node, cls in _walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    splats = _splats(resolver.program[path])
+    calls = ((node, scope) for scope in resolver.scopes[path]
+             for node in scope.nodes if isinstance(node, ast.Call))
+    for node, scope in calls:
+        cls = scope.cls
         func, args = node.func, node.args
         options = {k.arg: k.value for k in node.keywords}
         if _name_of(func) == "partial" and args:
@@ -498,6 +1090,7 @@ def _call_sites(tree):
             args = (packed.elts if isinstance(packed, ast.Tuple)
                     else [ast.Starred(packed)] if packed else [])
         name = _name_of(func)
+        owners = {_MODULE}
         if (cls is not None and name == "__init__"
                 and isinstance(func.value, ast.Call)
                 and _name_of(func.value.func) == "super"):
@@ -506,14 +1099,16 @@ def _call_sites(tree):
                 isinstance(func, ast.Call) and _name_of(func.func) == "type")):
             callees = {cls.name}
         elif name in ("replace", "_replace"):
-            callees = {_REPLACE}
+            callees, owners = {_REPLACE}, None
         else:
             callees = {name}
+            if isinstance(func, ast.Attribute):
+                owners = resolver.owners(resolver.type_of(func.value, scope))
         keywords = {k.arg for k in node.keywords if k.arg}
         for k in node.keywords:
             if k.arg is None:
                 keywords |= splats.get(id(k.value), set())
-        site = (sum(not isinstance(a, ast.Starred) for a in args),
+        site = (owners, sum(not isinstance(a, ast.Starred) for a in args),
                 keywords,
                 any(isinstance(a, ast.Starred) for a in args)
                 or any(k.arg is None and id(k.value) not in splats
@@ -523,12 +1118,13 @@ def _call_sites(tree):
     return sites
 
 
-def unset_knobs(program, source):
+def unset_knobs(resolver, source):
     """``{module: {qualified}}``: the defaulted parameters and record
-    fields of ``source`` modules that no call in ``program`` sets."""
+    fields of ``source`` modules that no call in the resolver's program
+    sets."""
     sites = {}
-    for tree in program.values():
-        for callee, found in _call_sites(tree).items():
+    for path in resolver.program:
+        for callee, found in _call_sites(resolver, path).items():
             sites.setdefault(callee, []).extend(found)
     classes, children = _classes(source)
     # A record field the program assigns after construction is state, and
@@ -541,17 +1137,19 @@ def unset_knobs(program, source):
             assigned.add(qualified if owner in classes else name)
     unset = {}
     for path, tree in source.items():
-        for qualified, callees, position, name in _knobs(
+        for qualified, callees, receiver, position, name in _knobs(
                 tree, classes, children):
             if _REPLACE in callees and (
                     name in assigned or qualified in assigned):
                 continue
             if not any(
-                    name in keywords or opened or (
-                        position is not None and callee != _REPLACE
-                        and count > position)
+                    (owners is None or receiver in owners) and (
+                        name in keywords or opened or (
+                            position is not None and callee != _REPLACE
+                            and count > position))
                     for callee in callees
-                    for count, keywords, opened in sites.get(callee, ())):
+                    for owners, count, keywords, opened in sites.get(
+                        callee, ())):
                 unset.setdefault(path, set()).add(qualified)
     return unset
 
@@ -616,8 +1214,20 @@ def write_only_state(program, source):
     return unread
 
 
+TREES = {path: ast.parse(path.read_text()) for path in _program_files()}
+RESOLVER = Resolver(TREES)
+#: The identifiers each file references, its imports included.
+REFERENCES = {path: RESOLVER.credits[path][0] | _imports(tree)
+              for path, tree in TREES.items()}
+
+MODULES = sorted(
+    path for path in SRC.rglob("*.py")
+    if path.name not in ("__init__.py", "__main__.py"))
+MODULE_IDS = [m.relative_to(SRC).as_posix() for m in MODULES]
+
 SOURCE = {path: TREES[path] for path in SRC.rglob("*.py")}
-UNSET = unset_knobs(TREES, SOURCE)
+UNUSED = unused_names(RESOLVER, SOURCE)
+UNSET = unset_knobs(RESOLVER, SOURCE)
 UNREAD = write_only_state(TREES, SOURCE)
 
 
@@ -660,7 +1270,7 @@ def test_module_has_a_caller_outside_the_tests(module):
         path.relative_to(ROOT).as_posix()
         for path, names in REFERENCES.items()
         if path not in (module, own_init) and public & names)
-    if public & LOADS[own_init]:
+    if public & RESOLVER.credits[own_init][0]:
         callers.append(own_init.relative_to(ROOT).as_posix())
     assert callers, (
         f"no program file outside tests/ uses any of {sorted(public)}")
@@ -668,9 +1278,7 @@ def test_module_has_a_caller_outside_the_tests(module):
 
 @pytest.mark.parametrize("module", MODULES, ids=MODULE_IDS)
 def test_names_have_a_caller_outside_the_tests(module):
-    unused = sorted(
-        qualified for qualified, name in DEFINITIONS[module].items()
-        if name not in USED and qualified not in ALLOWED)
+    unused = sorted(UNUSED.get(module, set()) - set(ALLOWED))
     assert not unused, (
         f"no program file outside tests/ uses {unused}: delete them, "
         f"or list them in ALLOWED with a reason")
@@ -678,11 +1286,9 @@ def test_names_have_a_caller_outside_the_tests(module):
 
 @pytest.mark.parametrize("qualified", sorted(ALLOWED))
 def test_allowed_name_is_current(qualified):
-    defined = {q: name for names in DEFINITIONS.values()
-               for q, name in names.items()}
-    assert qualified in defined, (
+    assert any(qualified in _definitions(TREES[module]) for module in MODULES), (
         f"ALLOWED names {qualified}, which no module defines any more")
-    used = defined[qualified] in USED
+    used = not any(qualified in names for names in UNUSED.values())
     assert not used, f"a program now uses {qualified}: drop it from ALLOWED"
 
 
@@ -723,6 +1329,7 @@ def test_allowed_value_is_current(allowed, found):
 
 _SYNTHETIC_SOURCE = '''
 from dataclasses import dataclass
+from typing import Dict
 
 
 def by_keyword(x, knob=1):
@@ -799,11 +1406,84 @@ class Record:
     name: str
     knob: int = 1
     unset: int = 2
+
+
+class Other:
+    def method(self, knob=1):
+        return knob
+
+
+class Process:
+    def kill(self):
+        return 1
+
+
+class Pool:
+    def __init__(self):
+        self.workers: Dict[str, Process] = {}
+
+    def kill(self):
+        for worker in self.workers.values():
+            worker.kill()
+
+
+class Table:
+    def column(self):
+        return []
+
+
+class Series:
+    def maximum(self):
+        return 0.0
+
+
+class Log:
+    def count(self):
+        return 0
+
+
+class Base:
+    def helper(self):
+        return 1
+
+
+class Child(Base):
+    def work(self):
+        return self.helper()
+
+
+class Widget:
+    def ping(self):
+        return 1
+
+    def spin(self):
+        return 2
+
+
+def make_widget() -> Widget:
+    return Widget()
+
+
+class Gauge:
+    def read_out(self):
+        return 1.0
+
+
+class Opaque:
+    def anything(self):
+        return None
 '''
 
 _SYNTHETIC_CALLER = '''
 import functools
 import multiprocessing
+
+import numpy as np
+
+from mod import (ByCls, Child, Gauge, Log, Opaque, Other, Pool, Process,
+                 Record, Series, Sub, Table, Thing, Widget, by_args,
+                 by_keyword, by_kwargs, by_literal, by_partial, by_position,
+                 by_rebound, by_table, by_target, make_widget)
 
 LANES = {"a": {"knob": 2}, "b": {"knob": 3}}
 
@@ -828,8 +1508,41 @@ def main(options, values, lane):
     Thing().method(3)
     Sub(other=3)
     record = Record("a", knob=3)
+    Other().method()
     return Thing().read, ByCls.make().knob, record.name, record.knob
+
+
+def collisions(options, gauge: Gauge):
+    pool = Pool()
+    column = len(pool.workers)
+    kinds = [column, 2]
+    local = Widget()
+    return (kinds.count(2), np.maximum(1, 2), Child().work(), local.ping(),
+            make_widget().spin(), gauge.read_out(), options.anything(),
+            Table, Series, Log, Opaque, Process)
 '''
+
+
+def _synthetic():
+    source = {pathlib.Path("mod.py"): ast.parse(_SYNTHETIC_SOURCE)}
+    program = {**source,
+               pathlib.Path("main.py"): ast.parse(_SYNTHETIC_CALLER)}
+    return Resolver(program), source
+
+
+def test_name_guard_flags_exactly_the_planted_cases():
+    """On a small synthetic tree the name guard flags the methods an
+    identifier match would credit through a same-named method of another
+    class (``Pool.kill`` calls only ``Process.kill``), a local variable
+    (``column``), a foreign module's function (``np.maximum``) or a
+    builtin container's method (``list.count``). It credits a ``self``
+    call from a subclass, a constructor-bound local, an annotated
+    parameter, a loop over an annotated ``Dict[str, C].values()``, a
+    return-annotated call and an unknown receiver."""
+    resolver, source = _synthetic()
+    assert unused_names(resolver, source) == {pathlib.Path("mod.py"): {
+        "never", "Pool.kill", "Table.column", "Series.maximum",
+        "Log.count"}}
 
 
 def test_value_guards_flag_exactly_the_planted_cases():
@@ -840,14 +1553,14 @@ def test_value_guards_flag_exactly_the_planted_cases():
     ``super().__init__(...)``. A ``**`` splat of a dict literal, or of a
     name bound only to a row of a module-level table of dict literals,
     sets only those keys; any other splat sets every parameter. A guard
-    that passed everything fails here."""
-    source = {pathlib.Path("mod.py"): ast.parse(_SYNTHETIC_SOURCE)}
-    program = {**source,
-               pathlib.Path("main.py"): ast.parse(_SYNTHETIC_CALLER)}
-    unset = unset_knobs(program, source)
+    that passed everything fails here, and so does one that matched a
+    method's callers by name alone: ``Thing().method(3)`` does not set
+    ``Other.method(knob)``."""
+    resolver, source = _synthetic()
+    unset = unset_knobs(resolver, source)
     assert unset == {pathlib.Path("mod.py"): {
         "never(knob)", "by_literal(other)", "by_table(other)",
-        "Record.unset"}}
-    unread = write_only_state(program, source)
+        "Record.unset", "Other.method(knob)"}}
+    unread = write_only_state(resolver.program, source)
     assert unread == {pathlib.Path("mod.py"): {
         "Thing.unread", "Sub.other", "Record.unset"}}
