@@ -18,8 +18,8 @@ on the heap via ``Environment.timeout_at``, and the digest pins in
 ``tests/network/test_analytic_parity.py`` hold every departure exact.
 
 The bandwidth meter records at **serialization end** (when the payload
-leaves the wire), so utilization windows line up with ``busy_fraction``
-instead of lagging it by the propagation latency.
+leaves the wire), so utilization windows line up with the wire's busy
+time instead of lagging it by the propagation latency.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class Link:
         #: at ``max_collapse``. Zero for wired links.
         self.contention_penalty = contention_penalty
         self.max_collapse = max_collapse
-        self._busy_s = 0.0
         #: Virtual clock: when the wire finishes its last accepted
         #: serialization.
         self._free_at = 0.0
@@ -162,7 +161,6 @@ class Link:
         if self.contention_penalty:
             service *= min(self.max_collapse,
                            1.0 + self.contention_penalty * backlog)
-        self._busy_s += service
         ser_end = grant_at + service
         self._free_at = ser_end
         completion = ser_end + self.latency_s
@@ -214,7 +212,6 @@ class Link:
         if self.contention_penalty:
             service *= min(self.max_collapse,
                            1.0 + self.contention_penalty * backlog)
-        self._busy_s += service
         ser_end = grant_at + service
         self._free_at = ser_end
         self._release = (ser_end, release_eid)
@@ -232,9 +229,3 @@ class Link:
             self._emit_transfer_spans(trace, start, grant_at, ser_end,
                                       completion)
         return env.now - start
-
-    def busy_fraction(self, horizon_s: float) -> float:
-        """Fraction of ``horizon_s`` the link spent serializing."""
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
-        return min(1.0, self._busy_s / horizon_s)

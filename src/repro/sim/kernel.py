@@ -21,28 +21,13 @@ Time is a ``float`` in **seconds**. Determinism: events scheduled for the
 same instant fire in (priority, insertion-order) order, so repeated runs with
 the same seeds produce identical traces.
 
-Fast paths
-----------
-The kernel is the hot loop of every experiment, so it trades a little
-internal complexity for throughput while keeping the exact
-(time, priority, insertion-order) dispatch order:
-
-- All event classes use ``__slots__``; hot checks read ``_value``/``_ok``
-  directly instead of going through properties.
-- Zero-delay schedules (process starts, ``succeed``/``fail``, resource
-  grants — the overwhelming majority) bypass the heap entirely: they land on
-  per-priority FIFOs for the *current instant*. Insertion ids are still
-  drawn from the same counter as heap entries, so merging the FIFOs with
-  the heap reproduces the heap-only order bit for bit while cutting
-  ``heapq`` traffic to the genuinely delayed events.
-- Processed :class:`Timeout` objects and spent callback lists are recycled
-  through small per-environment pools when (and only when) nothing else
-  holds a reference, so the dominant yield-timeout-resume cycle allocates
-  nothing in steady state.
-- :meth:`Environment.run` executes one *monomorphic inlined dispatch
-  loop*: pop-next, dispatch and recycling fused into one frame with a
-  single merged decision tree per event, so an event costs no Python
-  call of its own and the FIFOs/heap are inspected once.
+Dispatch
+--------
+:class:`Environment` holds one event container, a heap of
+``(time, priority, insertion id, event)`` entries, and :meth:`Environment.run`
+pops it in one inlined loop: an event costs no Python call of its own.
+All event classes use ``__slots__``; hot checks read ``_value``/``_ok``
+directly instead of going through properties.
 
 :func:`events_consumed` exposes a process-wide dispatch counter for
 events/sec accounting in the benchmark harness.
@@ -52,8 +37,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -75,11 +58,6 @@ URGENT = 0
 NORMAL = 1
 
 _PENDING = object()
-
-#: Maximum number of recycled callback lists / Timeout objects kept per
-#: environment. Small: pools only need to cover the events in flight at
-#: one instant.
-_POOL_LIMIT = 128
 
 #: Process-wide count of dispatched events (all environments). A plain
 #: one-element list so the per-event increment is a cheap item write.
@@ -123,9 +101,7 @@ class Event:
 
     def __init__(self, env: "Environment"):
         self.env = env
-        pool = env._list_pool
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = (
-            pool.pop() if pool else [])
+        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
         self._defused = True
@@ -195,8 +171,7 @@ class Timeout(Event):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self.env = env
-        pool = env._list_pool
-        self.callbacks = pool.pop() if pool else []
+        self.callbacks = []
         self._ok = True
         self._value = value
         self._defused = True
@@ -222,13 +197,7 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process"):
         self.env = env
-        pool = env._list_pool
-        if pool:
-            callbacks = pool.pop()
-            callbacks.append(process._resume)
-        else:
-            callbacks = [process._resume]
-        self.callbacks = callbacks
+        self.callbacks = [process._resume]
         self._ok = True
         self._value = None
         self._defused = True
@@ -252,8 +221,7 @@ class Process(Event):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         self.env = env
-        pool = env._list_pool
-        self.callbacks = pool.pop() if pool else []
+        self.callbacks = []
         self._value = _PENDING
         self._ok = None
         self._defused = True
@@ -450,28 +418,18 @@ class Environment:
         Starting value of :attr:`now` (seconds).
     """
 
-    #: Pops the next delayed event off the heap; :meth:`run` binds it
-    #: once per call. The clock only moves here, so an observer that
-    #: replaces it on an instance (``InvariantChecker.attach_kernel``)
-    #: sees every clock change, and an unobserved run pays nothing.
+    #: Pops the next event off the heap; :meth:`run` binds it once per
+    #: call. Every dispatch and every clock change passes here, so an
+    #: observer that replaces it on an instance
+    #: (``InvariantChecker.attach_kernel``) sees them all, and an
+    #: unobserved run pays nothing.
     _heappop = staticmethod(heapq.heappop)
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        #: Heap of (time, priority, eid, event) — *delayed* events only.
+        #: Heap of (time, priority, eid, event): every scheduled event.
         self._queue: List = []
-        #: Per-priority FIFOs of (eid, event) due at the current instant.
-        #: Zero-delay schedules always carry the largest eid issued so far,
-        #: so appending keeps each FIFO sorted by eid and the three sources
-        #: merge back into exact (time, priority, eid) order.
-        self._urgent: deque = deque()
-        self._normal: deque = deque()
         self._eid = itertools.count()
-        #: Recycled callback lists / Timeout objects (see module docstring).
-        self._list_pool: List[list] = []
-        self._timeout_pool: List[Timeout] = []
-        #: Events dispatched by this environment.
-        self.dispatched = 0
 
     @property
     def now(self) -> float:
@@ -483,17 +441,6 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        pool = self._timeout_pool
-        if pool and delay >= 0:
-            timeout = pool.pop()
-            lpool = self._list_pool
-            timeout.callbacks = lpool.pop() if lpool else []
-            timeout._ok = True
-            timeout._value = value
-            timeout._defused = True
-            timeout._delay = delay
-            self._schedule(timeout, NORMAL, delay)
-            return timeout
         return Timeout(self, delay, value)
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
@@ -503,17 +450,11 @@ class Environment:
         now)``, which need not equal ``when`` in float64; analytic models
         that precompute exact departure instants (virtual-clock queues)
         need the exact float on the heap. ``when`` at or before ``now``
-        fires at the current instant, in FIFO order.
+        fires at the current instant, after the events already due there.
         """
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            lpool = self._list_pool
-            timeout.callbacks = lpool.pop() if lpool else []
-        else:
-            timeout = Timeout.__new__(Timeout)
-            timeout.env = self
-            timeout.callbacks = []
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
+        timeout.callbacks = []
         timeout._ok = True
         timeout._value = value
         timeout._defused = True
@@ -536,8 +477,10 @@ class Environment:
     def succeed_at_eid(self, event: Event, when: float, eid: int) -> Event:
         """Trigger ``event`` at ``when`` under a *reserved* insertion id.
 
-        ``when`` at or before ``now`` falls back to a fresh zero-delay
-        schedule — the current-instant FIFOs require monotone ids.
+        ``when`` at or before ``now`` is scheduled at ``now`` under a
+        fresh id instead: events scheduled since the reservation are
+        already due there, and the reserved id would let this one jump
+        ahead of them.
         """
         if event._value is not _PENDING:
             raise RuntimeError(f"{event!r} has already been triggered")
@@ -582,30 +525,16 @@ class Environment:
 
     # -- scheduling -----------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        if delay == 0.0:
-            if priority == NORMAL:
-                self._normal.append((next(self._eid), event))
-            elif priority == URGENT:
-                self._urgent.append((next(self._eid), event))
-            else:
-                # Exotic priorities go through the heap, whose comparison
-                # against the FIFOs preserves the total order.
-                heapq.heappush(self._queue,
-                               (self._now, priority, next(self._eid), event))
-        else:
-            heapq.heappush(self._queue,
-                           (self._now + delay, priority, next(self._eid),
-                            event))
+        heapq.heappush(self._queue,
+                       (self._now + delay, priority, next(self._eid), event))
 
     def _schedule_at(self, event: Event, priority: int, when: float) -> None:
         """Schedule ``event`` at the absolute instant ``when`` (exact
-        float; no ``now + delay`` round trip). Past instants clamp to the
-        current-instant FIFOs."""
-        if when <= self._now:
-            self._schedule(event, priority)
-        else:
-            heapq.heappush(self._queue,
-                           (when, priority, next(self._eid), event))
+        float; no ``now + delay`` round trip). Past instants clamp to
+        ``now``."""
+        now = self._now
+        heapq.heappush(self._queue, (when if when > now else now, priority,
+                                     next(self._eid), event))
 
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an event, or queue exhaustion).
@@ -639,73 +568,23 @@ class Environment:
         return until.value
 
     def _run_loop(self, stop_at: float) -> None:
-        """Dispatch events in (time, priority, eid) order until the
-        queues drain or the heap head passes ``stop_at``.
-
-        Processed :class:`Timeout` objects and spent callback lists are
-        recycled when, by refcount, only this frame still holds them:
-        nothing else can observe a pooled object.
-        """
-        urgent = self._urgent
-        normal = self._normal
+        """Dispatch events in (time, priority, eid) order until the heap
+        drains or its head passes ``stop_at``."""
         queue = self._queue
-        timeout_pool = self._timeout_pool
-        list_pool = self._list_pool
         consumed = _CONSUMED
         heappop = self._heappop
-        while True:
-            # -- pop next (merged stop test + source selection) ----------
-            if urgent:
-                fifo = urgent
-                fifo_priority = URGENT
-            elif normal:
-                fifo = normal
-                fifo_priority = NORMAL
-            else:
-                fifo = None
-            if queue:
-                head = queue[0]
-                if fifo is None:
-                    if head[0] > stop_at:
-                        break
-                    # `head = None` drops the alias to the popped heap
-                    # tuple so the recycling refcount checks below see
-                    # only this frame's reference.
-                    self._now, _, _, event = heappop(queue)
-                    head = None
-                elif (head[0] == self._now and
-                        (head[1] < fifo_priority or
-                         (head[1] == fifo_priority and
-                          head[2] < fifo[0][0]))):
-                    self._now, _, _, event = heappop(queue)
-                    head = None
-                else:
-                    head = None
-                    event = fifo.popleft()[1]
-            elif fifo is None:
+        while queue:
+            if queue[0][0] > stop_at:
                 break
-            else:
-                event = fifo.popleft()[1]
-            # -- dispatch ------------------------------------------------
+            self._now, _, _, event = heappop(queue)
             callbacks = event.callbacks
             event.callbacks = None
-            self.dispatched += 1
             consumed[0] += 1
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused:
                 # Nobody caught this failure: crash loudly.
                 raise event._value
-            # -- recycling: refs here are the loop local plus
-            # getrefcount's argument.
-            if len(list_pool) < _POOL_LIMIT and getrefcount(callbacks) == 2:
-                callbacks.clear()
-                list_pool.append(callbacks)
-            if (type(event) is Timeout and
-                    len(timeout_pool) < _POOL_LIMIT and
-                    getrefcount(event) == 2):
-                event._value = _PENDING
-                timeout_pool.append(event)
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

@@ -97,29 +97,11 @@ class TestLinkProperty:
             schedule=_random_schedule(seed + 100))
         assert _digest(departures) == LOSSY_LINK[seed]
 
-    def test_busy_accounting_matches(self):
-        schedule = _random_schedule(7)
-        fractions = []
-        for loss in (0.0, 0.08):
-            env = Environment()
-            rng = np.random.default_rng(3) if loss else None
-            link = Link(env, "l", bandwidth_mbs=10.0, latency_s=0.002,
-                        loss_rate=loss, rng=rng, contention_penalty=0.1)
-
-            def feed(link=link, env=env):
-                for arrive_at, megabytes, extra in schedule:
-                    if arrive_at > env.now:
-                        yield env.timeout(arrive_at - env.now)
-                    env.process(link.transfer(megabytes))
-            env.process(feed())
-            env.run()
-            fractions.append(link.busy_fraction(10.0))
-        assert _digest(fractions) == "9ce7ff1bd82de9c8993f2caadb22b8f2"
-
 
 class TestMeterAtSerializationEnd:
     """The meter records when the payload leaves the wire (not after
-    propagation), so utilization windows line up with busy_s."""
+    propagation), so utilization windows line up with the wire's busy
+    time."""
 
     def test_record_excludes_propagation(self):
         from repro.telemetry import BandwidthMeter
@@ -134,7 +116,7 @@ class TestMeterAtSerializationEnd:
         times = [t for t, _ in meter.events]
         assert times == [0.5]  # serialization end, not propagation end
 
-    def test_metered_bytes_align_with_busy_fraction(self):
+    def test_back_to_back_transfers_meter_within_serialization(self):
         from repro.telemetry import BandwidthMeter
         env = Environment()
         meter = BandwidthMeter("m")
@@ -147,7 +129,6 @@ class TestMeterAtSerializationEnd:
             env.process(link.transfer(10.0))
         env.run()
         horizon = 4.0
-        assert link.busy_fraction(horizon) == 1.0
         assert all(t <= horizon for t, _ in meter.events)
         assert sum(mb for _, mb in meter.events) == 40.0
 

@@ -66,13 +66,6 @@ class TestLink:
         env.run(env.process(link.transfer(5)))
         assert meter.megabytes.sum() == 5
 
-    def test_busy_fraction(self, env):
-        link = Link(env, "l", bandwidth_mbs=10)
-        env.run(env.process(link.transfer(10)))  # busy 1s
-        assert link.busy_fraction(2.0) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            link.busy_fraction(0)
-
     def test_negative_size_rejected(self, env):
         link = Link(env, "l", 10)
         process = env.process(link.transfer(-1))
@@ -130,9 +123,10 @@ class TestWireless:
     def test_utilization(self, env):
         constants = WirelessConstants(access_points=1, loss_rate=0.0)
         network = WirelessNetwork(env, constants)
-        env.run(env.process(network.upload("d0", constants.ap_mbs)))
+        took = env.run(env.process(network.upload("d0", constants.ap_mbs)))
         (ap,) = network.access_points
-        assert ap.uplink.busy_fraction(2.0) == pytest.approx(0.5)
+        # One second of capacity serializes in one second, then propagates.
+        assert took == pytest.approx(1.0 + ap.uplink.latency_s)
 
 
 class TestClusterNetwork:

@@ -1,9 +1,11 @@
-"""The kernel's inlined dispatch loop: order, horizon, pooling, pins.
+"""The kernel's inlined dispatch loop: order, horizon, pins.
 
-``Environment.run`` fuses pop + dispatch + recycling into one loop. It
-used to run beside a step-at-a-time twin; the two dispatched identical
-traces and rows at fixed seeds, and the md5 digests recorded from both
-before the twin was deleted are pinned here as the exactness contract.
+``Environment.run`` pops one (time, priority, insertion id) heap and
+dispatches in one loop. It used to run beside a step-at-a-time twin, and
+later merged zero-delay FIFO lanes into the heap and recycled timeouts
+through pools; every one of these dispatched identical traces and rows
+at fixed seeds, and the md5 digests recorded before the twin, lanes and
+pools were deleted are pinned here as the exactness contract.
 """
 
 import hashlib
@@ -17,12 +19,12 @@ pytestmark = pytest.mark.quick
 
 
 def _mixed_workload(env, trace):
-    """Heap events, zero-delay FIFOs, and ties on one timeline."""
+    """Delayed, zero-delay and urgent events, and ties, on one timeline."""
 
     def worker(tag, delay):
         yield env.timeout(delay)
         trace.append((env.now, f"{tag}-a"))
-        yield env.timeout(0)  # zero-delay FIFO lane
+        yield env.timeout(0)  # zero-delay: after the instant's ties
         trace.append((env.now, f"{tag}-b"))
 
     def urgent_ping():
@@ -63,19 +65,6 @@ def test_run_until_time_parity():
     assert env.now == 1.0
     # Events strictly after the horizon stay queued.
     assert trace and all(t <= 1.0 for t, _ in trace)
-
-
-def test_timeout_pool_recycles_in_fast_loop():
-    # Regression: the loop must not retain a reference to the popped heap
-    # entry, or getrefcount-gated recycling never fires.
-    env = Environment()
-
-    def ticker():
-        for _ in range(50):
-            yield env.timeout(0.5)
-
-    env.run(env.process(ticker()))
-    assert env._timeout_pool
 
 
 def test_normal_priority_fifo_parity():

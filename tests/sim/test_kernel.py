@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Environment, Interrupt
+from repro.sim.kernel import events_consumed
 
 
 def test_clock_starts_at_zero():
@@ -368,6 +369,7 @@ class TestStart:
             yield env.timeout(0.5)
             steps.append(("third", env.now))
 
+        before = events_consumed()
         handle = env.start(proc())
         assert handle.is_alive
         assert steps == [("first", 0.0)]
@@ -375,7 +377,7 @@ class TestStart:
         assert steps == [("first", 0.0), ("second", 1.0), ("third", 1.5)]
         assert not handle.is_alive
         # Only the two yielded timeouts: no Initialize, no completion.
-        assert env.dispatched == 2
+        assert events_consumed() - before == 2
 
     def test_interrupt_runs_cleanup_as_a_process_would(self):
         """The same generator, interrupted as a Process and as a started
@@ -385,6 +387,7 @@ class TestStart:
         def run(spawn):
             env = Environment()
             log = []
+            before = events_consumed()
 
             def proc():
                 try:
@@ -403,7 +406,7 @@ class TestStart:
             env.process(killer(target))
             env.run()
             assert not target.is_alive
-            return log, env.dispatched
+            return log, events_consumed() - before
 
         process_log, process_events = run(
             lambda env, gen: env.process(gen))
@@ -462,9 +465,10 @@ class TestStart:
             yield env.timeout(1.0)
             yield env.timeout(0.5)
 
+        before = events_consumed()
         env.process(proc())
         env.run()
-        assert env.dispatched == 4
+        assert events_consumed() - before == 4
 
     def test_non_event_gets_type_error_thrown_in(self):
         env = Environment()
@@ -511,9 +515,10 @@ class TestStart:
             raise KeyError("early")
             yield env.timeout(1.0)
 
+        before = events_consumed()
         with pytest.raises(KeyError):
             env.start(proc())
-        assert env.dispatched == 0
+        assert events_consumed() == before and not env._queue
 
     def test_processed_event_continues_at_once(self):
         env = Environment()

@@ -1,15 +1,15 @@
-"""Regression tests for the kernel fast paths.
+"""Regression tests for the kernel's dispatch contract.
 
-The fast paths (slotted events, zero-delay FIFO lanes, pooled timeouts,
-recycled callback lists) must preserve the documented dispatch contract —
-(time, priority, insertion order) — exactly. These tests pin that contract
-plus the bug fix that rode along: condition defusing of late constituent
-failures (double-trigger detection is in ``test_kernel.py``).
+Every event fires in (time, priority, insertion order) order, including
+the primitives that pick their own heap position: ``timeout_at``,
+``reserve_eid``/``succeed_at_eid`` and ``URGENT`` interrupts. These tests
+pin that contract plus condition defusing of late constituent failures
+(double-trigger detection is in ``test_kernel.py``).
 """
 
 import pytest
 
-from repro.sim import Environment, Event, Timeout
+from repro.sim import Environment, Event, Interrupt, Timeout
 from repro.sim import kernel
 
 
@@ -57,21 +57,8 @@ class TestConditionDefuse:
             env.run()
 
 
-class TestTimeoutPooling:
-    def test_timeouts_are_recycled(self):
-        env = Environment()
-
-        def ticker():
-            for _ in range(50):
-                yield env.timeout(0.5)
-
-        env.run(env.process(ticker()))
-        assert env._timeout_pool  # consumed timeouts returned to the pool
-        pooled = env._timeout_pool[-1]
-        fresh = env.timeout(1.0, value="reused")
-        assert fresh is pooled  # reissued, not reallocated
-
-    def test_recycled_timeout_behaves_like_new(self):
+class TestTimeouts:
+    def test_each_timeout_resumes_with_its_own_value(self):
         env = Environment()
 
         def ticker():
@@ -82,14 +69,11 @@ class TestTimeoutPooling:
 
         assert env.run(env.process(ticker())) == 10.0
 
-    def test_pool_is_bounded(self):
-        env = Environment()
 
-        def burst():
-            yield env.all_of([env.timeout(0) for _ in range(1000)])
-
-        env.run(env.process(burst()))
-        assert len(env._timeout_pool) <= kernel._POOL_LIMIT
+def _marker(env, order, event, tag):
+    """Log ``(now, tag)`` when ``event`` is dispatched."""
+    event.callbacks.append(lambda _: order.append((env.now, tag)))
+    return event
 
 
 class TestDispatchOrderContract:
@@ -140,7 +124,85 @@ class TestDispatchOrderContract:
 
         env.run(env.process(proc()))
         assert kernel.events_consumed() - before >= 3
-        assert env.dispatched >= 3
+
+    def test_timeout_at_now_or_past_fires_after_events_due_now(self):
+        env = Environment()
+        order = []
+
+        def proc():
+            wake = env.timeout(2.0)
+            _marker(env, order, env.timeout(2.0), "due-delayed")
+            yield wake
+            _marker(env, order, env.timeout(0), "due-zero")
+            _marker(env, order, env.timeout_at(1.0), "past")
+            _marker(env, order, env.timeout_at(2.0), "present")
+            _marker(env, order, env.timeout(0), "zero-after")
+            _marker(env, order, env.timeout(0.5), "later")
+
+        env.process(proc())
+        env.run()
+        assert order == [(2.0, "due-delayed"), (2.0, "due-zero"),
+                         (2.0, "past"), (2.0, "present"),
+                         (2.0, "zero-after"), (2.5, "later")]
+
+    def test_reserved_eid_fires_between_neighbours_of_its_reservation(self):
+        env = Environment()
+        order = []
+        first = _marker(env, order, env.timeout(1.0), "before")
+        # Scheduled at t=1, so after everything reserved before t=1.
+        first.callbacks.append(
+            lambda _: _marker(env, order, env.timeout(0), "zero-at-1"))
+        eid = env.reserve_eid()
+        _marker(env, order, env.timeout(1.0), "after")
+        gate = _marker(env, order, env.event(), "reserved")
+        env.succeed_at_eid(gate, 1.0, eid)
+        env.run()
+        assert order == [(1.0, "before"), (1.0, "reserved"),
+                         (1.0, "after"), (1.0, "zero-at-1")]
+
+    def test_reserved_eid_in_the_past_fires_after_events_due_now(self):
+        env = Environment()
+        order = []
+        past_eid = env.reserve_eid()
+        present_eid = env.reserve_eid()
+
+        def proc():
+            wake = env.timeout(1.0)
+            _marker(env, order, env.timeout(1.0), "due-delayed")
+            yield wake
+            _marker(env, order, env.event(), "due-zero").succeed()
+            env.succeed_at_eid(
+                _marker(env, order, env.event(), "past"), 0.5, past_eid)
+            env.succeed_at_eid(
+                _marker(env, order, env.event(), "present"), 1.0,
+                present_eid)
+
+        env.process(proc())
+        env.run()
+        assert order == [(1.0, "due-delayed"), (1.0, "due-zero"),
+                         (1.0, "past"), (1.0, "present")]
+
+    def test_urgent_interrupt_preempts_normal_events_due_now(self):
+        env = Environment()
+        order = []
+
+        def victim():
+            try:
+                yield env.timeout(5.0)
+            except Interrupt:
+                order.append((env.now, "interrupted"))
+
+        def killer(target):
+            wake = env.timeout(1.0)
+            _marker(env, order, env.timeout(1.0), "due-delayed")
+            yield wake
+            _marker(env, order, env.timeout(0), "due-zero")
+            target.interrupt()
+
+        env.process(killer(env.process(victim())))
+        env.run()
+        assert order == [(1.0, "interrupted"), (1.0, "due-delayed"),
+                         (1.0, "due-zero")]
 
 
 class TestSeedStability:

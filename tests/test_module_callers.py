@@ -80,8 +80,6 @@ ALLOWED = {
         "accessor: tests observe a server's memory reservations",
     "Server.busy_cores":
         "accessor: tests observe that a crash releases a server's cores",
-    "Link.busy_fraction":
-        "accessor: the queueing digest pins hash a link's busy time",
     "FailureDetector.alive_count":
         "accessor: tests observe how many devices the detector holds live",
     "FieldWorld.item_count":
@@ -179,7 +177,6 @@ ALLOWED_STATE = {
     "learning/classifier.py::DeduplicationEngine.observations": _COUNTER,
     "routing/maze.py::WallFollower.steps": _COUNTER,
     "serverless/kafka.py::KafkaBus.published": _COUNTER,
-    "sim/kernel.py::Environment.dispatched": _COUNTER,
 }
 
 
