@@ -9,15 +9,25 @@ stragglers go on probation for a few minutes.
 keeps per-function latency history, arms a watchdog at the p90 threshold,
 launches a duplicate when the watchdog fires, and returns the earliest
 completion.
+
+The race costs one kernel event per activation, the watchdog's timeout.
+The primary, and later the duplicate, run as replicas started in place
+(``Environment.start``); each settles a plain race event when its
+activation returns, and the watchdog settles the first one if it fires
+first (``Environment.settle``). The caller resumes inside the dispatch
+where the winner returned, as ``yield from platform.invoke`` would
+resume it. The watchdog is never withdrawn: firing into a decided race
+does nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, List, Optional
 
 from ..config import ControlConstants
 from ..serverless import Invocation, InvocationRequest, OpenWhiskPlatform
-from ..sim import Environment
+from ..sim import Environment, Event
+from ..sim.accounting import tally
 from ..telemetry import MetricSeries
 
 __all__ = ["StragglerMitigator"]
@@ -89,18 +99,29 @@ class StragglerMitigator:
             self._strikes[server_id] = 0
 
     def invoke(self, request: InvocationRequest) -> Generator:
-        """Process: invoke with straggler detection; returns the winning
-        invocation."""
+        """Invoke with straggler detection (``yield from`` it); returns
+        the winning invocation."""
         threshold = self.threshold_for(request.spec.name)
-        primary = self.env.process(self.platform.invoke(request))
         if threshold is None:
-            result = yield primary
+            result = yield from self.platform.invoke(request)
             self._record(result)
             return result
-        watchdog = self.env.timeout(threshold)
-        outcome = yield self.env.any_of([primary, watchdog])
-        if primary in outcome:
-            result = outcome[primary]
+        env = self.env
+        race = env.event()
+        races = [race]
+
+        def watchdog_fired(_):
+            if not race.triggered:
+                env.settle(race, True, None)
+
+        # Armed before the primary starts, as the process race drew the
+        # watchdog's id before the primary's first segment ran: a tie at
+        # the threshold keeps its dispatch order.
+        tally("serverless", 1)
+        env.timeout(threshold).callbacks.append(watchdog_fired)
+        env.start(self._replica(request, races))
+        result = yield race
+        if result is not None:
             self._record(result)
             return result
         # Straggler: fire a duplicate on a different server and keep both
@@ -117,12 +138,11 @@ class StragglerMitigator:
             parent=request.parent,
             colocate_with_parent=False,  # new server on purpose
             trace=request.trace)
-        duplicate = self.env.process(
-            self.platform.invoke(duplicate_request))
-        final = yield self.env.any_of([primary, duplicate])
-        winner: Invocation = next(iter(final.values()))
+        races.append(env.event())
+        env.start(self._replica(duplicate_request, races))
+        winner: Invocation = yield races[-1]
         self._record(winner)
-        if primary in final:
+        if winner.request is request:
             # The duplicate lost; the primary's server was fine after all.
             loser_request = duplicate_request
             loser_server = None
@@ -139,6 +159,27 @@ class StragglerMitigator:
             self._strike(loser_server)
         self._reap_loser(loser_request)
         return winner
+
+    def _replica(self, request: InvocationRequest,
+                 races: List[Event]) -> Generator:
+        """One replica of a raced activation, started in place: run it,
+        then settle the race still open with its outcome.
+
+        A decided race drops the outcome: a loser's result, or its
+        failure (say ``ActivationCancelled`` from :meth:`_reap_loser`),
+        reaches no one. Only ``Exception`` is caught, so a replica the
+        garbage collector closes (``GeneratorExit``) resumes no one.
+        Settling is the last act, so the waiter's continuation, which
+        runs inside it, never re-enters a live replica frame.
+        """
+        try:
+            outcome = yield from self.platform.invoke(request)
+            ok = True
+        except Exception as exc:
+            outcome, ok = exc, False
+        race = races[-1]
+        if not race.triggered:
+            self.env.settle(race, ok, outcome)
 
     def _reap_loser(self, loser_request: InvocationRequest) -> None:
         """Cancel the losing replica (when armed): its result is redundant,

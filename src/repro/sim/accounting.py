@@ -7,7 +7,8 @@ serverless layers tag the events they schedule at their chokepoints
 sampling clock; link grants/serialization/propagation and the edge
 RPC's processing and ack timeouts; the OpenWhisk front end, the one
 timeout that covers CouchDB authentication and the controller, other
-CouchDB passes, Kafka, the invoker's steps and its completion signal),
+CouchDB passes, Kafka, the invoker's steps, its completion signal and
+the straggler watchdog),
 and the benchmark harness reports the breakdown so the next
 optimisation target is measured instead of guessed.
 
@@ -15,10 +16,9 @@ The counters are process-wide (like ``events_consumed``) and tagged *at
 scheduling time*: a layer adds ``n`` when it schedules ``n`` kernel
 events. Untagged traffic — the start and completion events of
 :class:`~repro.sim.kernel.Process` objects (generators started with
-``Environment.start``, such as the invoker's activation handler, have
-neither), the straggler race's watchdog and condition, harness
-orchestration — is reported as ``other`` (total dispatched minus
-tagged). Tags are plain integer adds on one-element lists, cheap enough
+``Environment.start``, such as the invoker's activation handler and the
+straggler race's replicas, have neither), harness orchestration — is
+reported as ``other`` (total dispatched minus tagged). Tags are plain integer adds on one-element lists, cheap enough
 for the hot paths that call them.
 
 Pool workers count into their own process; the executor ships each

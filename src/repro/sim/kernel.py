@@ -12,8 +12,9 @@ offline), with the pieces the rest of the repository needs:
   with the generator's return value. :meth:`Environment.start` runs a
   generator nothing waits on through the same resume loop, without the
   start and completion events.
-- :class:`Condition` / :func:`Environment.all_of` / :func:`Environment.any_of`
-  — composite waits.
+- :class:`Condition` / :func:`Environment.all_of` — composite waits.
+- :meth:`Environment.settle` — trigger a pending event and resume its
+  waiters in place, with no heap entry (the straggler race's one use).
 - :class:`Interrupt` — exception thrown into a process by
   :meth:`Process.interrupt`.
 
@@ -27,7 +28,10 @@ Dispatch
 ``(time, priority, insertion id, event)`` entries, and :meth:`Environment.run`
 pops it in one inlined loop: an event costs no Python call of its own.
 All event classes use ``__slots__``; hot checks read ``_value``/``_ok``
-directly instead of going through properties.
+directly instead of going through properties. One primitive bypasses
+the heap: :meth:`Environment.settle` runs a pending event's callbacks
+inside the call, where a ``yield from`` would have resumed the waiter,
+and dispatches (and counts) no event.
 
 :func:`events_consumed` exposes a process-wide dispatch counter for
 events/sec accounting in the benchmark harness.
@@ -382,15 +386,12 @@ class Condition(Event):
     def all_events(events: List[Event], count: int) -> bool:
         return len(events) == count
 
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        return count > 0 or not events
-
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
-            # Already triggered (e.g. an any_of that picked a winner), but a
-            # late-failing constituent still needs defusing or its failure
-            # would crash the whole simulation with nobody left to catch it.
+            # Already triggered (e.g. an all_of that failed on an earlier
+            # constituent), but a late-failing constituent still needs
+            # defusing or its failure would crash the whole simulation
+            # with nobody left to catch it.
             if not event._ok:
                 event._defused = True
             return
@@ -517,11 +518,30 @@ class Environment:
         process._resume(_GO)
         return process
 
+    def settle(self, event: Event, ok: bool, value: Any) -> None:
+        """Trigger the pending ``event`` and run its callbacks now.
+
+        The event succeeds with ``value`` (``ok``) or fails with it, and
+        every waiter resumes inside this call: no heap entry, no
+        dispatch, no event counted. A waiter that yields the event later
+        sees it processed and resumes at once with its outcome, so a
+        failure must have a waiter; nothing here raises an undefused
+        one. A site qualifies only where ``yield from`` would resume the
+        waiter at this same point and every digest holds (see DESIGN.md,
+        kernel determinism contract). Call it last in the settling
+        frame: the waiter's continuation runs beneath it.
+        """
+        if event._value is not _PENDING:
+            raise RuntimeError(f"{event!r} has already been triggered")
+        event._ok = ok
+        event._value = value
+        callbacks = event.callbacks
+        event.callbacks = None
+        for callback in callbacks:
+            callback(event)
+
     def all_of(self, events: Iterable[Event]) -> Condition:
         return Condition(self, Condition.all_events, events)
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        return Condition(self, Condition.any_events, events)
 
     # -- scheduling -----------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:

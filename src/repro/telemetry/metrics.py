@@ -124,8 +124,9 @@ class MetricSeries:
 
         Hot-path friendly: the sorted view is maintained incrementally
         (``bisect.insort`` per new sample when queried after every add, as
-        the straggler watchdog does; a full re-sort after bulk appends), so
-        each query is O(1) instead of an O(n) selection over a fresh array.
+        the straggler watchdog does; after bulk appends the sorted tail
+        is merged into it, never the whole history re-sorted), so each
+        query is O(1) instead of an O(n) selection over a fresh array.
         """
         count = self._count
         if not count:
@@ -138,9 +139,12 @@ class MetricSeries:
                 for index in range(count - stale, count):
                     bisect.insort(sorted_values, float(buffer[index]))
             else:
-                sorted_values = self._buffer[:count].tolist()
+                # Timsort takes the cached list as one run, sorts the tail
+                # and merges it in one pass; being stable, it keeps equal
+                # samples in arrival order, as a full re-sort would.
+                sorted_values.extend(
+                    self._buffer[count - stale:count].tolist())
                 sorted_values.sort()
-                self._sorted = sorted_values
         if not 0 <= q <= 100:
             raise ValueError(f"percentile {q} outside [0, 100]")
         # numpy's "linear" method: virtual index q/100*(n-1), then

@@ -1,7 +1,12 @@
-"""Straggler races: attribution, loser reaping, and the duplicate racing
-a genuine primary failure."""
+"""Straggler races: attribution, loser reaping, the duplicate racing a
+genuine primary failure, and the in-place race against the process
+race it replaced."""
+
+import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.config import ClusterConstants, ControlConstants
@@ -9,10 +14,11 @@ from repro.core import StragglerMitigator
 from repro.faults import InvariantChecker
 from repro.serverless import (
     FunctionSpec,
+    Invocation,
     InvocationRequest,
     OpenWhiskPlatform,
 )
-from repro.sim import Environment, RandomStreams
+from repro.sim import Condition, Environment, RandomStreams
 
 
 @pytest.fixture
@@ -166,3 +172,240 @@ class TestDuplicateRacingGenuineFailure:
 
         env.run(env.process(run()))
         assert len(mitigator._series("f")) == before + 1
+
+
+def _first_of(events, count):
+    return count > 0
+
+
+class _ReferenceMitigator(StragglerMitigator):
+    """The race as it was: the primary and the duplicate run as
+    processes, and each wait is a first-of condition over them (the
+    condition defuses a loser's late failure)."""
+
+    def invoke(self, request):
+        threshold = self.threshold_for(request.spec.name)
+        primary = self.env.process(self.platform.invoke(request))
+        if threshold is None:
+            result = yield primary
+            self._record(result)
+            return result
+        watchdog = self.env.timeout(threshold)
+        outcome = yield Condition(self.env, _first_of, [primary, watchdog])
+        if primary in outcome:
+            result = outcome[primary]
+            self._record(result)
+            return result
+        self.stragglers_detected += 1
+        self.duplicates_launched += 1
+        duplicate_request = InvocationRequest(
+            spec=request.spec, service_s=request.service_s,
+            input_mb=request.input_mb, output_mb=request.output_mb,
+            parent=request.parent, colocate_with_parent=False,
+            trace=request.trace)
+        duplicate = self.env.process(
+            self.platform.invoke(duplicate_request))
+        final = yield Condition(self.env, _first_of, [primary, duplicate])
+        winner = next(iter(final.values()))
+        self._record(winner)
+        if primary in final:
+            loser_request, loser_server = duplicate_request, None
+        else:
+            loser_request = request
+            loser_server = (self._primary_server_hint(request)
+                            if self.harden_races
+                            else self._legacy_server_hint(request))
+        if loser_server:
+            self._strike(loser_server)
+        self._reap_loser(loser_request)
+        return winner
+
+
+#: One activation: (gap to the previous arrival, function, service s).
+#: Service times are heavy-tailed so both the primary and the watchdog
+#: win races; every instant is a continuous draw, so no two events tie.
+_activation = st.tuples(
+    st.floats(0.01, 1.0), st.sampled_from(["f0", "f0", "f1"]),
+    st.floats(0.05, 0.5) | st.floats(1.0, 8.0))
+_crash = st.none() | st.tuples(st.floats(0.5, 25.0), st.integers(0, 3),
+                               st.sampled_from(["server", "invoker"]))
+
+
+def _race_run(cls, activations, history, slow, harden_races, crash):
+    """Run one stream through ``cls``; returns what the run decided."""
+    env = Environment()
+    cluster = Cluster(env, ClusterConstants(servers=len(slow),
+                                            cores_per_server=8))
+    platform = OpenWhiskPlatform(env, cluster, RandomStreams(5))
+    mitigator = cls(env, platform, ControlConstants(),
+                    harden_races=harden_races)
+    series = mitigator._series("f0")
+    for latency in history:
+        series.add(latency)
+    for server, factor in enumerate(slow):
+        slow_down(platform, f"server{server}", factor)
+    resumed = []
+
+    def caller(index, arrival, name, service_s):
+        yield env.timeout(arrival)
+        request = InvocationRequest(FunctionSpec(name), service_s=service_s)
+        winner = yield from mitigator.invoke(request)
+        resumed.append((index, env.now, winner.invocation_id,
+                        winner.server_id, winner.request is request))
+
+    def crasher(at, server, kind):
+        yield env.timeout(at)
+        server_id = f"server{server % len(slow)}"
+        if kind == "server":
+            platform.crash_server(server_id)
+        else:
+            platform.crash_invoker(server_id)
+
+    arrival = 0.0
+    for index, (gap, name, service_s) in enumerate(activations):
+        arrival += gap
+        env.process(caller(index, arrival, name, service_s))
+    if crash is not None:
+        env.process(crasher(*crash))
+    env.run()
+    return {
+        "resumed": resumed,
+        "stragglers": mitigator.stragglers_detected,
+        "duplicates": mitigator.duplicates_launched,
+        "strikes": dict(mitigator._strikes),
+        "history": {name: tuple(series.values)
+                    for name, series in mitigator._history.items()},
+        "completions": [(inv.invocation_id, inv.server_id, inv.t_complete)
+                        for inv in platform.invocations],
+        "cancellations": platform.cancellations,
+        "requeues": platform.requeues,
+    }
+
+
+class TestRaceEquivalence:
+    """The in-place race decides every stream as the process race did."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(activations=st.lists(_activation, min_size=10, max_size=40),
+           history=st.lists(st.floats(0.1, 0.8), min_size=20,
+                            max_size=30),
+           slow=st.lists(st.floats(1.0, 40.0), min_size=2, max_size=4),
+           harden_races=st.booleans(), crash=_crash)
+    def test_decisions_match_the_process_race(self, activations, history,
+                                              slow, harden_races, crash):
+        # An activation a crash strands is finalized whenever the
+        # collector reaches its generator; keep that out of both runs.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            new, reference = (
+                _race_run(cls, activations, history, slow, harden_races,
+                          crash)
+                for cls in (StragglerMitigator, _ReferenceMitigator))
+            assert new == reference
+        finally:
+            if enabled:
+                gc.enable()
+
+
+class _ExactPlatform:
+    """A platform whose activation takes exactly its service time, or
+    never returns (``service_s`` 0: parked on an event nothing fires)."""
+
+    invokers = ()
+
+    def __init__(self, env):
+        self.env = env
+        self.invocations = []
+        self._ids = 0
+
+    def invoke(self, request):
+        invocation = Invocation(request=request, invocation_id=self._ids,
+                                t_arrive=self.env.now)
+        self._ids += 1
+        if request.service_s == 0:
+            yield self.env.event()
+        yield self.env.timeout(request.service_s)
+        invocation.t_complete = self.env.now
+        self.invocations.append(invocation)
+        return invocation
+
+
+class TestSameInstant:
+    """A primary that returns at the watchdog's instant: whichever of the
+    two is dispatched first decides the first race."""
+
+    def _mitigator(self, env):
+        mitigator = StragglerMitigator(env, _ExactPlatform(env))
+        prime_history(mitigator, latency=0.4)  # threshold 0.4 * 1.5
+        return mitigator
+
+    def test_primary_scheduled_after_the_watchdog_is_a_straggler(self):
+        # The watchdog is armed before the primary starts, so a primary
+        # whose last wait ends at the threshold is dispatched after it:
+        # a straggler is declared, the duplicate launches, and the
+        # primary wins the second race at that same instant.
+        env = Environment()
+        mitigator = self._mitigator(env)
+        threshold = mitigator.threshold_for("f")
+        request = InvocationRequest(FunctionSpec("f"), service_s=threshold)
+
+        def run():
+            winner = yield from mitigator.invoke(request)
+            return winner, env.now
+
+        winner, resumed_at = env.run(env.process(run()))
+        assert mitigator.stragglers_detected == 1
+        assert winner.request is request
+        assert resumed_at == threshold
+
+    def test_primary_dispatched_before_the_watchdog_wins(self):
+        # The same instant, but the primary's last wait was scheduled
+        # before the watchdog was armed: it returns first, and the
+        # watchdog then fires into a decided race.
+        env = Environment()
+        mitigator = self._mitigator(env)
+        threshold = mitigator.threshold_for("f")
+        earlier = env.timeout(threshold)
+        platform = mitigator.platform
+
+        def invoke(request):
+            yield earlier
+            return Invocation(request=request, invocation_id=0,
+                              t_arrive=0.0, t_complete=env.now)
+
+        platform.invoke = invoke
+        request = InvocationRequest(FunctionSpec("f"), service_s=threshold)
+
+        def run():
+            winner = yield from mitigator.invoke(request)
+            return winner, env.now
+
+        winner, resumed_at = env.run(env.process(run()))
+        env.run()  # the watchdog fires into the decided race
+        assert mitigator.stragglers_detected == 0
+        assert winner.request is request
+        assert resumed_at == threshold
+
+
+class TestOrphanedReplica:
+    def test_closed_replica_resumes_no_one(self):
+        # The primary never returns, and nothing but its own parked
+        # event refers to its replica: the collector finalizes the
+        # generator (GeneratorExit). That must settle nothing, resume
+        # no waiter and raise nowhere.
+        env = Environment()
+        mitigator = StragglerMitigator(env, _ExactPlatform(env))
+        prime_history(mitigator, latency=100.0)
+        request = InvocationRequest(FunctionSpec("f"), service_s=0)
+
+        def run():
+            winner = yield from mitigator.invoke(request)
+            return winner
+
+        caller = env.process(run())
+        env.run(until=1.0)
+        gc.collect()
+        env.run(until=2.0)
+        assert caller.is_alive
+        assert mitigator.stragglers_detected == 0

@@ -2,10 +2,13 @@
 
 A :class:`~repro.sim.kernel.Process` costs an ``Initialize`` and a
 completion event on top of the events its generator yields. Frame
-batches, single-tier tasks and invoker activation handlers start through
-``Environment.start`` and the obstacle branch is a core reservation, so
-none of them may show up here; the other counts are pinned so a
-per-batch or per-activation spawn cannot come back unnoticed.
+batches, single-tier tasks, invoker activation handlers and the
+straggler race's replicas start through ``Environment.start`` (an
+activation with too little history for the watchdog is not raced at
+all: the mitigator runs it with ``yield from``), and the obstacle
+branch is a core reservation, so none of them may show up here; the
+other counts are pinned so a per-batch or per-activation spawn cannot
+come back unnoticed.
 """
 
 from collections import Counter
@@ -18,7 +21,8 @@ from repro.sim import kernel
 
 STARTED_IN_PLACE = ("ScenarioRunner.start.<locals>.handle_batch",
                     "SingleTierRunner.run.<locals>.handle",
-                    "Invoker._handle")
+                    "Invoker._handle",
+                    "StragglerMitigator._replica")
 
 
 @pytest.fixture
@@ -40,7 +44,6 @@ def test_scenario_a_spawns_no_process_per_batch(census):
     assert not any(census[name] for name in STARTED_IN_PLACE)
     assert dict(census) == {
         "FailureDetector._check": 1,
-        "OpenWhiskPlatform.invoke": 626,
         "ScenarioRunner.start.<locals>.mission": 16,
         "ScenarioRunner.start.<locals>.orchestrate": 1,
     }

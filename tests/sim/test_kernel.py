@@ -211,19 +211,6 @@ def test_all_of_collects_all_values():
     assert env.now == 3
 
 
-def test_any_of_returns_on_first():
-    env = Environment()
-    fast = env.timeout(1, value="fast")
-    slow = env.timeout(10, value="slow")
-
-    def waiter():
-        results = yield env.any_of([fast, slow])
-        return list(results.values())
-
-    assert env.run(env.process(waiter())) == ["fast"]
-    assert env.now == 1
-
-
 def test_all_of_empty_is_immediate():
     env = Environment()
 

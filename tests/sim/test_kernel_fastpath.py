@@ -18,38 +18,43 @@ pytestmark = pytest.mark.quick
 
 class TestConditionDefuse:
     def test_late_loser_failure_does_not_crash_run(self):
-        # any_of triggers on the fast event; the slow constituent then
-        # fails *after* the condition was decided. The failure must be
-        # defused (the condition result already propagated), not crash
-        # the whole simulation as an unhandled failed event.
+        # all_of fails on the first failing constituent; a second one
+        # then fails *after* the condition was decided. That failure
+        # must be defused (the condition's result already propagated),
+        # not crash the whole simulation as an unhandled failed event.
         env = Environment()
-        fast = env.timeout(1, value="fast")
-        loser = Event(env)
+        first = Event(env)
+        late = Event(env)
 
-        def fail_later():
+        def fail_both():
+            yield env.timeout(1)
+            first.fail(RuntimeError("first failure"))
             yield env.timeout(5)
-            loser.fail(RuntimeError("late failure"))
+            late.fail(RuntimeError("late failure"))
 
         def waiter():
-            results = yield env.any_of([fast, loser])
-            return list(results.values())
+            try:
+                yield env.all_of([first, late])
+            except RuntimeError as error:
+                return str(error)
 
-        env.process(fail_later())
+        env.process(fail_both())
         process = env.process(waiter())
-        env.run()  # must not raise the loser's RuntimeError
-        assert process.value == ["fast"]
+        env.run()  # must not raise the late RuntimeError
+        assert process.value == "first failure"
+        assert env.now == 6
 
     def test_failure_before_decision_still_propagates(self):
         env = Environment()
-        never = Event(env)
+        done = env.timeout(1, value="done")
         failing = Event(env)
 
         def fail_now():
-            yield env.timeout(1)
+            yield env.timeout(2)
             failing.fail(RuntimeError("boom"))
 
         def waiter():
-            yield env.any_of([never, failing])
+            yield env.all_of([done, failing])
 
         env.process(fail_now())
         env.process(waiter())

@@ -6,25 +6,44 @@ cell each task's events are all tagged now: the drone's sampling clock
 is ``edge``, and the front end, the one auth + controller timeout, the
 Kafka hop, the invoker steps and the completion signal are
 ``serverless``. Only the 16 drone generator processes (an ``Initialize``
-and a completion each) stay ``other``.
+and a completion each) stay ``other``. On a HiveMind Scenario A mission
+the straggler race adds one ``serverless`` event per raced activation,
+its watchdog; what stays ``other`` is the mission, orchestration and
+failure-detector processes and their own waits.
 """
 
-from repro.apps import app
-from repro.platforms import SingleTierRunner, platform_config
+from repro.apps import SCENARIO_A, app
+from repro.platforms import ScenarioRunner, SingleTierRunner, platform_config
 from repro.sim.accounting import layer_breakdown, layer_counts
 from repro.sim.kernel import events_consumed
 
 
-def test_s3_cell_tags_every_task_event():
+def _breakdown(run):
     events, layers = events_consumed(), layer_counts()
-    SingleTierRunner(platform_config("centralized_faas"), app("S3"),
-                     seed=0, duration_s=30.0, load_fraction=0.6).run()
+    run()
     total = events_consumed() - events
     after = layer_counts()
-    breakdown = layer_breakdown(
+    return total, layer_breakdown(
         {layer: after[layer] - layers[layer] for layer in after}, total)
+
+
+def test_s3_cell_tags_every_task_event():
+    total, breakdown = _breakdown(
+        SingleTierRunner(platform_config("centralized_faas"), app("S3"),
+                         seed=0, duration_s=30.0, load_fraction=0.6).run)
     # Exact: a tag without its event (or an event without its tag)
     # moves a count. 490 tasks, 480 frame ticks, 16 drones.
     assert breakdown == {"edge": 480, "network": 1893,
                          "serverless": 3430, "other": 32}
+    assert breakdown["other"] < 0.10 * total
+
+
+def test_scenario_a_mission_tags_the_straggler_race():
+    total, breakdown = _breakdown(
+        ScenarioRunner(platform_config("hivemind"), SCENARIO_A, seed=1,
+                       n_devices=16).run)
+    # Exact: 626 activations, each raced one costs its watchdog and
+    # nothing else (no replica process, no condition).
+    assert breakdown == {"edge": 1300, "network": 2418,
+                         "serverless": 5602, "other": 108}
     assert breakdown["other"] < 0.10 * total

@@ -51,6 +51,29 @@ def test_incremental_queries_interleaved_with_adds():
             assert series.percentile(90) == float(np.percentile(prefix, 90))
 
 
+def test_bursts_merge_into_the_sorted_cache():
+    # Bursts longer than the insort path takes (16) are merged into the
+    # cached sorted list instead of re-sorting the whole history; every
+    # prefix must still match numpy, through add and extend alike, with
+    # repeated values so equal samples straddle the cache and the tail.
+    rng = np.random.default_rng(19)
+    series = MetricSeries("bursts")
+    samples = []
+    for burst in range(40):
+        size = int(rng.integers(1, 60))
+        values = list(np.round(rng.lognormal(0.0, 1.0, size), 1))
+        if burst % 3:
+            for value in values:
+                series.add(value)
+        else:
+            series.extend(values)
+        samples.extend(values)
+        data = np.asarray(samples)
+        for q in (0, 50, 90, 99, 100):
+            assert series.percentile(q) == float(np.percentile(data, q)), \
+                f"q={q} diverges after burst {burst} of {size}"
+
+
 def test_duplicates_and_constant_series():
     _assert_bit_identical([2.0] * 50)
     _assert_bit_identical([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
