@@ -32,7 +32,6 @@ class AppSpec:
 
     key: str                   # "S1" .. "S10"
     name: str
-    description: str
     #: Median service seconds for one task on one cloud core.
     cloud_service_s: float
     #: Lognormal sigma of the intrinsic service-time distribution.

@@ -40,7 +40,6 @@ __all__ = ["ScenarioSpec", "ITEM_RECOGNITION", "SCENARIO_A", "SCENARIO_B",
 #: more computationally intensive of the two (section 2.3).
 ITEM_RECOGNITION = AppSpec(
     key="ITEM", name="item_recognition",
-    description="Detect tennis balls (small single-class CNN)",
     cloud_service_s=0.25, service_sigma=0.22, edge_slowdown=10.0,
     input_mb=16.0, output_mb=0.10, parallelism=8,
     edge_filter_keep=0.40, edge_filter_service_s=0.025)
@@ -52,7 +51,6 @@ class ScenarioSpec:
 
     key: str
     name: str
-    description: str
     #: The per-batch recognition application (S2-style CNN for items,
     #: S1 FaceNet for people).
     recognition: AppSpec
@@ -124,19 +122,19 @@ class ScenarioSpec:
         return graph, directives
 
 
+#: Locate 15 tennis balls placed in a baseball field.
 SCENARIO_A = ScenarioSpec(
     key="ScA",
     name="stationary_items",
-    description="Locate 15 tennis balls placed in a baseball field",
     recognition=ITEM_RECOGNITION,
     dedup=None,
     moving_targets=False,
 )
 
+#: Count 25 unique moving people in a field.
 SCENARIO_B = ScenarioSpec(
     key="ScB",
     name="moving_people",
-    description="Count 25 unique moving people in a field",
     recognition=SUITE["S1"],
     dedup=SUITE["S5"],
     moving_targets=True,

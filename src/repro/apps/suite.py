@@ -33,64 +33,64 @@ __all__ = ["SUITE", "APP_KEYS", "app", "all_apps"]
 
 def _suite() -> Dict[str, AppSpec]:
     apps = [
+        # Identify human faces with FaceNet.
         AppSpec(
             key="S1", name="face_recognition",
-            description="Identify human faces with FaceNet",
             cloud_service_s=0.30, service_sigma=0.25, edge_slowdown=8.0,
             input_mb=16.0, output_mb=0.20, parallelism=8,
             edge_filter_keep=0.40, edge_filter_service_s=0.03),
+        # Identify trees with a TF Model Zoo CNN.
         AppSpec(
             key="S2", name="tree_recognition",
-            description="Identify trees with a TF Model Zoo CNN",
             cloud_service_s=0.40, service_sigma=0.25, edge_slowdown=10.0,
             input_mb=16.0, output_mb=0.10, parallelism=8,
             edge_filter_keep=0.40, edge_filter_service_s=0.04),
+        # Detect other drones with an SVM on orange tags.
         AppSpec(
             key="S3", name="drone_detection",
-            description="Detect other drones with an SVM on orange tags",
             cloud_service_s=0.08, service_sigma=0.20, edge_slowdown=1.4,
             input_mb=4.0, output_mb=0.05, parallelism=4,
             edge_filter_keep=0.50, edge_filter_service_s=0.01),
+        # Detect obstacles and adjust course in place.
         AppSpec(
             key="S4", name="obstacle_avoidance",
-            description="Detect obstacles and adjust course in place",
             cloud_service_s=0.06, service_sigma=0.20, edge_slowdown=1.2,
             input_mb=4.0, output_mb=0.02, parallelism=2,
             response_to_device=True, edge_pinned=True),
+        # Disambiguate faces via FaceNet embeddings.
         AppSpec(
             key="S5", name="people_deduplication",
-            description="Disambiguate faces via FaceNet embeddings",
             cloud_service_s=0.50, service_sigma=0.30, edge_slowdown=12.0,
             input_mb=12.0, output_mb=0.10, parallelism=8,
             edge_filter_keep=0.45, edge_filter_service_s=0.04),
+        # Navigate a walled maze with the wall follower.
         AppSpec(
             key="S6", name="maze",
-            description="Navigate a walled maze with the wall follower",
             cloud_service_s=0.90, service_sigma=0.30, edge_slowdown=4.0,
             input_mb=24.0, output_mb=0.02, parallelism=1, rate_hz=0.2,
             edge_filter_keep=0.40, edge_filter_service_s=0.05),
+        # Weather prediction from temperature/humidity.
         AppSpec(
             key="S7", name="weather_analytics",
-            description="Weather prediction from temperature/humidity",
             cloud_service_s=0.05, service_sigma=0.20, edge_slowdown=1.3,
             input_mb=0.05, output_mb=0.01, parallelism=1,
             response_to_device=False),
+        # Soil hydration from images + humidity sensor.
         AppSpec(
             key="S8", name="soil_analytics",
-            description="Soil hydration from images + humidity sensor",
             cloud_service_s=0.15, service_sigma=0.22, edge_slowdown=3.0,
             input_mb=4.0, output_mb=0.05, parallelism=2,
             response_to_device=False,
             edge_filter_keep=0.50, edge_filter_service_s=0.02),
+        # Image-to-text conversion of signs (OCR).
         AppSpec(
             key="S9", name="text_recognition",
-            description="Image-to-text conversion of signs (OCR)",
             cloud_service_s=0.70, service_sigma=0.30, edge_slowdown=15.0,
             input_mb=8.0, output_mb=0.02, parallelism=16,
             edge_filter_keep=0.45, edge_filter_service_s=0.06),
+        # Simultaneous localization and mapping.
         AppSpec(
             key="S10", name="slam",
-            description="Simultaneous localization and mapping",
             cloud_service_s=1.00, service_sigma=0.30, edge_slowdown=8.0,
             input_mb=16.0, output_mb=0.50, parallelism=16,
             memory_mb=512.0,

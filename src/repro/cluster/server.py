@@ -164,9 +164,3 @@ class Cluster:
 
     def __len__(self) -> int:
         return len(self.servers)
-
-    def server(self, server_id: str) -> Server:
-        found = self.servers.get(server_id)
-        if found is None:
-            raise KeyError(f"unknown server {server_id!r}")
-        return found

@@ -43,7 +43,6 @@ class RoboticCar(EdgeDevice):
             radio_idle_w=constants.radio_idle_w,
             cloud_to_edge_slowdown=constants.cloud_to_edge_slowdown,
             rng=rng)
-        self.constants = constants
         self.speed_mps = constants.speed_mps
         self.cell: Tuple[int, int] = (0, 0)
 
@@ -58,7 +57,6 @@ class RoboticCar(EdgeDevice):
         yield self.env.timeout(travel_s)
         self.account_motion(travel_s)
         self.cell = cell
-        self.position = (cell[0] * self.CELL_M, cell[1] * self.CELL_M)
         return travel_s
 
     def photograph(self) -> float:

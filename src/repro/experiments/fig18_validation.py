@@ -25,7 +25,7 @@ import numpy as np
 from ..analytical import lognormal_percentile
 from ..apps import AppSpec, all_apps
 from ..config import DEFAULT
-from ..network.rpc import EdgeCloudRpc
+from ..network.rpc import push_processing_s
 from ..platforms import PlatformConfig, SingleTierRunner, platform_config
 from ..platforms.pipeline import EDGE_FILTER_SLOWDOWN
 from .common import ExperimentResult
@@ -71,16 +71,10 @@ def _predict_edge(app: AppSpec,
                   config: PlatformConfig) -> Tuple[float, float]:
     """Closed-form (median, p99) for on-board execution."""
     wireless = DEFAULT.wireless
-    accelerated = config.net_accel
     service_median = app.cloud_service_s * app.edge_slowdown
     sigma = math.sqrt(app.service_sigma ** 2 + EDGE_JITTER_SIGMA ** 2)
-    marshal_factor = 0.25 if accelerated else 1.0
-    cloud_proc = (EdgeCloudRpc.CLOUD_PROC_S *
-                  (DEFAULT.accel.residual_cpu_fraction if accelerated
-                   else 1.0))
-    push_processing = (EdgeCloudRpc.EDGE_PROC_S + cloud_proc +
-                       EdgeCloudRpc.PER_MB_MARSHAL_S * marshal_factor *
-                       app.output_mb)
+    push_processing = push_processing_s(
+        app.output_mb, DEFAULT.accel if config.net_accel else None)
     ap_mbs = config.fabric_constants(DEFAULT).wireless.ap_mbs
     push_wire = (app.output_mb / ap_mbs +
                  wireless.per_hop_latency_s + wireless.base_rtt_s)
@@ -99,18 +93,12 @@ def _predict(app: AppSpec, platform: str) -> Tuple[float, float]:
     config = platform_config(platform)
     if _edge_placed(app, config):
         return _predict_edge(app, config)
-    accelerated = config.net_accel
     upload_mb = config.upload_mb(app, app.input_mb)
     filter_median = 0.0
     if config.filters(app):
         filter_median = app.edge_filter_service_s * EDGE_FILTER_SLOWDOWN
-    marshal_factor = 0.25 if accelerated else 1.0
-    cloud_proc = (EdgeCloudRpc.CLOUD_PROC_S *
-                  (DEFAULT.accel.residual_cpu_fraction if accelerated
-                   else 1.0))
-    push_processing = (EdgeCloudRpc.EDGE_PROC_S + cloud_proc +
-                       EdgeCloudRpc.PER_MB_MARSHAL_S * marshal_factor *
-                       upload_mb)
+    push_processing = push_processing_s(
+        upload_mb, DEFAULT.accel if config.net_accel else None)
     ap_mbs = config.fabric_constants(constants).wireless.ap_mbs
     serialization = upload_mb / ap_mbs
     push_wire = (serialization + wireless.per_hop_latency_s +

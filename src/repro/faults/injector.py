@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from .plan import FaultEvent, FaultPlan
-from .report import RecoveryLog
 
 __all__ = ["FaultInjector"]
 
@@ -38,8 +37,7 @@ class FaultInjector:
 
     def __init__(self, env, plan: FaultPlan, *,
                  wireless=None, platform=None,
-                 devices: Optional[Dict[str, object]] = None,
-                 recovery_log: Optional[RecoveryLog] = None):
+                 devices: Optional[Dict[str, object]] = None):
         if not plan.armed:
             raise ValueError("refusing to arm an empty fault plan")
         self.env = env
@@ -47,7 +45,6 @@ class FaultInjector:
         self.wireless = wireless
         self.platform = platform
         self.devices = devices or {}
-        self.recovery_log = recovery_log
         #: (time, kind, target) of every event actually applied.
         self.applied: List[tuple] = []
         self._driver = None

@@ -25,7 +25,6 @@ class RecoveryAction:
     """One recovery event: what was recovered, when, and how long it took."""
 
     kind: str          # "requeue" | "respawn" | "shed" | "rpc_retry"
-    subject: str
     started_at: float
     #: Filled when the recovered work eventually completes; None while
     #: in flight (or when completion never happened).
@@ -45,9 +44,8 @@ class RecoveryLog:
         self.env = env
         self.actions: List[RecoveryAction] = []
 
-    def record(self, kind: str, subject: str) -> RecoveryAction:
-        action = RecoveryAction(kind=kind, subject=str(subject),
-                                started_at=self.env.now)
+    def record(self, kind: str) -> RecoveryAction:
+        action = RecoveryAction(kind=kind, started_at=self.env.now)
         self.actions.append(action)
         return action
 

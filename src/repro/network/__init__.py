@@ -1,7 +1,7 @@
 """Network substrate: links, wireless access, cluster fabric, RPC transports."""
 
 from .link import Link
-from .rpc import (EdgeCloudRpc, ReliableEdgeRpc, RpcResult, RpcTimeout,
+from .rpc import (EdgeCloudRpc, ReliableEdgeRpc, RpcTimeout,
                   SoftwareClusterRpc, boundary_lookahead)
 from .switch import ClusterNetwork, ToRSwitch
 from .topology import Fabric, build_fabric
@@ -14,7 +14,6 @@ __all__ = [
     "NetworkPartitioned",
     "ToRSwitch",
     "ClusterNetwork",
-    "RpcResult",
     "EdgeCloudRpc",
     "ReliableEdgeRpc",
     "RpcTimeout",

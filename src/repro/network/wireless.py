@@ -1,8 +1,10 @@
 """Shared wireless medium between the swarm and the backend (section 2.1).
 
 The testbed uses two 867 Mbps MU-MIMO access points. Each access point is a
-pair of serialized links (uplink toward the cloud carries the sensor data;
-downlink carries responses/route updates), and devices are statically
+pair of serialized links (uplink toward the cloud carries the sensor data
+an edge RPC pushes; downlink carries responses/route updates, which
+:meth:`WirelessNetwork.download` sends with no RPC processing of their
+own), and devices are statically
 balanced across access points — matching how the real swarm associates with
 whichever router it joined. Saturation emerges naturally: when offered load
 exceeds the per-AP capacity, the link FIFO queues and tail latency explodes
@@ -128,7 +130,9 @@ class WirelessNetwork:
 
     def upload(self, device_id: str, megabytes: float,
                extra_delay_s: float = 0.0, trace=None) -> Generator:
-        """Process: send ``megabytes`` from device to the cloud edge."""
+        """Process: send ``megabytes`` from device to the cloud edge; a
+        pushing transport folds its ack's ``extra_delay_s`` into the
+        completion event."""
         if self.partitioned:
             raise NetworkPartitioned(device_id)
         ap = self.attach(device_id)
@@ -138,26 +142,10 @@ class WirelessNetwork:
         return took
 
     def download(self, device_id: str, megabytes: float,
-                 extra_delay_s: float = 0.0, trace=None) -> Generator:
+                 trace=None) -> Generator:
         """Process: send ``megabytes`` from the cloud edge to the device."""
         if self.partitioned:
             raise NetworkPartitioned(device_id)
         ap = self.attach(device_id)
-        took = yield from ap.downlink.transfer(megabytes,
-                                               extra_delay_s=extra_delay_s,
-                                               trace=trace)
+        took = yield from ap.downlink.transfer(megabytes, trace=trace)
         return took
-
-    def round_trip(self, device_id: str, up_mb: float,
-                   down_mb: float, trace=None) -> Generator:
-        """Process: request up, response down; returns total seconds.
-
-        The association/MAC overhead per exchange (``base_rtt_s``) is a
-        fixed trailing delay, folded into the download's completion
-        event."""
-        start = self.env.now
-        yield from self.upload(device_id, up_mb, trace=trace)
-        yield from self.download(device_id, down_mb,
-                                 extra_delay_s=self.constants.base_rtt_s,
-                                 trace=trace)
-        return self.env.now - start

@@ -4,8 +4,8 @@ Every task/invocation gets a trace id at creation; each layer (edge
 compute, wireless transfers, Kafka, invoker queue/cold-start/execute,
 CouchDB, straggler respawns, fault-recovery requeues) opens child spans
 through a :class:`TraceContext` handle carried on the existing request
-objects. On top of the spans: per-request critical-path/latency
-breakdowns (:mod:`.report`), a Chrome ``trace_event`` exporter loadable
+objects. On top of the spans: per-request latency breakdowns
+(:mod:`.report`), a Chrome ``trace_event`` exporter loadable
 in Perfetto (:mod:`.export`), and structured run manifests
 (:mod:`.manifest`).
 

@@ -1,4 +1,4 @@
-"""Per-request critical-path and latency-breakdown reports.
+"""Per-request latency-breakdown reports.
 
 Given one trace's spans, the report partitions the root span's
 ``[start, end]`` window at every child-span boundary and attributes each
@@ -7,15 +7,11 @@ latest start, then highest span id — i.e. the most recently opened
 span). The per-layer sums therefore add up to the root's end-to-end
 latency exactly (up to float summation error), which is the property the
 fig12-style breakdowns need: nothing double-counted, nothing dropped.
-
-The time-ordered sequence of attributed intervals *is* the request's
-critical path — at every instant it names the span actually holding the
-request up.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .span import Span
 
@@ -27,14 +23,11 @@ class TraceReport:
     """The condensed view of one causal trace."""
 
     def __init__(self, trace_id: int, root: Span,
-                 layers: Dict[str, float],
-                 critical_path: List[Tuple[str, str, float, float]]):
+                 layers: Dict[str, float]):
         self.trace_id = trace_id
         self.root = root
         #: Seconds attributed to each layer; sums to ``latency_s``.
         self.layers = layers
-        #: Time-ordered ``(name, layer, start, end)`` segments.
-        self.critical_path = critical_path
 
     @property
     def latency_s(self) -> float:
@@ -68,7 +61,7 @@ def trace_report(spans: Sequence[Span]) -> Optional[TraceReport]:
     root = roots[0]
     lo, hi = root.start, root.end
     if hi <= lo:
-        return TraceReport(root.trace_id, root, {root.layer: 0.0}, [])
+        return TraceReport(root.trace_id, root, {root.layer: 0.0})
     depths = _depths(spans)
     by_start = {span.span_id: span.start for span in spans}
     # Every span boundary inside the root window partitions it.
@@ -80,7 +73,6 @@ def trace_report(spans: Sequence[Span]) -> Optional[TraceReport]:
             cuts.add(span.end)
     boundaries = sorted(cuts)
     layers: Dict[str, float] = {}
-    path: List[Tuple[str, str, float, float]] = []
     for a, b in zip(boundaries, boundaries[1:]):
         if b <= a:
             continue
@@ -95,13 +87,7 @@ def trace_report(spans: Sequence[Span]) -> Optional[TraceReport]:
                 if key > winner_key:
                     winner, winner_key = span, key
         layers[winner.layer] = layers.get(winner.layer, 0.0) + (b - a)
-        if path and path[-1][0] == winner.name and \
-                path[-1][1] == winner.layer and path[-1][3] == a:
-            name, layer, seg_start, _ = path[-1]
-            path[-1] = (name, layer, seg_start, b)
-        else:
-            path.append((winner.name, winner.layer, a, b))
-    return TraceReport(root.trace_id, root, layers, path)
+    return TraceReport(root.trace_id, root, layers)
 
 
 def latency_reports(spans: Iterable[Span]) -> List[TraceReport]:

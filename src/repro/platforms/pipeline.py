@@ -90,7 +90,7 @@ class TaskPipeline:
         push_ctx = trace.span("upload", "network", env.now)
         while True:
             try:
-                push = yield from self.edge_rpc.push(
+                push_s = yield from self.edge_rpc.push(
                     device.device_id, megabytes, trace=push_ctx)
                 break
             except RpcTimeout:
@@ -101,8 +101,8 @@ class TaskPipeline:
         push_ctx.close(env.now, mb=megabytes)
         # CSMA contention keeps the radio active for most of the
         # transfer's wall time, not just its serialization slice.
-        device.account_tx(TX_DUTY * push.total_s)
-        breakdown.charge("network", push.total_s)
+        device.account_tx(TX_DUTY * push_s)
+        breakdown.charge("network", push_s)
 
     def execute(self, spec, service_s: float, input_mb: float,
                 output_mb: float, breakdown: LatencyBreakdown,
@@ -158,7 +158,7 @@ class TaskPipeline:
         """Cloud unreachable past the retry budget (chaos only): await the
         on-device fallback ``done`` claimed, then hold its (small) result
         until the partition heals so downstream consumers still get it."""
-        action = self.recovery_log.record("shed", device.device_id)
+        action = self.recovery_log.record("shed")
         if trace:
             trace.emit("shed_to_edge", "serverless", self.env.now,
                        self.env.now)

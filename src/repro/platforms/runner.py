@@ -321,8 +321,7 @@ class SingleTierRunner:
             injector = FaultInjector(
                 env, self.fault_plan,
                 wireless=fabric.wireless, platform=platform,
-                devices={d.device_id: d for d in devices},
-                recovery_log=recovery_log)
+                devices={d.device_id: d for d in devices})
             injector.start()
 
         for index, device in enumerate(devices):

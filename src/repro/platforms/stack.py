@@ -7,7 +7,7 @@ remote-memory fabric when ``remote_mem`` is set (section 4.4), an
 :class:`~repro.serverless.OpenWhiskPlatform` with the platform's
 scheduler, sharing protocol, keep-alive and controller count, the
 straggler watchdog when ``straggler_mitigation`` is set (section 4.6),
-and an edge<->cloud RPC transport that is FPGA-offloaded when
+and an edge->cloud RPC transport that is FPGA-offloaded when
 ``net_accel`` is set (section 4.5). This module is the one place that
 does so. :meth:`CloudStack.persist` is the one Persist-directive stage
 (Listing 2): the scenario runner and the sharded run's
@@ -105,8 +105,9 @@ def build_cloud(env, config: PlatformConfig, constants: PaperConstants,
 
 
 def build_edge_rpc(env, config: PlatformConfig, constants: PaperConstants,
-                   wireless, recovery_log=None):
-    """The edge<->cloud transport over ``wireless``. A ``recovery_log``
+                   wireless, recovery_log=None
+                   ) -> EdgeCloudRpc | ReliableEdgeRpc:
+    """The edge->cloud transport over ``wireless``. A ``recovery_log``
     (chaos runs) adds retries and backoff across partition windows;
     exhausted budgets surface as :class:`~repro.network.RpcTimeout`."""
     if config.net_accel:

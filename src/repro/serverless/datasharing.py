@@ -71,8 +71,7 @@ class RpcSharing:
               megabytes: float) -> Generator:
         start = self.env.now
         yield self.env.timeout(self.constants.rpc_share_latency_s)
-        result = yield from self.rpc.call(src_server, dst_server,
-                                          megabytes, 0.001)
+        yield from self.rpc.call(src_server, dst_server, megabytes, 0.001)
         return self.env.now - start
 
 

@@ -56,7 +56,7 @@ class CloudGateway:
                 "CloudGateway requires a cloud-backed platform "
                 f"(got execution={config.execution!r})")
         env = self.env = Environment()
-        streams = self.streams = RandomStreams(seed + GATEWAY_SEED_OFFSET)
+        streams = RandomStreams(seed + GATEWAY_SEED_OFFSET)
         fabric = build_fabric(env, constants, streams)
         self._cloud = build_cloud(env, config, constants, streams,
                                   fabric.cluster, n_devices)

@@ -177,8 +177,7 @@ class OpenWhiskPlatform:
                                   self.env.now, self.env.now)
         if self.recovery_log is not None:
             self._pending_recovery[invocation.invocation_id] = \
-                self.recovery_log.record(
-                    "requeue", f"invocation {invocation.invocation_id}")
+                self.recovery_log.record("requeue")
         self.env.start(self._republish(message))
 
     def _republish(self, message: ActivationMessage) -> Generator:

@@ -37,11 +37,6 @@ LAYERS = ("edge", "network", "serverless")
 
 _COUNTS: Dict[str, list] = {layer: [0] for layer in LAYERS}
 
-#: Module-level aliases so hot paths skip the dict lookup.
-_EDGE = _COUNTS["edge"]
-_NETWORK = _COUNTS["network"]
-_SERVERLESS = _COUNTS["serverless"]
-
 
 def tally(layer: str, n: int = 1) -> None:
     """Record ``n`` kernel events scheduled on behalf of ``layer``."""

@@ -25,14 +25,12 @@ class DistributionSummary:
     count: int
     mean: float
     std: float
-    minimum: float
     p5: float
     p25: float
     median: float
     p75: float
     p95: float
     p99: float
-    maximum: float
 
 
 class MetricSeries:
@@ -191,14 +189,12 @@ class MetricSeries:
             count=len(data),
             mean=float(data.mean()),
             std=float(data.std()),
-            minimum=float(data.min()),
             p5=float(np.percentile(data, 5, method="linear")),
             p25=float(np.percentile(data, 25, method="linear")),
             median=float(np.percentile(data, 50, method="linear")),
             p75=float(np.percentile(data, 75, method="linear")),
             p95=float(np.percentile(data, 95, method="linear")),
             p99=float(np.percentile(data, 99, method="linear")),
-            maximum=float(data.max()),
         )
 
 

@@ -32,10 +32,10 @@ class TestSuite:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AppSpec("X", "x", "x", cloud_service_s=0, service_sigma=0.1,
+            AppSpec("X", "x", cloud_service_s=0, service_sigma=0.1,
                     edge_slowdown=1, input_mb=1, output_mb=1, parallelism=1)
         with pytest.raises(ValueError):
-            AppSpec("X", "x", "x", cloud_service_s=1, service_sigma=0.1,
+            AppSpec("X", "x", cloud_service_s=1, service_sigma=0.1,
                     edge_slowdown=0, input_mb=1, output_mb=1, parallelism=1)
 
     def test_light_apps_have_small_edge_slowdown(self):

@@ -100,10 +100,6 @@ class TestCluster:
         assert all(server.cores.capacity == constants.cores_per_server
                    for server in cluster.servers.values())
 
-    def test_unknown_server(self, env):
-        with pytest.raises(KeyError):
-            Cluster(env).server("ghost")
-
 
 class TestFixedPool:
     def test_validation(self, env):

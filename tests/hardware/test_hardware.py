@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.config import WirelessConstants
-from repro.hardware import (
-    AcceleratedEdgeRpc,
-    RemoteMemoryFabric,
-)
-from repro.network import EdgeCloudRpc, WirelessNetwork
+from repro.config import AccelerationConstants
+from repro.hardware import RemoteMemoryFabric
+from repro.network.rpc import push_processing_s
 from repro.sim import Environment
 
 
@@ -64,15 +61,6 @@ class TestRemoteMemory:
 
 
 class TestAcceleratedRpc:
-    def test_accelerated_edge_rpc_cheaper_processing(self, env):
-        wireless = WirelessNetwork(env, WirelessConstants(loss_rate=0.0))
-        software = EdgeCloudRpc(env, wireless)
-        accelerated = AcceleratedEdgeRpc(env, wireless)
-
-        def run(rpc):
-            result = yield env.process(rpc.call("d0", 2.0, 0.01))
-            return result
-
-        soft_result = env.run(env.process(run(software)))
-        accel_result = env.run(env.process(run(accelerated)))
-        assert accel_result.processing_s < soft_result.processing_s
+    def test_accelerated_edge_rpc_cheaper_processing(self):
+        assert (push_processing_s(2.0, AccelerationConstants())
+                < push_processing_s(2.0))

@@ -111,7 +111,8 @@ class TestConservation:
         network = WirelessNetwork(env, constants)
 
         def device():
-            yield env.process(network.round_trip("d0", 4.0, 1.0))
+            yield env.process(network.upload("d0", 4.0))
+            yield env.process(network.download("d0", 1.0))
 
         env.process(device())
         env.run()

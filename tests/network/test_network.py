@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.apps import SUITE
 from repro.config import DEFAULT, ClusterConstants, WirelessConstants
+from repro.experiments import fig18_validation
 from repro.network import (
     ClusterNetwork,
     EdgeCloudRpc,
@@ -11,6 +13,9 @@ from repro.network import (
     WirelessNetwork,
     build_fabric,
 )
+from repro.network.rpc import push_processing_s
+from repro.platforms import platform_config
+from repro.platforms.stack import build_edge_rpc
 from repro.sim import Environment, RandomStreams
 from repro.telemetry import BandwidthMeter
 
@@ -170,29 +175,13 @@ class TestClusterNetwork:
 
 
 class TestRpc:
-    def test_edge_cloud_rpc_result(self, env):
-        network = WirelessNetwork(env, WirelessConstants(loss_rate=0.0))
-        rpc = EdgeCloudRpc(env, network)
-
-        def run():
-            result = yield env.process(rpc.call("d0", 2.0, 0.01))
-            return result
-
-        result = env.run(env.process(run()))
-        assert result.total_s == pytest.approx(
-            result.wire_s + result.processing_s)
-        assert result.request_mb == 2.0
-
     def test_edge_push_one_way(self, env):
         network = WirelessNetwork(env, WirelessConstants(loss_rate=0.0))
         rpc = EdgeCloudRpc(env, network)
-
-        def run():
-            result = yield env.process(rpc.push("d0", 2.0))
-            return result
-
-        result = env.run(env.process(run()))
-        assert result.response_mb == 0.0
+        seconds = env.run(env.process(rpc.push("d0", 2.0)))
+        # Only the payload crosses the air; the push lasts until its ack.
+        assert network.meter.megabytes.sum() == pytest.approx(2.0)
+        assert seconds == pytest.approx(env.now)
 
     def test_software_cluster_rpc(self, env):
         cluster = ClusterNetwork(env, ClusterConstants())
@@ -201,14 +190,59 @@ class TestRpc:
         rpc = SoftwareClusterRpc(env, cluster)
         assert rpc.per_call_cpu_s == pytest.approx(
             2 * ClusterConstants().sw_rpc_overhead_s)
+        elapsed = env.run(env.process(rpc.call("s0", "s1", 0.001, 0.001)))
+        assert elapsed > rpc.per_call_cpu_s
 
-        def run():
-            result = yield env.process(rpc.call("s0", "s1", 0.001, 0.001))
-            return result
 
-        result = env.run(env.process(run()))
-        assert result.total_s > 0
-        assert result.processing_s == rpc.per_call_cpu_s
+class _Spans:
+    """A trace context that keeps each span's duration by name."""
+
+    def __init__(self):
+        self.durations = {}
+
+    def __bool__(self):
+        return True
+
+    def emit(self, name, layer, start, end, **_):
+        self.durations[name] = end - start
+
+
+class TestPushCost:
+    """One definition prices an edge push: both transports and both fig18
+    closed forms call :func:`push_processing_s`."""
+
+    @pytest.mark.parametrize("megabytes", [0.0, 0.05, 8.0])
+    def test_cost_is_the_old_inline_expressions(self, megabytes):
+        software = 2.4e-3 + 0.12e-3 + 0.9e-3 * megabytes
+        accelerated = 2.4e-3 + 0.12e-3 * 0.06 + 0.9e-3 * 0.25 * megabytes
+        assert push_processing_s(megabytes) == software
+        assert push_processing_s(megabytes, DEFAULT.accel) == accelerated
+
+    @pytest.mark.parametrize("platform", ["hivemind", "centralized_faas"])
+    def test_fig18_predicts_what_the_transport_charges(self, monkeypatch,
+                                                       platform):
+        config = platform_config(platform)
+        priced = []
+
+        def spy(megabytes, accel=None):
+            priced.append((megabytes, accel))
+            return push_processing_s(megabytes, accel)
+
+        monkeypatch.setattr(fig18_validation, "push_processing_s", spy)
+        app = SUITE["S1"]
+        fig18_validation._predict(app, platform)
+        fig18_validation._predict_edge(app, config)
+        assert len(priced) == 2
+        for megabytes, accel in priced:
+            assert (accel is not None) == config.net_accel
+            env = Environment()
+            wireless = WirelessNetwork(env,
+                                       WirelessConstants(loss_rate=0.0))
+            rpc = build_edge_rpc(env, config, DEFAULT, wireless)
+            spans = _Spans()
+            env.run(env.process(rpc.push("d0", megabytes, trace=spans)))
+            assert spans.durations["rpc_processing"] == push_processing_s(
+                megabytes, accel)
 
 
 class TestFabric:

@@ -1,9 +1,8 @@
 """Latency-breakdown reports: the exact-sum partition property.
 
 The contract: for every trace, the per-layer seconds sum to the root
-span's end-to-end latency — nothing double-counted, nothing dropped —
-and the critical path is a gapless, time-ordered tiling of the root
-window. Checked on hand-built traces here and on a full simulated S1
+span's end-to-end latency — nothing double-counted, nothing dropped.
+Checked on hand-built traces here and on a full simulated S1
 run in TestRealRun.
 """
 
@@ -45,20 +44,6 @@ class TestTraceReport:
         assert report.latency_s == 10.0
         assert sum(report.layers.values()) == pytest.approx(10.0, abs=0)
 
-    def test_critical_path_tiles_the_root_window(self):
-        spans = _build([
-            ("task", "task", 0.0, 10.0, None),
-            ("upload", "network", 1.0, 4.0, 0),
-            ("execute", "execution", 4.0, 9.0, 0),
-        ])
-        path = trace_report(spans).critical_path
-        # Gapless and ordered: each segment starts where the last ended.
-        assert path[0][2] == 0.0 and path[-1][3] == 10.0
-        for (_, _, _, prev_end), (_, _, start, _) in zip(path, path[1:]):
-            assert start == prev_end
-        assert [name for name, _, _, _ in path] == \
-            ["task", "upload", "execute", "task"]
-
     def test_tie_breaks_to_latest_started_span(self):
         # Two same-depth children overlap on [2,3): the later-started
         # one (the innermost work at that instant) wins the overlap.
@@ -76,10 +61,9 @@ class TestTraceReport:
             ("task", "task", 0.0, 6.0, None),
             ("upload", "network", 1.0, 2.0, 0),
         ])
-        path = trace_report(spans).critical_path
-        assert path == [("task", "task", 0.0, 1.0),
-                        ("upload", "network", 1.0, 2.0),
-                        ("task", "task", 2.0, 6.0)]
+        # The root's intervals on either side of the child sum into one
+        # layer entry.
+        assert trace_report(spans).layers == {"task": 5.0, "network": 1.0}
 
     def test_zero_length_root(self):
         spans = _build([("task", "task", 5.0, 5.0, None)])

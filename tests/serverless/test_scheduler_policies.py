@@ -45,7 +45,7 @@ class TestSchedulerPolicies:
         scheduler = OpenWhiskScheduler(invokers)
 
         def occupy():
-            server = cluster.server("server0")
+            server = cluster.servers["server0"]
             grant = yield env.process(server.acquire_cores(3))
             yield env.timeout(100)
             grant.release()

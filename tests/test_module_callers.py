@@ -50,8 +50,11 @@ files:
 - **Write-only state.** An attribute ``src/repro`` assigns, or a record
   field it declares, that no program file reads (as an attribute, a
   ``getattr`` name or through ``asdict(self)``) is state nothing uses.
-  This scan still matches reads by identifier: a load of ``x.total``
-  on any receiver reads every class's ``total``.
+  A store is the attribute of the classes its receiver is typed as,
+  and an attribute load reads it only where its receiver may be an
+  instance of that class, both resolved as for names. An untyped
+  receiver, a ``getattr``/``attrgetter`` string and ``asdict(self)``
+  read the name on every class.
 
 A parameter only tests set, or an attribute only tests read, counts as
 unset or unread. ``ALLOWED_KNOBS`` and ``ALLOWED_STATE`` keep the
@@ -152,10 +155,10 @@ ALLOWED_KNOBS = {
     "sim/kernel.py::Environment.__init__(initial_time)":
         "kernel contract: tests start clocks away from zero",
     "sim/kernel.py::Environment.timeout(value)":
-        "kernel contract: tests deliver values through pooled timeouts",
+        "kernel contract: tests deliver values through timeouts",
     "sim/kernel.py::Event.succeed(priority)":
-        "kernel contract: the dispatch-order pin drives the urgent lane "
-        "through it",
+        "kernel contract: the dispatch-order pin succeeds events at "
+        "URGENT priority through it",
 }
 
 #: Attributes no program reads, kept on purpose: ``module::Owner.attr``
@@ -167,16 +170,17 @@ ALLOWED_STATE = {
         "the flight pins digest each batch's size",
     "edge/meanfield.py::MeanFieldCell.details":
         "the platform pins digest a cell's details",
-    "network/rpc.py::RpcResult":
-        "tests check an RPC's cost split against its total",
+    "edge/sensors.py::FrameBatch.position":
+        "the flight pins digest each batch's position",
     "network/rpc.py::RpcTimeout.attempts": _COUNTER,
-    "obs/report.py::TraceReport.critical_path":
-        "tests check that a trace's critical path tiles its root window",
     "hardware/remote_memory.py::RemoteMemoryFabric.reads": _COUNTER,
     "hardware/remote_memory.py::RemoteMemoryFabric.writes": _COUNTER,
     "learning/classifier.py::DeduplicationEngine.observations": _COUNTER,
     "routing/maze.py::WallFollower.steps": _COUNTER,
     "serverless/kafka.py::KafkaBus.published": _COUNTER,
+    **{f"serverless/{module}::Invocation.failures":
+       "tests check that an invoker's respawns sum its invocations' "
+       "failures" for module in ("function.py", "invoker.py")},
 }
 
 
@@ -1165,49 +1169,73 @@ def _assignments(tree):
     return found
 
 
-def _stores(tree, classes):
-    """``{qualified: attribute}`` for every attribute a file assigns and
-    every record field it declares."""
-    found = _assignments(tree)
-    for node in ast.walk(tree):
+def _stores(resolver, path, classes):
+    """``{qualified: (owner, attribute)}`` for every attribute a file
+    assigns and every record field it declares. A store is qualified by
+    each class :class:`Resolver` types its receiver as (``self`` is its
+    class); a store on a receiver it cannot type keeps its source text
+    and owner ``None``."""
+    found = {}
+    for scope in resolver.scopes[path]:
+        for node in scope.nodes:
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)):
+                continue
+            owners = {item for item in resolver.type_of(node.value, scope)
+                      or () if isinstance(item, str)
+                      and item not in (_MODULE, _FOREIGN)}
+            if not owners:
+                found[f"{ast.unparse(node.value)}.{node.attr}"] = (
+                    None, node.attr)
+            for owner in owners:
+                found[f"{owner}.{node.attr}"] = (owner, node.attr)
+    for node in ast.walk(resolver.program[path]):
         if isinstance(node, ast.ClassDef) and _is_record(node):
             for name, _, _ in _fields(node, classes):
-                found[f"{node.name}.{name}"] = name
+                found[f"{node.name}.{name}"] = (node.name, name)
     return found
 
 
-def _attribute_reads(tree, classes):
-    """Attribute names a file reads: attribute loads, identifier strings
-    (``getattr`` names, ``attrgetter`` tables) and, for ``asdict(self)``,
-    every field of the enclosing record."""
-    found = set()
+def _attribute_reads(resolver, path, classes):
+    """``(class, attribute)`` pairs a file reads. An attribute load
+    credits the classes its receiver's type reaches, as for methods, and
+    ``None`` for a receiver :class:`Resolver` cannot type; identifier
+    strings (``getattr`` names, ``attrgetter`` tables) and, for
+    ``asdict(self)``, every field of the enclosing record are read by
+    name (class ``None``)."""
+    tree = resolver.program[path]
+    found = set(resolver.credits[path][1])
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
                   and isinstance(node.value, ast.Constant)}
     for node, cls in _walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found.add(node.attr)
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier() and id(node) not in docstrings):
-            found.add(node.value)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.isidentifier() and id(node) not in docstrings):
+            found.add((None, node.value))
         elif (isinstance(node, ast.Call) and cls is not None
               and _name_of(node.func) in ("asdict", "astuple")
               and [ast.unparse(a) for a in node.args] == ["self"]):
-            found.update(name for name, _, _ in _fields(cls, classes))
+            found.update((None, name) for name, _, _ in _fields(cls, classes))
     return found
 
 
-def write_only_state(program, source):
+def write_only_state(resolver, source):
     """``{module: {qualified}}``: the attributes ``source`` modules store
-    that no file in ``program`` reads."""
+    that no file in the resolver's program reads on a receiver that may
+    be an instance of the storing class."""
     classes, _ = _classes(source)
-    read = set().union(*(_attribute_reads(tree, classes)
-                         for tree in program.values()))
+    read = set().union(*(_attribute_reads(resolver, path, classes)
+                         for path in resolver.program))
+    by_name = {name for _, name in read}
     unread = {}
-    for path, tree in source.items():
-        for qualified, name in _stores(tree, classes).items():
-            if name not in read:
-                unread.setdefault(path, set()).add(qualified)
+    for path in source:
+        for qualified, (owner, name) in _stores(
+                resolver, path, classes).items():
+            if (None, name) in read or (
+                    name in by_name if owner is None
+                    else (owner, name) in read):
+                continue
+            unread.setdefault(path, set()).add(qualified)
     return unread
 
 
@@ -1225,7 +1253,7 @@ MODULE_IDS = [m.relative_to(SRC).as_posix() for m in MODULES]
 SOURCE = {path: TREES[path] for path in SRC.rglob("*.py")}
 UNUSED = unused_names(RESOLVER, SOURCE)
 UNSET = unset_knobs(RESOLVER, SOURCE)
-UNREAD = write_only_state(TREES, SOURCE)
+UNREAD = write_only_state(RESOLVER, SOURCE)
 
 
 def _harnesses():
@@ -1373,6 +1401,8 @@ class Thing:
     def __init__(self):
         self.read = 1
         self.unread = 2
+        self.shared = 3
+        self.common = 4
 
     def method(self, knob=1):
         return knob
@@ -1406,6 +1436,10 @@ class Record:
 
 
 class Other:
+    def __init__(self):
+        self.shared = 1
+        self.common = 2
+
     def method(self, knob=1):
         return knob
 
@@ -1418,6 +1452,8 @@ class Process:
 class Pool:
     def __init__(self):
         self.workers: Dict[str, Process] = {}
+        self.gauge = Gauge()
+        self.gauge.level = 0
 
     def kill(self):
         for worker in self.workers.values():
@@ -1506,7 +1542,8 @@ def main(options, values, lane):
     Sub(other=3)
     record = Record("a", knob=3)
     Other().method()
-    return Thing().read, ByCls.make().knob, record.name, record.knob
+    return (Thing().read, Thing().shared, ByCls.make().knob, record.name,
+            record.knob)
 
 
 def collisions(options, gauge: Gauge):
@@ -1516,7 +1553,7 @@ def collisions(options, gauge: Gauge):
     local = Widget()
     return (kinds.count(2), np.maximum(1, 2), Child().work(), local.ping(),
             make_widget().spin(), gauge.read_out(), options.anything(),
-            Table, Series, Log, Opaque, Process)
+            options.common, Table, Series, Log, Opaque, Process)
 '''
 
 
@@ -1551,13 +1588,17 @@ def test_value_guards_flag_exactly_the_planted_cases():
     name bound only to a row of a module-level table of dict literals,
     sets only those keys; any other splat sets every parameter. A guard
     that passed everything fails here, and so does one that matched a
-    method's callers by name alone: ``Thing().method(3)`` does not set
-    ``Other.method(knob)``."""
+    method's callers or an attribute's readers by name alone:
+    ``Thing().method(3)`` does not set ``Other.method(knob)``, and
+    ``Thing().shared`` does not read ``Other.shared``. The untyped
+    ``options.common`` reads both classes' ``common``, and the store
+    through ``self.gauge`` is ``Gauge.level``, not its source text."""
     resolver, source = _synthetic()
     unset = unset_knobs(resolver, source)
     assert unset == {pathlib.Path("mod.py"): {
         "never(knob)", "by_literal(other)", "by_table(other)",
         "Record.unset", "Other.method(knob)"}}
-    unread = write_only_state(resolver.program, source)
+    unread = write_only_state(resolver, source)
     assert unread == {pathlib.Path("mod.py"): {
-        "Thing.unread", "Sub.other", "Record.unset"}}
+        "Thing.unread", "Sub.other", "Record.unset", "Other.shared",
+        "Gauge.level"}}
