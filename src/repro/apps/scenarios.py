@@ -70,15 +70,12 @@ class ScenarioSpec:
         graph.add_task(Task(
             "createRoute", data_in="inputMap", data_out="outputRoute",
             profile=TaskProfile(0.02, output_mb=0.01),
-            args={"load_balancer": "round robin"},
             children=["collectImage"]))
         graph.add_task(Task(
             "collectImage", data_out="sensorData",
             profile=TaskProfile(
                 0.005, input_mb=self.recognition.input_mb,
                 output_mb=self.recognition.input_mb, edge_only=True),
-            args={"speed": "4", "resolution": "1024p",
-                  "colorFormat": "color"},
             parents=["createRoute"],
             children=["obstacleAvoidance", "recognition"]))
         graph.add_task(Task(
@@ -86,13 +83,11 @@ class ScenarioSpec:
             data_out="adjustRoute",
             profile=TaskProfile(0.06, input_mb=4.0, output_mb=0.01,
                                 edge_only=True),
-            args={"algorithm": "slam"},
             parents=["collectImage"]))
         graph.add_task(Task(
             "recognition", data_in="sensorData",
             data_out="recognitionStats",
             profile=recognition_profile,
-            args={"trainingData": "zoo", "algorithm": "tensorflow_zoo"},
             parents=["collectImage"],
             children=["aggregate"]))
         aggregate_profile = (
@@ -109,7 +104,6 @@ class ScenarioSpec:
                 rate_hz=aggregate_profile.rate_hz,
                 service_sigma=aggregate_profile.service_sigma,
                 cloud_only=True),
-            args={"sync": "all"},
             parents=["recognition"]))
         directives = DirectiveSet()
         Parallel(graph, "obstacleAvoidance", "recognition")

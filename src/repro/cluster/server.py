@@ -15,6 +15,7 @@ from typing import Dict, Generator, List, Optional
 
 from ..config import ClusterConstants
 from ..sim import Environment, Interrupt, Resource
+from ..sim.accounting import tally
 
 __all__ = ["Server", "CoreGrant", "Cluster"]
 
@@ -85,6 +86,10 @@ class Server:
     def acquire_cores(self, n: int = 1) -> Generator:
         """Process: claim ``n`` pinned cores; returns a :class:`CoreGrant`.
 
+        Only the OpenWhisk invoker claims cores, each time right after a
+        timeout resumed it, so the claim may resume it in place
+        (``Resource.claim``); its grant events are tagged ``serverless``.
+
         Interrupt-safe: a process killed while waiting here (server crash,
         straggler-replica reap) leaks neither its queued request nor any
         cores it already pinned.
@@ -99,7 +104,11 @@ class Server:
         request = None
         try:
             for _ in range(n):
-                request = self.cores.request()
+                # A free core is granted in place (see above); a grant
+                # still pending is one kernel event.
+                request = self.cores.claim()
+                if request.callbacks is not None:
+                    tally("serverless", 1)
                 yield request
                 requests.append(request)
                 request = None

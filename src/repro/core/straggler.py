@@ -10,19 +10,28 @@ keeps per-function latency history, arms a watchdog at the p90 threshold,
 launches a duplicate when the watchdog fires, and returns the earliest
 completion.
 
-The race costs one kernel event per activation, the watchdog's timeout.
 The primary, and later the duplicate, run as replicas started in place
 (``Environment.start``); each settles a plain race event when its
 activation returns, and the watchdog settles the first one if it fires
 first (``Environment.settle``). The caller resumes inside the dispatch
 where the winner returned, as ``yield from platform.invoke`` would
-resume it. The watchdog is never withdrawn: firing into a decided race
-does nothing.
+resume it.
+
+The watchdogs cost no kernel event per activation. Each race files its
+deadline under a reserved id, the key a per-activation watchdog timeout
+would have had, on one heap per mitigator, and one alarm is armed at
+the first key. When it rings it drops the races already decided, arms
+at the next open one and settles its own race if that is still open.
+So an alarm fires where its watchdog would have, and the watchdogs of
+races decided in time never fire. One bare alarm at the latest deadline
+ever filed, armed when no deadline is left open, ends a run at the
+instant its last watchdog would have.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+import heapq
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from ..config import ControlConstants
 from ..serverless import Invocation, InvocationRequest, OpenWhiskPlatform
@@ -67,6 +76,14 @@ class StragglerMitigator:
         self._strikes: Dict[str, int] = {}
         self.duplicates_launched = 0
         self.stragglers_detected = 0
+        #: Every open race's (deadline, reserved id, race), decided ones
+        #: dropped lazily when an alarm rings.
+        self._deadlines: List[Tuple[float, int, Event]] = []
+        #: Reserved ids with an alarm armed and not yet rung.
+        self._armed: Set[int] = set()
+        #: Latest deadline ever filed, and latest instant ever armed.
+        self._last_deadline = float("-inf")
+        self._alarm_horizon = float("-inf")
 
     def _series(self, function_name: str) -> MetricSeries:
         series = self._history.get(function_name)
@@ -109,16 +126,10 @@ class StragglerMitigator:
         env = self.env
         race = env.event()
         races = [race]
-
-        def watchdog_fired(_):
-            if not race.triggered:
-                env.settle(race, True, None)
-
-        # Armed before the primary starts, as the process race drew the
-        # watchdog's id before the primary's first segment ran: a tie at
-        # the threshold keeps its dispatch order.
-        tally("serverless", 1)
-        env.timeout(threshold).callbacks.append(watchdog_fired)
+        # The deadline takes its id before the primary starts, where the
+        # process race drew its watchdog timeout's: a tie at the
+        # threshold keeps its dispatch order.
+        self._watch(env.now + threshold, env.reserve_eid(), race)
         env.start(self._replica(request, races))
         result = yield race
         if result is not None:
@@ -159,6 +170,60 @@ class StragglerMitigator:
             self._strike(loser_server)
         self._reap_loser(loser_request)
         return winner
+
+    def _watch(self, deadline: float, eid: int, race: Event) -> None:
+        """File ``race``'s deadline under the key ``(deadline, eid)``; a
+        new first key gets its own alarm."""
+        deadlines = self._deadlines
+        heapq.heappush(deadlines, (deadline, eid, race))
+        if deadline > self._last_deadline:
+            self._last_deadline = deadline
+        if deadlines[0][1] == eid:
+            self._arm(deadline, eid)
+
+    def _arm(self, deadline: float, eid: int) -> None:
+        """One kernel event at the key ``(deadline, eid)`` exactly, even
+        when ``deadline`` is now: every key armed sorts after the event
+        being dispatched (a later instant, or an id drawn after it)."""
+        env = self.env
+        alarm = env.event()
+        alarm.callbacks.append(lambda _: self._ring(eid))
+        tally("serverless", 1)
+        env.succeed_at_key(alarm, deadline, eid)
+        self._armed.add(eid)
+        if deadline > self._alarm_horizon:
+            self._alarm_horizon = deadline
+
+    def _ring(self, eid: int) -> None:
+        """The alarm armed at key ``eid`` rings: drop the decided
+        deadlines ahead of the first live one, arm at that one, and
+        settle the race the alarm was armed for if it is still open.
+
+        No live deadline precedes the ringing key (each got its own
+        alarm as the first key), so the ringing race, if still filed,
+        is the first live entry. When no deadline is left, one bare
+        alarm at the latest deadline ever filed keeps the run's last
+        instant where one watchdog per activation left it. Settling is
+        the last act: the caller's continuation runs beneath it.
+        """
+        self._armed.discard(eid)
+        deadlines = self._deadlines
+        fired = None
+        while deadlines and (deadlines[0][1] == eid
+                             or deadlines[0][2].triggered):
+            _, head, race = heapq.heappop(deadlines)
+            if head == eid and not race.triggered:
+                fired = race
+        if deadlines:
+            deadline, head, _ = deadlines[0]
+            if head not in self._armed:
+                self._arm(deadline, head)
+        elif self._last_deadline > max(self._alarm_horizon, self.env.now):
+            tally("serverless", 1)
+            self.env.timeout_at(self._last_deadline)
+            self._alarm_horizon = self._last_deadline
+        if fired is not None:
+            self.env.settle(fired, True, None)
 
     def _replica(self, request: InvocationRequest,
                  races: List[Event]) -> Generator:

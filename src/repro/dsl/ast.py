@@ -18,7 +18,7 @@ cannot run in the cloud).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["TaskProfile", "Stream", "Task", "TaskGraph", "Placement",
            "PLACEMENTS"]
@@ -109,9 +109,6 @@ class Task:
     profile: Optional[TaskProfile] = None
     parents: List[str] = field(default_factory=list)
     children: List[str] = field(default_factory=list)
-    #: Free-form task arguments (speed, resolution, algorithm, ...) exactly
-    #: as the paper's Listing 3 passes them.
-    args: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.name:

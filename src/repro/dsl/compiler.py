@@ -122,7 +122,6 @@ class HiveMindCompiler:
             "cloud": cloud_demand / cores_cloud,
             "network": net_demand / wireless_mbs,
             "net_demand_mbs": net_demand,
-            "cloud_core_demand": cloud_demand,
         }
 
     def _crossing_latency(self, megabytes: float,
@@ -193,7 +192,6 @@ class HiveMindCompiler:
         return PlanEstimate(
             latency_s=latency,
             network_mbs=rho["net_demand_mbs"],
-            cloud_core_demand=rho["cloud_core_demand"],
             feasible=feasible,
         )
 

@@ -26,8 +26,6 @@ class PlanEstimate:
     latency_s: float
     #: Aggregate edge-to-cloud bandwidth demand (MB/s).
     network_mbs: float
-    #: Cloud core-seconds consumed per second (cost proxy).
-    cloud_core_demand: float
     #: False when some resource is past saturation.
     feasible: bool = True
 

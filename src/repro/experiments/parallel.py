@@ -26,7 +26,6 @@ import logging
 import math
 import os
 import pickle
-import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -95,7 +94,6 @@ class TaskResult:
 
     index: int
     value: Any
-    wall_s: float
     sim_events: int
     #: Per-layer share of ``sim_events`` (edge/network/serverless), from
     #: :mod:`repro.sim.accounting`; events outside any tagged layer are
@@ -238,9 +236,7 @@ def _timed_call(task: Tuple[int, Callable, Tuple, Dict]) -> TaskResult:
     index, fn, args, kwargs = task
     mark = counter_mark()
     profiler = _task_profiler()
-    start = time.perf_counter()
     value = fn(*args, **kwargs)
-    wall_s = time.perf_counter() - start
     if profiler is not None:
         profiler.disable()
         profiler.dump_stats(
@@ -249,7 +245,7 @@ def _timed_call(task: Tuple[int, Callable, Tuple, Dict]) -> TaskResult:
     # under the task's replica index (and keeps the serial fallback
     # from double-recording).
     sim_events, layer_events, spans = counters_since(mark)
-    return TaskResult(index=index, value=value, wall_s=wall_s,
+    return TaskResult(index=index, value=value,
                       sim_events=sim_events, layer_events=layer_events,
                       spans=spans)
 

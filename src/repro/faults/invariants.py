@@ -179,7 +179,7 @@ class InvariantChecker:
         def observed_heappop(queue):
             entry = inner(queue)
             now = entry[0]
-            last = max(self._kernel_last_now, env._now)
+            last = max(self._kernel_last_now, env.now)
             if now < last:
                 self._flag("kernel_clock", "environment",
                            f"clock moved backwards "

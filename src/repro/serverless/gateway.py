@@ -61,7 +61,6 @@ class CloudGateway:
         self._cloud = build_cloud(env, config, constants, streams,
                                   fabric.cluster, n_devices)
         self.platform = self._cloud.platform
-        self.mitigator = self._cloud.mitigator
         self.recognition_spec = scenario.recognition.function_spec()
         self.dedup_spec = (scenario.dedup.function_spec()
                            if scenario.dedup is not None else None)

@@ -341,7 +341,7 @@ class Invoker:
         try:
             while True:
                 attempt_start = self.env.now
-                tally("serverless", 2)  # core grant + compute timeout
+                tally("serverless", 1)  # the compute timeout
                 grant = yield from self.server.acquire_cores(1)
                 service = request.service_s * self._interference_factor()
                 faulty = (self.fault_rate > 0 and
@@ -418,16 +418,21 @@ class Invoker:
             yield from self.run(
                 message.request, message.invocation,
                 prefer_container=message.prefer_container)
-            tally("serverless", 1)
-            message.done.succeed(message.invocation)
         except Interrupt as interrupt:
             if interrupt.cause == "cancel":
                 tally("serverless", 1)
                 message.done.fail(ActivationCancelled(iid))
             # "crash": leave `done` pending — the platform requeues the
             # activation and the replacement execution will succeed it.
+            return
         except BaseException as error:  # surface crashes to the caller
             tally("serverless", 1)
             message.done.fail(error)
+            return
         finally:
             self._active.pop(iid, None)
+        # The handler's last act, after the pop: the compute timeout
+        # resumed it, so the caller may resume in place beneath this
+        # frame, where it must find no finished handler to interrupt.
+        if self.env.succeed_next(message.done, message.invocation):
+            tally("serverless", 1)

@@ -7,14 +7,16 @@ serverless layers tag the events they schedule at their chokepoints
 sampling clock; link grants/serialization/propagation and the edge
 RPC's processing and ack timeouts; the OpenWhisk front end, the one
 timeout that covers CouchDB authentication and the controller, other
-CouchDB passes, Kafka, the invoker's steps, its completion signal and
-the straggler watchdog),
+CouchDB passes, Kafka, the invoker's steps, its core grant and
+completion signal when they are scheduled, and the straggler
+mitigator's alarms),
 and the benchmark harness reports the breakdown so the next
 optimisation target is measured instead of guessed.
 
 The counters are process-wide (like ``events_consumed``) and tagged *at
 scheduling time*: a layer adds ``n`` when it schedules ``n`` kernel
-events. Untagged traffic — the start and completion events of
+events. A signal settled in place (``Environment.succeed_next`` when
+nothing else is due) schedules nothing and adds nothing. Untagged traffic — the start and completion events of
 :class:`~repro.sim.kernel.Process` objects (generators started with
 ``Environment.start``, such as the invoker's activation handler and the
 straggler race's replicas, have neither), harness orchestration — is

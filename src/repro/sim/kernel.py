@@ -14,7 +14,10 @@ offline), with the pieces the rest of the repository needs:
   start and completion events.
 - :class:`Condition` / :func:`Environment.all_of` — composite waits.
 - :meth:`Environment.settle` — trigger a pending event and resume its
-  waiters in place, with no heap entry (the straggler race's one use).
+  waiters in place, with no heap entry (the straggler race).
+- :meth:`Environment.succeed_next` — succeed an event in place when it
+  would be the next dispatch anyway, else schedule it (the invoker's
+  core grant and completion signal).
 - :class:`Interrupt` — exception thrown into a process by
   :meth:`Process.interrupt`.
 
@@ -28,10 +31,13 @@ Dispatch
 ``(time, priority, insertion id, event)`` entries, and :meth:`Environment.run`
 pops it in one inlined loop: an event costs no Python call of its own.
 All event classes use ``__slots__``; hot checks read ``_value``/``_ok``
-directly instead of going through properties. One primitive bypasses
-the heap: :meth:`Environment.settle` runs a pending event's callbacks
-inside the call, where a ``yield from`` would have resumed the waiter,
-and dispatches (and counts) no event.
+directly instead of going through properties, and the clock
+:attr:`Environment.now` is a plain attribute only the loop writes. Two
+primitives bypass the heap: :meth:`Environment.settle` runs a pending
+event's callbacks inside the call, where a ``yield from`` would have
+resumed the waiter, and :meth:`Environment.succeed_next` does the same
+when nothing else is due at ``now``; neither dispatches (nor counts) an
+event.
 
 :func:`events_consumed` exposes a process-wide dispatch counter for
 events/sec accounting in the benchmark harness.
@@ -427,15 +433,12 @@ class Environment:
     _heappop = staticmethod(heapq.heappop)
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulation time in seconds. A plain attribute, read
+        #: dozens of times per activation; only the run loop writes it.
+        self.now = float(initial_time)
         #: Heap of (time, priority, eid, event): every scheduled event.
         self._queue: List = []
         self._eid = itertools.count()
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -459,7 +462,7 @@ class Environment:
         timeout._ok = True
         timeout._value = value
         timeout._defused = True
-        timeout._delay = when - self._now
+        timeout._delay = when - self.now
         self._schedule_at(timeout, NORMAL, when)
         return timeout
 
@@ -487,10 +490,29 @@ class Environment:
             raise RuntimeError(f"{event!r} has already been triggered")
         event._ok = True
         event._value = None
-        if when <= self._now:
+        if when <= self.now:
             self._schedule(event, NORMAL)
         else:
             heapq.heappush(self._queue, (when, NORMAL, eid, event))
+        return event
+
+    def succeed_at_key(self, event: Event, when: float, eid: int) -> Event:
+        """Trigger ``event`` at exactly ``(when, NORMAL, eid)``.
+
+        Unlike :meth:`succeed_at_eid` nothing is clamped: ``when`` equal
+        to ``now`` keeps its reserved id. The caller vouches that the key
+        sorts after the event being dispatched, as a key drawn after it
+        or one with a later instant does, so the event still fires in
+        this run; ``when`` before ``now`` raises.
+        """
+        if event._value is not _PENDING:
+            raise RuntimeError(f"{event!r} has already been triggered")
+        if when < self.now:
+            raise ValueError(f"key time {when} is in the past "
+                             f"(now={self.now})")
+        event._ok = True
+        event._value = None
+        heapq.heappush(self._queue, (when, NORMAL, eid, event))
         return event
 
     def process(self, generator: Generator) -> Process:
@@ -540,19 +562,43 @@ class Environment:
         for callback in callbacks:
             callback(event)
 
+    def succeed_next(self, event: Event, value: Any) -> bool:
+        """Succeed ``event`` with ``value`` as the next dispatch would.
+
+        When nothing in the heap is due at ``now``, a scheduled
+        ``succeed`` would be the very next event dispatched, so the
+        event is settled in place instead (:meth:`settle`): its waiters
+        resume inside this call, with no heap entry and no event
+        counted. Otherwise it is scheduled exactly as ``event.succeed``
+        schedules it. Returns True when an event was scheduled, so a
+        caller tallies only real events.
+
+        Exact only when the caller's resume is the last act of the
+        current dispatch: anything the dispatch still did after this
+        call would otherwise come after the waiters' continuation
+        instead of before it (see DESIGN.md, kernel determinism
+        contract).
+        """
+        queue = self._queue
+        if queue and queue[0][0] <= self.now:
+            event.succeed(value)
+            return True
+        self.settle(event, True, value)
+        return False
+
     def all_of(self, events: Iterable[Event]) -> Condition:
         return Condition(self, Condition.all_events, events)
 
     # -- scheduling -----------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         heapq.heappush(self._queue,
-                       (self._now + delay, priority, next(self._eid), event))
+                       (self.now + delay, priority, next(self._eid), event))
 
     def _schedule_at(self, event: Event, priority: int, when: float) -> None:
         """Schedule ``event`` at the absolute instant ``when`` (exact
         float; no ``now + delay`` round trip). Past instants clamp to
         ``now``."""
-        now = self._now
+        now = self.now
         heapq.heappush(self._queue, (when if when > now else now, priority,
                                      next(self._eid), event))
 
@@ -570,9 +616,9 @@ class Environment:
             stop_at = float("inf")
         else:
             stop_at = float(until)
-            if stop_at < self._now:
+            if stop_at < self.now:
                 raise ValueError(
-                    f"until={stop_at} is in the past (now={self._now})")
+                    f"until={stop_at} is in the past (now={self.now})")
         try:
             self._run_loop(stop_at)
         except StopSimulation as stop:
@@ -581,7 +627,7 @@ class Environment:
             # Advance the clock to the requested horizon even if the event
             # queue drained earlier, so `run(120)` always ends at t=120.
             if stop_at != float("inf"):
-                self._now = max(self._now, stop_at)
+                self.now = max(self.now, stop_at)
             return None
         if until._value is _PENDING:
             raise RuntimeError("run() ran out of events before `until` fired")
@@ -596,7 +642,7 @@ class Environment:
         while queue:
             if queue[0][0] > stop_at:
                 break
-            self._now, _, _, event = heappop(queue)
+            self.now, _, _, event = heappop(queue)
             callbacks = event.callbacks
             event.callbacks = None
             consumed[0] += 1

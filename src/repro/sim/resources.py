@@ -5,13 +5,15 @@ queue — is the one blocking primitive the HiveMind models need: server
 cores, the IaaS worker pool and the RPC offload engine.
 
 Requests are events: a process does ``yield resource.request()`` (or uses the
-request as a context manager) and resumes once the slot is granted.
+request as a context manager) and resumes once the slot is granted. A
+claimer whose yield is the last act of its dispatch (the invoker's core
+claim) uses :meth:`Resource.claim`, whose free-slot grant costs no event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from .kernel import Environment, Event
 
@@ -27,7 +29,6 @@ class Request(Event):
         super().__init__(resource.env)
         self.resource = resource
         self.usage_since: Optional[float] = None
-        resource._do_request(self)
 
     # Context-manager protocol: ``with res.request() as req: yield req``.
     def __enter__(self) -> "Request":
@@ -70,18 +71,29 @@ class Resource:
         return len(self.users) / self._capacity
 
     def request(self) -> Request:
-        return Request(self)
+        return self._enter(Event.succeed)
 
-    def _do_request(self, req: Request) -> None:
+    def claim(self) -> Request:
+        """:meth:`request` for a claimer that yields the request as the
+        last act of the current dispatch: a free slot is granted through
+        ``Environment.succeed_next``, so the claimer resumes in place
+        when the grant would have been the next event dispatched. A
+        queued claim is granted by :meth:`release` like any request."""
+        return self._enter(self.env.succeed_next)
+
+    def _enter(self, grant: Callable[[Event, Request], object]) -> Request:
+        req = Request(self)
         if len(self.users) < self._capacity:
-            self._grant(req)
+            self._grant(req, grant)
         else:
             self.queue.append(req)
+        return req
 
-    def _grant(self, req: Request) -> None:
+    def _grant(self, req: Request,
+               grant: Callable[[Event, Request], object]) -> None:
         self.users.append(req)
         req.usage_since = self.env.now
-        req.succeed(req)
+        grant(req, req)
 
     def release(self, req: Request) -> None:
         """Return a granted slot; wakes the next queued request."""
@@ -93,7 +105,7 @@ class Resource:
 
     def _wake_next(self) -> None:
         while self.queue and len(self.users) < self._capacity:
-            self._grant(self.queue.popleft())
+            self._grant(self.queue.popleft(), Event.succeed)
 
     def resize(self, capacity: int) -> None:
         """Change capacity online (elastic pools). Shrinking never evicts

@@ -22,7 +22,6 @@ __all__ = ["MetricSeries", "DistributionSummary"]
 class DistributionSummary:
     """The summary statistics the paper's plots are built from."""
 
-    count: int
     mean: float
     std: float
     p5: float
@@ -186,7 +185,6 @@ class MetricSeries:
         # MetricSeries.percentile() bit for bit.
         data = self._require_samples()
         return DistributionSummary(
-            count=len(data),
             mean=float(data.mean()),
             std=float(data.std()),
             p5=float(np.percentile(data, 5, method="linear")),

@@ -114,4 +114,3 @@ class TestSynthesisProperties:
             assert estimate.latency_s > 0
             assert estimate.latency_s < float("inf")
             assert estimate.network_mbs >= 0
-            assert estimate.cloud_core_demand >= 0

@@ -69,7 +69,6 @@ class TestRunTasks:
     def test_captures_wall_time_and_events(self):
         results = run_tasks([(_simulate, (3,), {})], max_workers=1)
         assert isinstance(results[0], TaskResult)
-        assert results[0].wall_s >= 0
         assert results[0].sim_events > 0
 
     def test_empty_calls(self):

@@ -5,7 +5,7 @@ race it replaced."""
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
@@ -269,6 +269,9 @@ def _race_run(cls, activations, history, slow, harden_races, crash):
         env.process(crasher(*crash))
     env.run()
     return {
+        # The last instant dispatched: a no-op watchdog of the process
+        # race sets it as much as any settled race.
+        "now": env.now,
         "resumed": resumed,
         "stragglers": mitigator.stragglers_detected,
         "duplicates": mitigator.duplicates_launched,
@@ -286,6 +289,10 @@ class TestRaceEquivalence:
     """The in-place race decides every stream as the process race did."""
 
     @settings(max_examples=60, deadline=None)
+    # Quick activations on healthy servers: the last instant of the run
+    # is a watchdog that decides nothing.
+    @example(activations=[(0.2, "f0", 0.05)] * 10, history=[0.5] * 20,
+             slow=[1.0, 1.0], harden_races=False, crash=None)
     @given(activations=st.lists(_activation, min_size=10, max_size=40),
            history=st.lists(st.floats(0.1, 0.8), min_size=20,
                             max_size=30),
@@ -386,6 +393,57 @@ class TestSameInstant:
         assert mitigator.stragglers_detected == 0
         assert winner.request is request
         assert resumed_at == threshold
+
+    def test_deadlines_at_one_instant_fire_at_their_own_ids(self):
+        # Two activations of one function invoked at one instant share a
+        # deadline float. A competing event due then lies between their
+        # reserved ids, and another after both: each watchdog fires at
+        # its own id, so the first competitor sees one straggler and the
+        # second sees two.
+        env = Environment()
+        mitigator = self._mitigator(env)
+        threshold = mitigator.threshold_for("f")
+        seen = []
+
+        def compete(label):
+            env.timeout(threshold).callbacks.append(
+                lambda _: seen.append(
+                    (label, env.now, mitigator.stragglers_detected)))
+
+        def caller():
+            yield from mitigator.invoke(InvocationRequest(
+                FunctionSpec("f"), service_s=4 * threshold))
+
+        def launch():
+            yield env.timeout(1.0)
+            env.start(caller())
+            compete("between")
+            env.start(caller())
+            compete("after")
+
+        env.process(launch())
+        env.run()
+        due = 1.0 + threshold
+        assert seen == [("between", due, 1), ("after", due, 2)]
+
+    def test_run_ends_at_the_last_deadline(self):
+        # Every primary wins, so no watchdog decides anything, yet the
+        # run's last instant is the latest deadline, as it was when each
+        # activation's watchdog was a dispatched event.
+        env = Environment()
+        mitigator = self._mitigator(env)
+        threshold = mitigator.threshold_for("f")
+
+        def caller(arrival):
+            yield env.timeout(arrival)
+            yield from mitigator.invoke(
+                InvocationRequest(FunctionSpec("f"), service_s=0.1))
+
+        env.process(caller(0.0))
+        env.process(caller(0.3))
+        env.run()
+        assert mitigator.stragglers_detected == 0
+        assert env.now == 0.3 + threshold
 
 
 class TestOrphanedReplica:

@@ -234,11 +234,13 @@ class TestScenarioSeedSweep:
         assert _digest(fingerprint) == FAULTED_CELLS[seed]
 
     def test_analytic_path_reduces_events(self):
-        """The S3 cell dispatches 5,835 events; the Resource-based queues
+        """The S3 cell dispatches 4,855 events; the Resource-based queues
         it replaced dispatched 12,791 for the same rows, process starts
-        for each task's ``handle`` 8,285, and the invoker handler as a
-        process plus separate auth and controller timeouts 7,305."""
+        for each task's ``handle`` 8,285, the invoker handler as a
+        process plus separate auth and controller timeouts 7,305, and a
+        scheduled core grant and completion signal per activation
+        5,835 = 4,855 + 2 * 490."""
         before = events_consumed()
         SingleTierRunner(platform_config("centralized_faas"), app("S3"),
                          seed=0, duration_s=30.0, load_fraction=0.6).run()
-        assert events_consumed() - before == 5835
+        assert events_consumed() - before == 4855

@@ -2,10 +2,15 @@
 
 Every event fires in (time, priority, insertion order) order, including
 the primitives that pick their own heap position: ``timeout_at``,
-``reserve_eid``/``succeed_at_eid`` and ``URGENT`` interrupts. These tests
-pin that contract plus condition defusing of late constituent failures
-(double-trigger detection is in ``test_kernel.py``).
+``reserve_eid``/``succeed_at_eid``/``succeed_at_key`` and ``URGENT``
+interrupts; ``succeed_next`` resumes in place exactly where the
+dispatch it saves would have. These tests pin that contract, that only
+the run loop sets the clock, and condition defusing of late constituent
+failures (double-trigger detection is in ``test_kernel.py``).
 """
+
+import ast
+import pathlib
 
 import pytest
 
@@ -187,6 +192,87 @@ class TestDispatchOrderContract:
         assert order == [(1.0, "due-delayed"), (1.0, "due-zero"),
                          (1.0, "past"), (1.0, "present")]
 
+    def test_reserved_key_at_now_keeps_its_id(self):
+        # Reserved at t=0 between two timeouts due at t=1; armed at t=1,
+        # during the first one's dispatch. succeed_at_key keeps the
+        # reserved id, where succeed_at_eid clamps to a fresh one.
+        def run(arm):
+            env = Environment()
+            order = []
+            first = _marker(env, order, env.timeout(1.0), "first")
+            eid = env.reserve_eid()
+            _marker(env, order, env.timeout(1.0), "second")
+            gate = _marker(env, order, env.event(), "reserved")
+            first.callbacks.append(lambda _: arm(env, gate, 1.0, eid))
+            env.run()
+            return order
+
+        assert run(Environment.succeed_at_key) == [
+            (1.0, "first"), (1.0, "reserved"), (1.0, "second")]
+        assert run(Environment.succeed_at_eid) == [
+            (1.0, "first"), (1.0, "second"), (1.0, "reserved")]
+
+    def test_reserved_key_in_the_past_raises(self):
+        env = Environment()
+        eid = env.reserve_eid()
+        env.run(until=1.0)
+        with pytest.raises(ValueError):
+            env.succeed_at_key(env.event(), 0.5, eid)
+
+    @staticmethod
+    def _signal_run(signal, due_now):
+        """Two waiters on a gate, signalled at t=1 as the last act of a
+        timeout's dispatch, with (``due_now``) or without another event
+        already due then. Returns the dispatch log, the events the run
+        dispatched, and what ``signal`` returned."""
+        env = Environment()
+        order = []
+        gate = env.event()
+        returned = []
+
+        def waiter(tag):
+            value = yield gate
+            order.append((env.now, tag, value))
+            _marker(env, order, env.timeout(0), f"{tag}-zero")
+
+        def signaller():
+            wake = env.timeout(1.0)
+            if due_now:
+                _marker(env, order, env.timeout(1.0), "due")
+            _marker(env, order, env.timeout(2.0), "later")
+            yield wake
+            returned.append(signal(env, gate))
+
+        env.start(waiter("a"))
+        env.start(waiter("b"))
+        env.start(signaller())
+        before = kernel.events_consumed()
+        env.run()
+        return order, kernel.events_consumed() - before, returned[0]
+
+    def test_succeed_next_with_nothing_due_resumes_in_place(self):
+        # The same log as the scheduled twin, one event fewer.
+        order, events, scheduled = self._signal_run(
+            lambda env, gate: env.succeed_next(gate, "v"), due_now=False)
+        twin, twin_events, _ = self._signal_run(
+            lambda env, gate: gate.succeed("v"), due_now=False)
+        assert scheduled is False
+        assert order == twin == [
+            (1.0, "a", "v"), (1.0, "b", "v"), (1.0, "a-zero"),
+            (1.0, "b-zero"), (2.0, "later")]
+        assert events == twin_events - 1
+
+    def test_succeed_next_with_something_due_schedules_like_succeed(self):
+        order, events, scheduled = self._signal_run(
+            lambda env, gate: env.succeed_next(gate, "v"), due_now=True)
+        twin, twin_events, _ = self._signal_run(
+            lambda env, gate: gate.succeed("v"), due_now=True)
+        assert scheduled is True
+        assert order == twin
+        assert order[:3] == [(1.0, "due"), (1.0, "a", "v"),
+                             (1.0, "b", "v")]
+        assert events == twin_events
+
     def test_urgent_interrupt_preempts_normal_events_due_now(self):
         env = Environment()
         order = []
@@ -246,3 +332,35 @@ class TestSlots:
         timeout = Timeout(env, 1.0)
         with pytest.raises(AttributeError):
             timeout.arbitrary = 1
+
+
+class TestClockOwner:
+    ROOT = pathlib.Path(__file__).resolve().parents[2]
+    #: Program files, as in ``tests/test_module_callers.py``.
+    PROGRAM_DIRS = ("src", "examples", "bench", "scripts")
+
+    def test_only_the_kernel_sets_the_clock(self):
+        """``Environment.now`` is a plain attribute the run loop writes,
+        so a store anywhere else would move the clock unseen by every
+        dispatch-order guarantee."""
+        kernel_file = self.ROOT / "src" / "repro" / "sim" / "kernel.py"
+        stores = []
+        for directory in self.PROGRAM_DIRS:
+            for path in sorted((self.ROOT / directory).rglob("*.py")):
+                if path == kernel_file:
+                    continue
+                for node in ast.walk(ast.parse(path.read_text())):
+                    stored = (isinstance(node, ast.Attribute)
+                              and node.attr == "now"
+                              and isinstance(node.ctx, (ast.Store, ast.Del)))
+                    set_by_name = (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in ("setattr", "delattr")
+                        and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)
+                        and node.args[1].value == "now")
+                    if stored or set_by_name:
+                        stores.append(
+                            f"{path.relative_to(self.ROOT)}:{node.lineno}")
+        assert stores == []

@@ -64,7 +64,7 @@ class TestMonolithicGatewayPins:
     def test_straggler_mitigation(self, gateways):
         result = _run(seed=0)
         assert "cloud_regions" not in result.extras
-        assert gateways[0].mitigator.duplicates_launched > 0
+        assert gateways[0]._cloud.mitigator.duplicates_launched > 0
         assert _pins(result) == ("c6897be87b2282ff4cce3ebe0a3b23f0",
                                  "45de7962625ce5e3e4da29ea88a3de14")
 

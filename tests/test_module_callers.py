@@ -1196,24 +1196,29 @@ def _stores(resolver, path, classes):
     return found
 
 
+#: Calls whose string arguments name the attributes they read.
+_BY_NAME = ("getattr", "hasattr", "setattr", "attrgetter")
+
+
 def _attribute_reads(resolver, path, classes):
     """``(class, attribute)`` pairs a file reads. An attribute load
     credits the classes its receiver's type reaches, as for methods, and
-    ``None`` for a receiver :class:`Resolver` cannot type; identifier
-    strings (``getattr`` names, ``attrgetter`` tables) and, for
-    ``asdict(self)``, every field of the enclosing record are read by
-    name (class ``None``)."""
+    ``None`` for a receiver :class:`Resolver` cannot type; the string
+    arguments of ``getattr``, ``hasattr``, ``setattr`` and
+    ``attrgetter`` and, for ``asdict(self)``, every field of the
+    enclosing record are read by name (class ``None``). Other strings
+    (``__slots__`` entries, dict keys) read nothing."""
     tree = resolver.program[path]
     found = set(resolver.credits[path][1])
-    docstrings = {id(node.value) for node in ast.walk(tree)
-                  if isinstance(node, ast.Expr)
-                  and isinstance(node.value, ast.Constant)}
     for node, cls in _walk(tree):
-        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                and node.value.isidentifier() and id(node) not in docstrings):
-            found.add((None, node.value))
-        elif (isinstance(node, ast.Call) and cls is not None
-              and _name_of(node.func) in ("asdict", "astuple")
+        if not isinstance(node, ast.Call):
+            continue
+        callee = _name_of(node.func)
+        if callee in _BY_NAME:
+            found.update((None, arg.value) for arg in node.args
+                         if isinstance(arg, ast.Constant)
+                         and isinstance(arg.value, str))
+        elif (cls is not None and callee in ("asdict", "astuple")
               and [ast.unparse(a) for a in node.args] == ["self"]):
             found.update((None, name) for name, _, _ in _fields(cls, classes))
     return found
@@ -1505,6 +1510,14 @@ class Gauge:
 class Opaque:
     def anything(self):
         return None
+
+
+class Slotted:
+    __slots__ = ("slotted", "named")
+
+    def __init__(self):
+        self.slotted = 1
+        self.named = 2
 '''
 
 _SYNTHETIC_CALLER = '''
@@ -1514,7 +1527,7 @@ import multiprocessing
 import numpy as np
 
 from mod import (ByCls, Child, Gauge, Log, Opaque, Other, Pool, Process,
-                 Record, Series, Sub, Table, Thing, Widget, by_args,
+                 Record, Series, Slotted, Sub, Table, Thing, Widget, by_args,
                  by_keyword, by_kwargs, by_literal, by_partial, by_position,
                  by_rebound, by_table, by_target, make_widget)
 
@@ -1543,7 +1556,7 @@ def main(options, values, lane):
     record = Record("a", knob=3)
     Other().method()
     return (Thing().read, Thing().shared, ByCls.make().knob, record.name,
-            record.knob)
+            record.knob, getattr(Slotted(), "named"), {"slotted": 1})
 
 
 def collisions(options, gauge: Gauge):
@@ -1592,7 +1605,9 @@ def test_value_guards_flag_exactly_the_planted_cases():
     ``Thing().method(3)`` does not set ``Other.method(knob)``, and
     ``Thing().shared`` does not read ``Other.shared``. The untyped
     ``options.common`` reads both classes' ``common``, and the store
-    through ``self.gauge`` is ``Gauge.level``, not its source text."""
+    through ``self.gauge`` is ``Gauge.level``, not its source text. A
+    ``getattr`` name reads its attribute; a ``__slots__`` entry or a
+    dict key reads nothing (``Slotted.slotted``)."""
     resolver, source = _synthetic()
     unset = unset_knobs(resolver, source)
     assert unset == {pathlib.Path("mod.py"): {
@@ -1601,4 +1616,4 @@ def test_value_guards_flag_exactly_the_planted_cases():
     unread = write_only_state(resolver, source)
     assert unread == {pathlib.Path("mod.py"): {
         "Thing.unread", "Sub.other", "Record.unset", "Other.shared",
-        "Gauge.level"}}
+        "Gauge.level", "Slotted.slotted"}}
