@@ -565,9 +565,9 @@ def validate_cells(sizes: Sequence[int] = (16, 64, 256),
     deviations; ``within`` is True when every observable lands inside
     ``tolerance_pct`` (the sweep-validation band).
     """
-    # The exact leg bypasses the fig17 cell router on purpose: under
-    # REPRO_MEANFIELD=1 the router returns this module's own estimates,
-    # and a model-vs-itself comparison would validate nothing.
+    # The exact leg bypasses the fig17 cell router on purpose: the
+    # router follows the scale-out knobs, and the model must be checked
+    # against the monolithic runner whatever the environment says.
     from ..apps import SCENARIO_A, SCENARIO_B
     from ..platforms import ScenarioRunner, platform_config
     scenarios = {s.key: s for s in (SCENARIO_A, SCENARIO_B)}

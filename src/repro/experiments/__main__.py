@@ -2,7 +2,7 @@
 
 ``--list`` enumerates the figures, ``all`` runs every harness (slow),
 and ``--help`` lists every option. The runtime knobs (``--shards N``,
-``--meanfield``, ``--trace``, ...) are the CLI-facing entries of
+``--max-workers N``, ``--trace``, ...) are the CLI-facing entries of
 :data:`repro.sim.flags.FLAGS`; each sets its ``REPRO_*`` variable, so
 pool workers inherit it.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import csv
-import inspect
 import os
 import pathlib
 import pstats
@@ -43,9 +42,8 @@ def _add_flag(parser, flag) -> None:
     """One table knob as a CLI option whose value is None unless given."""
     if flag.kind == "switch":
         parser.add_argument(
-            flag.option, dest=flag.key, action="store_const",
-            const=not flag.default,
-            help=f"{flag.help} (sets {flag.env}={int(not flag.default)})")
+            flag.option, dest=flag.key, action="store_const", const=True,
+            help=f"{flag.help} (sets {flag.env}=1)")
     else:
         parser.add_argument(
             flag.option, dest=flag.key, metavar=flag.metavar,
@@ -91,9 +89,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", metavar="DIR", default=None,
                         help="also write each figure's rows to DIR")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size for parallel-aware "
-                             "figures (default: one per core)")
     parser.add_argument("--profile", action="store_true",
                         help="run under cProfile and print the top 25 "
                              "functions by cumulative time")
@@ -131,8 +126,7 @@ def main(argv=None) -> int:
         "runtime knobs", "each sets its REPRO_* variable, so pool "
         "workers inherit it (see repro.sim.flags)")
     for flag in FLAGS.values():
-        if flag.help:
-            _add_flag(knobs, flag)
+        _add_flag(knobs, flag)
     args = parser.parse_args(argv)
     if args.figure not in (None, "all") and args.figure not in EXPERIMENTS:
         parser.error(f"unknown figure id {args.figure!r} "
@@ -266,11 +260,7 @@ def _dispatch(args) -> int:
 
     figures = experiment_ids() if args.figure == "all" else [args.figure]
     for figure in figures:
-        options = {"base_seed": args.seed}
-        runner_params = inspect.signature(EXPERIMENTS[figure]).parameters
-        if args.workers is not None and "max_workers" in runner_params:
-            options["max_workers"] = args.workers
-        result = run_experiment(figure, **options)
+        result = run_experiment(figure, base_seed=args.seed)
         print(result.render())
         if args.csv:
             print(f"[csv written to {write_csv(result, args.csv)}]")

@@ -44,36 +44,26 @@ def _swarm_cell(platform: str, scenario_key: str, n_devices: int,
                 seed: int) -> Tuple[float, float, float]:
     """(bandwidth mean, task p99, makespan) — picklable pool cell.
 
-    Routing honours the runtime kill switches (resolved here, in the
-    pool worker, so ``REPRO_SHARDS``/``REPRO_CLOUD_SHARDS``/
-    ``REPRO_HYBRID_EXACT``/``REPRO_MEANFIELD`` set by the CLI reach
-    every replica): mean-field collapses the cell to the O(1)
-    population model, ``REPRO_SHARDS=N`` fans the exact simulation out
-    over N shard processes, ``REPRO_CLOUD_SHARDS=N`` additionally
-    decomposes the cloud tier into per-region controller workers,
-    ``REPRO_HYBRID_EXACT=N`` keeps an N-device exact focus and injects
-    the rest as mean-field synthetic load, ``REPRO_SERVING=<spec>``
-    overlays open-loop background traffic on the (implicitly sharded)
-    regional cloud tier, and the unarmed default is the byte-identical
-    single-process runner.
+    Routing honours the scale-out knobs (resolved here, in the pool
+    worker, so values set by the CLI reach every replica):
+    ``REPRO_SHARDS=N`` fans the exact simulation out over N shard
+    processes, ``REPRO_CLOUD_SHARDS=N`` additionally decomposes the
+    cloud tier into per-region controller workers,
+    ``REPRO_SERVING=<spec>`` overlays open-loop background traffic on
+    the (implicitly sharded) regional cloud tier, and the unarmed
+    default is the byte-identical single-process runner. The mean-field
+    and hybrid models have their own figures (fig17c, fig17d).
     """
     from ..sim.flags import resolve
-    if resolve("REPRO_MEANFIELD"):
-        from ..edge.meanfield import predict_cell
-        return predict_cell(platform, scenario_key, n_devices,
-                            seed=seed).triple
     shards = resolve("REPRO_SHARDS")
     cloud_shards = resolve("REPRO_CLOUD_SHARDS")
-    hybrid_exact = resolve("REPRO_HYBRID_EXACT")
     serving = resolve("REPRO_SERVING")
-    if shards > 1 or cloud_shards > 0 or hybrid_exact > 0 or serving:
+    if shards > 1 or cloud_shards > 0 or serving:
         from ..sim.shard import run_sharded
         result = run_sharded(
             platform_config(platform), _SCENARIOS[scenario_key],
             n_devices, seed=seed, shards=shards,
-            cloud_shards=cloud_shards,
-            exact_devices=hybrid_exact or None,
-            serving=serving or None)
+            cloud_shards=cloud_shards, serving=serving or None)
     else:
         result = ScenarioRunner(
             platform_config(platform), _SCENARIOS[scenario_key], seed=seed,
@@ -153,8 +143,7 @@ EXTENDED_SIZES: Sequence[int] = (1024, 10_000, 100_000, 1_000_000)
 
 
 def run_extended(sizes: Sequence[int] = EXTENDED_SIZES,
-                 base_seed: int = 0,
-                 max_workers: Optional[int] = None) -> ExperimentResult:
+                 base_seed: int = 0) -> ExperimentResult:
     """Fig 17c: the saturation curves pushed to 10k-1M devices.
 
     Every point goes through the mean-field population model of
@@ -164,10 +153,8 @@ def run_extended(sizes: Sequence[int] = EXTENDED_SIZES,
     count, so the full grid costs milliseconds and zero kernel events.
     The model is parity-checked against the exact simulator at small N
     by ``tests/edge/test_meanfield_parity.py`` and the CI shard-smoke
-    job. ``max_workers`` is accepted for CLI uniformity; the grid is
-    cheap enough that it always runs in-process.
+    job. The grid is cheap enough that it always runs in-process.
     """
-    del max_workers  # O(1) cells; a pool would cost more than it saves.
     from ..edge.meanfield import predict_cell
 
     rows: List[List] = []
@@ -204,8 +191,7 @@ HYBRID_FLEETS: Sequence[Tuple[int, int]] = (
 
 
 def run_hybrid(fleets: Sequence[Tuple[int, int]] = HYBRID_FLEETS,
-               base_seed: int = 0,
-               max_workers: Optional[int] = None) -> ExperimentResult:
+               base_seed: int = 0) -> ExperimentResult:
     """Fig 17d: hybrid exact/mean-field curves on HiveMind.
 
     Each (fleet, exact) pair simulates an ``exact``-device focus
@@ -215,13 +201,15 @@ def run_hybrid(fleets: Sequence[Tuple[int, int]] = HYBRID_FLEETS,
     fleet. The exact focus carries the latency rows; the background
     shows up in bandwidth and cloud counters (see DESIGN.md's hybrid
     trust boundary). Row order is fixed by the cell plan, so the table
-    is deterministic at any worker count.
+    is deterministic at any worker count. Points run one after another
+    (each is one sharded run; serial keeps RSS flat), and
+    ``REPRO_SERVING`` overlays the same tenants as on fig17b.
     """
-    del max_workers  # each point is one sharded run; serial keeps RSS flat
     from ..sim.flags import resolve
     from ..sim.shard import run_sharded
 
     cloud_shards = max(1, resolve("REPRO_CLOUD_SHARDS"))
+    serving = resolve("REPRO_SERVING") or None
     rows: List[List] = []
     data: Dict[str, Dict] = {}
     for scenario in (SCENARIO_A, SCENARIO_B):
@@ -229,7 +217,8 @@ def run_hybrid(fleets: Sequence[Tuple[int, int]] = HYBRID_FLEETS,
             result = run_sharded(
                 platform_config("hivemind"), scenario, int(n_devices),
                 seed=base_seed, shards=resolve("REPRO_SHARDS"),
-                cloud_shards=cloud_shards, exact_devices=int(exact))
+                cloud_shards=cloud_shards, exact_devices=int(exact),
+                serving=serving)
             bw_mean, _ = result.bandwidth_summary()
             tail_s = result.task_latencies.p99
             key = f"{scenario.key}:hybrid:{n_devices}x{exact}"

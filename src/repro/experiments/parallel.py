@@ -113,8 +113,8 @@ def replica_seeds(repeats: int, base_seed: int = 0) -> List[int]:
 
 
 def default_workers() -> int:
-    """Worker count: ``REPRO_MAX_WORKERS`` env var, else the cores this
-    process may actually use.
+    """Worker count: ``REPRO_MAX_WORKERS`` (``--max-workers``), else the
+    cores this process may actually use.
 
     Containerized CI typically grants far fewer cores than the host
     exposes: a cgroup CPU quota (``cpu.max``) and/or a restricted

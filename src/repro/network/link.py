@@ -200,7 +200,7 @@ class Link:
                 # The current serializer's release slot is known: arm there.
                 self._armed = gate
                 when, eid = self._release
-                env.succeed_at_eid(gate, when, eid)
+                env.succeed_at_key(gate, when, eid)
             else:
                 self._waiting.append(gate)
             yield gate
@@ -218,7 +218,7 @@ class Link:
         if self._waiting:
             follower = self._waiting.popleft()
             self._armed = follower
-            env.succeed_at_eid(follower, ser_end, release_eid)
+            env.succeed_at_key(follower, ser_end, release_eid)
         completion = ser_end + self.latency_s
         if extra_delay_s:
             completion = completion + extra_delay_s

@@ -12,13 +12,14 @@ completions) and react with elasticity instead of melting:
 - :mod:`repro.serving.autoscale` — reactive invoker-pool scaling with
   real provisioning lag and cold-start costs.
 
-Arming: ``REPRO_SERVING=<spec>`` (or ``--serving``) injects background
+Arming: ``run_sharded(serving=<spec>)``, or ``REPRO_SERVING=<spec>``
+(``--serving``) for the fig17b and fig17d harnesses, injects background
 load into sharded swarm runs (the serving stream is served by the
-regional cloud tier, which serving arms implicitly — exactly the
-hybrid mean-field precedent). Both policies are armed whenever
-serving is; :class:`ServingConfig` holds their switches for callers
-that build lanes of their own (fig19). Unarmed runs never construct
-any of this and stay byte-identical to the seed.
+regional cloud tier, which serving arms implicitly, as hybrid runs do).
+Both policies are armed whenever serving is; :class:`ServingConfig`
+holds their switches for callers that build lanes of their own (fig19).
+Unarmed runs never construct any of this and stay byte-identical to
+the seed.
 """
 
 from __future__ import annotations

@@ -11,12 +11,10 @@ README knob table (:func:`knob_table`) are derived from the same table,
 so a new knob is one new entry here.
 
 Defaults keep unarmed runs byte-identical to the seed. The scale-out
-knobs (shards, cloud shards, hybrid focus, mean-field, serving) are off
-by default; arming one opts into the sharded, aggregate or open-loop
-runtimes of :mod:`repro.sim.shard`, :mod:`repro.edge.meanfield` and
-:mod:`repro.serving`. The serving sub-switches default on and matter
-only inside an armed serving run. Switches accept only an empty value,
-``0`` or ``1``.
+knobs (shards, cloud shards, serving) are off by default; arming one
+opts into the sharded or open-loop runtimes of :mod:`repro.sim.shard`
+and :mod:`repro.serving`. Every switch defaults off and accepts only an
+empty value, ``0`` or ``1``.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ class Flag:
     ``kind`` is ``switch`` (bool), ``count`` (int, at least ``minimum``),
     ``duration`` (float seconds, above zero) or ``text``. ``rule`` is the
     error text for an out-of-range number; ``check`` validates a text
-    value and raises ``ValueError``. A knob with ``help`` text also gets
-    a CLI option named after it (:attr:`option`).
+    value and raises ``ValueError``. Every knob also has a CLI option
+    named after it (:attr:`option`), described by ``help``.
     """
 
     env: str
@@ -58,13 +56,8 @@ class Flag:
 
     @property
     def option(self) -> str:
-        """CLI spelling. A switch's option moves it away from its default:
-        default on gives ``--no-x`` (sets ``0``), default off ``--x``
-        (sets ``1``)."""
-        name = self.key.replace("_", "-")
-        if self.kind == "switch" and self.default:
-            return f"--no-{name}"
-        return f"--{name}"
+        """CLI spelling: ``REPRO_CLOUD_SHARDS`` -> ``--cloud-shards``."""
+        return "--" + self.key.replace("_", "-")
 
 
 def _serving_spec(spec: str) -> None:
@@ -86,14 +79,6 @@ FLAGS: Dict[str, Flag] = {flag.env: flag for flag in (
          help="decompose the cloud tier into per-region controller "
               "workers over up to N processes (rows identical at any "
               "N >= 1; 0 = monolithic gateway)"),
-    Flag("REPRO_HYBRID_EXACT", "count", 0,
-         rule="hybrid exact-device count must be non-negative",
-         metavar="N",
-         help="keep an N-device exact focus and inject the rest of the "
-              "fleet as mean-field synthetic load"),
-    Flag("REPRO_MEANFIELD", "switch", False,
-         help="collapse homogeneous swarm cells into the O(1) mean-field "
-              "population model (approximate; see repro.edge.meanfield)"),
     Flag("REPRO_SERVING", "text", "", check=_serving_spec, metavar="SPEC",
          help="overlay open-loop background tenants on the regional "
               "cloud tier, e.g. 'poisson:200,onoff:80:flash'; '1' arms "
@@ -103,7 +88,9 @@ FLAGS: Dict[str, Flag] = {flag.env: flag for flag in (
          help="hang-detection deadline in seconds for supervised "
               "workers (default: max(60s, barrier window))"),
     Flag("REPRO_MAX_WORKERS", "count", minimum=1,
-         rule="worker count must be at least 1"),
+         rule="worker count must be at least 1", metavar="N",
+         help="process-pool size for figure sweeps and the shard "
+              "grouping of sharded runs (default: one per core)"),
     Flag("REPRO_PROFILE_OUT", "text", "", metavar="PATH",
          help="dump per-replica cProfile stats to PATH.r<index> "
               "(parallel-executor safe)"),
@@ -121,8 +108,6 @@ def knob_table() -> str:
         return f"`{flag.default}`"
 
     def option(flag: Flag) -> str:
-        if not flag.help:
-            return "—"
         return f"`{flag.option}`" if flag.metavar is None \
             else f"`{flag.option} {flag.metavar}`"
 

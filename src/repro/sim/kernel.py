@@ -478,32 +478,15 @@ class Environment:
         """
         return next(self._eid)
 
-    def succeed_at_eid(self, event: Event, when: float, eid: int) -> Event:
-        """Trigger ``event`` at ``when`` under a *reserved* insertion id.
-
-        ``when`` at or before ``now`` is scheduled at ``now`` under a
-        fresh id instead: events scheduled since the reservation are
-        already due there, and the reserved id would let this one jump
-        ahead of them.
-        """
-        if event._value is not _PENDING:
-            raise RuntimeError(f"{event!r} has already been triggered")
-        event._ok = True
-        event._value = None
-        if when <= self.now:
-            self._schedule(event, NORMAL)
-        else:
-            heapq.heappush(self._queue, (when, NORMAL, eid, event))
-        return event
-
     def succeed_at_key(self, event: Event, when: float, eid: int) -> Event:
-        """Trigger ``event`` at exactly ``(when, NORMAL, eid)``.
+        """Trigger ``event`` at exactly ``(when, NORMAL, eid)``, under an
+        id drawn earlier by :meth:`reserve_eid`.
 
-        Unlike :meth:`succeed_at_eid` nothing is clamped: ``when`` equal
-        to ``now`` keeps its reserved id. The caller vouches that the key
-        sorts after the event being dispatched, as a key drawn after it
-        or one with a later instant does, so the event still fires in
-        this run; ``when`` before ``now`` raises.
+        Nothing is clamped: ``when`` equal to ``now`` keeps its reserved
+        id. The caller vouches that the key sorts after the event being
+        dispatched, as a key drawn after it or one with a later instant
+        does, so the event still fires in this run; ``when`` before
+        ``now`` raises.
         """
         if event._value is not _PENDING:
             raise RuntimeError(f"{event!r} has already been triggered")

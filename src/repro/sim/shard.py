@@ -58,7 +58,6 @@ from ..serverless.wire import Calls, Completions
 from ..telemetry import (BandwidthMeter, BreakdownAggregate,
                          LatencyBreakdown, MetricSeries, breakdown_array)
 from ..faults.worker import WorkerFaultPlan
-from .flags import resolve
 from .supervisor import (ProtocolError, SupervisedConnection,
                          incident_count, incidents_since,
                          resolve_worker_deadline)
@@ -466,11 +465,10 @@ def plan_run(config: PlatformConfig, scenario, n_devices: int,
         raise ValueError(
             "sharded execution requires a cloud-backed platform "
             f"(got execution={config.execution!r})")
-    serving_cfg = serving  # None, a spec or a prebuilt ServingConfig
-    if serving is None or isinstance(serving, str):
+    serving_cfg = serving  # None (no tenants), a spec or a ServingConfig
+    if isinstance(serving, str):
         from ..serving import ServingConfig
-        spec = resolve("REPRO_SERVING", serving)
-        serving_cfg = ServingConfig.from_spec(spec) if spec else None
+        serving_cfg = ServingConfig.from_spec(serving)
     if worker_faults is None:
         worker_faults = WorkerFaultPlan()
     chaos_armed = worker_faults.armed
@@ -819,7 +817,8 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     ``cloud_shards`` workers; ``exact_devices`` (hybrid: later cells are
     mean-field aggregates injecting synthetic cloud load), ``serving``
     (open-loop tenants: a ``REPRO_SERVING`` spec or a
-    :class:`~repro.serving.ServingConfig`) imply it.
+    :class:`~repro.serving.ServingConfig`; ``None`` means no tenants,
+    whatever the environment says) imply it.
     Worker pipes are deadline-guarded (``worker_deadline_s``) and dead
     or hung workers respawned ``SupervisedConnection.RETRIES`` times,
     then run in-process, with the same bytes (:mod:`repro.sim.supervisor`);

@@ -247,6 +247,9 @@ class TestCli:
                 (["--chaos-workers", "--lanes", "bogus"], "'bogus'"),
                 (["--chaos", "--scenarios", "S99"], "'S99'"),
                 (["fig04", "--shards", "-3"], "--shards -3"),
+                (["fig04", "--max-workers", "0"],
+                 "--max-workers 0: worker count must be at least 1"),
+                (["fig04", "--workers", "2"], "--workers 2"),
         ):
             with pytest.raises(SystemExit) as exit_:
                 main(argv)
@@ -255,6 +258,18 @@ class TestCli:
                          capsys.readouterr().err.splitlines()
                          if "error:" in line]
             assert bad in message, argv
+
+    def test_help_lists_one_option_per_knob(self, capsys):
+        from repro.experiments.__main__ import main
+        from repro.sim.flags import FLAGS
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        usage = capsys.readouterr().out
+        assert all(flag.option in usage for flag in FLAGS.values())
+        assert "--max-workers N" in usage
+        for retired in ("--workers ", "--meanfield", "--hybrid-exact"):
+            assert retired not in usage
 
     def test_runs_one_figure(self, capsys):
         from repro.experiments.__main__ import main

@@ -110,12 +110,12 @@ class TestManifest:
         for flag in FLAGS.values():
             monkeypatch.delenv(flag.env, raising=False)
         for name, raw in (("REPRO_SHARDS", "2"), ("REPRO_CLOUD_SHARDS", "2"),
-                          ("REPRO_SERVING", "1"), ("REPRO_MEANFIELD", "1")):
+                          ("REPRO_SERVING", "1"), ("REPRO_MAX_WORKERS", "1")):
             monkeypatch.setenv(name, raw)
-        # Sub-switches left at their default stay unstamped.
+        # Knobs left at their default stay unstamped.
         assert RunManifest.collect("fig17b").flags == {
             "trace": False, "shards": 2, "cloud_shards": 2,
-            "serving": "1", "meanfield": True}
+            "serving": "1", "max_workers": 1}
 
     def test_cli_knobs_reach_the_trace_manifest(self, monkeypatch,
                                                 tmp_path):
@@ -124,12 +124,12 @@ class TestManifest:
             # Records each variable so the CLI's exports are undone.
             monkeypatch.setenv(flag.env, "")
         target = tmp_path / "fig17c.json"
-        assert main(["fig17c", "--shards", "2", "--meanfield",
+        assert main(["fig17c", "--shards", "2", "--cloud-shards", "2",
                      "--trace-out", str(target)]) == 0
         manifest = RunManifest.from_json(
             (tmp_path / "fig17c.manifest.json").read_text())
         assert manifest.flags["shards"] == 2
-        assert manifest.flags["meanfield"] is True
+        assert manifest.flags["cloud_shards"] == 2
 
     def test_runtime_flags_reflect_tracer(self):
         from repro import obs

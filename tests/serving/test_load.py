@@ -67,31 +67,16 @@ class TestSpecGrammar:
         with pytest.raises(ValueError, match="positive finite"):
             TenantSpec(name="users", **{field: value})
 
-    def test_environment_path_rejects_non_finite(self, monkeypatch):
+    # The environment path (REPRO_SERVING=poisson:nan / poisson:abc) is
+    # a CASES row of tests/sim/test_flags.py.
+    @pytest.mark.parametrize("spec", ["poisson:abc", "poisson:nan"])
+    def test_api_spec_errors_keep_the_grammar_message(self, spec):
         from repro.platforms import platform_config
         from repro.sim.shard import run_sharded
-        monkeypatch.setenv("REPRO_SERVING", "poisson:nan")
-        with pytest.raises(ValueError, match="'poisson:nan'"):
-            run_sharded(platform_config("hivemind"), SCENARIO_A, 16,
-                        cell_devices=4, region_devices=8)
-
-    def test_spec_errors_name_the_variable_on_the_environment_path(
-            self, monkeypatch):
-        from repro.platforms import platform_config
-        from repro.sim.shard import run_sharded
-        monkeypatch.setenv("REPRO_SERVING", "poisson:abc")
         with pytest.raises(ValueError, match=(
-                r"^REPRO_SERVING=poisson:abc: bad tenant 'poisson:abc' "
-                r"in serving spec")):
+                rf"^bad tenant '{spec}' in serving spec")):
             run_sharded(platform_config("hivemind"), SCENARIO_A, 16,
-                        cell_devices=4, region_devices=8)
-        # An API argument keeps the grammar's own message.
-        monkeypatch.delenv("REPRO_SERVING")
-        with pytest.raises(ValueError, match=(
-                r"^bad tenant 'poisson:abc' in serving spec")):
-            run_sharded(platform_config("hivemind"), SCENARIO_A, 16,
-                        cell_devices=4, region_devices=8,
-                        serving="poisson:abc")
+                        cell_devices=4, region_devices=8, serving=spec)
 
 
 class TestSegments:

@@ -72,6 +72,16 @@ class TestArmedGroupingInvariance:
                              cloud_shards=1, region_devices=8)
         assert "serving" not in result.extras
 
+    def test_api_run_ignores_the_environment_spec(self, monkeypatch):
+        # The CLI's --serving reaches figures through their own resolve;
+        # run_sharded's shape is its arguments alone.
+        monkeypatch.setenv("REPRO_SERVING", "poisson:20")
+        result = run_sharded(platform_config("hivemind"),
+                             scenario_variant("S1"), N_DEVICES, seed=7,
+                             shards=2, cell_devices=CELL_DEVICES,
+                             cloud_shards=1, region_devices=8)
+        assert "serving" not in result.extras
+
 
 class TestFig19:
     @pytest.fixture(scope="class")
@@ -122,8 +132,7 @@ class TestUnarmedFigureRows:
 
     @pytest.fixture(autouse=True)
     def clear_flags(self, monkeypatch):
-        for var in ("REPRO_SERVING", "REPRO_SHARDS", "REPRO_CLOUD_SHARDS",
-                    "REPRO_MEANFIELD", "REPRO_HYBRID_EXACT"):
+        for var in ("REPRO_SERVING", "REPRO_SHARDS", "REPRO_CLOUD_SHARDS"):
             monkeypatch.delenv(var, raising=False)
 
     def test_fig01_rows_unchanged(self):

@@ -24,7 +24,6 @@ _SWITCH_OFF = {"good": [("", False), ("1", True), ("0", False)],
 #: resolved value), and ``bad_override`` (argument, error text).
 CASES = {
     "REPRO_TRACE": _SWITCH_OFF,
-    "REPRO_MEANFIELD": _SWITCH_OFF,
     "REPRO_SHARDS": {
         "good": [("", 1), ("4", 4), ("1", 1)],
         "bad": [("-3", "at least 1"), ("0", "at least 1"),
@@ -34,10 +33,6 @@ CASES = {
         "good": [("", 0), ("4", 4), ("0", 0)],
         "bad": [("-1", "non-negative"), ("two", "expected an integer")],
         "override": (2, 2), "bad_override": (-1, "non-negative")},
-    "REPRO_HYBRID_EXACT": {
-        "good": [("", 0), ("256", 256)],
-        "bad": [("-8", "non-negative"), ("1e3", "expected an integer")],
-        "override": (64, 64), "bad_override": (-8, "non-negative")},
     "REPRO_MAX_WORKERS": {
         "good": [("", None), ("3", 3), ("1", 1)],
         "bad": [("-3", "at least 1"), ("0", "at least 1"),
@@ -56,7 +51,8 @@ CASES = {
                  "bad tenant 'poisson:abc' in serving spec 'poisson:abc'"),
                 ("weibull:10", "unknown arrival kind 'weibull'"),
                 ("poisson:200:a:1:junk",
-                 "too many fields in tenant 'poisson:200:a:1:junk'")],
+                 "too many fields in tenant 'poisson:200:a:1:junk'"),
+                ("poisson:nan", "bad tenant 'poisson:nan'")],
         "override": ("poisson:60", "poisson:60"),
         "bad_override": ("poisson:abc", "bad tenant 'poisson:abc'")},
     "REPRO_PROFILE_OUT": {
@@ -118,11 +114,10 @@ def test_bad_override_is_rejected_without_the_variable(monkeypatch, name):
 
 
 def test_switch_options_follow_their_default():
-    options = {flag.env: flag.option for flag in FLAGS.values()
-               if flag.help}
-    assert options["REPRO_MEANFIELD"] == "--meanfield"
+    options = {flag.env: flag.option for flag in FLAGS.values()}
     assert options["REPRO_TRACE"] == "--trace"
     assert options["REPRO_CLOUD_SHARDS"] == "--cloud-shards"
+    assert options["REPRO_MAX_WORKERS"] == "--max-workers"
 
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"

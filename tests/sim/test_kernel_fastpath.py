@@ -2,7 +2,7 @@
 
 Every event fires in (time, priority, insertion order) order, including
 the primitives that pick their own heap position: ``timeout_at``,
-``reserve_eid``/``succeed_at_eid``/``succeed_at_key`` and ``URGENT``
+``reserve_eid``/``succeed_at_key`` and ``URGENT``
 interrupts; ``succeed_next`` resumes in place exactly where the
 dispatch it saves would have. These tests pin that contract, that only
 the run loop sets the clock, and condition defusing of late constituent
@@ -165,52 +165,26 @@ class TestDispatchOrderContract:
         eid = env.reserve_eid()
         _marker(env, order, env.timeout(1.0), "after")
         gate = _marker(env, order, env.event(), "reserved")
-        env.succeed_at_eid(gate, 1.0, eid)
+        env.succeed_at_key(gate, 1.0, eid)
         env.run()
         assert order == [(1.0, "before"), (1.0, "reserved"),
                          (1.0, "after"), (1.0, "zero-at-1")]
 
-    def test_reserved_eid_in_the_past_fires_after_events_due_now(self):
-        env = Environment()
-        order = []
-        past_eid = env.reserve_eid()
-        present_eid = env.reserve_eid()
-
-        def proc():
-            wake = env.timeout(1.0)
-            _marker(env, order, env.timeout(1.0), "due-delayed")
-            yield wake
-            _marker(env, order, env.event(), "due-zero").succeed()
-            env.succeed_at_eid(
-                _marker(env, order, env.event(), "past"), 0.5, past_eid)
-            env.succeed_at_eid(
-                _marker(env, order, env.event(), "present"), 1.0,
-                present_eid)
-
-        env.process(proc())
-        env.run()
-        assert order == [(1.0, "due-delayed"), (1.0, "due-zero"),
-                         (1.0, "past"), (1.0, "present")]
-
     def test_reserved_key_at_now_keeps_its_id(self):
         # Reserved at t=0 between two timeouts due at t=1; armed at t=1,
-        # during the first one's dispatch. succeed_at_key keeps the
-        # reserved id, where succeed_at_eid clamps to a fresh one.
-        def run(arm):
-            env = Environment()
-            order = []
-            first = _marker(env, order, env.timeout(1.0), "first")
-            eid = env.reserve_eid()
-            _marker(env, order, env.timeout(1.0), "second")
-            gate = _marker(env, order, env.event(), "reserved")
-            first.callbacks.append(lambda _: arm(env, gate, 1.0, eid))
-            env.run()
-            return order
-
-        assert run(Environment.succeed_at_key) == [
+        # during the first one's dispatch: it keeps the reserved id, so
+        # it fires before the second timeout.
+        env = Environment()
+        order = []
+        first = _marker(env, order, env.timeout(1.0), "first")
+        eid = env.reserve_eid()
+        _marker(env, order, env.timeout(1.0), "second")
+        gate = _marker(env, order, env.event(), "reserved")
+        first.callbacks.append(
+            lambda _: env.succeed_at_key(gate, 1.0, eid))
+        env.run()
+        assert order == [
             (1.0, "first"), (1.0, "reserved"), (1.0, "second")]
-        assert run(Environment.succeed_at_eid) == [
-            (1.0, "first"), (1.0, "second"), (1.0, "reserved")]
 
     def test_reserved_key_in_the_past_raises(self):
         env = Environment()

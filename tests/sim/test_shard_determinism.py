@@ -164,13 +164,11 @@ class TestCellPlan:
 
 
 class TestUnarmedPath:
-    """No REPRO_SHARDS / REPRO_MEANFIELD -> the seed's exact numbers."""
+    """No scale-out knob armed -> the seed's exact numbers."""
 
     def test_unarmed_swarm_cell_matches_seed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        monkeypatch.delenv("REPRO_MEANFIELD", raising=False)
-        monkeypatch.delenv("REPRO_CLOUD_SHARDS", raising=False)
-        monkeypatch.delenv("REPRO_HYBRID_EXACT", raising=False)
+        for var in ("REPRO_SHARDS", "REPRO_CLOUD_SHARDS", "REPRO_SERVING"):
+            monkeypatch.delenv(var, raising=False)
         from repro.experiments.fig17_scalability import _swarm_cell
         # Frozen seed observables (hivemind, Scenario A, 16 devices,
         # seed 0) — any drift here means the unarmed path changed.
