@@ -1,7 +1,7 @@
 """Straggler mitigation (paper section 4.6).
 
 HiveMind tracks function progress; a function running past the 90th
-percentile of its job's history is flagged and respawned on a new server,
+percentile of its job's history is flagged and duplicated on a new server,
 and whichever replica finishes first wins. Servers that repeatedly produce
 stragglers go on probation for a few minutes.
 

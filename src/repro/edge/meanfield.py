@@ -52,6 +52,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .. import apps
 from ..analytical import mmc_wait_time
 from ..apps.scenarios import ScenarioSpec
 from ..config import DEFAULT, PaperConstants
@@ -207,15 +208,14 @@ def _stage_backlog(arrival_hz: float, capacity_hz: float,
 
 def predict_cell(platform: Union[str, object],
                  scenario: Union[str, ScenarioSpec],
-                 n_devices: int,
-                 seed: int = 0) -> MeanFieldCell:
+                 n_devices: int) -> MeanFieldCell:
     """Predict one fig17b cell without simulating any device.
 
     ``platform`` is a platform key (``"hivemind"``/``"centralized_faas"``)
     or a :class:`~repro.platforms.base.PlatformConfig`; ``scenario`` a
-    key (``"ScA"``/``"ScB"``) or :class:`ScenarioSpec`. ``seed`` is
-    accepted for signature parity with the exact cell and ignored — the
-    model predicts the population, not one draw.
+    key (``"ScA"``/``"ScB"``; :func:`repro.apps.scenario` names the
+    valid ones when it is not) or :class:`ScenarioSpec`. It takes no
+    seed: the model predicts the population, not one draw.
     """
     from ..platforms import platform_config
     if isinstance(platform, str):
@@ -223,8 +223,7 @@ def predict_cell(platform: Union[str, object],
     else:
         config = platform
     if isinstance(scenario, str):
-        from ..apps import SCENARIO_A, SCENARIO_B
-        scenario = {s.key: s for s in (SCENARIO_A, SCENARIO_B)}[scenario]
+        scenario = apps.scenario(scenario)
     if n_devices <= 0:
         raise ValueError("n_devices must be positive")
     cst = DEFAULT.scaled_for_swarm(n_devices)
@@ -492,8 +491,7 @@ def synthetic_stream(platform: Union[str, object],
     config = (platform_config(platform) if isinstance(platform, str)
               else platform)
     if isinstance(scenario, str):
-        from ..apps import SCENARIO_A, SCENARIO_B
-        scenario = {s.key: s for s in (SCENARIO_A, SCENARIO_B)}[scenario]
+        scenario = apps.scenario(scenario)
     if n_devices <= 0:
         raise ValueError("n_devices must be positive")
     if slots <= 0:
@@ -568,13 +566,11 @@ def validate_cells(sizes: Sequence[int] = (16, 64, 256),
     # The exact leg bypasses the fig17 cell router on purpose: the
     # router follows the scale-out knobs, and the model must be checked
     # against the monolithic runner whatever the environment says.
-    from ..apps import SCENARIO_A, SCENARIO_B
     from ..platforms import ScenarioRunner, platform_config
-    scenarios = {s.key: s for s in (SCENARIO_A, SCENARIO_B)}
 
     def exact_cell(platform: str, key: str, n: int):
         result = ScenarioRunner(
-            platform_config(platform), scenarios[key], seed=seed,
+            platform_config(platform), apps.scenario(key), seed=seed,
             n_devices=n).run()
         bw_mean, _ = result.bandwidth_summary()
         return (bw_mean, result.task_latencies.p99,

@@ -206,6 +206,7 @@ def _dispatch_chaos_workers(args) -> int:
             "skipped": result.data["skipped"],
             "identical_all": result.data["identical_all"],
             "all_recovered": result.data["all_recovered"],
+            "undisturbed": result.data["undisturbed"],
             "total_incidents": result.data["total_incidents"],
             "manifest": (result.manifest.to_dict()
                          if result.manifest is not None else None),
@@ -222,12 +223,14 @@ def _dispatch_chaos_workers(args) -> int:
               "worker processes; nothing real to kill]")
         return 0
     identical = result.data["identical_all"]
-    recovered = result.data["all_recovered"]
+    undisturbed = result.data["undisturbed"]
+    coverage = ("complete" if not undisturbed else
+                f"INCOMPLETE (undisturbed: {', '.join(undisturbed)})")
     print(f"[worker chaos: {result.data['total_incidents']} incidents "
           f"recovered; byte-parity "
           f"{'holds' if identical else 'BROKEN'}; recovery coverage "
-          f"{'complete' if recovered else 'INCOMPLETE'}]")
-    return 0 if identical and recovered else 1
+          f"{coverage}]")
+    return 0 if identical and not undisturbed else 1
 
 
 def _dispatch(args) -> int:

@@ -204,7 +204,11 @@ def run_worker_lane(app_key: str, lane: str, seed: int = 0,
     chaotic = lane_run(plan)
     incidents = supervisor.incidents_since(mark)
     identical = _result_bytes(baseline) == _result_bytes(chaotic)
-    recoveries = [incident.recovery for incident in incidents]
+    # Every worker a kill or hang names must have been disturbed (a slow
+    # fault expects no incident).
+    disturbed = {incident.worker for incident in incidents}
+    targeted = {f"{fault.scope}{fault.worker}" for fault in plan.faults
+                if fault.action != "slow"}
     return {
         "scenario": app_key,
         "lane": lane,
@@ -212,8 +216,7 @@ def run_worker_lane(app_key: str, lane: str, seed: int = 0,
         "incidents": [incident.to_dict() for incident in incidents],
         "injected": len(plan),
         "recovered": len(incidents),
-        "respawns": recoveries.count("respawned"),
-        "fallbacks": recoveries.count("in_process"),
+        "undisturbed": sorted(targeted - disturbed),
         "max_recovery_s": round(max(
             (incident.recovery_s for incident in incidents),
             default=0.0), 6),
@@ -241,6 +244,10 @@ def run_workers(base_seed: int = 0,
                 ) -> ExperimentResult:
     """The worker-chaos sweep: each lane per scenario, twin-compared.
 
+    ``data["all_recovered"]`` holds when every worker a ``kill`` or
+    ``hang`` fault names has an incident; ``data["undisturbed"]`` lists
+    the others as ``scenario/lane/worker``.
+
     Skips cleanly (``data["skipped"]``) where worker processes cannot be
     spawned at all — there is no real process to kill there, and the
     supervised runtime already degrades to in-process execution.
@@ -258,15 +265,17 @@ def run_workers(base_seed: int = 0,
                     deadline_s=deadline_s))
     rows = [[record["scenario"], record["lane"], record["faults"],
              record["injected"], record["recovered"],
-             record["respawns"], record["fallbacks"],
              record["max_recovery_s"],
              "yes" if record["identical"] else "NO"]
             for record in records]
+    undisturbed = [f"{r['scenario']}/{r['lane']}/{worker}"
+                   for r in records for worker in r["undisturbed"]]
     data: Dict[str, object] = {
         "records": records,
         "skipped": skipped,
         "identical_all": all(r["identical"] for r in records),
-        "all_recovered": all(r["recovered"] >= 1 for r in records),
+        "all_recovered": not undisturbed,
+        "undisturbed": undisturbed,
         "total_incidents": sum(r["recovered"] for r in records),
         "incidents": [incident for record in records
                       for incident in record["incidents"]],
@@ -279,7 +288,7 @@ def run_workers(base_seed: int = 0,
         figure="chaos-workers",
         title=title,
         headers=["scenario", "lane", "faults", "injected", "recovered",
-                 "respawns", "fallbacks", "max_recovery_s", "identical"],
+                 "max_recovery_s", "identical"],
         rows=rows,
         data=data,
     )

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..apps import SCENARIO_A, SCENARIO_B, all_apps, app
+from ..apps import SCENARIO_A, SCENARIO_B, all_apps, app, scenario
 from ..platforms import ScenarioRunner, SingleTierRunner, platform_config
 from .common import ExperimentResult
 from .parallel import replica_seeds, run_tasks
 
 PLATFORMS = ("centralized_faas", "distributed_edge")
-
-_SCENARIOS = {s.key: s for s in (SCENARIO_A, SCENARIO_B)}
 
 
 def _tier_cell(app_key: str, platform: str, seed: int, duration_s: float,
@@ -37,7 +35,7 @@ def _scenario_makespan(seed: int, scenario_key: str,
                        platform: str) -> float:
     """One scenario-repeat makespan — picklable pool cell."""
     return ScenarioRunner(
-        platform_config(platform), _SCENARIOS[scenario_key],
+        platform_config(platform), scenario(scenario_key),
         seed=seed).run().extras["makespan_s"]
 
 

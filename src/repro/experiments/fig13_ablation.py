@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..apps import SCENARIO_A, SCENARIO_B, all_apps, app
+from ..apps import SCENARIO_A, SCENARIO_B, all_apps, app, scenario
 from ..platforms import ScenarioRunner, SingleTierRunner, platform_config
 from .common import ExperimentResult
 from .parallel import run_tasks
@@ -33,8 +33,6 @@ ABLATION_ORDER = (
     "distributed_net_accel",
     "hivemind_no_accel",
 )
-
-_SCENARIOS = {s.key: s for s in (SCENARIO_A, SCENARIO_B)}
 
 
 def _app_cell(app_key: str, name: str, seed: int, duration_s: float,
@@ -50,7 +48,7 @@ def _scenario_cell(scenario_key: str, name: str,
                    seed: int) -> Tuple[float, float]:
     """(median, p99) task latency — picklable pool cell."""
     result = ScenarioRunner(
-        platform_config(name), _SCENARIOS[scenario_key], seed=seed).run()
+        platform_config(name), scenario(scenario_key), seed=seed).run()
     return (result.median_latency_s, result.tail_latency_s)
 
 

@@ -14,21 +14,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..apps import SCENARIO_A, SCENARIO_B
+from ..apps import SCENARIO_A, SCENARIO_B, scenario
 from ..platforms import ScenarioRunner, platform_config
 from .common import ExperimentResult
 from .parallel import run_sweep
 
 MODES = ("none", "self", "swarm")
 
-_SCENARIOS = {s.key: s for s in (SCENARIO_A, SCENARIO_B)}
-
 
 def _mode_cell(scenario_key: str, mode: str, seed: int,
                passes: int) -> Tuple[float, float, float, int]:
     """(correct%, fn%, fp%, decisions) — picklable pool cell."""
     result = ScenarioRunner(
-        platform_config("hivemind"), _SCENARIOS[scenario_key], seed=seed,
+        platform_config("hivemind"), scenario(scenario_key), seed=seed,
         retraining=mode, passes=passes).run()
     tally = result.extras["tally"]
     correct, fn, fp = tally.as_row()

@@ -21,9 +21,9 @@ Plans are pure data with a flat string spec, as taken by
     kill:shard:0:2,hang:shard:1:3,slow:cloud:0:1:0.2
 
 i.e. comma-separated ``action:scope:worker:op[:delay_s]`` entries with
-1-based operation indices. Faults are one-shot: recovery respawns
-workers with an empty fault list, so a plan cannot wedge a run into an
-infinite kill loop.
+1-based operation indices. Faults are one-shot: recovery finishes a
+disturbed worker's work in the driver, where no process is left to kill
+or hang, so a plan cannot wedge a run into an infinite kill loop.
 
 Determinism contract: because every cell and region replays to
 byte-identical state from its spec (see

@@ -819,10 +819,10 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     (open-loop tenants: a ``REPRO_SERVING`` spec or a
     :class:`~repro.serving.ServingConfig`; ``None`` means no tenants,
     whatever the environment says) imply it.
-    Worker pipes are deadline-guarded (``worker_deadline_s``) and dead
-    or hung workers respawned ``SupervisedConnection.RETRIES`` times,
-    then run in-process, with the same bytes (:mod:`repro.sim.supervisor`);
-    ``worker_faults`` arms :mod:`repro.faults.worker` chaos.
+    Worker pipes are deadline-guarded (``worker_deadline_s``), and a
+    dead or hung worker's work is finished in the driver with the same
+    bytes (:mod:`repro.sim.supervisor`); ``worker_faults`` arms
+    :mod:`repro.faults.worker` chaos.
     """
     plan = plan_run(
         config, scenario, n_devices, seed=seed, shards=shards,

@@ -16,8 +16,8 @@ cell workers and cloud-region workers — and both speak one protocol:
   credits to its own totals. The loop returns after ``finish``, so
   multiprocessing finalizers still run.
 - **One supervised handle.** :class:`SupervisedConnection` forks the
-  worker process itself and falls back to running the executor
-  in-process. It adds:
+  worker process itself and falls back to running the executor in the
+  driver. It adds:
 
   - *Deadline-guarded receives.* Every reply is awaited with ``poll()``
     in short slices against a wall-clock deadline
@@ -32,23 +32,23 @@ cell workers and cloud-region workers — and both speak one protocol:
   - *Deterministic recovery.* Each cell/region is a pure function of
     its spec and per-entity seeded RNG stream, and the driver's command
     sequence (barrier times, canonical call batches) is itself
-    deterministic. The handle journals every completed command, so a
-    replacement — a respawned worker (bounded retries + backoff) or the
-    in-process executor after the retry budget — replays the journal,
-    reaching byte-identical state, then re-issues the failed command.
-    Replayed replies are discarded (their rows were already merged);
-    the failed command's reply was never merged, so it merges once.
+    deterministic. The handle journals every completed command; when
+    its worker dies or hangs it builds the executor in the driver,
+    replays the journal to byte-identical state (replies discarded:
+    their rows were already merged), then answers the failed command
+    there, whose reply was never merged, so it merges once. The handle
+    runs in the driver for the rest of the run.
   - *Incident records.* Every recovery emits a :class:`WorkerIncident`
-    (what died, during which operation, retries spent, recovery path
-    and latency) into a process-wide log that `run_sharded` surfaces in
-    result extras and `run_experiment` attaches to the
-    :class:`RunManifest`.
+    (what died, during which operation, and the recovery latency) into
+    a process-wide log that `run_sharded` surfaces in result extras and
+    `run_experiment` attaches to the :class:`RunManifest`.
 
 Chaos hooks: parent-side kills from a
 :class:`repro.faults.worker.WorkerFaultPlan` are injected here (SIGKILL
 right after a matching send); worker-side hangs/slows call
-:func:`chaos_pause` inside :func:`serve`. Faults are one-shot —
-recovered workers are respawned with chaos disarmed.
+:func:`chaos_pause` inside :func:`serve`. Faults are one-shot by
+construction: a handle that has fallen back has no process left to kill
+or hang.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ POLL_SLICE_S = 0.2
 #: Worker-side ``hang`` faults sleep this long (far past any sane
 #: deadline; the supervisor's terminate/kill escalation ends it sooner).
 HANG_SLEEP_S = 3600.0
-
-#: Backoff before respawn attempt n (n >= 1), capped.
-RESPAWN_BACKOFF_S = 0.1
-RESPAWN_BACKOFF_CAP_S = 2.0
 
 
 class ProtocolError(RuntimeError):
@@ -119,9 +115,7 @@ class WorkerIncident:
 
     worker: str          # e.g. "shard0", "cloud1"
     op: str              # e.g. "advance@60.0 [op 2]"
-    failure: str         # "death" | "hang" | "spawn"
-    retries: int         # respawn attempts consumed
-    recovery: str        # "respawned" | "in_process"
+    failure: str         # "death" | "hang"
     recovery_s: float    # wall-clock latency of the recovery
 
     def to_dict(self) -> Dict[str, Any]:
@@ -129,8 +123,6 @@ class WorkerIncident:
             "worker": self.worker,
             "op": self.op,
             "failure": self.failure,
-            "retries": self.retries,
-            "recovery": self.recovery,
             "recovery_s": round(self.recovery_s, 6),
         }
 
@@ -217,8 +209,8 @@ def serve(conn, build: Callable[[], Any],
     payload is ``(result, counters)``, where ``counters`` are this
     process's kernel-event, layer-event and span deltas since the loop
     started; the loop then returns. ``faults`` carries worker-side chaos
-    triples applied via :func:`chaos_pause` (recovery respawns pass
-    ``()``). EOF from the driver ends the loop quietly.
+    triples applied via :func:`chaos_pause`. EOF from the driver ends the
+    loop quietly.
     """
     from ..experiments.parallel import counter_mark, counters_since
     mark = counter_mark()
@@ -259,7 +251,7 @@ def _start_worker(build: Callable[[], Any],
 
 class SupervisedConnection:
     """Supervises one worker: split-phase send/collect with watchdog,
-    journaled replay recovery, and escalation teardown.
+    journaled recovery in the driver, and escalation teardown.
 
     Parameters
     ----------
@@ -267,24 +259,20 @@ class SupervisedConnection:
         Stable worker name for incidents ("shard0", "cloud1", ...).
     build:
         Zero-argument executor factory. A worker process runs it inside
-        :func:`serve`; the handle calls it itself to run in-process when
-        ``in_process`` is set, when the first fork fails (parity with
-        environments without fork), and after the retry budget.
+        :func:`serve`; the handle calls it itself, in
+        :meth:`_run_in_driver`, when ``in_process`` is set, when the
+        fork fails (parity with environments without fork), and when
+        its worker dies or hangs.
     kill_ops:
         1-based command indices after which the driver SIGKILLs the
         worker (parent-side chaos).
     worker_side_faults:
-        Chaos triples for the first worker process; respawns get ``()``
-        (faults are one-shot).
+        Chaos triples for the worker process.
 
     ``counters`` holds the worker counters shipped with the ``finish``
-    reply, or None while the handle runs in-process (its events then
+    reply, or None while the handle runs in the driver (its events then
     ran in this process and are already counted here).
     """
-
-    #: Respawn attempts before a failed worker's work runs in-process;
-    #: tests override it.
-    RETRIES = 2
 
     def __init__(self, name: str, build: Callable[[], Any],
                  deadline_s: float,
@@ -304,17 +292,17 @@ class SupervisedConnection:
         #: Set when a kill op fires; that op's reply is never read.
         self._killed = False
         self.counters = None
-        if in_process:
-            self._local = build()
-        else:
+        if not in_process:
             try:
                 self._conn, self._process = _start_worker(
                     build, tuple(worker_side_faults))
+                return
             except (OSError, ValueError):
-                # First spawn is a capability probe, not a fault: fall
-                # back silently so forkless sandboxes behave exactly as
-                # an explicit in_process run (and pay no retry latency).
-                self._local = build()
+                # A failed fork is a capability probe, not a fault: run
+                # in the driver silently, exactly as an explicit
+                # in_process run (forkless sandboxes).
+                pass
+        self._run_in_driver()
 
     # -- protocol -------------------------------------------------------
     def send(self, command: str, argument: Any) -> None:
@@ -353,16 +341,14 @@ class SupervisedConnection:
             return self._local.request(command, argument)
         try:
             if self._killed:
-                self._killed = False
                 raise WorkerDeath(f"{self.name}: killed after op "
                                   f"{self._ops_sent}")
             payload = self._recv(command)
         except WorkerFailure as failure:
-            payload = self._recover(failure, command, argument)
-        if self._local is None:
-            self._journal.append((command, argument))
-            if command == "finish":
-                payload, self.counters = payload
+            return self._recover(failure, command, argument)
+        self._journal.append((command, argument))
+        if command == "finish":
+            payload, self.counters = payload
         return payload
 
     def request(self, command: str, argument: Any) -> Any:
@@ -409,62 +395,28 @@ class SupervisedConnection:
         return None if self._process is None else self._process.exitcode
 
     # -- recovery -------------------------------------------------------
+    def _run_in_driver(self) -> None:
+        """Build the executor in the driver and replay the journal on
+        it, discarding the replies: their rows were already merged, and
+        the same deterministic command sequence rebuilds the state the
+        worker had."""
+        self._local = self._build()
+        for command, argument in self._journal:
+            self._local.request(command, argument)
+
     def _recover(self, failure: WorkerFailure, command: str,
                  argument: Any) -> Any:
         started = time.perf_counter()
         self._close_process(grace_s=0.0)
-        # Chaos faults are one-shot per original worker: a recovered
-        # worker must not be re-killed into an infinite loop.
-        self._kill_ops = frozenset()
-        retries_used = 0
-        payload = None
-        recovery = None
-        for attempt in range(self.RETRIES):
-            if attempt:
-                time.sleep(min(RESPAWN_BACKOFF_S * (2 ** (attempt - 1)),
-                               RESPAWN_BACKOFF_CAP_S))
-            try:
-                self._conn, self._process = _start_worker(self._build, ())
-            except (OSError, ValueError):
-                retries_used += 1
-                continue
-            try:
-                self._replay()
-                self._conn.send((command, argument))
-                payload = self._recv(command)
-                recovery = "respawned"
-                break
-            except (WorkerFailure, BrokenPipeError, OSError):
-                retries_used += 1
-                self._close_process(grace_s=0.0)
-                continue
-        if recovery is None:
-            # Retry budget exhausted: degrade to in-process execution.
-            self._local = self._build()
-            for past_command, past_argument in self._journal:
-                self._local.request(past_command, past_argument)
-            payload = self._local.request(command, argument)
-            recovery = "in_process"
+        self._run_in_driver()
+        payload = self._local.request(command, argument)
         record_incident(WorkerIncident(
             worker=self.name,
             op=f"{command}@{argument!r} [op {self._ops_sent}]",
             failure=failure.kind,
-            retries=retries_used,
-            recovery=recovery,
             recovery_s=time.perf_counter() - started,
         ))
         return payload
-
-    def _replay(self) -> None:
-        """Re-issue the journal on a fresh worker; discard replies.
-
-        Safe because replayed replies were already merged the first
-        time, and the replacement worker rebuilds identical state from
-        the same deterministic command sequence.
-        """
-        for command, argument in self._journal:
-            self._conn.send((command, argument))
-            self._recv(command)
 
     # -- teardown -------------------------------------------------------
     def _close_process(self, grace_s: float = 5.0) -> None:

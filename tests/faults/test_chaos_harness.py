@@ -1,10 +1,17 @@
 """End-to-end chaos harness: conservation under the issue's mixed plan,
 and bit-level determinism of the sweep."""
 
+import json
+
 import pytest
 
 from repro.experiments import chaos
 from repro.faults import named_plan
+from repro.sim.supervisor import can_spawn_workers
+
+needs_processes = pytest.mark.skipif(
+    not can_spawn_workers(),
+    reason="environment cannot spawn worker processes")
 
 DURATION_S = 30.0
 
@@ -72,21 +79,48 @@ class TestWorkerChaosLanes:
         with pytest.raises(ValueError):
             chaos.run_workers(lanes=("warp",))
 
-    @pytest.mark.skipif(
-        not __import__("repro.sim.supervisor",
-                       fromlist=["can_spawn_workers"]
-                       ).can_spawn_workers(),
-        reason="environment cannot spawn worker processes")
+    @needs_processes
     def test_sharded_lane_recovers_byte_identical(self):
         result = chaos.run_workers(scenarios=("S1",), lanes=("sharded",))
         assert not result.data["skipped"]
         assert len(result.rows) == 1
         assert result.data["identical_all"]
         assert result.data["all_recovered"]
+        assert result.data["undisturbed"] == []
         # The default sharded script injects a kill and a hang.
         assert result.data["total_incidents"] == 2
         failures = {i["failure"] for i in result.data["incidents"]}
         assert failures == {"death", "hang"}
+
+    @needs_processes
+    def test_a_targeted_worker_left_undisturbed_fails_the_lane(
+            self, capsys, tmp_path):
+        """One incident in the lane is not enough: ``shard1``'s kill at
+        op 99 never fires (the run has ~13 ops), so the lane did not
+        disturb every worker it targets and the CLI exits 1 naming it."""
+        from repro.experiments.__main__ import main
+        report = tmp_path / "incidents.json"
+        code = main(["--chaos-workers", "kill:shard:0:2,kill:shard:1:99",
+                     "--scenarios", "S1", "--lanes", "sharded",
+                     "--incidents-out", str(report)])
+        assert code == 1
+        assert "INCOMPLETE (undisturbed: S1/sharded/shard1)" in \
+            capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        assert payload["identical_all"]
+        assert not payload["all_recovered"]
+        assert payload["undisturbed"] == ["S1/sharded/shard1"]
+        [record] = payload["records"]
+        assert (record["injected"], record["recovered"]) == (2, 1)
+        assert record["undisturbed"] == ["shard1"]
+
+    @needs_processes
+    def test_slow_faults_expect_no_incident(self):
+        result = chaos.run_workers(scenarios=("S1",), lanes=("sharded",),
+                                   faults="slow:shard:0:2:0.05")
+        assert result.data["total_incidents"] == 0
+        assert result.data["all_recovered"]
+        assert result.data["identical_all"]
 
     def test_skip_path_is_well_formed(self, monkeypatch):
         monkeypatch.setattr(chaos.supervisor, "can_spawn_workers",

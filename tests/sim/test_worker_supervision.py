@@ -1,9 +1,8 @@
 """Worker supervision: watchdogs, deterministic replay, incident records.
 
 The contract under test (the robustness tentpole): a SIGKILLed or hung
-shard/cloud worker is detected, replaced (respawn with journal replay, or
-in-process after the retry budget), and the merged rows come out
-**byte-identical** to an undisturbed run — worker chaos may only change
+shard/cloud worker is detected, its work is finished in the driver after a
+journal replay, and the merged rows come out **byte-identical** to an undisturbed run — worker chaos may only change
 wall-clock and incident accounting. Every test that touches real worker
 processes is guarded by a hard SIGALRM so a supervision bug can never
 hang the suite.
@@ -117,7 +116,17 @@ class TestKillRecovery:
         assert len(incidents) == 1
         assert incidents[0].failure == "death"
         assert incidents[0].worker == "shard0"
-        assert incidents[0].recovery in ("respawned", "in_process")
+
+    def test_a_recovered_worker_is_not_disturbed_again(
+            self, undisturbed_bytes):
+        """Faults are one-shot by construction: after the kill at op 2
+        the handle runs in the driver, so the kill at op 4 has no
+        process to fire at."""
+        result = _run(WorkerFaultPlan.parse(
+            "kill:shard:0:2,kill:shard:0:4"))
+        assert result_bytes(result) == undisturbed_bytes
+        [incident] = result.extras["worker_incidents"]
+        assert incident["op"].endswith("[op 2]")
 
     def test_incidents_surface_in_extras(self):
         result = _run(WorkerFaultPlan.parse("kill:shard:1:3"))
@@ -136,7 +145,8 @@ class TestKillRecovery:
 
     def test_kill_on_finish_is_byte_identical(self, monkeypatch):
         """A cell worker and a region worker each killed on their
-        ``finish`` op replay their journals and ship the same rows."""
+        ``finish`` op have their journals replayed in the driver, which
+        yields the same rows."""
         shape = dict(cloud_shards=2, region_devices=8)
         baseline, finish_op = _finish_ops(monkeypatch, **shape)
         plan = WorkerFaultPlan.parse(
@@ -155,7 +165,7 @@ class TestKillRecovery:
                                                           monkeypatch):
         """A worker that answers ``finish`` before its SIGKILL lands is
         still a death: the buffered reply is dropped and the op is
-        replayed on a fresh worker."""
+        answered in the driver after the journal replay."""
         undisturbed, finish_ops = _finish_ops(monkeypatch)
         start = supervisor._start_worker
 
@@ -190,18 +200,6 @@ class TestHangRecovery:
                       worker_deadline_s=5.0)
         assert result_bytes(result) == undisturbed_bytes
         assert "worker_incidents" not in result.extras
-
-
-@needs_processes
-class TestDegradationLadder:
-    def test_zero_retries_degrades_to_in_process(self, monkeypatch,
-                                                 undisturbed_bytes):
-        monkeypatch.setattr(SupervisedConnection, "RETRIES", 0)
-        result = _run(WorkerFaultPlan.parse("kill:shard:0:2"))
-        assert result_bytes(result) == undisturbed_bytes
-        [incident] = result.extras["worker_incidents"]
-        assert incident["recovery"] == "in_process"
-        assert incident["retries"] == 0
 
 
 class TestUnarmedPath:
@@ -278,11 +276,62 @@ def _supervised(monkeypatch, replies):
     monkeypatch.setattr(
         supervisor, "_start_worker",
         lambda build, faults: (_FakeConn(replies), _FakeProcess()))
-    return _NoRetries("fake0", build=lambda: None, deadline_s=1.0)
+    return SupervisedConnection("fake0", build=lambda: None,
+                                deadline_s=1.0)
 
 
-class _NoRetries(SupervisedConnection):
-    RETRIES = 0
+class _Recorder:
+    """An executor that logs every command it answers."""
+
+    def __init__(self):
+        self.seen = []
+
+    def request(self, command, argument):
+        self.seen.append((command, argument))
+        return (command, argument)
+
+
+class TestRecoveryInTheDriver:
+    """A dead worker's work finishes in the driver: the journal replays
+    on an executor built there, which answers the failed command and
+    every later one."""
+
+    def test_death_replays_the_journal_in_the_driver(self, monkeypatch):
+        process, conn = _FakeProcess(), _FakeConn([("advance", "rows")])
+        monkeypatch.setattr(supervisor, "_start_worker",
+                            lambda build, faults: (conn, process))
+        built = []
+
+        def build():
+            built.append(_Recorder())
+            return built[-1]
+
+        sup = SupervisedConnection("fake0", build=build, deadline_s=1.0)
+        mark = supervisor.incident_count()
+        assert sup.request("advance", 60.0) == "rows"
+        process.alive = False  # dies before answering the next command
+        assert sup.request("advance", 120.0) == ("advance", 120.0)
+        assert sup.request("finish", 180.0) == ("finish", 180.0)
+        [executor] = built
+        assert executor.seen == [("advance", 60.0), ("advance", 120.0),
+                                 ("finish", 180.0)]
+        assert conn.sent == [("advance", 60.0), ("advance", 120.0)]
+        assert sup.counters is None
+        [incident] = supervisor.incidents_since(mark)
+        assert (incident.worker, incident.failure) == ("fake0", "death")
+        assert incident.op == "advance@120.0 [op 2]"
+
+    def test_failed_fork_runs_in_the_driver_without_an_incident(
+            self, monkeypatch):
+        def no_fork(build, faults):
+            raise OSError("fork forbidden")
+
+        monkeypatch.setattr(supervisor, "_start_worker", no_fork)
+        mark = supervisor.incident_count()
+        sup = SupervisedConnection("fake0", build=_Recorder,
+                                   deadline_s=1.0, kill_ops=frozenset({1}))
+        assert sup.request("advance", 60.0) == ("advance", 60.0)
+        assert supervisor.incidents_since(mark) == []
 
 
 class TestProtocolErrors:
@@ -397,10 +446,10 @@ class TestServeLoop:
 @needs_processes
 class TestEventAccounting:
     """Kernel-event and per-layer totals are the same on every execution
-    path: in-process, worker processes, a respawned worker, in-process
-    recovery, and a killed region worker. Worker processes ship their
-    deltas with the finish reply; a dead worker's partial counts never
-    ship, and its replacement recounts the replayed journal."""
+    path: in-process, worker processes, a killed cell worker and a
+    killed region worker. Worker processes ship their deltas with the
+    finish reply; a dead worker's partial counts never ship, and the
+    driver recounts the replayed journal."""
 
     @staticmethod
     def _deltas(worker_faults, **overrides):
@@ -416,9 +465,6 @@ class TestEventAccounting:
         reference = self._deltas(WorkerFaultPlan(), shards=1)
         assert reference[0] > 0 and all(reference[1].values())
         assert self._deltas(WorkerFaultPlan()) == reference
-        assert self._deltas(WorkerFaultPlan.parse("kill:shard:0:2")) \
-            == reference
-        monkeypatch.setattr(SupervisedConnection, "RETRIES", 0)
         assert self._deltas(WorkerFaultPlan.parse("kill:shard:0:2")) \
             == reference
 

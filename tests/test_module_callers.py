@@ -9,7 +9,8 @@ is kept alive by its tests alone. These guards fail on either, so the
 code is deleted, or wired in, rather than kept.
 
 A top-level name counts as referenced when a program file loads or
-imports it; comments, docstrings and definitions do not count. Program
+imports it; comments, docstrings and definitions do not count, and
+neither does a load that sees a local or parameter of the same name. Program
 files are everything under ``CALLER_DIRS``: ``tests/`` and
 ``benchmarks/`` (pytest shape checks of the figures) are test code.
 Imports in a package ``__init__`` are re-exports and do not count; its
@@ -846,17 +847,20 @@ class Resolver:
 
     def _credits(self, path):
         """``(names, members)`` a file's loads credit: the identifiers of
-        its name loads and of the attributes it loads from a program
-        module or an unknown receiver, and ``(class, attribute)`` for
-        each attribute load, with class ``None`` for an unknown
-        receiver."""
+        its name loads that see a module-level binding or none (a local
+        or parameter of the same name hides a top-level name) and of the
+        attributes it loads from a program module or an unknown
+        receiver, and ``(class, attribute)`` for each attribute load,
+        with class ``None`` for an unknown receiver."""
         names, members = set(), set()
         for scope in self.scopes[path]:
             for node in scope.nodes:
                 if not isinstance(getattr(node, "ctx", None), ast.Load):
                     continue
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    binder = scope.where(node.id)
+                    if binder is None or isinstance(binder.node, ast.Module):
+                        names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     owners = self.owners(self.type_of(node.value, scope))
                     if owners is None or _MODULE in owners:
@@ -1518,6 +1522,14 @@ class Slotted:
     def __init__(self):
         self.slotted = 1
         self.named = 2
+
+
+def hidden():
+    return 1
+
+
+def reached():
+    return 2
 '''
 
 _SYNTHETIC_CALLER = '''
@@ -1567,6 +1579,13 @@ def collisions(options, gauge: Gauge):
     return (kinds.count(2), np.maximum(1, 2), Child().work(), local.ping(),
             make_widget().spin(), gauge.read_out(), options.anything(),
             options.common, Table, Series, Log, Opaque, Process)
+
+
+def shadows(hidden):
+    def nested():
+        return hidden, reached
+
+    return hidden, nested
 '''
 
 
@@ -1582,14 +1601,17 @@ def test_name_guard_flags_exactly_the_planted_cases():
     identifier match would credit through a same-named method of another
     class (``Pool.kill`` calls only ``Process.kill``), a local variable
     (``column``), a foreign module's function (``np.maximum``) or a
-    builtin container's method (``list.count``). It credits a ``self``
+    builtin container's method (``list.count``), and a top-level
+    function loaded only through a same-named parameter (``hidden``,
+    also from a nested function). A bare name bound in no enclosing
+    scope credits the top-level name (``reached``). It credits a ``self``
     call from a subclass, a constructor-bound local, an annotated
     parameter, a loop over an annotated ``Dict[str, C].values()``, a
     return-annotated call and an unknown receiver."""
     resolver, source = _synthetic()
     assert unused_names(resolver, source) == {pathlib.Path("mod.py"): {
         "never", "Pool.kill", "Table.column", "Series.maximum",
-        "Log.count"}}
+        "Log.count", "hidden"}}
 
 
 def test_value_guards_flag_exactly_the_planted_cases():
